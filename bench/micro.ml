@@ -18,6 +18,12 @@ let quick_image = lazy (Eric_cc.Driver.compile_exn quick_source)
 let quick_package =
   lazy (fst (Eric.Encrypt.encrypt ~key ~mode:Eric.Config.Full (Lazy.force quick_image)))
 
+(* crc32 on its small dataset: 100,180 simulated instructions *)
+let quick_small_image =
+  lazy
+    (Eric_cc.Driver.compile_exn
+       (List.nth Eric_workloads.Workloads.all 4).Eric_workloads.Workloads.source_small)
+
 let puf_device = lazy (Eric_puf.Device.manufacture 99L)
 
 let word = Eric_rv.Encode.encode (Eric_rv.Inst.I (Addi, Eric_rv.Reg.a 0, Eric_rv.Reg.a 1, 42))
@@ -53,6 +59,8 @@ let tests =
              match Eric.Encrypt.decrypt ~key (Lazy.force quick_package) with
              | Ok _ -> ()
              | Error _ -> failwith "decrypt failed"));
+      Test.make ~name:"soc-run-crc32"
+        (Staged.stage (fun () -> Eric_sim.Soc.run_program (Lazy.force quick_small_image)));
       (* The telemetry no-op guarantee: with recording disabled, an
          instrumentation site must cost one branch over the bare call.
          Compare these three rows (all should be within noise of each

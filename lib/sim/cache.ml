@@ -14,11 +14,17 @@ type way_state = { mutable tag : int; mutable valid : bool; mutable dirty : bool
 type t = {
   cfg : config;
   sets : way_state array array;
+  line_shift : int;  (** log2 line_bytes *)
+  set_shift : int;  (** log2 of the set count *)
   stats_ : stats;
   mutable clock : int; (* monotonically increasing LRU timestamp *)
 }
 
 let is_power_of_two v = v > 0 && v land (v - 1) = 0
+
+let log2 v =
+  let rec go k = if 1 lsl k >= v then k else go (k + 1) in
+  go 0
 
 let create cfg =
   if not (is_power_of_two cfg.line_bytes) then invalid_arg "Cache.create: line size not a power of two";
@@ -32,6 +38,8 @@ let create cfg =
     sets =
       Array.init nsets (fun _ ->
           Array.init cfg.ways (fun _ -> { tag = 0; valid = false; dirty = false; age = 0 }));
+    line_shift = log2 cfg.line_bytes;
+    set_shift = log2 nsets;
     stats_ = { accesses = 0; hits = 0; misses = 0; writebacks = 0 };
     clock = 0;
   }
@@ -41,38 +49,57 @@ let stats t = t.stats_
 
 type outcome = Hit | Miss of { writeback : bool }
 
+(* Preallocated, so that an access allocates nothing. *)
+let clean_miss = Miss { writeback = false }
+let dirty_miss = Miss { writeback = true }
+
 let access t ~addr ~write =
   let s = t.stats_ in
   s.accesses <- s.accesses + 1;
   t.clock <- t.clock + 1;
-  let line = addr / t.cfg.line_bytes in
+  (* Shifts for the usual non-negative address; a negative one (about to
+     fault) keeps division's rounding toward zero. *)
+  let line = if addr >= 0 then addr lsr t.line_shift else addr / t.cfg.line_bytes in
   let nsets = Array.length t.sets in
   let set = t.sets.(line land (nsets - 1)) in
-  let tag = line / nsets in
-  let found = ref None in
-  Array.iter (fun w -> if w.valid && w.tag = tag then found := Some w) set;
-  match !found with
-  | Some w ->
+  let tag = if line >= 0 then line lsr t.set_shift else line / nsets in
+  let ways = Array.length set in
+  (* The last matching way wins. *)
+  let found = ref (-1) in
+  for i = 0 to ways - 1 do
+    let w = set.(i) in
+    if w.valid && w.tag = tag then found := i
+  done;
+  if !found >= 0 then begin
+    let w = set.(!found) in
     s.hits <- s.hits + 1;
     w.age <- t.clock;
     if write then w.dirty <- true;
     Hit
-  | None ->
+  end
+  else begin
     s.misses <- s.misses + 1;
-    (* Evict an invalid way if one exists, otherwise the least recently
-       used one. *)
-    let victim =
-      match Array.to_list set |> List.find_opt (fun w -> not w.valid) with
-      | Some w -> w
-      | None -> Array.fold_left (fun best w -> if w.age < best.age then w else best) set.(0) set
-    in
-    let writeback = victim.valid && victim.dirty in
+    (* Evict the first invalid way if there is one, otherwise the least
+       recently used (the first of equal ages). *)
+    let victim = ref (-1) in
+    for i = ways - 1 downto 0 do
+      if not set.(i).valid then victim := i
+    done;
+    if !victim < 0 then begin
+      victim := 0;
+      for i = 1 to ways - 1 do
+        if set.(i).age < set.(!victim).age then victim := i
+      done
+    end;
+    let w = set.(!victim) in
+    let writeback = w.valid && w.dirty in
     if writeback then s.writebacks <- s.writebacks + 1;
-    victim.tag <- tag;
-    victim.valid <- true;
-    victim.dirty <- write;
-    victim.age <- t.clock;
-    Miss { writeback }
+    w.tag <- tag;
+    w.valid <- true;
+    w.dirty <- write;
+    w.age <- t.clock;
+    if writeback then dirty_miss else clean_miss
+  end
 
 let flush t =
   Array.iter

@@ -31,68 +31,98 @@ type status = Running | Exited of int | Faulted of string | Integrity_fault of s
 
 exception Integrity_violation of string
 
+(* A decoded instruction, with the registers it reads as a bitmask (bit
+   [r] for xr) for the load-use check. *)
+type decoded = { inst : Inst.t; size : int; uses : int }
+
 type t = {
-  regs : int64 array;
+  regs : Bytes.t;  (** see "Register file" below *)
   mutable pc_ : int;
   memory : Memory.t;
   icache_ : Cache.t;
   dcache_ : Cache.t;
   timing : timing;
-  mutable cycles_ : int64;
-  mutable instret : int64;
+  mutable cycles_ : int;
+  mutable instret : int;
   mutable status_ : status;
-  mutable last_load_dest : Reg.t option;
+  mutable last_load_dest : int;  (** register the previous instruction loaded, or -1 *)
   mutable trace : (pc:int -> Inst.t -> unit) option;
   mutable on_store : (addr:int -> len:int -> unit) option;
   mutable on_ifetch_miss : (addr:int -> int) option;
   predictor : int array option;  (** bimodal 2-bit counters, pc-indexed *)
   out : Buffer.t;
-  decode_cache : (int, Inst.t * int) Hashtbl.t;
+  predecoded : decoded array array;  (** see "Fetch / decode" below *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Register file                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* x0..x31 are stored unboxed, 8 native-endian bytes each, followed by a
+   sink slot that takes the writes to x0, so x0 always reads 0.  A
+   result is passed straight to [set64] as its argument: through a
+   function parameter the compiler may box it first. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let sink = 32
+let get t r = get64 t.regs (r lsl 3)
+let dst r = (if r = 0 then sink else r) lsl 3
+
+(* The decode cache is a page table over memory, with one slot array per
+   4 KiB page allocated at the page's first fetch; slot [i] holds the
+   decode of the pc [page base + 2i]. *)
+let page_bits = 12
+let page_mask = (1 lsl page_bits) - 1
+let no_slots : decoded array = [||]
+let undecoded = { inst = Inst.Fence; size = 0; uses = 0 }
 
 let create ?(timing = default_timing) ?(icache = Cache.table1_config)
     ?(dcache = Cache.table1_config) ?(branch_predictor = false) ~memory ~pc ~sp () =
   let t =
     {
-      regs = Array.make 32 0L;
+      regs = Bytes.make (8 * (sink + 1)) '\000';
       pc_ = pc;
       memory;
       icache_ = Cache.create icache;
       dcache_ = Cache.create dcache;
       timing;
-      cycles_ = 0L;
-      instret = 0L;
+      cycles_ = 0;
+      instret = 0;
       status_ = Running;
-      last_load_dest = None;
+      last_load_dest = -1;
       trace = None;
       on_store = None;
       on_ifetch_miss = None;
       predictor = (if branch_predictor then Some (Array.make 512 1) else None);
       out = Buffer.create 256;
-      decode_cache = Hashtbl.create 1024;
+      predecoded = Array.make ((Memory.size memory + page_mask) lsr page_bits) no_slots;
     }
   in
-  t.regs.(Reg.to_int Reg.sp) <- Int64.of_int sp;
+  set64 t.regs (dst (Reg.sp :> int)) (Int64.of_int sp);
   t
 
-let reg t r = t.regs.(Reg.to_int r)
+let reg t r = get t (r : Reg.t :> int)
 
-let set_reg t r v = if Reg.to_int r <> 0 then t.regs.(Reg.to_int r) <- v
+let set_reg t r v = set64 t.regs (dst (r : Reg.t :> int)) v
 
 let pc t = t.pc_
 let set_pc t pc = t.pc_ <- pc
-let cycles t = t.cycles_
-let instructions t = t.instret
+let cycles t = Int64.of_int t.cycles_
+let instructions t = Int64.of_int t.instret
 let icache t = t.icache_
 let dcache t = t.dcache_
 let output t = Buffer.contents t.out
 let status t = t.status_
 
+let running t =
+  match t.status_ with Running -> true | Exited _ | Faulted _ | Integrity_fault _ -> false
+
 let set_trace t hook = t.trace <- hook
 let set_store_hook t hook = t.on_store <- hook
 let set_ifetch_miss_hook t hook = t.on_ifetch_miss <- hook
 
-let add_cycles t n = t.cycles_ <- Int64.add t.cycles_ (Int64.of_int n)
+let add_cycles t n = t.cycles_ <- t.cycles_ + n
 let charge = add_cycles
 
 let fault_integrity t msg = t.status_ <- Integrity_fault msg
@@ -162,73 +192,83 @@ let rem_unsigned a b = if b = 0L then a else Int64.unsigned_rem a b
 
 let bool_to_i64 c = if c then 1L else 0L
 
-let exec_r (op : Inst.r_op) a b =
+(* The [exec_*] functions read their operands from and write their
+   result to the register file themselves, so that no operand or result
+   crosses a call boxed. *)
+let exec_r t (op : Inst.r_op) rd rs1 rs2 =
+  let a = get t rs1 and b = get t rs2 in
   let open Int64 in
-  match op with
-  | Add -> add a b
-  | Sub -> sub a b
-  | Sll -> shift_left a (to_int (logand b 63L))
-  | Slt -> bool_to_i64 (compare a b < 0)
-  | Sltu -> bool_to_i64 (unsigned_compare a b < 0)
-  | Xor -> logxor a b
-  | Srl -> shift_right_logical a (to_int (logand b 63L))
-  | Sra -> shift_right a (to_int (logand b 63L))
-  | Or -> logor a b
-  | And -> logand a b
-  | Addw -> sext32 (add a b)
-  | Subw -> sext32 (sub a b)
-  | Sllw -> sext32 (shift_left a (to_int (logand b 31L)))
-  | Srlw -> sext32 (shift_right_logical (logand a low32_mask) (to_int (logand b 31L)))
-  | Sraw -> sext32 (shift_right (sext32 a) (to_int (logand b 31L)))
-  | Mul -> mul a b
-  | Mulh -> mulh a b
-  | Mulhsu -> mulhsu a b
-  | Mulhu -> mulhu a b
-  | Div -> div_signed a b
-  | Divu -> div_unsigned a b
-  | Rem -> rem_signed a b
-  | Remu -> rem_unsigned a b
-  | Mulw -> sext32 (mul a b)
-  | Divw ->
-    let a32 = sext32 a and b32 = sext32 b in
-    if b32 = 0L then -1L
-    else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
-    else sext32 (div a32 b32)
-  | Divuw ->
-    let a32 = logand a low32_mask and b32 = logand b low32_mask in
-    if b32 = 0L then -1L else sext32 (Int64.unsigned_div a32 b32)
-  | Remw ->
-    let a32 = sext32 a and b32 = sext32 b in
-    if b32 = 0L then a32
-    else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
-    else sext32 (rem a32 b32)
-  | Remuw ->
-    let a32 = logand a low32_mask and b32 = logand b low32_mask in
-    if b32 = 0L then sext32 a32 else sext32 (Int64.unsigned_rem a32 b32)
+  set64 t.regs (dst rd)
+    (match op with
+    | Add -> add a b
+    | Sub -> sub a b
+    | Sll -> shift_left a (to_int (logand b 63L))
+    | Slt -> bool_to_i64 (compare a b < 0)
+    | Sltu -> bool_to_i64 (unsigned_compare a b < 0)
+    | Xor -> logxor a b
+    | Srl -> shift_right_logical a (to_int (logand b 63L))
+    | Sra -> shift_right a (to_int (logand b 63L))
+    | Or -> logor a b
+    | And -> logand a b
+    | Addw -> sext32 (add a b)
+    | Subw -> sext32 (sub a b)
+    | Sllw -> sext32 (shift_left a (to_int (logand b 31L)))
+    | Srlw -> sext32 (shift_right_logical (logand a low32_mask) (to_int (logand b 31L)))
+    | Sraw -> sext32 (shift_right (sext32 a) (to_int (logand b 31L)))
+    | Mul -> mul a b
+    | Mulh -> mulh a b
+    | Mulhsu -> mulhsu a b
+    | Mulhu -> mulhu a b
+    | Div -> div_signed a b
+    | Divu -> div_unsigned a b
+    | Rem -> rem_signed a b
+    | Remu -> rem_unsigned a b
+    | Mulw -> sext32 (mul a b)
+    | Divw ->
+      let a32 = sext32 a and b32 = sext32 b in
+      if b32 = 0L then -1L
+      else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
+      else sext32 (div a32 b32)
+    | Divuw ->
+      let a32 = logand a low32_mask and b32 = logand b low32_mask in
+      if b32 = 0L then -1L else sext32 (Int64.unsigned_div a32 b32)
+    | Remw ->
+      let a32 = sext32 a and b32 = sext32 b in
+      if b32 = 0L then a32
+      else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
+      else sext32 (rem a32 b32)
+    | Remuw ->
+      let a32 = logand a low32_mask and b32 = logand b low32_mask in
+      if b32 = 0L then sext32 a32 else sext32 (Int64.unsigned_rem a32 b32))
 
-let exec_i (op : Inst.i_op) a imm =
+let exec_i t (op : Inst.i_op) rd rs1 imm =
+  let a = get t rs1 in
   let open Int64 in
   let b = of_int imm in
-  match op with
-  | Addi -> add a b
-  | Slti -> bool_to_i64 (compare a b < 0)
-  | Sltiu -> bool_to_i64 (unsigned_compare a b < 0)
-  | Xori -> logxor a b
-  | Ori -> logor a b
-  | Andi -> logand a b
-  | Addiw -> sext32 (add a b)
+  set64 t.regs (dst rd)
+    (match op with
+    | Addi -> add a b
+    | Slti -> bool_to_i64 (compare a b < 0)
+    | Sltiu -> bool_to_i64 (unsigned_compare a b < 0)
+    | Xori -> logxor a b
+    | Ori -> logor a b
+    | Andi -> logand a b
+    | Addiw -> sext32 (add a b))
 
-let exec_shift (op : Inst.shift_op) a sh =
+let exec_shift t (op : Inst.shift_op) rd rs1 sh =
+  let a = get t rs1 in
   let open Int64 in
-  match op with
-  | Slli -> shift_left a sh
-  | Srli -> shift_right_logical a sh
-  | Srai -> shift_right a sh
-  | Slliw -> sext32 (shift_left a sh)
-  | Srliw -> sext32 (shift_right_logical (logand a low32_mask) sh)
-  | Sraiw -> sext32 (shift_right (sext32 a) sh)
+  set64 t.regs (dst rd)
+    (match op with
+    | Slli -> shift_left a sh
+    | Srli -> shift_right_logical a sh
+    | Srai -> shift_right a sh
+    | Slliw -> sext32 (shift_left a sh)
+    | Srliw -> sext32 (shift_right_logical (logand a low32_mask) sh)
+    | Sraiw -> sext32 (shift_right (sext32 a) sh))
 
-let branch_taken (op : Inst.branch_op) a b =
+let branch_taken t (op : Inst.branch_op) rs1 rs2 =
+  let a = get t rs1 and b = get t rs2 in
   match op with
   | Beq -> Int64.equal a b
   | Bne -> not (Int64.equal a b)
@@ -243,42 +283,70 @@ let branch_taken (op : Inst.branch_op) a b =
 
 exception Fault of string
 
+let decode t pc =
+  let half = Memory.read_u16 t.memory pc in
+  let inst, size =
+    if half land 0b11 = 0b11 then begin
+      let word = Memory.read_u32 t.memory pc in
+      match Decode.decode word with
+      | Some inst -> (inst, 4)
+      | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08lx at pc 0x%x" word pc))
+    end
+    else
+      match Rvc.expand half with
+      | Some inst -> (inst, 2)
+      | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
+  in
+  let uses = List.fold_left (fun m r -> m lor (1 lsl (r : Reg.t :> int))) 0 (Inst.uses inst) in
+  { inst; size; uses }
+
+(* A pc is decoded on its first fetch and that decode is kept for the
+   whole run: a later store to the same bytes is not seen by fetch, as on
+   a core without FENCE.I.  Odd pcs, which no jump or branch produces,
+   bypass the cache and are decoded on every fetch; pcs outside memory
+   trap in [Memory.read_u16]. *)
 let fetch_decode t =
-  match Hashtbl.find_opt t.decode_cache t.pc_ with
-  | Some entry -> entry
-  | None ->
-    let half = Memory.read_u16 t.memory t.pc_ in
-    let entry =
-      if half land 0b11 = 0b11 then begin
-        let word = Memory.read_u32 t.memory t.pc_ in
-        match Decode.decode word with
-        | Some inst -> (inst, 4)
-        | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08lx at pc 0x%x" word t.pc_))
+  let pc = t.pc_ in
+  let page = pc asr page_bits in
+  if pc < 0 || pc land 1 <> 0 || page >= Array.length t.predecoded then decode t pc
+  else begin
+    let slots =
+      let s = t.predecoded.(page) in
+      if s != no_slots then s
+      else begin
+        let s = Array.make ((page_mask + 1) lsr 1) undecoded in
+        t.predecoded.(page) <- s;
+        s
       end
-      else
-        match Rvc.expand half with
-        | Some inst -> (inst, 2)
-        | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half t.pc_))
     in
-    Hashtbl.add t.decode_cache t.pc_ entry;
-    entry
+    let i = (pc land page_mask) lsr 1 in
+    let d = slots.(i) in
+    if d != undecoded then d
+    else begin
+      let d = decode t pc in
+      slots.(i) <- d;
+      d
+    end
+  end
 
-let load_value t (op : Inst.load_op) addr =
-  let open Int64 in
-  match op with
-  | Lb ->
-    let v = Memory.read_u8 t.memory addr in
-    of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-  | Lbu -> of_int (Memory.read_u8 t.memory addr)
-  | Lh ->
-    let v = Memory.read_u16 t.memory addr in
-    of_int (if v land 0x8000 <> 0 then v - 0x10000 else v)
-  | Lhu -> of_int (Memory.read_u16 t.memory addr)
-  | Lw -> of_int32 (Memory.read_u32 t.memory addr)
-  | Lwu -> logand (of_int32 (Memory.read_u32 t.memory addr)) low32_mask
-  | Ld -> Memory.read_u64 t.memory addr
+let load t (op : Inst.load_op) rd addr =
+  let m = t.memory in
+  set64 t.regs (dst rd)
+    (match op with
+    | Lb ->
+      let v = Memory.read_u8 m addr in
+      Int64.of_int (if v land 0x80 <> 0 then v - 0x100 else v)
+    | Lbu -> Int64.of_int (Memory.read_u8 m addr)
+    | Lh ->
+      let v = Memory.read_u16 m addr in
+      Int64.of_int (if v land 0x8000 <> 0 then v - 0x10000 else v)
+    | Lhu -> Int64.of_int (Memory.read_u16 m addr)
+    | Lw -> Int64.of_int32 (Memory.read_u32 m addr)
+    | Lwu -> Int64.logand (Int64.of_int32 (Memory.read_u32 m addr)) low32_mask
+    | Ld -> Memory.read_u64 m addr)
 
-let store_value t (op : Inst.store_op) addr v =
+let store t (op : Inst.store_op) addr src =
+  let v = get t src in
   match op with
   | Sb -> Memory.write_u8 t.memory addr (Int64.to_int (Int64.logand v 0xFFL))
   | Sh -> Memory.write_u16 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFL))
@@ -300,7 +368,7 @@ let is_div (op : Inst.r_op) =
 (* ------------------------------------------------------------------ *)
 
 let syscall t =
-  let a n = t.regs.(Reg.to_int (Reg.a n)) in
+  let a n = reg t (Reg.a n) in
   match Int64.to_int (a 7) with
   | 64 ->
     let addr = Int64.to_int (a 1) and len = Int64.to_int (a 2) in
@@ -324,44 +392,44 @@ let step t =
          corrupted encoding can raise its own (less diagnosable) decode
          fault. *)
       charge_ifetch t ~addr:t.pc_;
-      let inst, size = fetch_decode t in
-      (match t.trace with Some hook -> hook ~pc:t.pc_ inst | None -> ());
+      let d = fetch_decode t in
+      let size = d.size in
+      (match t.trace with Some hook -> hook ~pc:t.pc_ d.inst | None -> ());
       add_cycles t 1;
       (* Load-use hazard: stalls when an instruction consumes the result of
          the immediately preceding load. *)
-      (match t.last_load_dest with
-      | Some dest when List.exists (Reg.equal dest) (Inst.uses inst) ->
-        add_cycles t t.timing.load_use_stall
-      | Some _ | None -> ());
-      t.last_load_dest <- None;
+      if t.last_load_dest >= 0 && d.uses land (1 lsl t.last_load_dest) <> 0 then
+        add_cycles t t.timing.load_use_stall;
+      t.last_load_dest <- -1;
       let next_pc = ref (t.pc_ + size) in
-      (match inst with
+      (match d.inst with
       | Inst.R (op, rd, rs1, rs2) ->
         if is_mul op then add_cycles t t.timing.mul_extra;
         if is_div op then add_cycles t t.timing.div_extra;
-        set_reg t rd (exec_r op (reg t rs1) (reg t rs2))
-      | Inst.I (op, rd, rs1, imm) -> set_reg t rd (exec_i op (reg t rs1) imm)
-      | Inst.Shift (op, rd, rs1, sh) -> set_reg t rd (exec_shift op (reg t rs1) sh)
-      | Inst.U (Lui, rd, imm) -> set_reg t rd (Int64.of_int (imm lsl 12))
-      | Inst.U (Auipc, rd, imm) -> set_reg t rd (Int64.of_int (t.pc_ + (imm lsl 12)))
+        exec_r t op (rd :> int) (rs1 :> int) (rs2 :> int)
+      | Inst.I (op, rd, rs1, imm) -> exec_i t op (rd :> int) (rs1 :> int) imm
+      | Inst.Shift (op, rd, rs1, sh) -> exec_shift t op (rd :> int) (rs1 :> int) sh
+      | Inst.U (Lui, rd, imm) -> set64 t.regs (dst (rd :> int)) (Int64.of_int (imm lsl 12))
+      | Inst.U (Auipc, rd, imm) ->
+        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + (imm lsl 12)))
       | Inst.Load (op, rd, base, off) ->
-        let addr = Int64.to_int (reg t base) + off in
-        if addr mod alignment op <> 0 then
+        let addr = Int64.to_int (get t (base :> int)) + off in
+        if addr land (alignment op - 1) <> 0 then
           raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
         charge_cache t t.dcache_ ~addr ~write:false;
-        set_reg t rd (load_value t op addr);
-        t.last_load_dest <- Some rd
+        load t op (rd :> int) addr;
+        t.last_load_dest <- (rd :> int)
       | Inst.Store (op, src, base, off) ->
-        let addr = Int64.to_int (reg t base) + off in
-        if addr mod store_alignment op <> 0 then
+        let addr = Int64.to_int (get t (base :> int)) + off in
+        if addr land (store_alignment op - 1) <> 0 then
           raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
         charge_cache t t.dcache_ ~addr ~write:true;
-        store_value t op addr (reg t src);
+        store t op addr (src :> int);
         (match t.on_store with
         | Some hook -> hook ~addr ~len:(store_alignment op)
         | None -> ())
       | Inst.Branch (op, rs1, rs2, off) ->
-        let taken = branch_taken op (reg t rs1) (reg t rs2) in
+        let taken = branch_taken t op (rs1 :> int) (rs2 :> int) in
         if taken then next_pc := t.pc_ + off;
         (match t.predictor with
         | None -> if taken then add_cycles t t.timing.taken_branch_penalty
@@ -373,12 +441,12 @@ let step t =
           counters.(slot) <-
             (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
       | Inst.Jal (rd, off) ->
-        set_reg t rd (Int64.of_int (t.pc_ + size));
+        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
         next_pc := t.pc_ + off;
         add_cycles t t.timing.jump_penalty
       | Inst.Jalr (rd, rs1, imm) ->
-        let target = (Int64.to_int (reg t rs1) + imm) land lnot 1 in
-        set_reg t rd (Int64.of_int (t.pc_ + size));
+        let target = (Int64.to_int (get t (rs1 :> int)) + imm) land lnot 1 in
+        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
         next_pc := target;
         add_cycles t t.timing.jalr_penalty
       | Inst.Ecall -> (
@@ -388,16 +456,14 @@ let step t =
       | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
       | Inst.Fence -> ()
       | Inst.Csrr (rd, csr) ->
-        let v =
-          match csr with
-          | 0xC00 -> t.cycles_
-          | 0xC01 -> Int64.div t.cycles_ 25L (* microseconds at the 25 MHz clock *)
-          | 0xC02 -> t.instret
-          | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))
-        in
-        set_reg t rd v);
-      t.instret <- Int64.add t.instret 1L;
-      if t.status_ = Running then t.pc_ <- !next_pc
+        set64 t.regs (dst (rd :> int))
+          (match csr with
+          | 0xC00 -> Int64.of_int t.cycles_
+          | 0xC01 -> Int64.of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
+          | 0xC02 -> Int64.of_int t.instret
+          | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))));
+      t.instret <- t.instret + 1;
+      if running t then t.pc_ <- !next_pc
     with
     | Fault msg -> t.status_ <- Faulted msg
     | Integrity_violation msg -> t.status_ <- Integrity_fault msg
@@ -405,9 +471,9 @@ let step t =
 
 let run ?(fuel = 50_000_000) t =
   let remaining = ref fuel in
-  while t.status_ = Running && !remaining > 0 do
+  while running t && !remaining > 0 do
     step t;
     decr remaining
   done;
-  if t.status_ = Running then t.status_ <- Faulted "out of fuel";
+  if running t then t.status_ <- Faulted "out of fuel";
   t.status_

@@ -18,34 +18,22 @@ type t = {
   dirty : bool array;
   pass_cycles : int;
   fetch_cycles : int;
-  mutable next_scrub : int64;
+  mutable next_scrub : int;  (** core cycle count at which the next pass is due *)
   stats : stats;
 }
 
-(* FNV-1a 64: cheap, deterministic, and a single flipped bit always
-   changes the digest (the model's stand-in for truncated SHA-256). *)
-let fnv_init = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
-
-let digest memory ~addr ~len =
-  let h = ref fnv_init in
-  for i = addr to addr + len - 1 do
-    h := fnv_byte !h (Memory.read_u8 memory i)
-  done;
-  !h
-
-let digest_sub buf ~off ~len =
-  let h = ref fnv_init in
-  for i = off to off + len - 1 do
-    h := fnv_byte !h (Char.code (Bytes.get buf i))
-  done;
-  !h
-
 let granule_index t addr = (addr - t.base) / t.cfg.Guard.granule_bytes
 
+(* FNV-1a 64 ({!Memory.fnv1a}): cheap, deterministic, and a single
+   flipped bit always changes the digest (the model's stand-in for
+   truncated SHA-256). *)
 let granule_digest t g =
-  digest t.memory ~addr:(t.base + (g * t.cfg.Guard.granule_bytes)) ~len:t.cfg.Guard.granule_bytes
+  Memory.fnv1a t.memory
+    ~addr:(t.base + (g * t.cfg.Guard.granule_bytes))
+    ~len:t.cfg.Guard.granule_bytes
+
+let next_scrub_after config ~now =
+  match Guard.scrub_interval config with Some i -> now + i | None -> max_int
 
 let create ~config ~image memory =
   (match Guard.validate config with
@@ -67,10 +55,7 @@ let create ~config ~image memory =
       dirty = Array.make n false;
       pass_cycles = Guard.scrub_pass_cycles config ~resident_bytes:resident;
       fetch_cycles = Guard.fetch_check_cycles config;
-      next_scrub =
-        (match Guard.scrub_interval config with
-        | Some i -> Int64.of_int i
-        | None -> Int64.max_int);
+      next_scrub = next_scrub_after config ~now:0;
       stats =
         {
           scrub_passes = 0;
@@ -85,13 +70,13 @@ let create ~config ~image memory =
      reference digests while the validated load streams through the HDE,
      i.e. before any later upset — a flip injected between load and run
      must diverge from these, not become them. *)
-  let pristine = Bytes.make (n * config.Guard.granule_bytes) '\000' in
-  let text = text_bytes image in
-  Bytes.blit text 0 pristine 0 (Bytes.length text);
-  Bytes.blit image.data 0 pristine (Layout.data_base image - base) (Bytes.length image.data);
+  let granule = config.Guard.granule_bytes in
+  (* [Memory.create] refuses an empty memory. *)
+  let pristine = Memory.create ~size:(max 1 n * granule) in
+  Memory.blit_bytes pristine ~addr:0 (text_bytes image);
+  Memory.blit_bytes pristine ~addr:(Layout.data_base image - base) image.data;
   for g = 0 to n - 1 do
-    t.refs.(g) <-
-      digest_sub pristine ~off:(g * config.Guard.granule_bytes) ~len:config.Guard.granule_bytes
+    t.refs.(g) <- Memory.fnv1a pristine ~addr:(g * granule) ~len:granule
   done;
   t
 
@@ -129,7 +114,7 @@ let attach t cpu =
   if Guard.fetch_checked t.cfg then
     Cpu.set_ifetch_miss_hook cpu (Some (fun ~addr -> fetch_check t ~addr))
 
-let scrub_due t ~now = Int64.compare now t.next_scrub >= 0
+let scrub_due t ~now = Int64.to_int now >= t.next_scrub
 
 let scan t ~on_mismatch =
   let n = Array.length t.refs in
@@ -154,9 +139,7 @@ let scrub t cpu =
   (match !fault with
   | Some g -> Cpu.fault_integrity cpu (mismatch_msg t g)
   | None -> ());
-  (match Guard.scrub_interval t.cfg with
-  | Some i -> t.next_scrub <- Int64.add (Cpu.cycles cpu) (Int64.of_int i)
-  | None -> t.next_scrub <- Int64.max_int)
+  t.next_scrub <- next_scrub_after t.cfg ~now:(Int64.to_int (Cpu.cycles cpu))
 
 let verify_all t =
   let fault = ref None in

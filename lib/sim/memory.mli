@@ -1,8 +1,14 @@
-(** Flat little-endian byte-addressable main memory.
+(** Little-endian byte-addressable main memory, held sparsely.
+
+    Memory is an array of 4 KiB pages.  A page reads as zeros until its
+    first write gives it bytes of its own, so a fresh memory, and a run
+    in it, cost only the pages the run touches.
 
     All accesses are bounds-checked; an out-of-range access raises
     {!Trap}, which the CPU surfaces as an execution fault (the moral
-    equivalent of a bus error on the real SoC). *)
+    equivalent of a bus error on the real SoC).  The check holds however
+    large the address or length, and it comes before anything is
+    allocated for the access. *)
 
 type t
 
@@ -27,3 +33,9 @@ val blit_bytes : t -> addr:int -> bytes -> unit
 val read_bytes : t -> addr:int -> len:int -> bytes
 
 val fill : t -> addr:int -> len:int -> char -> unit
+(** Filling a page that was never written with ['\000'] leaves it
+    unwritten. *)
+
+val fnv1a : t -> addr:int -> len:int -> int64
+(** 64-bit FNV-1a over the bytes [\[addr, addr + len)], read straight
+    from the pages: the integrity guard's granule digest. *)

@@ -63,22 +63,24 @@ let finish ?(guard_cycles = 0L) ~load_cycles cpu status =
   record_result r;
   r
 
+let running cpu = match Cpu.status cpu with Cpu.Running -> true | _ -> false
+
 (* Same stepping contract as [Cpu.run], with the scrub engine interleaved
    between instructions whenever its interval elapses. *)
 let run_guarded ?(fuel = 50_000_000) guard image cpu memory =
   let integ = Integrity.create ~config:guard ~image memory in
   Integrity.attach integ cpu;
   let remaining = ref fuel in
-  while Cpu.status cpu = Running && !remaining > 0 do
+  while running cpu && !remaining > 0 do
     if Integrity.scrub_due integ ~now:(Cpu.cycles cpu) then Integrity.scrub integ cpu;
-    if Cpu.status cpu = Running then begin
+    if running cpu then begin
       Cpu.step cpu;
       decr remaining
     end
   done;
   (* [Cpu.run ~fuel:0] applies the same out-of-fuel faulting as the
      unguarded path without stepping. *)
-  let status = if Cpu.status cpu = Running then Cpu.run ~fuel:0 cpu else Cpu.status cpu in
+  let status = if running cpu then Cpu.run ~fuel:0 cpu else Cpu.status cpu in
   ((Integrity.stats integ).Integrity.guard_cycles, status)
 
 let run_loaded ?timing ?fuel ?(guard = Eric_hw.Guard.disabled) ~load_cycles image memory =

@@ -37,6 +37,129 @@ let test_memory_blit_fill () =
   Memory.fill m ~addr:8 ~len:2 'z';
   check Alcotest.string "fill" "zzc" (Bytes.to_string (Memory.read_bytes m ~addr:8 ~len:3))
 
+let test_memory_bounds_overflow () =
+  (* [addr + len] wraps past max_int; the check must not. *)
+  let m = Memory.create ~size:64 in
+  let trap f = try f (); false with Memory.Trap _ -> true in
+  check Alcotest.bool "read_u64 near max_int" true
+    (trap (fun () -> ignore (Memory.read_u64 m (max_int - 7))));
+  check Alcotest.bool "read_bytes huge length" true
+    (trap (fun () -> ignore (Memory.read_bytes m ~addr:8 ~len:max_int)));
+  check Alcotest.bool "fill huge length" true
+    (trap (fun () -> Memory.fill m ~addr:8 ~len:max_int 'x'));
+  check Alcotest.bool "read_bytes negative length" true
+    (trap (fun () -> ignore (Memory.read_bytes m ~addr:8 ~len:(-1))))
+
+(* The paged memory against a flat [Bytes] reference: random sequences
+   of every access, biased to page edges, unwritten pages and both ends
+   of memory, must read the same values and trap on the same accesses. *)
+type mem_op =
+  | Read of int * int  (** width in bytes, address *)
+  | Write of int * int * int64
+  | Blit of int * string
+  | Read_bytes of int * int
+  | Fill of int * int * char
+  | Digest of int * int
+
+let model_page = 4096
+let model_size = (5 * model_page) + 100
+
+let mem_op_gen =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (6, map2 (fun p d -> (p * model_page) + d) (int_range 0 6) (int_range (-9) 9));
+        (2, int_range 0 (model_size - 1));
+        ( 1,
+          oneofl
+            [ -1; -8; model_size - 8; model_size - 1; model_size; max_int - 7; max_int; min_int ] ) ]
+  in
+  let len =
+    frequency
+      [ (4, int_range 0 16);
+        (3, map2 (fun k d -> (k * model_page) + d) (int_range 1 2) (int_range (-3) 3));
+        (1, oneofl [ -1; model_size; model_size + 1; max_int; min_int ]) ]
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  let byte = frequency [ (3, return '\000'); (1, char) ] in
+  frequency
+    [ (4, map2 (fun w a -> Read (w, a)) width addr);
+      (4, map3 (fun w a v -> Write (w, a, v)) width addr ui64);
+      (1, map2 (fun a s -> Blit (a, s)) addr (string_size (int_range 0 ((2 * model_page) + 8))));
+      (2, map2 (fun a n -> Read_bytes (a, n)) addr len);
+      (2, map3 (fun a n c -> Fill (a, n, c)) addr len byte);
+      (1, map2 (fun a n -> Digest (a, n)) addr len) ]
+
+let pp_mem_op = function
+  | Read (w, a) -> Printf.sprintf "read%d 0x%x" (8 * w) a
+  | Write (w, a, v) -> Printf.sprintf "write%d 0x%x %Ld" (8 * w) a v
+  | Blit (a, s) -> Printf.sprintf "blit 0x%x (%d bytes)" a (String.length s)
+  | Read_bytes (a, n) -> Printf.sprintf "read_bytes 0x%x %d" a n
+  | Fill (a, n, c) -> Printf.sprintf "fill 0x%x %d %C" a n c
+  | Digest (a, n) -> Printf.sprintf "fnv1a 0x%x %d" a n
+
+(* The reference; [None] is a trap. *)
+let model_apply flat op =
+  let a, n =
+    match op with
+    | Read (w, a) | Write (w, a, _) -> (a, w)
+    | Blit (a, s) -> (a, String.length s)
+    | Read_bytes (a, n) | Fill (a, n, _) | Digest (a, n) -> (a, n)
+  in
+  if a < 0 || n < 0 || a > Bytes.length flat - n then None
+  else
+    Some
+      (match op with
+      | Read (1, a) -> Int64.to_string (Int64.of_int (Bytes.get_uint8 flat a))
+      | Read (2, a) -> Int64.to_string (Int64.of_int (Bytes.get_uint16_le flat a))
+      | Read (4, a) -> Int64.to_string (Int64.of_int32 (Bytes.get_int32_le flat a))
+      | Read (_, a) -> Int64.to_string (Bytes.get_int64_le flat a)
+      | Write (1, a, v) -> Bytes.set_uint8 flat a (Int64.to_int v land 0xFF); ""
+      | Write (2, a, v) -> Bytes.set_uint16_le flat a (Int64.to_int v land 0xFFFF); ""
+      | Write (4, a, v) -> Bytes.set_int32_le flat a (Int64.to_int32 v); ""
+      | Write (_, a, v) -> Bytes.set_int64_le flat a v; ""
+      | Blit (a, s) -> Bytes.blit_string s 0 flat a (String.length s); ""
+      | Read_bytes (a, n) -> Bytes.sub_string flat a n
+      | Fill (a, n, c) -> Bytes.fill flat a n c; ""
+      | Digest (a, n) ->
+        let h = ref 0xcbf29ce484222325L in
+        for i = a to a + n - 1 do
+          h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 flat i))) 0x100000001b3L
+        done;
+        Int64.to_string !h)
+
+(* A trap must come before anything is allocated for the access: only
+   the exception and its message may be. *)
+let memory_apply m op =
+  let blit_src = match op with Blit (_, s) -> Bytes.of_string s | _ -> Bytes.empty in
+  let before = Gc.allocated_bytes () in
+  try
+    Some
+      (match op with
+      | Read (1, a) -> Int64.to_string (Int64.of_int (Memory.read_u8 m a))
+      | Read (2, a) -> Int64.to_string (Int64.of_int (Memory.read_u16 m a))
+      | Read (4, a) -> Int64.to_string (Int64.of_int32 (Memory.read_u32 m a))
+      | Read (_, a) -> Int64.to_string (Memory.read_u64 m a)
+      | Write (1, a, v) -> Memory.write_u8 m a (Int64.to_int v); ""
+      | Write (2, a, v) -> Memory.write_u16 m a (Int64.to_int v); ""
+      | Write (4, a, v) -> Memory.write_u32 m a (Int64.to_int32 v); ""
+      | Write (_, a, v) -> Memory.write_u64 m a v; ""
+      | Blit (a, _) -> Memory.blit_bytes m ~addr:a blit_src; ""
+      | Read_bytes (a, n) -> Bytes.to_string (Memory.read_bytes m ~addr:a ~len:n)
+      | Fill (a, n, c) -> Memory.fill m ~addr:a ~len:n c; ""
+      | Digest (a, n) -> Int64.to_string (Memory.fnv1a m ~addr:a ~len:n))
+  with Memory.Trap _ ->
+    if Gc.allocated_bytes () -. before < 1024.0 then None else Some "allocated, then trapped"
+
+let memory_model_equivalence =
+  qtest ~count:200 "paged memory = flat bytes"
+    (QCheck.make ~print:(QCheck.Print.list pp_mem_op)
+       QCheck.Gen.(list_size (int_range 1 40) mem_op_gen))
+    (fun ops ->
+      let m = Memory.create ~size:model_size and flat = Bytes.make model_size '\000' in
+      List.for_all (fun op -> memory_apply m op = model_apply flat op) ops
+      && Bytes.equal (Memory.read_bytes m ~addr:0 ~len:model_size) flat)
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -89,6 +212,107 @@ let test_cache_table1_geometry () =
   let c = Cache.create Cache.table1_config in
   check Alcotest.int "16 KiB" (16 * 1024) (Cache.config c).Cache.size_bytes;
   check Alcotest.int "4-way" 4 (Cache.config c).Cache.ways
+
+(* A plain list/closure implementation of [Cache.access], the reference
+   model for the allocation-free one. *)
+module Ref_cache = struct
+  type way = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable age : int }
+
+  type t = { line_bytes : int; sets : way array array; stats : Cache.stats; mutable clock : int }
+
+  let create (cfg : Cache.config) =
+    let nsets = cfg.Cache.size_bytes / cfg.Cache.line_bytes / cfg.Cache.ways in
+    { line_bytes = cfg.Cache.line_bytes;
+      sets =
+        Array.init nsets (fun _ ->
+            Array.init cfg.Cache.ways (fun _ -> { tag = 0; valid = false; dirty = false; age = 0 }));
+      stats = { Cache.accesses = 0; hits = 0; misses = 0; writebacks = 0 };
+      clock = 0 }
+
+  let access t ~addr ~write =
+    let s = t.stats in
+    s.Cache.accesses <- s.Cache.accesses + 1;
+    t.clock <- t.clock + 1;
+    let line = addr / t.line_bytes in
+    let nsets = Array.length t.sets in
+    let set = t.sets.(line land (nsets - 1)) in
+    let tag = line / nsets in
+    let found = ref None in
+    Array.iter (fun w -> if w.valid && w.tag = tag then found := Some w) set;
+    match !found with
+    | Some w ->
+      s.Cache.hits <- s.Cache.hits + 1;
+      w.age <- t.clock;
+      if write then w.dirty <- true;
+      Cache.Hit
+    | None ->
+      s.Cache.misses <- s.Cache.misses + 1;
+      let victim =
+        match Array.to_list set |> List.find_opt (fun w -> not w.valid) with
+        | Some w -> w
+        | None -> Array.fold_left (fun best w -> if w.age < best.age then w else best) set.(0) set
+      in
+      let writeback = victim.valid && victim.dirty in
+      if writeback then s.Cache.writebacks <- s.Cache.writebacks + 1;
+      victim.tag <- tag;
+      victim.valid <- true;
+      victim.dirty <- write;
+      victim.age <- t.clock;
+      Cache.Miss { writeback }
+
+  let flush t =
+    Array.iter
+      (Array.iter (fun w ->
+           w.valid <- false;
+           w.dirty <- false;
+           w.age <- 0))
+      t.sets
+end
+
+type cache_op = Access of int * bool | Flush
+
+let cache_equivalence =
+  let geometries =
+    [ { Cache.size_bytes = 512; ways = 2; line_bytes = 64 };
+      { Cache.size_bytes = 256; ways = 1; line_bytes = 16 };
+      { Cache.size_bytes = 1024; ways = 4; line_bytes = 32 };
+      { Cache.size_bytes = 512; ways = 8; line_bytes = 64 } (* one fully associative set *);
+      Cache.table1_config ]
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ ( 40,
+            map2
+              (fun addr write -> Access (addr, write))
+              (frequency
+                 [ (8, int_range 0 4095); (2, int_range 0 65535); (1, int_range (-4096) (-1)) ])
+              bool );
+          (1, return Flush) ])
+  in
+  let print (cfg, ops) =
+    Printf.sprintf "%d B, %d-way, %d B lines: %s" cfg.Cache.size_bytes cfg.Cache.ways
+      cfg.Cache.line_bytes
+      (String.concat " "
+         (List.map
+            (function
+              | Access (a, w) -> Printf.sprintf "%s%d" (if w then "w" else "r") a
+              | Flush -> "flush")
+            ops))
+  in
+  qtest ~count:200 "access = list/closure reference"
+    (QCheck.make ~print QCheck.Gen.(pair (oneofl geometries) (list_size (int_range 1 300) op)))
+    (fun (cfg, ops) ->
+      let c = Cache.create cfg and r = Ref_cache.create cfg in
+      List.for_all
+        (function
+          | Flush ->
+            Cache.flush c;
+            Ref_cache.flush r;
+            true
+          | Access (addr, write) -> Cache.access c ~addr ~write = Ref_cache.access r ~addr ~write)
+        ops
+      && Cache.stats c = r.Ref_cache.stats)
 
 (* ------------------------------------------------------------------ *)
 (* CPU semantics                                                       *)
@@ -473,19 +697,226 @@ let test_guard_reenrolls_dirty_data () =
   check Alcotest.bool "clean granules checked" true (s.Integrity.granules_checked > 0);
   check Alcotest.bool "post-run audit clean" true (Result.is_ok (Integrity.verify_all integ))
 
+(* ------------------------------------------------------------------ *)
+(* Out-of-range addresses, the decode cache, allocation                *)
+(* ------------------------------------------------------------------ *)
+
+let run_with_regs insts regs =
+  let image = build_program insts in
+  let cpu = Soc.boot image (Soc.load image) in
+  List.iter (fun (r, v) -> Cpu.set_reg cpu r v) regs;
+  Cpu.run cpu
+
+let expect_fault what expected status =
+  match status with
+  | Cpu.Faulted msg -> check Alcotest.string what expected msg
+  | _ -> Alcotest.failf "%s: expected a fault" what
+
+(* Addresses whose [addr + len] wraps past max_int must fault like any
+   other out-of-range access, not escape [Cpu.step]. *)
+let test_wrapping_addresses_fault () =
+  expect_fault "ld near max_int" "memory access out of bounds: 0x3ffffffffffffff8 (+8) (pc 0x10000)"
+    (run_with_regs [ Inst.Load (Ld, Reg.a 0, Reg.a 1, 0) ] [ (Reg.a 1, 0x3FFF_FFFF_FFFF_FFF8L) ]);
+  expect_fault "write syscall with a huge length"
+    "memory access out of bounds: 0x11000 (+4611686018427387903) (pc 0x10004)"
+    (run_with_regs
+       [ Inst.I (Addi, Reg.a 7, Reg.x0, 64); Inst.Ecall ]
+       [ (Reg.a 1, 0x11000L); (Reg.a 2, Int64.of_int max_int) ]);
+  expect_fault "jump near max_int"
+    "memory access out of bounds: 0x3ffffffffffffffe (+2) (pc 0x3ffffffffffffffe)"
+    (run_with_regs [ Inst.Jalr (Reg.x0, Reg.a 1, 0) ] [ (Reg.a 1, 0x3FFF_FFFF_FFFF_FFFEL) ])
+
+(* A pc is decoded on its first fetch and never again: without FENCE.I,
+   a store over text that already ran is not seen by fetch. *)
+let test_decode_once_stale_text () =
+  let a n = Reg.a n in
+  let patch = Inst.I (Addi, a 0, a 0, 100) in
+  let data = Bytes.create 4 in
+  Bytes.set_int32_le data 0 (Encode.encode patch);
+  let image =
+    build_program ~data
+      [ Inst.U (Lui, a 1, 0x10); Inst.I (Addi, a 1, a 1, 24) (* a1 = instruction 6 *);
+        Inst.U (Lui, a 2, 0x11); Inst.Load (Lw, Reg.t_ 2, a 2, 0) (* t2 = the patch *);
+        Inst.I (Addi, Reg.t_ 0, Reg.x0, 2); Inst.I (Addi, a 0, Reg.x0, 0);
+        Inst.I (Addi, a 0, a 0, 1) (* patched by the first iteration *);
+        Inst.Store (Sw, Reg.t_ 2, a 1, 0);
+        Inst.I (Addi, Reg.t_ 0, Reg.t_ 0, -1); Inst.Branch (Bne, Reg.t_ 0, Reg.x0, -12);
+        Inst.I (Addi, a 7, Reg.x0, 93); Inst.Ecall ]
+  in
+  let memory = Soc.load image in
+  (match Cpu.run (Soc.boot image memory) with
+  | Cpu.Exited code -> check Alcotest.int "the stale decode ran both times" 2 code
+  | _ -> Alcotest.fail "did not exit");
+  check Alcotest.int32 "the store reached memory" (Encode.encode patch)
+    (Memory.read_u32 memory (Program.Layout.text_base + 24))
+
+let test_decode_pc_in_data () =
+  let data = Bytes.create 12 in
+  List.iteri
+    (fun i inst -> Bytes.set_int32_le data (4 * i) (Encode.encode inst))
+    [ Inst.I (Addi, Reg.a 0, Reg.x0, 7); Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ];
+  let image = build_program ~data [ Inst.U (Lui, Reg.t_ 0, 0x11); Inst.Jalr (Reg.x0, Reg.t_ 0, 0) ] in
+  match (Soc.run_program image).Soc.status with
+  | Cpu.Exited 7 -> ()
+  | _ -> Alcotest.fail "code in the data segment did not run"
+
+(* Pcs the decode table does not hold (odd, past the end, negative) fault
+   with the decoder's or the memory trap's own message. *)
+let test_decode_bad_pc_faults () =
+  let image = build_program [ Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ] in
+  let run_at pc =
+    let cpu = Cpu.create ~memory:(Soc.load image) ~pc ~sp:Program.Layout.stack_top () in
+    Cpu.run cpu
+  in
+  expect_fault "odd pc in text" "invalid compressed parcel 0x0000 at pc 0x10005"
+    (run_at (Program.Layout.text_base + 1));
+  expect_fault "odd pc in unwritten memory" "invalid compressed parcel 0x0000 at pc 0x20001"
+    (run_at 0x20001);
+  expect_fault "pc at the end of memory"
+    "memory access out of bounds: 0x1000000 (+2) (pc 0x1000000)"
+    (run_at Program.Layout.memory_size);
+  expect_fault "last byte of memory" "memory access out of bounds: 0xffffff (+2) (pc 0xffffff)"
+    (run_at (Program.Layout.memory_size - 1));
+  expect_fault "negative pc"
+    "memory access out of bounds: 0x7ffffffffffffffe (+2) (pc 0x7ffffffffffffffe)" (run_at (-2))
+
+let test_steps_allocate_nothing () =
+  let image = loop_program ~iters:2000 () in
+  let cpu = Soc.boot image (Soc.load image) in
+  let before = Gc.minor_words () in
+  (match Cpu.run cpu with
+  | Cpu.Exited 0 -> ()
+  | _ -> Alcotest.fail "loop did not exit 0");
+  let per_step = (Gc.minor_words () -. before) /. Int64.to_float (Cpu.instructions cpu) in
+  check Alcotest.bool (Printf.sprintf "%.3f words per instruction" per_step) true (per_step < 0.1)
+
+(* ------------------------------------------------------------------ *)
+(* Golden cycle pin                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Absolute simulated counts of every small-dataset workload, unguarded
+   and under fetch+scrub:1024: status, instructions, exec and guard
+   cycles, I- and D-cache accesses/hits/misses/writebacks and the MD5 of
+   the output.  Work on the simulator's speed must leave every one
+   unchanged; a deliberate change to the timing model updates them
+   here. *)
+let golden_rows =
+  [ "basicmath off: exit 0 instr=55676 exec=104520 guard=0 icache=55676/55663/13/0 \
+     dcache=5009/4988/21/0 out=9b1fd9c8d5ee1c357d453dfe7832f70f";
+    "basicmath fetch+scrub:1024: exit 0 instr=55676 exec=689571 guard=585051 \
+     icache=55676/55663/13/0 dcache=5009/4988/21/0 out=9b1fd9c8d5ee1c357d453dfe7832f70f";
+    "bitcount off: exit 0 instr=97100 exec=112844 guard=0 icache=97100/97082/18/0 \
+     dcache=4772/4734/38/0 out=b6ad0dc0dd72136de36c0133b600ee50";
+    "bitcount fetch+scrub:1024: exit 0 instr=97100 exec=872327 guard=759483 \
+     icache=97100/97082/18/0 dcache=4772/4734/38/0 out=b6ad0dc0dd72136de36c0133b600ee50";
+    "qsort off: exit 0 instr=63056 exec=105556 guard=0 icache=63056/63036/20/0 \
+     dcache=14854/14813/41/0 out=069ec1c14401db628b748ddf401b1ddc";
+    "qsort fetch+scrub:1024: exit 0 instr=63056 exec=767128 guard=661572 \
+     icache=63056/63036/20/0 dcache=14854/14813/41/0 out=069ec1c14401db628b748ddf401b1ddc";
+    "dijkstra off: exit 0 instr=118640 exec=213577 guard=0 icache=118640/118623/17/0 \
+     dcache=8561/8348/213/0 out=399d4fdb2196513d175ef079149fca10";
+    "dijkstra fetch+scrub:1024: exit 0 instr=118640 exec=4147198 guard=3933621 \
+     icache=118640/118623/17/0 dcache=8561/8348/213/0 out=399d4fdb2196513d175ef079149fca10";
+    "crc32 off: exit 0 instr=100180 exec=118287 guard=0 icache=100180/100163/17/0 \
+     dcache=3220/3172/48/0 out=a0126569e2baed17eed9197ca22f4c82";
+    "crc32 fetch+scrub:1024: exit 0 instr=100180 exec=991896 guard=873609 \
+     icache=100180/100163/17/0 dcache=3220/3172/48/0 out=a0126569e2baed17eed9197ca22f4c82";
+    "stringsearch off: exit 0 instr=148301 exec=216763 guard=0 icache=148301/148275/26/0 \
+     dcache=13451/13402/49/0 out=64ccc2acebb62671bae26801215ca1a8";
+    "stringsearch fetch+scrub:1024: exit 0 instr=148301 exec=1835227 guard=1618464 \
+     icache=148301/148275/26/0 dcache=13451/13402/49/0 out=64ccc2acebb62671bae26801215ca1a8";
+    "sha off: exit 0 instr=101616 exec=124639 guard=0 icache=101616/101587/29/0 \
+     dcache=8493/8471/22/0 out=192fa1ae38160d711d1d0756ed44ac25";
+    "sha fetch+scrub:1024: exit 0 instr=101616 exec=814087 guard=689448 \
+     icache=101616/101587/29/0 dcache=8493/8471/22/0 out=192fa1ae38160d711d1d0756ed44ac25";
+    "adpcm off: exit 0 instr=104564 exec=162406 guard=0 icache=104564/104540/24/0 \
+     dcache=8536/8381/155/0 out=d2434477b4e7344c99fda967a586a6f9";
+    "adpcm fetch+scrub:1024: exit 0 instr=104564 exec=2599624 guard=2437218 \
+     icache=104564/104540/24/0 dcache=8536/8381/155/0 out=d2434477b4e7344c99fda967a586a6f9";
+    "rijndael off: exit 0 instr=121733 exec=181375 guard=0 icache=121733/121696/37/0 \
+     dcache=18218/18198/20/0 out=2f472ea7d52696c598c28150eb86e4fd";
+    "rijndael fetch+scrub:1024: exit 0 instr=121733 exec=1166488 guard=985113 \
+     icache=121733/121696/37/0 dcache=18218/18198/20/0 out=2f472ea7d52696c598c28150eb86e4fd";
+    "fft off: exit 0 instr=307268 exec=589173 guard=0 icache=307268/307239/29/0 \
+     dcache=46895/46786/109/0 out=7cc676aa3d62f1b57196cf08beb87d16";
+    "fft fetch+scrub:1024: exit 0 instr=307268 exec=7284588 guard=6695415 \
+     icache=307268/307239/29/0 dcache=46895/46786/109/0 out=7cc676aa3d62f1b57196cf08beb87d16" ]
+
+let status_label = function
+  | Cpu.Running -> "running"
+  | Cpu.Exited n -> Printf.sprintf "exit %d" n
+  | Cpu.Faulted m -> "fault " ^ m
+  | Cpu.Integrity_fault m -> "integrity " ^ m
+
+let cache_label c =
+  let s = Cache.stats c in
+  Printf.sprintf "%d/%d/%d/%d" s.Cache.accesses s.Cache.hits s.Cache.misses s.Cache.writebacks
+
+(* The core is stepped the way [Soc.run_loaded] steps it, so that its
+   caches are in reach; [Soc.run_loaded] must then agree on every field
+   it reports. *)
+let golden_row name ~guard image =
+  let memory = Soc.load image in
+  let cpu = Soc.boot image memory in
+  let guard_cycles =
+    if Eric_hw.Guard.enabled guard then begin
+      let integ = Integrity.create ~config:guard ~image memory in
+      Integrity.attach integ cpu;
+      while Cpu.status cpu = Cpu.Running do
+        if Integrity.scrub_due integ ~now:(Cpu.cycles cpu) then Integrity.scrub integ cpu;
+        if Cpu.status cpu = Cpu.Running then Cpu.step cpu
+      done;
+      (Integrity.stats integ).Integrity.guard_cycles
+    end
+    else begin
+      ignore (Cpu.run cpu);
+      0L
+    end
+  in
+  let r = Soc.run_loaded ~guard ~load_cycles:0L image (Soc.load image) in
+  check Alcotest.bool (name ^ ": Soc.run_loaded agrees") true
+    (r.Soc.status = Cpu.status cpu
+    && r.Soc.instructions = Cpu.instructions cpu
+    && r.Soc.exec_cycles = Cpu.cycles cpu
+    && r.Soc.guard_cycles = guard_cycles
+    && r.Soc.output = Cpu.output cpu
+    && r.Soc.icache_hit_rate = Cache.hit_rate (Cpu.icache cpu)
+    && r.Soc.dcache_hit_rate = Cache.hit_rate (Cpu.dcache cpu));
+  Printf.sprintf "%s: %s instr=%Ld exec=%Ld guard=%Ld icache=%s dcache=%s out=%s" name
+    (status_label (Cpu.status cpu)) (Cpu.instructions cpu) (Cpu.cycles cpu) guard_cycles
+    (cache_label (Cpu.icache cpu)) (cache_label (Cpu.dcache cpu))
+    (Digest.to_hex (Digest.string (Cpu.output cpu)))
+
+let test_golden_cycles () =
+  let rows =
+    List.concat_map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        let name = w.Eric_workloads.Workloads.name in
+        let image = Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small in
+        [ golden_row (name ^ " off") ~guard:Eric_hw.Guard.disabled image;
+          golden_row (name ^ " fetch+scrub:1024")
+            ~guard:(Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024)
+            image ])
+      Eric_workloads.Workloads.all
+  in
+  check Alcotest.(list string) "golden rows" golden_rows rows
+
 let () =
   Alcotest.run "eric_sim"
     [ ( "memory",
         [ Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "bounds" `Quick test_memory_bounds;
-          Alcotest.test_case "blit/fill" `Quick test_memory_blit_fill ] );
+          Alcotest.test_case "bounds without wrapping" `Quick test_memory_bounds_overflow;
+          Alcotest.test_case "blit/fill" `Quick test_memory_blit_fill;
+          memory_model_equivalence ] );
       ( "cache",
         [ Alcotest.test_case "hit after fill" `Quick test_cache_hit_after_fill;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "writeback" `Quick test_cache_writeback;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
-          Alcotest.test_case "table1 geometry" `Quick test_cache_table1_geometry ] );
+          Alcotest.test_case "table1 geometry" `Quick test_cache_table1_geometry;
+          cache_equivalence ] );
       ( "cpu-semantics",
         [ Alcotest.test_case "div corner cases" `Quick test_div_corner_cases;
           Alcotest.test_case "mulh identities" `Quick test_mulh_identities;
@@ -499,7 +930,15 @@ let () =
         [ Alcotest.test_case "misaligned store" `Quick test_misaligned_store_faults;
           Alcotest.test_case "invalid instruction" `Quick test_invalid_instruction_faults;
           Alcotest.test_case "ebreak" `Quick test_ebreak_faults;
-          Alcotest.test_case "out of fuel" `Quick test_out_of_fuel ] );
+          Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
+          Alcotest.test_case "wrapping addresses" `Quick test_wrapping_addresses_fault ] );
+      ( "decode-cache",
+        [ Alcotest.test_case "stale text after a store" `Quick test_decode_once_stale_text;
+          Alcotest.test_case "pc in data" `Quick test_decode_pc_in_data;
+          Alcotest.test_case "bad pcs fault" `Quick test_decode_bad_pc_faults;
+          Alcotest.test_case "ALU and branch steps allocate nothing" `Quick
+            test_steps_allocate_nothing ] );
+      ("golden", [ Alcotest.test_case "small workloads" `Quick test_golden_cycles ]);
       ("syscalls", [ Alcotest.test_case "write" `Quick test_write_syscall ]);
       ( "timing",
         [ Alcotest.test_case "load-use stall" `Quick test_timing_load_use_stall;
