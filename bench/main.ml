@@ -29,44 +29,24 @@ let run_all () = List.iter (fun (_, f) -> f ()) experiments
    numbers without discarding everyone else's. *)
 let results_file = "BENCH_results.json"
 
-(* The file is our own output, so its shape is exact:
-   [{"suite":"...",...},{...}].  Recover (suite, raw object) pairs with
-   plain string surgery rather than a JSON parser. *)
+module Json = Eric_telemetry.Json
+
+(* The rows of the existing file, as (suite, row) pairs; rows without a
+   "suite" string are dropped.  A file that is not a JSON array is
+   reported and replaced rather than read halfway. *)
 let existing_rows () =
   if not (Sys.file_exists results_file) then []
-  else begin
-    let text = String.trim (In_channel.with_open_bin results_file In_channel.input_all) in
-    (* split "[{..},{..},{..}]" into "{..}" pieces: no nesting, and no
-       string value can contain braces (suite/metric/unit names only) *)
-    let objects = ref [] and depth = ref 0 and start = ref 0 in
-    String.iteri
-      (fun i c ->
-        match c with
-        | '{' ->
-          if !depth = 0 then start := i;
-          incr depth
-        | '}' ->
-          decr depth;
-          if !depth = 0 then objects := String.sub text !start (i - !start + 1) :: !objects
-        | _ -> ())
-      text;
-    List.filter_map
-      (fun obj ->
-        let marker = {|"suite":"|} in
-        let mlen = String.length marker in
-        let rec find i =
-          if i + mlen > String.length obj then None
-          else if String.sub obj i mlen = marker then Some (i + mlen)
-          else find (i + 1)
-        in
-        match find 0 with
-        | None -> None
-        | Some start -> (
-          match String.index_from_opt obj start '"' with
-          | None -> None
-          | Some stop -> Some (String.sub obj start (stop - start), obj)))
-      (List.rev !objects)
-  end
+  else
+    let text = In_channel.with_open_bin results_file In_channel.input_all in
+    match Result.map Json.to_list (Json.of_string text) with
+    | Ok (Some rows) ->
+      List.filter_map
+        (fun row ->
+          Option.map (fun suite -> (suite, row)) (Option.bind (Json.member "suite" row) Json.to_str))
+        rows
+    | Ok None | Error _ ->
+      Printf.eprintf "%s is not a JSON array of results; replacing it\n" results_file;
+      []
 
 let write_results () =
   let snapshot = Eric_telemetry.Snapshot.capture () in
@@ -78,12 +58,11 @@ let write_results () =
           let label key = Option.value ~default:"" (List.assoc_opt key labels) in
           Some
             ( label "suite",
-              Eric_telemetry.Json.to_string
-                (Eric_telemetry.Json.Obj
-                   [ ("suite", Eric_telemetry.Json.Str (label "suite"));
-                     ("metric", Eric_telemetry.Json.Str (label "metric"));
-                     ("value", Eric_telemetry.Json.Num value);
-                     ("unit", Eric_telemetry.Json.Str (label "unit")) ]) ))
+              Json.Obj
+                [ ("suite", Json.Str (label "suite"));
+                  ("metric", Json.Str (label "metric"));
+                  ("value", Json.Num value);
+                  ("unit", Json.Str (label "unit")) ] ))
       snapshot.Eric_telemetry.Snapshot.gauges
   in
   if rows <> [] then begin
@@ -96,7 +75,7 @@ let write_results () =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        output_string oc ("[" ^ String.concat "," all ^ "]");
+        output_string oc (Json.to_string (Json.List all));
         output_char oc '\n');
     Printf.printf "\n%d results -> %s (%d kept from previous runs)\n" (List.length rows)
       results_file (List.length kept)

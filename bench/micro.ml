@@ -2,7 +2,8 @@
    and figure.  One Test.make per experiment family:
    - Table II's units: SHA-256 core, keystream, XOR cipher, PUF response;
    - Fig 5/6's compiler path: full compilation and encrypting build;
-   - Fig 7's load path: package decrypt+validate and SoC execution. *)
+   - Fig 7's load path: package personalize, decrypt+validate and SoC
+     execution. *)
 
 open Bechamel
 open Toolkit
@@ -15,8 +16,8 @@ let quick_source = (List.nth Eric_workloads.Workloads.all 4).Eric_workloads.Work
 
 let quick_image = lazy (Eric_cc.Driver.compile_exn quick_source)
 
-let quick_package =
-  lazy (fst (Eric.Encrypt.encrypt ~key ~mode:Eric.Config.Full (Lazy.force quick_image)))
+let quick_prepared = lazy (Eric.Encrypt.prepare ~mode:Eric.Config.Full (Lazy.force quick_image))
+let quick_package = lazy (fst (Eric.Encrypt.personalize ~key (Lazy.force quick_prepared)))
 
 (* crc32 on its small dataset: 100,180 simulated instructions *)
 let quick_small_image =
@@ -59,6 +60,8 @@ let tests =
              match Eric.Encrypt.decrypt ~key (Lazy.force quick_package) with
              | Ok _ -> ()
              | Error _ -> failwith "decrypt failed"));
+      Test.make ~name:"package-personalize-crc32"
+        (Staged.stage (fun () -> Eric.Encrypt.personalize ~key (Lazy.force quick_prepared)));
       Test.make ~name:"soc-run-crc32"
         (Staged.stage (fun () -> Eric_sim.Soc.run_program (Lazy.force quick_small_image)));
       (* The telemetry no-op guarantee: with recording disabled, an

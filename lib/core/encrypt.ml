@@ -15,10 +15,16 @@ let stream_for ~key ~text_len =
   let ks = Eric_crypto.Keystream.create ~key in
   Eric_crypto.Keystream.take ks (text_len + Siggen.signature_size)
 
+(* A parcel half (2 bytes) or a whole 32-bit parcel is one load, one XOR
+   and one store; longer ranges take the 64-bit word loop. *)
 let xor_range buf ks ~pos ~len =
-  for i = pos to pos + len - 1 do
-    Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor Char.code (Bytes.get ks i)))
-  done
+  match len with
+  | 2 ->
+    Bytes.set_uint16_le buf pos (Bytes.get_uint16_le buf pos lxor Bytes.get_uint16_le ks pos)
+  | 4 ->
+    Bytes.set_int32_le buf pos
+      (Int32.logxor (Bytes.get_int32_le buf pos) (Bytes.get_int32_le ks pos))
+  | _ -> Eric_util.Bytesx.xor_range ~src:buf ~key:ks ~dst:buf ~pos ~len
 
 let xor_field32 buf ks ~pos ~mask =
   let w = Eric_util.Bytesx.get_u32 buf pos in

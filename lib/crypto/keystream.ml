@@ -1,22 +1,29 @@
+(* Block [i] is SHA-256(key || le64 i): only the 8 counter bytes change
+   from one block to the next, so the message is padded once, here, and
+   each block is one [Sha256.digest_padded] of it (one compression for
+   keys of up to 47 bytes, two up to 111). *)
 type t = {
-  key : bytes;
+  msg : Bytes.t; (* key || le64 counter || padding *)
+  counter : int; (* offset of the counter in [msg] *)
+  ctx : Sha256.ctx;
   mutable pos : int; (* absolute byte offset in the stream *)
   mutable block_index : int; (* index of the block cached in [block], or -1 *)
   block : Bytes.t;
-  ctr : Bytes.t; (* 8-byte counter scratch *)
-  ctx : Sha256.ctx; (* reused across blocks: one compression per block *)
 }
 
 let block_size = Sha256.digest_size
 
 let create ~key =
+  let n = Bytes.length key in
+  let msg = Sha256_pad.blocks ~len:(n + 8) ~total:(n + 8) in
+  Bytes.blit key 0 msg 0 n;
   {
-    key = Bytes.copy key;
+    msg;
+    counter = n;
+    ctx = Sha256.init ();
     pos = 0;
     block_index = -1;
     block = Bytes.create block_size;
-    ctr = Bytes.create 8;
-    ctx = Sha256.init ();
   }
 
 let at ~key ~offset =
@@ -28,11 +35,8 @@ let at ~key ~offset =
 let offset t = t.pos
 
 let fill_block t index =
-  Sha256.reset t.ctx;
-  Sha256.feed t.ctx t.key;
-  Eric_util.Bytesx.set_u64 t.ctr 0 (Int64.of_int index);
-  Sha256.feed t.ctx t.ctr;
-  Bytes.blit (Sha256.finalize t.ctx) 0 t.block 0 block_size;
+  Bytes.set_int64_le t.msg t.counter (Int64.of_int index);
+  Sha256.digest_padded t.ctx t.msg ~dst:t.block;
   t.block_index <- index
 
 let take t n =

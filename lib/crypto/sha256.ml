@@ -17,60 +17,52 @@ type ctx = {
   h : int array; (* eight 32-bit words, kept masked *)
   buf : Bytes.t; (* one block of pending input *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes absorbed *)
+  mutable total : int; (* total message bytes absorbed *)
   mutable finished : bool;
   w : int array; (* message schedule scratch *)
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
   {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    h = Array.copy iv;
     buf = Bytes.create block_size;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     finished = false;
     w = Array.make 64 0;
   }
 
 let reset ctx =
-  ctx.h.(0) <- 0x6a09e667;
-  ctx.h.(1) <- 0xbb67ae85;
-  ctx.h.(2) <- 0x3c6ef372;
-  ctx.h.(3) <- 0xa54ff53a;
-  ctx.h.(4) <- 0x510e527f;
-  ctx.h.(5) <- 0x9b05688c;
-  ctx.h.(6) <- 0x1f83d9ab;
-  ctx.h.(7) <- 0x5be0cd19;
+  Array.blit iv 0 ctx.h 0 8;
   ctx.buf_len <- 0;
-  ctx.total <- 0L;
+  ctx.total <- 0;
   ctx.finished <- false
 
 let mask32 = 0xFFFFFFFF
 
 (* The compression function is the process-wide hot spot: every keystream
-   byte, signature and content digest funnels through it.  Rotations are
-   written out inline (no helper call without flambda) and the masking is
-   deferred across xors, which distribute over [land]. *)
+   byte, signature and content digest funnels through it.  Each rotation
+   is one shift of the doubled word [d = x lor (x lsl 32)]: bits [n] to
+   [n + 31] of [d] are [x] rotated right by [n].  On 63-bit ints [x lsl 32]
+   drops bit 31 of [x], which would land on bit 63; every SHA-256 rotation
+   amount is between 1 and 31, so bit [n + 31] never reaches past bit 62
+   and the dropped bit is never read.  The high bits the shifts leave
+   behind only feed xors and additions, whose low 32 bits do not depend on
+   them, so the sigmas, [ch] and [maj] stay unmasked: [t1] and the words
+   stored back are masked once each. *)
 let compress ctx block pos =
   let w = ctx.w in
   for t = 0 to 15 do
-    let off = pos + (4 * t) in
-    Array.unsafe_set w t
-      ((Char.code (Bytes.unsafe_get block off) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (off + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (off + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (off + 3)))
+    Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (pos + (4 * t))) land mask32)
   done;
   for t = 16 to 63 do
     let x15 = Array.unsafe_get w (t - 15) and x2 = Array.unsafe_get w (t - 2) in
-    let s0 =
-      (((x15 lsr 7) lor (x15 lsl 25)) lxor ((x15 lsr 18) lor (x15 lsl 14)) lxor (x15 lsr 3))
-      land mask32
-    in
-    let s1 =
-      (((x2 lsr 17) lor (x2 lsl 15)) lxor ((x2 lsr 19) lor (x2 lsl 13)) lxor (x2 lsr 10))
-      land mask32
-    in
+    let d15 = x15 lor (x15 lsl 32) and d2 = x2 lor (x2 lsl 32) in
+    let s0 = (d15 lsr 7) lxor (d15 lsr 18) lxor (x15 lsr 3) in
+    let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (x2 lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask32)
   done;
@@ -79,20 +71,12 @@ let compress ctx block pos =
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
     let ee = !e and aa = !a in
-    let s1 =
-      (((ee lsr 6) lor (ee lsl 26)) lxor ((ee lsr 11) lor (ee lsl 21))
-      lxor ((ee lsr 25) lor (ee lsl 7)))
-      land mask32
-    in
-    let ch = (ee land !f) lxor (lnot ee land !g) land mask32 in
+    let de = ee lor (ee lsl 32) and da = aa lor (aa lsl 32) in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
+    let ch = !g lxor (ee land (!f lxor !g)) in
     let t1 = (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask32 in
-    let s0 =
-      (((aa lsr 2) lor (aa lsl 30)) lxor ((aa lsr 13) lor (aa lsl 19))
-      lxor ((aa lsr 22) lor (aa lsl 10)))
-      land mask32
-    in
-    let maj = (aa land !b) lxor (aa land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+    let maj = (aa land !b) lor (!c land (aa lor !b)) in
     hh := !g;
     g := !f;
     f := ee;
@@ -100,7 +84,7 @@ let compress ctx block pos =
     d := !c;
     c := !b;
     b := aa;
-    a := (t1 + t2) land mask32
+    a := (t1 + s0 + maj) land mask32
   done;
   h.(0) <- (h.(0) + !a) land mask32;
   h.(1) <- (h.(1) + !b) land mask32;
@@ -111,10 +95,21 @@ let compress ctx block pos =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
+let compress_blocks ctx m =
+  for i = 0 to (Bytes.length m / block_size) - 1 do
+    compress ctx m (i * block_size)
+  done
+
+let write_digest ctx dst =
+  for i = 0 to 7 do
+    Bytes.set_int32_be dst (4 * i) (Int32.of_int ctx.h.(i))
+  done
+
 let feed_sub ctx data ~pos ~len =
   if ctx.finished then invalid_arg "Sha256.feed: context already finalized";
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then invalid_arg "Sha256.feed_sub: bad range";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
+    invalid_arg "Sha256.feed_sub: bad range";
+  ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -142,34 +137,22 @@ let feed ctx data = feed_sub ctx data ~pos:0 ~len:(Bytes.length data)
 
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod block_size in
-    if rem = 0 then 1 + 8 else 1 + 8 + (block_size - rem)
-  in
-  let pad = Bytes.make pad_len '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set pad (pad_len - 8 + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xFFL)))
-  done;
-  (* Bypass the total-length accounting: padding is not message data. *)
-  let saved = ctx.total in
-  feed ctx pad;
-  ctx.total <- saved;
-  assert (ctx.buf_len = 0);
+  let last = Sha256_pad.blocks ~len:ctx.buf_len ~total:ctx.total in
+  Bytes.blit ctx.buf 0 last 0 ctx.buf_len;
+  compress_blocks ctx last;
   ctx.finished <- true;
   let out = Bytes.create digest_size in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
-  done;
+  write_digest ctx out;
   out
+
+let digest_padded ctx m ~dst =
+  if Bytes.length m = 0 || Bytes.length m mod block_size <> 0 then
+    invalid_arg "Sha256.digest_padded: not a whole number of blocks";
+  if Bytes.length dst < digest_size then invalid_arg "Sha256.digest_padded: short destination";
+  reset ctx;
+  compress_blocks ctx m;
+  ctx.finished <- true;
+  write_digest ctx dst
 
 let digest data =
   let ctx = init () in

@@ -19,14 +19,22 @@ val init : unit -> ctx
 
 val reset : ctx -> unit
 (** Return a context (finalized or not) to the [init] state, reusing its
-    buffers — the allocation-free path for hashing many short messages,
-    e.g. keystream blocks in counter mode. *)
+    buffers. *)
 
 val feed : ctx -> bytes -> unit
 val feed_sub : ctx -> bytes -> pos:int -> len:int -> unit
 val finalize : ctx -> bytes
 (** [finalize] pads, produces the 32-byte digest, and invalidates the context
     (further [feed] raises). *)
+
+val digest_padded : ctx -> bytes -> dst:bytes -> unit
+(** [digest_padded ctx m ~dst] writes into the first 32 bytes of [dst] the
+    digest of the message that [m] holds followed by its SHA-256 padding,
+    [m] being a whole number of blocks.  [ctx] serves as scratch and is
+    left finalized.  Hashing many messages of one length (keystream blocks
+    in counter mode) this way pads once instead of once per message, and
+    allocates nothing.  Raises [Invalid_argument] if [m] is empty or not
+    whole blocks, or [dst] is shorter than 32 bytes. *)
 
 val digest : bytes -> bytes
 (** One-shot hash. *)

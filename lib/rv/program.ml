@@ -33,19 +33,36 @@ let text_bytes t =
     t.text;
   buf
 
+(* Count the parcels first, refusing bytes that do not tile (an odd
+   trailing byte or a cut 32-bit parcel), then fill an array of exactly
+   that many. *)
 let frame_text bytes =
   let n = Bytes.length bytes in
-  let rec walk off acc =
-    if off = n then Some (Array.of_list (List.rev acc))
+  let parcel_size off = if Bytes.get_uint16_le bytes off land 0b11 = 0b11 then 4 else 2 in
+  let rec count off parcels =
+    if off = n then Some parcels
     else if off + 2 > n then None
     else
-      let half = Eric_util.Bytesx.get_u16 bytes off in
-      if half land 0b11 = 0b11 then
-        if off + 4 > n then None
-        else walk (off + 4) (P32 (Eric_util.Bytesx.get_u32 bytes off) :: acc)
-      else walk (off + 2) (P16 half :: acc)
+      let size = parcel_size off in
+      if off + size > n then None else count (off + size) (parcels + 1)
   in
-  walk 0 []
+  match count 0 0 with
+  | None -> None
+  | Some parcels ->
+    let text = Array.make parcels (P16 0) in
+    let off = ref 0 in
+    for i = 0 to parcels - 1 do
+      let half = Bytes.get_uint16_le bytes !off in
+      if half land 0b11 = 0b11 then begin
+        text.(i) <- P32 (Bytes.get_int32_le bytes !off);
+        off := !off + 4
+      end
+      else begin
+        text.(i) <- P16 half;
+        off := !off + 2
+      end
+    done;
+    Some text
 
 let decode_parcel = function P16 v -> Rvc.expand v | P32 w -> Decode.decode w
 

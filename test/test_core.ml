@@ -369,6 +369,279 @@ let decrypt_roundtrip_random_keys =
         Bytes.equal (Eric_rv.Program.text_bytes img) (Eric_rv.Program.text_bytes img')
       | Error _ -> false)
 
+(* The byte-at-a-time decryptor that the word XOR replaced, kept as its
+   reference model: a keystream of one-shot SHA-256 blocks and an XOR
+   walk, one byte at a time, that discovers the framing parcel by
+   parcel. *)
+let ref_stream ~key ~len =
+  let blocks =
+    List.init ((len + 31) / 32) (fun i ->
+        let ctr = Bytes.create 8 in
+        Bytes.set_int64_le ctr 0 (Int64.of_int i);
+        Eric_crypto.Sha256.digest (Bytes.cat key ctr))
+  in
+  Bytes.sub (Bytes.concat Bytes.empty blocks) 0 len
+
+let ref_decrypt ~key (pkg : Eric.Package.t) =
+  let module B = Eric_util.Bytesx in
+  let text_len = Bytes.length pkg.enc_text in
+  let ks = ref_stream ~key ~len:(text_len + Eric.Siggen.signature_size) in
+  let out = Bytes.copy pkg.enc_text in
+  let xor_range ~pos ~len =
+    for i = pos to pos + len - 1 do
+      Bytes.set out i (Char.chr (Char.code (Bytes.get out i) lxor Char.code (Bytes.get ks i)))
+    done
+  in
+  let map_bit idx =
+    match pkg.map with
+    | None -> true
+    | Some m -> idx < Eric_util.Bitvec.length m && Eric_util.Bitvec.get m idx
+  in
+  let encrypted_parcels = ref 0 and encrypted_bytes = ref 0 in
+  let fail msg = Error (Eric.Encrypt.Framing_failure msg) in
+  let rec walk off idx =
+    if off = text_len then
+      if idx = pkg.parcel_count then Ok () else fail "fewer parcels than the header promises"
+    else if off + 2 > text_len then fail "trailing odd byte"
+    else if idx >= pkg.parcel_count then fail "more parcels than the header promises"
+    else begin
+      let enc = map_bit idx in
+      let field = match pkg.kind with Eric.Package.M_field scope -> Some scope | _ -> None in
+      if enc && field = None then xor_range ~pos:off ~len:2;
+      let half = B.get_u16 out off in
+      let size = if half land 0b11 = 0b11 then 4 else 2 in
+      if off + size > text_len then fail "32-bit parcel runs past the end"
+      else begin
+        if enc then begin
+          (match field with
+          | None -> if size = 4 then xor_range ~pos:(off + 2) ~len:2
+          | Some scope ->
+            if size = 4 then begin
+              let w = B.get_u32 out off in
+              let mask = Eric.Config.field_mask32 scope w in
+              B.set_u32 out off (Int32.logxor w (Int32.logand (B.get_u32 ks off) mask))
+            end
+            else
+              let mask = Eric.Config.field_mask16 scope half in
+              B.set_u16 out off (half lxor (B.get_u16 ks off land mask)));
+          incr encrypted_parcels;
+          encrypted_bytes := !encrypted_bytes + size
+        end;
+        walk (off + size) (idx + 1)
+      end
+    end
+  in
+  match walk 0 0 with
+  | Error e -> Error e
+  | Ok () -> (
+    let recomputed =
+      Eric.Siggen.signature
+        ~authenticated:[ Eric.Package.authenticated_header pkg; out; pkg.data ]
+    in
+    let travelling =
+      Bytes.init Eric.Siggen.signature_size (fun i ->
+          Char.chr
+            (Char.code (Bytes.get pkg.enc_signature i)
+            lxor Char.code (Bytes.get ks (text_len + i))))
+    in
+    if not (Bytes.equal recomputed travelling) then Error Eric.Encrypt.Signature_mismatch
+    else
+      match Eric_rv.Program.frame_text out with
+      | None -> fail "decrypted text does not tile"
+      | Some parcels ->
+        Ok
+          ( { Eric_rv.Program.text = parcels;
+              data = pkg.data;
+              bss_size = pkg.bss_size;
+              entry_offset = pkg.entry_offset;
+              symbols = [] },
+            { Eric.Encrypt.parcels = pkg.parcel_count;
+              encrypted_parcels = !encrypted_parcels;
+              encrypted_bytes = !encrypted_bytes } ))
+
+let all_modes =
+  modes @ [ ("field-cf", Eric.Config.Field (Eric.Config.Control_flow, Eric.Config.Select_all)) ]
+
+(* A package of one mode, mutated at the wire or the record level: byte
+   edits and truncation that [Package.parse] may still accept, or record
+   edits it would refuse (odd text lengths, wrong parcel counts, flipped
+   map bits) so that every framing failure is reached. *)
+type mutation =
+  | Wire of (int * int) list * int
+  | Text of (int * int) list * int
+  | Count of int
+  | Map_flip of int
+  | Sig_flip of int
+
+let gen_mutation =
+  let edits = QCheck.Gen.(small_list (pair nat (int_bound 255))) in
+  QCheck.Gen.(
+    frequency
+      [ (1, return (Wire ([], 0)));
+        (3, map2 (fun e d -> Wire (e, d mod 4)) edits nat);
+        (4, map2 (fun e d -> Text (e, d mod 5)) edits nat);
+        (2, map (fun d -> Count (d mod 5 - 2)) nat);
+        (2, map (fun i -> Map_flip i) nat);
+        (1, map (fun i -> Sig_flip i) nat) ])
+
+let apply_mutation pkg = function
+  | Wire (edits, drop) -> (
+    let wire = Eric.Package.serialize pkg in
+    let wire = Bytes.sub wire 0 (Bytes.length wire - drop) in
+    List.iter
+      (fun (pos, v) -> Bytes.set wire (pos mod Bytes.length wire) (Char.chr v))
+      edits;
+    match Eric.Package.parse wire with Ok p -> Some p | Error _ -> None)
+  | Text (edits, drop) ->
+    let t = pkg.Eric.Package.enc_text in
+    let t = Bytes.sub t 0 (max 0 (Bytes.length t - drop)) in
+    if Bytes.length t > 0 then
+      List.iter (fun (pos, v) -> Bytes.set t (pos mod Bytes.length t) (Char.chr v)) edits;
+    Some { pkg with Eric.Package.enc_text = t }
+  | Count d -> Some { pkg with Eric.Package.parcel_count = pkg.Eric.Package.parcel_count + d }
+  | Map_flip i -> (
+    match pkg.Eric.Package.map with
+    | None -> None
+    | Some m ->
+      let bits = Eric_util.Bitvec.to_bool_array m in
+      let i = i mod Array.length bits in
+      bits.(i) <- not bits.(i);
+      Some { pkg with Eric.Package.map = Some (Eric_util.Bitvec.of_bool_array bits) })
+  | Sig_flip i ->
+    let s = Bytes.copy pkg.Eric.Package.enc_signature in
+    let i = i mod Bytes.length s in
+    Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+    Some { pkg with Eric.Package.enc_signature = s }
+
+let mode_packages =
+  lazy (List.map (fun (name, mode) -> (name, build mode)) all_modes)
+
+let decrypt_matches_reference =
+  qtest ~count:400 "decrypt = byte-wise reference on mutated packages"
+    QCheck.(
+      make
+        Gen.(triple (int_bound (List.length all_modes - 1)) gen_mutation bool))
+    (fun (m, mutation, right_key) ->
+      let _, pkg = List.nth (Lazy.force mode_packages) m in
+      let key = if right_key then device_key else other_key in
+      match apply_mutation pkg mutation with
+      | None -> true
+      | Some pkg -> Eric.Encrypt.decrypt ~key pkg = ref_decrypt ~key pkg)
+
+(* Golden crypto pin, recorded before the package crypto was reworked:
+   the SHA-256 of every serialized package and of its decrypted image,
+   for every workload (large dataset) in four modes under [device_key].
+   A keystream, signature or framing change that is self-consistent but
+   different breaks every package already shipped; this catches it. *)
+let golden_packages =
+  [ "basicmath full pkg=71bcdb725a65939c9186c8d12b63da0898e1313e0eaf5ffc7096f4343efc5ed7 \
+     image=d6e88e0a184f238f4e51f5799f98b50f65a1c89a113b579f820f67b30bd525f5";
+    "basicmath partial pkg=fe1c732aa0e5cc94a656db4717d5d0f076bd7b37781e970599c9bc08463f8c0d \
+     image=d6e88e0a184f238f4e51f5799f98b50f65a1c89a113b579f820f67b30bd525f5";
+    "basicmath field-imm pkg=442cf2ac2211840fce40efda7f0580e9b41c1951857367df66023c78a8359776 \
+     image=d6e88e0a184f238f4e51f5799f98b50f65a1c89a113b579f820f67b30bd525f5";
+    "basicmath field-cf pkg=e99c220ba5b4abc9004ad34ce1ed5ba968e765042ab3f0b39eebdd427348be3b \
+     image=d6e88e0a184f238f4e51f5799f98b50f65a1c89a113b579f820f67b30bd525f5";
+    "bitcount full pkg=82f8a03ce87056519aa1c91a3f5d587ea196802d8113cec9bfbd2d928ad2c834 \
+     image=4eafce64289bb43ae8c9f6c801213310cfcca0b03c34e2e2e4bdf1ebce92592a";
+    "bitcount partial pkg=c8ce2d7842b81893eabe04778fa09a9942038cd8988ad945f5397bfa5b5d1004 \
+     image=4eafce64289bb43ae8c9f6c801213310cfcca0b03c34e2e2e4bdf1ebce92592a";
+    "bitcount field-imm pkg=ecf6245bedbe564e5ee61dc6b958e4528fbbdde597daaa9150ecb52437a148bf \
+     image=4eafce64289bb43ae8c9f6c801213310cfcca0b03c34e2e2e4bdf1ebce92592a";
+    "bitcount field-cf pkg=891bf504db1fba440524811d629cfdf045e29588099cd37a98ffd1cda826fbdd \
+     image=4eafce64289bb43ae8c9f6c801213310cfcca0b03c34e2e2e4bdf1ebce92592a";
+    "qsort full pkg=68abe29a5077087b873839eb541ceb20f54d39994c1f43b502a76f129b2a87b3 \
+     image=bdcfa96175ef987c6143464e68079ff3e07c0bef1511a588f6b70472143e1d5b";
+    "qsort partial pkg=5a0bf3879c3fd831bc99bd5355751a5633a50254abcdcb850d72cbc835feee7f \
+     image=bdcfa96175ef987c6143464e68079ff3e07c0bef1511a588f6b70472143e1d5b";
+    "qsort field-imm pkg=7a6b16b9e5394af87bfa4b27d58a30e3720ededd52e7d61c53d3f947bcc6d7dd \
+     image=bdcfa96175ef987c6143464e68079ff3e07c0bef1511a588f6b70472143e1d5b";
+    "qsort field-cf pkg=f4ead76b298a09ce3b52bd6bf7f4f9c2bfbeba50509932e73f97cfe043119cc0 \
+     image=bdcfa96175ef987c6143464e68079ff3e07c0bef1511a588f6b70472143e1d5b";
+    "dijkstra full pkg=48e37d2ed5b9c55d65db7916754da6f17d37d8fe06e1efa12e59cb2b6633d47e \
+     image=6267fd0e192e78954c23b97a2c3f154ebdfe3d5853f06b4fa11eced72052f660";
+    "dijkstra partial pkg=0acdaa464ff739cc98763518d9a967a2752717156b24f1182b6bb52fa4360bf5 \
+     image=6267fd0e192e78954c23b97a2c3f154ebdfe3d5853f06b4fa11eced72052f660";
+    "dijkstra field-imm pkg=98e92096a0a23a593878eedd0ecf46a92edfc5537ec7621834de2bd157b360a0 \
+     image=6267fd0e192e78954c23b97a2c3f154ebdfe3d5853f06b4fa11eced72052f660";
+    "dijkstra field-cf pkg=cd4b7067ee8e335975b28415cf4c92aa3e0d942d25573b0df3cd625a86363b92 \
+     image=6267fd0e192e78954c23b97a2c3f154ebdfe3d5853f06b4fa11eced72052f660";
+    "crc32 full pkg=86be9893b65d07282a332a437043f69be9ece632fc7643d01da03426d1874f5a \
+     image=393221b6bfde2cc8d816acf1ba1f1106905de3a8dc4ddce3b242324ebb9dabf4";
+    "crc32 partial pkg=7d553b629978cf889e6bbedd407ec4fecd112d41c5e1849530f5496bb2f22f5c \
+     image=393221b6bfde2cc8d816acf1ba1f1106905de3a8dc4ddce3b242324ebb9dabf4";
+    "crc32 field-imm pkg=d09f34df569dc51e422cd7bfc8a0ab16a924304ce027b09b49f792a7b68d3f22 \
+     image=393221b6bfde2cc8d816acf1ba1f1106905de3a8dc4ddce3b242324ebb9dabf4";
+    "crc32 field-cf pkg=fff1dc80b99350e4ba5509f415f8de586dfcc6abfc6722b537a2811e248ee3ae \
+     image=393221b6bfde2cc8d816acf1ba1f1106905de3a8dc4ddce3b242324ebb9dabf4";
+    "stringsearch full pkg=1dc56d5e7583bc37fa79c97578cdccef55ff464484105b5d9c18728b59cb4113 \
+     image=ec8f25850514c6902f0e7fb538721ee7409381b978cbade014632de92dd38e4a";
+    "stringsearch partial pkg=7b4f51e4afb2755adc81b5a565565b2aa14d8cf96a6a828c0fe0f6285a8adf38 \
+     image=ec8f25850514c6902f0e7fb538721ee7409381b978cbade014632de92dd38e4a";
+    "stringsearch field-imm pkg=0a06b1b0204a594f666787d487e2124659615e2250a8f9d9a17a11b67e22f97e \
+     image=ec8f25850514c6902f0e7fb538721ee7409381b978cbade014632de92dd38e4a";
+    "stringsearch field-cf pkg=04b0d95d07ed0a60f61eafa240e1104801f775c0bdaf9ad02a3701b34e4f813a \
+     image=ec8f25850514c6902f0e7fb538721ee7409381b978cbade014632de92dd38e4a";
+    "sha full pkg=48fc1f6802287c1f0736dc2e0408e8a1f50488d6c50df65c6727f40a1ada1791 \
+     image=c4a2a4e07e213181c2348de5d6292b8c362dc7cb477087780f5f9e10b23cafe5";
+    "sha partial pkg=5927f4a1cffd4d5ec4edac557aeb0fee39db8c321c6615137897db9c7a5a3407 \
+     image=c4a2a4e07e213181c2348de5d6292b8c362dc7cb477087780f5f9e10b23cafe5";
+    "sha field-imm pkg=0ccee7b59f7f3a35c98c4d5b30e3ec9a3c005e86827a92fecefbe8acc2645722 \
+     image=c4a2a4e07e213181c2348de5d6292b8c362dc7cb477087780f5f9e10b23cafe5";
+    "sha field-cf pkg=0de003696d6f6b50127843299a8b09abd690cc5c7ce69489554b82177105a967 \
+     image=c4a2a4e07e213181c2348de5d6292b8c362dc7cb477087780f5f9e10b23cafe5";
+    "adpcm full pkg=898b37a3c46b5efc0c488c1a1ea40bcff2204ab7498116e3375a7a8438443f53 \
+     image=8264db496790d53ace015a270c9c6bbfc97cffd4151a52b40e3906d69f5c62e7";
+    "adpcm partial pkg=df9ded9da4f3ba562a14fa4fc96618f8f3bf4e237fba7b82ccb4d13623efd0cf \
+     image=8264db496790d53ace015a270c9c6bbfc97cffd4151a52b40e3906d69f5c62e7";
+    "adpcm field-imm pkg=c75bc484cd4399802bfc48813b0929e8fb3b1c7b4d738df37b90d6b063887b46 \
+     image=8264db496790d53ace015a270c9c6bbfc97cffd4151a52b40e3906d69f5c62e7";
+    "adpcm field-cf pkg=60683c780e8b3b45eb342fd445354a31272f07361b91b6425aaa22b0b1f07fc4 \
+     image=8264db496790d53ace015a270c9c6bbfc97cffd4151a52b40e3906d69f5c62e7";
+    "rijndael full pkg=dd10760a2f33a483b25323949261a3818556c63b0ce4e4856a4a33e15798e7ed \
+     image=bce796084c989246c34f2b7b21125c11eb810b299f5a6d99d7e2fcc5d0cd1c73";
+    "rijndael partial pkg=e3c47bbccbb0310eb2c2f1cafb6d8d828c14fcc79596b2ed6a56ed882cde2e59 \
+     image=bce796084c989246c34f2b7b21125c11eb810b299f5a6d99d7e2fcc5d0cd1c73";
+    "rijndael field-imm pkg=f3391e74022ed9c4b9551f2489186d19190a764257ec5722dbe96bc703732447 \
+     image=bce796084c989246c34f2b7b21125c11eb810b299f5a6d99d7e2fcc5d0cd1c73";
+    "rijndael field-cf pkg=73af8c0253ca95fd1678631b745710df68eb7b62206e0eca408a326bb3e7b72e \
+     image=bce796084c989246c34f2b7b21125c11eb810b299f5a6d99d7e2fcc5d0cd1c73";
+    "fft full pkg=881434b66e6e85ba20aceaea75b05e3f1a1e4becc7b5b64bbe119b8fec6e1fe8 \
+     image=34bf073a5b6a362d4085d596176982924bbfbce91d2244e0edd6bb7a42277b2b";
+    "fft partial pkg=da3516cc72ca0152f3893c6609656a5cbd5b3fe01bfbcfdf7d756a5a99ed6db1 \
+     image=34bf073a5b6a362d4085d596176982924bbfbce91d2244e0edd6bb7a42277b2b";
+    "fft field-imm pkg=edbd1f43812774b4ca3a025682430844cfd7e60cab8d828def6852cfb6c6f3a5 \
+     image=34bf073a5b6a362d4085d596176982924bbfbce91d2244e0edd6bb7a42277b2b";
+    "fft field-cf pkg=1f85764464a433f1fa089736f659cb7a2b7c39eb936f96875b8e52fc9d33256f \
+     image=34bf073a5b6a362d4085d596176982924bbfbce91d2244e0edd6bb7a42277b2b" ]
+
+let golden_modes =
+  [ ("full", Eric.Config.Full);
+    ("partial", Eric.Config.Partial (Eric.Config.Select_fraction { fraction = 0.5; seed = 11L }));
+    ("field-imm", Eric.Config.Field (Eric.Config.Imm_fields, Eric.Config.Select_all));
+    ("field-cf", Eric.Config.Field (Eric.Config.Control_flow, Eric.Config.Select_all)) ]
+
+let test_golden_packages () =
+  let rows =
+    List.concat_map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        let image = Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source in
+        List.map
+          (fun (mode_name, mode) ->
+            let pkg, _ = Eric.Encrypt.encrypt ~key:device_key ~mode image in
+            match Eric.Encrypt.decrypt ~key:device_key pkg with
+            | Error e ->
+              Alcotest.failf "%s %s: %a" w.Eric_workloads.Workloads.name mode_name
+                Eric.Encrypt.pp_error e
+            | Ok (decrypted, _) ->
+              Printf.sprintf "%s %s pkg=%s image=%s" w.Eric_workloads.Workloads.name mode_name
+                (Eric_crypto.Sha256.hex (Eric.Package.serialize pkg))
+                (Eric_crypto.Sha256.hex (Eric_rv.Program.to_binary decrypted)))
+          golden_modes)
+      Eric_workloads.Workloads.all
+  in
+  check Alcotest.(list string) "golden packages" golden_packages rows
+
 (* ------------------------------------------------------------------ *)
 (* Target / end-to-end execution                                       *)
 (* ------------------------------------------------------------------ *)
@@ -894,7 +1167,9 @@ let () =
           Alcotest.test_case "wrong key rejected" `Quick test_wrong_key_rejected;
           Alcotest.test_case "every byte corruption detected" `Slow test_every_bit_flip_detected;
           Alcotest.test_case "single bit flips" `Quick test_single_bit_flips_sampled;
-          decrypt_roundtrip_random_keys ] );
+          decrypt_roundtrip_random_keys;
+          decrypt_matches_reference;
+          Alcotest.test_case "golden packages" `Quick test_golden_packages ] );
       ( "target",
         [ Alcotest.test_case "execute all modes" `Quick test_execute_all_modes;
           Alcotest.test_case "hde load slower than plain" `Quick test_encrypted_load_slower_than_plain;

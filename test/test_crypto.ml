@@ -64,6 +64,137 @@ let test_sha256_feed_after_finalize () =
     (Invalid_argument "Sha256.feed: context already finalized") (fun () ->
       Sha256.feed ctx (Bytes.of_string "x"))
 
+let test_sha256_feed_sub_range () =
+  (* [pos + len] wraps past [max_int]: the range check must not, or the
+     compression reads far outside [data]. *)
+  let bad = Invalid_argument "Sha256.feed_sub: bad range" in
+  let data = Bytes.make 16 'a' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises (Printf.sprintf "pos %d len %d" pos len) bad (fun () ->
+          Sha256.feed_sub (Sha256.init ()) data ~pos ~len))
+    [ (max_int - 10, 100); (1, max_int); (-1, 4); (4, -1); (10, 7) ];
+  Sha256.feed_sub (Sha256.init ()) data ~pos:16 ~len:0
+
+(* The byte-at-a-time implementation that the word-at-a-time compression
+   replaced, kept as its reference model: big-endian words assembled from
+   single bytes, and each rotation as two shifts, masked. *)
+module Ref_sha256 = struct
+  let mask32 = 0xFFFFFFFF
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+  let k =
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+       0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+       0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+       0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+       0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+       0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+       0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+       0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+       0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+       0xc67178f2 |]
+
+  let compress h block pos =
+    let w = Array.make 64 0 in
+    for t = 0 to 15 do
+      let byte i = Char.code (Bytes.get block (pos + (4 * t) + i)) in
+      w.(t) <- (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+    done;
+    for t = 16 to 63 do
+      let x15 = w.(t - 15) and x2 = w.(t - 2) in
+      let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
+      let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
+      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    done;
+    let v = Array.copy h in
+    for t = 0 to 63 do
+      let a = v.(0) and b = v.(1) and c = v.(2) and e = v.(4) in
+      let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+      let ch = e land v.(5) lxor (lnot e land mask32 land v.(6)) in
+      let t1 = (v.(7) + s1 + ch + k.(t) + w.(t)) land mask32 in
+      let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+      let maj = a land b lxor (a land c) lxor (b land c) in
+      let t2 = (s0 + maj) land mask32 in
+      Array.blit v 0 v 1 7;
+      v.(4) <- (v.(4) + t1) land mask32;
+      v.(0) <- (t1 + t2) land mask32
+    done;
+    Array.iteri (fun i x -> h.(i) <- (h.(i) + x) land mask32) v
+
+  let pad msg =
+    let n = Bytes.length msg in
+    let padded = Bytes.make ((n + 9 + 63) / 64 * 64) '\000' in
+    Bytes.blit msg 0 padded 0 n;
+    Bytes.set padded n '\x80';
+    let bits = 8 * n and len = Bytes.length padded in
+    for i = 0 to 7 do
+      Bytes.set padded (len - 1 - i) (Char.chr ((bits lsr (8 * i)) land 0xFF))
+    done;
+    padded
+
+  let digest msg =
+    let h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+         0x5be0cd19 |]
+    in
+    let padded = pad msg in
+    for b = 0 to (Bytes.length padded / 64) - 1 do
+      compress h padded (64 * b)
+    done;
+    Bytes.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+end
+
+let test_ref_sha256_vectors () =
+  List.iter
+    (fun (msg, expected) ->
+      check Alcotest.string msg expected (hex (Ref_sha256.digest (Bytes.of_string msg))))
+    sha_vectors
+
+let test_sha256_digest_padded () =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun (msg, expected) ->
+      let dst = Bytes.make 40 '.' in
+      Sha256.digest_padded ctx (Ref_sha256.pad (Bytes.of_string msg)) ~dst;
+      check Alcotest.string msg expected (hex (Bytes.sub dst 0 32));
+      check Alcotest.string "bytes past the digest untouched" "........"
+        (Bytes.sub_string dst 32 8))
+    sha_vectors;
+  Alcotest.check_raises "context left finalized"
+    (Invalid_argument "Sha256.feed: context already finalized") (fun () ->
+      Sha256.feed ctx (Bytes.of_string "x"));
+  let whole = Invalid_argument "Sha256.digest_padded: not a whole number of blocks" in
+  Alcotest.check_raises "empty" whole (fun () ->
+      Sha256.digest_padded ctx Bytes.empty ~dst:(Bytes.create 32));
+  Alcotest.check_raises "65 bytes" whole (fun () ->
+      Sha256.digest_padded ctx (Bytes.create 65) ~dst:(Bytes.create 32));
+  Alcotest.check_raises "short destination"
+    (Invalid_argument "Sha256.digest_padded: short destination") (fun () ->
+      Sha256.digest_padded ctx (Bytes.create 64) ~dst:(Bytes.create 31))
+
+let gen_bytes max_len =
+  QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (int_bound max_len)))
+
+let sha256_matches_reference =
+  qtest ~count:500 "compression = reference on random feed_sub splits"
+    QCheck.(
+      make
+        ~print:(fun (m, cuts) ->
+          Printf.sprintf "%s cuts=[%s]" (hex m) (String.concat ";" (List.map string_of_int cuts)))
+        Gen.(pair (gen_bytes 300) (small_list (int_bound 130))))
+    (fun (msg, cuts) ->
+      let ctx = Sha256.init () in
+      let pos = ref 0 in
+      List.iter
+        (fun c ->
+          let len = min c (Bytes.length msg - !pos) in
+          Sha256.feed_sub ctx msg ~pos:!pos ~len;
+          pos := !pos + len)
+        cuts;
+      Sha256.feed_sub ctx msg ~pos:!pos ~len:(Bytes.length msg - !pos);
+      Bytes.equal (Sha256.finalize ctx) (Ref_sha256.digest msg))
+
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA-256: RFC 4231 vectors                                      *)
 (* ------------------------------------------------------------------ *)
@@ -131,6 +262,73 @@ let test_keystream_key_sensitivity () =
   let a = Keystream.take (Keystream.create ~key) 64 in
   let b = Keystream.take (Keystream.create ~key:other) 64 in
   check Alcotest.bool "differs" false (Bytes.equal a b)
+
+(* Golden pins recorded before the keystream was reworked: packages
+   already shipped must keep decrypting.  The 48-byte key pads to two
+   SHA-256 blocks per keystream block, the 32-byte one to a single
+   block. *)
+let key48 = Bytes.of_string "0123456789abcdef0123456789abcdef0123456789abcdef"
+
+let keystream_golden =
+  [ ( "32-byte key",
+      key,
+      "cc83be6c1f2f91efe65809fee0c0e48053cb627e0cb43dda1144150262a4b83a30790bc1c9bbdf8a7fee34b26d369766131527b611d60c0e403edb4fa72ba7b15179b6e6597d39bf6eeb4feba6517df4be9dfb73ffe2a43b2aed49c0ba83bee4",
+      "45932f98dca4ddfe914db0a05b97132749bce4fd13bf44ad61d762a2b493e790f91af73b46ef9b93" );
+    ( "48-byte key",
+      key48,
+      "559895883a5d7baaea04ff43f2cd3525a63616c13e6e7ad2badcb3b14dc293f6852d2979eab47d6258d57f5c3bc87f003dabceac15146d591e82ae0f626cd836535d2a9b34cd5f6e7aeeadaae9c74c9ce281abdda540c34fd528726d9fa35a9d",
+      "9259b51e71a865252df305cbae4092ef1b52d0802f54778d0bba2f19787d0d552e10ca729d50367c" ) ]
+
+let test_keystream_golden () =
+  List.iter
+    (fun (name, key, take96, at1000) ->
+      check Alcotest.string (name ^ " take 96") take96
+        (hex (Keystream.take (Keystream.create ~key) 96));
+      check Alcotest.string (name ^ " at 1000, 40 bytes") at1000
+        (hex (Keystream.take (Keystream.at ~key ~offset:1000) 40)))
+    keystream_golden
+
+let test_keystream_blocks_allocate_nothing () =
+  List.iter
+    (fun k ->
+      let t = Keystream.create ~key:k in
+      ignore (Keystream.take t 1);
+      let before = Gc.minor_words () in
+      let out = Keystream.take t 1024 in
+      let words = Gc.minor_words () -. before in
+      (* 33 blocks; the 1 KiB result (128 words, a padding word and a
+         header) is the only allocation *)
+      check Alcotest.int (Printf.sprintf "%d-byte key" (Bytes.length k)) 1024 (Bytes.length out);
+      check Alcotest.(float 0.) "words allocated" 130. words)
+    [ key; key48 ]
+
+(* Reference stream: block [i] is SHA-256(key || le64 i), hashed one shot. *)
+let reference_stream ~key ~offset ~len =
+  let first = offset / 32 and last = (offset + len + 31) / 32 in
+  let blocks =
+    List.init (last - first) (fun i ->
+        let ctr = Bytes.create 8 in
+        Bytes.set_int64_le ctr 0 (Int64.of_int (first + i));
+        Sha256.digest (Bytes.cat key ctr))
+  in
+  Bytes.sub (Bytes.concat Bytes.empty blocks) (offset - (32 * first)) len
+
+let keystream_matches_reference =
+  qtest ~count:300 "take/at = concatenated SHA-256(key || le64 i)"
+    QCheck.(
+      make
+        ~print:(fun (k, (o, l)) -> Printf.sprintf "key=%s offset=%d len=%d" (hex k) o l)
+        Gen.(pair (gen_bytes 80) (pair (int_bound 2000) (int_bound 300))))
+    (fun (key, (offset, len)) ->
+      let split = len / 3 in
+      let s = Keystream.at ~key ~offset in
+      let a = Keystream.take s split in
+      let b = Keystream.take s (len - split) in
+      let whole = Keystream.take (Keystream.create ~key) (offset + len) in
+      let expected = reference_stream ~key ~offset ~len in
+      Bytes.equal (Bytes.cat a b) expected
+      && Bytes.equal (Bytes.sub whole offset len) expected
+      && Keystream.offset s = offset + len)
 
 let keystream_xor_involution =
   qtest "xor twice is identity" QCheck.(pair string small_nat) (fun (s, offset) ->
@@ -357,7 +555,11 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           sha256_incremental;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
-          Alcotest.test_case "no feed after finalize" `Quick test_sha256_feed_after_finalize ] );
+          Alcotest.test_case "no feed after finalize" `Quick test_sha256_feed_after_finalize;
+          Alcotest.test_case "feed_sub range" `Quick test_sha256_feed_sub_range;
+          Alcotest.test_case "reference model vectors" `Quick test_ref_sha256_vectors;
+          Alcotest.test_case "digest_padded" `Quick test_sha256_digest_padded;
+          sha256_matches_reference ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "rfc4231 case2" `Quick test_hmac_rfc4231_case2;
@@ -369,6 +571,9 @@ let () =
           Alcotest.test_case "offset consistency" `Quick test_keystream_offset_consistency;
           Alcotest.test_case "position tracking" `Quick test_keystream_position_tracking;
           Alcotest.test_case "key sensitivity" `Quick test_keystream_key_sensitivity;
+          Alcotest.test_case "golden" `Quick test_keystream_golden;
+          Alcotest.test_case "blocks allocate nothing" `Quick test_keystream_blocks_allocate_nothing;
+          keystream_matches_reference;
           keystream_xor_involution ] );
       ( "xor_cipher",
         [ Alcotest.test_case "word ops match bytes" `Quick test_word_ops_match_bytes;

@@ -387,6 +387,36 @@ let test_frame_text () =
   let partial = Bytes.of_string "\xef\xff" (* low bits 11 -> expects 4 bytes *) in
   check Alcotest.bool "partial fails" true (Program.frame_text partial = None)
 
+(* The list-based framing that the two-pass array version replaced, kept
+   as its reference model. *)
+let ref_frame_text bytes =
+  let n = Bytes.length bytes in
+  let rec walk off acc =
+    if off = n then Some (Array.of_list (List.rev acc))
+    else if off + 2 > n then None
+    else
+      let half = Eric_util.Bytesx.get_u16 bytes off in
+      if half land 0b11 = 0b11 then
+        if off + 4 > n then None
+        else walk (off + 4) (Program.P32 (Eric_util.Bytesx.get_u32 bytes off) :: acc)
+      else walk (off + 2) (Program.P16 half :: acc)
+  in
+  walk 0 []
+
+(* Random bytes of any length (odd lengths and cut 32-bit parcels
+   included), and prefixes of a real text section. *)
+let gen_text_bytes =
+  let real = lazy (Program.text_bytes (sample_image ())) in
+  QCheck.Gen.(
+    oneof
+      [ map Bytes.of_string (string_size ~gen:char (int_bound 64));
+        map (fun n -> Bytes.sub (Lazy.force real) 0 (n mod 11)) nat ])
+
+let frame_text_matches_reference =
+  qtest "frame_text = list-based reference"
+    (QCheck.make ~print:Eric_util.Bytesx.to_hex gen_text_bytes)
+    (fun b -> Program.frame_text b = ref_frame_text b)
+
 let test_decode_all () =
   let img = sample_image () in
   match Program.decode_all img with
@@ -889,6 +919,7 @@ let () =
           Alcotest.test_case "binary roundtrip" `Quick test_program_binary_roundtrip;
           Alcotest.test_case "binary rejects" `Quick test_program_binary_rejects;
           Alcotest.test_case "frame text" `Quick test_frame_text;
+          frame_text_matches_reference;
           Alcotest.test_case "decode all" `Quick test_decode_all;
           Alcotest.test_case "symbol table roundtrip" `Quick test_program_symbol_table_roundtrip;
           Alcotest.test_case "symbolized listing" `Quick test_symbolized_listing ] );

@@ -180,6 +180,35 @@ let xor_involution =
       Bytesx.xor_into ~src:once ~key ~dst:twice;
       Bytes.equal src twice)
 
+let xor_range_bytewise =
+  qtest "xor_range = byte-wise xor over the range"
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let buf = Bytes.of_string s in
+      let key = Bytes.init n (fun i -> Char.chr ((i * 151) land 0xFF)) in
+      Bytesx.xor_range ~src:buf ~key ~dst:buf ~pos ~len;
+      let expected =
+        Bytes.mapi
+          (fun i c ->
+            if i >= pos && i < pos + len then Char.chr (Char.code c lxor ((i * 151) land 0xFF))
+            else c)
+          (Bytes.of_string s)
+      in
+      Bytes.equal buf expected)
+
+let test_xor_range_bounds () =
+  let b = Bytes.make 16 'a' and short = Bytes.make 8 'b' in
+  let bad = Invalid_argument "Bytesx.xor_range: bad range" in
+  List.iter
+    (fun (key, pos, len) ->
+      Alcotest.check_raises (Printf.sprintf "pos %d len %d" pos len) bad (fun () ->
+          Bytesx.xor_range ~src:b ~key ~dst:b ~pos ~len))
+    [ (b, max_int - 4, 8); (b, 4, max_int); (b, -1, 2); (b, 2, -1); (b, 10, 7); (short, 4, 8) ];
+  Bytesx.xor_range ~src:b ~key:b ~dst:b ~pos:16 ~len:0
+
 let test_append_concat () =
   check Alcotest.string "append" "abcd"
     (Bytes.to_string (Bytesx.append (Bytes.of_string "ab") (Bytes.of_string "cd")));
@@ -212,4 +241,6 @@ let () =
           hex_roundtrip;
           Alcotest.test_case "le codecs" `Quick test_le_codecs;
           xor_involution;
+          xor_range_bytewise;
+          Alcotest.test_case "xor_range bounds" `Quick test_xor_range_bounds;
           Alcotest.test_case "append/concat" `Quick test_append_concat ] ) ]
