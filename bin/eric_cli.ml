@@ -745,27 +745,10 @@ let registry_arg =
     & info [ "registry" ] ~docv:"PATH"
         ~doc:"Device registry: an EFRG file or a sharded registry directory.")
 
-let load_registry path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "error: registry %s does not exist (run 'eric fleet enroll' first)\n" path;
-    exit 1
-  end;
-  or_die (Eric_fleet.Registry.load path)
-
-(* A registry path is either a single EFRG file or a sharded directory;
-   every fleet command detects which transparently. *)
-type registry_handle =
-  | Reg_file of Eric_fleet.Registry.t
-  | Reg_sharded of Eric_fleet.Registry_shard.t
-
-let load_any_registry path =
-  if Eric_fleet.Registry_shard.is_sharded path then
-    Reg_sharded (or_die (Eric_fleet.Registry_shard.load path))
-  else Reg_file (load_registry path)
-
-let save_any_registry path = function
-  | Reg_file reg -> Eric_fleet.Registry.save reg path
-  | Reg_sharded sh -> Eric_fleet.Registry_shard.save sh
+let open_registry path =
+  if not (Sys.file_exists path) then
+    die (Printf.sprintf "registry %s does not exist (run 'eric fleet enroll' first)" path);
+  or_die (Eric_fleet.Registry_shard.load path)
 
 let scheduler_conv =
   let parse s =
@@ -813,28 +796,22 @@ let label_arg =
 let fleet_enroll_cmd =
   let run registry count start_id epoch label factory shards quiet telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle =
-      if Sys.file_exists registry then load_any_registry registry
-      else if shards > 0 then
-        Reg_sharded (or_die (Eric_fleet.Registry_shard.create ~dir:registry ~shards))
-      else Reg_file (Eric_fleet.Registry.create ())
+    let store =
+      or_die
+        (if Sys.file_exists registry then Eric_fleet.Registry_shard.load registry
+         else Eric_fleet.Registry_shard.create ~shards registry)
     in
-    let enroll_one id =
-      match handle, factory with
-      | Reg_file reg, false -> Eric_fleet.Registry.enroll ~epoch ?label reg id
-      | Reg_file reg, true -> Eric_fleet.Registry.enroll_legacy ~epoch ?label reg id
-      | Reg_sharded sh, false -> Eric_fleet.Registry_shard.enroll ~epoch ?label sh id
-      | Reg_sharded sh, true -> Eric_fleet.Registry_shard.enroll_legacy ~epoch ?label sh id
+    let enroll_one =
+      if factory then Eric_fleet.Registry_shard.enroll_legacy ~epoch ?label store
+      else Eric_fleet.Registry_shard.enroll ~epoch ?label store
     in
     for i = 0 to count - 1 do
       let id = Int64.add start_id (Int64.of_int i) in
       let entry = or_die (enroll_one id) in
       if not quiet then Format.printf "%a@." Eric_fleet.Registry.pp_entry entry
     done;
-    save_any_registry registry handle;
-    match handle with
-    | Reg_file reg -> Format.printf "%s: %a@." registry Eric_fleet.Registry.pp_summary reg
-    | Reg_sharded sh -> Format.printf "%s: %a@." registry Eric_fleet.Registry_shard.pp_summary sh
+    Eric_fleet.Registry_shard.save store;
+    Format.printf "%s: %s@." registry (or_die (Eric_fleet.Registry_shard.summary store))
   in
   let count_arg =
     Arg.(value & opt int 1 & info [ "count" ] ~docv:"N" ~doc:"Number of devices to enroll.")
@@ -873,77 +850,11 @@ let fleet_enroll_cmd =
       const run $ registry_arg $ count_arg $ start_id_arg $ epoch_arg ~default:0 $ label_arg
       $ factory_arg $ shards_arg $ quiet_arg $ telemetry_arg $ trace_out_arg)
 
-(* Canonical campaign report as JSON, for the determinism gate: only
-   simulation-deterministic fields — no wall-clock timings, no scheduler
-   name — so reports from the deterministic and domain schedulers (and
-   from sharded vs single-file registries of the same fleet) compare
-   byte-for-byte with cmp(1). *)
-let campaign_report_json (r : Eric_fleet.Campaign.report) =
-  let buf = Buffer.create 4096 in
-  let escape s =
-    String.to_seq s
-    |> Seq.iter (fun c ->
-           match c with
-           | '"' -> Buffer.add_string buf "\\\""
-           | '\\' -> Buffer.add_string buf "\\\\"
-           | '\n' -> Buffer.add_string buf "\\n"
-           | c when Char.code c < 0x20 ->
-             Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-           | c -> Buffer.add_char buf c)
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"digest\": \"%s\",\n" r.Eric_fleet.Campaign.digest);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"firmware_epoch\": %d,\n" r.Eric_fleet.Campaign.firmware_epoch);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"delivered\": %d,\n" r.Eric_fleet.Campaign.delivered);
-  Buffer.add_string buf (Printf.sprintf "  \"retried\": %d,\n" r.Eric_fleet.Campaign.retried);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quarantined\": %d,\n" r.Eric_fleet.Campaign.quarantined);
-  Buffer.add_string buf (Printf.sprintf "  \"skipped\": %d,\n" r.Eric_fleet.Campaign.skipped);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"wire_bytes\": %d,\n" r.Eric_fleet.Campaign.wire_bytes);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"load_cycles\": %Ld,\n" r.Eric_fleet.Campaign.load_cycles);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"backoff_ns\": %Ld,\n" r.Eric_fleet.Campaign.backoff_ns);
-  Buffer.add_string buf "  \"devices\": [\n";
-  let n = List.length r.Eric_fleet.Campaign.devices in
-  List.iteri
-    (fun i ((entry : Eric_fleet.Registry.entry), result) ->
-      Buffer.add_string buf (Printf.sprintf "    {\"id\": %Ld, " entry.Eric_fleet.Registry.device_id);
-      (match result with
-      | Eric_fleet.Campaign.Skipped reason ->
-        Buffer.add_string buf "\"result\": \"skipped\", \"reason\": \"";
-        escape reason;
-        Buffer.add_string buf "\"}"
-      | Eric_fleet.Campaign.Shipped d ->
-        let outcome, reason =
-          match d.Eric_fleet.Shipper.outcome with
-          | Eric_fleet.Shipper.Delivered _ -> ("delivered", None)
-          | Eric_fleet.Shipper.Quarantined { reason } ->
-            ("quarantined", Some (Eric_fleet.Shipper.quarantine_label reason))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "\"result\": \"%s\", \"attempts\": %d, \"wire_bytes\": %d" outcome
-             d.Eric_fleet.Shipper.attempts d.Eric_fleet.Shipper.wire_bytes);
-        (match reason with
-        | None -> ()
-        | Some reason ->
-          Buffer.add_string buf ", \"reason\": \"";
-          escape reason;
-          Buffer.add_string buf "\"");
-        Buffer.add_string buf "}");
-      Buffer.add_string buf (if i = n - 1 then "\n" else ",\n"))
-    r.Eric_fleet.Campaign.devices;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
 let fleet_campaign_cmd =
   let run source registry mode channel max_attempts execute fuel cache_dir firmware devices
       scheduler window report_out no_compress no_optimize telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    let store = open_registry registry in
     let policy =
       or_die
         (Eric_fleet.Backoff.validate
@@ -961,22 +872,14 @@ let fleet_campaign_cmd =
         engine = engine_config_of scheduler window }
     in
     let source = read_file source in
-    let report =
-      match handle with
-      | Reg_file reg -> or_die (Eric_fleet.Campaign.deploy ~config ~cache ~registry:reg source)
-      | Reg_sharded sh ->
-        or_die (Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:sh source)
-    in
+    let report = or_die (Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:store source) in
     if devices then Format.printf "%a" Eric_fleet.Campaign.pp_devices report;
     Format.printf "%a@." Eric_fleet.Campaign.pp_report report;
-    save_any_registry registry handle;
-    (match report_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (campaign_report_json report)));
+    Option.iter
+      (fun path ->
+        let json = Eric_telemetry.Json.to_string (Eric_fleet.Campaign.report_to_json report) in
+        write_file path (Bytes.of_string (json ^ "\n")))
+      report_out;
     if report.Eric_fleet.Campaign.delivered = List.length report.Eric_fleet.Campaign.devices
     then exit 0
     else exit 3
@@ -1031,33 +934,21 @@ let fleet_campaign_cmd =
 let fleet_rotate_cmd =
   let run registry epoch label rsa_bits seed scheduler window telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    let store = open_registry registry in
     let method_ =
       match rsa_bits with
       | None -> Eric_fleet.Rotation.Local
       | Some bits -> Eric_fleet.Rotation.Rsa { bits; seed }
     in
     let engine = engine_config_of scheduler window in
-    let failed = ref false in
-    (match handle with
-    | Reg_file reg ->
-      let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
-      Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
-      failed := report.Eric_fleet.Rotation.failed <> []
-    | Reg_sharded sh ->
-      (* shard-by-shard: one shard resident at a time *)
-      for i = 0 to Eric_fleet.Registry_shard.shards sh - 1 do
-        if Eric_fleet.Registry_shard.shard_count sh i > 0 then begin
-          let reg = Eric_fleet.Registry_shard.shard sh i in
-          let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
-          Format.printf "shard %04d: %a@." i Eric_fleet.Rotation.pp_report report;
-          if report.Eric_fleet.Rotation.failed <> [] then failed := true;
-          Eric_fleet.Registry_shard.mark_dirty sh i;
-          Eric_fleet.Registry_shard.release sh i
-        end
-      done);
-    save_any_registry registry handle;
-    if !failed then exit 3
+    let failed =
+      or_die
+        (Eric_fleet.Registry_shard.walk store ~f:(fun reg ->
+             let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
+             Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
+             Ok (report.Eric_fleet.Rotation.failed <> [])))
+    in
+    if List.mem true failed then exit 3
   in
   let rsa_arg =
     Arg.(
@@ -1083,7 +974,7 @@ let fleet_rotate_cmd =
 let fleet_reenroll_cmd =
   let run registry threshold votes env scheduler window telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let handle = load_any_registry registry in
+    let store = open_registry registry in
     let config =
       {
         Eric_fleet.Reenroll.default_config with
@@ -1093,25 +984,14 @@ let fleet_reenroll_cmd =
       }
     in
     let engine = engine_config_of scheduler window in
-    let failed = ref false in
-    (match handle with
-    | Reg_file reg ->
-      let report = Eric_fleet.Reenroll.run ~engine ~config reg in
-      Format.printf "%a@." Eric_fleet.Reenroll.pp_report report;
-      failed := report.Eric_fleet.Reenroll.failed <> []
-    | Reg_sharded sh ->
-      for i = 0 to Eric_fleet.Registry_shard.shards sh - 1 do
-        if Eric_fleet.Registry_shard.shard_count sh i > 0 then begin
-          let reg = Eric_fleet.Registry_shard.shard sh i in
-          let report = Eric_fleet.Reenroll.run ~engine ~config reg in
-          Format.printf "shard %04d: %a@." i Eric_fleet.Reenroll.pp_report report;
-          if report.Eric_fleet.Reenroll.failed <> [] then failed := true;
-          Eric_fleet.Registry_shard.mark_dirty sh i;
-          Eric_fleet.Registry_shard.release sh i
-        end
-      done);
-    save_any_registry registry handle;
-    if !failed then exit exit_failures
+    let failed =
+      or_die
+        (Eric_fleet.Registry_shard.walk store ~f:(fun reg ->
+             let report = Eric_fleet.Reenroll.run ~engine ~config reg in
+             Format.printf "%a@." Eric_fleet.Reenroll.pp_report report;
+             Ok (report.Eric_fleet.Reenroll.failed <> [])))
+    in
+    if List.mem true failed then exit exit_failures
   in
   let threshold_arg =
     Arg.(
@@ -1145,18 +1025,12 @@ let fleet_reenroll_cmd =
 
 let fleet_status_cmd =
   let run registry devices =
-    match load_any_registry registry with
-    | Reg_file reg ->
-      if devices then
-        List.iter
-          (fun e -> Format.printf "%a@." Eric_fleet.Registry.pp_entry e)
-          (Eric_fleet.Registry.entries reg);
-      Format.printf "%s: %a@." registry Eric_fleet.Registry.pp_summary reg
-    | Reg_sharded sh ->
-      if devices then
-        Eric_fleet.Registry_shard.fold_entries sh ~init:() ~f:(fun () e ->
-            Format.printf "%a@." Eric_fleet.Registry.pp_entry e);
-      Format.printf "%s: %a@." registry Eric_fleet.Registry_shard.pp_summary sh
+    let store = open_registry registry in
+    if devices then
+      or_die
+        (Eric_fleet.Registry_shard.fold_entries store ~init:() ~f:(fun () e ->
+             Format.printf "%a@." Eric_fleet.Registry.pp_entry e));
+    Format.printf "%s: %s@." registry (or_die (Eric_fleet.Registry_shard.summary store))
   in
   let devices_arg =
     Arg.(value & flag & info [ "devices" ] ~doc:"Print one line per enrolled device.")
@@ -1168,16 +1042,8 @@ let fleet_status_cmd =
 let fleet_shard_migrate_cmd =
   let run registry dir shards telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    if Eric_fleet.Registry_shard.is_sharded registry then begin
-      Printf.eprintf "error: %s is already a sharded registry\n" registry;
-      exit 1
-    end;
-    if not (Sys.file_exists registry) then begin
-      Printf.eprintf "error: registry %s does not exist\n" registry;
-      exit 1
-    end;
     let sh = or_die (Eric_fleet.Registry_shard.migrate ~file:registry ~dir ~shards) in
-    Format.printf "%s -> %s: %a@." registry dir Eric_fleet.Registry_shard.pp_summary sh
+    Format.printf "%s -> %s: %s@." registry dir (or_die (Eric_fleet.Registry_shard.summary sh))
   in
   let dir_arg =
     Arg.(

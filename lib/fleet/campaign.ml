@@ -181,38 +181,25 @@ let deploy ?(config = default_config) ~cache ~registry source =
 
 let deploy_sharded ?(config = default_config) ~cache ~shards source =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.campaign.sharded" (fun () ->
+      let ( let* ) = Result.bind in
       let t_start = Eric_telemetry.Clock.now_ns () in
       (* Fix the epoch up front: each shard only sees its own slice, so
          letting [deploy] derive it per shard would skew. *)
-      let firmware_epoch =
+      let* firmware_epoch =
         match config.firmware_epoch with
-        | Some e -> e
+        | Some e -> Ok e
         | None ->
-          1
-          + Registry_shard.fold_entries shards ~init:0 ~f:(fun m e ->
-                max m e.Registry.firmware_epoch)
+          Result.map succ
+            (Registry_shard.fold_entries shards ~init:0 ~f:(fun m e ->
+                 max m e.Registry.firmware_epoch))
       in
       let config = { config with firmware_epoch = Some firmware_epoch } in
-      let n_shards = Registry_shard.shards shards in
-      let rec loop i acc =
-        if i = n_shards then Ok (List.rev acc)
-        else if Registry_shard.shard_count shards i = 0 then loop (i + 1) acc
-        else begin
-          let reg = Registry_shard.shard shards i in
-          match deploy ~config ~cache ~registry:reg source with
-          | Error _ as e -> e
-          | Ok r ->
-            (* campaigns stamp epochs / quarantine in place; write the
-               shard back and drop it so memory stays one-shard bounded *)
-            Registry_shard.mark_dirty shards i;
-            Registry_shard.release shards i;
-            loop (i + 1) (r :: acc)
-        end
+      let* reports =
+        Registry_shard.walk shards ~f:(fun registry -> deploy ~config ~cache ~registry source)
       in
-      match loop 0 [] with
-      | Error _ as e -> e
-      | Ok [] -> deploy ~config ~cache ~registry:(Registry.create ()) source
-      | Ok (first :: _ as reports) ->
+      match reports with
+      | [] -> deploy ~config ~cache ~registry:(Registry.create ()) source
+      | first :: _ ->
         let sum f = List.fold_left (fun n r -> n + f r) 0 reports in
         let sum64 f = List.fold_left (fun n r -> Int64.add n (f r)) 0L reports in
         Ok
@@ -235,6 +222,46 @@ let deploy_sharded ?(config = default_config) ~cache ~shards source =
 
 let all_accounted report =
   report.delivered + report.quarantined + report.skipped = List.length report.devices
+
+(* Only simulation-deterministic fields, devices by ascending id: the
+   deterministic and domain schedulers, and a registry file and its
+   sharded migration, give byte-identical reports.  Ids are strings
+   because a 64-bit id does not fit a JSON number exactly. *)
+let report_to_json r =
+  let open Eric_telemetry.Json in
+  let int n = Num (float_of_int n) and int64 n = Num (Int64.to_float n) in
+  let device ((entry : Registry.entry), result) =
+    let fields =
+      match result with
+      | Skipped reason -> [ ("result", Str "skipped"); ("reason", Str reason) ]
+      | Shipped d ->
+        let outcome, reason =
+          match d.Shipper.outcome with
+          | Shipper.Delivered _ -> ("delivered", [])
+          | Shipper.Quarantined { reason } ->
+            ("quarantined", [ ("reason", Str (Shipper.quarantine_label reason)) ])
+        in
+        [ ("result", Str outcome);
+          ("attempts", int d.Shipper.attempts);
+          ("wire_bytes", int d.Shipper.wire_bytes) ]
+        @ reason
+    in
+    Obj (("id", Str (Int64.to_string entry.Registry.device_id)) :: fields)
+  in
+  let by_id ((a : Registry.entry), _) ((b : Registry.entry), _) =
+    Int64.compare a.Registry.device_id b.Registry.device_id
+  in
+  Obj
+    [ ("digest", Str r.digest);
+      ("firmware_epoch", int r.firmware_epoch);
+      ("delivered", int r.delivered);
+      ("retried", int r.retried);
+      ("quarantined", int r.quarantined);
+      ("skipped", int r.skipped);
+      ("wire_bytes", int r.wire_bytes);
+      ("load_cycles", int64 r.load_cycles);
+      ("backoff_ns", int64 r.backoff_ns);
+      ("devices", List (List.map device (List.sort by_id r.devices))) ]
 
 let pp_report fmt r =
   let n = List.length r.devices in

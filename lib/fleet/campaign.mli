@@ -75,16 +75,24 @@ val deploy_sharded :
   shards:Registry_shard.t ->
   string ->
   (report, string) result
-(** The same campaign over a sharded registry, shard by shard: each
-    shard is opened lazily, deployed, written back and released before
-    the next opens, so peak memory is one shard regardless of fleet
-    size.  The firmware epoch is fixed across shards up front; the
-    merged report lists devices in shard-major order. *)
+(** The same campaign over an on-disk registry of either layout, through
+    {!Registry_shard.walk}: each shard is deployed, written back and
+    released before the next opens, so peak memory is one shard
+    regardless of fleet size.  The firmware epoch is fixed across shards
+    up front; the merged report lists devices in shard-major order.
+    [Error] also for a shard that does not parse, before any is
+    rewritten. *)
 
 val all_accounted : report -> bool
 (** delivered + quarantined + skipped = every device in the registry. *)
 
 val next_firmware_epoch : Registry.t -> int
+
+val report_to_json : report -> Eric_telemetry.Json.t
+(** The canonical report: simulation-deterministic fields only (no wall
+    clock, no scheduler name) and devices in ascending id order, so the
+    same campaign compares byte for byte across schedulers and registry
+    layouts. *)
 
 val pp_report : Format.formatter -> report -> unit
 val pp_devices : Format.formatter -> report -> unit

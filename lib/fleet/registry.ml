@@ -476,27 +476,15 @@ let save t path =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc (serialize t))
 
-let observe_open_ns ~kind start =
-  Eric_telemetry.Registry.observe
-    ~labels:[ ("kind", kind) ]
-    "fleet.registry.open_ns"
-    (Int64.to_float (Int64.sub (Eric_telemetry.Clock.now_ns ()) start))
-
 let load path =
-  Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.registry.open" (fun () ->
-      let start = Eric_telemetry.Clock.now_ns () in
-      let result =
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> parse_reader (Reader.of_channel ic))
-        with
-        | exception Sys_error msg -> Error msg
-        | r -> Result.map_error (fun e -> path ^ ": " ^ e) r
-      in
-      observe_open_ns ~kind:"file" start;
-      result)
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> parse_reader (Reader.of_channel ic))
+  with
+  | exception Sys_error msg -> Error msg
+  | r -> Result.map_error (fun e -> path ^ ": " ^ e) r
 
 let pp_status fmt = function
   | Active -> Format.pp_print_string fmt "active"
@@ -510,8 +498,3 @@ let pp_entry fmt e =
     | Some h ->
       Printf.sprintf "helper v%d (%d/%d chains, %d ppm)" h.Eric_puf.Enroll.version
         (Eric_puf.Enroll.kept_chains h) h.Eric_puf.Enroll.chains e.instability_ppm)
-
-let pp_summary fmt t =
-  Format.fprintf fmt "%d device(s), %d active, %d quarantined" (count t)
-    (List.length (active t))
-    (List.length (quarantined t))

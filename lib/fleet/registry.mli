@@ -1,4 +1,6 @@
-(** The software source's persistent view of its device population.
+(** One shard of the software source's device registry, and the EFRG
+    codec every on-disk registry is made of ({!Registry_shard} owns the
+    files and their layout).
 
     Each enrolled device carries the KMU context it was provisioned under,
     the PUF-based key the provisioning handshake produced (never the PUF
@@ -129,11 +131,9 @@ val fold_file :
 
 val save : t -> string -> unit
 val load : string -> (t, string) result
-(** File I/O wrappers; [load] turns I/O failures into [Error] rather than
-    exceptions so front ends can exit cleanly.  [load] parses the file as
-    a stream, records a [fleet.registry.open] span and observes
-    [fleet.registry.open_ns{kind="file"}]. *)
+(** File I/O wrappers; [load] parses the file as a stream and turns I/O
+    failures into [Error] rather than exceptions so front ends can exit
+    cleanly. *)
 
 val pp_status : Format.formatter -> status -> unit
 val pp_entry : Format.formatter -> entry -> unit
-val pp_summary : Format.formatter -> t -> unit

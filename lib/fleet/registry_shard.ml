@@ -1,5 +1,6 @@
-(* Hash-partitioned sharded registry: a directory of per-shard EFRG
-   files behind a tiny manifest.
+(* Every on-disk registry: a plain EFRG file (the one-shard case) or a
+   hash-partitioned directory of per-shard EFRG files behind a tiny
+   manifest.
 
    Manifest wire format (strict, like every ERIC container):
 
@@ -12,9 +13,10 @@
 
    Shard i lives in shard-%04d.efrg, a standard version-2 EFRG file; a
    missing shard file is an empty shard, so creating a sharded registry
-   costs one manifest write regardless of S.  Opening reads the manifest
-   only; shard files parse lazily on first touch and can be released
-   (with write-back) to bound memory during fleet walks. *)
+   costs one manifest write regardless of S.  Opening a directory reads
+   the manifest only; shard files parse lazily on first touch and are
+   released (with write-back) by fleet walks to bound memory.  A plain
+   file is its own single shard, parsed when opened. *)
 
 let magic = "EFRS"
 let manifest_version = 1
@@ -22,7 +24,8 @@ let manifest_name = "MANIFEST"
 let max_shards = 0xFFFF
 
 type t = {
-  dir : string;
+  path : string;
+  sharded : bool; (* a directory with a manifest; false = a plain EFRG file *)
   shards : int;
   counts : int array; (* live entry counts, persisted in the manifest *)
   opened : (int, Registry.t) Hashtbl.t;
@@ -32,38 +35,37 @@ type t = {
 
 let ( let* ) = Result.bind
 
-(* splitmix64's finalizer: a stable, well-mixed device-id -> shard map
-   so sequential factory ids spread evenly instead of striping. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
+(* The finalizer spreads sequential factory ids evenly instead of
+   striping them. *)
 let shard_of ~shards id =
-  Int64.to_int (Int64.rem (Int64.logand (mix64 id) Int64.max_int) (Int64.of_int shards))
+  Int64.to_int
+    (Int64.rem (Int64.logand (Eric_util.Prng.mix64 id) Int64.max_int) (Int64.of_int shards))
 
-let shard_file dir i = Filename.concat dir (Printf.sprintf "shard-%04d.efrg" i)
 let manifest_file dir = Filename.concat dir manifest_name
+
+let shard_file t i =
+  if t.sharded then Filename.concat t.path (Printf.sprintf "shard-%04d.efrg" i) else t.path
 
 let is_sharded path =
   Sys.file_exists path && Sys.is_directory path && Sys.file_exists (manifest_file path)
 
-let dir t = t.dir
-let shards t = t.shards
+let make ~path ~sharded counts =
+  let shards = Array.length counts in
+  {
+    path;
+    sharded;
+    shards;
+    counts;
+    opened = Hashtbl.create 16;
+    dirty = Array.make shards false;
+    lock = Mutex.create ();
+  }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let count t = locked t (fun () -> Array.fold_left ( + ) 0 t.counts)
-
-let check_index t i =
-  if i < 0 || i >= t.shards then
-    invalid_arg (Printf.sprintf "Registry_shard: shard %d out of range (0..%d)" i (t.shards - 1))
-
-let shard_count t i =
-  check_index t i;
-  locked t (fun () -> t.counts.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Manifest I/O                                                        *)
@@ -81,8 +83,10 @@ let manifest_bytes t =
   b
 
 let write_manifest t =
-  let oc = open_out_bin (manifest_file t.dir) in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc (manifest_bytes t))
+  if t.sharded then begin
+    let oc = open_out_bin (manifest_file t.path) in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc (manifest_bytes t))
+  end
 
 let parse_manifest ~dir b =
   let len = Bytes.length b in
@@ -110,17 +114,28 @@ let parse_manifest ~dir b =
   let* () =
     if Array.for_all (fun c -> c >= 0) counts then Ok () else Error "negative shard count"
   in
-  Ok
-    {
-      dir;
-      shards = s;
-      counts;
-      opened = Hashtbl.create 16;
-      dirty = Array.make s false;
-      lock = Mutex.create ();
-    }
+  Ok (make ~path:dir ~sharded:true counts)
 
-let create ~dir ~shards =
+let read_manifest dir =
+  match
+    let ic = open_in_bin (manifest_file dir) in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error msg -> Error msg
+  | data ->
+    Result.map_error
+      (fun e -> manifest_file dir ^ ": " ^ e)
+      (parse_manifest ~dir (Bytes.of_string data))
+
+(* A plain file: one shard, already parsed. *)
+let of_file path reg =
+  let t = make ~path ~sharded:false [| Registry.count reg |] in
+  Hashtbl.add t.opened 0 reg;
+  t
+
+let create_dir ~dir ~shards =
   if shards < 1 || shards > max_shards then
     Error (Printf.sprintf "shard count %d out of range (1..%d)" shards max_shards)
   else if is_sharded dir then Error (dir ^ ": already a sharded registry")
@@ -129,16 +144,7 @@ let create ~dir ~shards =
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
       if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
       else begin
-        let t =
-          {
-            dir;
-            shards;
-            counts = Array.make shards 0;
-            opened = Hashtbl.create 16;
-            dirty = Array.make shards false;
-            lock = Mutex.create ();
-          }
-        in
+        let t = make ~path:dir ~sharded:true (Array.make shards 0) in
         write_manifest t;
         Ok t
       end
@@ -146,6 +152,14 @@ let create ~dir ~shards =
     | exception Unix.Unix_error (e, _, _) -> Error (dir ^ ": " ^ Unix.error_message e)
     | exception Sys_error msg -> Error msg
     | r -> r
+  end
+
+let create ~shards path =
+  if shards <> 0 then create_dir ~dir:path ~shards
+  else begin
+    let t = of_file path (Registry.create ()) in
+    t.dirty.(0) <- true;
+    Ok t
   end
 
 let observe_open_ns ~kind start =
@@ -157,20 +171,11 @@ let observe_open_ns ~kind start =
 let load path =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.registry.open" (fun () ->
       let start = Eric_telemetry.Clock.now_ns () in
-      let result =
-        match
-          let ic = open_in_bin (manifest_file path) in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | exception Sys_error msg -> Error msg
-        | data ->
-          Result.map_error
-            (fun e -> manifest_file path ^ ": " ^ e)
-            (parse_manifest ~dir:path (Bytes.of_string data))
+      let kind, result =
+        if is_sharded path then ("manifest", read_manifest path)
+        else ("file", Result.map (of_file path) (Registry.load path))
       in
-      observe_open_ns ~kind:"manifest" start;
+      observe_open_ns ~kind start;
       result)
 
 (* ------------------------------------------------------------------ *)
@@ -178,45 +183,31 @@ let load path =
 (* ------------------------------------------------------------------ *)
 
 let open_shard t i =
-  let path = shard_file t.dir i in
+  let path = shard_file t i in
   let start = Eric_telemetry.Clock.now_ns () in
-  let reg =
-    if Sys.file_exists path then begin
-      match Registry.load path with
-      | Ok reg -> reg
-      | Error e -> invalid_arg ("Registry_shard.shard: " ^ e)
-    end
-    else Registry.create ()
-  in
+  let reg = if Sys.file_exists path then Registry.load path else Ok (Registry.create ()) in
   observe_open_ns ~kind:"shard" start;
   Eric_telemetry.Registry.inc "fleet.registry.shard.opens_total";
   reg
 
 let shard t i =
-  check_index t i;
   match locked t (fun () -> Hashtbl.find_opt t.opened i) with
   | Some reg ->
     Eric_telemetry.Registry.inc "fleet.registry.shard.hits_total";
-    reg
+    Ok reg
   | None ->
-    let reg = open_shard t i in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.opened i with
-        | Some reg' -> reg'
-        | None ->
-          Hashtbl.add t.opened i reg;
-          t.counts.(i) <- Registry.count reg;
-          reg)
-
-let mark_dirty t i =
-  check_index t i;
-  locked t (fun () ->
-      if not (Hashtbl.mem t.opened i) then
-        invalid_arg (Printf.sprintf "Registry_shard.mark_dirty: shard %d is not open" i);
-      t.dirty.(i) <- true)
+    let* reg = open_shard t i in
+    Ok
+      (locked t (fun () ->
+           match Hashtbl.find_opt t.opened i with
+           | Some reg' -> reg'
+           | None ->
+             Hashtbl.add t.opened i reg;
+             t.counts.(i) <- Registry.count reg;
+             reg))
 
 let save_shard t i reg =
-  Registry.save reg (shard_file t.dir i);
+  Registry.save reg (shard_file t i);
   t.counts.(i) <- Registry.count reg;
   t.dirty.(i) <- false
 
@@ -229,84 +220,76 @@ let save t =
         t.opened;
       write_manifest t)
 
-let release t i =
-  check_index t i;
-  locked t (fun () ->
-      match Hashtbl.find_opt t.opened i with
-      | None -> ()
-      | Some reg ->
-        if t.dirty.(i) then begin
-          save_shard t i reg;
-          write_manifest t
-        end;
-        Hashtbl.remove t.opened i)
-
 (* ------------------------------------------------------------------ *)
 (* Entry operations (route to the owning shard)                        *)
 (* ------------------------------------------------------------------ *)
 
 let owner t id = shard t (shard_of ~shards:t.shards id)
 
-let find t id = Registry.find (owner t id) id
-let mem t id = Registry.mem (owner t id) id
+let find t id = Result.map (fun reg -> Registry.find reg id) (owner t id)
 
-let after_mutation t i r =
-  if Result.is_ok r then
-    locked t (fun () ->
-        t.dirty.(i) <- true;
-        t.counts.(i) <- t.counts.(i) + 1);
-  r
+let insert t id op =
+  let i = shard_of ~shards:t.shards id in
+  let* reg = shard t i in
+  let* e = op reg in
+  locked t (fun () ->
+      t.dirty.(i) <- true;
+      t.counts.(i) <- t.counts.(i) + 1);
+  Ok e
 
 let enroll ?epoch ?label ?enrollment t id =
-  let i = shard_of ~shards:t.shards id in
-  after_mutation t i (Registry.enroll ?epoch ?label ?enrollment (shard t i) id)
+  insert t id (fun reg -> Registry.enroll ?epoch ?label ?enrollment reg id)
 
 let enroll_legacy ?epoch ?label t id =
-  let i = shard_of ~shards:t.shards id in
-  after_mutation t i (Registry.enroll_legacy ?epoch ?label (shard t i) id)
-
-let add t (e : Registry.entry) =
-  let i = shard_of ~shards:t.shards e.Registry.device_id in
-  after_mutation t i (Registry.add (shard t i) e)
-
-let update t (e : Registry.entry) =
-  let i = shard_of ~shards:t.shards e.Registry.device_id in
-  Registry.update (shard t i) e;
-  locked t (fun () -> t.dirty.(i) <- true)
+  insert t id (fun reg -> Registry.enroll_legacy ?epoch ?label reg id)
 
 let target ?env t (e : Registry.entry) =
-  Registry.target ?env (owner t e.Registry.device_id) e
+  Result.map (fun reg -> Registry.target ?env reg e) (owner t e.Registry.device_id)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-fleet traversal and conversion                                *)
 (* ------------------------------------------------------------------ *)
 
 let fold_entries t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.shards - 1 do
-    match locked t (fun () -> Hashtbl.find_opt t.opened i) with
-    | Some reg -> List.iter (fun e -> acc := f !acc e) (Registry.entries reg)
-    | None ->
-      let path = shard_file t.dir i in
-      if Sys.file_exists path then begin
-        match
-          Registry.fold_file path ~init:() ~f:(fun () e ->
-              acc := f !acc e;
-              Ok ())
-        with
-        | Ok () -> ()
-        | Error e -> invalid_arg ("Registry_shard.fold_entries: " ^ e)
-      end
-  done;
-  !acc
+  let rec go i acc =
+    if i = t.shards then Ok acc
+    else
+      match locked t (fun () -> Hashtbl.find_opt t.opened i) with
+      | Some reg -> go (i + 1) (List.fold_left f acc (Registry.entries reg))
+      | None ->
+        let path = shard_file t i in
+        if not (Sys.file_exists path) then go (i + 1) acc
+        else
+          let* acc = Registry.fold_file path ~init:acc ~f:(fun acc e -> Ok (f acc e)) in
+          go (i + 1) acc
+  in
+  go 0 init
+
+let walk t ~f =
+  (* the scan is what makes a refused walk leave every file untouched *)
+  let* () = fold_entries t ~init:() ~f:(fun () _ -> ()) in
+  let rec go i acc =
+    if i = t.shards then Ok (List.rev acc)
+    else if locked t (fun () -> t.counts.(i)) = 0 then go (i + 1) acc
+    else
+      let* reg = shard t i in
+      let* r = f reg in
+      locked t (fun () ->
+          save_shard t i reg;
+          Hashtbl.remove t.opened i);
+      go (i + 1) (r :: acc)
+  in
+  let* results = go 0 [] in
+  locked t (fun () -> write_manifest t);
+  Ok results
 
 let of_registry ~dir ~shards reg =
-  let* t = create ~dir ~shards in
+  let* t = create_dir ~dir ~shards in
   let* () =
     List.fold_left
-      (fun acc e ->
+      (fun acc (e : Registry.entry) ->
         let* () = acc in
-        let* _ = add t e in
+        let* _ = insert t e.Registry.device_id (fun reg -> Registry.add reg e) in
         Ok ())
       (Ok ()) (Registry.entries reg)
   in
@@ -314,7 +297,12 @@ let of_registry ~dir ~shards reg =
   Ok t
 
 let migrate ~file ~dir ~shards =
-  let* t = create ~dir ~shards in
+  let* () =
+    if is_sharded file then Error (file ^ " is already a sharded registry")
+    else if not (Sys.file_exists file) then Error ("registry " ^ file ^ " does not exist")
+    else Ok ()
+  in
+  let* t = create_dir ~dir ~shards in
   (* Stream: route each decoded entry straight to its shard's output
      channel (header written with count 0, patched at the end), so the
      single-file fleet is never resident. *)
@@ -323,7 +311,7 @@ let migrate ~file ~dir ~shards =
     match outs.(i) with
     | Some oc -> oc
     | None ->
-      let oc = open_out_bin (shard_file t.dir i) in
+      let oc = open_out_bin (shard_file t i) in
       output_bytes oc (Registry.header ~count:0);
       outs.(i) <- Some oc;
       oc
@@ -361,29 +349,27 @@ let migrate ~file ~dir ~shards =
           outs;
         Ok ())
   in
-  match result with
-  | Error e -> Error e
-  | Ok () ->
-    write_manifest t;
-    Ok t
+  let* () = result in
+  write_manifest t;
+  Ok t
 
 let to_registry t =
   let reg = Registry.create () in
-  match
+  let* added =
     fold_entries t ~init:(Ok ()) ~f:(fun acc e ->
         let* () = acc in
-        let* _ = Registry.add reg e in
-        Ok ())
-  with
-  | Ok () -> Ok reg
-  | Error e -> Error e
+        Result.map ignore (Registry.add reg e))
+  in
+  Result.map (fun () -> reg) added
 
-let pp_summary fmt t =
-  let total, active, quarantined =
+let summary t =
+  let* total, active, quarantined =
     fold_entries t ~init:(0, 0, 0) ~f:(fun (n, a, q) e ->
         match e.Registry.status with
         | Registry.Active -> (n + 1, a + 1, q)
         | Registry.Quarantined _ -> (n + 1, a, q + 1))
   in
-  Format.fprintf fmt "%d device(s) in %d shard(s), %d active, %d quarantined" total t.shards
-    active quarantined
+  Ok
+    (Printf.sprintf "%d device(s)%s, %d active, %d quarantined" total
+       (if t.sharded then Printf.sprintf " in %d shard(s)" t.shards else "")
+       active quarantined)

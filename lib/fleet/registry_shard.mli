@@ -1,82 +1,53 @@
-(** Hash-partitioned, lazily opened view of a device registry.
+(** Every on-disk device registry, whichever layout its path has.
 
-    A sharded registry is a directory holding a tiny [MANIFEST] (magic
-    ["EFRS"]: shard count and per-shard entry counts) plus one standard
-    EFRG file per shard ([shard-0000.efrg], ...).  Devices map to shards
-    by a stable mix of the device id, so the same id lands in the same
-    shard across processes and fleet sizes.
+    - A plain EFRG file is the one-shard case: the file is the shard.  It
+      is parsed when opened, and no manifest is ever written next to it.
+    - A sharded registry is a directory holding a tiny [MANIFEST] (magic
+      ["EFRS"]: shard count and per-shard entry counts) plus one standard
+      EFRG file per shard ([shard-0000.efrg], ...).  Devices map to shards
+      by a stable mix of the device id ({!shard_of}), so the same id lands
+      in the same shard across processes and fleet sizes.  Opening reads
+      only the manifest — O(shards), not O(devices) — and each shard file
+      is parsed on first touch.
 
-    Opening a sharded registry reads only the manifest — O(shards), not
-    O(devices) — and each shard file is parsed on first touch (and can
-    be released again), so a campaign that walks the fleet shard by
-    shard never holds more than one shard's entries in memory.  Shard
-    files stream through {!Registry.fold_file}'s cursor when iterated
-    without being kept open.
+    Whole-fleet jobs go through {!walk}, which holds one shard in memory
+    at a time; scans go through {!fold_entries}, which streams closed
+    shards through {!Registry.fold_file}'s cursor.  A shard file that
+    does not parse is an [Error] from every operation that touches it.
 
     Layout and migration are documented in [docs/fleet.md]. *)
 
 type t
 
-val magic : string
-(** ["EFRS"], the manifest magic. *)
-
-val manifest_name : string
-(** ["MANIFEST"], the manifest's file name inside the directory. *)
-
-val max_shards : int
-
 val shard_of : shards:int -> Eric_puf.Device.id -> int
-(** Stable device-id → shard mapping (a splitmix64-style bit mix, mod
+(** Stable device-id → shard mapping ({!Eric_util.Prng.mix64}, mod
     [shards]).  Pure: identical across processes and runs. *)
 
-val shard_file : string -> int -> string
-(** [shard_file dir i] is the path of shard [i]'s EFRG file. *)
-
 val is_sharded : string -> bool
-(** True when [path] is a directory containing a manifest — how front
-    ends tell a sharded registry from a single-file one. *)
+(** True when [path] is a directory containing a manifest. *)
 
-val create : dir:string -> shards:int -> (t, string) result
-(** Make [dir] (which must not already contain a manifest) a fresh empty
-    sharded registry.  Shard files are not written until they hold
-    entries. *)
+val create : shards:int -> string -> (t, string) result
+(** A fresh empty registry at [path].  [shards = 0] makes it a plain
+    EFRG file, written by the first {!save}; otherwise [path] becomes a
+    directory of [shards] shards (1..65535) whose manifest is written
+    now, and which must not already hold a manifest. *)
 
 val load : string -> (t, string) result
-(** Open by reading the manifest only; no shard file is touched.
-    Observes [fleet.registry.open_ns{kind="manifest"}]. *)
+(** Open either layout: a plain file is parsed whole, a directory reads
+    its manifest only.  Records a [fleet.registry.open] span and observes
+    [fleet.registry.open_ns{kind="file"|"manifest"}]; lazily opened
+    shards observe [kind="shard"] and count
+    [fleet.registry.shard.opens_total] / [.hits_total]. *)
 
 val save : t -> unit
-(** Write every dirty shard and the manifest; clean shards are not
-    rewritten. *)
+(** Write every shard mutated since it was opened (and a directory's
+    manifest); clean shards are not rewritten. *)
 
-val dir : t -> string
-val shards : t -> int
 val count : t -> int
 (** Total enrolled devices, from the per-shard counts — no shard is
     opened. *)
 
-val shard_count : t -> int -> int
-(** Entries in one shard, from the manifest/live counts. *)
-
-val shard : t -> int -> Registry.t
-(** The shard's registry, parsed from its file on first touch and
-    memoized.  Observes [fleet.registry.open_ns{kind="shard"}] on a real
-    open and counts [fleet.registry.shard.opens_total] /
-    [fleet.registry.shard.hits_total].
-    @raise Invalid_argument on a shard index out of range, or a shard
-    file that fails to parse (a corrupt shard is a refused registry). *)
-
-val mark_dirty : t -> int -> unit
-(** Record that shard [i]'s registry was mutated directly (e.g. by
-    {!Registry.update} during a campaign) so {!save} and
-    {!release} write it back. *)
-
-val release : t -> int -> unit
-(** Drop shard [i] from memory, writing it back first if dirty — the
-    bounded-memory knob for shard-by-shard fleet walks. *)
-
-val find : t -> Eric_puf.Device.id -> Registry.entry option
-val mem : t -> Eric_puf.Device.id -> bool
+val find : t -> Eric_puf.Device.id -> (Registry.entry option, string) result
 
 val enroll :
   ?epoch:int -> ?label:string -> ?enrollment:Eric_puf.Enroll.enrollment ->
@@ -86,17 +57,23 @@ val enroll_legacy :
   ?epoch:int -> ?label:string -> t -> Eric_puf.Device.id ->
   (Registry.entry, string) result
 
-val add : t -> Registry.entry -> (Registry.entry, string) result
-val update : t -> Registry.entry -> unit
-
 val target :
-  ?env:Eric_puf.Env.t -> t -> Registry.entry -> Eric.Target.t
+  ?env:Eric_puf.Env.t -> t -> Registry.entry -> (Eric.Target.t, string) result
 (** Delegates to the owning shard's memoized boot. *)
 
-val fold_entries : t -> init:'acc -> f:('acc -> Registry.entry -> 'acc) -> 'acc
+val fold_entries :
+  t -> init:'acc -> f:('acc -> Registry.entry -> 'acc) -> ('acc, string) result
 (** Every entry, shard-major order.  Open shards iterate in memory;
     closed shards stream from disk entry by entry and are {e not} left
     open — a full-fleet scan at one-shard memory cost. *)
+
+val walk : t -> f:(Registry.t -> ('a, string) result) -> ('a list, string) result
+(** Run [f] on each non-empty shard in index order, writing the shard
+    back and releasing it before the next opens, so peak memory is one
+    shard regardless of fleet size.  Every shard is scanned before any
+    is rewritten: a shard that does not parse refuses the walk with every
+    file unchanged.  An [Error] from [f] stops the walk without writing
+    that shard. *)
 
 val of_registry : dir:string -> shards:int -> Registry.t -> (t, string) result
 (** Shard an in-memory registry into [dir]. *)
@@ -112,4 +89,7 @@ val to_registry : t -> (Registry.t, string) result
 (** Merge every shard into one in-memory registry (shard-major order) —
     the equivalence witness the property tests compare against. *)
 
-val pp_summary : Format.formatter -> t -> unit
+val summary : t -> (string, string) result
+(** One line: device, active and quarantined counts, plus the shard
+    count for a directory.  Scans every entry, so a corrupt shard is an
+    [Error]. *)

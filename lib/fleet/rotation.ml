@@ -17,15 +17,6 @@ let count ?labels name =
 
 let method_label = function Local -> "local" | Rsa _ -> "rsa"
 
-(* splitmix64's finalizer, used to fold a device id into the rotation
-   seed: every device provisions from its own RNG stream, so domain
-   workers never contend on (or reorder draws from) a shared generator
-   and both schedulers see identical ciphertexts. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.rotate" (fun () ->
       count "fleet.rotate.runs_total";
@@ -37,8 +28,12 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
              only the per-handshake randomness is per-device *)
           let source_key = Eric_crypto.Rsa.generate ~bits (Eric_util.Prng.create ~seed) in
           fun (entry : Registry.entry) target ->
+            (* every device provisions from its own RNG stream, so domain
+               workers never contend on (or reorder draws from) a shared
+               generator and both schedulers see identical ciphertexts *)
             let rng =
-              Eric_util.Prng.create ~seed:(mix64 (Int64.logxor seed entry.Registry.device_id))
+              Eric_util.Prng.create
+                ~seed:(Eric_util.Prng.mix64 (Int64.logxor seed entry.Registry.device_id))
             in
             match Eric.Protocol.provision_over_network ~rng ~source_key target with
             | Ok key -> key

@@ -17,14 +17,6 @@ let fnv1a64 s =
     s;
   !h
 
-(* SplitMix64 finalizer: spreads the structured (seed, name, salt)
-   combination over the whole 64-bit space before it becomes a
-   xoshiro seed. *)
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let golden = 0x9e3779b97f4a7c15L
 
 let stream ~seed ~name ~salt =
@@ -33,4 +25,6 @@ let stream ~seed ~name ~salt =
       (Int64.logxor seed (fnv1a64 name))
       (Int64.mul golden (Int64.of_int (salt + 1)))
   in
-  Eric_util.Prng.create ~seed:(mix z)
+  (* the finalizer spreads the structured (seed, name, salt) combination
+     over the whole 64-bit space before it becomes a xoshiro seed *)
+  Eric_util.Prng.create ~seed:(Eric_util.Prng.mix64 z)

@@ -1,14 +1,16 @@
 type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
 
-(* SplitMix64: used only to expand the user seed into the xoshiro256** state,
-   as recommended by the xoshiro authors. *)
-let splitmix64 state =
+let mix64 z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
+
+(* SplitMix64: used only to expand the user seed into the xoshiro256** state,
+   as recommended by the xoshiro authors. *)
+let splitmix64 state =
+  state := Int64.add !state 0x9E3779B97F4A7C15L;
+  mix64 !state
 
 let create ~seed =
   let st = ref seed in

@@ -9,6 +9,11 @@
 type t
 (** Mutable generator state. *)
 
+val mix64 : int64 -> int64
+(** SplitMix64's finalizer: a pure, well-mixed bijection on 64-bit
+    values, for deriving seeds and stable hash buckets from structured
+    inputs such as device ids. *)
+
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator whose whole stream is a pure function
     of [seed]. *)

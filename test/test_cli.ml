@@ -19,6 +19,20 @@ let with_tmp f =
   let path = Filename.temp_file "eric_cli_test" ".bin" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
 
+(* A fresh path for a directory the CLI creates (a sharded registry). *)
+let with_tmp_dir f =
+  let dir = Filename.temp_file "eric_cli_test" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
 let write path (bytes : bytes) =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc bytes)
@@ -67,14 +81,63 @@ let make_registry path n =
   Eric_fleet.Registry.save reg path;
   reg
 
+(* Every file of a registry (the file itself, or a directory's
+   manifest and shards) with its bytes. *)
+let snapshot path =
+  let files =
+    if Sys.is_directory path then
+      List.map (Filename.concat path) (List.sort compare (Array.to_list (Sys.readdir path)))
+    else [ path ]
+  in
+  List.map (fun f -> (f, slurp f)) files
+
+(* A 3-device file, or a 40-device fleet migrated into 4 shards; [f]
+   gets the registry path and the file to damage. *)
+let with_layout ~sharded f =
+  with_tmp (fun file ->
+      if not sharded then begin
+        ignore (make_registry file 3);
+        f file file
+      end
+      else begin
+        ignore (make_registry file 40);
+        with_tmp_dir (fun dir ->
+            let code, err =
+              run_cli
+                [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir"; dir; "--shards"; "4" ]
+            in
+            check Alcotest.int ("migrate: " ^ err) 0 code;
+            f dir (Filename.concat dir "shard-0002.efrg"))
+      end)
+
 let test_truncated_registry () =
-  with_tmp (fun path ->
-      ignore (make_registry path 3);
-      let full = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
-      (* cut mid-record, the shape a crashed writer or bad copy leaves *)
-      write path (Bytes.sub full 0 (Bytes.length full - 7));
-      expect_clean_failure "truncated registry"
-        (run_cli [ "fleet"; "status"; "--registry"; path ]))
+  with_tmp (fun src ->
+      write src (Bytes.of_string "int main() { return 0; }");
+      List.iter
+        (fun (layout, sharded) ->
+          List.iter
+            (fun (cut_name, cut) ->
+              with_layout ~sharded (fun path victim ->
+                  write victim (cut (Bytes.of_string (slurp victim)));
+                  let before = snapshot path in
+                  List.iter
+                    (fun cmd ->
+                      let what =
+                        Printf.sprintf "truncated %s registry (%s), fleet %s" layout cut_name
+                          (List.hd cmd)
+                      in
+                      let code, err = run_cli (("fleet" :: cmd) @ [ "--registry"; path ]) in
+                      expect_clean_failure what (code, err);
+                      check Alcotest.int (what ^ ": exit 1") 1 code;
+                      check
+                        Alcotest.(list (pair string string))
+                        (what ^ ": every file unchanged") before (snapshot path))
+                    [ [ "status" ]; [ "campaign"; src ]; [ "rotate"; "--epoch"; "2" ]; [ "reenroll" ] ]))
+            (* cut mid-record, the shape a crashed writer or bad copy
+               leaves, and to the 40-byte prefix CI's smoke used *)
+            [ ("tail cut", fun b -> Bytes.sub b 0 (Bytes.length b - 7));
+              ("40-byte prefix", fun b -> Bytes.sub b 0 40) ])
+        [ ("file", false); ("sharded", true) ])
 
 let test_corrupt_registry_magic () =
   with_tmp (fun path ->
@@ -360,8 +423,60 @@ let run_cli_capture args =
               (Filename.quote out_file) (Filename.quote err_file)
           in
           let code = Sys.command cmd in
-          let slurp p = In_channel.with_open_bin p In_channel.input_all in
           (code, slurp out_file, slurp err_file)))
+
+let test_fleet_sharded_round_trip () =
+  with_tmp (fun src ->
+      with_tmp_dir (fun dir ->
+          write src (Bytes.of_string "int main() { println_int(7); return 0; }");
+          let fleet args =
+            let code, out, err = run_cli_capture (("fleet" :: args) @ [ "--registry"; dir ]) in
+            check Alcotest.int (List.hd args ^ " exits 0: " ^ err) 0 code;
+            out
+          in
+          ignore
+            (fleet
+               [ "enroll"; "--count"; "12"; "--start-id"; "500"; "--shards"; "4"; "--factory";
+                 "--quiet" ]);
+          ignore (fleet [ "campaign"; src ]);
+          ignore (fleet [ "rotate"; "--epoch"; "2" ]);
+          ignore (fleet [ "reenroll" ]);
+          let out = fleet [ "status"; "--devices" ] in
+          let lines = String.split_on_char '\n' out in
+          check Alcotest.int "every device rotated, stamped and upgraded" 12
+            (List.length
+               (List.filter
+                  (fun l ->
+                    contains_str l "epoch 2  label \"eric\"  firmware 1  active  helper")
+                  lines));
+          check Alcotest.bool "sharded summary" true
+            (contains_str out "12 device(s) in 4 shard(s), 12 active, 0 quarantined")))
+
+let test_fleet_report_layout_independent () =
+  (* the same campaign on a fleet file and on its 4-shard migration *)
+  with_tmp (fun file ->
+      with_tmp (fun src ->
+          with_tmp (fun report_file ->
+              with_tmp (fun report_dir ->
+                  with_tmp_dir (fun dir ->
+                      ignore (make_registry file 12);
+                      write src (Bytes.of_string "int main() { println_int(7); return 0; }");
+                      let code, _ =
+                        run_cli
+                          [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir"; dir;
+                            "--shards"; "4" ]
+                      in
+                      check Alcotest.int "migrate" 0 code;
+                      let campaign registry out =
+                        fst
+                          (run_cli
+                             [ "fleet"; "campaign"; src; "--registry"; registry; "--channel";
+                               "drop-first:1"; "--report-out"; out ])
+                      in
+                      check Alcotest.int "file campaign" 0 (campaign file report_file);
+                      check Alcotest.int "sharded campaign" 0 (campaign dir report_dir);
+                      check Alcotest.string "identical report bytes" (slurp report_file)
+                        (slurp report_dir))))))
 
 let test_build_unknown_obf_pass_exit_4 () =
   with_tmp (fun src ->
@@ -412,7 +527,10 @@ let () =
           Alcotest.test_case "metrics smoke" `Quick test_puf_metrics_smoke;
           Alcotest.test_case "unknown corner refused" `Quick test_puf_unknown_corner ] );
       ( "fleet",
-        [ Alcotest.test_case "reenroll smoke" `Quick test_fleet_reenroll_smoke ] );
+        [ Alcotest.test_case "reenroll smoke" `Quick test_fleet_reenroll_smoke;
+          Alcotest.test_case "sharded round trip" `Quick test_fleet_sharded_round_trip;
+          Alcotest.test_case "report independent of layout" `Quick
+            test_fleet_report_layout_independent ] );
       ( "obfuscate",
         [ Alcotest.test_case "unknown pass is 4" `Quick test_build_unknown_obf_pass_exit_4;
           Alcotest.test_case "lint reports package passes" `Quick

@@ -792,11 +792,33 @@ let shard_mapping_prop =
       let s = Shard.shard_of ~shards id in
       s >= 0 && s < shards && s = Shard.shard_of ~shards id)
 
+let test_shard_mapping_golden () =
+  (* Recorded from the original mapping: devices live in the shard file
+     [shard_of] names, so a changed mapping strands every existing
+     sharded registry. *)
+  List.iter
+    (fun (id, expected) ->
+      List.iteri
+        (fun k shards ->
+          check Alcotest.int
+            (Printf.sprintf "device %Ld over %d shard(s)" id shards)
+            expected.(k) (Shard.shard_of ~shards id))
+        [ 1; 4; 16; 64 ])
+    [ (1L, [| 0; 1; 5; 37 |]);
+      (7L, [| 0; 0; 4; 20 |]);
+      (42L, [| 0; 2; 2; 34 |]);
+      (100L, [| 0; 0; 4; 52 |]);
+      (9_000L, [| 0; 0; 8; 8 |]);
+      (1_000_000L, [| 0; 2; 6; 22 |]);
+      (0xDEAD_BEEF_CAFEL, [| 0; 1; 1; 17 |]);
+      (-1L, [| 0; 3; 11; 59 |]) ]
+
 let shard_equivalence_prop =
-  (* An N-shard registry is observably equivalent to the single-file one
+  (* An on-disk store is observably equivalent to the in-memory registry
      it was built from: same count, same entries (merged back), and every
-     id resolves to a byte-identical entry through the sharded view —
-     including after a cold manifest-only reopen from disk. *)
+     id resolves to a byte-identical entry through the store — including
+     after a cold reopen from disk.  Both layouts: an N-shard directory,
+     and a plain file saved from the registry (the one-shard case). *)
   let entry_gen =
     QCheck.(
       pair (int_range 1 9)
@@ -806,7 +828,8 @@ let shard_equivalence_prop =
               (pair (string_of_size (Gen.return 32)) small_nat)
               (pair (option small_printable_string) small_nat))))
   in
-  qtest ~count:60 "N shards = one registry" entry_gen (fun (shards, specs) ->
+  qtest ~count:60 "N shards = one registry" QCheck.(pair bool entry_gen)
+    (fun (as_file, (shards, specs)) ->
       let reg = Eric_fleet.Registry.create () in
       List.iteri
         (fun i ((epoch, label), (key, firmware_epoch), (quarantine, instability_ppm)) ->
@@ -829,36 +852,45 @@ let shard_equivalence_prop =
           | Ok _ -> ()
           | Error e -> failwith e)
         specs;
-      with_temp_dir (fun dir ->
-          match Shard.of_registry ~dir ~shards reg with
-          | Error e -> QCheck.Test.fail_report e
-          | Ok sh ->
-            let merged_eq sh =
-              match Shard.to_registry sh with
-              | Error e -> QCheck.Test.fail_report e
-              | Ok merged ->
-                Eric_fleet.Registry.count merged = Eric_fleet.Registry.count reg
-                && List.for_all2 entry_eq
-                     (by_id (Eric_fleet.Registry.entries reg))
-                     (by_id (Eric_fleet.Registry.entries merged))
-            in
-            let finds_eq sh =
-              List.for_all
-                (fun (e : Eric_fleet.Registry.entry) ->
-                  match Shard.find sh e.Eric_fleet.Registry.device_id with
-                  | Some e' -> entry_eq e e'
-                  | None -> false)
-                (Eric_fleet.Registry.entries reg)
-            in
-            let reopened =
-              match Shard.load dir with
-              | Error e -> QCheck.Test.fail_report e
-              | Ok sh2 ->
-                Shard.count sh2 = Eric_fleet.Registry.count reg
-                && merged_eq sh2 && finds_eq sh2
-            in
-            Shard.count sh = Eric_fleet.Registry.count reg
-            && merged_eq sh && finds_eq sh && reopened))
+      let merged_eq sh =
+        match Shard.to_registry sh with
+        | Error e -> QCheck.Test.fail_report e
+        | Ok merged ->
+          Eric_fleet.Registry.count merged = Eric_fleet.Registry.count reg
+          && List.for_all2 entry_eq
+               (by_id (Eric_fleet.Registry.entries reg))
+               (by_id (Eric_fleet.Registry.entries merged))
+      in
+      let finds_eq sh =
+        List.for_all
+          (fun (e : Eric_fleet.Registry.entry) ->
+            match Shard.find sh e.Eric_fleet.Registry.device_id with
+            | Ok (Some e') -> entry_eq e e'
+            | Ok None | Error _ -> false)
+          (Eric_fleet.Registry.entries reg)
+      in
+      let equivalent path = function
+        | Error e -> QCheck.Test.fail_report e
+        | Ok sh -> (
+          let reopened =
+            match Shard.load path with
+            | Error e -> QCheck.Test.fail_report e
+            | Ok sh2 ->
+              Shard.count sh2 = Eric_fleet.Registry.count reg
+              && merged_eq sh2 && finds_eq sh2
+          in
+          Shard.count sh = Eric_fleet.Registry.count reg
+          && merged_eq sh && finds_eq sh && reopened)
+      in
+      if as_file then begin
+        let file = Filename.temp_file "eric_fleet" ".efrg" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            Eric_fleet.Registry.save reg file;
+            equivalent file (Shard.load file))
+      end
+      else with_temp_dir (fun dir -> equivalent dir (Shard.of_registry ~dir ~shards reg)))
 
 let test_shard_migrate_from_file () =
   let reg = enroll_fleet ~start:9_400 5 in
@@ -877,13 +909,14 @@ let test_shard_migrate_from_file () =
             List.iter
               (fun (e : Eric_fleet.Registry.entry) ->
                 match Shard.find sh e.Eric_fleet.Registry.device_id with
-                | Some e' ->
+                | Ok (Some e') ->
                   check Alcotest.bool "entry survives migration, helper included" true
                     (entry_eq e e')
-                | None -> Alcotest.fail "device lost in migration")
+                | Ok None -> Alcotest.fail "device lost in migration"
+                | Error e -> Alcotest.fail e)
               (Eric_fleet.Registry.entries reg);
             let seen = Shard.fold_entries sh ~init:0 ~f:(fun n _ -> n + 1) in
-            check Alcotest.int "streaming scan walks the whole fleet" 5 seen;
+            check Alcotest.(result int string) "streaming scan walks the whole fleet" (Ok 5) seen;
             (* booting through either view reconstructs the same key *)
             let e = List.hd (Eric_fleet.Registry.entries reg) in
             let key t =
@@ -891,9 +924,12 @@ let test_shard_migrate_from_file () =
               | Ok k -> Eric_util.Bytesx.to_hex k
               | Error _ -> Alcotest.fail "key unavailable"
             in
-            check Alcotest.string "same boot key through either view"
-              (key (Eric_fleet.Registry.target reg e))
-              (key (Shard.target sh e))))
+            match Shard.target sh e with
+            | Error e -> Alcotest.fail e
+            | Ok target ->
+              check Alcotest.string "same boot key through either view"
+                (key (Eric_fleet.Registry.target reg e))
+                (key target)))
 
 let test_shard_migrate_v1_file () =
   (* The streaming migration must accept a version-1 single-file registry
@@ -929,8 +965,9 @@ let test_shard_migrate_v1_file () =
           | Ok sh -> (
             check Alcotest.int "one device" 1 (Shard.count sh);
             match Shard.find sh 42L with
-            | None -> Alcotest.fail "v1 device lost"
-            | Some e ->
+            | Error e -> Alcotest.fail e
+            | Ok None -> Alcotest.fail "v1 device lost"
+            | Ok (Some e) ->
               check Alcotest.int "epoch" 3 e.Eric_fleet.Registry.epoch;
               check Alcotest.int "firmware" 7 e.Eric_fleet.Registry.firmware_epoch;
               check Alcotest.bool "legacy entry has no helper" true
@@ -958,10 +995,14 @@ let test_campaign_sharded_deploys_and_persists () =
          sees the stamped firmware without any in-memory state *)
       match Shard.load dir with
       | Error e -> Alcotest.fail e
-      | Ok sh2 ->
-        Shard.fold_entries sh2 ~init:() ~f:(fun () e ->
-            check Alcotest.int "firmware stamp persisted"
-              r.Eric_fleet.Campaign.firmware_epoch e.Eric_fleet.Registry.firmware_epoch))
+      | Ok sh2 -> (
+        match
+          Shard.fold_entries sh2 ~init:() ~f:(fun () e ->
+              check Alcotest.int "firmware stamp persisted"
+                r.Eric_fleet.Campaign.firmware_epoch e.Eric_fleet.Registry.firmware_epoch)
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e))
 
 let test_campaign_scheduler_determinism () =
   (* Same fleet, same source, same hostile channel — the deterministic
@@ -1060,6 +1101,7 @@ let () =
           Alcotest.test_case "legacy enrollment" `Quick test_enroll_legacy_boots_and_ships ] );
       ( "shard",
         [ shard_mapping_prop;
+          Alcotest.test_case "shard mapping golden" `Quick test_shard_mapping_golden;
           shard_equivalence_prop;
           Alcotest.test_case "migrate from file" `Quick test_shard_migrate_from_file;
           Alcotest.test_case "migrate v1 file" `Quick test_shard_migrate_v1_file ] );
