@@ -679,7 +679,6 @@ let fleet () =
 let engine () =
   Report.heading "Campaign engine: fleet-scale work queue + sharded registry";
   let module Engine = Eric_engine.Engine in
-  let module Job = Eric_engine.Job in
   let module Shard = Eric_fleet.Registry_shard in
   let suite = "engine" in
   let cores = Eric_engine.Pool.recommended () in
@@ -851,22 +850,17 @@ let engine () =
   Report.record ~suite ~metric:"lossy_quarantined_rate_n1000" ~unit_:"fraction"
     (rate r.Eric_fleet.Campaign.quarantined);
 
-  (* raw engine overhead: 10^6 synthetic jobs through the full stage +
+  (* raw engine overhead: 10^6 synthetic jobs through the job +
      completion machinery *)
   let n = 1_000_000 in
-  let spec =
-    {
-      Job.admit = Job.always_admit;
-      prepare = (fun i -> Ok (i * 0x9E3779B1));
-      personalize = (fun x -> Ok (x lxor (x lsr 16)));
-      ship = (fun x -> Ok (x + 1));
-      verify = (fun x -> Ok x);
-    }
+  let job i =
+    let x = i * 0x9E3779B1 in
+    Engine.Done ((x lxor (x lsr 16)) + 1)
   in
   let items = Array.init n (fun i -> i) in
   let smoke scheduler =
-    let config = { Engine.default_config with Engine.scheduler; window = 65_536 } in
-    let r = Engine.run ~config ~name:"bench.engine.smoke" spec items in
+    let config = { Engine.scheduler; window = 65_536 } in
+    let r = Engine.run ~config ~name:"bench.engine.smoke" job items in
     if r.Engine.jobs_done <> n then failwith "synthetic smoke lost jobs";
     (Engine.throughput_per_s r, r.Engine.scheduler_used)
   in

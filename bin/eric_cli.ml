@@ -765,14 +765,21 @@ let scheduler_arg =
           "Work-queue scheduler: deterministic (reference, index order) or domains[:N] \
            (OCaml-5 domain pool; identical outcomes, only timing differs).")
 
+let window_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid window %S (expected a positive integer)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let window_arg =
   Arg.(
     value
-    & opt int Eric_engine.Engine.default_config.Eric_engine.Engine.window
-    & info [ "window" ] ~docv:"N" ~doc:"Max in-flight jobs before their results commit.")
+    & opt window_conv Eric_engine.Engine.default_config.Eric_engine.Engine.window
+    & info [ "window" ] ~docv:"N" ~doc:"Max in-flight jobs before their results commit (>= 1).")
 
-let engine_config_of scheduler window =
-  { Eric_engine.Engine.default_config with Eric_engine.Engine.scheduler; window }
+let engine_config_of scheduler window = { Eric_engine.Engine.scheduler; window }
 
 let channel_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Eric_fleet.Channel.of_string s) in
@@ -880,9 +887,8 @@ let fleet_campaign_cmd =
         let json = Eric_telemetry.Json.to_string (Eric_fleet.Campaign.report_to_json report) in
         write_file path (Bytes.of_string (json ^ "\n")))
       report_out;
-    if report.Eric_fleet.Campaign.delivered = List.length report.Eric_fleet.Campaign.devices
-    then exit 0
-    else exit 3
+    if report.Eric_fleet.Campaign.delivered <> List.length report.Eric_fleet.Campaign.devices
+    then exit exit_failures
   in
   let max_attempts_arg =
     Arg.(
@@ -921,7 +927,7 @@ let fleet_campaign_cmd =
              only — byte-identical across schedulers).")
   in
   Cmd.v
-    (Cmd.info "campaign"
+    (Cmd.info "campaign" ~exits:campaign_exits
        ~doc:
          "Deploy a workload to every active device: compile once, personalize per device, ship \
           with retry/backoff.  Exits 3 unless every device was delivered.")
@@ -948,7 +954,7 @@ let fleet_rotate_cmd =
              Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
              Ok (report.Eric_fleet.Rotation.failed <> [])))
     in
-    if List.mem true failed then exit 3
+    if List.mem true failed then exit exit_failures
   in
   let rsa_arg =
     Arg.(
@@ -963,10 +969,10 @@ let fleet_rotate_cmd =
       & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed for RSA key generation and padding.")
   in
   Cmd.v
-    (Cmd.info "rotate"
+    (Cmd.info "rotate" ~exits:campaign_exits
        ~doc:
          "Rotate every device to a new key epoch, re-provisioning keys and reactivating \
-          quarantined devices.")
+          quarantined devices.  Exits 3 if any device failed to re-provision.")
     Term.(
       const run $ registry_arg $ epoch_arg ~default:1 $ label_arg $ rsa_arg $ seed_arg
       $ scheduler_arg $ window_arg $ telemetry_arg $ trace_out_arg)

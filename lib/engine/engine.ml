@@ -1,12 +1,13 @@
-(* The campaign engine: a generic parallel work queue that pushes items
-   through a {!Job.spec} under a bounded in-flight window, with the
-   retry/quarantine policy that used to live ad hoc in each fleet flow.
+(* The campaign engine: a generic parallel work queue that runs one job
+   function per item under a bounded in-flight window.  A job returns
+   its item's outcome; a flow that must try again (the fleet shipper's
+   backoff loop) does so inside its job, never here.
 
    Two schedulers sit behind one signature:
 
    - [Deterministic]: jobs run in index order on the calling thread.
      Reproducible everywhere (including OCaml 4.14), the reference
-     semantics for tests and CI gates.
+     semantics for tests.
    - [Domains n]: jobs run on an OCaml-5 domain pool ({!Pool}); on a
      runtime without domains the pool degrades to sequential execution
      and the report says so ([scheduler_used = "domains-fallback"]).
@@ -38,35 +39,16 @@ let scheduler_label = function
 type config = {
   scheduler : scheduler;
   window : int;  (* max jobs in flight / committed per batch *)
-  retries : int;  (* extra attempts granted to retryable faults *)
-  retry_delay_ns : int64;  (* simulated backoff before the first retry *)
-  max_delay_ns : int64;  (* cap for the doubling backoff *)
 }
 
-let default_config =
-  {
-    scheduler = Deterministic;
-    window = 1024;
-    retries = 0;
-    retry_delay_ns = 1_000_000L (* 1 ms *);
-    max_delay_ns = 1_000_000_000L (* 1 s *);
-  }
+let default_config = { scheduler = Deterministic; window = 1024 }
 
-(* Shipper-style doubling backoff, simulated (accounted, never slept). *)
-let delay_ns config ~retry =
-  let rec go d i =
-    if i <= 1 || Int64.compare d config.max_delay_ns >= 0 then d
-    else go (Int64.mul d 2L) (i - 1)
-  in
-  let d = go config.retry_delay_ns retry in
-  if Int64.compare d config.max_delay_ns > 0 then config.max_delay_ns else d
+type 'r outcome = Done of 'r | Faulted of string | Skipped of string
 
 type 'r completion = {
   c_index : int;
-  c_outcome : 'r Job.outcome;
-  c_attempts : int;
-  c_backoff_ns : int64;  (* simulated retry backoff this job accrued *)
-  c_ns : int64;  (* wall time inside the stages, all attempts *)
+  c_outcome : 'r outcome;
+  c_ns : int64;  (* wall time inside the job *)
 }
 
 type worker = { w_jobs : int; w_busy_ns : int64; w_steals : int }
@@ -79,8 +61,6 @@ type 'r report = {
   jobs_done : int;
   quarantined : int;
   skipped : int;
-  retried_jobs : int;
-  backoff_ns : int64;
   workers : worker array;
   wall_ns : int64;
   utilization : float;  (* busy time / (wall * workers), 0 when idle *)
@@ -91,38 +71,10 @@ let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 let count ?by name =
   if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?by name
 
-(* One job, retry loop included: re-run the whole stage chain while the
-   fault is retryable and the budget allows.  Stages are written to be
-   idempotent up to their fault point (nothing is committed until the
-   coordinator replays completions), so re-running from [prepare] is
-   safe and mirrors what the shipper does per delivery attempt. *)
-let run_job config spec item ~index =
+let run_job job item ~index =
   let t0 = now_ns () in
-  match spec.Job.admit item with
-  | Some reason ->
-    {
-      c_index = index;
-      c_outcome = Job.Skipped reason;
-      c_attempts = 0;
-      c_backoff_ns = 0L;
-      c_ns = Int64.sub (now_ns ()) t0;
-    }
-  | None ->
-    let rec attempt n backoff =
-      match Job.run_once spec item with
-      | Ok r -> (Job.Done r, n, backoff)
-      | Error f when f.Job.f_retryable && n <= config.retries ->
-        attempt (n + 1) (Int64.add backoff (delay_ns config ~retry:n))
-      | Error f -> (Job.Faulted f, n, backoff)
-    in
-    let outcome, attempts, backoff = attempt 1 0L in
-    {
-      c_index = index;
-      c_outcome = outcome;
-      c_attempts = attempts;
-      c_backoff_ns = backoff;
-      c_ns = Int64.sub (now_ns ()) t0;
-    }
+  let outcome = job item in
+  { c_index = index; c_outcome = outcome; c_ns = Int64.sub (now_ns ()) t0 }
 
 (* Per-worker stats accumulate across window batches; batches may use
    fewer workers (e.g. the last, short one), so merge to the longer. *)
@@ -142,28 +94,20 @@ let merge_workers acc stats =
              w_steals = x.w_steals + y.w_steals;
            }))
 
-let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~name spec items =
+let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~name job items =
   if config.window < 1 then invalid_arg "Engine.run: window must be positive";
-  if config.retries < 0 then invalid_arg "Engine.run: negative retries";
   Eric_telemetry.Span.with_ ~cat:"engine" ~name:"engine.run" (fun () ->
       let n = Array.length items in
       let t0 = now_ns () in
       count "engine.runs_total";
       count ~by:(Int64.of_int n) "engine.jobs.queued_total";
       let completions =
-        Array.make n
-          {
-            c_index = 0;
-            c_outcome = Job.Skipped "unscheduled";
-            c_attempts = 0;
-            c_backoff_ns = 0L;
-            c_ns = 0L;
-          }
+        Array.make n { c_index = 0; c_outcome = Skipped "unscheduled"; c_ns = 0L }
       in
       let sequential lo hi =
         let busy = ref 0L in
         for i = lo to hi - 1 do
-          let c = run_job config spec items.(i) ~index:i in
+          let c = run_job job items.(i) ~index:i in
           completions.(i) <- c;
           busy := Int64.add !busy c.c_ns
         done;
@@ -183,7 +127,7 @@ let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~nam
                 let want = if want = 0 then Pool.recommended () else want in
                 let workers = max 1 (min want config.window) in
                 Pool.run ~workers ~n:(hi - lo) ~f:(fun ~worker:_ i ->
-                    completions.(lo + i) <- run_job config spec items.(lo + i) ~index:(lo + i))
+                    completions.(lo + i) <- run_job job items.(lo + i) ~index:(lo + i))
                 |> Array.map (fun (s : Pool.stat) ->
                        { w_jobs = s.Pool.s_jobs; w_busy_ns = s.Pool.s_busy_ns; w_steals = s.Pool.s_steals })
             in
@@ -209,15 +153,12 @@ let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~nam
       in
       let wall_ns = Int64.sub (now_ns ()) t0 in
       let jobs_done = ref 0 and quarantined = ref 0 and skipped = ref 0 in
-      let retried = ref 0 and backoff = ref 0L in
       Array.iter
         (fun c ->
-          (match c.c_outcome with
-          | Job.Done _ -> incr jobs_done
-          | Job.Faulted _ -> incr quarantined
-          | Job.Skipped _ -> incr skipped);
-          if c.c_attempts > 1 then incr retried;
-          backoff := Int64.add !backoff c.c_backoff_ns)
+          match c.c_outcome with
+          | Done _ -> incr jobs_done
+          | Faulted _ -> incr quarantined
+          | Skipped _ -> incr skipped)
         completions;
       let busy = Array.fold_left (fun a w -> Int64.add a w.w_busy_ns) 0L workers in
       let utilization =
@@ -229,7 +170,6 @@ let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~nam
       count ~by:(Int64.of_int !jobs_done) "engine.jobs.done_total";
       count ~by:(Int64.of_int !quarantined) "engine.jobs.quarantined_total";
       count ~by:(Int64.of_int !skipped) "engine.jobs.skipped_total";
-      count ~by:(Int64.of_int !retried) "engine.jobs.retried_total";
       if Eric_telemetry.Control.is_enabled () then begin
         Eric_telemetry.Registry.inc
           ~by:(Int64.of_int (Array.fold_left (fun a w -> a + w.w_steals) 0 workers))
@@ -252,8 +192,6 @@ let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~nam
         jobs_done = !jobs_done;
         quarantined = !quarantined;
         skipped = !skipped;
-        retried_jobs = !retried;
-        backoff_ns = !backoff;
         workers;
         wall_ns;
         utilization;
@@ -262,13 +200,3 @@ let run ?(config = default_config) ?(commit = fun (_ : _ completion) -> ()) ~nam
 let throughput_per_s r =
   if Int64.compare r.wall_ns 0L <= 0 then 0.0
   else float_of_int r.queued /. (Int64.to_float r.wall_ns /. 1e9)
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "engine %s (%s): %d queued, %d done, %d quarantined, %d skipped, %d retried@\n\
-    \  %d worker(s), %.1f%% utilization, %d steal(s), %.3f ms wall, %.0f jobs/s"
-    r.name r.scheduler_used r.queued r.jobs_done r.quarantined r.skipped r.retried_jobs
-    (Array.length r.workers) (100.0 *. r.utilization)
-    (Array.fold_left (fun a w -> a + w.w_steals) 0 r.workers)
-    (Int64.to_float r.wall_ns /. 1e6)
-    (throughput_per_s r)

@@ -1,9 +1,10 @@
 (** Generic parallel work-queue campaign engine.
 
-    Pushes an array of items through a typed {!Job.spec} (prepare /
-    personalize / ship / verify) under a bounded in-flight window, with
-    shipper-style retry/quarantine handling of stage faults, and records
-    [engine.*] telemetry.
+    Runs one job function over an array of items under a bounded
+    in-flight window, replays the outcomes in item order and records
+    [engine.*] telemetry.  The engine runs each job exactly once: a job
+    that can recover from a transient fault (the fleet shipper's
+    backoff loop, say) does so inside itself.
 
     {2 Schedulers}
 
@@ -40,25 +41,20 @@ type config = {
   window : int;
       (** max jobs in flight before their completions are committed;
           batches run back to back *)
-  retries : int;  (** extra attempts granted to retryable faults *)
-  retry_delay_ns : int64;  (** simulated backoff before the first retry *)
-  max_delay_ns : int64;  (** cap for the doubling backoff *)
 }
 
 val default_config : config
-(** Deterministic scheduler, window 1024, no retries, 1 ms base / 1 s
-    cap backoff. *)
+(** Deterministic scheduler, window 1024. *)
 
-val delay_ns : config -> retry:int -> int64
-(** Simulated backoff before retry [retry] (1-based): doubling from
-    [retry_delay_ns], saturating at [max_delay_ns]. *)
+type 'r outcome =
+  | Done of 'r
+  | Faulted of string  (** the job failed; the reason is all that is kept *)
+  | Skipped of string  (** the job declined its item — bookkeeping, not failure *)
 
 type 'r completion = {
   c_index : int;  (** index of the item in the input array *)
-  c_outcome : 'r Job.outcome;
-  c_attempts : int;  (** 0 for skipped items, else >= 1 *)
-  c_backoff_ns : int64;  (** simulated retry backoff accrued *)
-  c_ns : int64;  (** wall time inside the stages, all attempts *)
+  c_outcome : 'r outcome;
+  c_ns : int64;  (** wall time inside the job *)
 }
 
 type worker = { w_jobs : int; w_busy_ns : int64; w_steals : int }
@@ -70,10 +66,8 @@ type 'r report = {
   queued : int;
   completions : 'r completion array;  (** by job index *)
   jobs_done : int;
-  quarantined : int;  (** jobs that ended {!Job.Faulted} *)
+  quarantined : int;  (** jobs that ended {!Faulted} *)
   skipped : int;
-  retried_jobs : int;
-  backoff_ns : int64;
   workers : worker array;
   wall_ns : int64;
   utilization : float;  (** busy / (wall x workers); 0 when idle *)
@@ -83,19 +77,18 @@ val run :
   ?config:config ->
   ?commit:('r completion -> unit) ->
   name:string ->
-  ('i, 'a, 'b, 'c, 'r) Job.spec ->
+  ('i -> 'r outcome) ->
   'i array ->
   'r report
-(** Execute every item.  [commit] is invoked exactly once per item in
-    item-index order (windowed: after each batch of [window] jobs), on
-    the calling thread — the place to apply registry updates and other
-    order-sensitive effects.  Telemetry: [engine.runs_total],
-    [engine.jobs.{queued,done,quarantined,skipped,retried}_total],
+(** Execute the job on every item.  [commit] is invoked exactly once per
+    item in item-index order (windowed: after each batch of [window]
+    jobs), on the calling thread — the place to apply registry updates
+    and other order-sensitive effects.  Telemetry: [engine.runs_total],
+    [engine.jobs.{queued,done,quarantined,skipped}_total],
     [engine.steals_total], [engine.worker.busy_ns{worker=i}],
     [engine.utilization{sched=...}], [engine.wall_ns], span
-    [engine.run]. *)
+    [engine.run].
+    @raise Invalid_argument when [config.window < 1]. *)
 
 val throughput_per_s : 'r report -> float
 (** Queued jobs per wall-clock second (0 for an empty or instant run). *)
-
-val pp_report : Format.formatter -> 'r report -> unit

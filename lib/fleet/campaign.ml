@@ -1,5 +1,4 @@
 module Engine = Eric_engine.Engine
-module Job = Eric_engine.Job
 
 type config = {
   options : Eric_cc.Driver.options;
@@ -51,36 +50,25 @@ let count ?by name =
 let next_firmware_epoch registry =
   1 + List.fold_left (fun m e -> max m e.Registry.firmware_epoch) 0 (Registry.entries registry)
 
-(* One device's trip through the engine: boot (prepare), keystream
-   personalization (personalize), shipping with the shipper's own
-   retry/quarantine handling (ship).  Stages are pure per-device — the
-   only shared state they touch is the registry's mutex-guarded memo
-   tables — so the domain scheduler commutes with the deterministic one.
-   Registry updates happen in [commit], on the engine's thread, in
+(* One device's engine job: skip a device quarantined before the
+   campaign, else boot it, personalize its package and ship it under the
+   shipper's own retry/quarantine policy.  Jobs are pure per device —
+   the only shared state they touch is the registry's mutex-guarded
+   memo tables — so the domain scheduler commutes with the deterministic
+   one.  Registry updates happen in [commit], on the engine's thread, in
    device-index order. *)
-let device_spec ~config ~registry ~prepared =
-  {
-    Job.admit =
-      (fun (entry : Registry.entry) ->
-        match entry.Registry.status with
-        | Registry.Quarantined reason -> Some reason
-        | Registry.Active -> None);
-    prepare = (fun entry -> Ok (entry, Registry.target registry entry));
-    personalize =
-      (fun ((entry : Registry.entry), target) ->
-        let t0 = Eric_telemetry.Clock.now_ns () in
-        let build = Eric.Source.personalize ~key:entry.Registry.key prepared in
-        let dt = Int64.sub (Eric_telemetry.Clock.now_ns ()) t0 in
-        Ok (entry, target, build, dt));
-    ship =
-      (fun (entry, target, build, dt) ->
-        let delivery =
-          Shipper.ship ~policy:config.policy ~channel:config.channel ~execute:config.execute
-            ?fuel:config.fuel ~build ~target ()
-        in
-        Ok (entry, delivery, dt));
-    verify = (fun r -> Ok r);
-  }
+let device_job ~config ~registry ~prepared (entry : Registry.entry) =
+  match entry.Registry.status with
+  | Registry.Quarantined reason -> Engine.Skipped reason
+  | Registry.Active ->
+    let target = Registry.target registry entry in
+    let t0 = Eric_telemetry.Clock.now_ns () in
+    let build = Eric.Source.personalize ~key:entry.Registry.key prepared in
+    let dt = Int64.sub (Eric_telemetry.Clock.now_ns ()) t0 in
+    Engine.Done
+      ( Shipper.ship ~policy:config.policy ~channel:config.channel ~execute:config.execute
+          ?fuel:config.fuel ~build ~target (),
+        dt )
 
 let deploy ?(config = default_config) ~cache ~registry source =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.campaign" (fun () ->
@@ -97,21 +85,16 @@ let deploy ?(config = default_config) ~cache ~registry source =
         in
         count "fleet.campaign.runs_total";
         let items = Array.of_list (Registry.entries registry) in
-        let spec = device_spec ~config ~registry ~prepared in
         let personalize_ns = ref 0L in
         let rev_devices = ref [] in
         let commit (c : _ Engine.completion) =
           let entry = items.(c.Engine.c_index) in
           count "fleet.campaign.devices_total";
           match c.Engine.c_outcome with
-          | Job.Skipped reason ->
+          | Engine.Skipped reason | Engine.Faulted reason ->
             count "fleet.campaign.skipped_total";
             rev_devices := (entry, Skipped reason) :: !rev_devices
-          | Job.Faulted f ->
-            (* campaign stages never fault — the shipper owns failure
-               handling — but account a surprise rather than drop it *)
-            rev_devices := (entry, Skipped (Format.asprintf "%a" Job.pp_fault f)) :: !rev_devices
-          | Job.Done (entry, delivery, dt) ->
+          | Engine.Done (delivery, dt) ->
             personalize_ns := Int64.add !personalize_ns dt;
             if Eric_telemetry.Control.is_enabled () then
               Eric_telemetry.Registry.observe "fleet.campaign.personalize_ns"
@@ -125,7 +108,11 @@ let deploy ?(config = default_config) ~cache ~registry source =
                   Registry.status = Registry.Quarantined (Shipper.quarantine_label reason) });
             rev_devices := (entry, Shipped delivery) :: !rev_devices
         in
-        let er = Engine.run ~config:config.engine ~commit ~name:"fleet.campaign" spec items in
+        let er =
+          Engine.run ~config:config.engine ~commit ~name:"fleet.campaign"
+            (device_job ~config ~registry ~prepared)
+            items
+        in
         let devices = List.rev !rev_devices in
         let fold f init = List.fold_left f init devices in
         let delivered =

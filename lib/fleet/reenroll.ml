@@ -12,7 +12,6 @@
    report identically. *)
 
 module Engine = Eric_engine.Engine
-module Job = Eric_engine.Job
 
 type config = {
   threshold_ppm : int;
@@ -63,72 +62,48 @@ let survey_ppm config registry (entry : Registry.entry) helper =
   in
   int_of_float (Float.round (worst *. 1_000_000.0))
 
-(* Compute the re-enrolled entry without writing it — the commit phase
-   owns registry mutation. *)
-let reenroll_entry config registry (entry : Registry.entry) ~was_quarantined =
-  let device = Registry.device registry entry.Registry.device_id in
-  match Eric_puf.Enroll.enroll ~config:config.enroll device with
-  | Error e -> Error e
-  | Ok e ->
-    let key = Eric.Kmu.derive ~puf_key:e.Eric_puf.Enroll.key (Registry.context entry) in
-    let status =
-      if was_quarantined && config.reactivate then Registry.Active
-      else entry.Registry.status
-    in
-    let after_ppm =
-      int_of_float (Float.round (e.Eric_puf.Enroll.worst_instability *. 1_000_000.0))
-    in
-    Ok
-      ( {
+(* One device's engine job: survey its enrolled challenges (helper
+   entries only) and re-enroll when the survey or a standing quarantine
+   says so.  It returns the entry to write and the device's outcome
+   without writing anything — the commit phase owns registry mutation. *)
+let device_job config registry (entry : Registry.entry) =
+  let was_quarantined = key_reconstruction_quarantine entry.Registry.status in
+  let before_ppm = Option.map (survey_ppm config registry entry) entry.Registry.helper in
+  match before_ppm with
+  | Some ppm when ppm <= config.threshold_ppm && not was_quarantined ->
+    (* keep the registry's health figure current even when no action is needed *)
+    Engine.Done ({ entry with Registry.instability_ppm = ppm }, Healthy { ppm })
+  | _ -> (
+    let device = Registry.device registry entry.Registry.device_id in
+    match Eric_puf.Enroll.enroll ~config:config.enroll device with
+    | Error e -> Engine.Faulted e
+    | Ok e ->
+      let key = Eric.Kmu.derive ~puf_key:e.Eric_puf.Enroll.key (Registry.context entry) in
+      let status =
+        if was_quarantined && config.reactivate then Registry.Active else entry.Registry.status
+      in
+      let after_ppm =
+        int_of_float (Float.round (e.Eric_puf.Enroll.worst_instability *. 1_000_000.0))
+      in
+      let entry' =
+        {
           entry with
           Registry.key;
           helper = Some e.Eric_puf.Enroll.helper;
           instability_ppm = after_ppm;
           status;
-        },
-        after_ppm )
-
-(* What the commit phase applies for one device. *)
-type action =
-  | Keep_healthy of { ppm : int }
-  | Apply of {
-      entry' : Registry.entry;
-      before_ppm : int option;  (* None = legacy upgrade *)
-      after_ppm : int;
-      was_quarantined : bool;
-    }
+        }
+      in
+      Engine.Done
+        ( entry',
+          match before_ppm with
+          | None -> Upgraded { ppm = after_ppm }
+          | Some before_ppm -> Reenrolled { before_ppm; after_ppm } ))
 
 let run ?(engine = Engine.default_config) ?(config = default_config) registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.reenroll" (fun () ->
       count "fleet.reenroll.runs_total";
       let items = Array.of_list (Registry.entries registry) in
-      let spec =
-        {
-          Job.admit = Job.always_admit;
-          prepare =
-            (fun (entry : Registry.entry) ->
-              Ok (entry, key_reconstruction_quarantine entry.Registry.status));
-          (* survey the enrolled challenges (helper entries only) *)
-          personalize =
-            (fun ((entry : Registry.entry), was_quarantined) ->
-              match entry.Registry.helper with
-              | None -> Ok (entry, was_quarantined, None)
-              | Some helper ->
-                Ok (entry, was_quarantined, Some (survey_ppm config registry entry helper)));
-          (* re-enroll when the survey (or a standing quarantine) says so *)
-          ship =
-            (fun ((entry : Registry.entry), was_quarantined, before_ppm) ->
-              match before_ppm with
-              | Some ppm when ppm <= config.threshold_ppm && not was_quarantined ->
-                Ok (Keep_healthy { ppm })
-              | _ -> (
-                match reenroll_entry config registry entry ~was_quarantined with
-                | Error e -> Error (Job.fault Job.Ship e)
-                | Ok (entry', after_ppm) ->
-                  Ok (Apply { entry'; before_ppm; after_ppm; was_quarantined })));
-          verify = (fun r -> Ok r);
-        }
-      in
       let healthy = ref 0 and reenrolled = ref 0 and upgraded = ref 0 in
       let reactivated = ref 0 and failed = ref [] and rev_devices = ref [] in
       let commit (c : _ Engine.completion) =
@@ -137,38 +112,33 @@ let run ?(engine = Engine.default_config) ?(config = default_config) registry =
         count "fleet.reenroll.surveyed_total";
         let outcome =
           match c.Engine.c_outcome with
-          | Job.Done (Keep_healthy { ppm }) ->
-            incr healthy;
-            count "fleet.reenroll.healthy_total";
-            (* Keep the registry's health figure current even when no
-               action is needed. *)
-            Registry.update registry { entry with Registry.instability_ppm = ppm };
-            Healthy { ppm }
-          | Job.Done (Apply { entry'; before_ppm = None; after_ppm; _ }) ->
+          | Engine.Done (entry', outcome) ->
             Registry.update registry entry';
-            incr upgraded;
-            count "fleet.reenroll.upgraded_total";
-            Upgraded { ppm = after_ppm }
-          | Job.Done (Apply { entry'; before_ppm = Some before_ppm; after_ppm; was_quarantined })
-            ->
-            Registry.update registry entry';
-            incr reenrolled;
-            count "fleet.reenroll.reenrolled_total";
-            if was_quarantined && config.reactivate then begin
-              incr reactivated;
-              count "fleet.reenroll.reactivated_total"
-            end;
-            Reenrolled { before_ppm; after_ppm }
-          | Job.Faulted f ->
-            count "fleet.reenroll.failed_total";
-            failed := (id, f.Job.f_reason) :: !failed;
-            Failed f.Job.f_reason
-          | Job.Skipped reason -> Failed ("skipped: " ^ reason)
+            outcome
+          | Engine.Faulted e | Engine.Skipped e -> Failed e
         in
+        (match outcome with
+        | Healthy _ ->
+          incr healthy;
+          count "fleet.reenroll.healthy_total"
+        | Upgraded _ ->
+          incr upgraded;
+          count "fleet.reenroll.upgraded_total"
+        | Reenrolled _ ->
+          incr reenrolled;
+          count "fleet.reenroll.reenrolled_total";
+          if key_reconstruction_quarantine entry.Registry.status && config.reactivate then begin
+            incr reactivated;
+            count "fleet.reenroll.reactivated_total"
+          end
+        | Failed e ->
+          count "fleet.reenroll.failed_total";
+          failed := (id, e) :: !failed);
         rev_devices := (id, outcome) :: !rev_devices
       in
       let (_ : _ Engine.report) =
-        Engine.run ~config:engine ~commit ~name:"fleet.reenroll" spec items
+        Engine.run ~config:engine ~commit ~name:"fleet.reenroll" (device_job config registry)
+          items
       in
       let devices = List.rev !rev_devices in
       {

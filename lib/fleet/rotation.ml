@@ -1,5 +1,4 @@
 module Engine = Eric_engine.Engine
-module Job = Eric_engine.Job
 
 type method_ = Local | Rsa of { bits : int; seed : int64 }
 
@@ -22,7 +21,7 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
       count "fleet.rotate.runs_total";
       let provision =
         match method_ with
-        | Local -> fun (_ : Registry.entry) target -> Eric.Protocol.provision target
+        | Local -> fun (_ : Registry.entry) target -> Ok (Eric.Protocol.provision target)
         | Rsa { bits; seed } ->
           (* the source's RSA identity is one key for the whole rotation;
              only the per-handshake randomness is per-device *)
@@ -35,33 +34,28 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
               Eric_util.Prng.create
                 ~seed:(Eric_util.Prng.mix64 (Int64.logxor seed entry.Registry.device_id))
             in
-            match Eric.Protocol.provision_over_network ~rng ~source_key target with
-            | Ok key -> key
-            | Error e -> raise (Failure e)
+            Eric.Protocol.provision_over_network ~rng ~source_key target
       in
       let items = Array.of_list (Registry.entries registry) in
-      let spec =
-        {
-          Job.admit = Job.always_admit;
-          prepare =
-            (fun (entry : Registry.entry) ->
-              let label = match label with Some l -> l | None -> entry.Registry.label in
-              let context = { Eric.Kmu.epoch; label } in
-              Ok (entry, label, Registry.target_for registry ~context entry.Registry.device_id));
-          personalize = (fun x -> Ok x);
-          ship =
-            (fun (entry, label, target) ->
-              match provision entry target with
-              | key -> Ok (entry, label, key)
-              | exception Failure e -> Error (Job.fault Job.Ship e));
-          verify = (fun r -> Ok r);
-        }
+      (* A device whose helper data no longer reconstructs a key has
+         nothing to hand over: it fails its own rotation. *)
+      let job (entry : Registry.entry) =
+        let label = match label with Some l -> l | None -> entry.Registry.label in
+        let target =
+          Registry.target_for registry ~context:{ Eric.Kmu.epoch; label } entry.Registry.device_id
+        in
+        match Eric.Target.key_state target with
+        | Error f -> Engine.Faulted (Eric_puf.Fuzzy.failure_to_string f)
+        | Ok _ -> (
+          match provision entry target with
+          | Ok key -> Engine.Done (label, key)
+          | Error e -> Engine.Faulted e)
       in
       let rotated = ref 0 and reactivated = ref 0 and failed = ref [] in
       let commit (c : _ Engine.completion) =
         let entry = items.(c.Engine.c_index) in
         match c.Engine.c_outcome with
-        | Job.Done ((entry : Registry.entry), label, key) ->
+        | Engine.Done (label, key) ->
           incr rotated;
           count ~labels:[ ("method", method_label method_) ] "fleet.rotate.rotated_total";
           (match entry.Registry.status with
@@ -71,14 +65,11 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
           | Registry.Active -> ());
           Registry.update registry
             { entry with Registry.epoch; label; key; status = Registry.Active }
-        | Job.Faulted f ->
+        | Engine.Faulted e | Engine.Skipped e ->
           count "fleet.rotate.failed_total";
-          failed := (entry.Registry.device_id, f.Job.f_reason) :: !failed
-        | Job.Skipped _ -> ()
+          failed := (entry.Registry.device_id, e) :: !failed
       in
-      let (_ : _ Engine.report) =
-        Engine.run ~config:engine ~commit ~name:"fleet.rotate" spec items
-      in
+      let (_ : _ Engine.report) = Engine.run ~config:engine ~commit ~name:"fleet.rotate" job items in
       {
         epoch;
         label;

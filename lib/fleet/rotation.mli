@@ -38,7 +38,10 @@ val rotate :
     Per-device provisioning runs on the {!Eric_engine.Engine} work queue
     ([engine], default deterministic); under {!Rsa} each device draws
     handshake randomness from its own seed-and-id-derived stream, so the
-    domain scheduler produces the same keys as the deterministic one. *)
+    domain scheduler produces the same keys as the deterministic one.  A
+    device whose helper data no longer reconstructs a key, or whose
+    in-band handshake fails, is listed in [failed] with its entry left
+    unchanged; the rest of the fleet still rotates. *)
 
 val method_label : method_ -> string
 val pp_report : Format.formatter -> report -> unit

@@ -12,7 +12,6 @@
    the surviving population is independent of the scheduler. *)
 
 module Engine = Eric_engine.Engine
-module Job = Eric_engine.Job
 
 type t = {
   t_label : string;
@@ -28,15 +27,10 @@ let provision ?(engine = Engine.default_config) ~label ~first_id ~count () =
   let next = ref first_id in
   let tried = ref 0 in
   let budget = (count * 8) + 64 in
-  let spec =
-    {
-      Job.admit = Job.always_admit;
-      prepare =
-        (fun id -> Ok (id, Eric_puf.Enroll.enroll (Eric_fleet.Registry.device registry id)));
-      personalize = (fun x -> Ok x);
-      ship = (fun x -> Ok x);
-      verify = (fun x -> Ok x);
-    }
+  let screen id =
+    match Eric_puf.Enroll.enroll (Eric_fleet.Registry.device registry id) with
+    | Ok e -> Engine.Done e
+    | Error reason -> Engine.Skipped reason
   in
   while !enrolled < count do
     let wave = min (count - !enrolled) (budget - !tried) in
@@ -49,18 +43,15 @@ let provision ?(engine = Engine.default_config) ~label ~first_id ~count () =
     tried := !tried + wave;
     let commit (c : _ Engine.completion) =
       match c.Engine.c_outcome with
-      | Job.Done (id, Ok e) -> (
-        match Eric_fleet.Registry.enroll ~label ~enrollment:e registry id with
+      | Engine.Done e -> (
+        match Eric_fleet.Registry.enroll ~label ~enrollment:e registry items.(c.Engine.c_index) with
         | Ok entry ->
           ids := entry.Eric_fleet.Registry.device_id :: !ids;
           incr enrolled
         | Error _ -> ())
-      | Job.Done (_, Error _) | Job.Faulted _ | Job.Skipped _ -> ()
+      | Engine.Faulted _ | Engine.Skipped _ -> ()
     in
-    let (_ : _ Engine.report) =
-      Engine.run ~config:engine ~commit ~name:"serve.tenant.provision" spec items
-    in
-    ()
+    ignore (Engine.run ~config:engine ~commit ~name:"serve.tenant.provision" screen items : _ Engine.report)
   done;
   { t_label = label; t_registry = registry; t_devices = Array.of_list (List.rev !ids) }
 

@@ -55,12 +55,7 @@ let run_cli args =
       in
       (code, err))
 
-let expect_clean_failure what (code, err) =
-  check Alcotest.bool (what ^ ": non-zero exit") true (code <> 0);
-  let starts_with prefix s =
-    String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-  in
-  check Alcotest.bool (what ^ ": stderr starts with 'error:'") true (starts_with "error:" err);
+let expect_no_exception_trace what err =
   check Alcotest.bool (what ^ ": no exception trace") false
     (List.exists
        (fun marker ->
@@ -69,7 +64,15 @@ let expect_clean_failure what (code, err) =
            && (String.sub err i (String.length marker) = marker || contains (i + 1))
          in
          contains 0)
-       [ "Fatal error"; "Raised at"; "Backtrace" ])
+       [ "Fatal error"; "Raised at"; "Backtrace"; "uncaught exception" ])
+
+let expect_clean_failure what (code, err) =
+  check Alcotest.bool (what ^ ": non-zero exit") true (code <> 0);
+  let starts_with prefix s =
+    String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+  in
+  check Alcotest.bool (what ^ ": stderr starts with 'error:'") true (starts_with "error:" err);
+  expect_no_exception_trace what err
 
 let make_registry path n =
   let reg = Eric_fleet.Registry.create () in
@@ -453,30 +456,116 @@ let test_fleet_sharded_round_trip () =
             (contains_str out "12 device(s) in 4 shard(s), 12 active, 0 quarantined")))
 
 let test_fleet_report_layout_independent () =
-  (* the same campaign on a fleet file and on its 4-shard migration *)
+  (* the same campaign on a fleet file, on its 4-shard migration and on a
+     second migration under the domain scheduler at window 2, so every
+     shard splits into several commit batches *)
   with_tmp (fun file ->
       with_tmp (fun src ->
           with_tmp (fun report_file ->
               with_tmp (fun report_dir ->
-                  with_tmp_dir (fun dir ->
-                      ignore (make_registry file 12);
-                      write src (Bytes.of_string "int main() { println_int(7); return 0; }");
-                      let code, _ =
-                        run_cli
-                          [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir"; dir;
-                            "--shards"; "4" ]
-                      in
-                      check Alcotest.int "migrate" 0 code;
-                      let campaign registry out =
-                        fst
-                          (run_cli
-                             [ "fleet"; "campaign"; src; "--registry"; registry; "--channel";
-                               "drop-first:1"; "--report-out"; out ])
-                      in
-                      check Alcotest.int "file campaign" 0 (campaign file report_file);
-                      check Alcotest.int "sharded campaign" 0 (campaign dir report_dir);
-                      check Alcotest.string "identical report bytes" (slurp report_file)
-                        (slurp report_dir))))))
+                  with_tmp (fun report_dom ->
+                      with_tmp_dir (fun dir ->
+                          with_tmp_dir (fun dir_dom ->
+                              ignore (make_registry file 12);
+                              write src
+                                (Bytes.of_string "int main() { println_int(7); return 0; }");
+                              List.iter
+                                (fun d ->
+                                  let code, _ =
+                                    run_cli
+                                      [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir";
+                                        d; "--shards"; "4" ]
+                                  in
+                                  check Alcotest.int "migrate" 0 code)
+                                [ dir; dir_dom ];
+                              let campaign registry out extra =
+                                fst
+                                  (run_cli
+                                     ([ "fleet"; "campaign"; src; "--registry"; registry;
+                                        "--channel"; "drop-first:1"; "--report-out"; out ]
+                                     @ extra))
+                              in
+                              check Alcotest.int "file campaign" 0 (campaign file report_file []);
+                              check Alcotest.int "sharded campaign" 0
+                                (campaign dir report_dir []);
+                              check Alcotest.int "sharded campaign under domains" 0
+                                (campaign dir_dom report_dom
+                                   [ "--scheduler"; "domains"; "--window"; "2" ]);
+                              check Alcotest.string "identical report bytes" (slurp report_file)
+                                (slurp report_dir);
+                              check Alcotest.string "identical report bytes across schedulers"
+                                (slurp report_file) (slurp report_dom))))))))
+
+(* A 12-device fleet whose device 9011 has one tag byte of its helper
+   data flipped, so its key no longer reconstructs, migrated into 4
+   shards: the rotation fails that device alone. *)
+let test_fleet_rotate_keyless_device () =
+  with_tmp (fun file ->
+      with_tmp_dir (fun dir ->
+          let reg = Eric_fleet.Registry.create () in
+          for i = 0 to 11 do
+            match Eric_fleet.Registry.enroll reg (Int64.of_int (9_000 + i)) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e
+          done;
+          (match Eric_fleet.Registry.find reg 9_011L with
+          | Some ({ Eric_fleet.Registry.helper = Some h; _ } as e) ->
+            let tag = Bytes.copy h.Eric_puf.Enroll.tag in
+            Bytes.set tag 0 (Char.chr (Char.code (Bytes.get tag 0) lxor 1));
+            Eric_fleet.Registry.update reg
+              { e with Eric_fleet.Registry.helper = Some { h with Eric_puf.Enroll.tag } }
+          | _ -> Alcotest.fail "device 9011 has no helper data");
+          Eric_fleet.Registry.save reg file;
+          let code, err =
+            run_cli [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir"; dir; "--shards"; "4" ]
+          in
+          check Alcotest.int ("migrate: " ^ err) 0 code;
+          let status () =
+            let code, out, _ =
+              run_cli_capture [ "fleet"; "status"; "--devices"; "--registry"; dir ]
+            in
+            check Alcotest.int "status" 0 code;
+            String.split_on_char '\n' out
+          in
+          let victim lines = List.filter (fun l -> contains_str l "device 9011  ") lines in
+          let before = victim (status ()) in
+          check Alcotest.int "the victim is listed" 1 (List.length before);
+          let code, out, err =
+            run_cli_capture [ "fleet"; "rotate"; "--epoch"; "2"; "--registry"; dir ]
+          in
+          expect_no_exception_trace "rotate" err;
+          check Alcotest.int "rotation with a failed device exits 3" 3 code;
+          check Alcotest.bool "the report names the victim" true
+            (contains_str out "device 9011: ");
+          let after = status () in
+          check Alcotest.int "every other device at epoch 2" 11
+            (List.length (List.filter (fun l -> contains_str l "  epoch 2  ") after));
+          check Alcotest.(list string) "the victim untouched, at its old epoch" before
+            (victim after)))
+
+(* --window below 1 is a usage error, refused before any registry file
+   is touched. *)
+let test_fleet_window_zero_refused () =
+  with_tmp (fun src ->
+      with_tmp (fun path ->
+          write src (Bytes.of_string "int main() { return 0; }");
+          ignore (make_registry path 2);
+          let before = snapshot path in
+          List.iter
+            (fun cmd ->
+              List.iter
+                (fun window ->
+                  let what = Printf.sprintf "fleet %s %s" (List.hd cmd) window in
+                  let code, err =
+                    run_cli (("fleet" :: cmd) @ [ window; "--registry"; path ])
+                  in
+                  check Alcotest.bool (what ^ ": non-zero exit") true (code <> 0);
+                  expect_no_exception_trace what err;
+                  check
+                    Alcotest.(list (pair string string))
+                    (what ^ ": registry unchanged") before (snapshot path))
+                [ "--window=0"; "--window=-1" ])
+            [ [ "campaign"; src ]; [ "rotate"; "--epoch"; "2" ]; [ "reenroll" ] ]))
 
 let test_build_unknown_obf_pass_exit_4 () =
   with_tmp (fun src ->
@@ -530,7 +619,10 @@ let () =
         [ Alcotest.test_case "reenroll smoke" `Quick test_fleet_reenroll_smoke;
           Alcotest.test_case "sharded round trip" `Quick test_fleet_sharded_round_trip;
           Alcotest.test_case "report independent of layout" `Quick
-            test_fleet_report_layout_independent ] );
+            test_fleet_report_layout_independent;
+          Alcotest.test_case "keyless device fails its own rotation" `Quick
+            test_fleet_rotate_keyless_device;
+          Alcotest.test_case "window below 1 refused" `Quick test_fleet_window_zero_refused ] );
       ( "obfuscate",
         [ Alcotest.test_case "unknown pass is 4" `Quick test_build_unknown_obf_pass_exit_4;
           Alcotest.test_case "lint reports package passes" `Quick

@@ -1,140 +1,60 @@
-(* Tests for the campaign engine: stage pipeline semantics, admit/skip,
-   retry + simulated backoff accounting, quarantine on non-retryable or
-   exhausted faults, windowed in-index-order commits, and the core
-   determinism contract — the deterministic and domain schedulers must
-   produce identical outcome arrays for pure per-item jobs. *)
+(* Tests for the campaign engine: skipped and faulted outcomes,
+   windowed in-index-order commits, config validation, the report's
+   arithmetic, and the core determinism contract — the deterministic and
+   domain schedulers must produce identical outcome arrays for pure
+   per-item jobs. *)
 
 module Engine = Eric_engine.Engine
-module Job = Eric_engine.Job
 
 let check = Alcotest.check
-
-(* A spec whose stages each add a tagged amount, so the final value
-   proves every stage ran exactly once and in order. *)
-let counting_spec () =
-  let ran = Array.make 4 0 in
-  let stage k f x =
-    ran.(k) <- ran.(k) + 1;
-    f x
-  in
-  ( ran,
-    {
-      Job.admit = Job.always_admit;
-      prepare = stage 0 (fun i -> Ok (i + 1));
-      personalize = stage 1 (fun x -> Ok (x * 10));
-      ship = stage 2 (fun x -> Ok (x + 3));
-      verify = stage 3 (fun x -> Ok (x * 100));
-    } )
-
-let test_run_once_stages () =
-  let ran, spec = counting_spec () in
-  (match Job.run_once spec 4 with
-  | Ok r -> check Alcotest.int "(4+1)*10+3 then *100" (((4 + 1) * 10) + 3) (r / 100)
-  | Error f -> Alcotest.failf "unexpected fault: %a" Job.pp_fault f);
-  Array.iteri (fun i n -> check Alcotest.int (Printf.sprintf "stage %d ran once" i) 1 n) ran
-
-let test_run_once_fault_stops () =
-  let ran, spec = counting_spec () in
-  let spec = { spec with Job.ship = (fun _ -> Error (Job.fault Job.Ship "no route")) } in
-  (match Job.run_once spec 1 with
-  | Ok _ -> Alcotest.fail "should have faulted at ship"
-  | Error f ->
-    check Alcotest.string "stage label" "ship" (Job.stage_label f.Job.f_stage);
-    check Alcotest.bool "not retryable by default" false f.Job.f_retryable);
-  check Alcotest.int "verify never ran" 0 ran.(3)
-
 let items n = Array.init n (fun i -> i)
+let square i = Engine.Done (i * i)
 
 let test_admit_skips () =
-  let ran, spec = counting_spec () in
-  let spec =
-    { spec with Job.admit = (fun i -> if i mod 2 = 0 then Some "even is benched" else None) }
+  let ran = ref 0 in
+  let job i =
+    if i mod 2 = 0 then Engine.Skipped "even is benched"
+    else begin
+      incr ran;
+      Engine.Done i
+    end
   in
-  let r = Engine.run ~name:"t.admit" spec (items 6) in
+  let r = Engine.run ~name:"t.admit" job (items 6) in
   check Alcotest.int "three skipped" 3 r.Engine.skipped;
   check Alcotest.int "three done" 3 r.Engine.jobs_done;
-  check Alcotest.int "skipped jobs never touch stages" 3 ran.(0);
+  check Alcotest.int "every item ran its job once" 3 !ran;
   Array.iteri
     (fun i c ->
       check Alcotest.int "index recorded" i c.Engine.c_index;
       match c.Engine.c_outcome with
-      | Job.Skipped reason ->
+      | Engine.Skipped reason ->
         check Alcotest.bool "even skipped" true (i mod 2 = 0);
-        check Alcotest.string "reason carried" "even is benched" reason;
-        check Alcotest.int "no attempts for a skip" 0 c.Engine.c_attempts
-      | Job.Done _ -> check Alcotest.bool "odd done" true (i mod 2 = 1)
-      | Job.Faulted f -> Alcotest.failf "unexpected fault: %a" Job.pp_fault f)
+        check Alcotest.string "reason carried" "even is benched" reason
+      | Engine.Done v -> check Alcotest.int "odd done with its own value" i v
+      | Engine.Faulted e -> Alcotest.failf "unexpected fault: %s" e)
     r.Engine.completions
 
-(* Per-item attempt counters: item-owned state, so the determinism
-   contract still holds. Fails the first [fail_first] tries of each item. *)
-let flaky_spec ~fail_first ~retryable n =
-  let tries = Array.make n 0 in
-  {
-    Job.admit = Job.always_admit;
-    prepare = (fun i -> Ok i);
-    personalize = (fun i -> Ok i);
-    ship =
-      (fun i ->
-        tries.(i) <- tries.(i) + 1;
-        if tries.(i) <= fail_first then Error (Job.fault ~retryable Job.Ship "flaky link")
-        else Ok i);
-    verify = (fun i -> Ok i);
-  }
-
-let retry_config =
-  {
-    Engine.default_config with
-    Engine.retries = 3;
-    retry_delay_ns = 10L;
-    max_delay_ns = 40L;
-  }
-
-let test_retry_then_done () =
-  let spec = flaky_spec ~fail_first:2 ~retryable:true 4 in
-  let r = Engine.run ~config:retry_config ~name:"t.retry" spec (items 4) in
-  check Alcotest.int "all delivered" 4 r.Engine.jobs_done;
-  check Alcotest.int "all retried" 4 r.Engine.retried_jobs;
-  Array.iter
-    (fun c ->
-      check Alcotest.int "third attempt succeeded" 3 c.Engine.c_attempts;
-      (* doubling from 10ns: retry 1 = 10, retry 2 = 20 *)
-      check Alcotest.int64 "backoff accounted" 30L c.Engine.c_backoff_ns)
-    r.Engine.completions;
-  check Alcotest.int64 "report sums backoff" 120L r.Engine.backoff_ns
-
-let test_non_retryable_quarantines () =
-  let spec = flaky_spec ~fail_first:1 ~retryable:false 3 in
-  let r = Engine.run ~config:retry_config ~name:"t.quarantine" spec (items 3) in
-  check Alcotest.int "all quarantined" 3 r.Engine.quarantined;
-  check Alcotest.int "none retried" 0 r.Engine.retried_jobs;
-  Array.iter
-    (fun c ->
-      check Alcotest.int "gave up on first attempt" 1 c.Engine.c_attempts;
-      check Alcotest.int64 "no backoff" 0L c.Engine.c_backoff_ns;
+let test_faults_quarantine () =
+  let job i = if i = 1 then Engine.Done i else Engine.Faulted "no route" in
+  let r = Engine.run ~name:"t.quarantine" job (items 3) in
+  check Alcotest.int "two quarantined" 2 r.Engine.quarantined;
+  check Alcotest.int "one done" 1 r.Engine.jobs_done;
+  Array.iteri
+    (fun i c ->
       match c.Engine.c_outcome with
-      | Job.Faulted f -> check Alcotest.string "ship fault" "ship" (Job.stage_label f.Job.f_stage)
-      | _ -> Alcotest.fail "expected Faulted")
-    r.Engine.completions
-
-let test_retries_exhausted () =
-  let spec = flaky_spec ~fail_first:max_int ~retryable:true 2 in
-  let r = Engine.run ~config:retry_config ~name:"t.exhaust" spec (items 2) in
-  check Alcotest.int "all quarantined" 2 r.Engine.quarantined;
-  Array.iter
-    (fun c ->
-      check Alcotest.int "1 + 3 retries" 4 c.Engine.c_attempts;
-      (* 10 + 20 + 40(capped) *)
-      check Alcotest.int64 "capped doubling backoff" 70L c.Engine.c_backoff_ns)
+      | Engine.Faulted e ->
+        check Alcotest.bool "faulted items" true (i <> 1);
+        check Alcotest.string "reason kept" "no route" e
+      | Engine.Done _ -> check Alcotest.int "done item" 1 i
+      | Engine.Skipped _ -> Alcotest.fail "expected Faulted or Done")
     r.Engine.completions
 
 let test_commit_order_windowed () =
   let n = 23 in
-  let _, spec = counting_spec () in
   let order = ref [] in
   let config = { Engine.default_config with Engine.window = 4 } in
   let commit (c : _ Engine.completion) = order := c.Engine.c_index :: !order in
-  let r = Engine.run ~config ~commit ~name:"t.window" spec (items n) in
+  let r = Engine.run ~config ~commit ~name:"t.window" square (items n) in
   check Alcotest.int "everything queued" n r.Engine.queued;
   check (Alcotest.list Alcotest.int) "commits replayed in index order"
     (List.init n (fun i -> i))
@@ -142,39 +62,29 @@ let test_commit_order_windowed () =
   Array.iteri (fun i c -> check Alcotest.int "c_index = slot" i c.Engine.c_index) r.Engine.completions
 
 let test_bad_config_rejected () =
-  let _, spec = counting_spec () in
-  let raises what config =
-    match Engine.run ~config ~name:"t.bad" spec (items 1) with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail (what ^ " accepted")
-  in
-  raises "window 0" { Engine.default_config with Engine.window = 0 };
-  raises "negative retries" { Engine.default_config with Engine.retries = -1 }
+  List.iter
+    (fun window ->
+      let config = { Engine.default_config with Engine.window } in
+      match Engine.run ~config ~name:"t.bad" square (items 1) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "window %d accepted" window)
+    [ 0; -1 ]
 
 let outcome_key = function
-  | Job.Done r -> Printf.sprintf "done:%d" r
-  | Job.Faulted f -> Printf.sprintf "faulted:%s:%s" (Job.stage_label f.Job.f_stage) f.Job.f_reason
-  | Job.Skipped s -> "skipped:" ^ s
+  | Engine.Done r -> Printf.sprintf "done:%d" r
+  | Engine.Faulted e -> "faulted:" ^ e
+  | Engine.Skipped s -> "skipped:" ^ s
 
-(* The determinism gate in miniature: a mixed fleet of skips, faults,
-   retryable flakes and successes must complete identically under both
-   schedulers, including attempt and backoff accounting. *)
-let mixed_spec n =
-  let flaky = flaky_spec ~fail_first:1 ~retryable:true n in
-  {
-    flaky with
-    Job.admit = (fun i -> if i mod 7 = 0 then Some "sampled out" else None);
-    prepare =
-      (fun i -> if i mod 5 = 3 then Error (Job.fault Job.Prepare "bad die") else Ok i);
-    ship =
-      (fun i ->
-        if i mod 3 = 1 then flaky.Job.ship i
-        else Ok i);
-  }
+(* The determinism gate in miniature: a mixed fleet of skips, faults and
+   successes must complete identically under both schedulers. *)
+let mixed_job i =
+  if i mod 7 = 0 then Engine.Skipped "sampled out"
+  else if i mod 5 = 3 then Engine.Faulted "bad die"
+  else Engine.Done (i * 3)
 
 let run_mixed scheduler n =
-  let config = { retry_config with Engine.scheduler; window = 16 } in
-  Engine.run ~config ~name:"t.det" (mixed_spec n) (items n)
+  let config = { Engine.scheduler; window = 16 } in
+  Engine.run ~config ~name:"t.det" mixed_job (items n)
 
 let test_deterministic_vs_domains () =
   let n = 200 in
@@ -184,20 +94,12 @@ let test_deterministic_vs_domains () =
   check Alcotest.int "same done" a.Engine.jobs_done b.Engine.jobs_done;
   check Alcotest.int "same quarantined" a.Engine.quarantined b.Engine.quarantined;
   check Alcotest.int "same skipped" a.Engine.skipped b.Engine.skipped;
-  check Alcotest.int "same retried" a.Engine.retried_jobs b.Engine.retried_jobs;
-  check Alcotest.int64 "same total backoff" a.Engine.backoff_ns b.Engine.backoff_ns;
   Array.iteri
     (fun i (ca : _ Engine.completion) ->
       let cb = b.Engine.completions.(i) in
       check Alcotest.string
         (Printf.sprintf "job %d same outcome" i)
-        (outcome_key ca.Engine.c_outcome) (outcome_key cb.Engine.c_outcome);
-      check Alcotest.int
-        (Printf.sprintf "job %d same attempts" i)
-        ca.Engine.c_attempts cb.Engine.c_attempts;
-      check Alcotest.int64
-        (Printf.sprintf "job %d same backoff" i)
-        ca.Engine.c_backoff_ns cb.Engine.c_backoff_ns)
+        (outcome_key ca.Engine.c_outcome) (outcome_key cb.Engine.c_outcome))
     a.Engine.completions
 
 let test_scheduler_of_string () =
@@ -216,8 +118,7 @@ let test_scheduler_of_string () =
     (Engine.scheduler_label (ok (Engine.scheduler_label (Engine.Domains 4))))
 
 let test_report_shape () =
-  let _, spec = counting_spec () in
-  let r = Engine.run ~name:"t.report" spec (items 50) in
+  let r = Engine.run ~name:"t.report" square (items 50) in
   check Alcotest.string "deterministic label" "deterministic" r.Engine.scheduler_used;
   check Alcotest.int "one worker" 1 (Array.length r.Engine.workers);
   check Alcotest.int "worker saw every job" 50 r.Engine.workers.(0).Engine.w_jobs;
@@ -225,25 +126,17 @@ let test_report_shape () =
   check Alcotest.bool "utilization sane" true
     (r.Engine.utilization >= 0.0 && r.Engine.utilization <= 1.5);
   (* empty runs don't divide by zero *)
-  let empty = Engine.run ~name:"t.empty" spec [||] in
+  let empty = Engine.run ~name:"t.empty" square [||] in
   check Alcotest.int "empty queued" 0 empty.Engine.queued;
   check (Alcotest.float 0.0) "empty utilization" 0.0 empty.Engine.utilization
 
 let () =
   Alcotest.run "engine"
     [
-      ( "job",
-        [
-          Alcotest.test_case "stages run in order" `Quick test_run_once_stages;
-          Alcotest.test_case "fault stops the pipeline" `Quick test_run_once_fault_stops;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "admit benches items as skipped" `Quick test_admit_skips;
-          Alcotest.test_case "retryable faults retry then deliver" `Quick test_retry_then_done;
-          Alcotest.test_case "non-retryable faults quarantine" `Quick
-            test_non_retryable_quarantines;
-          Alcotest.test_case "exhausted retries quarantine" `Quick test_retries_exhausted;
+          Alcotest.test_case "non-retryable faults quarantine" `Quick test_faults_quarantine;
           Alcotest.test_case "windowed commits replay in index order" `Quick
             test_commit_order_windowed;
           Alcotest.test_case "invalid configs rejected" `Quick test_bad_config_rejected;

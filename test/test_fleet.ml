@@ -715,6 +715,25 @@ let test_shipper_key_reconstruction_quarantine () =
     check Alcotest.int "no attempts wasted" 1 d.Eric_fleet.Shipper.attempts
   | Eric_fleet.Shipper.Delivered _ -> Alcotest.fail "keyless target accepted a package"
 
+let test_rotation_keyless_device_fails_alone () =
+  (* A device whose helper data no longer reconstructs a key cannot hand
+     one over: it fails its own rotation, and the rest of the fleet
+     still rotates. *)
+  let reg = enroll_fleet ~start:9_400 4 in
+  let victim = tamper_entry reg (List.nth (Eric_fleet.Registry.entries reg) 2) in
+  let report = Eric_fleet.Rotation.rotate ~epoch:5 reg in
+  check Alcotest.int "three rotated" 3 report.Eric_fleet.Rotation.rotated;
+  check
+    Alcotest.(list int64)
+    "victim listed as failed" [ victim.Eric_fleet.Registry.device_id ]
+    (List.map fst report.Eric_fleet.Rotation.failed);
+  List.iter
+    (fun (e : Eric_fleet.Registry.entry) ->
+      if Int64.equal e.Eric_fleet.Registry.device_id victim.Eric_fleet.Registry.device_id
+      then check Alcotest.bool "victim entry unchanged" true (entry_eq e victim)
+      else check Alcotest.int "others at the new epoch" 5 e.Eric_fleet.Registry.epoch)
+    (Eric_fleet.Registry.entries reg)
+
 let test_reenroll_campaign () =
   let reg = enroll_fleet 3 in
   (* device 1: healthy.  device 2: tampered helper + the quarantine the
@@ -1004,6 +1023,9 @@ let test_campaign_sharded_deploys_and_persists () =
         | Ok () -> ()
         | Error e -> Alcotest.fail e))
 
+(* Windowed at 2, so every run splits into several commit batches. *)
+let engine_config scheduler = { Eric_engine.Engine.scheduler; window = 2 }
+
 let test_campaign_scheduler_determinism () =
   (* Same fleet, same source, same hostile channel — the deterministic
      and domain schedulers must agree on everything but wall clock. *)
@@ -1014,12 +1036,7 @@ let test_campaign_scheduler_determinism () =
       {
         Eric_fleet.Campaign.default_config with
         Eric_fleet.Campaign.channel = Eric_fleet.Channel.drop_first 1;
-        engine =
-          {
-            Eric_engine.Engine.default_config with
-            Eric_engine.Engine.scheduler;
-            window = 2;
-          };
+        engine = engine_config scheduler;
       }
     in
     (deploy ~config ~cache reg, reg)
@@ -1061,6 +1078,46 @@ let test_campaign_scheduler_determinism () =
       | _ -> Alcotest.fail "schedulers disagree on a device's outcome class")
     ra.Eric_fleet.Campaign.devices rb.Eric_fleet.Campaign.devices;
   check Alcotest.bool "registries end byte-identical" true
+    (List.for_all2 entry_eq
+       (Eric_fleet.Registry.entries rega)
+       (Eric_fleet.Registry.entries regb));
+  (* RSA rotation (per-device handshake seeds) then re-enrollment
+     (per-device PUF noise) on a fleet with one key-reconstruction
+     quarantine and one legacy entry *)
+  let maintain scheduler =
+    let reg = enroll_fleet ~start:9_550 3 in
+    let victim = tamper_entry reg (List.nth (Eric_fleet.Registry.entries reg) 1) in
+    Eric_fleet.Registry.update reg
+      { victim with
+        Eric_fleet.Registry.status =
+          Eric_fleet.Registry.Quarantined "key reconstruction failed" };
+    (match Eric_fleet.Registry.enroll_legacy reg 9_560L with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    let engine = engine_config scheduler in
+    let rotation =
+      Eric_fleet.Rotation.rotate ~engine
+        ~method_:(Eric_fleet.Rotation.Rsa { bits = 384; seed = 404L })
+        ~epoch:2 reg
+    in
+    let reenroll = Eric_fleet.Reenroll.run ~engine reg in
+    (rotation, reenroll, reg)
+  in
+  let rota, rea, rega = maintain Eric_engine.Engine.Deterministic in
+  let rotb, reb, regb = maintain (Eric_engine.Engine.Domains 2) in
+  check Alcotest.int "three rotated over RSA" 3 rota.Eric_fleet.Rotation.rotated;
+  check Alcotest.int "the keyless device failed rotation" 1
+    (List.length rota.Eric_fleet.Rotation.failed);
+  check Alcotest.int "the quarantined device re-enrolled" 1 rea.Eric_fleet.Reenroll.reactivated;
+  check Alcotest.int "the legacy entry upgraded" 1 rea.Eric_fleet.Reenroll.upgraded;
+  check Alcotest.string "same rotation report"
+    (Format.asprintf "%a" Eric_fleet.Rotation.pp_report rota)
+    (Format.asprintf "%a" Eric_fleet.Rotation.pp_report rotb);
+  check Alcotest.string "same re-enrollment report"
+    (Format.asprintf "%a" Eric_fleet.Reenroll.pp_report rea)
+    (Format.asprintf "%a" Eric_fleet.Reenroll.pp_report reb);
+  check Alcotest.bool "same re-enrollment outcomes" true (rea = reb);
+  check Alcotest.bool "maintained registries end byte-identical" true
     (List.for_all2 entry_eq
        (Eric_fleet.Registry.entries rega)
        (Eric_fleet.Registry.entries regb))
@@ -1134,7 +1191,9 @@ let () =
       ( "rotation",
         [ Alcotest.test_case "rekeys + reactivates" `Quick test_rotation_rekeys_and_reactivates;
           Alcotest.test_case "revokes old packages" `Quick test_rotation_revokes_old_packages;
-          Alcotest.test_case "RSA in-band" `Slow test_rotation_rsa_in_band ] );
+          Alcotest.test_case "RSA in-band" `Slow test_rotation_rsa_in_band;
+          Alcotest.test_case "keyless device fails its own rotation" `Quick
+            test_rotation_keyless_device_fails_alone ] );
       ( "reenroll",
         [ Alcotest.test_case "key-reconstruction quarantine" `Quick
             test_shipper_key_reconstruction_quarantine;
