@@ -107,57 +107,54 @@ let fig5 () =
 (* Fig 6: compile time                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let median times =
-  let sorted = List.sort compare times in
+let median xs =
+  let sorted = List.sort compare xs in
   List.nth sorted (List.length sorted / 2)
 
-(* Compare two functions by interleaving their samples (so slow machine
-   phases hit both alike) and taking each one's fastest sample — the
-   classic minimum-timing estimator, robust to additive noise.  Each
-   sample averages [batch] consecutive runs. *)
-let measure_pair ?(samples = 13) ?(batch = 5) f g =
-  f ();
-  g ();
-  (* warmup *)
-  let sample h =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      h ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int batch
-  in
-  let best_f = ref infinity and best_g = ref infinity in
-  for _ = 1 to samples do
-    best_f := min !best_f (sample f);
-    best_g := min !best_g (sample g)
-  done;
-  (!best_f, !best_g)
+let fig6_samples = 25
 
+(* Both times come from one traced [Source.build]: [cc.compile] is the
+   plain compilation and [core.encrypt] (signing, layout, keystream and
+   XOR) is everything ERIC adds to it, so host noise between two separate
+   runs cannot land in the ratio.  Each row is the median over
+   [fig6_samples] builds. *)
 let fig6 () =
   Report.heading
     "Fig 6: Compile time of ERIC's encrypting compilation, normalised to plain compilation";
+  Printf.printf "(core.encrypt / cc.compile within one traced build, median of %d builds)\n"
+    fig6_samples;
   let key = device_key () in
+  let span_ms name =
+    List.fold_left
+      (fun acc (e : Eric_telemetry.Span.event) ->
+        if e.Eric_telemetry.Span.name = name then acc +. Int64.to_float e.Eric_telemetry.Span.dur_ns
+        else acc)
+      0.0 (Eric_telemetry.Span.completed ())
+    /. 1e6
+  in
+  let traced_build (w : Eric_workloads.Workloads.t) =
+    Eric_telemetry.Span.reset ();
+    (match
+       Eric_telemetry.Control.with_enabled (fun () ->
+           Eric.Source.build ~mode:Eric.Config.Full ~key w.source)
+     with
+    | Ok _ -> ()
+    | Error e -> failwith (w.name ^ ": " ^ e));
+    (span_ms "cc.compile", span_ms "core.encrypt")
+  in
   let rows, pcts =
     List.fold_left
       (fun (rows, pcts) (w : Eric_workloads.Workloads.t) ->
-        let baseline, encrypting =
-          measure_pair
-            (fun () ->
-              match Eric_cc.Driver.compile w.source with Ok _ -> () | Error e -> failwith e)
-            (fun () ->
-              match Eric.Source.build ~mode:Eric.Config.Full ~key w.source with
-              | Ok _ -> ()
-              | Error e -> failwith e)
-        in
-        let pct = 100.0 *. ((encrypting /. baseline) -. 1.0) in
+        ignore (traced_build w);
+        let samples = List.init fig6_samples (fun _ -> traced_build w) in
+        let pct = median (List.map (fun (c, e) -> 100.0 *. e /. c) samples) in
         ( rows
-          @ [ [ w.name; Printf.sprintf "%.2f" (baseline *. 1e3);
-                Printf.sprintf "%.2f" (encrypting *. 1e3); Report.fpct pct ] ],
+          @ [ [ w.name; Printf.sprintf "%.2f" (median (List.map fst samples));
+                Printf.sprintf "%.3f" (median (List.map snd samples)); Report.fpct pct ] ],
           pct :: pcts ))
       ([], []) Eric_workloads.Workloads.all
   in
-  Report.table ~header:[ "workload"; "plain ms"; "eric ms"; "overhead" ] rows;
+  Report.table ~header:[ "workload"; "compile ms"; "encrypt ms"; "overhead" ] rows;
   let avg = List.fold_left ( +. ) 0.0 pcts /. float_of_int (List.length pcts) in
   let worst = List.fold_left max neg_infinity pcts in
   Printf.printf "\naverage %+.2f%%, worst %+.2f%%   (paper: avg +15.22%%, worst +33.20%%)\n" avg worst;

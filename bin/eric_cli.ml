@@ -944,7 +944,7 @@ let fleet_rotate_cmd =
     let method_ =
       match rsa_bits with
       | None -> Eric_fleet.Rotation.Local
-      | Some bits -> Eric_fleet.Rotation.Rsa { bits; seed }
+      | Some bits -> Eric_fleet.Rotation.rsa ~bits ~seed
     in
     let engine = engine_config_of scheduler window in
     let failed =
@@ -1085,18 +1085,6 @@ let fleet_cmd =
 (* Verification: differential fuzzing and fault injection              *)
 (* ------------------------------------------------------------------ *)
 
-(* A small workload with both string data and computed output, so every
-   package region (map, payload, data) is non-empty for injections. *)
-let verif_default_source =
-  "int g0[4] = {3, 1, 4, 1};\n\
-   int main() {\n\
-  \  int acc = 0;\n\
-  \  for (int i = 0; i < 4; i++) { acc += g0[i] * (i + 1); }\n\
-  \  print_str(\"acc=\");\n\
-  \  println_int(acc);\n\
-  \  return acc & 255;\n\
-   }\n"
-
 let verif_seed_arg ~default =
   Arg.(value & opt int64 default & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign PRNG seed.")
 
@@ -1212,7 +1200,9 @@ let verif_inject_cmd =
       min_coverage telemetry trace_out =
     setup_telemetry telemetry trace_out;
     let source =
-      match source_opt with Some path -> read_file path | None -> verif_default_source
+      match source_opt with
+      | Some path -> read_file path
+      | None -> Eric_verif.Inject.default_source
     in
     let guard = Eric_hw.Guard.default guard in
     let config =

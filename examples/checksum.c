@@ -1,6 +1,6 @@
-// A slightly larger lint/CI smoke input: exercises globals, arrays,
-// loops, helper calls and recursion so the IR and machine-code
-// verifiers see a non-trivial CFG and call graph.
+// A slightly larger lint and fleet smoke input for test_cli: exercises
+// globals, arrays, loops, helper calls and recursion so the IR and
+// machine-code verifiers see a non-trivial CFG and call graph.
 
 int table[64];
 

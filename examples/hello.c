@@ -1,5 +1,6 @@
 // Smallest end-to-end MiniC program: builds, packages, and runs under
-// the simulator; also the smoke input for `eric_cli lint` in CI.
+// the simulator; also a `lint --mode full --lint-error` input in
+// test_cli.
 
 char banner[16] = "hello, eric";
 

@@ -1,6 +1,6 @@
 module Engine = Eric_engine.Engine
 
-type method_ = Local | Rsa of { bits : int; seed : int64 }
+type method_ = Local | Rsa of { source_key : Eric_crypto.Rsa.private_key; seed : int64 }
 
 type report = {
   epoch : int;
@@ -16,16 +16,16 @@ let count ?labels name =
 
 let method_label = function Local -> "local" | Rsa _ -> "rsa"
 
+let rsa ~bits ~seed =
+  Rsa { source_key = Eric_crypto.Rsa.generate ~bits (Eric_util.Prng.create ~seed); seed }
+
 let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.rotate" (fun () ->
       count "fleet.rotate.runs_total";
       let provision =
         match method_ with
         | Local -> fun (_ : Registry.entry) target -> Ok (Eric.Protocol.provision target)
-        | Rsa { bits; seed } ->
-          (* the source's RSA identity is one key for the whole rotation;
-             only the per-handshake randomness is per-device *)
-          let source_key = Eric_crypto.Rsa.generate ~bits (Eric_util.Prng.create ~seed) in
+        | Rsa { source_key; seed } ->
           fun (entry : Registry.entry) target ->
             (* every device provisions from its own RNG stream, so domain
                workers never contend on (or reorder draws from) a shared

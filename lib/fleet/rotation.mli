@@ -19,8 +19,14 @@
 
 type method_ =
   | Local  (** out-of-band: read the derived key at enrolment distance *)
-  | Rsa of { bits : int; seed : int64 }
-      (** in-band: device encrypts its key under the source's RSA key *)
+  | Rsa of { source_key : Eric_crypto.Rsa.private_key; seed : int64 }
+      (** in-band: device encrypts its key under the source's RSA key;
+          [seed] derives each device's handshake randomness *)
+
+val rsa : bits:int -> seed:int64 -> method_
+(** [Rsa] under a [bits]-bit source key generated from [seed].  The
+    source's RSA identity is one key per command: build the method once
+    and pass it to every {!rotate} of that command, one per shard. *)
 
 type report = {
   epoch : int;

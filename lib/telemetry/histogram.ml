@@ -73,9 +73,10 @@ let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
 let min_value t = if t.count = 0 then 0.0 else t.min_v
 let max_value t = if t.count = 0 then 0.0 else t.max_v
 
-(* Upper edge of the bucket holding the p-quantile observation: an upper
-   bound on the true quantile, tight to one bucket ratio.  The overflow
-   bucket reports the exact observed max instead of infinity. *)
+(* Upper edge of the bucket holding the p-quantile observation, clamped
+   to the observed max: an upper bound on the true quantile, tight to one
+   bucket ratio, and never above any observation the histogram saw.  The
+   overflow bucket's infinite edge thus reports the max too. *)
 let quantile t p =
   if t.count = 0 then 0.0
   else begin
@@ -91,7 +92,7 @@ let quantile t p =
          end
        done
      with Exit -> ());
-    if !bucket = bucket_count - 1 then t.max_v else upper_edge !bucket
+    Float.min t.max_v (upper_edge !bucket)
   end
 
 type summary = {

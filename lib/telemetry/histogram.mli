@@ -1,7 +1,8 @@
 (** Fixed log-scale histogram: geometric buckets with ratio [2^(1/4)]
     (four per octave), so quantile estimates are upper bounds at most
-    ~19% above the true observation.  Accepts any non-negative value
-    (nanoseconds, bytes, cycles); negatives and NaN land in bucket 0. *)
+    ~19% above the true observation and never above the observed max.
+    Accepts any non-negative value (nanoseconds, bytes, cycles);
+    negatives and NaN land in bucket 0. *)
 
 type t
 
@@ -24,9 +25,10 @@ val max_value : t -> float
 
 val quantile : t -> float -> float
 (** [quantile t p] for p in [0,1]: the upper edge of the bucket holding
-    the p-quantile observation.  Guaranteed [>=] the true quantile and
-    [< true *. ratio] (exact for the overflow bucket, which reports the
-    observed max).  0.0 when empty. *)
+    the p-quantile observation, clamped to {!max_value}.  Guaranteed
+    [>=] the true quantile (so [>=] {!min_value}), [< true *. ratio] and
+    [<=] {!max_value}: exact for a single observation and for the
+    overflow bucket.  0.0 when empty. *)
 
 type summary = {
   s_count : int;

@@ -72,6 +72,16 @@ type config = {
   guard : Eric_hw.Guard.config;
 }
 
+let default_source =
+  "int g0[4] = {3, 1, 4, 1};\n\
+   int main() {\n\
+  \  int acc = 0;\n\
+  \  for (int i = 0; i < 4; i++) { acc += g0[i] * (i + 1); }\n\
+  \  print_str(\"acc=\");\n\
+  \  println_int(acc);\n\
+  \  return acc & 255;\n\
+   }\n"
+
 let default_config =
   {
     fuel = Oracle.default_fuel;

@@ -94,6 +94,11 @@ type config = {
 
 val default_config : config
 
+val default_source : string
+(** The workload [eric verif inject] runs when given no source: a small
+    program with both string data and computed output, so every package
+    region (map, payload, data) is non-empty for injections. *)
+
 val campaign : ?config:config -> string -> (report, string) result
 (** [campaign source] compiles, packages and baselines [source] once,
     then runs [config.count] single-bit injections spread uniformly over

@@ -15,6 +15,14 @@ let cli =
   | Some path -> path
   | None -> Alcotest.fail "eric_cli.exe not built"
 
+(* An example source: next to the test directory under `dune runtest`,
+   under the workspace root for a direct run. *)
+let example name =
+  let candidates = [ Filename.concat "../examples" name; Filename.concat "examples" name ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> path
+  | None -> Alcotest.failf "example %s not found" name
+
 let with_tmp f =
   let path = Filename.temp_file "eric_cli_test" ".bin" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
@@ -137,7 +145,7 @@ let test_truncated_registry () =
                         (what ^ ": every file unchanged") before (snapshot path))
                     [ [ "status" ]; [ "campaign"; src ]; [ "rotate"; "--epoch"; "2" ]; [ "reenroll" ] ]))
             (* cut mid-record, the shape a crashed writer or bad copy
-               leaves, and to the 40-byte prefix CI's smoke used *)
+               leaves, and to a 40-byte prefix *)
             [ ("tail cut", fun b -> Bytes.sub b 0 (Bytes.length b - 7));
               ("40-byte prefix", fun b -> Bytes.sub b 0 40) ])
         [ ("file", false); ("sharded", true) ])
@@ -358,7 +366,7 @@ let test_verif_env_smoke () =
   with_tmp (fun out ->
       let code, _ =
         run_cli
-          [ "verif"; "env"; "--devices"; "2"; "--boots"; "3"; "--out"; out ]
+          [ "verif"; "env"; "--devices"; "3"; "--boots"; "10"; "--out"; out ]
       in
       check Alcotest.int "sweep passes" 0 code;
       let json = In_channel.with_open_bin out In_channel.input_all in
@@ -428,32 +436,63 @@ let run_cli_capture args =
           let code = Sys.command cmd in
           (code, slurp out_file, slurp err_file)))
 
+(* enroll -> campaign -> rotate -> reenroll -> status on 12 factory
+   devices in 4 shards, and on 25 screened devices in one file whose
+   campaign crosses a channel that flips bits in 40% of sends, so every
+   delivery past the first failure rests on the shipper's retries. *)
 let test_fleet_sharded_round_trip () =
+  let in_one_file f = with_tmp (fun path -> Sys.remove path; f path) in
   with_tmp (fun src ->
-      with_tmp_dir (fun dir ->
-          write src (Bytes.of_string "int main() { println_int(7); return 0; }");
-          let fleet args =
-            let code, out, err = run_cli_capture (("fleet" :: args) @ [ "--registry"; dir ]) in
-            check Alcotest.int (List.hd args ^ " exits 0: " ^ err) 0 code;
-            out
-          in
-          ignore
-            (fleet
-               [ "enroll"; "--count"; "12"; "--start-id"; "500"; "--shards"; "4"; "--factory";
-                 "--quiet" ]);
-          ignore (fleet [ "campaign"; src ]);
-          ignore (fleet [ "rotate"; "--epoch"; "2" ]);
-          ignore (fleet [ "reenroll" ]);
-          let out = fleet [ "status"; "--devices" ] in
-          let lines = String.split_on_char '\n' out in
-          check Alcotest.int "every device rotated, stamped and upgraded" 12
-            (List.length
-               (List.filter
-                  (fun l ->
-                    contains_str l "epoch 2  label \"eric\"  firmware 1  active  helper")
-                  lines));
-          check Alcotest.bool "sharded summary" true
-            (contains_str out "12 device(s) in 4 shard(s), 12 active, 0 quarantined")))
+      write src (Bytes.of_string "int main() { println_int(7); return 0; }");
+      List.iter
+        (fun (with_registry, enroll, campaign, devices, summary) ->
+          with_registry (fun registry ->
+              let fleet args =
+                let code, out, err =
+                  run_cli_capture (("fleet" :: args) @ [ "--registry"; registry ])
+                in
+                check Alcotest.int (List.hd args ^ " exits 0: " ^ err) 0 code;
+                out
+              in
+              ignore (fleet ("enroll" :: enroll));
+              ignore (fleet ("campaign" :: campaign));
+              ignore (fleet [ "rotate"; "--epoch"; "2" ]);
+              ignore (fleet [ "reenroll" ]);
+              let out = fleet [ "status"; "--devices" ] in
+              let lines = String.split_on_char '\n' out in
+              check Alcotest.int "every device rotated, stamped and upgraded" devices
+                (List.length
+                   (List.filter
+                      (fun l ->
+                        contains_str l "epoch 2  label \"eric\"  firmware 1  active  helper")
+                      lines));
+              check Alcotest.bool "fleet summary" true (contains_str out summary)))
+        [ ( with_tmp_dir,
+            [ "--count"; "12"; "--start-id"; "500"; "--shards"; "4"; "--factory"; "--quiet" ],
+            [ src ],
+            12,
+            "12 device(s) in 4 shard(s), 12 active, 0 quarantined" );
+          ( in_one_file,
+            [ "--count"; "25"; "--start-id"; "100" ],
+            [ example "checksum.c"; "--channel"; "flaky:0.4:7"; "--telemetry"; "table" ],
+            25,
+            "25 device(s), 25 active, 0 quarantined" ) ])
+
+(* Factory enrollment at fleet scale: 2000 devices into 16 shards. *)
+let test_fleet_factory_enroll_at_scale () =
+  with_tmp_dir (fun dir ->
+      let fleet args =
+        let code, out, err = run_cli_capture (("fleet" :: args) @ [ "--registry"; dir ]) in
+        check Alcotest.int (List.hd args ^ " exits 0: " ^ err) 0 code;
+        out
+      in
+      ignore
+        (fleet
+           [ "enroll"; "--count"; "2000"; "--start-id"; "4096"; "--factory"; "--shards"; "16";
+             "--quiet" ]);
+      check Alcotest.bool "2000 devices in 16 shards" true
+        (contains_str (fleet [ "status" ])
+           "2000 device(s) in 16 shard(s), 2000 active, 0 quarantined"))
 
 let test_fleet_report_layout_independent () =
   (* the same campaign on a fleet file, on its 4-shard migration and on a
@@ -590,6 +629,23 @@ let test_lint_package_reports_obf_passes () =
           check Alcotest.bool "stderr explains the refusal" true
             (contains_str err "cannot lint an encrypted package")))
 
+(* Both examples under full encryption, then every workload against the
+   recursive attacker: full encryption at --max-leakage 0.1 with warnings
+   as errors, 50% partial encryption at 0.75. *)
+let test_lint_examples_and_workloads () =
+  List.iter
+    (fun args ->
+      let code, out, err = run_cli_capture ("lint" :: args) in
+      check Alcotest.int
+        (Printf.sprintf "lint %s exits 0:\n%s%s" (String.concat " " args) out err)
+        0 code)
+    [ [ example "hello.c"; "--mode"; "full"; "--lint-error" ];
+      [ example "checksum.c"; "--mode"; "full"; "--lint-error" ];
+      [ "--workloads"; "--mode"; "full"; "--attacker=recursive"; "--max-leakage"; "0.1";
+        "--lint-error" ];
+      [ "--workloads"; "--mode"; "partial:0.5"; "--attacker=recursive"; "--max-leakage";
+        "0.75" ] ]
+
 let test_serve_unknown_scenario_usage_error () =
   let code, err = run_cli [ "serve"; "run"; "--scenario"; "nope" ] in
   check Alcotest.bool "non-zero exit" true (code <> 0);
@@ -622,7 +678,12 @@ let () =
             test_fleet_report_layout_independent;
           Alcotest.test_case "keyless device fails its own rotation" `Quick
             test_fleet_rotate_keyless_device;
-          Alcotest.test_case "window below 1 refused" `Quick test_fleet_window_zero_refused ] );
+          Alcotest.test_case "window below 1 refused" `Quick test_fleet_window_zero_refused;
+          Alcotest.test_case "factory enrollment at scale" `Quick
+            test_fleet_factory_enroll_at_scale ] );
+      ( "lint",
+        [ Alcotest.test_case "examples and workloads pass" `Quick
+            test_lint_examples_and_workloads ] );
       ( "obfuscate",
         [ Alcotest.test_case "unknown pass is 4" `Quick test_build_unknown_obf_pass_exit_4;
           Alcotest.test_case "lint reports package passes" `Quick

@@ -653,11 +653,15 @@ let test_rotation_revokes_old_packages () =
   | Eric_fleet.Shipper.Quarantined _ -> ()
   | Eric_fleet.Shipper.Delivered _ -> Alcotest.fail "pre-rotation package still accepted"
 
+(* The source key is a pure function of (bits, seed): generate it once
+   for every RSA rotation in this suite. *)
+let rsa_384 = lazy (Eric_fleet.Rotation.rsa ~bits:384 ~seed:404L)
+
 let test_rotation_rsa_in_band () =
   let reg = enroll_fleet 2 in
   let report =
     Eric_fleet.Rotation.rotate
-      ~method_:(Eric_fleet.Rotation.Rsa { bits = 384; seed = 404L })
+      ~method_:(Lazy.force rsa_384)
       ~epoch:3 reg
   in
   check Alcotest.int "all rotated over RSA" 2 report.Eric_fleet.Rotation.rotated;
@@ -992,6 +996,41 @@ let test_shard_migrate_v1_file () =
               check Alcotest.bool "legacy entry has no helper" true
                 (e.Eric_fleet.Registry.helper = None))))
 
+(* One RSA rotation over a fleet file and over its 4-shard migration.
+   The walk rotates each non-empty shard under the command's one source
+   key, and each device's handshake draws from its own stream, so both
+   layouts must end with identical entries. *)
+let test_shard_rsa_rotation_layout_independent () =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let reg = enroll_fleet ~start:9_700 4 in
+  let file = Filename.temp_file "eric_fleet" ".efrg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Eric_fleet.Registry.save reg file;
+      with_temp_dir (fun dir ->
+          let sharded = ok (Shard.migrate ~file ~dir ~shards:4) in
+          let method_ = Lazy.force rsa_384 in
+          let rotate store =
+            let reports =
+              ok
+                (Shard.walk store ~f:(fun r ->
+                     Ok (Eric_fleet.Rotation.rotate ~method_ ~epoch:2 r)))
+            in
+            List.iter
+              (fun r ->
+                check Alcotest.int "none failed" 0 (List.length r.Eric_fleet.Rotation.failed))
+              reports;
+            (List.length reports, by_id (Eric_fleet.Registry.entries (ok (Shard.to_registry store))))
+          in
+          let _, flat = rotate (ok (Shard.load file)) in
+          let walked, split = rotate sharded in
+          check Alcotest.bool "several shards rotated" true (walked > 1);
+          check Alcotest.int "every device at the new epoch" 4
+            (List.length (List.filter (fun e -> e.Eric_fleet.Registry.epoch = 2) flat));
+          check Alcotest.bool "identical entries in both layouts" true
+            (List.for_all2 entry_eq flat split)))
+
 let test_campaign_sharded_deploys_and_persists () =
   let reg = enroll_fleet ~start:9_600 5 in
   with_temp_dir (fun dir ->
@@ -1097,7 +1136,7 @@ let test_campaign_scheduler_determinism () =
     let engine = engine_config scheduler in
     let rotation =
       Eric_fleet.Rotation.rotate ~engine
-        ~method_:(Eric_fleet.Rotation.Rsa { bits = 384; seed = 404L })
+        ~method_:(Lazy.force rsa_384)
         ~epoch:2 reg
     in
     let reenroll = Eric_fleet.Reenroll.run ~engine reg in
@@ -1161,7 +1200,9 @@ let () =
           Alcotest.test_case "shard mapping golden" `Quick test_shard_mapping_golden;
           shard_equivalence_prop;
           Alcotest.test_case "migrate from file" `Quick test_shard_migrate_from_file;
-          Alcotest.test_case "migrate v1 file" `Quick test_shard_migrate_v1_file ] );
+          Alcotest.test_case "migrate v1 file" `Quick test_shard_migrate_v1_file;
+          Alcotest.test_case "RSA rotation independent of layout" `Slow
+            test_shard_rsa_rotation_layout_independent ] );
       ( "cache",
         [ Alcotest.test_case "memory tier" `Quick test_cache_memory_tier;
           Alcotest.test_case "disk tier" `Quick test_cache_disk_tier;

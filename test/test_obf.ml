@@ -126,6 +126,16 @@ let test_workload_outputs_unchanged () =
 (* Reproducibility: the seed contract                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Under `dune runtest` the cwd is _build/default/test, next to the
+   copied examples; a direct run starts at the workspace root. *)
+let example name =
+  match
+    List.find_opt Sys.file_exists
+      [ Filename.concat "../examples" name; Filename.concat "examples" name ]
+  with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> Alcotest.failf "example %s not found" name
+
 let test_reproducible_builds () =
   let w = List.hd Eric_workloads.Workloads.all in
   let a, _ = compile_obf w.source in
@@ -134,7 +144,22 @@ let test_reproducible_builds () =
     (Eric_rv.Program.text_bytes a = Eric_rv.Program.text_bytes b);
   let c, _ = compile_obf ~cfg:{ full_cfg with Obf.seed = 0xDEADBEEFL } w.source in
   check Alcotest.bool "different seed, different image" false
-    (Eric_rv.Program.text_bytes a = Eric_rv.Program.text_bytes c)
+    (Eric_rv.Program.text_bytes a = Eric_rv.Program.text_bytes c);
+  (* the whole wire package, as `eric build --obfuscate=... --obf-seed
+     0xE51C` writes it for device 1 *)
+  let cfg = { full_cfg with Obf.seed = 0xE51CL } in
+  let package () =
+    let key = Eric.Protocol.provision (Eric.Target.of_id 1L) in
+    match
+      Eric.Source.build ~options:(Obf.options cfg)
+        ~obf:(Obf.mask_of_passes cfg.Obf.passes, cfg.Obf.seed)
+        ~mode:Eric.Config.Full ~key (example "checksum.c")
+    with
+    | Ok b -> Eric.Package.serialize b.Eric.Source.package
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.bool "same seed, byte-identical package" true
+    (Bytes.equal (package ()) (package ()))
 
 let test_annot_counters_seeded_golden () =
   (* Golden provenance counters for one pinned (workload, seed): any

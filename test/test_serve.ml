@@ -345,6 +345,24 @@ let test_service_soft_error_storm () =
         (field "faults_injected");
       check Alcotest.int "JSON faults_undetected" 0 (field "faults_undetected"))
 
+(* The three gated scenarios at seed 7 over 10 simulated seconds,
+   flash-crowd at half rate: each must meet its scenario's SLO budgets. *)
+let test_service_gated_scenarios_pass_slo () =
+  List.iter
+    (fun (scenario, rate_scale) ->
+      let scenario = Scenario.with_duration scenario ~seconds:10.0 in
+      let scenario =
+        Option.fold ~none:scenario
+          ~some:(fun factor -> Scenario.with_rate_scale scenario ~factor)
+          rate_scale
+      in
+      let r = Service.run ~seed:7L ~scenario () in
+      if not (Slo.passed r) then
+        Alcotest.failf "%s blew its SLO:@.%a" scenario.Scenario.name Slo.pp r)
+    [ (Scenario.flash_crowd, Some 0.5);
+      (Scenario.rotation_storm, None);
+      (Scenario.soft_error_storm, None) ]
+
 let test_service_clean_scenarios_report_no_faults () =
   let r = run_short Scenario.steady 5L in
   check Alcotest.int "no faults injected" 0 r.Slo.faults_injected;
@@ -394,4 +412,6 @@ let () =
           Alcotest.test_case "soft-error storm detects and recovers" `Quick
             test_service_soft_error_storm;
           Alcotest.test_case "clean scenarios report no faults" `Quick
-            test_service_clean_scenarios_report_no_faults ] ) ]
+            test_service_clean_scenarios_report_no_faults;
+          Alcotest.test_case "gated scenarios pass their SLOs" `Quick
+            test_service_gated_scenarios_pass_slo ] ) ]

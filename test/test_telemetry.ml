@@ -103,6 +103,18 @@ let histogram_quantile_fuzz =
       let values = List.map Float.abs values in
       quantile_bound_ok values p)
 
+let histogram_quantiles_in_range =
+  qtest ~count:200 "min <= p50 <= p90 <= p99 <= max"
+    QCheck.(list_of_size Gen.(1 -- 200) (float_bound_exclusive 1e12))
+    (fun values ->
+      let h = Histogram.create () in
+      List.iter (fun v -> Histogram.observe h (Float.abs v)) values;
+      let s = Histogram.summarize h in
+      s.Histogram.s_min <= s.Histogram.s_p50
+      && s.Histogram.s_p50 <= s.Histogram.s_p90
+      && s.Histogram.s_p90 <= s.Histogram.s_p99
+      && s.Histogram.s_p99 <= s.Histogram.s_max)
+
 (* Deterministic exact-bucket cases of the quantile contract, pinning
    behaviour the fuzz test only samples: single-bucket populations are
    exact up to the bucket edge, the overflow bucket reports the observed
@@ -128,7 +140,16 @@ let test_histogram_quantile_exact_buckets () =
   (* overflow bucket: reports the exact observed maximum *)
   let h = Histogram.create () in
   Histogram.observe h 1e300;
-  check (Alcotest.float 0.0) "overflow reports max" 1e300 (Histogram.quantile h 1.0)
+  check (Alcotest.float 0.0) "overflow reports max" 1e300 (Histogram.quantile h 1.0);
+  (* one observation: every quantile is that observation, not its
+     bucket's upper edge (3256 sits in the bucket ending at 3444.31) *)
+  let h = Histogram.create () in
+  Histogram.observe h 3256.0;
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.0) (Printf.sprintf "single observation p%g" p) 3256.0
+        (Histogram.quantile h p))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
 
 let test_registry_quantile_accessor () =
   with_fresh @@ fun () ->
@@ -343,7 +364,8 @@ let () =
           Alcotest.test_case "registry quantile accessor" `Quick
             test_registry_quantile_accessor;
           Alcotest.test_case "summary" `Quick test_histogram_summary;
-          Alcotest.test_case "merge" `Quick test_histogram_merge ] );
+          Alcotest.test_case "merge" `Quick test_histogram_merge;
+          histogram_quantiles_in_range ] );
       ( "registry",
         [ Alcotest.test_case "counters and families" `Quick test_registry_counters_and_families;
           Alcotest.test_case "label order" `Quick test_registry_label_order_irrelevant;

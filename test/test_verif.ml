@@ -255,42 +255,49 @@ let inject_source =
    int main() { int i; int acc; acc = g[0]; for (i = 0; i < 8; i = i + 1) { acc = acc + i; } \
    print_str(\"acc=\"); println_int(acc + g[1]); return acc & 255; }"
 
-let test_inject_wire_all_detected () =
-  let config =
-    { Eric_verif.Inject.default_config with Eric_verif.Inject.count = 200 }
-  in
-  match Eric_verif.Inject.campaign ~config inject_source with
+(* What `eric verif inject` runs when given no source: the built-in
+   workload on device 1.  Each injection test checks it next to its own
+   input. *)
+let cli_config = { Eric_verif.Inject.default_config with Eric_verif.Inject.device_id = 1L }
+
+let campaign_exn ~config source =
+  match Eric_verif.Inject.campaign ~config source with
   | Error msg -> Alcotest.fail msg
-  | Ok report ->
-    check Alcotest.int "no silent corruption in signed regions" 0
-      (Eric_verif.Inject.silent_total report);
-    check (Alcotest.float 0.0001) "full detection coverage" 1.0
-      (Eric_verif.Inject.detection_coverage report);
-    check Alcotest.int "one row per wire region"
-      (List.length Eric_verif.Inject.wire_regions)
-      (List.length report.Eric_verif.Inject.rows);
-    List.iter
-      (fun row ->
-        check Alcotest.bool "every region got injections" true
-          (row.Eric_verif.Inject.injections > 0);
-        check Alcotest.int "nothing masked on the wire" 0 row.Eric_verif.Inject.masked)
-      report.Eric_verif.Inject.rows
+  | Ok report -> report
+
+let test_inject_wire_all_detected () =
+  List.iter
+    (fun (source, config) ->
+      let report = campaign_exn ~config source in
+      check Alcotest.int "no silent corruption in signed regions" 0
+        (Eric_verif.Inject.silent_total report);
+      check (Alcotest.float 0.0001) "full detection coverage" 1.0
+        (Eric_verif.Inject.detection_coverage report);
+      check Alcotest.int "one row per wire region"
+        (List.length Eric_verif.Inject.wire_regions)
+        (List.length report.Eric_verif.Inject.rows);
+      List.iter
+        (fun row ->
+          check Alcotest.bool "every region got injections" true
+            (row.Eric_verif.Inject.injections > 0);
+          check Alcotest.int "nothing masked on the wire" 0 row.Eric_verif.Inject.masked)
+        report.Eric_verif.Inject.rows)
+    [ (inject_source, { Eric_verif.Inject.default_config with Eric_verif.Inject.count = 200 });
+      (Eric_verif.Inject.default_source, { cli_config with Eric_verif.Inject.count = 800 }) ]
 
 let test_inject_key_never_validates () =
-  let config =
-    { Eric_verif.Inject.default_config with
-      Eric_verif.Inject.count = 100;
-      regions = [ Eric_verif.Inject.Key ] }
-  in
-  match Eric_verif.Inject.campaign ~config inject_source with
-  | Error msg -> Alcotest.fail msg
-  | Ok report ->
-    check Alcotest.int "wrong key never validates" 0 (Eric_verif.Inject.silent_total report);
-    List.iter
-      (fun row ->
-        check Alcotest.int "all detected" row.Eric_verif.Inject.injections
-          row.Eric_verif.Inject.detected)
-      report.Eric_verif.Inject.rows
+  List.iter
+    (fun (source, config) ->
+      let config = { config with Eric_verif.Inject.regions = [ Eric_verif.Inject.Key ] } in
+      let report = campaign_exn ~config source in
+      check Alcotest.int "wrong key never validates" 0 (Eric_verif.Inject.silent_total report);
+      List.iter
+        (fun row ->
+          check Alcotest.int "all detected" row.Eric_verif.Inject.injections
+            row.Eric_verif.Inject.detected)
+        report.Eric_verif.Inject.rows)
+    [ (inject_source, { Eric_verif.Inject.default_config with Eric_verif.Inject.count = 100 });
+      (Eric_verif.Inject.default_source, { cli_config with Eric_verif.Inject.count = 200 }) ]
 
 let test_inject_empty_region_is_error () =
   (* full encryption has no map: requesting Map must be a loud error,
@@ -305,34 +312,34 @@ let test_inject_empty_region_is_error () =
     (Result.is_error (Eric_verif.Inject.campaign ~config inject_source))
 
 let test_inject_dram_guard_coverage () =
-  (* the tentpole claim at test scale: an unguarded Dram campaign leaks
-     silent corruptions, the same flips under fetch+scrub do not *)
-  let base =
-    { Eric_verif.Inject.default_config with
-      Eric_verif.Inject.count = 120;
-      seed = 0x5C12BL;
-      regions = [ Eric_verif.Inject.Dram ] }
-  in
-  let run config =
-    match Eric_verif.Inject.campaign ~config inject_source with
-    | Error msg -> Alcotest.fail msg
-    | Ok report -> report
-  in
-  let off = run base in
-  let guarded =
-    run
-      { base with
-        Eric_verif.Inject.guard =
-          Eric_hw.Guard.fetch_and_scrub ~interval_cycles:256 }
-  in
-  check Alcotest.bool "unguarded DRAM leaks silent corruption" true
-    (Eric_verif.Inject.silent_total off > 0);
-  check Alcotest.bool "guarded coverage >= 0.99" true
-    (Eric_verif.Inject.detection_coverage guarded >= 0.99);
-  check Alcotest.bool "guard work is billed" true
-    (guarded.Eric_verif.Inject.dram_overhead > 0.0);
-  check (Alcotest.float 1e-9) "no guard, no billed overhead" 0.0
-    off.Eric_verif.Inject.dram_overhead
+  (* the guard's claim: an unguarded Dram campaign leaks silent
+     corruptions and stays under the 99% coverage gate, the same flips
+     under fetch+scrub pass it *)
+  List.iter
+    (fun (source, base) ->
+      let base = { base with Eric_verif.Inject.regions = [ Eric_verif.Inject.Dram ] } in
+      let off = campaign_exn ~config:base source in
+      let guarded =
+        campaign_exn
+          ~config:
+            { base with
+              Eric_verif.Inject.guard = Eric_hw.Guard.fetch_and_scrub ~interval_cycles:256 }
+          source
+      in
+      check Alcotest.bool "unguarded DRAM leaks silent corruption" true
+        (Eric_verif.Inject.silent_total off > 0);
+      check Alcotest.bool "unguarded coverage < 0.99" true
+        (Eric_verif.Inject.detection_coverage off < 0.99);
+      check Alcotest.bool "guarded coverage >= 0.99" true
+        (Eric_verif.Inject.detection_coverage guarded >= 0.99);
+      check Alcotest.bool "guard work is billed" true
+        (guarded.Eric_verif.Inject.dram_overhead > 0.0);
+      check (Alcotest.float 1e-9) "no guard, no billed overhead" 0.0
+        off.Eric_verif.Inject.dram_overhead)
+    [ ( inject_source,
+        { Eric_verif.Inject.default_config with Eric_verif.Inject.count = 120; seed = 0x5C12BL } );
+      ( Eric_verif.Inject.default_source,
+        { cli_config with Eric_verif.Inject.count = 400; seed = 0x1A7EC7L } ) ]
 
 let test_inject_escape_replay () =
   (* an escape carries (seed, iter): re-running the campaign with
