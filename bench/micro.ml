@@ -36,7 +36,7 @@ let tests =
         (Staged.stage (fun () ->
              Eric_crypto.Keystream.take (Eric_crypto.Keystream.create ~key) 4096));
       Test.make ~name:"xor-cipher-4KiB"
-        (Staged.stage (fun () -> Eric_crypto.Xor_cipher.apply_bytes ~key buf_4k));
+        (Staged.stage (fun () -> Eric_crypto.Keystream.xor ~key buf_4k));
       Test.make ~name:"hmac-derive" (Staged.stage (fun () ->
           Eric.Kmu.derive ~puf_key:key Eric.Kmu.default_context));
       Test.make ~name:"decode-word" (Staged.stage (fun () -> Eric_rv.Decode.decode word));

@@ -313,8 +313,9 @@ let lint_image ?max_leakage ?attacker ~mode image =
   (mc @ leak @ struct_diags, report, structure)
 
 let lint_source ?max_leakage ?attacker ?obf ~mode ~options source =
-  (* Compile without the driver's verify-abort so IR findings are listed
-     rather than turned into an internal error, then verify the image. *)
+  (* The driver rejects IR with error findings, so the IR it returns
+     carries at most warnings and notes: list them, then build the image
+     from that same IR and verify it. *)
   let hook = Option.map Eric_obf.Obf.hook obf in
   let options =
     match hook with
@@ -322,32 +323,27 @@ let lint_source ?max_leakage ?attacker ?obf ~mode ~options source =
     | Some (t, _) -> { options with Eric_cc.Driver.transform = Some t }
   in
   let ( let* ) = Result.bind in
-  let* ir =
-    Eric_cc.Driver.compile_to_ir ~options:{ options with Eric_cc.Driver.verify_ir = false } source
-  in
+  let* ir = Eric_cc.Driver.compile_to_ir ~options source in
   let ir_diags = Eric_cc.Ir_verify.verify ir in
-  match Eric_cc.Ir_verify.errors ir_diags with
-  | _ :: _ -> Ok (ir_diags, None, None)
-  | [] -> (
-    let* image = Eric_cc.Driver.compile ~options source in
-    match hook with
-    | None ->
-      let mc_leak, report, structure = lint_image ?max_leakage ?attacker ~mode image in
-      Ok (ir_diags @ mc_leak, Some report, structure)
-    | Some (_, annot) ->
-      (* Obfuscated build: the attacker is graded Jaccard-style against
-         the decoy-subtracted ground truth, so swallowed decoys *lower*
-         the score and --max-leakage gates the residual leakage. *)
-      let mc_leak, report, _ = lint_image ?max_leakage ~mode image in
-      let structure =
-        Option.map (fun a -> Eric_obf.Obf.grade ~annot ~attacker:a image) attacker
-      in
-      let struct_diags =
-        match structure with
-        | Some s -> Eric_lint.Leakage.structure_diags ?max_leakage s
-        | None -> []
-      in
-      Ok (ir_diags @ mc_leak @ struct_diags, Some report, structure))
+  let* image = Eric_cc.Driver.compile_ir ~options ir in
+  match hook with
+  | None ->
+    let mc_leak, report, structure = lint_image ?max_leakage ?attacker ~mode image in
+    Ok (ir_diags @ mc_leak, report, structure)
+  | Some (_, annot) ->
+    (* Obfuscated build: the attacker is graded Jaccard-style against
+       the decoy-subtracted ground truth, so swallowed decoys *lower*
+       the score and --max-leakage gates the residual leakage. *)
+    let mc_leak, report, _ = lint_image ?max_leakage ~mode image in
+    let structure =
+      Option.map (fun a -> Eric_obf.Obf.grade ~annot ~attacker:a image) attacker
+    in
+    let struct_diags =
+      match structure with
+      | Some s -> Eric_lint.Leakage.structure_diags ?max_leakage s
+      | None -> []
+    in
+    Ok (ir_diags @ mc_leak @ struct_diags, report, structure)
 
 let pp_leakage_report fmt (r : Eric_lint.Leakage.report) =
   Format.fprintf fmt
@@ -390,9 +386,7 @@ let lint_cmd =
     let lint_one label (diags, report, structure) =
       if workloads <> [] || path = None then Format.printf "== %s ==@." label;
       let diags = render_diags ~format ~checks diags in
-      (match (report, format) with
-      | Some r, Eric_lint.Engine.Table -> pp_leakage_report Format.std_formatter r
-      | _ -> ());
+      if format = Eric_lint.Engine.Table then pp_leakage_report Format.std_formatter report;
       (match (structure, format) with
       | Some s, Eric_lint.Engine.Table -> pp_structure Format.std_formatter s
       | Some s, Eric_lint.Engine.Jsonl ->
@@ -426,7 +420,7 @@ let lint_cmd =
           | Error _ -> (
             match Eric_rv.Program.of_binary (Bytes.of_string data) with
             | Ok image ->
-              Ok (lint_image ?max_leakage ?attacker ~mode image |> fun (d, r, s) -> (d, Some r, s))
+              Ok (lint_image ?max_leakage ?attacker ~mode image)
             | Error _ -> lint_source ?max_leakage ?attacker ?obf ~mode ~options data)
         in
         [ (path, result) ]

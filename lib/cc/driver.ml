@@ -6,17 +6,10 @@ type transform = {
 type options = {
   optimize : bool;
   compress : bool;
-  include_prelude : bool;
-  verify_ir : bool;
   transform : transform option;
 }
 
-let default_options =
-  { optimize = true;
-    compress = true;
-    include_prelude = true;
-    verify_ir = true;
-    transform = None }
+let default_options = { optimize = true; compress = true; transform = None }
 
 let prelude =
   {|
@@ -115,66 +108,68 @@ let fail_on_errors ~stage diags =
   | [] -> ()
   | errs -> raise (Ir_invalid (stage, errs))
 
-let ir_invalid_message stage errs =
-  Format.asprintf "internal error: IR verification failed after %s:@\n%a" stage
-    (Format.pp_print_list ~pp_sep:Format.pp_print_newline Eric_lint.Diag.pp)
-    errs
+let verified f =
+  try Ok (f ())
+  with Ir_invalid (stage, errs) ->
+    Error
+      (Format.asprintf "internal error: IR verification failed after %s:@\n%a" stage
+         (Format.pp_print_list ~pp_sep:Format.pp_print_newline Eric_lint.Diag.pp)
+         errs)
+
+(* Transforms (e.g. the lib/obf obfuscation pipeline) run after the
+   optimiser has converged and are never followed by another Opt.run,
+   so opaque predicates and encoded arithmetic survive to codegen. *)
+let apply_transform transform ir =
+  match transform with
+  | None -> Ok ir
+  | Some t ->
+    verified (fun () ->
+        let ir = t.t_apply ir in
+        fail_on_errors ~stage:("transform " ^ t.t_tag) (Ir_verify.verify ir);
+        ir)
 
 let compile_to_ir ?(options = default_options) source =
-  let full = if options.include_prelude then prelude ^ source else source in
   let ( let* ) = Result.bind in
-  let* ast = Parser.parse full in
+  let* ast = Parser.parse (prelude ^ source) in
   let* tast = span "cc.typecheck" (fun () -> Typecheck.check ast) in
-  try
-    let ir = span "cc.lower" (fun () -> Lower.lower tast) in
-    if options.verify_ir then fail_on_errors ~stage:"lowering" (Ir_verify.verify ir);
-    if options.optimize then begin
-      let check =
-        if options.verify_ir then fun f ->
-          fail_on_errors ~stage:"optimisation" (Ir_verify.verify_func ir f)
-        else fun _ -> ()
-      in
-      span "cc.opt" (fun () -> Opt.run ~check ir);
-      if options.verify_ir then fail_on_errors ~stage:"optimisation" (Ir_verify.verify ir)
-    end;
-    (* Transforms (e.g. the lib/obf obfuscation pipeline) run after the
-       optimiser has converged and are never followed by another Opt.run,
-       so opaque predicates and encoded arithmetic survive to codegen. *)
-    let ir =
-      match options.transform with
-      | None -> ir
-      | Some t ->
-        let ir = t.t_apply ir in
-        if options.verify_ir then
-          fail_on_errors ~stage:("transform " ^ t.t_tag) (Ir_verify.verify ir);
-        ir
-    in
-    Ok ir
-  with Ir_invalid (stage, errs) -> Error (ir_invalid_message stage errs)
+  let* ir =
+    verified (fun () ->
+        let ir = span "cc.lower" (fun () -> Lower.lower tast) in
+        fail_on_errors ~stage:"lowering" (Ir_verify.verify ir);
+        (* Opt.run checks each function after every iteration, the last
+           one included, and every pass rewrites only the function it is
+           given: the converged program needs no second check. *)
+        if options.optimize then
+          span "cc.opt" (fun () ->
+              Opt.run
+                ~check:(fun f ->
+                  fail_on_errors ~stage:"optimisation" (Ir_verify.verify_func ir f))
+                ir);
+        ir)
+  in
+  apply_transform options.transform ir
 
+(* Linker-style GC: functions main never reaches (e.g. unused
+   runtime-prelude helpers) are dropped before codegen. *)
 let gen_input ir =
-  let ir = { ir with Ir.p_funcs = Opt.reachable_functions ir ~entry:"main" } in
-  span "cc.codegen" (fun () -> Codegen.gen_program ir)
+  if not (List.exists (fun f -> f.Ir.f_name = "main") ir.Ir.p_funcs) then
+    Error "program has no main function"
+  else
+    let ir = { ir with Ir.p_funcs = Opt.reachable_functions ir ~entry:"main" } in
+    Ok (span "cc.codegen" (fun () -> Codegen.gen_program ir))
+
+let compile_ir ?(options = default_options) ir =
+  Result.bind (gen_input ir) (fun input ->
+      span "cc.assemble" (fun () -> Eric_rv.Assemble.assemble ~compress:options.compress input))
+
+let compile ?(options = default_options) source =
+  span "cc.compile" (fun () -> Result.bind (compile_to_ir ~options source) (compile_ir ~options))
 
 let compile_to_assembly ?(options = default_options) source =
   let ( let* ) = Result.bind in
   let* ir = compile_to_ir ~options source in
-  if not (List.exists (fun f -> f.Ir.f_name = "main") ir.Ir.p_funcs) then
-    Error "program has no main function"
-  else Ok (Format.asprintf "%a" Eric_rv.Assemble.pp_input (gen_input ir))
-
-let compile ?(options = default_options) source =
-  span "cc.compile" (fun () ->
-      let ( let* ) = Result.bind in
-      let* ir = compile_to_ir ~options source in
-      if not (List.exists (fun f -> f.Ir.f_name = "main") ir.Ir.p_funcs) then
-        Error "program has no main function"
-      else
-        (* Linker-style GC happens in gen_input: functions main never reaches
-           (e.g. unused runtime-prelude helpers) are dropped. *)
-        let input = gen_input ir in
-        span "cc.assemble" (fun () ->
-            Eric_rv.Assemble.assemble ~compress:options.compress input))
+  let* input = gen_input ir in
+  Ok (Format.asprintf "%a" Eric_rv.Assemble.pp_input input)
 
 let compile_exn ?options source =
   match compile ?options source with

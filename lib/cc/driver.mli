@@ -18,33 +18,40 @@ type transform = {
 }
 (** A post-optimisation IR-to-IR rewrite hook (the lib/obf obfuscation
     pipeline plugs in here).  The driver stays ignorant of what the
-    transform does; it only re-verifies the result when [verify_ir]. *)
+    transform does; it only verifies the result. *)
 
 type options = {
   optimize : bool;  (** run the IR pass pipeline (default true) *)
   compress : bool;  (** RVC compression (default true, as RV64GC implies) *)
-  include_prelude : bool;  (** default true *)
-  verify_ir : bool;
-      (** run {!Ir_verify} after lowering, after each optimisation-pass
-          iteration, and after the pipeline converges; error-severity
-          findings abort the compilation as an internal-error [Error]
-          (default true — verification is cheap relative to parsing) *)
   transform : transform option;  (** default [None] *)
 }
+(** Verification is not optional: {!Ir_verify} runs after lowering, after
+    each optimisation iteration of each function and after the transform,
+    and an error finding fails the compile, naming its stage and check. *)
 
 val default_options : options
 
-val prelude : string
-(** The runtime's MiniC source. *)
-
 val compile : ?options:options -> string -> (Eric_rv.Program.t, string) result
-(** Source to image; errors are "line:col: message" diagnostics from the
-    lexer/parser/typechecker, or assembler errors. *)
+(** Source to image: {!compile_to_ir}, then {!compile_ir}.  Errors are
+    "line:col: message" diagnostics from the lexer/parser/typechecker,
+    verifier rejections, or assembler errors. *)
 
 val compile_exn : ?options:options -> string -> Eric_rv.Program.t
 
 val compile_to_ir : ?options:options -> string -> (Ir.program, string) result
-(** Stop after lowering + optimisation; used by IR-level tests. *)
+(** The front end: prelude and source lexed, parsed, typechecked,
+    lowered, optimised (when [options.optimize]) and verified, then
+    [options.transform] through {!apply_transform}. *)
+
+val apply_transform : transform option -> Ir.program -> (Ir.program, string) result
+(** The front end's last step alone, for IR that {!compile_to_ir}
+    returned without a transform: apply it, if any, and verify the result.
+    The oracle uses it to interpret the IR before the transform. *)
+
+val compile_ir : ?options:options -> Ir.program -> (Eric_rv.Program.t, string) result
+(** The back end: the [main] check, linker-style GC of the functions
+    [main] never reaches, codegen and assembly.  Reads only
+    [options.compress]. *)
 
 val compile_to_assembly : ?options:options -> string -> (string, string) result
 (** The compiler's -S mode: assembly text that {!Eric_rv.Asm.assemble}

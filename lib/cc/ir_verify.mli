@@ -1,5 +1,6 @@
-(** IR well-formedness verifier, run by {!Driver} after lowering and after
-    each optimisation-pass iteration (the [verify_ir] option).
+(** IR well-formedness verifier, run by {!Driver} on every compile: after
+    lowering, after each optimisation-pass iteration of each function,
+    and after an IR transform.
 
     Checks, with their [Eric_lint] check ids:
 

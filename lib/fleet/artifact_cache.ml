@@ -43,10 +43,14 @@ let mode_fingerprint = function
   | Eric.Config.Field (Eric.Config.Control_flow, sel) ->
     "field-cf:" ^ selection_fingerprint sel
 
+(* The driver always prepends the prelude and always verifies, but the
+   key keeps its v1 spelling with those two former options written as
+   their fixed values: disk caches written before they were removed, and
+   the digests in [--report-out] and [fleet campaign] output, stay
+   valid. *)
 let options_fingerprint (o : Eric_cc.Driver.options) =
-  Printf.sprintf "optimize=%b,compress=%b,prelude=%b,verify=%b,transform=%s"
-    o.Eric_cc.Driver.optimize o.Eric_cc.Driver.compress o.Eric_cc.Driver.include_prelude
-    o.Eric_cc.Driver.verify_ir
+  Printf.sprintf "optimize=%b,compress=%b,prelude=true,verify=true,transform=%s"
+    o.Eric_cc.Driver.optimize o.Eric_cc.Driver.compress
     (match o.Eric_cc.Driver.transform with
     | None -> "none"
     | Some t -> t.Eric_cc.Driver.t_tag)

@@ -56,14 +56,18 @@ let of_result (r : Eric_sim.Soc.result) =
 let run ?(fuel = default_fuel) ?(mode = Eric.Config.Full) ?(device_id = 0xE51CL)
     ?(options = Eric_cc.Driver.default_options) source =
   let ( let* ) = Result.bind in
-  (* The interpreter path strips any IR transform: it executes the
-     pristine program, while the machine paths run the transformed one.
-     A transform that changes observable behaviour therefore shows up
-     as an interp/plain divergence — this is how obfuscation passes are
-     proven semantics-preserving. *)
-  let interp_options = { options with Eric_cc.Driver.transform = None } in
-  let* ir = Eric_cc.Driver.compile_to_ir ~options:interp_options source in
+  (* One front-end run feeds all three paths.  The interpreter executes
+     the pristine program, before any transform touches it, while the
+     machine paths run the transformed one.  A transform that changes
+     observable behaviour therefore shows up as an interp/plain
+     divergence — this is how obfuscation passes are proven
+     semantics-preserving.  Transforms mutate functions in place, but the
+     interpreter only mutates its own state, so no copy is needed. *)
+  let* ir =
+    Eric_cc.Driver.compile_to_ir ~options:{ options with Eric_cc.Driver.transform = None } source
+  in
   let interp =
+    Eric_telemetry.Span.with_ ~cat:"verif" ~name:"verif.interp" @@ fun () ->
     match Eric_cc.Ir_interp.run ~max_steps:fuel ir with
     | outcome ->
       Exit
@@ -71,11 +75,15 @@ let run ?(fuel = default_fuel) ?(mode = Eric.Config.Full) ?(device_id = 0xE51CL)
     | exception Eric_cc.Ir_interp.Runtime_error "interpreter out of fuel" -> Exhausted
     | exception Eric_cc.Ir_interp.Runtime_error msg -> Trap msg
   in
+  let* ir = Eric_cc.Driver.apply_transform options.Eric_cc.Driver.transform ir in
+  let* image = Eric_cc.Driver.compile_ir ~options ir in
   let fuel = fuel * soc_fuel_factor in
-  let* image = Eric_cc.Driver.compile ~options source in
   let plain = of_result (Eric_sim.Soc.run_program ~fuel image) in
-  let target = Eric.Target.of_id device_id in
-  let key = Eric.Protocol.provision target in
+  let target, key =
+    Eric_telemetry.Span.with_ ~cat:"verif" ~name:"verif.target_setup" @@ fun () ->
+    let target = Eric.Target.of_id device_id in
+    (target, Eric.Protocol.provision target)
+  in
   let build = Eric.Source.package_image ~mode ~key image in
   let wire = Eric.Package.serialize build.Eric.Source.package in
   let encrypted =

@@ -3,8 +3,8 @@
 
     - {b interp}: lower to IR and run {!Eric_cc.Ir_interp} — shares
       nothing with the backend below the IR;
-    - {b plain}: full compilation (codegen, regalloc, RVC, layout) and a
-      plain load onto the simulated SoC;
+    - {b plain}: the back end on the same IR (codegen, regalloc, RVC,
+      layout) and a plain load onto the simulated SoC;
     - {b encrypted}: the whole ERIC path — sign, encrypt, serialize,
       parse, HDE decrypt, signature validation — then the same SoC.
 
@@ -63,8 +63,9 @@ val run :
     generator or compiler-frontend bug and is treated as a finding by the
     fuzz loop, not silently skipped.
 
-    [options] applies to the machine paths; the interpreter path runs
-    with [options.transform] stripped, so an IR transform (e.g. an
+    [options] applies to the machine paths.  The interpreter runs the IR
+    before [options.transform] is applied, so an IR transform (e.g. an
     {!Eric_obf.Obf} pass set) that alters observable behaviour registers
     as an interp/plain divergence rather than being compared against
-    itself. *)
+    itself.  The interpreter and the target set-up run under the
+    [verif.interp] and [verif.target_setup] telemetry spans. *)

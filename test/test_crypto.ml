@@ -1,5 +1,5 @@
 (* Tests for eric_crypto: SHA-256 against FIPS/NIST vectors, HMAC against
-   RFC 4231, keystream/XOR-cipher properties. *)
+   RFC 4231, keystream and keystream-XOR properties. *)
 
 open Eric_crypto
 
@@ -337,45 +337,6 @@ let keystream_xor_involution =
       Bytes.equal data (Keystream.xor ~key ~offset once))
 
 (* ------------------------------------------------------------------ *)
-(* Xor_cipher                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_word_ops_match_bytes () =
-  (* Word-level application must agree with byte-level application at the
-     same offsets. *)
-  let data = Bytes.init 64 (fun i -> Char.chr ((i * 37) land 0xFF)) in
-  let whole = Xor_cipher.apply_bytes ~key data in
-  for off = 0 to 15 do
-    let w = Eric_util.Bytesx.get_u32 data (4 * off) in
-    let expected = Eric_util.Bytesx.get_u32 whole (4 * off) in
-    check Alcotest.int32
-      (Printf.sprintf "word at %d" (4 * off))
-      expected
-      (Xor_cipher.apply_word32 ~key ~offset:(4 * off) w)
-  done;
-  for off = 0 to 31 do
-    let p = Eric_util.Bytesx.get_u16 data (2 * off) in
-    let expected = Eric_util.Bytesx.get_u16 whole (2 * off) in
-    check Alcotest.int
-      (Printf.sprintf "half at %d" (2 * off))
-      expected
-      (Xor_cipher.apply_word16 ~key ~offset:(2 * off) p)
-  done
-
-let field_mask_property =
-  qtest "field apply touches only masked bits" QCheck.(pair int32 int32) (fun (w, mask) ->
-      let enc = Xor_cipher.apply_field32 ~key ~offset:12 ~mask w in
-      Int32.logand (Int32.logxor enc w) (Int32.lognot mask) = 0l
-      && Xor_cipher.apply_field32 ~key ~offset:12 ~mask enc = w)
-
-let field16_mask_property =
-  qtest "field16 apply touches only masked bits" QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFFFF))
-    (fun (p, mask) ->
-      let enc = Xor_cipher.apply_field16 ~key ~offset:6 ~mask p in
-      enc lxor p land lnot mask land 0xFFFF = 0
-      && Xor_cipher.apply_field16 ~key ~offset:6 ~mask enc = p)
-
-(* ------------------------------------------------------------------ *)
 (* Constant-time compare                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -575,10 +536,6 @@ let () =
           Alcotest.test_case "blocks allocate nothing" `Quick test_keystream_blocks_allocate_nothing;
           keystream_matches_reference;
           keystream_xor_involution ] );
-      ( "xor_cipher",
-        [ Alcotest.test_case "word ops match bytes" `Quick test_word_ops_match_bytes;
-          field_mask_property;
-          field16_mask_property ] );
       ("ct", [ Alcotest.test_case "basics" `Quick test_ct_equal; ct_matches_structural ]);
       ( "bignum",
         [ bignum_int_ops;

@@ -233,12 +233,36 @@ let test_ir_slot_and_call_defects () =
         Eric_cc.Ir_verify.verify_func (program_of [ f ]) f))
 
 let test_driver_rejects_broken_ir () =
-  (* A verify_ir compile of source whose IR the verifier rejects is not
-     constructible from legal MiniC, so break the IR after lowering and
-     check the driver-style gate directly. *)
   let f = func_of ~temps:1 [ block 0 [] (Ir.Jmp 9) ] in
   let errs = Eric_cc.Ir_verify.errors (Eric_cc.Ir_verify.verify (program_of [ f ])) in
-  check Alcotest.bool "errors surfaced" true (errs <> [])
+  check Alcotest.bool "errors surfaced" true (errs <> []);
+  (* Legal MiniC never lowers to such IR, but a transform can leave it:
+     the driver must refuse it, naming the stage and the check. *)
+  let break_main =
+    { Eric_cc.Driver.t_tag = "break-main";
+      t_apply =
+        (fun p ->
+          List.iter
+            (fun f -> if f.Ir.f_name = "main" then f.Ir.f_blocks <- [ block 0 [] (Ir.Jmp 9) ])
+            p.Ir.p_funcs;
+          p) }
+  in
+  let options = { Eric_cc.Driver.default_options with transform = Some break_main } in
+  let mentions s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let rejected what = function
+    | Ok () -> Alcotest.failf "%s accepted a jump to a missing label" what
+    | Error msg ->
+      List.iter
+        (fun sub -> check Alcotest.bool (what ^ " names " ^ sub) true (mentions msg sub))
+        [ "transform break-main"; "ir.cfg.unresolved-label" ]
+  in
+  let source = "int main() { return 0; }" in
+  rejected "compile_to_ir" (Result.map ignore (Eric_cc.Driver.compile_to_ir ~options source));
+  rejected "compile" (Result.map ignore (Eric_cc.Driver.compile ~options source))
 
 (* Satellite (a): every workload flows through the driver with the IR
    verifier enabled after lowering and after each opt-pass iteration

@@ -190,13 +190,12 @@ let test_verifiers_clean () =
     (fun (w : Eric_workloads.Workloads.t) ->
       let cfg = full_cfg in
       let t, _ = Obf.hook cfg in
-      let options = { Driver.default_options with Driver.transform = Some t; verify_ir = false } in
-      (match Driver.compile_to_ir ~options w.source with
-      | Error e -> Alcotest.failf "%s: %s" w.name e
-      | Ok ir ->
-        check Alcotest.int (w.name ^ ": ir_verify error-clean") 0
-          (List.length (Eric_cc.Ir_verify.errors (Eric_cc.Ir_verify.verify ir))));
-      let image = Driver.compile_exn ~options:{ options with Driver.verify_ir = true } w.source in
+      let options = { Driver.default_options with Driver.transform = Some t } in
+      let ok = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" w.name e in
+      let ir = ok (Driver.compile_to_ir ~options w.source) in
+      check Alcotest.int (w.name ^ ": ir_verify error-clean") 0
+        (List.length (Eric_cc.Ir_verify.errors (Eric_cc.Ir_verify.verify ir)));
+      let image = ok (Driver.compile_ir ~options ir) in
       check Alcotest.int (w.name ^ ": mc_verify clean") 0
         (List.length (Eric_lint.Mc_verify.verify image)))
     Eric_workloads.Workloads.all

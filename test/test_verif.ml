@@ -144,6 +144,54 @@ let test_oracle_fixed_program () =
       check Alcotest.string "output" "42\n" output
     | b -> Alcotest.failf "unexpected behaviour %a" Eric_verif.Oracle.pp_behaviour b)
 
+let test_oracle_interprets_untransformed_ir () =
+  (* A transform that changes main's exit code by rewriting its blocks in
+     place: only the machine paths may see it. *)
+  let bump =
+    { Eric_cc.Driver.t_tag = "bump-exit";
+      t_apply =
+        (fun p ->
+          List.iter
+            (fun (f : Eric_cc.Ir.func) ->
+              if f.Eric_cc.Ir.f_name = "main" then
+                List.iter
+                  (fun (b : Eric_cc.Ir.block) ->
+                    match b.Eric_cc.Ir.term with
+                    | Eric_cc.Ir.Ret (Some _) ->
+                      b.Eric_cc.Ir.term <- Eric_cc.Ir.Ret (Some (Eric_cc.Ir.Imm 6L))
+                    | _ -> ())
+                  f.Eric_cc.Ir.f_blocks)
+            p.Eric_cc.Ir.p_funcs;
+          p) }
+  in
+  let options = { Eric_cc.Driver.default_options with transform = Some bump } in
+  match Eric_verif.Oracle.run ~options "int main() { println_int(7); return 5; }" with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+    let open Eric_verif.Oracle in
+    check Alcotest.bool "interp runs the untransformed program" true
+      (behaviour_equal r.interp (Exit { code = 5; output = "7\n" }));
+    check Alcotest.bool "plain runs the transformed program" true
+      (behaviour_equal r.plain (Exit { code = 6; output = "7\n" }));
+    check Alcotest.bool "interp differs from plain" false (behaviour_equal r.interp r.plain);
+    check Alcotest.bool "plain equals encrypted" true (behaviour_equal r.plain r.encrypted)
+
+let test_oracle_compiles_once () =
+  let module T = Eric_telemetry in
+  T.Span.reset ();
+  let result =
+    T.Control.with_enabled (fun () -> Eric_verif.Oracle.run "int main() { return 3; }")
+  in
+  let spans = T.Span.completed () in
+  T.Span.reset ();
+  check Alcotest.bool "agrees" true
+    (match result with Ok r -> Eric_verif.Oracle.agree r | Error _ -> false);
+  List.iter
+    (fun name ->
+      check Alcotest.int (name ^ " spans") 1
+        (List.length (List.filter (fun e -> e.T.Span.name = name) spans)))
+    [ "cc.lex"; "cc.lower"; "lint.ir_verify"; "verif.interp"; "verif.target_setup" ]
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -479,7 +527,10 @@ let () =
           Alcotest.test_case "agreement in partial mode" `Slow
             test_oracle_agreement_partial_mode;
           Alcotest.test_case "behaviour classes" `Quick test_oracle_behaviour_classes;
-          Alcotest.test_case "fixed program" `Quick test_oracle_fixed_program ] );
+          Alcotest.test_case "fixed program" `Quick test_oracle_fixed_program;
+          Alcotest.test_case "interpreter sees untransformed IR" `Quick
+            test_oracle_interprets_untransformed_ir;
+          Alcotest.test_case "one compile per run" `Quick test_oracle_compiles_once ] );
       ( "shrink",
         [ Alcotest.test_case "synthetic predicate minimal" `Quick
             test_shrink_synthetic_predicate;
