@@ -45,6 +45,12 @@ let tests =
         (Staged.stage (fun () ->
              let d = Lazy.force puf_device in
              Eric_puf.Device.respond d (Eric_puf.Device.challenge_set d)));
+      (* The fixed cost every compile pays, whatever its source. *)
+      Test.make ~name:"compile-empty"
+        (Staged.stage (fun () ->
+             match Eric_cc.Driver.compile "int main() { return 0; }" with
+             | Ok _ -> ()
+             | Error e -> failwith e));
       Test.make ~name:"compile-crc32"
         (Staged.stage (fun () ->
              match Eric_cc.Driver.compile quick_source with

@@ -116,6 +116,37 @@ let verified f =
          (Format.pp_print_list ~pp_sep:Format.pp_print_newline Eric_lint.Diag.pp)
          errs)
 
+(* Lower a typechecked unit, verify it and, with [optimize], optimise it.
+   [linked] are already-compiled functions the unit may call; they come
+   first in the returned program, but only the unit's own functions are
+   verified and optimised.  Opt.run checks a function after every
+   iteration that changed it, and every pass rewrites only the function
+   it is given, so the converged program needs no second check. *)
+let front_end ~optimize ~linked tast =
+  verified (fun () ->
+      let own = span "cc.lower" (fun () -> Lower.lower tast) in
+      let ir = { own with Ir.p_funcs = linked @ own.Ir.p_funcs } in
+      fail_on_errors ~stage:"lowering" (Ir_verify.verify ~funcs:own.Ir.p_funcs ir);
+      if optimize then
+        span "cc.opt" (fun () ->
+            Opt.run
+              ~check:(fun f -> fail_on_errors ~stage:"optimisation" (Ir_verify.verify_func ir f))
+              own);
+      ir)
+
+(* The prelude is parsed, typechecked, lowered, verified and optimised
+   once, at module initialisation, into two templates: lowered (for
+   [optimize = false]) and optimised.  They are built eagerly: forcing a
+   [Lazy] from two domains at once raises [Lazy.Undefined].  The prelude
+   defines no globals and no string literals, so its functions alone
+   carry everything it contributes to a program. *)
+let prelude_ast, lowered_prelude, optimised_prelude =
+  let ok = function Ok v -> v | Error e -> failwith ("runtime prelude: " ^ e) in
+  let ast = ok (Parser.parse prelude) in
+  let tast = ok (Typecheck.check ast) in
+  let funcs ~optimize = (ok (front_end ~optimize ~linked:[] tast)).Ir.p_funcs in
+  (ast, funcs ~optimize:false, funcs ~optimize:true)
+
 (* Transforms (e.g. the lib/obf obfuscation pipeline) run after the
    optimiser has converged and are never followed by another Opt.run,
    so opaque predicates and encoded arithmetic survive to codegen. *)
@@ -130,23 +161,12 @@ let apply_transform transform ir =
 
 let compile_to_ir ?(options = default_options) source =
   let ( let* ) = Result.bind in
-  let* ast = Parser.parse (prelude ^ source) in
-  let* tast = span "cc.typecheck" (fun () -> Typecheck.check ast) in
-  let* ir =
-    verified (fun () ->
-        let ir = span "cc.lower" (fun () -> Lower.lower tast) in
-        fail_on_errors ~stage:"lowering" (Ir_verify.verify ir);
-        (* Opt.run checks each function after every iteration, the last
-           one included, and every pass rewrites only the function it is
-           given: the converged program needs no second check. *)
-        if options.optimize then
-          span "cc.opt" (fun () ->
-              Opt.run
-                ~check:(fun f ->
-                  fail_on_errors ~stage:"optimisation" (Ir_verify.verify_func ir f))
-                ir);
-        ir)
-  in
+  let* ast = Parser.parse source in
+  let* tast = span "cc.typecheck" (fun () -> Typecheck.check ~prelude:prelude_ast ast) in
+  let template = if options.optimize then optimised_prelude else lowered_prelude in
+  (* Opt and the transforms rewrite blocks in place, so every compile
+     links its own copies of the template's functions. *)
+  let* ir = front_end ~optimize:options.optimize ~linked:(List.map Ir.copy_func template) tast in
   apply_transform options.transform ir
 
 (* Linker-style GC: functions main never reaches (e.g. unused

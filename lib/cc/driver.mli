@@ -1,10 +1,20 @@
 (** The compiler driver: MiniC source -> executable {!Eric_rv.Program.t}
     image (the role Clang plays in the paper's toolchain).
 
-    Every compilation prepends the runtime prelude — [print_int],
-    [print_char], [print_str], [println_int], [println_str] and [exit],
-    written in MiniC over the [__write]/[__exit] intrinsics — so workloads
-    can produce checkable output. *)
+    Every program is linked against the runtime {!prelude} — console
+    output ([print_int], [print_char], [print_str], [println_int],
+    [println_str]), [exit] and string/memory helpers, written in MiniC over
+    the [__write]/[__exit] intrinsics — so workloads can produce checkable
+    output.  The prelude is parsed, typechecked, lowered, verified and
+    optimised once per process, when this module is initialised; each
+    compile processes only its own source and links fresh copies of the
+    prelude's functions ahead of the source's, so the program, and the
+    image, are the same as if the two had been compiled as one text. *)
+
+val prelude : string
+(** The runtime prelude's MiniC source.  It defines functions only: no
+    globals and no string literals, so it contributes nothing to a
+    program's data or BSS. *)
 
 type transform = {
   t_tag : string;
@@ -26,22 +36,27 @@ type options = {
   transform : transform option;  (** default [None] *)
 }
 (** Verification is not optional: {!Ir_verify} runs after lowering, after
-    each optimisation iteration of each function and after the transform,
-    and an error finding fails the compile, naming its stage and check. *)
+    each optimisation iteration that changed a function and after the
+    transform, and an error finding fails the compile, naming its stage
+    and check.  The prelude's functions are checked once per process. *)
 
 val default_options : options
 
 val compile : ?options:options -> string -> (Eric_rv.Program.t, string) result
 (** Source to image: {!compile_to_ir}, then {!compile_ir}.  Errors are
     "line:col: message" diagnostics from the lexer/parser/typechecker,
-    verifier rejections, or assembler errors. *)
+    with positions counted from the source's first line, verifier
+    rejections, or assembler errors. *)
 
 val compile_exn : ?options:options -> string -> Eric_rv.Program.t
 
 val compile_to_ir : ?options:options -> string -> (Ir.program, string) result
-(** The front end: prelude and source lexed, parsed, typechecked,
-    lowered, optimised (when [options.optimize]) and verified, then
-    [options.transform] through {!apply_transform}. *)
+(** The front end: the source lexed, parsed, typechecked with the
+    prelude's declarations in scope (a source function that reuses a
+    prelude name is a duplicate), lowered, verified and optimised (when
+    [options.optimize]); then fresh copies of the prelude's functions,
+    lowered or optimised to match, are prepended, and [options.transform]
+    runs through {!apply_transform}. *)
 
 val apply_transform : transform option -> Ir.program -> (Ir.program, string) result
 (** The front end's last step alone, for IR that {!compile_to_ir}

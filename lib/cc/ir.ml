@@ -93,6 +93,10 @@ let term_uses = function
 
 let successors = function Ret _ -> [] | Jmp l -> [ l ] | Br (_, a, b) -> [ a; b ]
 
+(* A copy that shares nothing mutable with [f]: new function and block
+   records (instruction lists are immutable, so they are shared). *)
+let copy_func f = { f with f_blocks = List.map (fun b -> { b with body = b.body }) f.f_blocks }
+
 (* ------------------------------------------------------------------ *)
 (* Pretty printing (for tests and debugging)                           *)
 (* ------------------------------------------------------------------ *)

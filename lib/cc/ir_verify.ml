@@ -202,8 +202,8 @@ let dataflow_checks (f : func) =
 
 let verify_func p f = Diag.sort (cfg_checks f @ local_checks p f @ dataflow_checks f)
 
-let verify (p : program) =
+let verify ?funcs (p : program) =
   Eric_telemetry.Span.with_ ~cat:"lint" ~name:"lint.ir_verify" @@ fun () ->
-  List.concat_map (verify_func p) p.p_funcs
+  List.concat_map (verify_func p) (Option.value funcs ~default:p.p_funcs)
 
 let errors ds = List.filter (fun d -> d.Diag.severity = Diag.Error) ds

@@ -1,6 +1,6 @@
 (** IR well-formedness verifier, run by {!Driver} on every compile: after
-    lowering, after each optimisation-pass iteration of each function,
-    and after an IR transform.
+    lowering, after each optimisation-pass iteration that changed a
+    function, and after an IR transform.
 
     Checks, with their [Eric_lint] check ids:
 
@@ -25,9 +25,10 @@ val verify_func : Ir.program -> Ir.func -> Eric_lint.Diag.t list
 (** Diagnostics for one function ([Ir.program] supplies callee
     signatures); empty on well-formed IR. *)
 
-val verify : Ir.program -> Eric_lint.Diag.t list
+val verify : ?funcs:Ir.func list -> Ir.program -> Eric_lint.Diag.t list
 (** Every function, in program order, under a [lint.ir_verify] telemetry
-    span. *)
+    span; with [funcs], just those, checked against the program's callee
+    signatures. *)
 
 val errors : Eric_lint.Diag.t list -> Eric_lint.Diag.t list
 (** Just the error-severity subset (the ones {!Driver} turns into a

@@ -346,7 +346,8 @@ let run ?(check = fun (_ : func) -> ()) (p : program) =
       let continue_ = ref true in
       while !continue_ && !budget > 0 do
         continue_ := pass_pipeline f;
-        check f;
+        (* An iteration that changed nothing leaves [f] as last checked. *)
+        if !continue_ then check f;
         decr budget
       done)
     p.p_funcs

@@ -17,9 +17,11 @@ val dce : Ir.func -> bool
 val simplify_cfg : Ir.func -> bool
 
 val run : ?check:(Ir.func -> unit) -> Ir.program -> unit
-(** Mutates the program in place.  [check] is invoked on each function
-    after every pass-pipeline iteration (the {!Driver} hooks the IR
-    verifier in here); it may raise to abort the compilation. *)
+(** Mutates the program in place.  [check] is invoked on a function after
+    every pass-pipeline iteration that changed it (the {!Driver} hooks the
+    IR verifier in here); an iteration in which every pass returns [false]
+    leaves the function as it was last checked, so it is not checked
+    again.  [check] may raise to abort the compilation. *)
 
 val reachable_functions : Ir.program -> entry:string -> Ir.func list
 (** The functions transitively callable from [entry], in original order —

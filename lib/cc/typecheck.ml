@@ -436,7 +436,7 @@ let check_func env (f : func) : tfunc =
   { tf_name = f.f_name; tf_ret = f.f_ret; tf_params = params; tf_locals = locals;
     tf_addressed = List.sort_uniq compare env.addressed; tf_body = body }
 
-let check_exn (prog : program) : tprogram =
+let check_exn ?(prelude = []) (prog : program) : tprogram =
   let env =
     { globals = Hashtbl.create 64; funcs = Hashtbl.create 64; scopes = []; locals_acc = [];
       next_local = 0; addressed = [] }
@@ -458,7 +458,7 @@ let check_exn (prog : program) : tprogram =
         if Hashtbl.mem env.funcs f.f_name then err f.f_pos "duplicate function %s" f.f_name;
         Hashtbl.replace env.funcs f.f_name
           { fs_ret = f.f_ret; fs_params = List.map fst f.f_params })
-    prog;
+    (prelude @ prog);
   let tglobals =
     List.filter_map (function D_global g -> Some (check_global g) | D_func _ -> None) prog
   in
@@ -467,7 +467,7 @@ let check_exn (prog : program) : tprogram =
   in
   { tglobals; tfuncs }
 
-let check prog =
-  match check_exn prog with
+let check ?prelude prog =
+  match check_exn ?prelude prog with
   | tp -> Ok tp
   | exception Type_error (msg, pos) -> Error (Format.asprintf "%a: %s" pp_pos pos msg)

@@ -10,6 +10,10 @@
 
 exception Type_error of string * Ast.pos
 
-val check : Ast.program -> (Tast.tprogram, string) result
+val check : ?prelude:Ast.program -> Ast.program -> (Tast.tprogram, string) result
+(** [prelude]'s declarations (default none) are in scope, and a program
+    declaration that reuses one of their names is a duplicate, but only
+    the program is checked and returned.  The prelude must already have
+    been checked on its own. *)
 
-val check_exn : Ast.program -> Tast.tprogram
+val check_exn : ?prelude:Ast.program -> Ast.program -> Tast.tprogram

@@ -43,11 +43,13 @@ let mode_fingerprint = function
   | Eric.Config.Field (Eric.Config.Control_flow, sel) ->
     "field-cf:" ^ selection_fingerprint sel
 
-(* The driver always prepends the prelude and always verifies, but the
+(* The driver always links the prelude and always verifies, but the
    key keeps its v1 spelling with those two former options written as
    their fixed values: disk caches written before they were removed, and
    the digests in [--report-out] and [fleet campaign] output, stay
-   valid. *)
+   valid.  Compiling the prelude once per process instead of with every
+   source leaves every image byte-identical, so it did not change the
+   key either. *)
 let options_fingerprint (o : Eric_cc.Driver.options) =
   Printf.sprintf "optimize=%b,compress=%b,prelude=true,verify=true,transform=%s"
     o.Eric_cc.Driver.optimize o.Eric_cc.Driver.compress

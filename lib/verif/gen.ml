@@ -291,6 +291,7 @@ let func ctx ~g_scalars ~g_arrays ~is_main =
   if not is_main then ctx.funcs <- ctx.funcs @ [ (fname, List.length params) ]
 
 let from ~size tr =
+  Eric_telemetry.Span.with_ ~cat:"verif" ~name:"verif.gen" @@ fun () ->
   let ctx = { tr; buf = Buffer.create 1024; fresh = 0; funcs = []; size = max 4 size } in
   let g_scalars, g_arrays = globals ctx in
   let nfuncs = draw ctx ~bound:3 in

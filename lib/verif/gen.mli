@@ -30,7 +30,8 @@ type t = {
 }
 
 val generate : ?size:int -> seed:int64 -> unit -> t
-(** A fresh program; [size] (default 26) scales the statement budget. *)
+(** A fresh program; [size] (default 26) scales the statement budget.
+    Records one [verif.gen] telemetry span, as does {!of_trace}. *)
 
 val of_trace : ?size:int -> int array -> t
 (** Replay a recorded, mutated or shrunk decision trace. *)

@@ -105,6 +105,20 @@ let test_no_main () =
   | Error e -> check Alcotest.bool "mentions main" true (e = "program has no main function")
   | Ok _ -> Alcotest.fail "accepted program without main"
 
+let test_positions_count_from_source () =
+  (* The prelude is compiled apart from the source, so every front-end
+     diagnostic is placed on the source's own lines. *)
+  List.iter
+    (fun (src, expected) ->
+      match Driver.compile src with
+      | Error e -> check Alcotest.string src expected e
+      | Ok _ -> Alcotest.failf "accepted %S" src)
+    [ ("int main() {\n  int $x;\n  return 0;\n}", "2:7: unexpected character '$'");
+      ("int main() {\n  return 0\n}", "3:1: expected ';', found '}'");
+      ("int main() {\n  return x;\n}", "2:10: undefined variable x");
+      ( "int strlen(char *s) { return 0; }\nint main() { return 0; }",
+        "1:1: duplicate function strlen" ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden end-to-end programs                                          *)
 (* ------------------------------------------------------------------ *)
@@ -847,6 +861,50 @@ let test_cse_shrinks_array_loops () =
     < count { Driver.default_options with Driver.optimize = false });
   expect_output src "28\n"
 
+let test_unchanged_iteration_needs_no_check () =
+  (* Opt.run checks a function only after an iteration that changed it.
+     Drive its five passes by hand instead, verifying after every
+     iteration, and pin what makes skipping the others lossless: an
+     iteration in which every pass returns false leaves the function
+     exactly as it was. *)
+  let passes = [ Opt.const_fold; Opt.copy_prop; Opt.cse; Opt.dce; Opt.simplify_cfg ] in
+  (* Opt.run's loop, with its budget of 10 iterations *)
+  let optimise name ir (f : Ir.func) =
+    let rec iterate budget =
+      if budget > 0 then begin
+        let before = Ir.copy_func f in
+        let changed = List.exists Fun.id (List.map (fun pass -> pass f) passes) in
+        (match Ir_verify.errors (Ir_verify.verify_func ir f) with
+        | [] -> ()
+        | d :: _ -> Alcotest.failf "%s/%s: %a" name f.Ir.f_name Eric_lint.Diag.pp d);
+        if changed then iterate (budget - 1)
+        else if f <> before then
+          Alcotest.failf "%s/%s: an iteration that reported no change rewrote it" name
+            f.Ir.f_name
+      end
+    in
+    iterate 10
+  in
+  let unoptimised = { Driver.default_options with Driver.optimize = false } in
+  let sources =
+    List.concat_map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        [ (w.name ^ " small", w.source_small); (w.name ^ " large", w.source) ])
+      Eric_workloads.Workloads.all
+    @ List.init 250 (fun i ->
+          let seed = Int64.of_int (0xC0DE + i) in
+          (Printf.sprintf "gen %Ld" seed, (Eric_verif.Gen.generate ~seed ()).Eric_verif.Gen.source))
+  in
+  List.iter
+    (fun (name, src) ->
+      match (Driver.compile_to_ir ~options:unoptimised src, Driver.compile_to_ir src) with
+      | Ok ir, Ok optimised ->
+        List.iter (optimise name ir) ir.Ir.p_funcs;
+        check Alcotest.bool (name ^ ": same result as Opt.run") true
+          (ir.Ir.p_funcs = optimised.Ir.p_funcs)
+      | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" name e)
+    sources
+
 
 let test_counter_intrinsics () =
   expect_output
@@ -1094,6 +1152,63 @@ let differential_programs =
       in
       out = expected && interp_out = expected)
 
+(* ------------------------------------------------------------------ *)
+(* The prelude template                                                *)
+(* ------------------------------------------------------------------ *)
+
+let fresh_prelude () =
+  match Result.bind (Parser.parse Driver.prelude) Typecheck.check with
+  | Ok tast -> Lower.lower tast
+  | Error e -> Alcotest.fail e
+
+let test_template_isolated_from_transforms () =
+  (* The obf passes rewrite the linked prelude functions in place, so
+     each compile must link its own copies of the template. *)
+  let src =
+    (Option.get (Eric_workloads.Workloads.by_name "crc32")).Eric_workloads.Workloads.source_small
+  in
+  let obf = { Eric_obf.Obf.passes = Eric_obf.Obf.all_passes; seed = Eric_obf.Obf.default_seed } in
+  List.iter
+    (fun optimize ->
+      let base = { Driver.default_options with Driver.optimize } in
+      let image options =
+        match Driver.compile ~options src with
+        | Ok img -> Eric_rv.Program.to_binary img
+        | Error e -> Alcotest.fail e
+      in
+      let plain = image base in
+      check Alcotest.bool "obfuscated image differs" false
+        (Bytes.equal plain (image (Eric_obf.Obf.options ~base obf)));
+      check Alcotest.bool (Printf.sprintf "optimize=%b: plain again, same bytes" optimize) true
+        (Bytes.equal plain (image base)))
+    [ true; false ]
+
+let test_prelude_templates () =
+  let fresh = fresh_prelude () in
+  let n = List.length fresh.Ir.p_funcs in
+  let linked optimize =
+    match
+      Driver.compile_to_ir ~options:{ Driver.default_options with Driver.optimize }
+        "int main() { return 0; }"
+    with
+    | Ok ir -> List.filteri (fun i _ -> i < n) ir.Ir.p_funcs
+    | Error e -> Alcotest.fail e
+  in
+  let lowered = linked false and optimised = linked true in
+  check Alcotest.bool "optimize=false links a fresh lowering" true (lowered = fresh.Ir.p_funcs);
+  check Alcotest.bool "which the optimiser changes" false (lowered = optimised);
+  Opt.run fresh;
+  check Alcotest.bool "optimize=true links a fresh optimisation" true
+    (optimised = fresh.Ir.p_funcs)
+
+let test_prelude_has_no_data () =
+  (* Linking the template's functions ahead of the source's lowering adds
+     nothing else: a string literal in the prelude would be __str_0, and
+     so would the source's first. *)
+  let fresh = fresh_prelude () in
+  check Alcotest.int "p_data" 0 (List.length fresh.Ir.p_data);
+  check Alcotest.int "p_bss" 0 (List.length fresh.Ir.p_bss)
+
 let () =
   Alcotest.run "eric_cc"
     [ ( "lexer",
@@ -1105,7 +1220,9 @@ let () =
       ( "diagnostics",
         [ Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "type errors" `Quick test_type_errors;
-          Alcotest.test_case "no main" `Quick test_no_main ] );
+          Alcotest.test_case "no main" `Quick test_no_main;
+          Alcotest.test_case "positions count from the source" `Quick
+            test_positions_count_from_source ] );
       ( "golden",
         [ Alcotest.test_case "arithmetic" `Quick test_arith;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
@@ -1157,6 +1274,13 @@ let () =
           Alcotest.test_case "emit-asm workloads" `Slow test_emit_assembly_workloads;
           Alcotest.test_case "cse unit" `Quick test_cse_unit;
           Alcotest.test_case "cse redefinition safety" `Quick test_cse_redefinition_safe;
-          Alcotest.test_case "cse shrinks loops" `Quick test_cse_shrinks_array_loops ] );
+          Alcotest.test_case "cse shrinks loops" `Quick test_cse_shrinks_array_loops;
+          Alcotest.test_case "unchanged iteration needs no check" `Quick
+            test_unchanged_iteration_needs_no_check ] );
       ( "differential",
-        [ differential_expressions; differential_unoptimised; differential_programs ] ) ]
+        [ differential_expressions; differential_unoptimised; differential_programs ] );
+      ( "prelude",
+        [ Alcotest.test_case "template isolated from transforms" `Quick
+            test_template_isolated_from_transforms;
+          Alcotest.test_case "templates equal a fresh compile" `Quick test_prelude_templates;
+          Alcotest.test_case "no data or bss" `Quick test_prelude_has_no_data ] ) ]

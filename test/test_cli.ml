@@ -239,6 +239,14 @@ let test_exit_code_internal () =
         ~finally:(fun () -> if Sys.file_exists path_mc then Sys.remove path_mc)
         (fun () -> expect_code "compile error" 1 (run_cli [ "compile"; path_mc ])))
 
+let test_compile_error_position () =
+  (* positions count from the source's first line, not the prelude's *)
+  with_tmp (fun path ->
+      write path (Bytes.of_string "int main() {\n  return x;\n}\n");
+      let code, err = run_cli [ "compile"; path ] in
+      check Alcotest.int "exit code" 1 code;
+      check Alcotest.string "diagnostic" "error: 2:10: undefined variable x\n" err)
+
 (* ------------------------------------------------------------------ *)
 (* verif subcommands through the real binary                           *)
 (* ------------------------------------------------------------------ *)
@@ -665,7 +673,9 @@ let () =
           Alcotest.test_case "truncated package is 4" `Quick test_exit_code_truncated_is_malformed;
           Alcotest.test_case "program exit passes through" `Quick
             test_exit_code_program_exit_passthrough;
-          Alcotest.test_case "internal error is 1" `Quick test_exit_code_internal ] );
+          Alcotest.test_case "internal error is 1" `Quick test_exit_code_internal;
+          Alcotest.test_case "compile error names the source line" `Quick
+            test_compile_error_position ] );
       ( "puf",
         [ Alcotest.test_case "hex device id" `Quick test_puf_hex_device_id;
           Alcotest.test_case "malformed device id is 4" `Quick test_puf_malformed_device_id;

@@ -21,6 +21,15 @@ let test_gen_deterministic () =
   check Alcotest.bool "different seed, different program" false
     (a.Eric_verif.Gen.source = c.Eric_verif.Gen.source)
 
+let test_gen_span () =
+  let module T = Eric_telemetry in
+  T.Span.reset ();
+  ignore (T.Control.with_enabled (fun () -> Eric_verif.Gen.generate ~seed:42L ()));
+  let spans = T.Span.completed () in
+  T.Span.reset ();
+  check Alcotest.int "verif.gen spans" 1
+    (List.length (List.filter (fun e -> e.T.Span.name = "verif.gen") spans))
+
 let test_gen_trace_replay_identity () =
   (* the recorded trace is canonical: replaying it regenerates the very
      same program and the very same trace (fixpoint) *)
@@ -521,7 +530,8 @@ let () =
           Alcotest.test_case "total over arbitrary traces" `Slow
             test_gen_total_over_arbitrary_traces;
           Alcotest.test_case "degenerate traces" `Quick test_gen_empty_and_tiny_traces;
-          Alcotest.test_case "mutation total" `Quick test_mutation_total ] );
+          Alcotest.test_case "mutation total" `Quick test_mutation_total;
+          Alcotest.test_case "one span per program" `Quick test_gen_span ] );
       ( "oracle",
         [ Alcotest.test_case "agreement on generated programs" `Slow test_oracle_agreement;
           Alcotest.test_case "agreement in partial mode" `Slow
