@@ -728,7 +728,7 @@ let engine () =
         Eric_fleet.Campaign.default_config with
         Eric_fleet.Campaign.channel =
           (match channel with Some c -> c | None -> Eric_fleet.Channel.clean);
-        engine = { Engine.default_config with Engine.scheduler };
+        scheduler;
       }
     in
     match Eric_fleet.Campaign.deploy ~config ~cache ~registry:reg source with
@@ -856,8 +856,7 @@ let engine () =
   in
   let items = Array.init n (fun i -> i) in
   let smoke scheduler =
-    let config = { Engine.scheduler; window = 65_536 } in
-    let r = Engine.run ~config ~name:"bench.engine.smoke" job items in
+    let r = Engine.run ~scheduler ~name:"bench.engine.smoke" job items in
     if r.Engine.jobs_done <> n then failwith "synthetic smoke lost jobs";
     (Engine.throughput_per_s r, r.Engine.scheduler_used)
   in

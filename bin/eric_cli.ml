@@ -753,27 +753,11 @@ let scheduler_conv =
 let scheduler_arg =
   Arg.(
     value
-    & opt scheduler_conv Eric_engine.Engine.default_config.Eric_engine.Engine.scheduler
+    & opt scheduler_conv Eric_engine.Engine.Deterministic
     & info [ "scheduler" ] ~docv:"SCHED"
         ~doc:
           "Work-queue scheduler: deterministic (reference, index order) or domains[:N] \
            (OCaml-5 domain pool; identical outcomes, only timing differs).")
-
-let window_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid window %S (expected a positive integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let window_arg =
-  Arg.(
-    value
-    & opt window_conv Eric_engine.Engine.default_config.Eric_engine.Engine.window
-    & info [ "window" ] ~docv:"N" ~doc:"Max in-flight jobs before their results commit (>= 1).")
-
-let engine_config_of scheduler window = { Eric_engine.Engine.scheduler; window }
 
 let channel_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Eric_fleet.Channel.of_string s) in
@@ -853,7 +837,7 @@ let fleet_enroll_cmd =
 
 let fleet_campaign_cmd =
   let run source registry mode channel max_attempts execute fuel cache_dir firmware devices
-      scheduler window report_out no_compress no_optimize telemetry trace_out =
+      scheduler report_out no_compress no_optimize telemetry trace_out =
     setup_telemetry telemetry trace_out;
     let store = open_registry registry in
     let policy =
@@ -870,7 +854,7 @@ let fleet_campaign_cmd =
         execute;
         fuel;
         firmware_epoch = firmware;
-        engine = engine_config_of scheduler window }
+        scheduler }
     in
     let source = read_file source in
     let report = or_die (Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:store source) in
@@ -928,11 +912,10 @@ let fleet_campaign_cmd =
     Term.(
       const run $ source_arg $ registry_arg $ mode_arg $ channel_arg $ max_attempts_arg
       $ execute_arg $ fuel_arg $ cache_dir_arg $ firmware_arg $ devices_arg $ scheduler_arg
-      $ window_arg $ report_out_arg $ no_compress_arg $ no_optimize_arg $ telemetry_arg
-      $ trace_out_arg)
+      $ report_out_arg $ no_compress_arg $ no_optimize_arg $ telemetry_arg $ trace_out_arg)
 
 let fleet_rotate_cmd =
-  let run registry epoch label rsa_bits seed scheduler window telemetry trace_out =
+  let run registry epoch label rsa_bits seed scheduler telemetry trace_out =
     setup_telemetry telemetry trace_out;
     let store = open_registry registry in
     let method_ =
@@ -940,11 +923,10 @@ let fleet_rotate_cmd =
       | None -> Eric_fleet.Rotation.Local
       | Some bits -> Eric_fleet.Rotation.rsa ~bits ~seed
     in
-    let engine = engine_config_of scheduler window in
     let failed =
       or_die
         (Eric_fleet.Registry_shard.walk store ~f:(fun reg ->
-             let report = Eric_fleet.Rotation.rotate ~engine ~method_ ?label ~epoch reg in
+             let report = Eric_fleet.Rotation.rotate ~scheduler ~method_ ?label ~epoch reg in
              Format.printf "%a@." Eric_fleet.Rotation.pp_report report;
              Ok (report.Eric_fleet.Rotation.failed <> [])))
     in
@@ -969,10 +951,10 @@ let fleet_rotate_cmd =
           quarantined devices.  Exits 3 if any device failed to re-provision.")
     Term.(
       const run $ registry_arg $ epoch_arg ~default:1 $ label_arg $ rsa_arg $ seed_arg
-      $ scheduler_arg $ window_arg $ telemetry_arg $ trace_out_arg)
+      $ scheduler_arg $ telemetry_arg $ trace_out_arg)
 
 let fleet_reenroll_cmd =
-  let run registry threshold votes env scheduler window telemetry trace_out =
+  let run registry threshold votes env scheduler telemetry trace_out =
     setup_telemetry telemetry trace_out;
     let store = open_registry registry in
     let config =
@@ -983,11 +965,10 @@ let fleet_reenroll_cmd =
         survey_env = env;
       }
     in
-    let engine = engine_config_of scheduler window in
     let failed =
       or_die
         (Eric_fleet.Registry_shard.walk store ~f:(fun reg ->
-             let report = Eric_fleet.Reenroll.run ~engine ~config reg in
+             let report = Eric_fleet.Reenroll.run ~scheduler ~config reg in
              Format.printf "%a@." Eric_fleet.Reenroll.pp_report report;
              Ok (report.Eric_fleet.Reenroll.failed <> [])))
     in
@@ -1021,7 +1002,7 @@ let fleet_reenroll_cmd =
           key-reconstruction quarantines.  Exits 3 if any device failed re-enrollment.")
     Term.(
       const run $ registry_arg $ threshold_arg $ votes_arg $ survey_corner_arg $ scheduler_arg
-      $ window_arg $ telemetry_arg $ trace_out_arg)
+      $ telemetry_arg $ trace_out_arg)
 
 let fleet_status_cmd =
   let run registry devices =
@@ -1369,7 +1350,7 @@ let verif_shrink_cmd =
       | Eric_verif.Corpus.Divergence ->
         fun trace ->
           (match oracle (Eric_verif.Gen.of_trace ~size trace).Eric_verif.Gen.source with
-          | Ok r -> not (Eric_verif.Oracle.agree r)
+          | Ok r -> Eric_verif.Oracle.diverges r
           | Error _ -> false)
       | Eric_verif.Corpus.Compile_error ->
         fun trace ->
@@ -1441,11 +1422,11 @@ let verif_corpus_cmd =
                 incr still;
                 Format.printf "  still fails to compile: %s@." msg
               | Ok r ->
-                if Eric_verif.Oracle.agree r then Format.printf "  no longer diverges@."
-                else begin
+                if Eric_verif.Oracle.diverges r then begin
                   incr still;
                   Format.printf "  still diverges:@.  %a@." Eric_verif.Oracle.pp_report r
-                end)))
+                end
+                else Format.printf "  no longer diverges@.")))
       entries;
     if !bad > 0 then exit exit_malformed;
     if !still > 0 then exit exit_failures

@@ -59,16 +59,9 @@ let transmit ?(attack = No_attack) ?fuel ~(source : Source.build) ~target () =
         Eric_telemetry.Registry.inc ~by:(Int64.of_int (Bytes.length serialized))
           "transit.bytes_out"
       end;
-      let wire = apply_attack attack serialized in
-      match Package.parse wire with
-      | Error msg ->
-        let e = Target.Malformed msg in
-        Target.count_refusal e;
-        Refused e
-      | Ok pkg -> (
-        match Target.execute ?fuel target pkg with
-        | Error e -> Refused e
-        | Ok result -> Executed result))
+      match Target.receive_bytes target (apply_attack attack serialized) with
+      | Error e -> Refused e
+      | Ok loaded -> Executed (Target.run ?fuel target loaded))
 
 let cross_check ~builds ~targets =
   List.concat_map

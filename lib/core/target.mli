@@ -74,11 +74,6 @@ val refusal_reason : load_error -> string
     [ingest.refused_total{reason=...}]: ["malformed"], ["framing"],
     ["signature"] or ["key-reconstruction"]. *)
 
-val count_refusal : load_error -> unit
-(** Increment [ingest.refused_total{reason=...}] (no-op when telemetry
-    is disabled).  [receive]/[receive_bytes] call this themselves; it is
-    exposed for front ends that parse packages on their own. *)
-
 type loaded = {
   image : Eric_rv.Program.t;
   stats : Encrypt.stats;

@@ -1,10 +1,9 @@
-(** Generic parallel work-queue campaign engine.
+(** Generic parallel campaign engine.
 
-    Runs one job function over an array of items under a bounded
-    in-flight window, replays the outcomes in item order and records
-    [engine.*] telemetry.  The engine runs each job exactly once: a job
-    that can recover from a transient fault (the fleet shipper's
-    backoff loop, say) does so inside itself.
+    Maps one job function over an array of items, keeps every item's
+    outcome in its slot and records [engine.*] telemetry.  The engine
+    runs each job exactly once: a job that can recover from a transient
+    fault (the fleet shipper's backoff loop, say) does so inside itself.
 
     {2 Schedulers}
 
@@ -22,10 +21,10 @@
 
     A job's outcome may depend only on its own item and state owned by
     that item (one device's PRNG stream, say) — never on the order jobs
-    execute in.  Completions land in an array slot keyed by job index
-    and the [commit] callback replays them in index order, so both
-    schedulers produce identical completion arrays and identical
-    committed state; only wall-clock timing may differ.  Shared-state
+    execute in.  Completions land in an array slot keyed by job index,
+    so both schedulers produce identical completion arrays; a caller
+    that walks them in index order after the run applies its effects
+    identically too.  Only wall-clock timing may differ.  Shared-state
     reads inside jobs must be thread-safe (the fleet registry's
     device/target memo tables are). *)
 
@@ -36,23 +35,12 @@ val scheduler_of_string : string -> (scheduler, string) result
 
 val scheduler_label : scheduler -> string
 
-type config = {
-  scheduler : scheduler;
-  window : int;
-      (** max jobs in flight before their completions are committed;
-          batches run back to back *)
-}
-
-val default_config : config
-(** Deterministic scheduler, window 1024. *)
-
 type 'r outcome =
   | Done of 'r
   | Faulted of string  (** the job failed; the reason is all that is kept *)
   | Skipped of string  (** the job declined its item — bookkeeping, not failure *)
 
 type 'r completion = {
-  c_index : int;  (** index of the item in the input array *)
   c_outcome : 'r outcome;
   c_ns : int64;  (** wall time inside the job *)
 }
@@ -64,7 +52,7 @@ type 'r report = {
   scheduler_used : string;
       (** ["deterministic"], ["domains:N"] or ["domains-fallback"] *)
   queued : int;
-  completions : 'r completion array;  (** by job index *)
+  completions : 'r completion array;  (** slot [i] is item [i]'s *)
   jobs_done : int;
   quarantined : int;  (** jobs that ended {!Faulted} *)
   skipped : int;
@@ -73,22 +61,15 @@ type 'r report = {
   utilization : float;  (** busy / (wall x workers); 0 when idle *)
 }
 
-val run :
-  ?config:config ->
-  ?commit:('r completion -> unit) ->
-  name:string ->
-  ('i -> 'r outcome) ->
-  'i array ->
-  'r report
-(** Execute the job on every item.  [commit] is invoked exactly once per
-    item in item-index order (windowed: after each batch of [window]
-    jobs), on the calling thread — the place to apply registry updates
-    and other order-sensitive effects.  Telemetry: [engine.runs_total],
-    [engine.jobs.{queued,done,quarantined,skipped}_total],
+val run : ?scheduler:scheduler -> name:string -> ('i -> 'r outcome) -> 'i array -> 'r report
+(** Execute the job once on every item under [scheduler] (default
+    {!Deterministic}); slot [i] of [completions] holds item [i]'s
+    outcome.  Registry updates and other order-sensitive effects belong
+    to the caller, which walks [completions] after the run.  Telemetry:
+    [engine.runs_total], [engine.jobs.{queued,done,quarantined,skipped}_total],
     [engine.steals_total], [engine.worker.busy_ns{worker=i}],
     [engine.utilization{sched=...}], [engine.wall_ns], span
-    [engine.run].
-    @raise Invalid_argument when [config.window < 1]. *)
+    [engine.run]. *)
 
 val throughput_per_s : 'r report -> float
 (** Queued jobs per wall-clock second (0 for an empty or instant run). *)

@@ -14,8 +14,6 @@ let recommended () = Domain.recommended_domain_count ()
 
 type stat = { s_jobs : int; s_busy_ns : int64; s_steals : int }
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 let run ~workers ~n ~f =
   if workers < 1 then invalid_arg "Pool.run: workers must be positive";
   if n < 0 then invalid_arg "Pool.run: negative job count";
@@ -37,12 +35,12 @@ let run ~workers ~n ~f =
       if i < hi then Some i else None
     in
     let execute ~stolen i =
-      let t0 = now_ns () in
+      let t0 = Eric_telemetry.Clock.now_ns () in
       (try f ~worker:w i
        with e ->
          (* first failure wins; the pool still drains so joins return *)
          ignore (Atomic.compare_and_set failure None (Some e)));
-      busy := Int64.add !busy (Int64.sub (now_ns ()) t0);
+      busy := Int64.add !busy (Int64.sub (Eric_telemetry.Clock.now_ns ()) t0);
       incr jobs;
       if stolen then incr steals
     in

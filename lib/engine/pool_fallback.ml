@@ -9,15 +9,13 @@ let recommended () = 1
 
 type stat = { s_jobs : int; s_busy_ns : int64; s_steals : int }
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 let run ~workers ~n ~f =
   if workers < 1 then invalid_arg "Pool.run: workers must be positive";
   if n < 0 then invalid_arg "Pool.run: negative job count";
   let busy = ref 0L in
   for i = 0 to n - 1 do
-    let t0 = now_ns () in
+    let t0 = Eric_telemetry.Clock.now_ns () in
     f ~worker:0 i;
-    busy := Int64.add !busy (Int64.sub (now_ns ()) t0)
+    busy := Int64.add !busy (Int64.sub (Eric_telemetry.Clock.now_ns ()) t0)
   done;
   [| { s_jobs = n; s_busy_ns = !busy; s_steals = 0 } |]

@@ -8,7 +8,7 @@ type config = {
   execute : bool;
   fuel : int option;
   firmware_epoch : int option;
-  engine : Engine.config;
+  scheduler : Engine.scheduler;
 }
 
 let default_config =
@@ -20,7 +20,7 @@ let default_config =
     execute = false;
     fuel = None;
     firmware_epoch = None;
-    engine = Engine.default_config;
+    scheduler = Engine.Deterministic;
   }
 
 type device_result =
@@ -44,9 +44,6 @@ type report = {
   campaign_ns : int64;
 }
 
-let count ?by name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?by name
-
 let next_firmware_epoch registry =
   1 + List.fold_left (fun m e -> max m e.Registry.firmware_epoch) 0 (Registry.entries registry)
 
@@ -55,8 +52,8 @@ let next_firmware_epoch registry =
    shipper's own retry/quarantine policy.  Jobs are pure per device —
    the only shared state they touch is the registry's mutex-guarded
    memo tables — so the domain scheduler commutes with the deterministic
-   one.  Registry updates happen in [commit], on the engine's thread, in
-   device-index order. *)
+   one.  Registry updates happen after the run, on the calling thread,
+   in device-index order. *)
 let device_job ~config ~registry ~prepared (entry : Registry.entry) =
   match entry.Registry.status with
   | Registry.Quarantined reason -> Engine.Skipped reason
@@ -83,16 +80,21 @@ let deploy ?(config = default_config) ~cache ~registry source =
           | Some e -> e
           | None -> next_firmware_epoch registry
         in
-        count "fleet.campaign.runs_total";
+        Eric_telemetry.Registry.inc "fleet.campaign.runs_total";
         let items = Array.of_list (Registry.entries registry) in
+        let er =
+          Engine.run ~scheduler:config.scheduler ~name:"fleet.campaign"
+            (device_job ~config ~registry ~prepared)
+            items
+        in
         let personalize_ns = ref 0L in
         let rev_devices = ref [] in
-        let commit (c : _ Engine.completion) =
-          let entry = items.(c.Engine.c_index) in
-          count "fleet.campaign.devices_total";
+        let commit i (c : _ Engine.completion) =
+          let entry = items.(i) in
+          Eric_telemetry.Registry.inc "fleet.campaign.devices_total";
           match c.Engine.c_outcome with
           | Engine.Skipped reason | Engine.Faulted reason ->
-            count "fleet.campaign.skipped_total";
+            Eric_telemetry.Registry.inc "fleet.campaign.skipped_total";
             rev_devices := (entry, Skipped reason) :: !rev_devices
           | Engine.Done (delivery, dt) ->
             personalize_ns := Int64.add !personalize_ns dt;
@@ -108,11 +110,7 @@ let deploy ?(config = default_config) ~cache ~registry source =
                   Registry.status = Registry.Quarantined (Shipper.quarantine_label reason) });
             rev_devices := (entry, Shipped delivery) :: !rev_devices
         in
-        let er =
-          Engine.run ~config:config.engine ~commit ~name:"fleet.campaign"
-            (device_job ~config ~registry ~prepared)
-            items
-        in
+        Array.iteri commit er.Engine.completions;
         let devices = List.rev !rev_devices in
         let fold f init = List.fold_left f init devices in
         let delivered =
@@ -145,9 +143,10 @@ let deploy ?(config = default_config) ~cache ~registry source =
             (fun n -> function _, Shipped d -> Int64.add n d.Shipper.backoff_ns | _ -> n)
             0L
         in
-        count ~by:(Int64.of_int delivered) "fleet.campaign.delivered_total";
-        count ~by:(Int64.of_int retried) "fleet.campaign.retried_total";
-        count ~by:(Int64.of_int quarantined) "fleet.campaign.quarantined_total";
+        Eric_telemetry.Registry.inc ~by:(Int64.of_int delivered) "fleet.campaign.delivered_total";
+        Eric_telemetry.Registry.inc ~by:(Int64.of_int retried) "fleet.campaign.retried_total";
+        Eric_telemetry.Registry.inc ~by:(Int64.of_int quarantined)
+          "fleet.campaign.quarantined_total";
         Ok
           {
             digest = Artifact_cache.digest ~options:config.options ~mode:config.mode source;

@@ -11,10 +11,10 @@
 
     Successful devices have their [firmware_epoch] stamped.
 
-    Per-device work runs on the {!Eric_engine.Engine} work queue
-    ([config.engine] picks the scheduler and in-flight window); registry
-    updates are committed in device order on the engine's thread, so the
-    deterministic and domain schedulers produce identical reports.
+    Per-device work runs as {!Eric_engine.Engine} jobs ([config.scheduler]
+    picks the scheduler); registry updates are applied after the run in
+    device order on the calling thread, so the deterministic and domain
+    schedulers produce identical reports.
 
     Telemetry: [fleet.campaign.runs_total], [fleet.campaign.devices_total],
     [fleet.campaign.delivered_total], [fleet.campaign.retried_total],
@@ -33,8 +33,7 @@ type config = {
   firmware_epoch : int option;
       (** epoch stamped on delivered devices; default: 1 + the registry's
           highest firmware epoch *)
-  engine : Eric_engine.Engine.config;
-      (** scheduler and window for the per-device work queue *)
+  scheduler : Eric_engine.Engine.scheduler;  (** runs the per-device jobs *)
 }
 
 val default_config : config

@@ -8,8 +8,8 @@
 
    Surveys and enrollment passes run as engine jobs (each touches only
    its own device's PUF noise stream); registry writes and counters are
-   committed in device order, so the deterministic and domain schedulers
-   report identically. *)
+   applied after the run in device order, so the deterministic and
+   domain schedulers report identically. *)
 
 module Engine = Eric_engine.Engine
 
@@ -46,9 +46,6 @@ type report = {
   devices : (Eric_puf.Device.id * outcome) list;
 }
 
-let count ?labels name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?labels name
-
 let key_reconstruction_quarantine = function
   | Registry.Quarantined reason ->
     reason = Shipper.quarantine_label Shipper.Key_reconstruction_failed
@@ -65,7 +62,7 @@ let survey_ppm config registry (entry : Registry.entry) helper =
 (* One device's engine job: survey its enrolled challenges (helper
    entries only) and re-enroll when the survey or a standing quarantine
    says so.  It returns the entry to write and the device's outcome
-   without writing anything — the commit phase owns registry mutation. *)
+   without writing anything — [run]'s commit owns registry mutation. *)
 let device_job config registry (entry : Registry.entry) =
   let was_quarantined = key_reconstruction_quarantine entry.Registry.status in
   let before_ppm = Option.map (survey_ppm config registry entry) entry.Registry.helper in
@@ -100,16 +97,19 @@ let device_job config registry (entry : Registry.entry) =
           | None -> Upgraded { ppm = after_ppm }
           | Some before_ppm -> Reenrolled { before_ppm; after_ppm } ))
 
-let run ?(engine = Engine.default_config) ?(config = default_config) registry =
+let run ?scheduler ?(config = default_config) registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.reenroll" (fun () ->
-      count "fleet.reenroll.runs_total";
+      Eric_telemetry.Registry.inc "fleet.reenroll.runs_total";
       let items = Array.of_list (Registry.entries registry) in
+      let report =
+        Engine.run ?scheduler ~name:"fleet.reenroll" (device_job config registry) items
+      in
       let healthy = ref 0 and reenrolled = ref 0 and upgraded = ref 0 in
       let reactivated = ref 0 and failed = ref [] and rev_devices = ref [] in
-      let commit (c : _ Engine.completion) =
-        let entry = items.(c.Engine.c_index) in
+      let commit i (c : _ Engine.completion) =
+        let entry = items.(i) in
         let id = entry.Registry.device_id in
-        count "fleet.reenroll.surveyed_total";
+        Eric_telemetry.Registry.inc "fleet.reenroll.surveyed_total";
         let outcome =
           match c.Engine.c_outcome with
           | Engine.Done (entry', outcome) ->
@@ -120,26 +120,23 @@ let run ?(engine = Engine.default_config) ?(config = default_config) registry =
         (match outcome with
         | Healthy _ ->
           incr healthy;
-          count "fleet.reenroll.healthy_total"
+          Eric_telemetry.Registry.inc "fleet.reenroll.healthy_total"
         | Upgraded _ ->
           incr upgraded;
-          count "fleet.reenroll.upgraded_total"
+          Eric_telemetry.Registry.inc "fleet.reenroll.upgraded_total"
         | Reenrolled _ ->
           incr reenrolled;
-          count "fleet.reenroll.reenrolled_total";
+          Eric_telemetry.Registry.inc "fleet.reenroll.reenrolled_total";
           if key_reconstruction_quarantine entry.Registry.status && config.reactivate then begin
             incr reactivated;
-            count "fleet.reenroll.reactivated_total"
+            Eric_telemetry.Registry.inc "fleet.reenroll.reactivated_total"
           end
         | Failed e ->
-          count "fleet.reenroll.failed_total";
+          Eric_telemetry.Registry.inc "fleet.reenroll.failed_total";
           failed := (id, e) :: !failed);
         rev_devices := (id, outcome) :: !rev_devices
       in
-      let (_ : _ Engine.report) =
-        Engine.run ~config:engine ~commit ~name:"fleet.reenroll" (device_job config registry)
-          items
-      in
+      Array.iteri commit report.Engine.completions;
       let devices = List.rev !rev_devices in
       {
         surveyed = List.length devices;

@@ -44,10 +44,11 @@ type report = {
   devices : (Eric_puf.Device.id * outcome) list;  (** registry order *)
 }
 
-val run : ?engine:Eric_engine.Engine.config -> ?config:config -> Registry.t -> report
+val run : ?scheduler:Eric_engine.Engine.scheduler -> ?config:config -> Registry.t -> report
 (** Surveys and enrollment passes run as {!Eric_engine.Engine} jobs
-    ([engine], default deterministic); registry writes commit in device
-    order, so both schedulers report identically. *)
+    ([scheduler], default deterministic); registry writes are applied
+    after the run in device order, so both schedulers report
+    identically. *)
 
 val all_accounted : report -> bool
 (** Every surveyed device landed in exactly one outcome bucket. *)

@@ -11,17 +11,14 @@ type report = {
   failed : (Eric_puf.Device.id * string) list;
 }
 
-let count ?labels name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?labels name
-
 let method_label = function Local -> "local" | Rsa _ -> "rsa"
 
 let rsa ~bits ~seed =
   Rsa { source_key = Eric_crypto.Rsa.generate ~bits (Eric_util.Prng.create ~seed); seed }
 
-let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch registry =
+let rotate ?scheduler ?(method_ = Local) ?label ~epoch registry =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.rotate" (fun () ->
-      count "fleet.rotate.runs_total";
+      Eric_telemetry.Registry.inc "fleet.rotate.runs_total";
       let provision =
         match method_ with
         | Local -> fun (_ : Registry.entry) target -> Ok (Eric.Protocol.provision target)
@@ -51,25 +48,28 @@ let rotate ?(engine = Engine.default_config) ?(method_ = Local) ?label ~epoch re
           | Ok key -> Engine.Done (label, key)
           | Error e -> Engine.Faulted e)
       in
+      let report = Engine.run ?scheduler ~name:"fleet.rotate" job items in
       let rotated = ref 0 and reactivated = ref 0 and failed = ref [] in
-      let commit (c : _ Engine.completion) =
-        let entry = items.(c.Engine.c_index) in
+      let commit i (c : _ Engine.completion) =
+        let entry = items.(i) in
         match c.Engine.c_outcome with
         | Engine.Done (label, key) ->
           incr rotated;
-          count ~labels:[ ("method", method_label method_) ] "fleet.rotate.rotated_total";
+          Eric_telemetry.Registry.inc
+            ~labels:[ ("method", method_label method_) ]
+            "fleet.rotate.rotated_total";
           (match entry.Registry.status with
           | Registry.Quarantined _ ->
             incr reactivated;
-            count "fleet.rotate.reactivated_total"
+            Eric_telemetry.Registry.inc "fleet.rotate.reactivated_total"
           | Registry.Active -> ());
           Registry.update registry
             { entry with Registry.epoch; label; key; status = Registry.Active }
         | Engine.Faulted e | Engine.Skipped e ->
-          count "fleet.rotate.failed_total";
+          Eric_telemetry.Registry.inc "fleet.rotate.failed_total";
           failed := (entry.Registry.device_id, e) :: !failed
       in
-      let (_ : _ Engine.report) = Engine.run ~config:engine ~commit ~name:"fleet.rotate" job items in
+      Array.iteri commit report.Engine.completions;
       {
         epoch;
         label;

@@ -38,11 +38,11 @@ type report = {
 }
 
 val rotate :
-  ?engine:Eric_engine.Engine.config -> ?method_:method_ -> ?label:string ->
+  ?scheduler:Eric_engine.Engine.scheduler -> ?method_:method_ -> ?label:string ->
   epoch:int -> Registry.t -> report
 (** Mutates the registry in place; persist with {!Registry.save}.
-    Per-device provisioning runs on the {!Eric_engine.Engine} work queue
-    ([engine], default deterministic); under {!Rsa} each device draws
+    Per-device provisioning runs as {!Eric_engine.Engine} jobs
+    ([scheduler], default deterministic); under {!Rsa} each device draws
     handshake randomness from its own seed-and-id-derived stream, so the
     domain scheduler produces the same keys as the deterministic one.  A
     device whose helper data no longer reconstructs a key, or whose

@@ -29,9 +29,6 @@ type fault_injector = attempt:int -> Eric_sim.Memory.t -> Eric_rv.Program.t -> u
 let delivered d = match d.outcome with Delivered _ -> true | Quarantined _ -> false
 let retried d = delivered d && d.attempts > 1
 
-let count ?labels name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?labels name
-
 let ship ?(policy = Backoff.default) ?(channel = Channel.clean) ?(execute = false) ?fuel
     ?clock ?soft_errors ~(build : Eric.Source.build) ~target () =
   let device = Eric_puf.Device.id (Eric.Target.device target) in
@@ -40,9 +37,9 @@ let ship ?(policy = Backoff.default) ?(channel = Channel.clean) ?(execute = fals
   let finish ~attempts ~refusals ~integrity_faults ~backoff_ns outcome =
     (match outcome with
     | Delivered _ ->
-      count "fleet.ship.delivered_total";
-      if attempts > 1 then count "fleet.ship.retries_recovered_total"
-    | Quarantined _ -> count "fleet.ship.quarantined_total");
+      Eric_telemetry.Registry.inc "fleet.ship.delivered_total";
+      if attempts > 1 then Eric_telemetry.Registry.inc "fleet.ship.retries_recovered_total"
+    | Quarantined _ -> Eric_telemetry.Registry.inc "fleet.ship.quarantined_total");
     {
       device_id = device;
       attempts;
@@ -54,8 +51,8 @@ let ship ?(policy = Backoff.default) ?(channel = Channel.clean) ?(execute = fals
     }
   in
   let rec attempt_loop attempt refusals sig_refusals integ_faults backoff_ns =
-    count "fleet.ship.attempts_total";
-    if attempt > 1 then count "fleet.ship.retries_total";
+    Eric_telemetry.Registry.inc "fleet.ship.attempts_total";
+    if attempt > 1 then Eric_telemetry.Registry.inc "fleet.ship.retries_total";
     let retry_or ~refusals ~sig_refusals ~integ_faults reason =
       if attempt >= policy.Backoff.max_attempts then
         finish ~attempts:attempt ~refusals ~integrity_faults:integ_faults ~backoff_ns
@@ -85,7 +82,7 @@ let ship ?(policy = Backoff.default) ?(channel = Channel.clean) ?(execute = fals
            from the cached build re-loads (and re-enrolls) clean memory,
            so this is retryable — only a device that keeps faulting gets
            quarantined for investigation. *)
-        count "fleet.ship.integrity_faults_total";
+        Eric_telemetry.Registry.inc "fleet.ship.integrity_faults_total";
         let integ_faults = integ_faults + 1 in
         if integ_faults >= policy.Backoff.quarantine_refusals then
           finish ~attempts:attempt ~refusals ~integrity_faults:integ_faults ~backoff_ns
@@ -96,7 +93,9 @@ let ship ?(policy = Backoff.default) ?(channel = Channel.clean) ?(execute = fals
           (Delivered
              { load_cycles = loaded.Eric.Target.load.Eric_hw.Hde.total_cycles; exec }))
     | Error e ->
-      count ~labels:[ ("reason", Eric.Target.refusal_reason e) ] "fleet.ship.refused_total";
+      Eric_telemetry.Registry.inc
+        ~labels:[ ("reason", Eric.Target.refusal_reason e) ]
+        "fleet.ship.refused_total";
       let refusals = (attempt, e) :: refusals in
       let sig_refusals =
         sig_refusals

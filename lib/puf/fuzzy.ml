@@ -27,9 +27,6 @@ let pp_failure fmt = function
 
 let failure_to_string f = Format.asprintf "%a" pp_failure f
 
-let count_metric name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc name
-
 let decode_once ~votes ?env device (h : Enroll.helper) =
   let votes = if votes mod 2 = 0 then votes + 1 else votes in
   let kept = Enroll.kept_chains h in
@@ -60,14 +57,14 @@ let decode_once ~votes ?env device (h : Enroll.helper) =
 let reconstruct ?(config = default_config) ?env device (h : Enroll.helper) =
   if config.attempts < 1 then invalid_arg "Fuzzy.reconstruct: attempts must be positive";
   if Device.id device <> h.device_id then begin
-    count_metric "puf.reconstruct.mismatch_total";
+    Eric_telemetry.Registry.inc "puf.reconstruct.mismatch_total";
     Error
       (Helper_mismatch
          (Printf.sprintf "helper enrolled for device 0x%Lx, booting 0x%Lx"
             h.device_id (Device.id device)))
   end
   else if Device.chains device <> h.chains then begin
-    count_metric "puf.reconstruct.mismatch_total";
+    Eric_telemetry.Registry.inc "puf.reconstruct.mismatch_total";
     Error
       (Helper_mismatch
          (Printf.sprintf "helper covers %d chains, device has %d" h.chains
@@ -76,7 +73,7 @@ let reconstruct ?(config = default_config) ?env device (h : Enroll.helper) =
   else begin
     let rec go attempt =
       if attempt > config.attempts then begin
-        count_metric "puf.reconstruct.exhausted_total";
+        Eric_telemetry.Registry.inc "puf.reconstruct.exhausted_total";
         Error (Exhausted { attempts = config.attempts })
       end
       else begin
@@ -85,14 +82,14 @@ let reconstruct ?(config = default_config) ?env device (h : Enroll.helper) =
            verifies) and key-correctness check (a wrong decode never
            verifies): acceptance implies the enrolled key, up to 2^-256. *)
         if Enroll.tag_matches ~key h then begin
-          count_metric "puf.reconstruct.ok_total";
+          Eric_telemetry.Registry.inc "puf.reconstruct.ok_total";
           if Eric_telemetry.Control.is_enabled () then
             Eric_telemetry.Registry.observe "puf.reconstruct.attempts"
               (float_of_int attempt);
           Ok { key; attempts_used = attempt }
         end
         else begin
-          count_metric "puf.reconstruct.retry_total";
+          Eric_telemetry.Registry.inc "puf.reconstruct.retry_total";
           go (attempt + 1)
         end
       end

@@ -8,8 +8,9 @@
 
    The reliability screening (the expensive part) runs as engine jobs in
    waves of consecutive candidate ids; each die's screen depends only on
-   its own PUF noise stream, and registry records commit in id order, so
-   the surviving population is independent of the scheduler. *)
+   its own PUF noise stream, and registry records are written after each
+   wave in id order, so the surviving population is independent of the
+   scheduler. *)
 
 module Engine = Eric_engine.Engine
 
@@ -19,7 +20,7 @@ type t = {
   t_devices : Eric_puf.Device.id array;
 }
 
-let provision ?(engine = Engine.default_config) ~label ~first_id ~count () =
+let provision ?scheduler ~label ~first_id ~count () =
   if count < 1 then invalid_arg "Tenant.provision: need at least one device";
   let registry = Eric_fleet.Registry.create () in
   let ids = ref [] in
@@ -41,17 +42,18 @@ let provision ?(engine = Engine.default_config) ~label ~first_id ~count () =
     let items = Array.init wave (fun i -> Int64.add !next (Int64.of_int i)) in
     next := Int64.add !next (Int64.of_int wave);
     tried := !tried + wave;
-    let commit (c : _ Engine.completion) =
+    let commit i (c : _ Engine.completion) =
       match c.Engine.c_outcome with
       | Engine.Done e -> (
-        match Eric_fleet.Registry.enroll ~label ~enrollment:e registry items.(c.Engine.c_index) with
+        match Eric_fleet.Registry.enroll ~label ~enrollment:e registry items.(i) with
         | Ok entry ->
           ids := entry.Eric_fleet.Registry.device_id :: !ids;
           incr enrolled
         | Error _ -> ())
       | Engine.Faulted _ | Engine.Skipped _ -> ()
     in
-    ignore (Engine.run ~config:engine ~commit ~name:"serve.tenant.provision" screen items : _ Engine.report)
+    Array.iteri commit
+      (Engine.run ?scheduler ~name:"serve.tenant.provision" screen items).Engine.completions
   done;
   { t_label = label; t_registry = registry; t_devices = Array.of_list (List.rev !ids) }
 

@@ -6,12 +6,12 @@
 type t
 
 val provision :
-  ?engine:Eric_engine.Engine.config ->
+  ?scheduler:Eric_engine.Engine.scheduler ->
   label:string -> first_id:Eric_puf.Device.id -> count:int -> unit -> t
 (** Enroll [count] devices starting at [first_id] (unenrollable dies are
     skipped deterministically) under KMU label [label].  Reliability
     screening runs as {!Eric_engine.Engine} jobs in waves of consecutive
-    candidate ids ([engine], default deterministic); the surviving
+    candidate ids ([scheduler], default deterministic); the surviving
     population does not depend on the scheduler.
     @raise Failure when too many consecutive dies fail enrollment. *)
 

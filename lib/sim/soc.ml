@@ -13,11 +13,9 @@ type result = {
 
 let total_cycles r = Int64.add r.exec_cycles r.load_cycles
 
-let dma_bytes_per_cycle = 8
-
 let plain_load_cycles image =
-  let bytes = Bytes.length (Program.to_binary image) in
-  Int64.of_int ((bytes + dma_bytes_per_cycle - 1) / dma_bytes_per_cycle)
+  Eric_hw.Hde.load_plain Eric_hw.Hde.default_config
+    ~image_bytes:(Bytes.length (Program.to_binary image))
 
 let load image =
   let memory = Memory.create ~size:Program.Layout.memory_size in

@@ -32,11 +32,9 @@ val record_result : result -> unit
     exposed for front ends that drive {!Cpu} directly.  No-op while
     telemetry is disabled. *)
 
-val dma_bytes_per_cycle : int
-(** Throughput of the plain loader's memory port (8 B/cycle). *)
-
 val plain_load_cycles : Eric_rv.Program.t -> int64
-(** Cycles to DMA the plain image (header + text + data) into memory. *)
+(** Cycles to DMA the plain image (header + text + data) into memory:
+    {!Eric_hw.Hde.load_plain} under the default HDE configuration. *)
 
 val load : Eric_rv.Program.t -> Memory.t
 (** Fresh memory with text, data and zeroed BSS placed per

@@ -59,9 +59,6 @@ let breaches (report : report) =
 
 let passed report = breaches report = []
 
-let count ?labels name =
-  if Eric_telemetry.Control.is_enabled () then Eric_telemetry.Registry.inc ?labels name
-
 let campaign ?(config = default_config) () =
   Eric_telemetry.Span.with_ ~cat:"verif" ~name:"verif.envsweep" (fun () ->
       let ( let* ) = Result.bind in
@@ -120,13 +117,14 @@ let campaign ?(config = default_config) () =
                         rc.Eric_puf.Fuzzy.attempts_used )
                     | Error _ -> (true, false, 0)
                   in
-                  count ~labels:[ ("corner", corner) ] "verif.envsweep.boots_total";
+                  let labels = [ ("corner", corner) ] in
+                  Eric_telemetry.Registry.inc ~labels "verif.envsweep.boots_total";
                   if plain_fail then
-                    count ~labels:[ ("corner", corner) ] "verif.envsweep.plain_failures_total";
+                    Eric_telemetry.Registry.inc ~labels "verif.envsweep.plain_failures_total";
                   if fuzzy_fail then
-                    count ~labels:[ ("corner", corner) ] "verif.envsweep.fuzzy_failures_total";
+                    Eric_telemetry.Registry.inc ~labels "verif.envsweep.fuzzy_failures_total";
                   if wrong then
-                    count ~labels:[ ("corner", corner) ] "verif.envsweep.wrong_keys_total";
+                    Eric_telemetry.Registry.inc ~labels "verif.envsweep.wrong_keys_total";
                   row :=
                     {
                       r with

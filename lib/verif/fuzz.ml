@@ -132,7 +132,7 @@ let run ?(config = default_config) ?(on_progress = fun _ -> ()) () =
          let note = Option.value ~default:"divergence" (classify config report) in
          let failing trace =
            match oracle (Gen.of_trace ~size:config.size trace).Gen.source with
-           | Ok r -> (not (Oracle.agree r)) && not (Oracle.exhausted r)
+           | Ok r -> Oracle.diverges r
            | Error _ -> false
          in
          shrink_and_record ~kind:Corpus.Divergence ~seed:prog_seed ~note ~failing

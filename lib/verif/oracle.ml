@@ -19,6 +19,8 @@ let agree r = behaviour_equal r.interp r.plain && behaviour_equal r.plain r.encr
 let exhausted r =
   r.interp = Exhausted || r.plain = Exhausted || r.encrypted = Exhausted
 
+let diverges r = (not (agree r)) && not (exhausted r)
+
 let pp_behaviour fmt = function
   | Exit { code; output } ->
     Format.fprintf fmt "exit %d, %d output bytes (%S)" code (String.length output)

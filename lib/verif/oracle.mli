@@ -20,8 +20,8 @@ type behaviour =
       (** the harness's fuel limit, not a program behaviour: the
           interpreter and the SoC count different units (IR steps vs
           retired instructions), so exhaustion in one path and not
-          another is incomparable rather than a divergence.  The fuzz
-          loop skips exhausted reports; {!agree} still reports them as
+          another is incomparable rather than a divergence.  {!diverges}
+          skips exhausted reports; {!agree} still reports them as
           disagreement so nothing silently equates a completed run with
           a truncated one. *)
   | Refused of string  (** the HDE refused a legitimate package *)
@@ -33,6 +33,11 @@ val behaviour_equal : behaviour -> behaviour -> bool
 
 val exhausted : report -> bool
 (** Some path hit its fuel limit — the report is not evidence of a bug. *)
+
+val diverges : report -> bool
+(** The paths disagree and none was {!exhausted}: evidence of a bug.
+    The one predicate the fuzz loop, [verif shrink] and
+    [verif corpus --replay] call a divergence. *)
 
 val pp_behaviour : Format.formatter -> behaviour -> unit
 val pp_report : Format.formatter -> report -> unit

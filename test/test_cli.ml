@@ -322,6 +322,30 @@ let test_verif_corpus_empty () =
       let code, _ = run_cli [ "verif"; "corpus"; dir ] in
       check Alcotest.int "empty corpus is fine" 0 code)
 
+(* A divergence reproducer whose interpreter path runs out of fuel while
+   both machine paths exit 0: an exhausted report is not evidence of a
+   bug, so shrink leaves the file alone and replay reports no
+   divergence. *)
+let test_verif_exhausted_repro_not_divergence () =
+  with_tmp_dir (fun dir ->
+      let prog = Eric_verif.Gen.of_trace [||] in
+      let entry =
+        { Eric_verif.Corpus.kind = Eric_verif.Corpus.Divergence;
+          seed = 0L;
+          trace = prog.Eric_verif.Gen.trace;
+          source = prog.Eric_verif.Gen.source;
+          note = "fuel artifact" }
+      in
+      let file =
+        match Eric_verif.Corpus.save ~dir entry with Ok p -> p | Error e -> Alcotest.fail e
+      in
+      let before = slurp file in
+      let code, err = run_cli [ "verif"; "shrink"; file; "--fuel"; "20" ] in
+      check Alcotest.int ("shrink exits 0: " ^ err) 0 code;
+      check Alcotest.string "reproducer unchanged" before (slurp file);
+      let code, err = run_cli [ "verif"; "corpus"; dir; "--replay"; "--fuel"; "20" ] in
+      check Alcotest.int ("replay exits 0: " ^ err) 0 code)
+
 (* ------------------------------------------------------------------ *)
 (* puf subcommands: device-id parsing and metrics                      *)
 (* ------------------------------------------------------------------ *)
@@ -504,8 +528,7 @@ let test_fleet_factory_enroll_at_scale () =
 
 let test_fleet_report_layout_independent () =
   (* the same campaign on a fleet file, on its 4-shard migration and on a
-     second migration under the domain scheduler at window 2, so every
-     shard splits into several commit batches *)
+     second migration under the domain scheduler *)
   with_tmp (fun file ->
       with_tmp (fun src ->
           with_tmp (fun report_file ->
@@ -536,8 +559,7 @@ let test_fleet_report_layout_independent () =
                               check Alcotest.int "sharded campaign" 0
                                 (campaign dir report_dir []);
                               check Alcotest.int "sharded campaign under domains" 0
-                                (campaign dir_dom report_dom
-                                   [ "--scheduler"; "domains"; "--window"; "2" ]);
+                                (campaign dir_dom report_dom [ "--scheduler"; "domains" ]);
                               check Alcotest.string "identical report bytes" (slurp report_file)
                                 (slurp report_dir);
                               check Alcotest.string "identical report bytes across schedulers"
@@ -590,9 +612,9 @@ let test_fleet_rotate_keyless_device () =
           check Alcotest.(list string) "the victim untouched, at its old epoch" before
             (victim after)))
 
-(* --window below 1 is a usage error, refused before any registry file
-   is touched. *)
-let test_fleet_window_zero_refused () =
+(* A scheduler --scheduler cannot parse is a usage error, refused before
+   any registry file is touched. *)
+let test_fleet_bad_scheduler_refused () =
   with_tmp (fun src ->
       with_tmp (fun path ->
           write src (Bytes.of_string "int main() { return 0; }");
@@ -601,17 +623,17 @@ let test_fleet_window_zero_refused () =
           List.iter
             (fun cmd ->
               List.iter
-                (fun window ->
-                  let what = Printf.sprintf "fleet %s %s" (List.hd cmd) window in
+                (fun scheduler ->
+                  let what = Printf.sprintf "fleet %s %s" (List.hd cmd) scheduler in
                   let code, err =
-                    run_cli (("fleet" :: cmd) @ [ window; "--registry"; path ])
+                    run_cli (("fleet" :: cmd) @ [ scheduler; "--registry"; path ])
                   in
                   check Alcotest.bool (what ^ ": non-zero exit") true (code <> 0);
                   expect_no_exception_trace what err;
                   check
                     Alcotest.(list (pair string string))
                     (what ^ ": registry unchanged") before (snapshot path))
-                [ "--window=0"; "--window=-1" ])
+                [ "--scheduler=bogus"; "--scheduler=domains:0" ])
             [ [ "campaign"; src ]; [ "rotate"; "--epoch"; "2" ]; [ "reenroll" ] ]))
 
 let test_build_unknown_obf_pass_exit_4 () =
@@ -688,7 +710,7 @@ let () =
             test_fleet_report_layout_independent;
           Alcotest.test_case "keyless device fails its own rotation" `Quick
             test_fleet_rotate_keyless_device;
-          Alcotest.test_case "window below 1 refused" `Quick test_fleet_window_zero_refused;
+          Alcotest.test_case "bad scheduler refused" `Quick test_fleet_bad_scheduler_refused;
           Alcotest.test_case "factory enrollment at scale" `Quick
             test_fleet_factory_enroll_at_scale ] );
       ( "lint",
@@ -715,4 +737,6 @@ let () =
           Alcotest.test_case "inject bad guard mechanism" `Quick
             test_verif_inject_bad_guard_mechanism;
           Alcotest.test_case "empty corpus" `Quick test_verif_corpus_empty;
-          Alcotest.test_case "env sweep smoke" `Quick test_verif_env_smoke ] ) ]
+          Alcotest.test_case "env sweep smoke" `Quick test_verif_env_smoke;
+          Alcotest.test_case "exhausted repro is no divergence" `Quick
+            test_verif_exhausted_repro_not_divergence ] ) ]

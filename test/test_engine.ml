@@ -1,8 +1,7 @@
-(* Tests for the campaign engine: skipped and faulted outcomes,
-   windowed in-index-order commits, config validation, the report's
-   arithmetic, and the core determinism contract — the deterministic and
-   domain schedulers must produce identical outcome arrays for pure
-   per-item jobs. *)
+(* Tests for the campaign engine: skipped and faulted outcomes in their
+   items' slots, the report's arithmetic, and the core determinism
+   contract — the deterministic and domain schedulers must produce
+   identical outcome arrays for pure per-item jobs. *)
 
 module Engine = Eric_engine.Engine
 
@@ -25,7 +24,6 @@ let test_admit_skips () =
   check Alcotest.int "every item ran its job once" 3 !ran;
   Array.iteri
     (fun i c ->
-      check Alcotest.int "index recorded" i c.Engine.c_index;
       match c.Engine.c_outcome with
       | Engine.Skipped reason ->
         check Alcotest.bool "even skipped" true (i mod 2 = 0);
@@ -49,27 +47,6 @@ let test_faults_quarantine () =
       | Engine.Skipped _ -> Alcotest.fail "expected Faulted or Done")
     r.Engine.completions
 
-let test_commit_order_windowed () =
-  let n = 23 in
-  let order = ref [] in
-  let config = { Engine.default_config with Engine.window = 4 } in
-  let commit (c : _ Engine.completion) = order := c.Engine.c_index :: !order in
-  let r = Engine.run ~config ~commit ~name:"t.window" square (items n) in
-  check Alcotest.int "everything queued" n r.Engine.queued;
-  check (Alcotest.list Alcotest.int) "commits replayed in index order"
-    (List.init n (fun i -> i))
-    (List.rev !order);
-  Array.iteri (fun i c -> check Alcotest.int "c_index = slot" i c.Engine.c_index) r.Engine.completions
-
-let test_bad_config_rejected () =
-  List.iter
-    (fun window ->
-      let config = { Engine.default_config with Engine.window } in
-      match Engine.run ~config ~name:"t.bad" square (items 1) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "window %d accepted" window)
-    [ 0; -1 ]
-
 let outcome_key = function
   | Engine.Done r -> Printf.sprintf "done:%d" r
   | Engine.Faulted e -> "faulted:" ^ e
@@ -82,9 +59,7 @@ let mixed_job i =
   else if i mod 5 = 3 then Engine.Faulted "bad die"
   else Engine.Done (i * 3)
 
-let run_mixed scheduler n =
-  let config = { Engine.scheduler; window = 16 } in
-  Engine.run ~config ~name:"t.det" mixed_job (items n)
+let run_mixed scheduler n = Engine.run ~scheduler ~name:"t.det" mixed_job (items n)
 
 let test_deterministic_vs_domains () =
   let n = 200 in
@@ -137,9 +112,6 @@ let () =
         [
           Alcotest.test_case "admit benches items as skipped" `Quick test_admit_skips;
           Alcotest.test_case "non-retryable faults quarantine" `Quick test_faults_quarantine;
-          Alcotest.test_case "windowed commits replay in index order" `Quick
-            test_commit_order_windowed;
-          Alcotest.test_case "invalid configs rejected" `Quick test_bad_config_rejected;
           Alcotest.test_case "report shape and telemetry-free math" `Quick test_report_shape;
         ] );
       ( "determinism",

@@ -1062,9 +1062,6 @@ let test_campaign_sharded_deploys_and_persists () =
         | Ok () -> ()
         | Error e -> Alcotest.fail e))
 
-(* Windowed at 2, so every run splits into several commit batches. *)
-let engine_config scheduler = { Eric_engine.Engine.scheduler; window = 2 }
-
 let test_campaign_scheduler_determinism () =
   (* Same fleet, same source, same hostile channel — the deterministic
      and domain schedulers must agree on everything but wall clock. *)
@@ -1075,7 +1072,7 @@ let test_campaign_scheduler_determinism () =
       {
         Eric_fleet.Campaign.default_config with
         Eric_fleet.Campaign.channel = Eric_fleet.Channel.drop_first 1;
-        engine = engine_config scheduler;
+        scheduler;
       }
     in
     (deploy ~config ~cache reg, reg)
@@ -1133,13 +1130,12 @@ let test_campaign_scheduler_determinism () =
     (match Eric_fleet.Registry.enroll_legacy reg 9_560L with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e);
-    let engine = engine_config scheduler in
     let rotation =
-      Eric_fleet.Rotation.rotate ~engine
+      Eric_fleet.Rotation.rotate ~scheduler
         ~method_:(Lazy.force rsa_384)
         ~epoch:2 reg
     in
-    let reenroll = Eric_fleet.Reenroll.run ~engine reg in
+    let reenroll = Eric_fleet.Reenroll.run ~scheduler reg in
     (rotation, reenroll, reg)
   in
   let rota, rea, rega = maintain Eric_engine.Engine.Deterministic in
@@ -1160,6 +1156,37 @@ let test_campaign_scheduler_determinism () =
     (List.for_all2 entry_eq
        (Eric_fleet.Registry.entries rega)
        (Eric_fleet.Registry.entries regb))
+
+(* A traced campaign's counters equal the report it returns. *)
+let test_campaign_counters_match_report () =
+  let module T = Eric_telemetry in
+  let reg = enroll_fleet ~start:9_600 6 in
+  let cache = Eric_fleet.Artifact_cache.create () in
+  let config =
+    { Eric_fleet.Campaign.default_config with
+      Eric_fleet.Campaign.channel = Eric_fleet.Channel.drop_first 1 }
+  in
+  T.Registry.reset ();
+  let r = T.Control.with_enabled (fun () -> deploy ~config ~cache reg) in
+  let devices = r.Eric_fleet.Campaign.devices in
+  let attempts =
+    List.fold_left
+      (fun n -> function
+        | _, Eric_fleet.Campaign.Shipped d -> n + d.Eric_fleet.Shipper.attempts
+        | _, Eric_fleet.Campaign.Skipped _ -> n)
+      0 devices
+  in
+  let counter name expected =
+    check Alcotest.int64 name (Int64.of_int expected) (T.Registry.counter name)
+  in
+  check Alcotest.int "every device retried once" 6 r.Eric_fleet.Campaign.retried;
+  counter "fleet.campaign.devices_total" (List.length devices);
+  counter "fleet.campaign.delivered_total" r.Eric_fleet.Campaign.delivered;
+  counter "fleet.campaign.retried_total" r.Eric_fleet.Campaign.retried;
+  counter "fleet.ship.attempts_total" attempts;
+  counter "engine.jobs.queued_total" (List.length devices);
+  counter "engine.jobs.done_total" (List.length devices - r.Eric_fleet.Campaign.skipped);
+  T.Registry.reset ()
 
 let test_enroll_legacy_boots_and_ships () =
   let reg = Eric_fleet.Registry.create () in
@@ -1228,7 +1255,9 @@ let () =
           Alcotest.test_case "sharded deploy persists" `Quick
             test_campaign_sharded_deploys_and_persists;
           Alcotest.test_case "scheduler determinism" `Quick
-            test_campaign_scheduler_determinism ] );
+            test_campaign_scheduler_determinism;
+          Alcotest.test_case "counters match the report" `Quick
+            test_campaign_counters_match_report ] );
       ( "rotation",
         [ Alcotest.test_case "rekeys + reactivates" `Quick test_rotation_rekeys_and_reactivates;
           Alcotest.test_case "revokes old packages" `Quick test_rotation_revokes_old_packages;
