@@ -3,7 +3,7 @@
    - Table II's units: SHA-256 core, keystream, XOR cipher, PUF response;
    - Fig 5/6's compiler path: full compilation and encrypting build;
    - Fig 7's load path: package personalize, decrypt+validate and SoC
-     execution. *)
+     execution, with and without the integrity guard. *)
 
 open Bechamel
 open Toolkit
@@ -70,6 +70,14 @@ let tests =
         (Staged.stage (fun () -> Eric.Encrypt.personalize ~key (Lazy.force quick_prepared)));
       Test.make ~name:"soc-run-crc32"
         (Staged.stage (fun () -> Eric_sim.Soc.run_program (Lazy.force quick_small_image)));
+      (* The same run under the integrity guard: its host cost is the
+         difference between the two rows. *)
+      Test.make ~name:"soc-run-crc32-guarded"
+        (Staged.stage (fun () ->
+             let image = Lazy.force quick_small_image in
+             Eric_sim.Soc.run_loaded
+               ~guard:(Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024)
+               ~load_cycles:0L image (Eric_sim.Soc.load image)));
       (* The telemetry no-op guarantee: with recording disabled, an
          instrumentation site must cost one branch over the bare call.
          Compare these three rows (all should be within noise of each

@@ -469,11 +469,15 @@ let step t =
     | Integrity_violation msg -> t.status_ <- Integrity_fault msg
     | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_))
 
-let run ?(fuel = 50_000_000) t =
-  let remaining = ref fuel in
-  while running t && !remaining > 0 do
+let run_until t ~fuel ~cycles =
+  let steps = ref 0 in
+  while running t && !steps < fuel && t.cycles_ < cycles do
     step t;
-    decr remaining
+    incr steps
   done;
+  !steps
+
+let run ?(fuel = 50_000_000) t =
+  ignore (run_until t ~fuel ~cycles:max_int);
   if running t then t.status_ <- Faulted "out of fuel";
   t.status_

@@ -100,7 +100,15 @@ val step : t -> unit
       bytes to {!output}; returns a2 in a0.
     - 93 (exit): terminates with code a0. *)
 
+val run_until : t -> fuel:int -> cycles:int -> int
+(** Step until the core is no longer [Running], [fuel] steps have been
+    taken or the cycle count has reached [cycles]; returns the steps
+    taken.  Sets no status of its own: a core stopped by the fuel or the
+    cycle bound is still [Running].  An agent that acts between
+    instructions at cycle deadlines (the scrub engine) runs the core to
+    each deadline with one call, not one {!step} at a time. *)
+
 val run : ?fuel:int -> t -> status
-(** Step until no longer [Running] or [fuel] instructions (default 50M) have
-    retired; returns the final status ([Running] means fuel ran out, and the
-    status is set to [Faulted "out of fuel"]). *)
+(** {!run_until} with [fuel] (default 50M) and no cycle bound.  Never
+    returns [Running]: a core still running when the fuel is spent is
+    set to, and returns, [Faulted "out of fuel"]. *)

@@ -16,6 +16,9 @@ type t = {
   writable_from : int;  (** data_base: granules below are immutable *)
   refs : int64 array;
   dirty : bool array;
+  current : bool array;
+      (** [refs.(g)] is the digest of the granule's current bytes: set when
+          a hash matches or re-enrolls, cleared by any store into [g] *)
   pass_cycles : int;
   fetch_cycles : int;
   mutable next_scrub : int;  (** core cycle count at which the next pass is due *)
@@ -53,6 +56,7 @@ let create ~config ~image memory =
       writable_from = Layout.data_base image;
       refs = Array.make n 0L;
       dirty = Array.make n false;
+      current = Array.make n false;
       pass_cycles = Guard.scrub_pass_cycles config ~resident_bytes:resident;
       fetch_cycles = Guard.fetch_check_cycles config;
       next_scrub = next_scrub_after config ~now:0;
@@ -87,58 +91,64 @@ let mismatch_msg t g =
     (t.base + (g * t.cfg.Guard.granule_bytes))
     t.cfg.Guard.granule_bytes
 
-let mark_dirty t ~addr ~len =
-  (* Only the data/bss span is legitimately writable; stores below
-     [writable_from] (self-modifying text) stay un-enrolled so the next
-     check faults them. *)
-  if addr + len > t.writable_from && addr < t.limit then begin
-    let lo = max addr t.writable_from and hi = min (addr + len) t.limit in
-    for g = granule_index t lo to granule_index t (hi - 1) do
-      t.dirty.(g) <- true
-    done
+(* A store clears [current] for every granule it overlaps, text
+   included, so the next check hashes it.  Only the data/bss span is
+   legitimately writable; stores below [writable_from] (self-modifying
+   text) stay un-enrolled so that hash faults them. *)
+let track_store t ~addr ~len =
+  if addr + len > t.base && addr < t.limit then begin
+    let hi = min (addr + len) t.limit in
+    for g = granule_index t (max addr t.base) to granule_index t (hi - 1) do
+      t.current.(g) <- false
+    done;
+    if hi > t.writable_from then
+      for g = granule_index t (max addr t.writable_from) to granule_index t (hi - 1) do
+        t.dirty.(g) <- true
+      done
   end
+
+(* Check clean granule [g] against its reference digest, hashing it only
+   if no hash has matched since the last store into it. *)
+let matches t g =
+  if not t.current.(g) then t.current.(g) <- granule_digest t g = t.refs.(g);
+  t.current.(g)
 
 let fetch_check t ~addr =
   if addr >= t.base && addr < t.limit then begin
     let g = granule_index t addr in
     t.stats.fetch_checks <- t.stats.fetch_checks + 1;
     t.stats.guard_cycles <- Int64.add t.stats.guard_cycles (Int64.of_int t.fetch_cycles);
-    if (not t.dirty.(g)) && granule_digest t g <> t.refs.(g) then
-      raise (Cpu.Integrity_violation (mismatch_msg t g));
+    if not (t.dirty.(g) || matches t g) then raise (Cpu.Integrity_violation (mismatch_msg t g));
     t.fetch_cycles
   end
   else 0
 
 let attach t cpu =
-  Cpu.set_store_hook cpu (Some (fun ~addr ~len -> mark_dirty t ~addr ~len));
+  Cpu.set_store_hook cpu (Some (fun ~addr ~len -> track_store t ~addr ~len));
   if Guard.fetch_checked t.cfg then
     Cpu.set_ifetch_miss_hook cpu (Some (fun ~addr -> fetch_check t ~addr))
 
 let scrub_due t ~now = Int64.to_int now >= t.next_scrub
-
-let scan t ~on_mismatch =
-  let n = Array.length t.refs in
-  for g = 0 to n - 1 do
-    if t.dirty.(g) then begin
-      t.refs.(g) <- granule_digest t g;
-      t.dirty.(g) <- false;
-      t.stats.granules_reenrolled <- t.stats.granules_reenrolled + 1
-    end
-    else begin
-      t.stats.granules_checked <- t.stats.granules_checked + 1;
-      if granule_digest t g <> t.refs.(g) then on_mismatch g
-    end
-  done
+let next_scrub t = t.next_scrub
 
 let scrub t cpu =
   t.stats.scrub_passes <- t.stats.scrub_passes + 1;
   t.stats.guard_cycles <- Int64.add t.stats.guard_cycles (Int64.of_int t.pass_cycles);
   Cpu.charge cpu t.pass_cycles;
-  let fault = ref None in
-  scan t ~on_mismatch:(fun g -> if !fault = None then fault := Some g);
-  (match !fault with
-  | Some g -> Cpu.fault_integrity cpu (mismatch_msg t g)
-  | None -> ());
+  let fault = ref (-1) in
+  for g = 0 to Array.length t.refs - 1 do
+    if t.dirty.(g) then begin
+      t.refs.(g) <- granule_digest t g;
+      t.dirty.(g) <- false;
+      t.current.(g) <- true;
+      t.stats.granules_reenrolled <- t.stats.granules_reenrolled + 1
+    end
+    else begin
+      t.stats.granules_checked <- t.stats.granules_checked + 1;
+      if (not (matches t g)) && !fault < 0 then fault := g
+    end
+  done;
+  if !fault >= 0 then Cpu.fault_integrity cpu (mismatch_msg t !fault);
   t.next_scrub <- next_scrub_after t.cfg ~now:(Int64.to_int (Cpu.cycles cpu))
 
 let verify_all t =

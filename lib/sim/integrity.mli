@@ -17,7 +17,22 @@
 
     Digests are modeled with a 64-bit FNV-1a hash standing in for the
     truncated SHA-256 the silicon computes; the cycle cost charged is
-    the SHA cost from {!Eric_hw.Guard}. *)
+    the SHA cost from {!Eric_hw.Guard}.
+
+    The model hashes a granule only when its bytes may differ from the
+    last digest taken of them.  Each granule carries a bit meaning "the
+    reference digest is the digest of the current bytes".  A check
+    (scrub or fetch) that hashes a clean granule and finds a match sets
+    it, a re-enrollment sets it, and a store that overlaps the granule
+    clears it, text included.  A clean granule whose bit is set counts
+    as checked, with the same stats and the same charged cycles, without
+    being hashed.  No bit is set at enrollment, so a flip made between
+    the load and the run is hashed, and faults, at the granule's first
+    check; {!verify_all} always hashes.
+
+    This rests on one invariant: between {!create} and the end of the
+    run, memory changes only through the attached core's stores.  A
+    caller that corrupts memory does so before {!create}. *)
 
 type stats = {
   mutable scrub_passes : int;
@@ -41,12 +56,19 @@ val attach : t -> Cpu.t -> unit
 
 val scrub_due : t -> now:int64 -> bool
 
+val next_scrub : t -> int
+(** The core cycle count at which the next pass is due ([max_int] when
+    the mechanism does not scrub), so [scrub_due t ~now] is
+    [now >= next_scrub t].  Right after {!create} or {!scrub} it is
+    above the core's count. *)
+
 val scrub : t -> Cpu.t -> unit
-(** One full scrub pass: checks clean granules, re-enrolls dirty ones,
-    charges the pass cycles to the core and faults it
-    ({!Cpu.fault_integrity}) on the first mismatch.  Schedules the next
-    pass. *)
+(** One full scrub pass: checks clean granules (hashing those a store
+    touched since their last match), re-enrolls dirty ones, charges the
+    pass cycles to the core and faults it ({!Cpu.fault_integrity}) on
+    the first mismatch.  Schedules the next pass. *)
 
 val verify_all : t -> (unit, string) result
-(** Check every non-dirty granule without charging cycles — the
-    final-state audit used by tests. *)
+(** Hash and check every non-dirty granule without charging cycles or
+    touching any state — the audit tests use to check a scrub against a
+    full re-hash. *)

@@ -64,17 +64,18 @@ let finish ?(guard_cycles = 0L) ~load_cycles cpu status =
 let running cpu = match Cpu.status cpu with Cpu.Running -> true | _ -> false
 
 (* Same stepping contract as [Cpu.run], with the scrub engine interleaved
-   between instructions whenever its interval elapses. *)
+   between instructions whenever its interval elapses: the core runs to
+   the next deadline in one [Cpu.run_until], then the pass runs.  The
+   deadline is above the count after a pass, so every chunk steps. *)
 let run_guarded ?(fuel = 50_000_000) guard image cpu memory =
   let integ = Integrity.create ~config:guard ~image memory in
   Integrity.attach integ cpu;
   let remaining = ref fuel in
   while running cpu && !remaining > 0 do
     if Integrity.scrub_due integ ~now:(Cpu.cycles cpu) then Integrity.scrub integ cpu;
-    if running cpu then begin
-      Cpu.step cpu;
-      decr remaining
-    end
+    if running cpu then
+      remaining :=
+        !remaining - Cpu.run_until cpu ~fuel:!remaining ~cycles:(Integrity.next_scrub integ)
   done;
   (* [Cpu.run ~fuel:0] applies the same out-of-fuel faulting as the
      unguarded path without stepping. *)

@@ -470,12 +470,6 @@ let test_ebreak_faults () =
   | Cpu.Faulted _ -> ()
   | _ -> Alcotest.fail "expected fault"
 
-let test_out_of_fuel () =
-  let image = build_program [ Inst.Jal (Reg.x0, 0) (* jump to self *) ] in
-  match (Soc.run_program ~fuel:1000 image).Soc.status with
-  | Cpu.Faulted "out of fuel" -> ()
-  | _ -> Alcotest.fail "expected fuel exhaustion"
-
 let test_write_syscall () =
   let image =
     build_program ~data:(Bytes.of_string "xyz")
@@ -611,6 +605,52 @@ let flip_text_byte ~off memory (image : Program.t) =
   let addr = Program.Layout.text_base + off in
   Memory.write_u8 memory addr (Memory.read_u8 memory addr lxor 0x10)
 
+(* The per-step reference loop: the scrub engine gets a look between
+   every two steps.  [Soc.run_loaded] runs the core to each scrub
+   deadline in one call and must agree with this loop on every count;
+   [scrub] stands in for {!Integrity.scrub} to watch each pass. *)
+let run_stepwise ?(fuel = 50_000_000) ?(scrub = Integrity.scrub) ~guard image memory =
+  let cpu = Soc.boot image memory in
+  let integ = Integrity.create ~config:guard ~image memory in
+  Integrity.attach integ cpu;
+  let remaining = ref fuel in
+  while Cpu.status cpu = Cpu.Running && !remaining > 0 do
+    if Integrity.scrub_due integ ~now:(Cpu.cycles cpu) then scrub integ cpu;
+    if Cpu.status cpu = Cpu.Running then begin
+      Cpu.step cpu;
+      decr remaining
+    end
+  done;
+  (* Sets the out-of-fuel fault without stepping. *)
+  ignore (Cpu.run ~fuel:0 cpu);
+  (cpu, integ)
+
+(* Programs that store into their own text, both ending in an integrity
+   fault.  The first overwrites its first instruction before any pass
+   has run.  The second counts down in t1 for several [scrub:256]
+   passes, which hash its text, then overwrites its last, never-executed
+   padding word and counts down again: the pass after the store must
+   hash that granule again. *)
+let self_modifying_programs () =
+  let early =
+    loop_program ~extra:[ Inst.U (Lui, Reg.a 1, 0x10); Inst.Store (Sw, Reg.x0, Reg.a 1, 0) ] ()
+  in
+  let pad = 32 and before_pad = 11 in
+  let last_word = 4 * (before_pad + pad - 1) in
+  let late =
+    loop_program ~pad
+      ~extra:
+        [ Inst.I (Addi, Reg.t_ 1, Reg.x0, 1500); Inst.I (Addi, Reg.t_ 1, Reg.t_ 1, -1);
+          Inst.Branch (Bne, Reg.t_ 1, Reg.x0, -4); Inst.U (Lui, Reg.a 1, 0x10);
+          Inst.Store (Sw, Reg.x0, Reg.a 1, last_word) ]
+      ()
+  in
+  check Alcotest.int "the late store hits the last word" (Program.text_size late) (last_word + 4);
+  check Alcotest.bool "the last word is padding" true
+    (late.Program.text.(last_word / 4)
+    = Program.P32 (Encode.encode (Inst.I (Addi, Reg.x0, Reg.x0, 0))));
+  [ ("early text store", early); ("late text store", late) ]
+
 let test_guard_clean_run_equivalent () =
   let image = loop_program () in
   let plain = run_flipped ~guard:Eric_hw.Guard.disabled image in
@@ -656,16 +696,15 @@ let test_guard_scrub_detects_dead_code () =
 
 let test_guard_self_modifying_text_faults () =
   (* A store below the data segment is never re-enrolled, so the next
-     scrub pass faults it. *)
-  let image =
-    loop_program
-      ~extra:[ Inst.U (Lui, Reg.a 1, 0x10); Inst.Store (Sw, Reg.x0, Reg.a 1, 0) ]
-      ()
-  in
-  let r = run_flipped ~guard:(Eric_hw.Guard.scrub ~interval_cycles:256) image in
-  match r.Soc.status with
-  | Cpu.Integrity_fault _ -> ()
-  | _ -> Alcotest.fail "self-modified text not faulted"
+     scrub pass faults it, also after earlier passes found the granule
+     clean. *)
+  List.iter
+    (fun (name, image) ->
+      let r = run_flipped ~guard:(Eric_hw.Guard.scrub ~interval_cycles:256) image in
+      match r.Soc.status with
+      | Cpu.Integrity_fault _ -> ()
+      | _ -> Alcotest.failf "%s: self-modified text not faulted" name)
+    (self_modifying_programs ())
 
 let test_guard_reenrolls_dirty_data () =
   (* Legitimate data writes re-enroll instead of faulting: the guarded
@@ -675,19 +714,10 @@ let test_guard_reenrolls_dirty_data () =
       ~extra:[ Inst.U (Lui, Reg.a 1, 0x11); Inst.Store (Sw, Reg.t_ 0, Reg.a 1, 0) ]
       ~data:(Bytes.make 16 '\x00') ()
   in
-  let memory = Soc.load image in
-  let cpu = Soc.boot image memory in
-  let config = Eric_hw.Guard.scrub ~interval_cycles:128 in
-  let integ = Integrity.create ~config ~image memory in
-  Integrity.attach integ cpu;
-  let fuel = ref 100_000 in
-  while Cpu.status cpu = Cpu.Running && !fuel > 0 do
-    if Integrity.scrub_due integ ~now:(Cpu.cycles cpu) then Integrity.scrub integ cpu;
-    if Cpu.status cpu = Cpu.Running then begin
-      Cpu.step cpu;
-      decr fuel
-    end
-  done;
+  let cpu, integ =
+    run_stepwise ~fuel:100_000 ~guard:(Eric_hw.Guard.scrub ~interval_cycles:128) image
+      (Soc.load image)
+  in
   (match Cpu.status cpu with
   | Cpu.Exited 0 -> ()
   | _ -> Alcotest.fail "data write must not integrity-fault");
@@ -697,9 +727,90 @@ let test_guard_reenrolls_dirty_data () =
   check Alcotest.bool "clean granules checked" true (s.Integrity.granules_checked > 0);
   check Alcotest.bool "post-run audit clean" true (Result.is_ok (Integrity.verify_all integ))
 
+(* A scrub pass skips re-hashing granules no store touched since they
+   last matched.  That must never hide what a full re-hash sees: before
+   every pass of the per-step loop, [Integrity.verify_all] hashes every
+   granule the pass checks, and the pass must fault exactly when the
+   audit fails. *)
+let test_guard_scrub_matches_full_rehash () =
+  let guard = Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024 in
+  let audited name ?(flip = fun _ _ -> ()) image =
+    let memory = Soc.load image in
+    flip memory image;
+    let passes = ref 0 in
+    let scrub integ cpu =
+      let audit = Integrity.verify_all integ in
+      Integrity.scrub integ cpu;
+      incr passes;
+      let faulted = match Cpu.status cpu with Cpu.Integrity_fault _ -> true | _ -> false in
+      if faulted <> Result.is_error audit then
+        Alcotest.failf "%s: pass %d %s, the full re-hash %s" name !passes
+          (if faulted then "faulted" else "passed")
+          (if faulted then "passed" else "failed")
+    in
+    let cpu, _ = run_stepwise ~scrub ~guard image memory in
+    check Alcotest.bool (name ^ ": scrubbed") true (!passes > 0);
+    Cpu.status cpu
+  in
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      let name = w.Eric_workloads.Workloads.name in
+      let image = Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small in
+      if audited name image <> Cpu.Exited 0 then Alcotest.failf "%s: did not exit 0" name)
+    Eric_workloads.Workloads.all;
+  let dead_code = loop_program ~pad:32 () in
+  let faulted_programs =
+    ( "dead-code flip",
+      dead_code,
+      flip_text_byte ~off:(Program.text_size dead_code - 4) )
+    :: List.map (fun (name, image) -> (name, image, fun _ _ -> ())) (self_modifying_programs ())
+  in
+  List.iter
+    (fun (name, image, flip) ->
+      match audited name ~flip image with
+      | Cpu.Integrity_fault _ -> ()
+      | _ -> Alcotest.failf "%s: not faulted" name)
+    faulted_programs
+
 (* ------------------------------------------------------------------ *)
-(* Out-of-range addresses, the decode cache, allocation                *)
+(* Out of fuel, out-of-range addresses, the decode cache, allocation   *)
 (* ------------------------------------------------------------------ *)
+
+(* Fuel counts instructions exactly, also when a guarded run steps the
+   core in chunks between scrub deadlines: one fuel ends inside a chunk,
+   the other exactly on a deadline, where the reference loop stops with
+   the pass due but not run. *)
+let test_out_of_fuel () =
+  let image = build_program [ Inst.Jal (Reg.x0, 0) (* jump to self *) ] in
+  (match (Soc.run_program ~fuel:1000 image).Soc.status with
+  | Cpu.Faulted "out of fuel" -> ()
+  | _ -> Alcotest.fail "expected fuel exhaustion");
+  List.iter
+    (fun guard ->
+      let mechanism = Eric_hw.Guard.mechanism_name guard.Eric_hw.Guard.mechanism in
+      let due = ref [] in
+      let note_due integ cpu =
+        due := Int64.to_int (Cpu.instructions cpu) :: !due;
+        Integrity.scrub integ cpu
+      in
+      ignore (run_stepwise ~fuel:5_000 ~scrub:note_due ~guard image (Soc.load image));
+      let third_due = List.nth (List.rev !due) 2 in
+      List.iter
+        (fun (what, fuel, on_deadline) ->
+          let name = Printf.sprintf "%s, fuel %d (%s)" mechanism fuel what in
+          let cpu, integ = run_stepwise ~fuel ~guard image (Soc.load image) in
+          check Alcotest.bool (name ^ ": ends on a deadline") on_deadline
+            (Integrity.scrub_due integ ~now:(Cpu.cycles cpu));
+          let r = Soc.run_loaded ~fuel ~guard ~load_cycles:0L image (Soc.load image) in
+          check Alcotest.bool (name ^ ": out of fuel") true
+            (r.Soc.status = Cpu.Faulted "out of fuel" && Cpu.status cpu = r.Soc.status);
+          check Alcotest.int64 (name ^ ": instructions") (Int64.of_int fuel) r.Soc.instructions;
+          check Alcotest.int64 (name ^ ": exec cycles") (Cpu.cycles cpu) r.Soc.exec_cycles;
+          check Alcotest.int64 (name ^ ": guard cycles")
+            (Integrity.stats integ).Integrity.guard_cycles r.Soc.guard_cycles)
+        [ ("mid-chunk", third_due - 7, false); ("on a deadline", third_due, true) ])
+    [ Eric_hw.Guard.scrub ~interval_cycles:256;
+      Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024 ]
 
 let run_with_regs insts regs =
   let image = build_program insts in
@@ -788,7 +899,25 @@ let test_steps_allocate_nothing () =
   | Cpu.Exited 0 -> ()
   | _ -> Alcotest.fail "loop did not exit 0");
   let per_step = (Gc.minor_words () -. before) /. Int64.to_float (Cpu.instructions cpu) in
-  check Alcotest.bool (Printf.sprintf "%.3f words per instruction" per_step) true (per_step < 0.1)
+  check Alcotest.bool (Printf.sprintf "%.3f words per instruction" per_step) true (per_step < 0.1);
+  (* The guard runs the core in chunks between its passes and allocates
+     per pass, not per step: over a 40k-instruction loop, set-up
+     included, it adds under 0.1 words per instruction. *)
+  let image = loop_program ~extra:[ Inst.U (Lui, Reg.t_ 0, 5) (* 20,480 iterations *) ] () in
+  let words_per_instruction guard =
+    let memory = Soc.load image in
+    let before = Gc.minor_words () in
+    let r = Soc.run_loaded ~guard ~load_cycles:0L image memory in
+    let words = Gc.minor_words () -. before in
+    if r.Soc.status <> Cpu.Exited 0 then Alcotest.fail "long loop did not exit 0";
+    words /. Int64.to_float r.Soc.instructions
+  in
+  let plain = words_per_instruction Eric_hw.Guard.disabled in
+  let guarded = words_per_instruction (Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) in
+  check Alcotest.bool
+    (Printf.sprintf "guarded %.3f vs %.3f words per instruction" guarded plain)
+    true
+    (guarded -. plain < 0.1)
 
 (* ------------------------------------------------------------------ *)
 (* Golden cycle pin                                                    *)
@@ -852,9 +981,9 @@ let cache_label c =
   let s = Cache.stats c in
   Printf.sprintf "%d/%d/%d/%d" s.Cache.accesses s.Cache.hits s.Cache.misses s.Cache.writebacks
 
-(* The core is stepped the way [Soc.run_loaded] steps it, so that its
-   caches are in reach; [Soc.run_loaded] must then agree on every field
-   it reports. *)
+(* The core is stepped one instruction at a time, so that its caches are
+   in reach; [Soc.run_loaded], which runs it in chunks between scrub
+   deadlines, must then agree on every field it reports. *)
 let golden_row name ~guard image =
   let memory = Soc.load image in
   let cpu = Soc.boot image memory in
@@ -957,4 +1086,6 @@ let () =
           Alcotest.test_case "self-modifying text faults" `Quick
             test_guard_self_modifying_text_faults;
           Alcotest.test_case "dirty data re-enrolls" `Quick
-            test_guard_reenrolls_dirty_data ] ) ]
+            test_guard_reenrolls_dirty_data;
+          Alcotest.test_case "scrub agrees with a full re-hash" `Quick
+            test_guard_scrub_matches_full_rehash ] ) ]
