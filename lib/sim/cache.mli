@@ -32,9 +32,18 @@ type outcome = Hit | Miss of { writeback : bool }
 val access : t -> addr:int -> write:bool -> outcome
 (** Look up the line containing [addr]; on miss, allocate it, evicting the
     LRU way (reporting whether the victim was dirty).  Writes mark the line
-    dirty. *)
+    dirty.
+
+    The cache remembers the line of its last access and the way holding
+    it.  A repeat of that line counts a hit, and a write sets the dirty
+    bit, without scanning the set or updating its LRU order.  Outcomes
+    and {!stats} are exactly those of a full lookup: the way is already
+    the most recently used in its set, and no access came in between.
+    Any other access, a negative [addr] included, replaces the remembered
+    line. *)
 
 val flush : t -> unit
-(** Invalidate every line (keeps cumulative stats). *)
+(** Invalidate every line, the remembered one included (keeps cumulative
+    stats). *)
 
 val hit_rate : t -> float

@@ -157,7 +157,9 @@ let charge_ifetch t ~addr =
 let sext32 v = Int64.of_int32 (Int64.to_int32 v)
 let low32_mask = 0xFFFFFFFFL
 
-let mulhu a b =
+(* The helpers below are [@inline] so that their [int64] arguments and
+   results stay unboxed inside [exec_r]. *)
+let[@inline] mulhu a b =
   let open Int64 in
   let al = logand a low32_mask and ah = shift_right_logical a 32 in
   let bl = logand b low32_mask and bh = shift_right_logical b 32 in
@@ -168,27 +170,36 @@ let mulhu a b =
   let mid = add (add lh (shift_right_logical ll 32)) (logand hl low32_mask) in
   add (add hh (shift_right_logical hl 32)) (shift_right_logical mid 32)
 
-let mulh a b =
+let[@inline] mulh a b =
   let open Int64 in
   let r = mulhu a b in
   let r = if compare a 0L < 0 then sub r b else r in
   if compare b 0L < 0 then sub r a else r
 
-let mulhsu a b =
+let[@inline] mulhsu a b =
   let open Int64 in
   let r = mulhu a b in
   if compare a 0L < 0 then sub r b else r
 
-let div_signed a b =
+let[@inline] div_signed a b =
   if b = 0L then -1L
   else if a = Int64.min_int && b = -1L then Int64.min_int
   else Int64.div a b
 
-let rem_signed a b =
+let[@inline] rem_signed a b =
   if b = 0L then a else if a = Int64.min_int && b = -1L then 0L else Int64.rem a b
 
-let div_unsigned a b = if b = 0L then -1L else Int64.unsigned_div a b
-let rem_unsigned a b = if b = 0L then a else Int64.unsigned_rem a b
+(* [Int64.unsigned_div] for a non-zero [d], which the compiler would not
+   inline from the standard library (Hacker's Delight, figure 9-3). *)
+let[@inline] udiv n d =
+  let open Int64 in
+  if compare d 0L < 0 then if unsigned_compare n d < 0 then 0L else 1L
+  else
+    let q = shift_left (div (shift_right_logical n 1) d) 1 in
+    if unsigned_compare (sub n (mul q d)) d >= 0 then succ q else q
+
+let[@inline] div_unsigned a b = if b = 0L then -1L else udiv a b
+let[@inline] rem_unsigned a b = if b = 0L then a else Int64.sub a (Int64.mul (udiv a b) b)
 
 let bool_to_i64 c = if c then 1L else 0L
 
@@ -229,9 +240,11 @@ let exec_r t (op : Inst.r_op) rd rs1 rs2 =
       if b32 = 0L then -1L
       else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
       else sext32 (div a32 b32)
+    (* Zero-extended, the 32-bit operands divide alike signed and
+       unsigned. *)
     | Divuw ->
       let a32 = logand a low32_mask and b32 = logand b low32_mask in
-      if b32 = 0L then -1L else sext32 (Int64.unsigned_div a32 b32)
+      if b32 = 0L then -1L else sext32 (div a32 b32)
     | Remw ->
       let a32 = sext32 a and b32 = sext32 b in
       if b32 = 0L then a32
@@ -239,7 +252,7 @@ let exec_r t (op : Inst.r_op) rd rs1 rs2 =
       else sext32 (rem a32 b32)
     | Remuw ->
       let a32 = logand a low32_mask and b32 = logand b low32_mask in
-      if b32 = 0L then sext32 a32 else sext32 (Int64.unsigned_rem a32 b32))
+      if b32 = 0L then sext32 a32 else sext32 (rem a32 b32))
 
 let exec_i t (op : Inst.i_op) rd rs1 imm =
   let a = get t rs1 in
@@ -288,9 +301,9 @@ let decode t pc =
   let inst, size =
     if half land 0b11 = 0b11 then begin
       let word = Memory.read_u32 t.memory pc in
-      match Decode.decode word with
+      match Decode.decode (Int32.of_int word) with
       | Some inst -> (inst, 4)
-      | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08lx at pc 0x%x" word pc))
+      | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08x at pc 0x%x" word pc))
     end
     else
       match Rvc.expand half with
@@ -329,29 +342,30 @@ let fetch_decode t =
     end
   end
 
+(* The [bits]-bit unsigned [v], sign-extended. *)
+let sext bits v = (v lxor (1 lsl (bits - 1))) - (1 lsl (bits - 1))
+
+(* [Memory]'s narrow accessors take and return native ints, and a
+   doubleword moves between memory and the register file's slot, so no
+   load or store boxes a value. *)
 let load t (op : Inst.load_op) rd addr =
-  let m = t.memory in
-  set64 t.regs (dst rd)
-    (match op with
-    | Lb ->
-      let v = Memory.read_u8 m addr in
-      Int64.of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-    | Lbu -> Int64.of_int (Memory.read_u8 m addr)
-    | Lh ->
-      let v = Memory.read_u16 m addr in
-      Int64.of_int (if v land 0x8000 <> 0 then v - 0x10000 else v)
-    | Lhu -> Int64.of_int (Memory.read_u16 m addr)
-    | Lw -> Int64.of_int32 (Memory.read_u32 m addr)
-    | Lwu -> Int64.logand (Int64.of_int32 (Memory.read_u32 m addr)) low32_mask
-    | Ld -> Memory.read_u64 m addr)
+  let m = t.memory and d = dst rd in
+  match op with
+  | Lb -> set64 t.regs d (Int64.of_int (sext 8 (Memory.read_u8 m addr)))
+  | Lbu -> set64 t.regs d (Int64.of_int (Memory.read_u8 m addr))
+  | Lh -> set64 t.regs d (Int64.of_int (sext 16 (Memory.read_u16 m addr)))
+  | Lhu -> set64 t.regs d (Int64.of_int (Memory.read_u16 m addr))
+  | Lw -> set64 t.regs d (Int64.of_int (sext 32 (Memory.read_u32 m addr)))
+  | Lwu -> set64 t.regs d (Int64.of_int (Memory.read_u32 m addr))
+  | Ld -> Memory.read_u64 m addr t.regs d
 
 let store t (op : Inst.store_op) addr src =
-  let v = get t src in
+  let m = t.memory in
   match op with
-  | Sb -> Memory.write_u8 t.memory addr (Int64.to_int (Int64.logand v 0xFFL))
-  | Sh -> Memory.write_u16 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFL))
-  | Sw -> Memory.write_u32 t.memory addr (Int64.to_int32 v)
-  | Sd -> Memory.write_u64 t.memory addr v
+  | Sb -> Memory.write_u8 m addr (Int64.to_int (get t src))
+  | Sh -> Memory.write_u16 m addr (Int64.to_int (get t src))
+  | Sw -> Memory.write_u32 m addr (Int64.to_int (get t src))
+  | Sd -> Memory.write_u64 m addr t.regs (src lsl 3)
 
 let alignment (op : Inst.load_op) =
   match op with Lb | Lbu -> 1 | Lh | Lhu -> 2 | Lw | Lwu -> 4 | Ld -> 8
@@ -382,99 +396,111 @@ let syscall t =
 (* Step                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* One instruction of a [Running] core.  A fault raises; [stop] turns it
+   into the core's status. *)
+let execute t =
+  (* The line fill precedes decode, as in silicon: a fetch-checking
+     integrity guard must get to refuse the granule before a
+     corrupted encoding can raise its own (less diagnosable) decode
+     fault. *)
+  charge_ifetch t ~addr:t.pc_;
+  let d = fetch_decode t in
+  let size = d.size in
+  (match t.trace with Some hook -> hook ~pc:t.pc_ d.inst | None -> ());
+  add_cycles t 1;
+  (* Load-use hazard: stalls when an instruction consumes the result of
+     the immediately preceding load. *)
+  if t.last_load_dest >= 0 && d.uses land (1 lsl t.last_load_dest) <> 0 then
+    add_cycles t t.timing.load_use_stall;
+  t.last_load_dest <- -1;
+  let next_pc = ref (t.pc_ + size) in
+  (match d.inst with
+  | Inst.R (op, rd, rs1, rs2) ->
+    if is_mul op then add_cycles t t.timing.mul_extra;
+    if is_div op then add_cycles t t.timing.div_extra;
+    exec_r t op (rd :> int) (rs1 :> int) (rs2 :> int)
+  | Inst.I (op, rd, rs1, imm) -> exec_i t op (rd :> int) (rs1 :> int) imm
+  | Inst.Shift (op, rd, rs1, sh) -> exec_shift t op (rd :> int) (rs1 :> int) sh
+  | Inst.U (Lui, rd, imm) -> set64 t.regs (dst (rd :> int)) (Int64.of_int (imm lsl 12))
+  | Inst.U (Auipc, rd, imm) ->
+    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + (imm lsl 12)))
+  | Inst.Load (op, rd, base, off) ->
+    let addr = Int64.to_int (get t (base :> int)) + off in
+    if addr land (alignment op - 1) <> 0 then
+      raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
+    charge_cache t t.dcache_ ~addr ~write:false;
+    load t op (rd :> int) addr;
+    t.last_load_dest <- (rd :> int)
+  | Inst.Store (op, src, base, off) ->
+    let addr = Int64.to_int (get t (base :> int)) + off in
+    if addr land (store_alignment op - 1) <> 0 then
+      raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
+    charge_cache t t.dcache_ ~addr ~write:true;
+    store t op addr (src :> int);
+    (match t.on_store with
+    | Some hook -> hook ~addr ~len:(store_alignment op)
+    | None -> ())
+  | Inst.Branch (op, rs1, rs2, off) ->
+    let taken = branch_taken t op (rs1 :> int) (rs2 :> int) in
+    if taken then next_pc := t.pc_ + off;
+    (match t.predictor with
+    | None -> if taken then add_cycles t t.timing.taken_branch_penalty
+    | Some counters ->
+      (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
+      let slot = (t.pc_ lsr 1) land (Array.length counters - 1) in
+      let predicted_taken = counters.(slot) >= 2 in
+      if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
+      counters.(slot) <-
+        (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
+  | Inst.Jal (rd, off) ->
+    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
+    next_pc := t.pc_ + off;
+    add_cycles t t.timing.jump_penalty
+  | Inst.Jalr (rd, rs1, imm) ->
+    let target = (Int64.to_int (get t (rs1 :> int)) + imm) land lnot 1 in
+    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
+    next_pc := target;
+    add_cycles t t.timing.jalr_penalty
+  | Inst.Ecall -> (
+    match syscall t with
+    | Sys_continue -> ()
+    | Sys_exit code -> t.status_ <- Exited code)
+  | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
+  | Inst.Fence -> ()
+  | Inst.Csrr (rd, csr) ->
+    set64 t.regs (dst (rd :> int))
+      (match csr with
+      | 0xC00 -> Int64.of_int t.cycles_
+      | 0xC01 -> Int64.of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
+      | 0xC02 -> Int64.of_int t.instret
+      | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))));
+  t.instret <- t.instret + 1;
+  if running t then t.pc_ <- !next_pc
+
+let stop t = function
+  | Fault msg -> t.status_ <- Faulted msg
+  | Integrity_violation msg -> t.status_ <- Integrity_fault msg
+  | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_)
+  | e -> raise e
+
 let step t =
   match t.status_ with
   | Exited _ | Faulted _ | Integrity_fault _ -> ()
-  | Running -> (
-    try
-      (* The line fill precedes decode, as in silicon: a fetch-checking
-         integrity guard must get to refuse the granule before a
-         corrupted encoding can raise its own (less diagnosable) decode
-         fault. *)
-      charge_ifetch t ~addr:t.pc_;
-      let d = fetch_decode t in
-      let size = d.size in
-      (match t.trace with Some hook -> hook ~pc:t.pc_ d.inst | None -> ());
-      add_cycles t 1;
-      (* Load-use hazard: stalls when an instruction consumes the result of
-         the immediately preceding load. *)
-      if t.last_load_dest >= 0 && d.uses land (1 lsl t.last_load_dest) <> 0 then
-        add_cycles t t.timing.load_use_stall;
-      t.last_load_dest <- -1;
-      let next_pc = ref (t.pc_ + size) in
-      (match d.inst with
-      | Inst.R (op, rd, rs1, rs2) ->
-        if is_mul op then add_cycles t t.timing.mul_extra;
-        if is_div op then add_cycles t t.timing.div_extra;
-        exec_r t op (rd :> int) (rs1 :> int) (rs2 :> int)
-      | Inst.I (op, rd, rs1, imm) -> exec_i t op (rd :> int) (rs1 :> int) imm
-      | Inst.Shift (op, rd, rs1, sh) -> exec_shift t op (rd :> int) (rs1 :> int) sh
-      | Inst.U (Lui, rd, imm) -> set64 t.regs (dst (rd :> int)) (Int64.of_int (imm lsl 12))
-      | Inst.U (Auipc, rd, imm) ->
-        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + (imm lsl 12)))
-      | Inst.Load (op, rd, base, off) ->
-        let addr = Int64.to_int (get t (base :> int)) + off in
-        if addr land (alignment op - 1) <> 0 then
-          raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
-        charge_cache t t.dcache_ ~addr ~write:false;
-        load t op (rd :> int) addr;
-        t.last_load_dest <- (rd :> int)
-      | Inst.Store (op, src, base, off) ->
-        let addr = Int64.to_int (get t (base :> int)) + off in
-        if addr land (store_alignment op - 1) <> 0 then
-          raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
-        charge_cache t t.dcache_ ~addr ~write:true;
-        store t op addr (src :> int);
-        (match t.on_store with
-        | Some hook -> hook ~addr ~len:(store_alignment op)
-        | None -> ())
-      | Inst.Branch (op, rs1, rs2, off) ->
-        let taken = branch_taken t op (rs1 :> int) (rs2 :> int) in
-        if taken then next_pc := t.pc_ + off;
-        (match t.predictor with
-        | None -> if taken then add_cycles t t.timing.taken_branch_penalty
-        | Some counters ->
-          (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
-          let slot = (t.pc_ lsr 1) land (Array.length counters - 1) in
-          let predicted_taken = counters.(slot) >= 2 in
-          if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
-          counters.(slot) <-
-            (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
-      | Inst.Jal (rd, off) ->
-        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
-        next_pc := t.pc_ + off;
-        add_cycles t t.timing.jump_penalty
-      | Inst.Jalr (rd, rs1, imm) ->
-        let target = (Int64.to_int (get t (rs1 :> int)) + imm) land lnot 1 in
-        set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
-        next_pc := target;
-        add_cycles t t.timing.jalr_penalty
-      | Inst.Ecall -> (
-        match syscall t with
-        | Sys_continue -> ()
-        | Sys_exit code -> t.status_ <- Exited code)
-      | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
-      | Inst.Fence -> ()
-      | Inst.Csrr (rd, csr) ->
-        set64 t.regs (dst (rd :> int))
-          (match csr with
-          | 0xC00 -> Int64.of_int t.cycles_
-          | 0xC01 -> Int64.of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
-          | 0xC02 -> Int64.of_int t.instret
-          | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))));
-      t.instret <- t.instret + 1;
-      if running t then t.pc_ <- !next_pc
-    with
-    | Fault msg -> t.status_ <- Faulted msg
-    | Integrity_violation msg -> t.status_ <- Integrity_fault msg
-    | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_))
+  | Running -> ( try execute t with e -> stop t e)
 
+(* One handler for the whole loop, not one per instruction.  The step
+   that faults counts, as with [step]; the core is then no longer
+   [Running], so the loop would have stopped there anyway. *)
 let run_until t ~fuel ~cycles =
   let steps = ref 0 in
-  while running t && !steps < fuel && t.cycles_ < cycles do
-    step t;
-    incr steps
-  done;
+  (try
+     while running t && !steps < fuel && t.cycles_ < cycles do
+       execute t;
+       incr steps
+     done
+   with e ->
+     incr steps;
+     stop t e);
   !steps
 
 let run ?(fuel = 50_000_000) t =

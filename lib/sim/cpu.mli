@@ -67,8 +67,8 @@ type status =
 val status : t -> status
 
 exception Integrity_violation of string
-(** Raised by guard hooks mid-step; {!step} converts it into the
-    {!Integrity_fault} status. *)
+(** Raised by guard hooks mid-step; {!step} and {!run_until} convert it
+    into the {!Integrity_fault} status. *)
 
 val set_trace : t -> (pc:int -> Eric_rv.Inst.t -> unit) option -> unit
 (** Install (or clear) a per-instruction hook, called after fetch/decode
@@ -93,7 +93,10 @@ val fault_integrity : t -> string -> unit
     periodic scrub engine runs between instructions). *)
 
 val step : t -> unit
-(** Execute one instruction (no-op once not [Running]).
+(** Execute one instruction (no-op once not [Running]).  A fault raised
+    mid-instruction (an invalid instruction, a memory {!Memory.Trap}, an
+    {!Integrity_violation}) becomes the {!Faulted} or {!Integrity_fault}
+    status.
 
     Syscall ABI (a7 selects, as in the Linux RV64 convention):
     - 64 (write): a0=fd (ignored), a1=buffer address, a2=length; appends the
@@ -106,7 +109,12 @@ val run_until : t -> fuel:int -> cycles:int -> int
     taken.  Sets no status of its own: a core stopped by the fuel or the
     cycle bound is still [Running].  An agent that acts between
     instructions at cycle deadlines (the scrub engine) runs the core to
-    each deadline with one call, not one {!step} at a time. *)
+    each deadline with one call, not one {!step} at a time.
+
+    The steps, status and counts are those of calling {!step} the same
+    number of times.  The loop runs inside one exception handler: a fault
+    raised mid-instruction, {!Integrity_violation} included, becomes the
+    core's status as in {!step}, and the faulting step counts. *)
 
 val run : ?fuel:int -> t -> status
 (** {!run_until} with [fuel] (default 50M) and no cycle bound.  Never

@@ -39,22 +39,18 @@ let writable_page t addr =
 (* The [n] bytes at [addr] lie in one page. *)
 let in_page addr n = addr land page_mask <= page_size - n
 
-(* Byte-wise little-endian access, for a multi-byte access that
+(* Byte-wise little-endian access of up to 4 bytes, for an access that
    straddles two pages. *)
 let get_le t addr n =
-  let v = ref 0L in
+  let v = ref 0 in
   for i = n - 1 downto 0 do
-    let b = Bytes.get_uint8 (page t (addr + i)) ((addr + i) land page_mask) in
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+    v := (!v lsl 8) lor Bytes.get_uint8 (page t (addr + i)) ((addr + i) land page_mask)
   done;
   !v
 
 let set_le t addr n v =
   for i = 0 to n - 1 do
-    Bytes.set_uint8
-      (writable_page t (addr + i))
-      ((addr + i) land page_mask)
-      (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+    Bytes.set_uint8 (writable_page t (addr + i)) ((addr + i) land page_mask) ((v lsr (8 * i)) land 0xFF)
   done
 
 let read_u8 t addr =
@@ -64,17 +60,24 @@ let read_u8 t addr =
 let read_u16 t addr =
   check t addr 2;
   if in_page addr 2 then Bytes.get_uint16_le (page t addr) (addr land page_mask)
-  else Int64.to_int (get_le t addr 2)
+  else get_le t addr 2
 
 let read_u32 t addr =
   check t addr 4;
-  if in_page addr 4 then Bytes.get_int32_le (page t addr) (addr land page_mask)
-  else Int64.to_int32 (get_le t addr 4)
+  if in_page addr 4 then
+    Int32.to_int (Bytes.get_int32_le (page t addr) (addr land page_mask)) land 0xFFFF_FFFF
+  else get_le t addr 4
 
-let read_u64 t addr =
+(* A doubleword goes straight between its page and [b], so its [int64]
+   is never boxed; one that straddles two pages goes as two halves. *)
+let read_u64 t addr b off =
   check t addr 8;
-  if in_page addr 8 then Bytes.get_int64_le (page t addr) (addr land page_mask)
-  else get_le t addr 8
+  Bytes.set_int64_ne b off
+    (if in_page addr 8 then Bytes.get_int64_le (page t addr) (addr land page_mask)
+     else
+       Int64.logor
+         (Int64.of_int (get_le t addr 4))
+         (Int64.shift_left (Int64.of_int (get_le t (addr + 4) 4)) 32))
 
 let write_u8 t addr v =
   check t addr 1;
@@ -84,17 +87,21 @@ let write_u16 t addr v =
   check t addr 2;
   if in_page addr 2 then
     Bytes.set_uint16_le (writable_page t addr) (addr land page_mask) (v land 0xFFFF)
-  else set_le t addr 2 (Int64.of_int v)
+  else set_le t addr 2 v
 
 let write_u32 t addr v =
   check t addr 4;
-  if in_page addr 4 then Bytes.set_int32_le (writable_page t addr) (addr land page_mask) v
-  else set_le t addr 4 (Int64.of_int32 v)
+  if in_page addr 4 then Bytes.set_int32_le (writable_page t addr) (addr land page_mask) (Int32.of_int v)
+  else set_le t addr 4 v
 
-let write_u64 t addr v =
+let write_u64 t addr b off =
   check t addr 8;
+  let v = Bytes.get_int64_ne b off in
   if in_page addr 8 then Bytes.set_int64_le (writable_page t addr) (addr land page_mask) v
-  else set_le t addr 8 v
+  else begin
+    set_le t addr 4 (Int64.to_int v);
+    set_le t (addr + 4) 4 (Int64.to_int (Int64.shift_right_logical v 32))
+  end
 
 (* [f a off n] for each page-bounded span of the checked range
    [addr, addr + len): the span starts at address [a], [off] bytes into

@@ -12,20 +12,50 @@ let qtest ?(count = 300) name gen prop = QCheck_alcotest.to_alcotest (QCheck.Tes
 (* Memory                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A 64-bit word goes through the 8 bytes of a buffer, as a native-endian
+   int64, the way the core's register file holds it. *)
+let read_u64 m addr =
+  let word = Bytes.create 8 in
+  Memory.read_u64 m addr word 0;
+  Bytes.get_int64_ne word 0
+
+let write_u64 m addr v =
+  let word = Bytes.create 8 in
+  Bytes.set_int64_ne word 0 v;
+  Memory.write_u64 m addr word 0
+
 let test_memory_rw () =
   let m = Memory.create ~size:4096 in
-  Memory.write_u64 m 128 0x1122334455667788L;
-  check Alcotest.int64 "u64" 0x1122334455667788L (Memory.read_u64 m 128);
+  write_u64 m 128 0x1122334455667788L;
+  check Alcotest.int64 "u64" 0x1122334455667788L (read_u64 m 128);
   check Alcotest.int "low byte" 0x88 (Memory.read_u8 m 128);
   check Alcotest.int "u16" 0x7788 (Memory.read_u16 m 128);
-  check Alcotest.int32 "u32" 0x55667788l (Memory.read_u32 m 128);
+  check Alcotest.int "u32" 0x55667788 (Memory.read_u32 m 128);
   Memory.write_u8 m 128 0xFF;
-  check Alcotest.int "byte replaced" 0xFF (Memory.read_u8 m 128)
+  check Alcotest.int "byte replaced" 0xFF (Memory.read_u8 m 128);
+  let regs = Bytes.make 24 '\000' in
+  Memory.read_u64 m 128 regs 8;
+  check Alcotest.int64 "u64 into a buffer slot" 0x11223344556677FFL (Bytes.get_int64_ne regs 8);
+  check Alcotest.bool "the slot's neighbours untouched" true
+    (Bytes.get_int64_ne regs 0 = 0L && Bytes.get_int64_ne regs 16 = 0L);
+  Bytes.set_int64_ne regs 16 (-2L);
+  Memory.write_u64 m 136 regs 16;
+  check Alcotest.int64 "u64 from a buffer slot" (-2L) (read_u64 m 136);
+  Memory.write_u32 m 136 (-1);
+  check Alcotest.int "u32 zero-extends" 0xFFFF_FFFF (Memory.read_u32 m 136);
+  Memory.write_u16 m 136 0x12345;
+  check Alcotest.int "u16 keeps the low 16 bits" 0x2345 (Memory.read_u16 m 136);
+  Memory.write_u32 m 136 0x1_2345_6789;
+  check Alcotest.int "u32 keeps the low 32 bits" 0x2345_6789 (Memory.read_u32 m 136);
+  check Alcotest.int "the word above untouched" 0xFFFF_FFFF (Memory.read_u32 m 140)
 
 let test_memory_bounds () =
   let m = Memory.create ~size:64 in
   let trap f = try f (); false with Memory.Trap _ -> true in
-  check Alcotest.bool "read past end" true (trap (fun () -> ignore (Memory.read_u64 m 60)));
+  check Alcotest.bool "read past end" true (trap (fun () -> ignore (read_u64 m 60)));
+  let word = Bytes.make 8 'x' in
+  check Alcotest.bool "u64 read past end" true (trap (fun () -> Memory.read_u64 m 60 word 0));
+  check Alcotest.string "a trapped u64 read leaves its buffer" "xxxxxxxx" (Bytes.to_string word);
   check Alcotest.bool "negative" true (trap (fun () -> ignore (Memory.read_u8 m (-1))));
   check Alcotest.bool "blit past end" true
     (trap (fun () -> Memory.blit_bytes m ~addr:60 (Bytes.make 8 'x')))
@@ -42,7 +72,7 @@ let test_memory_bounds_overflow () =
   let m = Memory.create ~size:64 in
   let trap f = try f (); false with Memory.Trap _ -> true in
   check Alcotest.bool "read_u64 near max_int" true
-    (trap (fun () -> ignore (Memory.read_u64 m (max_int - 7))));
+    (trap (fun () -> ignore (read_u64 m (max_int - 7))));
   check Alcotest.bool "read_bytes huge length" true
     (trap (fun () -> ignore (Memory.read_bytes m ~addr:8 ~len:max_int)));
   check Alcotest.bool "fill huge length" true
@@ -112,7 +142,8 @@ let model_apply flat op =
       (match op with
       | Read (1, a) -> Int64.to_string (Int64.of_int (Bytes.get_uint8 flat a))
       | Read (2, a) -> Int64.to_string (Int64.of_int (Bytes.get_uint16_le flat a))
-      | Read (4, a) -> Int64.to_string (Int64.of_int32 (Bytes.get_int32_le flat a))
+      | Read (4, a) ->
+        Int64.to_string (Int64.logand (Int64.of_int32 (Bytes.get_int32_le flat a)) 0xFFFF_FFFFL)
       | Read (_, a) -> Int64.to_string (Bytes.get_int64_le flat a)
       | Write (1, a, v) -> Bytes.set_uint8 flat a (Int64.to_int v land 0xFF); ""
       | Write (2, a, v) -> Bytes.set_uint16_le flat a (Int64.to_int v land 0xFFFF); ""
@@ -129,21 +160,24 @@ let model_apply flat op =
         Int64.to_string !h)
 
 (* A trap must come before anything is allocated for the access: only
-   the exception and its message may be. *)
+   the exception and its message may be.  A 64-bit access goes through
+   [word], as a native-endian int64. *)
 let memory_apply m op =
   let blit_src = match op with Blit (_, s) -> Bytes.of_string s | _ -> Bytes.empty in
+  let word = Bytes.create 8 in
+  (match op with Write (8, _, v) -> Bytes.set_int64_ne word 0 v | _ -> ());
   let before = Gc.allocated_bytes () in
   try
     Some
       (match op with
       | Read (1, a) -> Int64.to_string (Int64.of_int (Memory.read_u8 m a))
       | Read (2, a) -> Int64.to_string (Int64.of_int (Memory.read_u16 m a))
-      | Read (4, a) -> Int64.to_string (Int64.of_int32 (Memory.read_u32 m a))
-      | Read (_, a) -> Int64.to_string (Memory.read_u64 m a)
+      | Read (4, a) -> Int64.to_string (Int64.of_int (Memory.read_u32 m a))
+      | Read (_, a) -> Memory.read_u64 m a word 0; Int64.to_string (Bytes.get_int64_ne word 0)
       | Write (1, a, v) -> Memory.write_u8 m a (Int64.to_int v); ""
       | Write (2, a, v) -> Memory.write_u16 m a (Int64.to_int v); ""
-      | Write (4, a, v) -> Memory.write_u32 m a (Int64.to_int32 v); ""
-      | Write (_, a, v) -> Memory.write_u64 m a v; ""
+      | Write (4, a, v) -> Memory.write_u32 m a (Int64.to_int v); ""
+      | Write (_, a, _) -> Memory.write_u64 m a word 0; ""
       | Blit (a, _) -> Memory.blit_bytes m ~addr:a blit_src; ""
       | Read_bytes (a, n) -> Bytes.to_string (Memory.read_bytes m ~addr:a ~len:n)
       | Fill (a, n, c) -> Memory.fill m ~addr:a ~len:n c; ""
@@ -201,6 +235,17 @@ let test_cache_flush () =
   ignore (Cache.access c ~addr:0 ~write:false);
   Cache.flush c;
   check Alcotest.bool "miss after flush" true (Cache.access c ~addr:0 ~write:false <> Cache.Hit)
+
+(* A miss at a negative address (an access about to fault) evicts like
+   any other, so it must replace the remembered repeat line: here it
+   evicts the line of the access before it. *)
+let test_cache_negative_miss_replaces_repeat_line () =
+  let c = Cache.create { Cache.size_bytes = 256; ways = 1; line_bytes = 16 } in
+  (* 16 sets: line 1 is set 1, tag 0; line -31 is set 1, tag -1. *)
+  ignore (Cache.access c ~addr:16 ~write:false);
+  check Alcotest.bool "the negative address misses" true
+    (Cache.access c ~addr:(-496) ~write:false <> Cache.Hit);
+  check Alcotest.bool "line 1 was evicted" true (Cache.access c ~addr:20 ~write:false <> Cache.Hit)
 
 let test_cache_geometry_validation () =
   let bad geometry = try ignore (Cache.create geometry); false with Invalid_argument _ -> true in
@@ -271,6 +316,12 @@ end
 
 type cache_op = Access of int * bool | Flush
 
+(* The address [off] bytes into the line of [addr], on its side of zero:
+   a negative address's line is the one its magnitude divides to. *)
+let same_line ~line_bytes addr off =
+  let within a = a land lnot (line_bytes - 1) lor (off land (line_bytes - 1)) in
+  if addr >= 0 then within addr else -within (-addr)
+
 let cache_equivalence =
   let geometries =
     [ { Cache.size_bytes = 512; ways = 2; line_bytes = 64 };
@@ -279,16 +330,35 @@ let cache_equivalence =
       { Cache.size_bytes = 512; ways = 8; line_bytes = 64 } (* one fully associative set *);
       Cache.table1_config ]
   in
+  (* [Repeat] re-reads or re-writes the line of the previous access, the
+     cache's repeat-line path; [ops] resolves it to an address. *)
   let op =
     QCheck.Gen.(
       frequency
         [ ( 40,
             map2
-              (fun addr write -> Access (addr, write))
+              (fun addr write -> `Access (addr, write))
               (frequency
                  [ (8, int_range 0 4095); (2, int_range 0 65535); (1, int_range (-4096) (-1)) ])
               bool );
-          (1, return Flush) ])
+          (30, map2 (fun off write -> `Repeat (off, write)) (int_range 0 4095) bool);
+          (1, return `Flush) ])
+  in
+  let ops (cfg : Cache.config) =
+    QCheck.Gen.map
+      (fun raw ->
+        let prev = ref 0 in
+        List.map
+          (function
+            | `Flush -> Flush
+            | `Access (addr, write) ->
+              prev := addr;
+              Access (addr, write)
+            | `Repeat (off, write) ->
+              prev := same_line ~line_bytes:cfg.Cache.line_bytes !prev off;
+              Access (!prev, write))
+          raw)
+      (QCheck.Gen.list_size (QCheck.Gen.int_range 1 300) op)
   in
   let print (cfg, ops) =
     Printf.sprintf "%d B, %d-way, %d B lines: %s" cfg.Cache.size_bytes cfg.Cache.ways
@@ -301,7 +371,7 @@ let cache_equivalence =
             ops))
   in
   qtest ~count:200 "access = list/closure reference"
-    (QCheck.make ~print QCheck.Gen.(pair (oneofl geometries) (list_size (int_range 1 300) op)))
+    (QCheck.make ~print QCheck.Gen.(oneofl geometries >>= fun cfg -> pair (return cfg) (ops cfg)))
     (fun (cfg, ops) ->
       let c = Cache.create cfg and r = Ref_cache.create cfg in
       List.for_all
@@ -322,8 +392,9 @@ let cache_equivalence =
    return rd. *)
 let exec_r op a b =
   let memory = Memory.create ~size:0x20000 in
-  Memory.write_u32 memory 0x10000 (Encode.encode (Inst.R (op, Reg.a 0, Reg.a 1, Reg.a 2)));
-  Memory.write_u32 memory 0x10004 (Encode.encode (Inst.I (Addi, Reg.x0, Reg.x0, 0)));
+  let encode inst = Int32.to_int (Encode.encode inst) in
+  Memory.write_u32 memory 0x10000 (encode (Inst.R (op, Reg.a 0, Reg.a 1, Reg.a 2)));
+  Memory.write_u32 memory 0x10004 (encode (Inst.I (Addi, Reg.x0, Reg.x0, 0)));
   let cpu = Cpu.create ~memory ~pc:0x10000 ~sp:0x1F000 () in
   Cpu.set_reg cpu (Reg.a 1) a;
   Cpu.set_reg cpu (Reg.a 2) b;
@@ -858,7 +929,8 @@ let test_decode_once_stale_text () =
   (match Cpu.run (Soc.boot image memory) with
   | Cpu.Exited code -> check Alcotest.int "the stale decode ran both times" 2 code
   | _ -> Alcotest.fail "did not exit");
-  check Alcotest.int32 "the store reached memory" (Encode.encode patch)
+  check Alcotest.int "the store reached memory"
+    (Int32.to_int (Encode.encode patch) land 0xFFFF_FFFF)
     (Memory.read_u32 memory (Program.Layout.text_base + 24))
 
 let test_decode_pc_in_data () =
@@ -917,7 +989,42 @@ let test_steps_allocate_nothing () =
   check Alcotest.bool
     (Printf.sprintf "guarded %.3f vs %.3f words per instruction" guarded plain)
     true
-    (guarded -. plain < 0.1)
+    (guarded -. plain < 0.1);
+  (* Every load and store width and the M extension's high multiplies
+     and divides, 4096 times round a loop over the data segment.  Under
+     the guard the core runs with its fetch and store hooks attached;
+     the scrub passes allocate per pass, not per step, and the check
+     above bounds them. *)
+  let a n = Reg.a n and t0 = Reg.t_ 0 in
+  let body =
+    List.map (fun op -> Inst.Load (op, a 2, a 1, 0)) [ Lb; Lh; Lw; Ld; Lbu; Lhu; Lwu ]
+    @ List.map (fun (op, off) -> Inst.Store (op, t0, a 1, off)) [ (Sb, 8); (Sh, 16); (Sw, 24); (Sd, 32) ]
+    @ List.map
+        (fun op -> Inst.R (op, a 3, a 1, t0))
+        [ Mulh; Mulhsu; Mulhu; Div; Divu; Rem; Remu; Divw; Remw ]
+    @ [ Inst.I (Addi, t0, t0, -1) ]
+  in
+  let image =
+    build_program ~data:(Bytes.make 64 '\001')
+      ([ Inst.U (Lui, t0, 1); Inst.U (Lui, a 1, 0x11) (* the data base *) ]
+      @ body
+      @ [ Inst.Branch (Bne, t0, Reg.x0, -4 * List.length body); Inst.I (Addi, a 0, Reg.x0, 0);
+          Inst.I (Addi, a 7, Reg.x0, 93); Inst.Ecall ])
+  in
+  List.iter
+    (fun (label, guard) ->
+      let memory = Soc.load image in
+      let cpu = Soc.boot image memory in
+      if Eric_hw.Guard.enabled guard then
+        Integrity.attach (Integrity.create ~config:guard ~image memory) cpu;
+      let before = Gc.minor_words () in
+      if Cpu.run cpu <> Cpu.Exited 0 then Alcotest.fail "load/store/M loop did not exit 0";
+      let per_step = (Gc.minor_words () -. before) /. Int64.to_float (Cpu.instructions cpu) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.3f words per load, store or M step" label per_step)
+        true (per_step < 0.1))
+    [ ("unguarded", Eric_hw.Guard.disabled);
+      ("fetch+scrub:1024", Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden cycle pin                                                    *)
@@ -1045,7 +1152,9 @@ let () =
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
           Alcotest.test_case "table1 geometry" `Quick test_cache_table1_geometry;
-          cache_equivalence ] );
+          cache_equivalence;
+          Alcotest.test_case "negative-address miss replaces the repeat line" `Quick
+            test_cache_negative_miss_replaces_repeat_line ] );
       ( "cpu-semantics",
         [ Alcotest.test_case "div corner cases" `Quick test_div_corner_cases;
           Alcotest.test_case "mulh identities" `Quick test_mulh_identities;
