@@ -237,7 +237,7 @@ let ablation_static_analysis () =
   Report.subheading "Static-analysis resistance per encryption mode (workload: crc32)";
   let _, image = List.nth (Lazy.force compiled) 4 in
   let key = device_key () in
-  let plain_text = Eric_rv.Program.text_bytes image in
+  let plain_text = image.Eric_rv.Program.text in
   let row name text =
     let r = Eric.Analysis.static_analysis text in
     [ name; Printf.sprintf "%.1f%%" (100.0 *. r.Eric.Analysis.valid_fraction);
@@ -351,7 +351,7 @@ let ablation_compression () =
       (fun (w : Eric_workloads.Workloads.t) ->
         let sized options =
           match Eric_cc.Driver.compile ~options w.source with
-          | Ok img -> (Eric_rv.Program.text_size img, Array.length img.Eric_rv.Program.text)
+          | Ok img -> (Eric_rv.Program.text_size img, Array.length (Eric_rv.Program.parcels img))
           | Error e -> failwith e
         in
         let on, on_parcels = sized Eric_cc.Driver.default_options in
@@ -506,7 +506,7 @@ let lint () =
   let diags = List.length mc_diags + List.length leak_diags in
   Printf.printf "largest workload %s: %d parcels verified, %d diagnostics, %.3f ms\n"
     w.Eric_workloads.Workloads.name
-    (Array.length image.Eric_rv.Program.text)
+    (Array.length (Eric_rv.Program.parcels image))
     diags (Eric_telemetry.Clock.ns_to_ms wall);
   Report.record ~suite:"lint" ~metric:"wall_ns" ~unit_:"ns" (Int64.to_float wall);
   Report.record ~suite:"lint" ~metric:"diagnostics" ~unit_:"count" (float_of_int diags);
@@ -521,7 +521,7 @@ let lint () =
   let rows =
     List.map
       (fun (w, image) ->
-        let clear = Array.map (fun _ -> Eric_lint.Leakage.Clear) image.Eric_rv.Program.text in
+        let clear = Array.map (fun _ -> Eric_lint.Leakage.Clear) (Eric_rv.Program.parcels image) in
         let lin = Eric_lint.Leakage.recover Eric_lint.Leakage.Linear image clear in
         let t0 = Eric_telemetry.Clock.now_ns () in
         let rc = Eric_lint.Leakage.recover Eric_lint.Leakage.Recursive image clear in
@@ -907,7 +907,9 @@ let obf () =
         let plain_bytes = Eric_rv.Program.text_size plain in
         let plain_cycles = Eric_sim.Soc.total_cycles plain_run in
         let baseline =
-          let clear = Array.map (fun _ -> Eric_lint.Leakage.Clear) plain.Eric_rv.Program.text in
+          let clear =
+            Array.map (fun _ -> Eric_lint.Leakage.Clear) (Eric_rv.Program.parcels plain)
+          in
           (Eric_lint.Leakage.recover Eric_lint.Leakage.Recursive plain clear)
             .Eric_lint.Leakage.structure_score
         in

@@ -590,7 +590,7 @@ let inspect_cmd =
 let disasm_cmd =
   let run path =
     let image = or_die_malformed (Eric_rv.Program.of_binary (Bytes.of_string (read_file path))) in
-    let lines = Eric_rv.Disasm.disassemble_stream (Eric_rv.Program.text_bytes image) in
+    let lines = Eric_rv.Disasm.disassemble_stream image.Eric_rv.Program.text in
     match image.Eric_rv.Program.symbols with
     | [] -> Format.printf "%a" Eric_rv.Disasm.pp_listing lines
     | symbols -> Format.printf "%a" (Eric_rv.Disasm.pp_listing_symbols ~symbols) lines
@@ -608,7 +608,7 @@ let analyze_cmd =
       | Ok pkg -> (pkg.Eric.Package.enc_text, None)
       | Error _ ->
         let image = or_die_malformed (Eric_rv.Program.of_binary data) in
-        (Eric_rv.Program.text_bytes image, Some image)
+        (image.Eric_rv.Program.text, Some image)
     in
     Format.printf "%a@." Eric.Analysis.pp_static_report (Eric.Analysis.static_analysis text);
     Format.printf "byte entropy: %.2f bits/byte@." (Eric.Analysis.byte_entropy text);

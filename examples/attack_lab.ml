@@ -54,7 +54,7 @@ let () =
     | Ok b -> b
     | Error e -> failwith e
   in
-  let plain_text = Eric_rv.Program.text_bytes build.Eric.Source.image in
+  let plain_text = build.Eric.Source.image.Eric_rv.Program.text in
   let cipher_text = build.Eric.Source.package.Eric.Package.enc_text in
 
   print_endline "=== 1. Static analysis: disassembling the intercepted package ===";

@@ -67,7 +67,7 @@ let () =
   let field = Eric.Config.Field (Eric.Config.Imm_fields, Eric.Config.Select_all) in
   let build_b = Eric.Source.package_image ~mode:field ~key image in
   let report text = Eric.Analysis.static_analysis text in
-  let plain_r = report (Eric_rv.Program.text_bytes image) in
+  let plain_r = report image.Eric_rv.Program.text in
   let b_r = report build_b.Eric.Source.package.Eric.Package.enc_text in
   Printf.printf
     "variant B (field-level): ciphertext still decodes %.0f%% (vs %.0f%% plaintext) — \

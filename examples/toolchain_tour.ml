@@ -54,7 +54,7 @@ let () =
 
   (* 4. disassemble it back, symbolised *)
   print_endline "=== disassembly of hot_loop ===";
-  let lines = Eric_rv.Disasm.disassemble_stream (Eric_rv.Program.text_bytes image) in
+  let lines = Eric_rv.Disasm.disassemble_stream image.Eric_rv.Program.text in
   let hot_off = List.assoc "hot_loop" image.Eric_rv.Program.symbols in
   let listing =
     Format.asprintf "%a"

@@ -6,7 +6,7 @@ exception Program_exit of int
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 type state = {
-  memory : Bytes.t;
+  pages : Bytes.t array;  (** the address space, {!page_size} bytes a page *)
   globals : (string, int) Hashtbl.t;  (** symbol -> address *)
   funcs : (string, Ir.func) Hashtbl.t;
   out : Buffer.t;
@@ -18,27 +18,58 @@ type state = {
 let memory_size = 4 * 1024 * 1024
 let data_base = 0x1000
 
-let check st addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length st.memory then
+(* The 4 MiB address space is held as 4 KiB pages that all start as one
+   shared page of zeros, never written: a page gets bytes of its own on
+   its first write, so a run allocates only the pages it writes (globals
+   near the bottom, the stack near the top) instead of 4 MiB. *)
+let page_size = 4096
+let zero_page = Bytes.make page_size '\000'
+
+let check addr len =
+  if addr < 0 || len < 0 || addr + len > memory_size then
     err "memory access out of bounds: 0x%x (+%d)" addr len
+
+let get_byte st addr = Bytes.get st.pages.(addr / page_size) (addr mod page_size)
+
+let writable_page st addr =
+  let p = addr / page_size in
+  if st.pages.(p) == zero_page then st.pages.(p) <- Bytes.make page_size '\000';
+  st.pages.(p)
+
+let set_byte st addr c = Bytes.set (writable_page st addr) (addr mod page_size) c
 
 let read st w addr =
   match w with
   | Ir.W8 ->
-    check st addr 1;
-    Int64.of_int (Char.code (Bytes.get st.memory addr))
+    check addr 1;
+    Int64.of_int (Char.code (get_byte st addr))
   | Ir.W64 ->
-    check st addr 8;
-    Eric_util.Bytesx.get_u64 st.memory addr
+    check addr 8;
+    let off = addr mod page_size in
+    if off <= page_size - 8 then Bytes.get_int64_le st.pages.(addr / page_size) off
+    else begin
+      (* straddles two pages *)
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (get_byte st (addr + i))))
+      done;
+      !v
+    end
 
 let write st w addr v =
   match w with
   | Ir.W8 ->
-    check st addr 1;
-    Bytes.set st.memory addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
+    check addr 1;
+    set_byte st addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
   | Ir.W64 ->
-    check st addr 8;
-    Eric_util.Bytesx.set_u64 st.memory addr v
+    check addr 8;
+    let off = addr mod page_size in
+    if off <= page_size - 8 then Bytes.set_int64_le (writable_page st addr) off v
+    else
+      for i = 0 to 7 do
+        set_byte st (addr + i)
+          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
+      done
 
 let eval_binop (op : Ir.binop) a b =
   let open Int64 in
@@ -113,8 +144,10 @@ let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
             (match dest with Some d -> temps.(d) <- r | None -> ()))
         | Ir.Write (buf, len) ->
           let addr = Int64.to_int (value buf) and n = Int64.to_int (value len) in
-          check st addr n;
-          Buffer.add_subbytes st.out st.memory addr n
+          check addr n;
+          for i = addr to addr + n - 1 do
+            Buffer.add_char st.out (get_byte st i)
+          done
         | Ir.Exit v -> raise (Program_exit (Int64.to_int (value v)))
         | Ir.Counter (d, _) ->
           (* the interpreter's only monotonic clock is its step count *)
@@ -134,7 +167,7 @@ let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
 let run ?(max_steps = 100_000_000) (p : Ir.program) =
   let st =
     {
-      memory = Bytes.make memory_size '\000';
+      pages = Array.make (memory_size / page_size) zero_page;
       globals = Hashtbl.create 64;
       funcs = Hashtbl.create 64;
       out = Buffer.create 256;
@@ -151,7 +184,7 @@ let run ?(max_steps = 100_000_000) (p : Ir.program) =
     (fun (name, bytes) ->
       cursor := align8 !cursor;
       Hashtbl.replace st.globals name !cursor;
-      Bytes.blit bytes 0 st.memory !cursor (Bytes.length bytes);
+      Bytes.iteri (fun i c -> set_byte st (!cursor + i) c) bytes;
       cursor := !cursor + Bytes.length bytes)
     p.Ir.p_data;
   List.iter

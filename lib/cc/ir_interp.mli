@@ -1,8 +1,8 @@
 (** A reference interpreter for the IR.
 
     Executes {!Ir.program} directly — no code generation, no register
-    allocation, no RISC-V — with its own flat memory for globals, string
-    literals and frame slots.  Because it shares nothing with the back end
+    allocation, no RISC-V — with its own 4 MiB memory for globals, string
+    literals and frame slots (held in pages allocated on first write).  Because it shares nothing with the back end
     below the IR, comparing its observable behaviour (output + exit code)
     with the compiled program running on the simulated SoC checks
     code generation, register allocation, layout and the CPU model as one

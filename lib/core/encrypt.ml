@@ -8,56 +8,31 @@ let pp_error fmt = function
   | Framing_failure msg -> Format.fprintf fmt "framing failure: %s" msg
   | Signature_mismatch -> Format.pp_print_string fmt "signature mismatch"
 
-(* The whole stream for text + signature trailer, generated once.  The
-   hardware generates it block-by-block on the fly; the bytes are
-   identical. *)
-let stream_for ~key ~text_len =
-  let ks = Eric_crypto.Keystream.create ~key in
-  Eric_crypto.Keystream.take ks (text_len + Siggen.signature_size)
-
-(* A parcel half (2 bytes) or a whole 32-bit parcel is one load, one XOR
-   and one store; longer ranges take the 64-bit word loop. *)
-let xor_range buf ks ~pos ~len =
-  match len with
-  | 2 ->
-    Bytes.set_uint16_le buf pos (Bytes.get_uint16_le buf pos lxor Bytes.get_uint16_le ks pos)
-  | 4 ->
-    Bytes.set_int32_le buf pos
-      (Int32.logxor (Bytes.get_int32_le buf pos) (Bytes.get_int32_le ks pos))
-  | _ -> Eric_util.Bytesx.xor_range ~src:buf ~key:ks ~dst:buf ~pos ~len
-
-let xor_field32 buf ks ~pos ~mask =
-  let w = Eric_util.Bytesx.get_u32 buf pos in
-  let kw = Eric_util.Bytesx.get_u32 ks pos in
-  Eric_util.Bytesx.set_u32 buf pos (Int32.logxor w (Int32.logand kw mask))
-
-let xor_field16 buf ks ~pos ~mask =
-  let p = Eric_util.Bytesx.get_u16 buf pos in
-  let kp = Eric_util.Bytesx.get_u16 ks pos in
-  Eric_util.Bytesx.set_u16 buf pos (p lxor (kp land mask))
+module Keystream = Eric_crypto.Keystream
 
 (* ------------------------------------------------------------------ *)
 (* Encryption (software source side)                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything about a package that does not depend on the target's key:
-   parcel selection, the package skeleton (header + map + plaintext
-   sections) and the plaintext signature.  Computed once per (image, mode)
-   and shared across every device the build is personalized for. *)
+   the package skeleton (header + map + plaintext sections), the
+   plaintext signature, and the keystream mask: which text bits the
+   selected parcels encrypt (all ones for full mode, each selected
+   parcel's bytes for partial mode, its field mask for field mode).
+   Computed once per (image, mode) and shared across every device the
+   build is personalized for. *)
 type prepared = {
   p_skeleton : Package.t;  (* enc_text still plaintext, signature zeroed *)
   p_signature : bytes;  (* plaintext signature over header, text, data *)
-  p_parcels : Program.parcel array;
-  p_offsets : int array;
-  p_map : Eric_util.Bitvec.t;
+  p_mask : bytes;  (* as long as the text *)
   p_stats : stats;
 }
 
 let prepared_stats p = p.p_stats
 
 let prepare_unmetered ?obf ~mode image =
-  let text = Program.text_bytes image in
-  let parcels = image.Program.text in
+  let text = Bytes.copy image.Program.text in
+  let parcels = Program.parcels image in
   let offsets = Program.parcel_offsets image in
   let map = Config.selection_bits mode ~parcels ~offsets in
   let kind = Package.kind_of_mode mode in
@@ -81,20 +56,26 @@ let prepare_unmetered ?obf ~mode image =
   in
   if Eric_telemetry.Control.is_enabled () then
     Eric_telemetry.Registry.inc "build.signatures_total";
+  let mask = Bytes.make (Bytes.length text) '\000' in
   let encrypted_parcels = ref 0 and encrypted_bytes = ref 0 in
   Array.iteri
     (fun i parcel ->
       if Eric_util.Bitvec.get map i then begin
+        let pos = offsets.(i) and size = Program.parcel_size parcel in
         incr encrypted_parcels;
-        encrypted_bytes := !encrypted_bytes + Program.parcel_size parcel
+        encrypted_bytes := !encrypted_bytes + size;
+        match (kind, parcel) with
+        | (Package.M_full | Package.M_partial), _ -> Bytes.fill mask pos size '\xff'
+        | Package.M_field scope, Program.P32 w ->
+          Bytes.set_int32_le mask pos (Config.field_mask32 scope w)
+        | Package.M_field scope, Program.P16 v ->
+          Bytes.set_uint16_le mask pos (Config.field_mask16 scope v)
       end)
     parcels;
   {
     p_skeleton = skeleton;
     p_signature = signature;
-    p_parcels = parcels;
-    p_offsets = offsets;
-    p_map = map;
+    p_mask = mask;
     p_stats =
       {
         parcels = Array.length parcels;
@@ -103,28 +84,14 @@ let prepare_unmetered ?obf ~mode image =
       };
   }
 
+(* One masked pass over a copy of the text, then the signature trailer
+   from the stream at [text_len]. *)
 let personalize_unmetered ~key p =
-  let text = p.p_skeleton.Package.enc_text in
-  let kind = p.p_skeleton.Package.kind in
-  let ks = stream_for ~key ~text_len:(Bytes.length text) in
-  let enc_text = Bytes.copy text in
-  Array.iteri
-    (fun i parcel ->
-      if Eric_util.Bitvec.get p.p_map i then begin
-        let pos = p.p_offsets.(i) in
-        let len = Program.parcel_size parcel in
-        match kind with
-        | Package.M_full | Package.M_partial -> xor_range enc_text ks ~pos ~len
-        | Package.M_field scope -> (
-          match parcel with
-          | Program.P32 w -> xor_field32 enc_text ks ~pos ~mask:(Config.field_mask32 scope w)
-          | Program.P16 parc -> xor_field16 enc_text ks ~pos ~mask:(Config.field_mask16 scope parc))
-      end)
-    p.p_parcels;
-  let enc_signature = Bytes.create Siggen.signature_size in
-  Eric_util.Bytesx.xor_into ~src:p.p_signature
-    ~key:(Bytes.sub ks (Bytes.length text) Siggen.signature_size)
-    ~dst:enc_signature;
+  let ks = Keystream.create ~key in
+  let enc_text = Bytes.copy p.p_skeleton.Package.enc_text in
+  Keystream.xor_in_place ~mask:p.p_mask ks ~offset:0 enc_text;
+  let enc_signature = Bytes.copy p.p_signature in
+  Keystream.xor_in_place ks ~offset:(Bytes.length enc_text) enc_signature;
   ({ p.p_skeleton with Package.enc_text; enc_signature }, p.p_stats)
 
 let prepare ?obf ~mode image =
@@ -161,91 +128,119 @@ let encrypt ?obf ~key ~mode image =
 (* Decryption (HDE side)                                               *)
 (* ------------------------------------------------------------------ *)
 
-let decrypt_unmetered ~key (pkg : Package.t) =
-  let text_len = Bytes.length pkg.enc_text in
-  let ks = stream_for ~key ~text_len in
-  let out = Bytes.copy pkg.enc_text in
+let framing msg = Error (Framing_failure msg)
+
+(* Full mode: the whole text is already decrypted, so framing is one
+   count over it, with the streaming walk's errors in the walk's order.
+   Allocates nothing unless it fails. *)
+let rec count_parcels out ~parcel_count off idx =
+  let text_len = Bytes.length out in
+  if off = text_len then
+    if idx = parcel_count then Ok () else framing "fewer parcels than the header promises"
+  else if off + 2 > text_len then framing "trailing odd byte"
+  else if idx >= parcel_count then framing "more parcels than the header promises"
+  else
+    let size = if Bytes.get_uint16_le out off land 0b11 = 0b11 then 4 else 2 in
+    if off + size > text_len then framing "32-bit parcel runs past the end"
+    else count_parcels out ~parcel_count (off + size) (idx + 1)
+
+(* The 16 bits at [off] lxor= the stream's, ANDed with [mask]. *)
+let xor_half out ks off mask =
+  Bytes.set_uint16_le out off (Bytes.get_uint16_le out off lxor (Keystream.half ks off land mask))
+
+(* Partial and field modes: streaming framing discovery, as the hardware
+   walks.  Decrypt a parcel's low half, read its length bits, finish the
+   parcel, move on. *)
+let walk (pkg : Package.t) ks out =
+  let text_len = Bytes.length out in
   let map_bit idx =
     match pkg.map with
     | None -> true (* full encryption *)
     | Some m -> idx < Eric_util.Bitvec.length m && Eric_util.Bitvec.get m idx
   in
   let encrypted_parcels = ref 0 and encrypted_bytes = ref 0 in
-  (* Streaming framing discovery: decrypt a parcel's low half, read its
-     length bits, finish the parcel, move on. *)
-  let rec walk off idx =
+  let rec go off idx =
     if off = text_len then
-      if idx = pkg.parcel_count then Ok ()
-      else Error (Framing_failure "fewer parcels than the header promises")
-    else if off + 2 > text_len then Error (Framing_failure "trailing odd byte")
-    else if idx >= pkg.parcel_count then
-      Error (Framing_failure "more parcels than the header promises")
+      if idx = pkg.parcel_count then
+        Ok
+          {
+            parcels = pkg.parcel_count;
+            encrypted_parcels = !encrypted_parcels;
+            encrypted_bytes = !encrypted_bytes;
+          }
+      else framing "fewer parcels than the header promises"
+    else if off + 2 > text_len then framing "trailing odd byte"
+    else if idx >= pkg.parcel_count then framing "more parcels than the header promises"
     else begin
       let enc = map_bit idx in
-      match pkg.kind with
-      | Package.M_full | Package.M_partial ->
-        if enc then xor_range out ks ~pos:off ~len:2;
-        let half = Eric_util.Bytesx.get_u16 out off in
-        let size = if half land 0b11 = 0b11 then 4 else 2 in
-        if off + size > text_len then Error (Framing_failure "32-bit parcel runs past the end")
-        else begin
-          if enc then begin
-            if size = 4 then xor_range out ks ~pos:(off + 2) ~len:2;
-            incr encrypted_parcels;
-            encrypted_bytes := !encrypted_bytes + size
-          end;
-          walk (off + size) (idx + 1)
-        end
-      | Package.M_field scope ->
-        (* Opcode bits are plaintext by construction, so framing and mask
-           derivation read the ciphertext directly. *)
-        let half = Eric_util.Bytesx.get_u16 out off in
-        let size = if half land 0b11 = 0b11 then 4 else 2 in
-        if off + size > text_len then Error (Framing_failure "32-bit parcel runs past the end")
-        else begin
-          if enc then begin
-            (if size = 4 then begin
-               let w = Eric_util.Bytesx.get_u32 out off in
-               xor_field32 out ks ~pos:off ~mask:(Config.field_mask32 scope w)
-             end
-             else xor_field16 out ks ~pos:off ~mask:(Config.field_mask16 scope half));
-            incr encrypted_parcels;
-            encrypted_bytes := !encrypted_bytes + size
-          end;
-          walk (off + size) (idx + 1)
-        end
+      (match pkg.kind with
+      | Package.M_field _ -> ()
+      | Package.M_full | Package.M_partial -> if enc then xor_half out ks off 0xFFFF);
+      (* Field modes leave the opcode bits plaintext by construction, so
+         framing and mask derivation read the ciphertext directly. *)
+      let half = Bytes.get_uint16_le out off in
+      let size = if half land 0b11 = 0b11 then 4 else 2 in
+      if off + size > text_len then framing "32-bit parcel runs past the end"
+      else begin
+        if enc then begin
+          (match pkg.kind with
+          | Package.M_full | Package.M_partial -> if size = 4 then xor_half out ks (off + 2) 0xFFFF
+          | Package.M_field scope ->
+            if size = 4 then begin
+              let mask = Int32.to_int (Config.field_mask32 scope (Bytes.get_int32_le out off)) in
+              xor_half out ks off (mask land 0xFFFF);
+              xor_half out ks (off + 2) ((mask lsr 16) land 0xFFFF)
+            end
+            else xor_half out ks off (Config.field_mask16 scope half));
+          incr encrypted_parcels;
+          encrypted_bytes := !encrypted_bytes + size
+        end;
+        go (off + size) (idx + 1)
+      end
     end
   in
-  match walk 0 0 with
+  go 0 0
+
+let decrypt_unmetered ~key (pkg : Package.t) =
+  let text_len = Bytes.length pkg.enc_text in
+  let ks = Keystream.create ~key in
+  let out = Bytes.copy pkg.enc_text in
+  let framed =
+    match pkg.kind with
+    | Package.M_full -> (
+      Keystream.xor_in_place ks ~offset:0 out;
+      match count_parcels out ~parcel_count:pkg.parcel_count 0 0 with
+      | Error e -> Error e
+      | Ok () ->
+        Ok
+          {
+            parcels = pkg.parcel_count;
+            encrypted_parcels = pkg.parcel_count;
+            encrypted_bytes = text_len;
+          })
+    | Package.M_partial | Package.M_field _ -> walk pkg ks out
+  in
+  match framed with
   | Error e -> Error e
-  | Ok () -> (
+  | Ok stats ->
     (* Validation Unit: recompute the signature over the decrypted
        content, decrypt the travelling signature, compare. *)
     let recomputed =
       Siggen.signature ~authenticated:[ Package.authenticated_header pkg; out; pkg.data ]
     in
-    let travelling = Bytes.create Siggen.signature_size in
-    Eric_util.Bytesx.xor_into ~src:pkg.enc_signature
-      ~key:(Bytes.sub ks text_len Siggen.signature_size)
-      ~dst:travelling;
+    let travelling = Bytes.copy pkg.enc_signature in
+    Keystream.xor_in_place ks ~offset:text_len travelling;
     if not (Eric_crypto.Ct.equal recomputed travelling) then Error Signature_mismatch
     else
-      match Program.frame_text out with
-      | None -> Error (Framing_failure "decrypted text does not tile")
-      | Some parcels ->
-        Ok
-          ( {
-              Program.text = parcels;
-              data = pkg.data;
-              bss_size = pkg.bss_size;
-              entry_offset = pkg.entry_offset;
-              symbols = [];
-            },
-            {
-              parcels = pkg.parcel_count;
-              encrypted_parcels = !encrypted_parcels;
-              encrypted_bytes = !encrypted_bytes;
-            } ))
+      Ok
+        ( {
+            Program.text = out;
+            data = pkg.data;
+            bss_size = pkg.bss_size;
+            entry_offset = pkg.entry_offset;
+            symbols = [];
+          },
+          stats )
 
 let decrypt ~key (pkg : Package.t) =
   let r =
@@ -269,8 +264,6 @@ let decrypt ~key (pkg : Package.t) =
   r
 
 let decrypt_text_only ~key (pkg : Package.t) =
-  let text_len = Bytes.length pkg.enc_text in
-  let ks = stream_for ~key ~text_len in
   let out = Bytes.copy pkg.enc_text in
-  xor_range out ks ~pos:0 ~len:text_len;
+  Keystream.xor_in_place (Keystream.create ~key) ~offset:0 out;
   out

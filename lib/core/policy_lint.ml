@@ -2,8 +2,9 @@ open Eric_rv
 module Leakage = Eric_lint.Leakage
 
 let coverage ~mode (p : Program.t) =
+  let parcels = Program.parcels p in
   let offsets = Program.parcel_offsets p in
-  let selected = Config.selection_bits mode ~parcels:p.Program.text ~offsets in
+  let selected = Config.selection_bits mode ~parcels ~offsets in
   Array.mapi
     (fun i parcel ->
       if not (Eric_util.Bitvec.get selected i) then Leakage.Clear
@@ -14,7 +15,7 @@ let coverage ~mode (p : Program.t) =
           match parcel with
           | Program.P32 w -> Leakage.Enc32 (Config.field_mask32 scope w)
           | Program.P16 v -> Leakage.Enc16 (Config.field_mask16 scope v)))
-    p.Program.text
+    parcels
 
 let analyze ~mode p = Leakage.analyze p (coverage ~mode p)
 let lint ?max_leakage ~mode p = Leakage.lint ?max_leakage p (coverage ~mode p)

@@ -35,26 +35,23 @@ let init () =
     w = Array.make 64 0;
   }
 
-let reset ctx =
-  Array.blit iv 0 ctx.h 0 8;
-  ctx.buf_len <- 0;
-  ctx.total <- 0;
-  ctx.finished <- false
-
 let mask32 = 0xFFFFFFFF
 
-(* The compression function is the process-wide hot spot: every keystream
-   byte, signature and content digest funnels through it.  Each rotation
-   is one shift of the doubled word [d = x lor (x lsl 32)]: bits [n] to
-   [n + 31] of [d] are [x] rotated right by [n].  On 63-bit ints [x lsl 32]
-   drops bit 31 of [x], which would land on bit 63; every SHA-256 rotation
-   amount is between 1 and 31, so bit [n + 31] never reaches past bit 62
-   and the dropped bit is never read.  The high bits the shifts leave
-   behind only feed xors and additions, whose low 32 bits do not depend on
-   them, so the sigmas, [ch] and [maj] stay unmasked: [t1] and the words
-   stored back are masked once each. *)
-let compress ctx block pos =
-  let w = ctx.w in
+(* The compression function ([schedule], then [rounds]) is the
+   process-wide hot spot: every keystream byte, signature and content
+   digest funnels through it.  Each rotation is one shift of the doubled
+   word [d = x lor (x lsl 32)]: bits [n] to [n + 31] of [d] are [x]
+   rotated right by [n].  On 63-bit ints [x lsl 32] drops bit 31 of [x],
+   which would land on bit 63; every SHA-256 rotation amount is between 1
+   and 31, so bit [n + 31] never reaches past bit 62 and the dropped bit
+   is never read.  The high bits the shifts leave behind only feed xors
+   and additions, whose low 32 bits do not depend on them, so the sigmas,
+   [ch] and [maj] stay unmasked: [t1] and the words stored back are
+   masked once each. *)
+
+(* Message words 0-15 of the block at [pos], then the schedule's words
+   16-63. *)
+let schedule w block pos =
   for t = 0 to 15 do
     Array.unsafe_set w t (Int32.to_int (Bytes.get_int32_be block (pos + (4 * t))) land mask32)
   done;
@@ -65,11 +62,17 @@ let compress ctx block pos =
     let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (x2 lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask32)
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
+  done
+
+(* Rounds [from] to [upto - 1] on the working variables (a to h) read
+   from [src].  Round [t] reads message word [t] and no later one.  With
+   [add] the result is added into [dst], which holds the chaining value
+   (the end of a block), else it overwrites [dst] (a state partway
+   through one).  [src] and [dst] may be one array. *)
+let rounds ~src ~dst ~add w ~from ~upto =
+  let a = ref src.(0) and b = ref src.(1) and c = ref src.(2) and d = ref src.(3) in
+  let e = ref src.(4) and f = ref src.(5) and g = ref src.(6) and hh = ref src.(7) in
+  for t = from to upto - 1 do
     let ee = !e and aa = !a in
     let de = ee lor (ee lsl 32) and da = aa lor (aa lsl 32) in
     let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
@@ -86,23 +89,38 @@ let compress ctx block pos =
     b := aa;
     a := (t1 + s0 + maj) land mask32
   done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  if add then begin
+    dst.(0) <- (dst.(0) + !a) land mask32;
+    dst.(1) <- (dst.(1) + !b) land mask32;
+    dst.(2) <- (dst.(2) + !c) land mask32;
+    dst.(3) <- (dst.(3) + !d) land mask32;
+    dst.(4) <- (dst.(4) + !e) land mask32;
+    dst.(5) <- (dst.(5) + !f) land mask32;
+    dst.(6) <- (dst.(6) + !g) land mask32;
+    dst.(7) <- (dst.(7) + !hh) land mask32
+  end
+  else begin
+    dst.(0) <- !a;
+    dst.(1) <- !b;
+    dst.(2) <- !c;
+    dst.(3) <- !d;
+    dst.(4) <- !e;
+    dst.(5) <- !f;
+    dst.(6) <- !g;
+    dst.(7) <- !hh
+  end
 
-let compress_blocks ctx m =
-  for i = 0 to (Bytes.length m / block_size) - 1 do
-    compress ctx m (i * block_size)
-  done
+(* Absorb the block at [pos] into the chaining value [h]; [w] is
+   scratch. *)
+let compress_into h w block pos =
+  schedule w block pos;
+  rounds ~src:h ~dst:h ~add:true w ~from:0 ~upto:64
 
-let write_digest ctx dst =
+let compress ctx block pos = compress_into ctx.h ctx.w block pos
+
+let write_digest h dst =
   for i = 0 to 7 do
-    Bytes.set_int32_be dst (4 * i) (Int32.of_int ctx.h.(i))
+    Bytes.set_int32_be dst (4 * i) (Int32.of_int h.(i))
   done
 
 let feed_sub ctx data ~pos ~len =
@@ -139,20 +157,56 @@ let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
   let last = Sha256_pad.blocks ~len:ctx.buf_len ~total:ctx.total in
   Bytes.blit ctx.buf 0 last 0 ctx.buf_len;
-  compress_blocks ctx last;
+  for i = 0 to (Bytes.length last / block_size) - 1 do
+    compress ctx last (i * block_size)
+  done;
   ctx.finished <- true;
   let out = Bytes.create digest_size in
-  write_digest ctx out;
+  write_digest ctx.h out;
   out
 
-let digest_padded ctx m ~dst =
+type midstate = {
+  blocks : int; (* length of the padded message, in blocks *)
+  block : int; (* the block holding message word [word] *)
+  round : int; (* [word mod 16]: rounds of [block] already run *)
+  chain : int array; (* chaining value before [block] *)
+  mid : int array; (* working variables after rounds 0 to [round - 1] *)
+  h : int array; (* scratch *)
+  w : int array;
+}
+
+let whole_blocks fn m =
   if Bytes.length m = 0 || Bytes.length m mod block_size <> 0 then
-    invalid_arg "Sha256.digest_padded: not a whole number of blocks";
-  if Bytes.length dst < digest_size then invalid_arg "Sha256.digest_padded: short destination";
-  reset ctx;
-  compress_blocks ctx m;
-  ctx.finished <- true;
-  write_digest ctx dst
+    invalid_arg (fn ^ ": not a whole number of blocks");
+  Bytes.length m / block_size
+
+let midstate m ~word =
+  let blocks = whole_blocks "Sha256.midstate" m in
+  if word < 0 || word >= 16 * blocks then invalid_arg "Sha256.midstate: word out of range";
+  let block = word / 16 and round = word mod 16 in
+  let chain = Array.copy iv and mid = Array.make 8 0 and w = Array.make 64 0 in
+  for b = 0 to block - 1 do
+    compress_into chain w m (b * block_size)
+  done;
+  (* The schedule also reads words from [word] on, but rounds below
+     [round] use only words 0 to [round - 1]. *)
+  schedule w m (block * block_size);
+  rounds ~src:chain ~dst:mid ~add:false w ~from:0 ~upto:round;
+  { blocks; block; round; chain; mid; h = Array.make 8 0; w }
+
+let resume s m ~dst =
+  if whole_blocks "Sha256.resume" m <> s.blocks then
+    invalid_arg "Sha256.resume: message length differs from the midstate's";
+  if Bytes.length dst < digest_size then invalid_arg "Sha256.resume: short destination";
+  schedule s.w m (s.block * block_size);
+  for i = 0 to 7 do
+    s.h.(i) <- s.chain.(i)
+  done;
+  rounds ~src:s.mid ~dst:s.h ~add:true s.w ~from:s.round ~upto:64;
+  for b = s.block + 1 to s.blocks - 1 do
+    compress_into s.h s.w m (b * block_size)
+  done;
+  write_digest s.h dst
 
 let digest data =
   let ctx = init () in

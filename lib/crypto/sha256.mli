@@ -17,24 +17,36 @@ type ctx
 
 val init : unit -> ctx
 
-val reset : ctx -> unit
-(** Return a context (finalized or not) to the [init] state, reusing its
-    buffers. *)
-
 val feed : ctx -> bytes -> unit
 val feed_sub : ctx -> bytes -> pos:int -> len:int -> unit
 val finalize : ctx -> bytes
 (** [finalize] pads, produces the 32-byte digest, and invalidates the context
     (further [feed] raises). *)
 
-val digest_padded : ctx -> bytes -> dst:bytes -> unit
-(** [digest_padded ctx m ~dst] writes into the first 32 bytes of [dst] the
-    digest of the message that [m] holds followed by its SHA-256 padding,
-    [m] being a whole number of blocks.  [ctx] serves as scratch and is
-    left finalized.  Hashing many messages of one length (keystream blocks
-    in counter mode) this way pads once instead of once per message, and
-    allocates nothing.  Raises [Invalid_argument] if [m] is empty or not
-    whole blocks, or [dst] is shorter than 32 bytes. *)
+type midstate
+(** The hash state partway through one padded message: the chaining value
+    before the block that holds a given message word, and that block's
+    rounds up to the word.  SHA-256 round [t] reads message word [t] and
+    no later one, so the state serves every message that agrees on the
+    words before it: counter-mode keystream blocks share their key's
+    words and differ only from the counter on.  A midstate is mutable
+    scratch for {!resume}; share it with no other thread. *)
+
+val midstate : bytes -> word:int -> midstate
+(** [midstate m ~word] runs SHA-256 over the padded message [m] (a whole
+    number of 64-byte blocks: the message then its padding) up to message
+    word [word] (bytes [4 * word] onwards are not yet absorbed): every
+    whole block before it, then rounds 0 to [word mod 16 - 1] of its own
+    block.  Raises [Invalid_argument] if [m] is empty or not whole blocks,
+    or [word] is not a word of [m]. *)
+
+val resume : midstate -> bytes -> dst:bytes -> unit
+(** [resume s m ~dst] writes into the first 32 bytes of [dst] the digest
+    of the padded message [m], which has the length of the message [s]
+    was taken from and agrees with it on every word before [s]'s.  It
+    runs only the remaining rounds and blocks, and allocates nothing.
+    Raises [Invalid_argument] if [m]'s length differs or [dst] is shorter
+    than 32 bytes. *)
 
 val digest : bytes -> bytes
 (** One-shot hash. *)

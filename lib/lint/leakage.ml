@@ -79,7 +79,8 @@ let prologue_hidden parcel cov =
 let frac num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 let analyze (p : Program.t) coverage =
-  if Array.length coverage <> Array.length p.Program.text then
+  let parcels = Program.parcels p in
+  if Array.length coverage <> Array.length parcels then
     invalid_arg "Leakage.analyze: coverage length <> parcel count";
   let plaintext = ref 0 and opcode = ref 0 in
   let branches = ref 0 and branches_clear = ref 0 in
@@ -107,8 +108,8 @@ let analyze (p : Program.t) coverage =
         incr prologues;
         if not (prologue_hidden parcel cov) then incr prologues_clear
       end)
-    p.Program.text;
-  let parcels = Array.length p.Program.text in
+    parcels;
+  let parcels = Array.length parcels in
   { parcels;
     plaintext_parcels = !plaintext;
     plaintext_fraction = frac !plaintext parcels;
@@ -241,7 +242,7 @@ let flow_visible parcel inst cov =
    parcels are code, legible displacements give targets and call edges
    (a revealed call target is a known function entry), visible
    [addi sp,sp,-N] prologues mark function starts. *)
-let scan_linear (p : Program.t) (cfg : Mc_cfg.t) coverage =
+let scan_linear parcels (cfg : Mc_cfg.t) coverage =
   let r =
     { r_code = Iset.empty;
       r_functions = Iset.empty;
@@ -252,7 +253,7 @@ let scan_linear (p : Program.t) (cfg : Mc_cfg.t) coverage =
   Array.iteri
     (fun i (n : Mc_cfg.node) ->
       let cov = coverage.(i) in
-      let parcel = p.Program.text.(i) in
+      let parcel = parcels.(i) in
       let inst = n.Mc_cfg.n_inst in
       let full = fully_plaintext cov && inst <> None in
       let flow_vis = flow_visible parcel inst cov in
@@ -281,8 +282,8 @@ let scan_linear (p : Program.t) (cfg : Mc_cfg.t) coverage =
    linear sweep runs first as the fallback classification of parcels the
    traversal never reaches, so every component is a superset of the
    linear attacker's. *)
-let scan_recursive (p : Program.t) (cfg : Mc_cfg.t) coverage =
-  let r = scan_linear p cfg coverage in
+let scan_recursive (p : Program.t) parcels (cfg : Mc_cfg.t) coverage =
+  let r = scan_linear parcels cfg coverage in
   let visited = Array.make (Array.length cfg.Mc_cfg.nodes) false in
   let queue = Queue.create () in
   let callers : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -297,7 +298,7 @@ let scan_recursive (p : Program.t) (cfg : Mc_cfg.t) coverage =
     if not visited.(n.Mc_cfg.n_index) then begin
       visited.(n.Mc_cfg.n_index) <- true;
       let cov = coverage.(n.Mc_cfg.n_index) in
-      let parcel = p.Program.text.(n.Mc_cfg.n_index) in
+      let parcel = parcels.(n.Mc_cfg.n_index) in
       let inst = n.Mc_cfg.n_inst in
       let full = fully_plaintext cov && inst <> None in
       let flow_vis = flow_visible parcel inst cov in
@@ -414,15 +415,16 @@ let score_against attacker truth r =
     structure_score }
 
 let recover attacker (p : Program.t) coverage =
-  if Array.length coverage <> Array.length p.Program.text then
+  let parcels = Program.parcels p in
+  if Array.length coverage <> Array.length parcels then
     invalid_arg "Leakage.recover: coverage length <> parcel count";
   Eric_telemetry.Span.with_ ~cat:"lint" ~name:"lint.attacker" @@ fun () ->
   let cfg = Mc_cfg.build p in
   let truth = truth_of_cfg p cfg in
   let r =
     match attacker with
-    | Linear -> scan_linear p cfg coverage
-    | Recursive -> scan_recursive p cfg coverage
+    | Linear -> scan_linear parcels cfg coverage
+    | Recursive -> scan_recursive p parcels cfg coverage
   in
   score_against attacker truth r
 
@@ -474,14 +476,15 @@ let jaccard_against attacker truth r =
     structure_score }
 
 let recover_against attacker ~truth (p : Program.t) coverage =
-  if Array.length coverage <> Array.length p.Program.text then
+  let parcels = Program.parcels p in
+  if Array.length coverage <> Array.length parcels then
     invalid_arg "Leakage.recover_against: coverage length <> parcel count";
   Eric_telemetry.Span.with_ ~cat:"lint" ~name:"lint.attacker" @@ fun () ->
   let cfg = Mc_cfg.build p in
   let r =
     match attacker with
-    | Linear -> scan_linear p cfg coverage
-    | Recursive -> scan_recursive p cfg coverage
+    | Linear -> scan_linear parcels cfg coverage
+    | Recursive -> scan_recursive p parcels cfg coverage
   in
   jaccard_against attacker truth r
 

@@ -14,8 +14,9 @@ type t = {
 }
 
 let build (p : Program.t) =
+  let parcels = Program.parcels p in
   let offsets = Program.parcel_offsets p in
-  let index_of_offset = Hashtbl.create (Array.length p.Program.text) in
+  let index_of_offset = Hashtbl.create (Array.length parcels) in
   let nodes =
     Array.mapi
       (fun i parcel ->
@@ -24,7 +25,7 @@ let build (p : Program.t) =
           n_offset = offsets.(i);
           n_size = Program.parcel_size parcel;
           n_inst = Program.decode_parcel parcel })
-      p.Program.text
+      parcels
   in
   { nodes; index_of_offset; text_size = Program.text_size p }
 

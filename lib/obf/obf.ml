@@ -131,7 +131,7 @@ let keep_real ~annot (image : Eric_rv.Program.t) =
   let syms =
     List.sort (fun (_, a) (_, b) -> compare a b) image.Eric_rv.Program.symbols
   in
-  let text_len = Bytes.length (Eric_rv.Program.text_bytes image) in
+  let text_len = Eric_rv.Program.text_size image in
   let rec ranges = function
     | [] -> []
     | (name, off) :: rest ->
@@ -150,5 +150,5 @@ let real_truth ~annot image =
    the recovered structure is diluted with decoys. *)
 let grade ~annot ~attacker (image : Eric_rv.Program.t) =
   let truth = real_truth ~annot image in
-  let coverage = Array.map (fun _ -> Leakage.Clear) image.Eric_rv.Program.text in
+  let coverage = Array.map (fun _ -> Leakage.Clear) (Eric_rv.Program.parcels image) in
   Leakage.recover_against attacker ~truth:truth.Truth.truth image coverage

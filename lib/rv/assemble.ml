@@ -250,8 +250,8 @@ let assemble ?(compress = true) input =
     let symbols = Hashtbl.fold (fun name idx acc -> (name, unit_offsets.(idx)) :: acc) labels [] in
     Ok
       {
-        Program.text = parcels;
-        data = Bytes.copy data;
+        (Program.of_parcels parcels) with
+        Program.data = Bytes.copy data;
         bss_size = bss_total;
         entry_offset;
         symbols = List.sort compare symbols;

@@ -1,7 +1,7 @@
 type parcel = P16 of int | P32 of int32
 
 type t = {
-  text : parcel array;
+  text : bytes;
   data : bytes;
   bss_size : int;
   entry_offset : int;
@@ -9,65 +9,75 @@ type t = {
 }
 
 let parcel_size = function P16 _ -> 2 | P32 _ -> 4
-let text_size t = Array.fold_left (fun acc p -> acc + parcel_size p) 0 t.text
+let text_size t = Bytes.length t.text
 let total_size t = text_size t + Bytes.length t.data
 
-let parcel_offsets t =
-  let off = ref 0 in
-  Array.map
-    (fun p ->
-      let here = !off in
-      off := !off + parcel_size p;
-      here)
-    t.text
+(* The ISA's length encoding: low two bits [11] mark a 32-bit parcel. *)
+let size_at text off = if Bytes.get_uint16_le text off land 0b11 = 0b11 then 4 else 2
 
-let text_bytes t =
-  let buf = Bytes.create (text_size t) in
-  let off = ref 0 in
-  Array.iter
-    (fun p ->
-      (match p with
-      | P16 v -> Eric_util.Bytesx.set_u16 buf !off (v land 0xFFFF)
-      | P32 w -> Eric_util.Bytesx.set_u32 buf !off w);
-      off := !off + parcel_size p)
-    t.text;
-  buf
-
-(* Count the parcels first, refusing bytes that do not tile (an odd
-   trailing byte or a cut 32-bit parcel), then fill an array of exactly
-   that many. *)
-let frame_text bytes =
-  let n = Bytes.length bytes in
-  let parcel_size off = if Bytes.get_uint16_le bytes off land 0b11 = 0b11 then 4 else 2 in
+(* The number of parcels [text] tiles into; [None] for an odd trailing
+   byte or a cut 32-bit parcel. *)
+let count_parcels text =
+  let n = Bytes.length text in
   let rec count off parcels =
     if off = n then Some parcels
     else if off + 2 > n then None
     else
-      let size = parcel_size off in
+      let size = size_at text off in
       if off + size > n then None else count (off + size) (parcels + 1)
   in
-  match count 0 0 with
-  | None -> None
-  | Some parcels ->
-    let text = Array.make parcels (P16 0) in
-    let off = ref 0 in
-    for i = 0 to parcels - 1 do
-      let half = Bytes.get_uint16_le bytes !off in
-      if half land 0b11 = 0b11 then begin
-        text.(i) <- P32 (Bytes.get_int32_le bytes !off);
-        off := !off + 4
-      end
-      else begin
-        text.(i) <- P16 half;
-        off := !off + 2
-      end
-    done;
-    Some text
+  count 0 0
+
+let parcel_count fn t =
+  match count_parcels t.text with
+  | Some n -> n
+  | None -> invalid_arg (fn ^ ": text does not tile into parcels")
+
+let parcels t =
+  let out = Array.make (parcel_count "Program.parcels" t) (P16 0) in
+  let off = ref 0 in
+  for i = 0 to Array.length out - 1 do
+    if size_at t.text !off = 4 then begin
+      out.(i) <- P32 (Bytes.get_int32_le t.text !off);
+      off := !off + 4
+    end
+    else begin
+      out.(i) <- P16 (Bytes.get_uint16_le t.text !off);
+      off := !off + 2
+    end
+  done;
+  out
+
+let parcel_offsets t =
+  let out = Array.make (parcel_count "Program.parcel_offsets" t) 0 in
+  let off = ref 0 in
+  for i = 0 to Array.length out - 1 do
+    out.(i) <- !off;
+    off := !off + size_at t.text !off
+  done;
+  out
+
+let of_parcels parcels =
+  let text = Bytes.create (Array.fold_left (fun acc p -> acc + parcel_size p) 0 parcels) in
+  let off = ref 0 in
+  Array.iter
+    (fun p ->
+      (match p with
+      | P16 v ->
+        if v land 0b11 = 0b11 then invalid_arg "Program.of_parcels: P16 with a 32-bit marker";
+        Bytes.set_uint16_le text !off (v land 0xFFFF)
+      | P32 w ->
+        if Int32.to_int w land 0b11 <> 0b11 then
+          invalid_arg "Program.of_parcels: P32 without a 32-bit marker";
+        Bytes.set_int32_le text !off w);
+      off := !off + parcel_size p)
+    parcels;
+  { text; data = Bytes.empty; bss_size = 0; entry_offset = 0; symbols = [] }
 
 let decode_parcel = function P16 v -> Rvc.expand v | P32 w -> Decode.decode w
 
 let decode_all t =
-  let insts = Array.map decode_parcel t.text in
+  let insts = Array.map decode_parcel (parcels t) in
   if Array.for_all Option.is_some insts then Some (Array.map Option.get insts) else None
 
 module Layout = struct
@@ -101,7 +111,7 @@ let symtab_bytes symbols =
   Buffer.contents buf
 
 let to_binary ?(with_symbols = false) t =
-  let text = text_bytes t in
+  let text = t.text in
   let symtab = if with_symbols then symtab_bytes t.symbols else "" in
   let out =
     Bytes.create (header_size + Bytes.length text + Bytes.length t.data + String.length symtab)
@@ -142,15 +152,18 @@ let of_binary b =
     then Ok ()
     else Error "inconsistent section lengths"
   in
-  let text_raw = Bytes.sub b header_size text_len in
-  let* text =
-    match frame_text text_raw with
-    | Some parcels -> Ok parcels
-    | None -> Error "text section does not tile into parcels"
+  let text = Bytes.sub b header_size text_len in
+  let* () =
+    if count_parcels text <> None then Ok () else Error "text section does not tile into parcels"
   in
   let data = Bytes.sub b (header_size + text_len) data_len in
+  (* The entry checks [Package.parse] makes. *)
   let* () =
     if entry_offset >= 0 && entry_offset <= text_len then Ok () else Error "entry out of range"
+  in
+  let* () = if entry_offset land 1 = 0 then Ok () else Error "entry not parcel-aligned" in
+  let* () =
+    if entry_offset = text_len && text_len > 0 then Error "entry out of range" else Ok ()
   in
   let* symbols =
     if not has_symbols then Ok []
@@ -185,4 +198,4 @@ let of_binary b =
 
 let pp_summary fmt t =
   Format.fprintf fmt "text %d B (%d parcels), data %d B, bss %d B, entry +0x%x" (text_size t)
-    (Array.length t.text) (Bytes.length t.data) t.bss_size t.entry_offset
+    (parcel_count "Program.pp_summary" t) (Bytes.length t.data) t.bss_size t.entry_offset

@@ -4,14 +4,21 @@
     the target SoC loads: a text section of instruction parcels (16-bit
     compressed or 32-bit), an initialised data section, a BSS size, and an
     entry offset.  [to_binary]/[of_binary] define the *plain* (unencrypted)
-    on-the-wire format whose size is the Fig-5 baseline. *)
+    on-the-wire format whose size is the Fig-5 baseline.
+
+    The text is held as the little-endian bytes the SoC loads and the
+    packaging stage hashes and encrypts.  Its parcel structure follows
+    from the ISA's length encoding (low two bits [11] = 32-bit), and every
+    constructor here ({!of_parcels}, {!of_binary}) and the HDE's decrypt
+    walk checks that the bytes tile into whole parcels.  {!parcels} frames
+    them on demand. *)
 
 type parcel =
   | P16 of int  (** compressed instruction, low 16 bits significant *)
   | P32 of int32
 
 type t = {
-  text : parcel array;
+  text : bytes;  (** little-endian parcel stream *)
   data : bytes;
   bss_size : int;
   entry_offset : int;  (** byte offset of the entry point within text *)
@@ -27,17 +34,21 @@ val text_size : t -> int
 val total_size : t -> int
 (** Text + data bytes (BSS occupies no image bytes). *)
 
+val parcels : t -> parcel array
+(** Frame the text into its parcels, in order, in one fresh array.
+    Raises [Invalid_argument] if the text does not tile (a record built
+    around bytes that no constructor checked). *)
+
 val parcel_offsets : t -> int array
-(** Byte offset of each parcel within the text section. *)
+(** Byte offset of each parcel within the text section.  Raises as
+    {!parcels}. *)
 
-val text_bytes : t -> bytes
-(** Little-endian serialisation of the parcel stream. *)
-
-val frame_text : bytes -> parcel array option
-(** Reconstruct the parcel structure of *plaintext* text bytes using the
-    ISA's length encoding (low two bits [11] = 32-bit).  [None] when the
-    byte count does not tile (e.g. a 32-bit marker with only 2 bytes
-    left). *)
+val of_parcels : parcel array -> t
+(** The image whose text is these parcels, with no data, BSS, entry
+    offset or symbols (set them with [{ (of_parcels ps) with ... }]).
+    Raises [Invalid_argument] if a parcel's length bits disagree with its
+    constructor (a [P16] whose low two bits are [11], or a [P32] whose are
+    not), which would frame differently. *)
 
 val decode_parcel : parcel -> Inst.t option
 val decode_all : t -> Inst.t array option
@@ -62,5 +73,8 @@ val to_binary : ?with_symbols:bool -> t -> bytes
     and sets a header flag; {!of_binary} restores it. *)
 
 val of_binary : bytes -> (t, string) result
+(** Refuses what [Package.parse] refuses of the same fields: a text
+    section that does not tile, and an entry offset that is negative, odd,
+    past the text, or at the end of a non-empty text. *)
 
 val pp_summary : Format.formatter -> t -> unit

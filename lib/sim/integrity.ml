@@ -77,7 +77,7 @@ let create ~config ~image memory =
   let granule = config.Guard.granule_bytes in
   (* [Memory.create] refuses an empty memory. *)
   let pristine = Memory.create ~size:(max 1 n * granule) in
-  Memory.blit_bytes pristine ~addr:0 (text_bytes image);
+  Memory.blit_bytes pristine ~addr:0 image.text;
   Memory.blit_bytes pristine ~addr:(Layout.data_base image - base) image.data;
   for g = 0 to n - 1 do
     t.refs.(g) <- Memory.fnv1a pristine ~addr:(g * granule) ~len:granule

@@ -19,7 +19,7 @@ let plain_load_cycles image =
 
 let load image =
   let memory = Memory.create ~size:Program.Layout.memory_size in
-  Memory.blit_bytes memory ~addr:Program.Layout.text_base (Program.text_bytes image);
+  Memory.blit_bytes memory ~addr:Program.Layout.text_base image.Program.text;
   Memory.blit_bytes memory ~addr:(Program.Layout.data_base image) image.Program.data;
   if image.Program.bss_size > 0 then
     Memory.fill memory ~addr:(Program.Layout.bss_base image) ~len:image.Program.bss_size '\000';

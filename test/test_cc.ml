@@ -1152,6 +1152,41 @@ let differential_programs =
       in
       out = expected && interp_out = expected)
 
+(* The interpreter holds its memory in 4 KiB pages: a 64-bit access that
+   straddles two of them, an unwritten page and the top of the address
+   space must read and fault exactly as one flat 4 MiB buffer does. *)
+let interp_main body term =
+  let main =
+    { Ir.f_name = "main"; f_params = []; f_slots = []; f_temp_count = 2;
+      f_blocks = [ { Ir.b_label = 0; body; term } ] }
+  in
+  Ir_interp.run { Ir.p_funcs = [ main ]; p_data = []; p_bss = [] }
+
+let test_interp_pages () =
+  let o =
+    interp_main
+      [ Ir.Store (Ir.W64, Ir.Imm 4092L, Ir.Imm 0x0807060504030201L);
+        Ir.Write (Ir.Imm 4092L, Ir.Imm 8L);
+        Ir.Load (Ir.W64, 0, Ir.Imm 8188L) (* never written, straddling *);
+        Ir.Store (Ir.W8, Ir.Imm 4096L, Ir.Temp 0);
+        Ir.Load (Ir.W64, 1, Ir.Imm 4092L) ]
+      (Ir.Ret (Some (Ir.Temp 1)))
+  in
+  check Alcotest.string "little-endian across the boundary" "\001\002\003\004\005\006\007\008"
+    o.Ir_interp.output;
+  check Alcotest.int "byte store into the second page" 0x0807060004030201 o.Ir_interp.exit_code;
+  let top = (4 * 1024 * 1024) - 8 in
+  let o =
+    interp_main
+      [ Ir.Store (Ir.W64, Ir.Imm (Int64.of_int top), Ir.Imm 42L);
+        Ir.Load (Ir.W64, 0, Ir.Imm (Int64.of_int top)) ]
+      (Ir.Ret (Some (Ir.Temp 0)))
+  in
+  check Alcotest.int "last word" 42 o.Ir_interp.exit_code;
+  Alcotest.check_raises "past the top"
+    (Ir_interp.Runtime_error "memory access out of bounds: 0x3ffffc (+8)") (fun () ->
+      ignore (interp_main [ Ir.Load (Ir.W64, 0, Ir.Imm 0x3ffffcL) ] (Ir.Ret None)))
+
 (* ------------------------------------------------------------------ *)
 (* The prelude template                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1278,7 +1313,10 @@ let () =
           Alcotest.test_case "unchanged iteration needs no check" `Quick
             test_unchanged_iteration_needs_no_check ] );
       ( "differential",
-        [ differential_expressions; differential_unoptimised; differential_programs ] );
+        [ differential_expressions;
+          differential_unoptimised;
+          differential_programs;
+          Alcotest.test_case "interpreter memory pages" `Quick test_interp_pages ] );
       ( "prelude",
         [ Alcotest.test_case "template isolated from transforms" `Quick
             test_template_isolated_from_transforms;

@@ -197,7 +197,7 @@ let test_package_sizes_match_paper_accounting () =
   let plain = Bytes.length (Eric_rv.Program.to_binary img) in
   let full = Eric.Package.size (build Eric.Config.Full) in
   let partial = Eric.Package.size (build (Eric.Config.Partial Eric.Config.Select_all)) in
-  let parcels = Array.length img.Eric_rv.Program.text in
+  let parcels = Array.length (Eric_rv.Program.parcels img) in
   (* Full: header grows by 8 bytes vs the plain header, plus the 32-byte
      signature.  Partial: the same plus 1 bit per parcel. *)
   check Alcotest.int "full overhead" (plain + 8 + 32) full;
@@ -242,8 +242,8 @@ let test_roundtrip_all_modes () =
       | Error e -> Alcotest.failf "%s: %s" name (Format.asprintf "%a" Eric.Encrypt.pp_error e)
       | Ok (img', stats') ->
         check Alcotest.string (name ^ " text restored")
-          (Eric_util.Bytesx.to_hex (Eric_rv.Program.text_bytes img))
-          (Eric_util.Bytesx.to_hex (Eric_rv.Program.text_bytes img'));
+          (Eric_util.Bytesx.to_hex img.Eric_rv.Program.text)
+          (Eric_util.Bytesx.to_hex img'.Eric_rv.Program.text);
         check Alcotest.int (name ^ " entry") img.Eric_rv.Program.entry_offset
           img'.Eric_rv.Program.entry_offset;
         check Alcotest.int (name ^ " bss") img.Eric_rv.Program.bss_size img'.Eric_rv.Program.bss_size;
@@ -278,7 +278,7 @@ let test_partial_ranges () =
   check Alcotest.bool "only the range" true
     (stats.Eric.Encrypt.encrypted_bytes <= 68 && stats.Eric.Encrypt.encrypted_bytes >= 60);
   (* bytes outside the range are untouched ciphertext = plaintext *)
-  let plain = Eric_rv.Program.text_bytes img in
+  let plain = img.Eric_rv.Program.text in
   check Alcotest.string "tail untouched"
     (Eric_util.Bytesx.to_hex (Bytes.sub plain 128 (text_size - 128)))
     (Eric_util.Bytesx.to_hex (Bytes.sub pkg.Eric.Package.enc_text 128 (text_size - 128)));
@@ -288,7 +288,7 @@ let test_partial_ranges () =
 
 let test_field_mode_keeps_opcodes () =
   let img = Lazy.force image in
-  let plain = Eric_rv.Program.text_bytes img in
+  let plain = img.Eric_rv.Program.text in
   List.iter
     (fun scope ->
       let pkg, _ =
@@ -310,7 +310,7 @@ let test_field_mode_keeps_opcodes () =
           | Eric_rv.Program.P16 _ ->
             let p = Eric_util.Bytesx.get_u16 plain pos and e = Eric_util.Bytesx.get_u16 enc pos in
             check Alcotest.int "16-bit opcode bits preserved" (p land 0xE003) (e land 0xE003))
-        img.Eric_rv.Program.text)
+        (Eric_rv.Program.parcels img))
     [ Eric.Config.Imm_fields; Eric.Config.All_but_opcode ]
 
 let test_wrong_key_rejected () =
@@ -366,13 +366,14 @@ let decrypt_roundtrip_random_keys =
       let pkg, _ = Eric.Encrypt.encrypt ~key ~mode:Eric.Config.Full img in
       match Eric.Encrypt.decrypt ~key pkg with
       | Ok (img', _) ->
-        Bytes.equal (Eric_rv.Program.text_bytes img) (Eric_rv.Program.text_bytes img')
+        Bytes.equal img.Eric_rv.Program.text img'.Eric_rv.Program.text
       | Error _ -> false)
 
 (* The byte-at-a-time decryptor that the word XOR replaced, kept as its
    reference model: a keystream of one-shot SHA-256 blocks and an XOR
-   walk, one byte at a time, that discovers the framing parcel by
-   parcel. *)
+   walk, one byte at a time, that discovers the framing parcel by parcel
+   in every mode.  The walk frames the whole decrypted text, so a
+   validated image tiles. *)
 let ref_stream ~key ~len =
   let blocks =
     List.init ((len + 31) / 32) (fun i ->
@@ -446,18 +447,15 @@ let ref_decrypt ~key (pkg : Eric.Package.t) =
     in
     if not (Bytes.equal recomputed travelling) then Error Eric.Encrypt.Signature_mismatch
     else
-      match Eric_rv.Program.frame_text out with
-      | None -> fail "decrypted text does not tile"
-      | Some parcels ->
-        Ok
-          ( { Eric_rv.Program.text = parcels;
-              data = pkg.data;
-              bss_size = pkg.bss_size;
-              entry_offset = pkg.entry_offset;
-              symbols = [] },
-            { Eric.Encrypt.parcels = pkg.parcel_count;
-              encrypted_parcels = !encrypted_parcels;
-              encrypted_bytes = !encrypted_bytes } ))
+      Ok
+        ( { Eric_rv.Program.text = out;
+            data = pkg.data;
+            bss_size = pkg.bss_size;
+            entry_offset = pkg.entry_offset;
+            symbols = [] },
+          { Eric.Encrypt.parcels = pkg.parcel_count;
+            encrypted_parcels = !encrypted_parcels;
+            encrypted_bytes = !encrypted_bytes } ))
 
 let all_modes =
   modes @ [ ("field-cf", Eric.Config.Field (Eric.Config.Control_flow, Eric.Config.Select_all)) ]
@@ -527,6 +525,104 @@ let decrypt_matches_reference =
       match apply_mutation pkg mutation with
       | None -> true
       | Some pkg -> Eric.Encrypt.decrypt ~key pkg = ref_decrypt ~key pkg)
+
+(* Personalize's masked pass against the reference walk, under the
+   selections the golden pins do not cover: a random workload, and a
+   random partial selection or a field scope with one. *)
+let workload_images =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (w : Eric_workloads.Workloads.t) ->
+            (w.Eric_workloads.Workloads.name,
+             Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source))
+          Eric_workloads.Workloads.all))
+
+let gen_selection =
+  QCheck.Gen.(
+    oneof
+      [ map2
+          (fun pct seed ->
+            Eric.Config.Select_fraction
+              { fraction = float_of_int pct /. 100.0; seed = Int64.of_int seed })
+          (int_bound 100) nat;
+        map
+          (fun rs -> Eric.Config.Select_ranges (List.map (fun (lo, len) -> (lo, lo + len)) rs))
+          (small_list (pair (int_bound 4096) (int_bound 512)));
+        return Eric.Config.Select_all ])
+
+let gen_selection_mode =
+  QCheck.Gen.(
+    oneof
+      [ map (fun s -> Eric.Config.Partial s) gen_selection;
+        map2
+          (fun scope s -> Eric.Config.Field (scope, s))
+          (oneofl [ Eric.Config.Imm_fields; Eric.Config.All_but_opcode; Eric.Config.Control_flow ])
+          gen_selection ])
+
+let personalize_matches_reference =
+  qtest ~count:60 "personalize under random selections = byte-wise reference"
+    QCheck.(
+      make
+        ~print:(fun (w, mode) -> Format.asprintf "workload %d, %a" w Eric.Config.pp_mode mode)
+        Gen.(pair (int_bound (List.length Eric_workloads.Workloads.all - 1)) gen_selection_mode))
+    (fun (w, mode) ->
+      let _, image = (Lazy.force workload_images).(w) in
+      let prepared = Eric.Encrypt.prepare ~mode image in
+      let pkg, stats = Eric.Encrypt.personalize ~key:device_key prepared in
+      let expected =
+        Ok ({ image with Eric_rv.Program.symbols = [] }, Eric.Encrypt.prepared_stats prepared)
+      in
+      stats = Eric.Encrypt.prepared_stats prepared
+      && ref_decrypt ~key:device_key pkg = expected
+      && Eric.Encrypt.decrypt ~key:device_key pkg = expected)
+
+(* An image's text is a buffer: no stage may write into one it did not
+   allocate, nor hand out one that another holder can still write. *)
+let test_personalize_leaves_image_and_skeleton () =
+  List.iter
+    (fun (name, mode) ->
+      let img = Lazy.force image in
+      let own = { img with Eric_rv.Program.text = Bytes.copy img.Eric_rv.Program.text } in
+      let text = Bytes.copy own.Eric_rv.Program.text in
+      let prepared = Eric.Encrypt.prepare ~mode own in
+      let wire key = Eric.Package.serialize (fst (Eric.Encrypt.personalize ~key prepared)) in
+      let first = wire device_key in
+      ignore (wire other_key);
+      check Alcotest.bool (name ^ ": image text unchanged") true
+        (Bytes.equal text own.Eric_rv.Program.text);
+      check Alcotest.bool (name ^ ": skeleton unchanged") true (Bytes.equal first (wire device_key));
+      (* nor does the skeleton follow later edits of the image *)
+      Bytes.set own.Eric_rv.Program.text 0 '\xAA';
+      check Alcotest.bool (name ^ ": skeleton is its own copy") true
+        (Bytes.equal first (wire device_key)))
+    all_modes
+
+let decrypted mode =
+  let pkg = build mode in
+  match Eric.Encrypt.decrypt ~key:device_key pkg with
+  | Ok (img, _) -> (pkg, img)
+  | Error e -> Alcotest.failf "%a" Eric.Encrypt.pp_error e
+
+let test_package_edits_leave_image () =
+  List.iter
+    (fun (name, mode) ->
+      let pkg, img = decrypted mode in
+      let text = Bytes.copy img.Eric_rv.Program.text in
+      Bytes.fill pkg.Eric.Package.enc_text 0 (Bytes.length pkg.Eric.Package.enc_text) '\x00';
+      check Alcotest.bool (name ^ ": image unchanged") true
+        (Bytes.equal text img.Eric_rv.Program.text))
+    all_modes
+
+let test_image_edits_leave_package () =
+  List.iter
+    (fun (name, mode) ->
+      let pkg, img = decrypted mode in
+      let wire = Eric.Package.serialize pkg in
+      Bytes.fill img.Eric_rv.Program.text 0 (Bytes.length img.Eric_rv.Program.text) '\x00';
+      check Alcotest.bool (name ^ ": package unchanged") true
+        (Bytes.equal wire (Eric.Package.serialize pkg)))
+    all_modes
 
 (* Golden crypto pin, recorded before the package crypto was reworked:
    the SHA-256 of every serialized package and of its decrypted image,
@@ -1100,7 +1196,7 @@ let test_target_key_unavailable_refuses () =
 
 let test_static_analysis_contrast () =
   let img = Lazy.force image in
-  let plain = Eric_rv.Program.text_bytes img in
+  let plain = img.Eric_rv.Program.text in
   let pkg = build Eric.Config.Full in
   let rp = Eric.Analysis.static_analysis plain in
   let rc = Eric.Analysis.static_analysis pkg.Eric.Package.enc_text in
@@ -1118,7 +1214,7 @@ let test_static_analysis_contrast () =
 
 let test_byte_entropy_contrast () =
   let img = Lazy.force image in
-  let plain = Eric_rv.Program.text_bytes img in
+  let plain = img.Eric_rv.Program.text in
   let pkg = build Eric.Config.Full in
   let ep = Eric.Analysis.byte_entropy plain in
   let ec = Eric.Analysis.byte_entropy pkg.Eric.Package.enc_text in
@@ -1142,7 +1238,7 @@ let test_field_imm_hides_offsets_only () =
   let r = Eric.Analysis.static_analysis pkg.Eric.Package.enc_text in
   check Alcotest.bool "still decodes (stealthy)" true (r.Eric.Analysis.valid_fraction > 0.9);
   check Alcotest.bool "text differs from plaintext" false
-    (Bytes.equal pkg.Eric.Package.enc_text (Eric_rv.Program.text_bytes img))
+    (Bytes.equal pkg.Eric.Package.enc_text img.Eric_rv.Program.text)
 
 let () =
   Alcotest.run "eric_core"
@@ -1169,7 +1265,14 @@ let () =
           Alcotest.test_case "single bit flips" `Quick test_single_bit_flips_sampled;
           decrypt_roundtrip_random_keys;
           decrypt_matches_reference;
-          Alcotest.test_case "golden packages" `Quick test_golden_packages ] );
+          Alcotest.test_case "golden packages" `Quick test_golden_packages;
+          personalize_matches_reference;
+          Alcotest.test_case "personalize leaves image and skeleton" `Quick
+            test_personalize_leaves_image_and_skeleton;
+          Alcotest.test_case "package edits leave the decrypted image" `Quick
+            test_package_edits_leave_image;
+          Alcotest.test_case "image edits leave the package" `Quick
+            test_image_edits_leave_package ] );
       ( "target",
         [ Alcotest.test_case "execute all modes" `Quick test_execute_all_modes;
           Alcotest.test_case "hde load slower than plain" `Quick test_encrypted_load_slower_than_plain;

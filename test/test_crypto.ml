@@ -151,27 +151,43 @@ let test_ref_sha256_vectors () =
       check Alcotest.string msg expected (hex (Ref_sha256.digest (Bytes.of_string msg))))
     sha_vectors
 
-let test_sha256_digest_padded () =
-  let ctx = Sha256.init () in
+(* A midstate taken at word [w] of a message that differs from the
+   vector's from byte [4 w] on still finishes the vector's digest: the
+   rounds before [w] read nothing past it. *)
+let test_sha256_resume () =
   List.iter
     (fun (msg, expected) ->
-      let dst = Bytes.make 40 '.' in
-      Sha256.digest_padded ctx (Ref_sha256.pad (Bytes.of_string msg)) ~dst;
-      check Alcotest.string msg expected (hex (Bytes.sub dst 0 32));
-      check Alcotest.string "bytes past the digest untouched" "........"
-        (Bytes.sub_string dst 32 8))
+      let padded = Ref_sha256.pad (Bytes.of_string msg) in
+      for word = 0 to (Bytes.length padded / 4) - 1 do
+        let other = Bytes.copy padded in
+        for i = 4 * word to Bytes.length other - 1 do
+          Bytes.set other i (Char.chr ((i * 37) land 0xFF))
+        done;
+        let s = Sha256.midstate other ~word in
+        let dst = Bytes.make 40 '.' in
+        Sha256.resume s padded ~dst;
+        check Alcotest.string (Printf.sprintf "%S from word %d" msg word) expected
+          (hex (Bytes.sub dst 0 32));
+        check Alcotest.string "bytes past the digest untouched" "........"
+          (Bytes.sub_string dst 32 8)
+      done)
     sha_vectors;
-  Alcotest.check_raises "context left finalized"
-    (Invalid_argument "Sha256.feed: context already finalized") (fun () ->
-      Sha256.feed ctx (Bytes.of_string "x"));
-  let whole = Invalid_argument "Sha256.digest_padded: not a whole number of blocks" in
-  Alcotest.check_raises "empty" whole (fun () ->
-      Sha256.digest_padded ctx Bytes.empty ~dst:(Bytes.create 32));
+  let whole = Invalid_argument "Sha256.midstate: not a whole number of blocks" in
+  Alcotest.check_raises "empty" whole (fun () -> ignore (Sha256.midstate Bytes.empty ~word:0));
   Alcotest.check_raises "65 bytes" whole (fun () ->
-      Sha256.digest_padded ctx (Bytes.create 65) ~dst:(Bytes.create 32));
+      ignore (Sha256.midstate (Bytes.create 65) ~word:0));
+  let range = Invalid_argument "Sha256.midstate: word out of range" in
+  Alcotest.check_raises "word past the message" range (fun () ->
+      ignore (Sha256.midstate (Bytes.create 64) ~word:16));
+  Alcotest.check_raises "negative word" range (fun () ->
+      ignore (Sha256.midstate (Bytes.create 64) ~word:(-1)));
+  let s = Sha256.midstate (Bytes.create 64) ~word:3 in
+  Alcotest.check_raises "other length"
+    (Invalid_argument "Sha256.resume: message length differs from the midstate's") (fun () ->
+      Sha256.resume s (Bytes.create 128) ~dst:(Bytes.create 32));
   Alcotest.check_raises "short destination"
-    (Invalid_argument "Sha256.digest_padded: short destination") (fun () ->
-      Sha256.digest_padded ctx (Bytes.create 64) ~dst:(Bytes.create 31))
+    (Invalid_argument "Sha256.resume: short destination") (fun () ->
+      Sha256.resume s (Bytes.create 64) ~dst:(Bytes.create 31))
 
 let gen_bytes max_len =
   QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (int_bound max_len)))
@@ -299,7 +315,14 @@ let test_keystream_blocks_allocate_nothing () =
       (* 33 blocks; the 1 KiB result (128 words, a padding word and a
          header) is the only allocation *)
       check Alcotest.int (Printf.sprintf "%d-byte key" (Bytes.length k)) 1024 (Bytes.length out);
-      check Alcotest.(float 0.) "words allocated" 130. words)
+      check Alcotest.(float 0.) "words allocated" 130. words;
+      (* XORing 1 KiB in place, from an unaligned offset: 33 blocks, no
+         allocation at all *)
+      let buf = Bytes.make 1024 'x' in
+      let before = Gc.minor_words () in
+      Keystream.xor_in_place t ~offset:5000 buf;
+      let words = Gc.minor_words () -. before in
+      check Alcotest.(float 0.) "in-place words allocated" 0. words)
     [ key; key48 ]
 
 (* Reference stream: block [i] is SHA-256(key || le64 i), hashed one shot. *)
@@ -313,22 +336,45 @@ let reference_stream ~key ~offset ~len =
   in
   Bytes.sub (Bytes.concat Bytes.empty blocks) (offset - (32 * first)) len
 
+(* Keys of 0 to 120 bytes pad to one, two or three blocks, with every
+   length mod 4, so the hash state saved per stream ends at every round
+   of a block and after whole blocks.  Some offsets lie around block
+   2^32, where the counter's high word turns non-zero. *)
+let high_counter = 32 lsl 32
+
 let keystream_matches_reference =
+  let gen_offset =
+    QCheck.Gen.(
+      frequency
+        [ (3, int_bound 2000); (1, map (fun o -> high_counter - 1000 + o) (int_bound 2000)) ])
+  in
   qtest ~count:300 "take/at = concatenated SHA-256(key || le64 i)"
     QCheck.(
       make
         ~print:(fun (k, (o, l)) -> Printf.sprintf "key=%s offset=%d len=%d" (hex k) o l)
-        Gen.(pair (gen_bytes 80) (pair (int_bound 2000) (int_bound 300))))
+        Gen.(pair (gen_bytes 120) (pair gen_offset (int_bound 300))))
     (fun (key, (offset, len)) ->
       let split = len / 3 in
       let s = Keystream.at ~key ~offset in
       let a = Keystream.take s split in
       let b = Keystream.take s (len - split) in
-      let whole = Keystream.take (Keystream.create ~key) (offset + len) in
       let expected = reference_stream ~key ~offset ~len in
+      (* the same bytes from the start of the stream, for low offsets *)
+      let from_start () =
+        Bytes.sub (Keystream.take (Keystream.create ~key) (offset + len)) offset len
+      in
+      let mask = Bytes.init len (fun i -> Char.chr ((i * 73) land 0xFF)) in
+      let masked = Bytes.make len '\xA5' in
+      Keystream.xor_in_place ~mask s ~offset masked;
+      let masked_ref =
+        Bytes.init len (fun i ->
+            Char.chr (0xA5 lxor (Char.code (Bytes.get expected i) land Char.code (Bytes.get mask i))))
+      in
       Bytes.equal (Bytes.cat a b) expected
-      && Bytes.equal (Bytes.sub whole offset len) expected
-      && Keystream.offset s = offset + len)
+      && (offset >= 2000 || Bytes.equal (from_start ()) expected)
+      && Keystream.offset s = offset + len
+      && Bytes.equal masked masked_ref
+      && (len < 2 || Keystream.half s offset = Bytes.get_uint16_le expected 0))
 
 let keystream_xor_involution =
   qtest "xor twice is identity" QCheck.(pair string small_nat) (fun (s, offset) ->
@@ -519,7 +565,7 @@ let () =
           Alcotest.test_case "no feed after finalize" `Quick test_sha256_feed_after_finalize;
           Alcotest.test_case "feed_sub range" `Quick test_sha256_feed_sub_range;
           Alcotest.test_case "reference model vectors" `Quick test_ref_sha256_vectors;
-          Alcotest.test_case "digest_padded" `Quick test_sha256_digest_padded;
+          Alcotest.test_case "resume" `Quick test_sha256_resume;
           sha256_matches_reference ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case1" `Quick test_hmac_rfc4231_case1;

@@ -192,10 +192,8 @@ let p16 i =
   | None -> Alcotest.fail "instruction has no compressed form"
 
 let image_of_parcels ?(entry = 0) ?(symbols = []) parcels =
-  { Rv.Program.text = Array.of_list parcels;
-    data = Bytes.create 0;
-    bss_size = 0;
-    entry_offset = entry;
+  { (Rv.Program.of_parcels (Array.of_list parcels)) with
+    Rv.Program.entry_offset = entry;
     symbols }
 
 let exit_stub code =
@@ -351,7 +349,7 @@ let workload_images =
        Eric_workloads.Workloads.all)
 
 let clear_coverage (image : Rv.Program.t) =
-  Array.map (fun _ -> Leakage.Clear) image.Rv.Program.text
+  Array.map (fun _ -> Leakage.Clear) (Rv.Program.parcels image)
 
 let test_attacker_hierarchy_plain () =
   (* The acceptance gate: on every workload's plain image the recursive

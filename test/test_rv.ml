@@ -343,13 +343,15 @@ let test_disasm_stream_framing () =
 (* Program images                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let sample_parcels =
+  [| Program.P32 (Encode.encode (Inst.I (Addi, Reg.a 0, Reg.x0, 7)));
+     Program.P16 (Option.get (Rvc.compress (Inst.I (Addi, Reg.a 0, Reg.a 0, 1))));
+     Program.P32 (Encode.encode Inst.Ecall) |]
+
 let sample_image () =
-  let text =
-    [| Program.P32 (Encode.encode (Inst.I (Addi, Reg.a 0, Reg.x0, 7)));
-       Program.P16 (Option.get (Rvc.compress (Inst.I (Addi, Reg.a 0, Reg.a 0, 1))));
-       Program.P32 (Encode.encode Inst.Ecall) |]
-  in
-  { Program.text; data = Bytes.of_string "hello"; bss_size = 16; entry_offset = 0; symbols = [] }
+  { (Program.of_parcels sample_parcels) with
+    Program.data = Bytes.of_string "hello";
+    bss_size = 16 }
 
 let test_program_sizes () =
   let img = sample_image () in
@@ -365,8 +367,8 @@ let test_program_binary_roundtrip () =
     check Alcotest.int "entry" img.Program.entry_offset img'.Program.entry_offset;
     check Alcotest.int "bss" img.Program.bss_size img'.Program.bss_size;
     check Alcotest.string "text bytes"
-      (Eric_util.Bytesx.to_hex (Program.text_bytes img))
-      (Eric_util.Bytesx.to_hex (Program.text_bytes img'));
+      (Eric_util.Bytesx.to_hex img.Program.text)
+      (Eric_util.Bytesx.to_hex img'.Program.text);
     check Alcotest.string "data" "hello" (Bytes.to_string img'.Program.data)
 
 let test_program_binary_rejects () =
@@ -378,14 +380,50 @@ let test_program_binary_rejects () =
   Bytes.set bad_magic 0 'X';
   check Alcotest.bool "magic" true (Result.is_error (Program.of_binary bad_magic))
 
+(* [Package.parse]'s entry rules: an odd entry cannot start a parcel,
+   and an entry at the end of a non-empty text starts none. *)
+let entry_error img entry_offset =
+  match Program.of_binary (Program.to_binary { img with Program.entry_offset }) with
+  | Ok _ -> None
+  | Error e -> Some e
+
+let test_program_binary_rejects_odd_entry () =
+  let img = sample_image () in
+  List.iter
+    (fun e ->
+      check Alcotest.(option string) (Printf.sprintf "entry %d" e)
+        (Some "entry not parcel-aligned") (entry_error img e))
+    [ 1; 3; 5; 9 ];
+  List.iter
+    (fun e -> check Alcotest.(option string) (Printf.sprintf "entry %d" e) None (entry_error img e))
+    [ 0; 4; 6 ]
+
+let test_program_binary_rejects_entry_at_end () =
+  let img = sample_image () in
+  check Alcotest.(option string) "entry = text length" (Some "entry out of range")
+    (entry_error img (Program.text_size img));
+  check Alcotest.(option string) "past the text" (Some "entry out of range")
+    (entry_error img (Program.text_size img + 2));
+  (* An empty text has nowhere else to point. *)
+  check Alcotest.(option string) "empty text, entry 0" None
+    (entry_error { img with Program.text = Bytes.empty } 0)
+
 let test_frame_text () =
   let img = sample_image () in
-  (match Program.frame_text (Program.text_bytes img) with
-  | Some parcels -> check Alcotest.int "parcel count" 3 (Array.length parcels)
-  | None -> Alcotest.fail "framing failed");
+  check Alcotest.bool "parcels" true (Program.parcels img = sample_parcels);
   (* A lone half of a 32-bit instruction cannot tile. *)
-  let partial = Bytes.of_string "\xef\xff" (* low bits 11 -> expects 4 bytes *) in
-  check Alcotest.bool "partial fails" true (Program.frame_text partial = None)
+  let partial = { img with Program.text = Bytes.of_string "\xef\xff" } in
+  Alcotest.check_raises "partial fails"
+    (Invalid_argument "Program.parcels: text does not tile into parcels") (fun () ->
+      ignore (Program.parcels partial));
+  (* A parcel whose length bits contradict its constructor would frame
+     differently, so no image is built around it. *)
+  Alcotest.check_raises "P16 with a 32-bit marker"
+    (Invalid_argument "Program.of_parcels: P16 with a 32-bit marker") (fun () ->
+      ignore (Program.of_parcels [| Program.P16 0xFFFF |]));
+  Alcotest.check_raises "P32 without one"
+    (Invalid_argument "Program.of_parcels: P32 without a 32-bit marker") (fun () ->
+      ignore (Program.of_parcels [| Program.P32 0x00000001l |]))
 
 (* The list-based framing that the two-pass array version replaced, kept
    as its reference model. *)
@@ -406,16 +444,28 @@ let ref_frame_text bytes =
 (* Random bytes of any length (odd lengths and cut 32-bit parcels
    included), and prefixes of a real text section. *)
 let gen_text_bytes =
-  let real = lazy (Program.text_bytes (sample_image ())) in
+  let real = lazy (sample_image ()).Program.text in
   QCheck.Gen.(
     oneof
       [ map Bytes.of_string (string_size ~gen:char (int_bound 64));
         map (fun n -> Bytes.sub (Lazy.force real) 0 (n mod 11)) nat ])
 
-let frame_text_matches_reference =
-  qtest "frame_text = list-based reference"
+(* A plain image around the bytes loads exactly when they tile, and then
+   frames into the reference's parcels at their offsets. *)
+let parcels_match_reference =
+  qtest "parcels = list-based reference"
     (QCheck.make ~print:Eric_util.Bytesx.to_hex gen_text_bytes)
-    (fun b -> Program.frame_text b = ref_frame_text b)
+    (fun b ->
+      let wire = Program.to_binary { (Program.of_parcels [||]) with Program.text = b } in
+      match (Program.of_binary wire, ref_frame_text b) with
+      | Ok img, Some parcels ->
+        let offsets = Array.make (Array.length parcels) 0 in
+        for i = 1 to Array.length parcels - 1 do
+          offsets.(i) <- offsets.(i - 1) + Program.parcel_size parcels.(i - 1)
+        done;
+        Program.parcels img = parcels && Program.parcel_offsets img = offsets
+      | Error "text section does not tile into parcels", None -> true
+      | _ -> false)
 
 let test_decode_all () =
   let img = sample_image () in
@@ -445,7 +495,7 @@ let test_program_symbol_table_roundtrip () =
 
 let test_symbolized_listing () =
   let img = { (sample_image ()) with Program.symbols = [ ("_start", 0); ("fn2", 4) ] } in
-  let lines = Disasm.disassemble_stream (Program.text_bytes img) in
+  let lines = Disasm.disassemble_stream img.Program.text in
   let text =
     Format.asprintf "%a" (Disasm.pp_listing_symbols ~symbols:img.Program.symbols) lines
   in
@@ -684,7 +734,7 @@ let asm_pp_parse_roundtrip =
         match Asm.assemble text with
         | Error _ -> false
         | Ok reparsed ->
-          Bytes.equal (Program.text_bytes direct) (Program.text_bytes reparsed)
+          Bytes.equal direct.Program.text reparsed.Program.text
           && Bytes.equal direct.Program.data reparsed.Program.data
           && direct.Program.bss_size = reparsed.Program.bss_size
           && direct.Program.entry_offset = reparsed.Program.entry_offset))
@@ -886,7 +936,7 @@ let test_workload_text_parcel_roundtrip () =
                 if re <> half then
                   fail "expand/compress drift: %04x -> %s -> %04x" half
                     (Disasm.inst_to_string inst) re)))
-        image.Program.text)
+        (Program.parcels image))
     Eric_workloads.Workloads.all
 
 let () =
@@ -919,10 +969,14 @@ let () =
           Alcotest.test_case "binary roundtrip" `Quick test_program_binary_roundtrip;
           Alcotest.test_case "binary rejects" `Quick test_program_binary_rejects;
           Alcotest.test_case "frame text" `Quick test_frame_text;
-          frame_text_matches_reference;
+          parcels_match_reference;
           Alcotest.test_case "decode all" `Quick test_decode_all;
           Alcotest.test_case "symbol table roundtrip" `Quick test_program_symbol_table_roundtrip;
-          Alcotest.test_case "symbolized listing" `Quick test_symbolized_listing ] );
+          Alcotest.test_case "symbolized listing" `Quick test_symbolized_listing;
+          Alcotest.test_case "binary rejects odd entry" `Quick
+            test_program_binary_rejects_odd_entry;
+          Alcotest.test_case "binary rejects entry at text end" `Quick
+            test_program_binary_rejects_entry_at_end ] );
       ( "asm-text",
         [ asm_roundtrip;
           asm_pp_parse_roundtrip;

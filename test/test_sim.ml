@@ -481,8 +481,8 @@ let test_slt_family () =
 (* ------------------------------------------------------------------ *)
 
 let build_program ?(data = Bytes.empty) insts =
-  let text = Array.of_list (List.map (fun i -> Program.P32 (Encode.encode i)) insts) in
-  { Program.text; data; bss_size = 0; entry_offset = 0; symbols = [] }
+  let parcels = Array.of_list (List.map (fun i -> Program.P32 (Encode.encode i)) insts) in
+  { (Program.of_parcels parcels) with Program.data }
 
 let test_x0_hardwired () =
   let image =
@@ -528,8 +528,7 @@ let test_misaligned_store_faults () =
 
 let test_invalid_instruction_faults () =
   let image =
-    { Program.text = [| Program.P32 0xFFFFFFFFl |]; data = Bytes.empty; bss_size = 0;
-      entry_offset = 0; symbols = [] }
+    Program.of_parcels [| Program.P32 0xFFFFFFFFl |]
   in
   match (Soc.run_program image).Soc.status with
   | Cpu.Faulted _ -> ()
@@ -718,7 +717,7 @@ let self_modifying_programs () =
   in
   check Alcotest.int "the late store hits the last word" (Program.text_size late) (last_word + 4);
   check Alcotest.bool "the last word is padding" true
-    (late.Program.text.(last_word / 4)
+    ((Program.parcels late).(last_word / 4)
     = Program.P32 (Encode.encode (Inst.I (Addi, Reg.x0, Reg.x0, 0))));
   [ ("early text store", early); ("late text store", late) ]
 

@@ -519,8 +519,8 @@ let test_encrypted_roundtrip_identical_image () =
   | Error _ -> Alcotest.fail "decrypt failed"
   | Ok (img', _) ->
     check Alcotest.string "identical text"
-      (Eric_util.Bytesx.to_hex (Eric_rv.Program.text_bytes img))
-      (Eric_util.Bytesx.to_hex (Eric_rv.Program.text_bytes img'));
+      (Eric_util.Bytesx.to_hex img.Eric_rv.Program.text)
+      (Eric_util.Bytesx.to_hex img'.Eric_rv.Program.text);
     let r = Eric_sim.Soc.run_program img' in
     check Alcotest.string "identical behaviour" plain_out r.Eric_sim.Soc.output
 
