@@ -127,11 +127,11 @@ let front_end ~optimize ~linked tast =
       let own = span "cc.lower" (fun () -> Lower.lower tast) in
       let ir = { own with Ir.p_funcs = linked @ own.Ir.p_funcs } in
       fail_on_errors ~stage:"lowering" (Ir_verify.verify ~funcs:own.Ir.p_funcs ir);
-      if optimize then
+      if optimize then begin
+        let verify = Ir_verify.verify_func ir in
         span "cc.opt" (fun () ->
-            Opt.run
-              ~check:(fun f -> fail_on_errors ~stage:"optimisation" (Ir_verify.verify_func ir f))
-              own);
+            Opt.run ~check:(fun f -> fail_on_errors ~stage:"optimisation" (verify f)) own)
+      end;
       ir)
 
 (* The prelude is parsed, typechecked, lowered, verified and optimised

@@ -72,24 +72,29 @@ let def_of = function
   | Counter (d, _) -> Some d
   | Store _ | Write _ | Exit _ -> None
 
-let uses_of_value = function Temp t -> [ t ] | Imm _ -> []
+(* The temps an instruction or terminator reads, in operand order (a
+   Store's address before its source). *)
+let iter_value f = function Temp t -> f t | Imm _ -> ()
 
-let uses_of = function
-  | Move (_, v) -> uses_of_value v
-  | Bin (_, _, a, b) -> uses_of_value a @ uses_of_value b
-  | Load (_, _, addr) -> uses_of_value addr
-  | Store (_, addr, src) -> uses_of_value addr @ uses_of_value src
-  | Addr_global _ | Addr_local _ -> []
-  | Call (_, _, args) -> List.concat_map uses_of_value args
-  | Write (a, b) -> uses_of_value a @ uses_of_value b
-  | Exit v -> uses_of_value v
-  | Counter _ -> []
+let iter_uses f = function
+  | Move (_, v) | Load (_, _, v) | Exit v -> iter_value f v
+  | Bin (_, _, a, b) | Store (_, a, b) | Write (a, b) ->
+    iter_value f a;
+    iter_value f b
+  | Call (_, _, args) -> List.iter (iter_value f) args
+  | Addr_global _ | Addr_local _ | Counter _ -> ()
 
-let term_uses = function
-  | Ret (Some v) -> uses_of_value v
-  | Ret None -> []
-  | Jmp _ -> []
-  | Br (v, _, _) -> uses_of_value v
+let iter_term_uses f = function
+  | Ret (Some v) | Br (v, _, _) -> iter_value f v
+  | Ret None | Jmp _ -> ()
+
+let collect iter x =
+  let acc = ref [] in
+  iter (fun t -> acc := t :: !acc) x;
+  List.rev !acc
+
+let uses_of i = collect iter_uses i
+let term_uses t = collect iter_term_uses t
 
 let successors = function Ret _ -> [] | Jmp l -> [ l ] | Br (_, a, b) -> [ a; b ]
 

@@ -23,7 +23,8 @@
 
 val verify_func : Ir.program -> Ir.func -> Eric_lint.Diag.t list
 (** Diagnostics for one function ([Ir.program] supplies callee
-    signatures); empty on well-formed IR. *)
+    signatures); empty on well-formed IR.  [verify_func p] reads the
+    signatures once, so apply it once to check several functions. *)
 
 val verify : ?funcs:Ir.func list -> Ir.program -> Eric_lint.Diag.t list
 (** Every function, in program order, under a [lint.ir_verify] telemetry

@@ -46,25 +46,43 @@ type loc_token = { tok : token; pos : Ast.pos }
 
 exception Lex_error of string * Ast.pos
 
-let keywords =
-  [ ("int", KW_INT); ("char", KW_CHAR); ("void", KW_VOID); ("if", KW_IF); ("else", KW_ELSE);
-    ("while", KW_WHILE); ("do", KW_DO); ("for", KW_FOR); ("return", KW_RETURN);
-    ("break", KW_BREAK); ("continue", KW_CONTINUE); ("sizeof", KW_SIZEOF) ]
+let keyword_or_ident = function
+  | "int" -> KW_INT
+  | "char" -> KW_CHAR
+  | "void" -> KW_VOID
+  | "if" -> KW_IF
+  | "else" -> KW_ELSE
+  | "while" -> KW_WHILE
+  | "do" -> KW_DO
+  | "for" -> KW_FOR
+  | "return" -> KW_RETURN
+  | "break" -> KW_BREAK
+  | "continue" -> KW_CONTINUE
+  | "sizeof" -> KW_SIZEOF
+  | word -> IDENT word
 
 type state = { src : string; mutable idx : int; mutable line : int; mutable col : int }
 
 let pos st = { Ast.line = st.line; col = st.col }
 let error st msg = raise (Lex_error (msg, pos st))
-let peek st = if st.idx < String.length st.src then Some st.src.[st.idx] else None
-let peek2 st = if st.idx + 1 < String.length st.src then Some st.src.[st.idx + 1] else None
+
+(* Characters are read in place: [peek] and [peek2] answer NUL past the
+   end of the source, so a caller that must tell a NUL byte from the end
+   tests [at_end]. *)
+let at_end st = st.idx >= String.length st.src
+let peek st = if st.idx < String.length st.src then String.unsafe_get st.src st.idx else '\000'
+
+let peek2 st =
+  if st.idx + 1 < String.length st.src then String.unsafe_get st.src (st.idx + 1) else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+  if st.idx < String.length st.src then begin
+    if String.unsafe_get st.src st.idx = '\n' then begin
+      st.line <- st.line + 1;
+      st.col <- 1
+    end
+    else st.col <- st.col + 1
+  end;
   st.idx <- st.idx + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -72,81 +90,91 @@ let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident c = is_ident_start c || is_digit c
 
+(* [is_digit], [is_hex] and [is_ident] reject NUL, so these loops stop at
+   the end of the source. *)
+let skip_while st p =
+  while p (peek st) do
+    advance st
+  done
+
 let rec skip_space st =
   match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
     advance st;
     skip_space st
-  | Some '/' when peek2 st = Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do
+  | '/' when peek2 st = '/' ->
+    while (not (at_end st)) && peek st <> '\n' do
       advance st
     done;
     skip_space st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when peek2 st = '*' ->
     advance st;
     advance st;
     let rec eat () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
+      if at_end st then error st "unterminated block comment"
+      else if peek st = '*' && peek2 st = '/' then begin
         advance st;
         advance st
-      | Some _, _ ->
+      end
+      else begin
         advance st;
         eat ()
-      | None, _ -> error st "unterminated block comment"
+      end
     in
     eat ();
     skip_space st
-  | Some _ | None -> ()
+  | _ -> ()
 
 let lex_number st =
+  let p = pos st in
   let start = st.idx in
-  let hex = peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') in
-  if hex then begin
-    advance st;
-    advance st;
-    while (match peek st with Some c -> is_hex c | None -> false) do
-      advance st
-    done;
-    if st.idx = start + 2 then error st "hex literal needs digits";
-    Int64.of_string ("0x" ^ String.sub st.src (start + 2) (st.idx - start - 2))
-  end
-  else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
-    Int64.of_string (String.sub st.src start (st.idx - start))
-  end
+  let hex = peek st = '0' && (peek2 st = 'x' || peek2 st = 'X') in
+  let literal =
+    if hex then begin
+      advance st;
+      advance st;
+      skip_while st is_hex;
+      if st.idx = start + 2 then error st "hex literal needs digits";
+      "0x" ^ String.sub st.src (start + 2) (st.idx - start - 2)
+    end
+    else begin
+      skip_while st is_digit;
+      String.sub st.src start (st.idx - start)
+    end
+  in
+  (* Decimal literals must fit a signed 64-bit integer, hex ones 64 bits. *)
+  match Int64.of_string_opt literal with
+  | Some v -> v
+  | None -> raise (Lex_error ("integer literal out of range", p))
 
 let lex_escape st =
+  if at_end st then error st "unterminated escape";
   match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '0' -> advance st; '\000'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some c -> error st (Printf.sprintf "unknown escape '\\%c'" c)
-  | None -> error st "unterminated escape"
+  | 'n' -> advance st; '\n'
+  | 't' -> advance st; '\t'
+  | 'r' -> advance st; '\r'
+  | '0' -> advance st; '\000'
+  | '\\' -> advance st; '\\'
+  | '\'' -> advance st; '\''
+  | '"' -> advance st; '"'
+  | c -> error st (Printf.sprintf "unknown escape '\\%c'" c)
 
 let lex_char st =
   advance st;
   (* opening quote *)
+  if at_end st then error st "unterminated character literal";
   let c =
     match peek st with
-    | Some '\\' ->
+    | '\\' ->
       advance st;
       lex_escape st
-    | Some '\'' -> error st "empty character literal"
-    | Some c ->
+    | '\'' -> error st "empty character literal"
+    | c ->
       advance st;
       c
-    | None -> error st "unterminated character literal"
   in
-  (match peek st with
-  | Some '\'' -> advance st
-  | Some _ | None -> error st "character literal must contain exactly one character");
+  if peek st = '\'' then advance st
+  else error st "character literal must contain exactly one character";
   Int64.of_int (Char.code c)
 
 let lex_string st =
@@ -154,25 +182,26 @@ let lex_string st =
   (* opening quote *)
   let buf = Buffer.create 16 in
   let rec go () =
+    if at_end st then error st "unterminated string literal";
     match peek st with
-    | Some '"' -> advance st
-    | Some '\\' ->
+    | '"' -> advance st
+    | '\\' ->
       advance st;
       Buffer.add_char buf (lex_escape st);
       go ()
-    | Some c ->
+    | c ->
       advance st;
       Buffer.add_char buf c;
       go ()
-    | None -> error st "unterminated string literal"
   in
   go ();
   Buffer.contents buf
 
-(* Lex a one-character token [t1] that becomes [t2] when followed by [b]. *)
+(* Lex a one-character token [t1] that becomes [t2] when followed by [b]
+   (never NUL). *)
 let two st b t1 t2 =
   advance st;
-  if peek st = Some b then begin
+  if peek st = b then begin
     advance st;
     t2
   end
@@ -185,18 +214,14 @@ let tokenize src =
   let rec loop () =
     skip_space st;
     let p = pos st in
-    match peek st with
-    | None -> emit p EOF
-    | Some c ->
-      (match c with
+    if at_end st then emit p EOF
+    else begin
+      (match peek st with
       | c when is_digit c -> emit p (INT_LIT (lex_number st))
       | c when is_ident_start c ->
         let start = st.idx in
-        while (match peek st with Some c -> is_ident c | None -> false) do
-          advance st
-        done;
-        let word = String.sub src start (st.idx - start) in
-        emit p (match List.assoc_opt word keywords with Some kw -> kw | None -> IDENT word)
+        skip_while st is_ident;
+        emit p (keyword_or_ident (String.sub src start (st.idx - start)))
       | '\'' -> emit p (INT_LIT (lex_char st))
       | '"' -> emit p (STR_LIT (lex_string st))
       | '(' -> advance st; emit p LPAREN
@@ -210,15 +235,15 @@ let tokenize src =
       | '+' ->
         advance st;
         (match peek st with
-        | Some '+' -> advance st; emit p PLUSPLUS
-        | Some '=' -> advance st; emit p PLUSEQ
-        | Some _ | None -> emit p PLUS)
+        | '+' -> advance st; emit p PLUSPLUS
+        | '=' -> advance st; emit p PLUSEQ
+        | _ -> emit p PLUS)
       | '-' ->
         advance st;
         (match peek st with
-        | Some '-' -> advance st; emit p MINUSMINUS
-        | Some '=' -> advance st; emit p MINUSEQ
-        | Some _ | None -> emit p MINUS)
+        | '-' -> advance st; emit p MINUSMINUS
+        | '=' -> advance st; emit p MINUSEQ
+        | _ -> emit p MINUS)
       | '*' -> emit p (two st '=' STAR STAREQ)
       | '/' -> emit p (two st '=' SLASH SLASHEQ)
       | '%' -> emit p (two st '=' PERCENT PERCENTEQ)
@@ -229,39 +254,40 @@ let tokenize src =
       | '&' ->
         advance st;
         (match peek st with
-        | Some '&' -> advance st; emit p ANDAND
-        | Some '=' -> advance st; emit p AMPEQ
-        | Some _ | None -> emit p AMP)
+        | '&' -> advance st; emit p ANDAND
+        | '=' -> advance st; emit p AMPEQ
+        | _ -> emit p AMP)
       | '|' ->
         advance st;
         (match peek st with
-        | Some '|' -> advance st; emit p OROR
-        | Some '=' -> advance st; emit p PIPEEQ
-        | Some _ | None -> emit p PIPE)
+        | '|' -> advance st; emit p OROR
+        | '=' -> advance st; emit p PIPEEQ
+        | _ -> emit p PIPE)
       | '!' -> emit p (two st '=' BANG NEQ)
       | '=' -> emit p (two st '=' ASSIGN EQEQ)
       | '<' ->
         advance st;
         (match peek st with
-        | Some '<' ->
+        | '<' ->
           advance st;
           (match peek st with
-          | Some '=' -> advance st; emit p SHLEQ
-          | Some _ | None -> emit p SHL)
-        | Some '=' -> advance st; emit p LE
-        | Some _ | None -> emit p LT)
+          | '=' -> advance st; emit p SHLEQ
+          | _ -> emit p SHL)
+        | '=' -> advance st; emit p LE
+        | _ -> emit p LT)
       | '>' ->
         advance st;
         (match peek st with
-        | Some '>' ->
+        | '>' ->
           advance st;
           (match peek st with
-          | Some '=' -> advance st; emit p SHREQ
-          | Some _ | None -> emit p SHR)
-        | Some '=' -> advance st; emit p GE
-        | Some _ | None -> emit p GT)
+          | '=' -> advance st; emit p SHREQ
+          | _ -> emit p SHR)
+        | '=' -> advance st; emit p GE
+        | _ -> emit p GT)
       | c -> error st (Printf.sprintf "unexpected character '%c'" c));
-      if (match !toks with { tok = EOF; _ } :: _ -> false | _ -> true) then loop ()
+      loop ()
+    end
   in
   loop ();
   List.rev !toks

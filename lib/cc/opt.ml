@@ -88,31 +88,62 @@ let const_fold (f : func) =
   !changed
 
 (* ------------------------------------------------------------------ *)
+(* Per-temp tables                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The block-local passes index their facts by temp in arrays over
+   [0, f_temp_count) (Ir_verify has checked every temp is in range).  A
+   slot belongs to the block whose stamp it carries, so moving to the next
+   block clears every table at once. *)
+type 'a per_temp = { slots : 'a array; owner : int array; mutable stamp : int }
+
+let per_temp n empty = { slots = Array.make n empty; owner = Array.make n (-1); stamp = 0 }
+let next_block tbl = tbl.stamp <- tbl.stamp + 1
+let live tbl t = tbl.owner.(t) = tbl.stamp
+let find tbl t ~default = if live tbl t then tbl.slots.(t) else default
+
+let put tbl t v =
+  tbl.slots.(t) <- v;
+  tbl.owner.(t) <- tbl.stamp
+
+let drop tbl t = tbl.owner.(t) <- -1
+
+let value_is t = function Temp u -> u = t | Imm _ -> false
+
+let value_equal a b =
+  match (a, b) with
+  | Temp x, Temp y -> x = y
+  | Imm x, Imm y -> Int64.equal x y
+  | Temp _, Imm _ | Imm _, Temp _ -> false
+
+(* ------------------------------------------------------------------ *)
 (* Block-local copy propagation                                        *)
 (* ------------------------------------------------------------------ *)
 
 let copy_prop (f : func) =
   let changed = ref false in
+  let n = f.f_temp_count in
+  (* [copy]: the value a temp was copied from; [readers]: temps that may
+     hold a copy of a temp (an entry is stale once its temp is remapped). *)
+  let copy = per_temp n (Imm 0L) and readers = per_temp n [] in
+  let resolve v =
+    match v with
+    | Temp t when live copy t ->
+      changed := true;
+      copy.slots.(t)
+    | Temp _ | Imm _ -> v
+  in
+  let kill d =
+    drop copy d;
+    (* Any mapping whose value is the redefined temp is now stale. *)
+    List.iter
+      (fun k -> if live copy k && value_is d copy.slots.(k) then drop copy k)
+      (find readers d ~default:[]);
+    drop readers d
+  in
   let prop_block b =
-    let env : (temp, value) Hashtbl.t = Hashtbl.create 16 in
-    let resolve v =
-      match v with
-      | Temp t -> (
-        match Hashtbl.find_opt env t with
-        | Some v' ->
-          changed := true;
-          v'
-        | None -> v)
-      | Imm _ -> v
-    in
-    let kill d =
-      Hashtbl.remove env d;
-      (* Any mapping whose value is the redefined temp is now stale. *)
-      let stale =
-        Hashtbl.fold (fun k v acc -> if v = Temp d then k :: acc else acc) env []
-      in
-      List.iter (Hashtbl.remove env) stale
-    in
+    next_block copy;
+    next_block readers;
     b.body <-
       List.map
         (fun i ->
@@ -128,9 +159,15 @@ let copy_prop (f : func) =
             | Addr_global _ | Addr_local _ | Counter _ -> i
           in
           (match def_of i' with
-          | Some d ->
+          | Some d -> (
             kill d;
-            (match i' with Move (d, v) when v <> Temp d -> Hashtbl.replace env d v | _ -> ())
+            match i' with
+            | Move (d, v) when not (value_is d v) -> (
+              put copy d v;
+              match v with
+              | Temp s -> put readers s (d :: find readers s ~default:[])
+              | Imm _ -> ())
+            | _ -> ())
           | None -> ());
           i')
         b.body;
@@ -156,40 +193,81 @@ let commutative = function
   | Add | Mul | And | Or | Xor | Seq | Sne -> true
   | Sub | Div | Rem | Shl | Shr | Slt | Sle | Sgt | Sge -> false
 
+(* The order polymorphic [compare] gives values: every temp before every
+   immediate. *)
+let compare_value a b =
+  match (a, b) with
+  | Temp x, Temp y -> Int.compare x y
+  | Imm x, Imm y -> Int64.compare x y
+  | Temp _, Imm _ -> -1
+  | Imm _, Temp _ -> 1
+
 let cse_key_of = function
   | Bin (op, _, a, b) ->
-    let a, b = if commutative op && compare a b > 0 then (b, a) else (a, b) in
+    let a, b = if commutative op && compare_value a b > 0 then (b, a) else (a, b) in
     Some (K_bin (op, a, b))
   | Addr_global (_, sym) -> Some (K_addr_global sym)
   | Addr_local (_, slot) -> Some (K_addr_local slot)
   | Move _ | Load _ | Store _ | Call _ | Write _ | Exit _ | Counter _ -> None
 
+let key_equal k1 k2 =
+  match (k1, k2) with
+  (* [binop] has only constant constructors, so [==] is equality. *)
+  | K_bin (o1, a1, b1), K_bin (o2, a2, b2) -> o1 == o2 && value_equal a1 a2 && value_equal b1 b2
+  | K_addr_global s1, K_addr_global s2 -> String.equal s1 s2
+  | K_addr_local x, K_addr_local y -> x = y
+  | (K_bin _ | K_addr_global _ | K_addr_local _), _ -> false
+
 let key_mentions t = function
-  | K_bin (_, a, b) -> a = Temp t || b = Temp t
+  | K_bin (_, a, b) -> value_is t a || value_is t b
   | K_addr_global _ | K_addr_local _ -> false
+
+(* A computation available in the current block: [key] is held in
+   [temp] until a redefinition of [temp] or of an operand kills it. *)
+type available = { key : cse_key; temp : temp; mutable alive : bool }
 
 let cse (f : func) =
   let changed = ref false in
-  let run_block b =
-    let available : (cse_key, temp) Hashtbl.t = Hashtbl.create 16 in
-    let kill d =
-      let stale =
-        Hashtbl.fold
-          (fun k v acc -> if v = d || key_mentions d k then k :: acc else acc)
-          available []
-      in
-      List.iter (Hashtbl.remove available) stale
+  (* [by_temp.(t)]: the entries whose key or result mentions [t]; those
+     mentioning no temp as an operand are also in [no_operand]. *)
+  let by_temp = per_temp f.f_temp_count [] in
+  let no_operand = ref [] in
+  let lookup key =
+    let candidates =
+      match key with
+      | K_bin (_, Temp t, _) | K_bin (_, _, Temp t) -> find by_temp t ~default:[]
+      | K_bin _ | K_addr_global _ | K_addr_local _ -> !no_operand
     in
+    List.find_opt (fun e -> e.alive && key_equal e.key key) candidates
+  in
+  let mention t e = put by_temp t (e :: find by_temp t ~default:[]) in
+  let register key d =
+    let e = { key; temp = d; alive = true } in
+    mention d e;
+    match key with
+    | K_bin (_, Temp a, Temp b) ->
+      mention a e;
+      if b <> a then mention b e
+    | K_bin (_, Temp t, Imm _) | K_bin (_, Imm _, Temp t) -> mention t e
+    | K_bin (_, Imm _, Imm _) | K_addr_global _ | K_addr_local _ -> no_operand := e :: !no_operand
+  in
+  let kill d =
+    List.iter (fun e -> e.alive <- false) (find by_temp d ~default:[]);
+    drop by_temp d
+  in
+  let run_block b =
+    next_block by_temp;
+    no_operand := [];
     b.body <-
       List.map
         (fun i ->
           let i' =
             match cse_key_of i with
             | Some key -> (
-              match (Hashtbl.find_opt available key, def_of i) with
+              match (lookup key, def_of i) with
               | Some prev, Some d ->
                 changed := true;
-                Move (d, Temp prev)
+                Move (d, Temp prev.temp)
               | _ -> i)
             | None -> i
           in
@@ -201,7 +279,7 @@ let cse (f : func) =
                names the *old* d and must not satisfy later lookups. *)
             match (i', cse_key_of i) with
             | Move _, _ -> ()
-            | _, Some key when not (key_mentions d key) -> Hashtbl.replace available key d
+            | _, Some key when not (key_mentions d key) -> register key d
             | _, Some _ | _, None -> ())
           | None -> ());
           i')
@@ -214,30 +292,27 @@ let cse (f : func) =
 (* Dead code elimination                                               *)
 (* ------------------------------------------------------------------ *)
 
-module Iset = Set.Make (Int)
-
 let dce (f : func) =
   let changed = ref false in
   let rec sweep () =
-    let used = ref Iset.empty in
+    let used = Eric_util.Bitvec.create f.f_temp_count in
+    let mark t = Eric_util.Bitvec.add used t in
     List.iter
       (fun b ->
-        List.iter (fun i -> List.iter (fun t -> used := Iset.add t !used) (uses_of i)) b.body;
-        List.iter (fun t -> used := Iset.add t !used) (term_uses b.term))
+        List.iter (iter_uses mark) b.body;
+        iter_term_uses mark b.term)
       f.f_blocks;
+    let dead i =
+      (not (has_side_effect i))
+      && match def_of i with Some d -> not (Eric_util.Bitvec.mem used d) | None -> false
+    in
     let removed = ref false in
     List.iter
       (fun b ->
-        let keep i =
-          if has_side_effect i then true
-          else
-            match def_of i with
-            | Some d when not (Iset.mem d !used) ->
-              removed := true;
-              false
-            | Some _ | None -> true
-        in
-        b.body <- List.filter keep b.body)
+        if List.exists dead b.body then begin
+          removed := true;
+          b.body <- List.filter (fun i -> not (dead i)) b.body
+        end)
       f.f_blocks;
     if !removed then begin
       changed := true;

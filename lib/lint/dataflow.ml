@@ -25,7 +25,10 @@ let graph_of_edges ~node_count edges =
       succs.(a) <- b :: succs.(a);
       preds.(b) <- a :: preds.(b))
     edges;
-  { node_count; succs = (fun n -> List.rev succs.(n)); preds = (fun n -> List.rev preds.(n)) }
+  (* Reversed once here, not on every solver visit, to list edges in the
+     order given. *)
+  let succs = Array.map List.rev succs and preds = Array.map List.rev preds in
+  { node_count; succs = Array.get succs; preds = Array.get preds }
 
 module Bitset = struct
   type t = int

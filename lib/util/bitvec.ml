@@ -1,10 +1,19 @@
+(* Bit [i] lives in byte [i/8] at bit position [i mod 8], and the buffer
+   is padded with zero bytes to whole 64-bit words so the set operations
+   run a word at a time.  [to_bytes] returns only the packed prefix. *)
 type t = { len : int; data : Bytes.t }
 
+(* AND, OR and AND-NOT act on the same bit of both operands whatever the
+   host byte order, so native-order loads serve the word loops. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let bytes_for_bits n = (n + 7) / 8
+let padded_bytes n = 8 * ((n + 63) / 64)
 
 let create n =
   if n < 0 then invalid_arg "Bitvec.create: negative length";
-  { len = n; data = Bytes.make (bytes_for_bits n) '\000' }
+  { len = n; data = Bytes.make (padded_bytes n) '\000' }
 
 let length t = t.len
 
@@ -24,7 +33,7 @@ let set t i v =
   Bytes.set t.data pos (Char.chr (byte land 0xFF))
 
 let append t v =
-  let t' = { len = t.len + 1; data = Bytes.make (bytes_for_bits (t.len + 1)) '\000' } in
+  let t' = create (t.len + 1) in
   Bytes.blit t.data 0 t'.data 0 (Bytes.length t.data);
   set t' t.len v;
   t'
@@ -43,7 +52,7 @@ let popcount t =
   done;
   !n
 
-let to_bytes t = Bytes.copy t.data
+let to_bytes t = Bytes.sub t.data 0 (bytes_for_bits t.len)
 
 let of_bytes ~len b =
   if len < 0 then invalid_arg "Bitvec.of_bytes: negative length";
@@ -64,4 +73,64 @@ let equal a b = a.len = b.len && Bytes.equal a.data b.data
 let pp fmt t =
   for i = 0 to t.len - 1 do
     Format.pp_print_char fmt (if get t i then '1' else '0')
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Sets over [0, length)                                               *)
+(* ------------------------------------------------------------------ *)
+
+let mem t i =
+  i >= 0 && i < t.len && Char.code (Bytes.unsafe_get t.data (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let add t i =
+  check t i "add";
+  let pos = i lsr 3 in
+  Bytes.unsafe_set t.data pos
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.data pos) lor (1 lsl (i land 7))))
+
+let copy t = { len = t.len; data = Bytes.copy t.data }
+
+let same_length dst src name =
+  if dst.len <> src.len then invalid_arg ("Bitvec." ^ name ^ ": length mismatch")
+
+let union_into dst src =
+  same_length dst src "union_into";
+  let d = dst.data and s = src.data in
+  let i = ref 0 in
+  while !i < Bytes.length d do
+    set64 d !i (Int64.logor (get64 d !i) (get64 s !i));
+    i := !i + 8
+  done
+
+let inter_into dst src =
+  same_length dst src "inter_into";
+  let d = dst.data and s = src.data in
+  let i = ref 0 in
+  while !i < Bytes.length d do
+    set64 d !i (Int64.logand (get64 d !i) (get64 s !i));
+    i := !i + 8
+  done
+
+let diff_into dst src =
+  same_length dst src "diff_into";
+  let d = dst.data and s = src.data in
+  let i = ref 0 in
+  while !i < Bytes.length d do
+    set64 d !i (Int64.logand (get64 d !i) (Int64.lognot (get64 s !i)));
+    i := !i + 8
+  done
+
+let iter f t =
+  let d = t.data in
+  let w = ref 0 in
+  while !w < Bytes.length d do
+    if get64 d !w <> 0L then
+      for b = !w to !w + 7 do
+        let byte = Char.code (Bytes.unsafe_get d b) in
+        if byte <> 0 then
+          for k = 0 to 7 do
+            if byte land (1 lsl k) <> 0 then f ((b lsl 3) lor k)
+          done
+      done;
+    w := !w + 8
   done

@@ -33,32 +33,6 @@ let set_u32 = Bytes.set_int32_le
 let get_u64 = Bytes.get_int64_le
 let set_u64 = Bytes.set_int64_le
 
-let xor_range ~src ~key ~dst ~pos ~len =
-  if pos < 0 || len < 0
-     || pos > Bytes.length src - len
-     || pos > Bytes.length key - len
-     || pos > Bytes.length dst - len
-  then invalid_arg "Bytesx.xor_range: bad range";
-  (* Personalization hot path: XOR 8 bytes per step as 64-bit words, with
-     a scalar tail for the last len mod 8 bytes. *)
-  let stop = pos + len in
-  let words_end = pos + (len land lnot 7) in
-  let off = ref pos in
-  while !off < words_end do
-    Bytes.set_int64_le dst !off
-      (Int64.logxor (Bytes.get_int64_le src !off) (Bytes.get_int64_le key !off));
-    off := !off + 8
-  done;
-  for i = words_end to stop - 1 do
-    Bytes.set dst i (Char.chr (Char.code (Bytes.get src i) lxor Char.code (Bytes.get key i)))
-  done
-
-let xor_into ~src ~key ~dst =
-  let n = Bytes.length src in
-  if Bytes.length key <> n || Bytes.length dst <> n then
-    invalid_arg "Bytesx.xor_into: length mismatch";
-  xor_range ~src ~key ~dst ~pos:0 ~len:n
-
 let append a b =
   let out = Bytes.create (Bytes.length a + Bytes.length b) in
   Bytes.blit a 0 out 0 (Bytes.length a);

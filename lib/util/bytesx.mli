@@ -20,17 +20,6 @@ val set_u32 : bytes -> int -> int32 -> unit
 val get_u64 : bytes -> int -> int64
 val set_u64 : bytes -> int -> int64 -> unit
 
-val xor_range : src:bytes -> key:bytes -> dst:bytes -> pos:int -> len:int -> unit
-(** [xor_range ~src ~key ~dst ~pos ~len] writes [src XOR key] into [dst]
-    over the bytes [pos] to [pos + len - 1] of all three ([dst] may be
-    [src]).  Processes 8 bytes per step as little-endian 64-bit words with
-    a scalar tail, so keystream personalization runs at word speed.
-    Raises [Invalid_argument] if the range does not fit all three. *)
-
-val xor_into : src:bytes -> key:bytes -> dst:bytes -> unit
-(** [xor_into ~src ~key ~dst] is [xor_range] over the whole of [src];
-    all three must have equal length. *)
-
 val append : bytes -> bytes -> bytes
 
 val concat : bytes list -> bytes

@@ -64,6 +64,26 @@ let test_lexer_errors () =
   check Alcotest.bool "bad escape" true (fails {|"\q"|});
   check Alcotest.bool "stray char" true (fails "int $x;")
 
+let test_lexer_literal_range () =
+  let literal src =
+    match Lexer.tokenize src with
+    | [ { Lexer.tok = Lexer.INT_LIT v; _ }; _ ] -> v
+    | _ -> Alcotest.failf "%s: not one literal" src
+  in
+  check Alcotest.int64 "largest decimal" Int64.max_int (literal "9223372036854775807");
+  check Alcotest.int64 "largest hex" (-1L) (literal "0xFFFFFFFFFFFFFFFF");
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | _ -> Alcotest.failf "%s: lexed" src
+      | exception Lexer.Lex_error (msg, pos) ->
+        check Alcotest.string (src ^ ": message") "integer literal out of range" msg;
+        check Alcotest.(pair int int) (src ^ ": at the literal") (1, 9) (pos.Ast.line, pos.Ast.col))
+    [ "int x = 9223372036854775808;"; "int x = 0x1FFFFFFFFFFFFFFFF;" ];
+  match Driver.compile "int main() {\n  return 0x1FFFFFFFFFFFFFFFF;\n}" with
+  | Error e -> check Alcotest.string "a compile error" "2:10: integer literal out of range" e
+  | Ok _ -> Alcotest.fail "compiled"
+
 let test_lexer_comments_positions () =
   let toks = Lexer.tokenize "/* multi\nline */ int\nx" in
   match toks with
@@ -1244,6 +1264,580 @@ let test_prelude_has_no_data () =
   check Alcotest.int "p_data" 0 (List.length fresh.Ir.p_data);
   check Alcotest.int "p_bss" 0 (List.length fresh.Ir.p_bss)
 
+(* ------------------------------------------------------------------ *)
+(* Dense analyses against their Set.Make (Int) references              *)
+(* ------------------------------------------------------------------ *)
+
+(* The IR verifier, its must-define solve and the register allocator as
+   they were on [Set.Make (Int)] sets (and, in the allocator, interval
+   bounds in hash tables and a fixpoint loop of its own).  The dense
+   rewrites must give the same diagnostics in the same order and the same
+   allocation. *)
+module Reference = struct
+  module Uses = struct
+    open Ir
+
+    let uses_of_value = function Temp t -> [ t ] | Imm _ -> []
+
+    let uses_of = function
+      | Move (_, v) -> uses_of_value v
+      | Bin (_, _, a, b) -> uses_of_value a @ uses_of_value b
+      | Load (_, _, addr) -> uses_of_value addr
+      | Store (_, addr, src) -> uses_of_value addr @ uses_of_value src
+      | Addr_global _ | Addr_local _ -> []
+      | Call (_, _, args) -> List.concat_map uses_of_value args
+      | Write (a, b) -> uses_of_value a @ uses_of_value b
+      | Exit v -> uses_of_value v
+      | Counter _ -> []
+
+    let term_uses = function
+      | Ret (Some v) -> uses_of_value v
+      | Ret None -> []
+      | Jmp _ -> []
+      | Br (v, _, _) -> uses_of_value v
+  end
+
+  module Ir_dataflow = struct
+    module Iset = Set.Make (Int)
+
+    (* Must-define analysis lattice: which temps are written on *every* path.
+       Join is set intersection, so the identity element ("no path constrains
+       this yet") is the whole universe, [All]. *)
+    module Must_define = struct
+      type t = All | Defined of Iset.t
+
+      let bottom = All
+
+      let join a b =
+        match (a, b) with
+        | All, x | x, All -> x
+        | Defined u, Defined v -> Defined (Iset.inter u v)
+
+      let equal a b =
+        match (a, b) with
+        | All, All -> true
+        | Defined u, Defined v -> Iset.equal u v
+        | _ -> false
+
+      let pp fmt = function
+        | All -> Format.pp_print_string fmt "all"
+        | Defined s ->
+          Format.fprintf fmt "{%s}"
+            (String.concat "," (List.map string_of_int (Iset.elements s)))
+    end
+
+    type func_graph = {
+      fg_graph : Eric_lint.Dataflow.graph;
+      fg_blocks : Ir.block array;  (** node index -> block *)
+      fg_index : (Ir.label, int) Hashtbl.t;
+    }
+
+    let graph_of_func (f : Ir.func) =
+      let fg_blocks = Array.of_list f.Ir.f_blocks in
+      let fg_index = Hashtbl.create 16 in
+      Array.iteri
+        (fun i b ->
+          if not (Hashtbl.mem fg_index b.Ir.b_label) then Hashtbl.replace fg_index b.Ir.b_label i)
+        fg_blocks;
+      let entry_label =
+        match f.Ir.f_blocks with b :: _ -> Some b.Ir.b_label | [] -> None
+      in
+      let edges =
+        List.concat
+          (Array.to_list
+             (Array.mapi
+                (fun i b ->
+                  List.filter_map
+                    (fun l ->
+                      match Hashtbl.find_opt fg_index l with
+                      (* The entry has no CFG predecessor: its dataflow input
+                         is the boundary fact (parameters), never a join with
+                         a loop edge back to the first label. *)
+                      | Some j when entry_label <> Some l -> Some (i, j)
+                      | _ -> None)
+                    (Ir.successors b.Ir.term))
+                fg_blocks))
+      in
+      { fg_graph = Eric_lint.Dataflow.graph_of_edges ~node_count:(Array.length fg_blocks) edges;
+        fg_blocks;
+        fg_index }
+
+    module Must_solver = Eric_lint.Dataflow.Make (Must_define)
+
+    let block_defs (b : Ir.block) =
+      List.fold_left
+        (fun acc i -> match Ir.def_of i with Some d -> Iset.add d acc | None -> acc)
+        Iset.empty b.Ir.body
+
+    let must_define (f : Ir.func) =
+      (* Forward solve: in(b) = ∩ out(preds), out(b) = in(b) ∪ defs(b);
+         the entry starts from the parameter set. *)
+      let fg = graph_of_func f in
+      let params = Iset.of_list f.Ir.f_params in
+      let transfer i v =
+        match v with
+        | Must_define.All -> Must_define.All
+        | Must_define.Defined s -> Must_define.Defined (Iset.union s (block_defs fg.fg_blocks.(i)))
+      in
+      let boundary =
+        if Array.length fg.fg_blocks = 0 then [] else [ (0, Must_define.Defined params) ]
+      in
+      let solved = Must_solver.solve ~boundary ~graph:fg.fg_graph ~transfer () in
+      (fg, solved)
+  end
+
+  module Verify = struct
+    open Ir
+    open Uses
+    module Diag = Eric_lint.Diag
+    module Iset = Set.Make (Int)
+
+
+    let loc ~func ~block ?index () = Diag.Ir_loc { func; block; index }
+
+    let cfg_checks (f : func) =
+      let fn = f.f_name in
+      match f.f_blocks with
+      | [] -> [ Diag.errorf ~check:"ir.cfg.empty" "function %s has no basic blocks" fn ]
+      | entry :: _ ->
+        let labels = Hashtbl.create 16 in
+        let dups =
+          List.filter_map
+            (fun b ->
+              if Hashtbl.mem labels b.b_label then
+                Some
+                  (Diag.errorf ~loc:(loc ~func:fn ~block:b.b_label ()) ~check:"ir.cfg.duplicate-label"
+                     "label L%d defined by more than one block" b.b_label)
+              else begin
+                Hashtbl.replace labels b.b_label b;
+                None
+              end)
+            f.f_blocks
+        in
+        let unresolved =
+          List.concat_map
+            (fun b ->
+              List.filter_map
+                (fun target ->
+                  if Hashtbl.mem labels target then None
+                  else
+                    Some
+                      (Diag.errorf ~loc:(loc ~func:fn ~block:b.b_label ())
+                         ~check:"ir.cfg.unresolved-label" "terminator targets L%d, which no block defines"
+                         target))
+                (successors b.term))
+            f.f_blocks
+        in
+        let reachable = Hashtbl.create 16 in
+        let rec visit l =
+          if not (Hashtbl.mem reachable l) then begin
+            Hashtbl.replace reachable l ();
+            match Hashtbl.find_opt labels l with
+            | Some b -> List.iter visit (successors b.term)
+            | None -> ()
+          end
+        in
+        visit entry.b_label;
+        let unreachable =
+          List.filter_map
+            (fun b ->
+              if Hashtbl.mem reachable b.b_label then None
+              else
+                Some
+                  (Diag.notef ~loc:(loc ~func:fn ~block:b.b_label ()) ~check:"ir.cfg.unreachable-block"
+                     "block L%d is unreachable from the entry" b.b_label))
+            f.f_blocks
+        in
+        dups @ unresolved @ unreachable
+
+    let instr_temps i = (match def_of i with Some d -> [ d ] | None -> []) @ uses_of i
+
+    let local_checks (p : program) (f : func) =
+      let fn = f.f_name in
+      let slot_ids = List.map fst f.f_slots in
+      let sig_of = Hashtbl.create 16 in
+      List.iter (fun g -> Hashtbl.replace sig_of g.f_name (List.length g.f_params)) p.p_funcs;
+      let check_temp ~loc t =
+        if t < 0 || t >= f.f_temp_count then
+          Some
+            (Diag.errorf ~loc ~check:"ir.temp.out-of-range" "t%d outside [0, %d)" t f.f_temp_count)
+        else None
+      in
+      let param_diags =
+        List.filter_map (fun t -> check_temp ~loc:(loc ~func:fn ~block:(-1) ()) t) f.f_params
+      in
+      let block_diags =
+        List.concat_map
+          (fun b ->
+            let body_diags =
+              List.concat (List.mapi
+                (fun i instr ->
+                  let at = loc ~func:fn ~block:b.b_label ~index:i () in
+                  let temp_diags = List.filter_map (check_temp ~loc:at) (instr_temps instr) in
+                  let extra =
+                    match instr with
+                    | Addr_local (_, slot) when not (List.mem slot slot_ids) ->
+                      [ Diag.errorf ~loc:at ~check:"ir.slot.unresolved"
+                          "&slot%d: function declares no such frame slot" slot ]
+                    | Call (_, callee, args) -> (
+                      match Hashtbl.find_opt sig_of callee with
+                      | None ->
+                        [ Diag.errorf ~loc:at ~check:"ir.call.unknown"
+                            "call to %s, which is not a function of the program" callee ]
+                      | Some arity when arity <> List.length args ->
+                        [ Diag.errorf ~loc:at ~check:"ir.call.arity"
+                            "%s takes %d argument%s, called with %d" callee arity
+                            (if arity = 1 then "" else "s")
+                            (List.length args) ]
+                      | Some _ -> [])
+                    | _ -> []
+                  in
+                  temp_diags @ extra)
+                b.body)
+            in
+            let term_diags =
+              List.filter_map (check_temp ~loc:(loc ~func:fn ~block:b.b_label ())) (term_uses b.term)
+            in
+            body_diags @ term_diags)
+          f.f_blocks
+      in
+      param_diags @ block_diags
+
+    (* Forward must-define analysis: a temp is definitely assigned at a point
+       when every path from the entry writes it first.  Reads of temps that
+       are written somewhere but not on every incoming path are warnings
+       (MiniC, like C, allows reading an uninitialised local); reads of temps
+       no instruction ever writes are errors.  The fixpoint itself is the
+       {!Ir_dataflow.Must_define} instance of the shared worklist solver. *)
+    let dataflow_checks (f : func) =
+      match f.f_blocks with
+      | [] -> []
+      | entry :: _ ->
+        let fn = f.f_name in
+        let defined_anywhere =
+          List.fold_left
+            (fun acc b ->
+              List.fold_left
+                (fun acc i -> match def_of i with Some d -> Iset.add d acc | None -> acc)
+                acc b.body)
+            (Iset.of_list f.f_params) f.f_blocks
+        in
+        let fg, solved = Ir_dataflow.must_define f in
+        let in_of i =
+          match solved.Ir_dataflow.Must_solver.input.(i) with
+          | Ir_dataflow.Must_define.Defined s ->
+            Iset.of_list (Ir_dataflow.Iset.elements s)
+          | Ir_dataflow.Must_define.All -> defined_anywhere (* unreachable: unconstrained *)
+        in
+        (* Use-checks cover only reachable blocks: lowering's dead join blocks
+           (already noted by [ir.cfg.unreachable-block]) have no incoming path
+           to constrain what is defined, so checking them would be noise. *)
+        let labels = Hashtbl.create 16 in
+        List.iter (fun b -> Hashtbl.replace labels b.b_label b) f.f_blocks;
+        let reachable = Hashtbl.create 16 in
+        let rec visit l =
+          if not (Hashtbl.mem reachable l) then begin
+            Hashtbl.replace reachable l ();
+            match Hashtbl.find_opt labels l with
+            | Some b -> List.iter visit (successors b.term)
+            | None -> ()
+          end
+        in
+        visit entry.b_label;
+        let diags = ref [] in
+        let reported = Hashtbl.create 8 in
+        let check_use ~loc_ t defined =
+          if not (Iset.mem t defined) && not (Hashtbl.mem reported t) then begin
+            Hashtbl.replace reported t ();
+            if Iset.mem t defined_anywhere then
+              diags :=
+                Diag.warningf ~loc:loc_ ~check:"ir.temp.maybe-undef"
+                  "t%d may be read before any assignment on some path" t
+                :: !diags
+            else
+              diags :=
+                Diag.errorf ~loc:loc_ ~check:"ir.temp.undef" "t%d is read but never assigned" t
+                :: !diags
+          end
+        in
+        Array.iteri
+          (fun i b ->
+            if Hashtbl.mem reachable b.b_label then begin
+              let defined = ref (in_of i) in
+              List.iteri
+                (fun j instr ->
+                  let at = loc ~func:fn ~block:b.b_label ~index:j () in
+                  List.iter (fun t -> check_use ~loc_:at t !defined) (uses_of instr);
+                  match def_of instr with
+                  | Some d -> defined := Iset.add d !defined
+                  | None -> ())
+                b.body;
+              List.iter
+                (fun t -> check_use ~loc_:(loc ~func:fn ~block:b.b_label ()) t !defined)
+                (term_uses b.term)
+            end)
+          fg.Ir_dataflow.fg_blocks;
+        List.rev !diags
+
+    let verify_func p f = Diag.sort (cfg_checks f @ local_checks p f @ dataflow_checks f)
+  end
+
+  module Regalloc = struct
+    open Eric_rv
+    open Eric_cc.Regalloc
+    module Iset = Set.Make (Int)
+
+    type interval = { temp : int; lo : int; hi : int; crosses_call : bool }
+
+    let block_liveness (f : Ir.func) =
+      (* Gen/kill per block, then the usual backwards fixpoint. *)
+      let blocks = Array.of_list f.f_blocks in
+      let index_of = Hashtbl.create 16 in
+      Array.iteri (fun i b -> Hashtbl.replace index_of b.Ir.b_label i) blocks;
+      let n = Array.length blocks in
+      let gen = Array.make n Iset.empty and kill = Array.make n Iset.empty in
+      Array.iteri
+        (fun i b ->
+          List.iter
+            (fun instr ->
+              List.iter
+                (fun t -> if not (Iset.mem t kill.(i)) then gen.(i) <- Iset.add t gen.(i))
+                (Uses.uses_of instr);
+              match Ir.def_of instr with
+              | Some d -> kill.(i) <- Iset.add d kill.(i)
+              | None -> ())
+            b.Ir.body;
+          List.iter
+            (fun t -> if not (Iset.mem t kill.(i)) then gen.(i) <- Iset.add t gen.(i))
+            (Uses.term_uses b.Ir.term))
+        blocks;
+      let live_in = Array.make n Iset.empty and live_out = Array.make n Iset.empty in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for i = n - 1 downto 0 do
+          let out =
+            List.fold_left
+              (fun acc l ->
+                match Hashtbl.find_opt index_of l with
+                | Some j -> Iset.union acc live_in.(j)
+                | None -> acc)
+              Iset.empty
+              (Ir.successors blocks.(i).Ir.term)
+          in
+          let inn = Iset.union gen.(i) (Iset.diff out kill.(i)) in
+          if not (Iset.equal out live_out.(i)) || not (Iset.equal inn live_in.(i)) then begin
+            live_out.(i) <- out;
+            live_in.(i) <- inn;
+            changed := true
+          end
+        done
+      done;
+      (blocks, live_in, live_out)
+
+    let build_intervals (f : Ir.func) =
+      let blocks, live_in, live_out = block_liveness f in
+      let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
+      let touch t pos =
+        (match Hashtbl.find_opt lo t with
+        | Some v when v <= pos -> ()
+        | _ -> Hashtbl.replace lo t pos);
+        match Hashtbl.find_opt hi t with
+        | Some v when v >= pos -> ()
+        | _ -> Hashtbl.replace hi t pos
+      in
+      let call_sites = ref [] in
+      let pos = ref 0 in
+      (* Parameters are defined by the prologue. *)
+      List.iter (fun p -> touch p 0) f.f_params;
+      Array.iteri
+        (fun i b ->
+          let block_start = !pos in
+          List.iter
+            (fun instr ->
+              incr pos;
+              List.iter (fun t -> touch t !pos) (Uses.uses_of instr);
+              (match Ir.def_of instr with Some d -> touch d !pos | None -> ());
+              match instr with Ir.Call _ -> call_sites := !pos :: !call_sites | _ -> ())
+            b.Ir.body;
+          incr pos;
+          List.iter (fun t -> touch t !pos) (Uses.term_uses b.Ir.term);
+          let block_end = !pos in
+          Iset.iter (fun t -> touch t block_start) live_in.(i);
+          Iset.iter
+            (fun t ->
+              touch t block_end;
+              (* Live-out temps must cover the whole block tail. *)
+              touch t block_start)
+            live_out.(i);
+          (* Live-in temps that are also live-out span everything between;
+             linear scan over a linearised order handles loop-carried temps by
+             the conservative [block_start, block_end] extension above applied
+             to every block where the temp is live. *)
+          ())
+        blocks;
+      let intervals =
+        Hashtbl.fold
+          (fun t l acc ->
+            let h = Hashtbl.find hi t in
+            let crosses = List.exists (fun c -> l < c && c < h) !call_sites in
+            { temp = t; lo = l; hi = h; crosses_call = crosses } :: acc)
+          lo []
+      in
+      List.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) intervals
+
+    let allocate (f : Ir.func) =
+      let intervals = build_intervals f in
+      let assign = Hashtbl.create 64 in
+      let free_caller = ref caller_pool and free_callee = ref callee_pool in
+      let active = ref [] in
+      (* (interval, reg) sorted by increasing hi *)
+      let spill_count = ref 0 in
+      let used_callee = ref [] in
+      let release reg =
+        if List.exists (Reg.equal reg) caller_pool then free_caller := reg :: !free_caller
+        else free_callee := reg :: !free_callee
+      in
+      let expire current_lo =
+        let expired, still = List.partition (fun (iv, _) -> iv.hi < current_lo) !active in
+        List.iter (fun (_, r) -> release r) expired;
+        active := still
+      in
+      let take_reg iv =
+        if iv.crosses_call then
+          match !free_callee with
+          | r :: rest ->
+            free_callee := rest;
+            if not (List.exists (Reg.equal r) !used_callee) then used_callee := r :: !used_callee;
+            Some r
+          | [] -> None
+        else
+          match !free_caller with
+          | r :: rest ->
+            free_caller := rest;
+            Some r
+          | [] -> (
+            match !free_callee with
+            | r :: rest ->
+              free_callee := rest;
+              if not (List.exists (Reg.equal r) !used_callee) then used_callee := r :: !used_callee;
+              Some r
+            | [] -> None)
+      in
+      let insert_active entry =
+        let rec ins = function
+          | [] -> [ entry ]
+          | ((iv, _) as hd) :: tl -> if (fst entry).hi <= iv.hi then entry :: hd :: tl else hd :: ins tl
+        in
+        active := ins !active
+      in
+      let spill_slot () =
+        let s = !spill_count in
+        incr spill_count;
+        s
+      in
+      List.iter
+        (fun iv ->
+          expire iv.lo;
+          match take_reg iv with
+          | Some r ->
+            Hashtbl.replace assign iv.temp (Reg r);
+            insert_active (iv, r)
+          | None -> (
+            (* Standard heuristic: spill whichever of {current, furthest-ending
+               active with a compatible register} ends last. *)
+            let compatible (aiv, r) =
+              ignore aiv;
+              if iv.crosses_call then List.exists (Reg.equal r) callee_pool else true
+            in
+            let candidates = List.filter compatible !active in
+            match List.rev candidates with
+            | (victim, vreg) :: _ when victim.hi > iv.hi ->
+              Hashtbl.replace assign victim.temp (Spill (spill_slot ()));
+              active := List.filter (fun (a, _) -> a.temp <> victim.temp) !active;
+              Hashtbl.replace assign iv.temp (Reg vreg);
+              insert_active (iv, vreg)
+            | _ -> Hashtbl.replace assign iv.temp (Spill (spill_slot ()))))
+        intervals;
+      { assign; spill_slots = !spill_count; used_callee_saved = List.rev !used_callee }
+  end
+end
+
+let test_dense_analyses_match_reference () =
+  let sources =
+    List.concat_map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        [ (w.name ^ " small", w.source_small); (w.name ^ " large", w.source) ])
+      Eric_workloads.Workloads.all
+    @ List.init 200 (fun i ->
+          let seed = Int64.of_int (i + 1) in
+          (Printf.sprintf "gen %Ld" seed, (Eric_verif.Gen.generate ~seed ()).Eric_verif.Gen.source))
+  in
+  let rows ds = List.map (Format.asprintf "%a" Eric_lint.Diag.pp) ds in
+  let reg r = Printf.sprintf "x%d" (Eric_rv.Reg.to_int r) in
+  let assignment assign =
+    Hashtbl.fold (fun t a acc -> (t, a) :: acc) assign []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (t, a) ->
+           match a with
+           | Regalloc.Reg r -> Printf.sprintf "t%d:%s" t (reg r)
+           | Regalloc.Spill s -> Printf.sprintf "t%d:spill%d" t s)
+  in
+  (* Well-formed IR draws no diagnostics, so each function is also
+     verified with every third instruction of a block deleted and a
+     quarter of its temps out of range. *)
+  let broken f =
+    { (Ir.copy_func f) with
+      Ir.f_blocks =
+        List.map
+          (fun b -> { b with Ir.body = List.filteri (fun i _ -> i mod 3 <> 1) b.Ir.body })
+          f.Ir.f_blocks;
+      f_temp_count = f.Ir.f_temp_count - (f.Ir.f_temp_count / 4) }
+  in
+  let diagnostics = ref 0 and spills = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun optimize ->
+          match Driver.compile_to_ir ~options:{ Driver.default_options with Driver.optimize } src with
+          | Error e -> Alcotest.failf "%s: %s" name e
+          | Ok ir ->
+            let verify = Ir_verify.verify_func ir and reference = Reference.Verify.verify_func ir in
+            List.iter
+              (fun f ->
+                let what = Printf.sprintf "%s optimize=%b %s" name optimize f.Ir.f_name in
+                let uses uses_of term_uses =
+                  List.concat_map
+                    (fun b -> List.map uses_of b.Ir.body @ [ term_uses b.Ir.term ])
+                    f.Ir.f_blocks
+                in
+                check Alcotest.(list (list int)) (what ^ ": uses")
+                  (uses Reference.Uses.uses_of Reference.Uses.term_uses)
+                  (uses Ir.uses_of Ir.term_uses);
+                List.iter
+                  (fun (tag, f) ->
+                    let expected = rows (reference f) in
+                    diagnostics := !diagnostics + List.length expected;
+                    check Alcotest.(list string) (what ^ tag ^ ": diagnostics") expected
+                      (rows (verify f)))
+                  [ ("", f); (" broken", broken f) ];
+                let a = Regalloc.allocate f and r = Reference.Regalloc.allocate f in
+                spills := !spills + r.Regalloc.spill_slots;
+                check Alcotest.(list string) (what ^ ": assignment")
+                  (assignment r.Regalloc.assign) (assignment a.Regalloc.assign);
+                check Alcotest.int (what ^ ": spill slots") r.Regalloc.spill_slots
+                  a.Regalloc.spill_slots;
+                check Alcotest.(list string) (what ^ ": callee-saved")
+                  (List.map reg r.Regalloc.used_callee_saved)
+                  (List.map reg a.Regalloc.used_callee_saved))
+              ir.Ir.p_funcs)
+        [ false; true ])
+    sources;
+  (* The corpus reaches the paths that matter: diagnostics to order and
+     spills to hand out. *)
+  check Alcotest.bool "some diagnostics compared" true (!diagnostics > 0);
+  check Alcotest.bool "some spills compared" true (!spills > 0)
+
 let () =
   Alcotest.run "eric_cc"
     [ ( "lexer",
@@ -1251,6 +1845,7 @@ let () =
           Alcotest.test_case "operators" `Quick test_lexer_operators;
           Alcotest.test_case "string escapes" `Quick test_lexer_string_escapes;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "integer literal range" `Quick test_lexer_literal_range;
           Alcotest.test_case "comments and positions" `Quick test_lexer_comments_positions ] );
       ( "diagnostics",
         [ Alcotest.test_case "parse errors" `Quick test_parse_errors;
@@ -1316,7 +1911,9 @@ let () =
         [ differential_expressions;
           differential_unoptimised;
           differential_programs;
-          Alcotest.test_case "interpreter memory pages" `Quick test_interp_pages ] );
+          Alcotest.test_case "interpreter memory pages" `Quick test_interp_pages;
+          Alcotest.test_case "dense analyses = Set.Make (Int) references" `Quick
+            test_dense_analyses_match_reference ] );
       ( "prelude",
         [ Alcotest.test_case "template isolated from transforms" `Quick
             test_template_isolated_from_transforms;

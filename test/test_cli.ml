@@ -247,6 +247,18 @@ let test_compile_error_position () =
       check Alcotest.int "exit code" 1 code;
       check Alcotest.string "diagnostic" "error: 2:10: undefined variable x\n" err)
 
+let test_literal_out_of_range () =
+  (* a lexer error like any other, not an escaping Int64.of_string *)
+  with_tmp (fun path ->
+      write path (Bytes.of_string "int main() {\n  return 9223372036854775808;\n}\n");
+      List.iter
+        (fun cmd ->
+          let code, err = run_cli (cmd :: path :: (if cmd = "build" then [ "-o"; path ^ ".epkg" ] else [])) in
+          check Alcotest.int (cmd ^ ": exit code") 1 code;
+          check Alcotest.string (cmd ^ ": diagnostic")
+            "error: 2:10: integer literal out of range\n" err)
+        [ "compile"; "build" ])
+
 (* ------------------------------------------------------------------ *)
 (* verif subcommands through the real binary                           *)
 (* ------------------------------------------------------------------ *)
@@ -697,7 +709,9 @@ let () =
             test_exit_code_program_exit_passthrough;
           Alcotest.test_case "internal error is 1" `Quick test_exit_code_internal;
           Alcotest.test_case "compile error names the source line" `Quick
-            test_compile_error_position ] );
+            test_compile_error_position;
+          Alcotest.test_case "out-of-range literal is a compile error" `Quick
+            test_literal_out_of_range ] );
       ( "puf",
         [ Alcotest.test_case "hex device id" `Quick test_puf_hex_device_id;
           Alcotest.test_case "malformed device id is 4" `Quick test_puf_malformed_device_id;

@@ -738,6 +738,32 @@ let test_golden_packages () =
   in
   check Alcotest.(list string) "golden packages" golden_packages rows
 
+(* The images the golden packages do not reach, recorded before the
+   compiler's analyses moved to dense temp sets: one SHA-256 over
+   [Program.to_binary] of every small-dataset workload, with compression
+   on and off, then of generated programs 1-200.  Register allocation
+   breaks interval ties in a fixed order, and this pins it. *)
+let test_golden_images () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add options src =
+    match Eric_cc.Driver.compile ~options src with
+    | Ok img -> Buffer.add_bytes buf (Eric_rv.Program.to_binary img)
+    | Error e -> Alcotest.fail e
+  in
+  let uncompressed = { Eric_cc.Driver.default_options with Eric_cc.Driver.compress = false } in
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      add Eric_cc.Driver.default_options w.Eric_workloads.Workloads.source_small;
+      add uncompressed w.Eric_workloads.Workloads.source_small)
+    Eric_workloads.Workloads.all;
+  for seed = 1 to 200 do
+    add Eric_cc.Driver.default_options
+      (Eric_verif.Gen.generate ~seed:(Int64.of_int seed) ()).Eric_verif.Gen.source
+  done;
+  check Alcotest.string "images"
+    "b0729c51d736b378f03556de379b6a6cafebf60abcc7896daf77cbd9c3338238"
+    (Eric_crypto.Sha256.hex (Buffer.to_bytes buf))
+
 (* ------------------------------------------------------------------ *)
 (* Target / end-to-end execution                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1266,6 +1292,7 @@ let () =
           decrypt_roundtrip_random_keys;
           decrypt_matches_reference;
           Alcotest.test_case "golden packages" `Quick test_golden_packages;
+          Alcotest.test_case "golden images" `Quick test_golden_images;
           personalize_matches_reference;
           Alcotest.test_case "personalize leaves image and skeleton" `Quick
             test_personalize_leaves_image_and_skeleton;

@@ -139,6 +139,47 @@ let bitvec_popcount =
       let v = Bitvec.of_bool_array (Array.of_list bits) in
       Bitvec.popcount v = List.length (List.filter Fun.id bits))
 
+(* The set operations against a list model, on lengths around the 64-bit
+   word boundaries the word loops step over. *)
+let bitvec_sets =
+  qtest "bitvec sets = list model"
+    QCheck.(triple (int_bound 200) (list small_nat) (list small_nat))
+    (fun (n, xs, ys) ->
+      let xs = List.filter (fun i -> i < n) xs and ys = List.filter (fun i -> i < n) ys in
+      let of_list l =
+        let v = Bitvec.create n in
+        List.iter (Bitvec.add v) l;
+        v
+      in
+      let members v =
+        let acc = ref [] in
+        Bitvec.iter (fun i -> acc := i :: !acc) v;
+        List.rev !acc
+      in
+      let model p = List.filter p (List.init n Fun.id) in
+      let op f =
+        let v = of_list xs in
+        f v (of_list ys);
+        members v
+      in
+      members (of_list xs) = List.sort_uniq compare xs
+      && op Bitvec.union_into = model (fun i -> List.mem i xs || List.mem i ys)
+      && op Bitvec.inter_into = model (fun i -> List.mem i xs && List.mem i ys)
+      && op Bitvec.diff_into = model (fun i -> List.mem i xs && not (List.mem i ys))
+      && List.for_all (fun i -> Bitvec.mem (of_list xs) i = List.mem i xs) (List.init (n + 2) (fun i -> i - 1))
+      && Bytes.length (Bitvec.to_bytes (of_list xs)) = (n + 7) / 8
+      && Bitvec.equal (Bitvec.copy (of_list xs)) (of_list xs))
+
+let test_bitvec_set_errors () =
+  let v = Bitvec.create 70 in
+  Alcotest.check_raises "add oob" (Invalid_argument "Bitvec.add: index out of bounds") (fun () ->
+      Bitvec.add v 70);
+  Alcotest.check_raises "length mismatch" (Invalid_argument "Bitvec.union_into: length mismatch")
+    (fun () -> Bitvec.union_into v (Bitvec.create 64));
+  let w = Bitvec.copy v in
+  Bitvec.add w 69;
+  check Alcotest.bool "copy is independent" false (Bitvec.mem v 69)
+
 (* ------------------------------------------------------------------ *)
 (* Bytesx                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -170,45 +211,6 @@ let test_le_codecs () =
   check Alcotest.int64 "u64" 0x0123456789ABCDEFL (Bytesx.get_u64 b 0);
   check Alcotest.int "u64 low byte first" 0xEF (Char.code (Bytes.get b 0))
 
-let xor_involution =
-  qtest "xor involution" QCheck.(pair string string) (fun (s, k) ->
-      let n = min (String.length s) (String.length k) in
-      let src = Bytes.of_string (String.sub s 0 n) in
-      let key = Bytes.of_string (String.sub k 0 n) in
-      let once = Bytes.create n and twice = Bytes.create n in
-      Bytesx.xor_into ~src ~key ~dst:once;
-      Bytesx.xor_into ~src:once ~key ~dst:twice;
-      Bytes.equal src twice)
-
-let xor_range_bytewise =
-  qtest "xor_range = byte-wise xor over the range"
-    QCheck.(triple string small_nat small_nat)
-    (fun (s, a, b) ->
-      let n = String.length s in
-      let pos = if n = 0 then 0 else a mod (n + 1) in
-      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
-      let buf = Bytes.of_string s in
-      let key = Bytes.init n (fun i -> Char.chr ((i * 151) land 0xFF)) in
-      Bytesx.xor_range ~src:buf ~key ~dst:buf ~pos ~len;
-      let expected =
-        Bytes.mapi
-          (fun i c ->
-            if i >= pos && i < pos + len then Char.chr (Char.code c lxor ((i * 151) land 0xFF))
-            else c)
-          (Bytes.of_string s)
-      in
-      Bytes.equal buf expected)
-
-let test_xor_range_bounds () =
-  let b = Bytes.make 16 'a' and short = Bytes.make 8 'b' in
-  let bad = Invalid_argument "Bytesx.xor_range: bad range" in
-  List.iter
-    (fun (key, pos, len) ->
-      Alcotest.check_raises (Printf.sprintf "pos %d len %d" pos len) bad (fun () ->
-          Bytesx.xor_range ~src:b ~key ~dst:b ~pos ~len))
-    [ (b, max_int - 4, 8); (b, 4, max_int); (b, -1, 2); (b, 2, -1); (b, 10, 7); (short, 4, 8) ];
-  Bytesx.xor_range ~src:b ~key:b ~dst:b ~pos:16 ~len:0
-
 let test_append_concat () =
   check Alcotest.string "append" "abcd"
     (Bytes.to_string (Bytesx.append (Bytes.of_string "ab") (Bytes.of_string "cd")));
@@ -234,13 +236,12 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
           Alcotest.test_case "append" `Quick test_bitvec_append;
           bitvec_roundtrip;
-          bitvec_popcount ] );
+          bitvec_popcount;
+          bitvec_sets;
+          Alcotest.test_case "set errors" `Quick test_bitvec_set_errors ] );
       ( "bytesx",
         [ Alcotest.test_case "hex known" `Quick test_hex_known;
           Alcotest.test_case "hex errors" `Quick test_hex_errors;
           hex_roundtrip;
           Alcotest.test_case "le codecs" `Quick test_le_codecs;
-          xor_involution;
-          xor_range_bytewise;
-          Alcotest.test_case "xor_range bounds" `Quick test_xor_range_bounds;
           Alcotest.test_case "append/concat" `Quick test_append_concat ] ) ]
