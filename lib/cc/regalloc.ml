@@ -72,16 +72,21 @@ let build_intervals (f : Ir.func) =
   let lo = Array.make n max_int and hi = Array.make n (-1) in
   (* Linear scan hands the first free register to the first of several
      intervals with equal bounds, so the order of ties shapes every image.
-     Ties keep the order [Hashtbl.fold] gives this first-touch table
-     (created by [Hashtbl.create 64]; live-in and live-out temps are
-     touched in ascending order), the order every image so far was built
-     with: ordering ties by temp instead changed 36 of 40 workload images
-     (both datasets, compression on and off) and 197 of 300 generated
-     programs. *)
-  let first_touch = Hashtbl.create 64 in
+     Ties keep the order that built every image so far: [Hashtbl.fold]'s
+     over an unrandomized first-touch table made by [Hashtbl.create 64],
+     i.e. by bucket descending, then by first touch ascending.  A temp's
+     bucket is [Hashtbl.hash t] modulo the table's final bucket count: 64,
+     doubled while the temps touched exceed twice the buckets.  Live-in
+     and live-out temps are touched in ascending order.  Ordering ties by
+     temp instead changed 36 of 40 workload images (both datasets,
+     compression on and off) and 197 of 300 generated programs, and a
+     real table would make images depend on [OCAMLRUNPARAM=R], which
+     randomizes its hash. *)
+  let first_touch = Array.make n 0 and touched = ref 0 in
   let touch t pos =
     if hi.(t) < 0 then begin
-      Hashtbl.replace first_touch t ();
+      first_touch.(!touched) <- t;
+      incr touched;
       lo.(t) <- pos;
       hi.(t) <- pos
     end
@@ -123,18 +128,26 @@ let build_intervals (f : Ir.func) =
   for p = 1 to Array.length calls_below - 1 do
     calls_below.(p) <- calls_below.(p) + calls_below.(p - 1)
   done;
-  let intervals =
-    Hashtbl.fold
-      (fun t () acc ->
-        let l = lo.(t) and h = hi.(t) in
-        { temp = t; lo = l; hi = h; crosses_call = calls_below.(h) - calls_below.(l + 1) > 0 }
-        :: acc)
-      first_touch []
-  in
-  (* Stable: ties keep the fold's order. *)
+  let buckets = ref 64 in
+  while !touched > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let bucket t = Hashtbl.hash t land (!buckets - 1) in
+  let intervals = ref [] in
+  for k = !touched - 1 downto 0 do
+    let t = first_touch.(k) in
+    let l = lo.(t) and h = hi.(t) in
+    intervals :=
+      { temp = t; lo = l; hi = h; crosses_call = calls_below.(h) - calls_below.(l + 1) > 0 }
+      :: !intervals
+  done;
+  (* Stable, over the intervals in first-touch order. *)
   List.stable_sort
-    (fun a b -> match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c)
-    intervals
+    (fun a b ->
+      match Int.compare a.lo b.lo with
+      | 0 -> ( match Int.compare a.hi b.hi with 0 -> Int.compare (bucket b.temp) (bucket a.temp) | c -> c)
+      | c -> c)
+    !intervals
 
 (* ------------------------------------------------------------------ *)
 (* Linear scan                                                         *)

@@ -50,140 +50,121 @@ let expand_li rd v =
   in
   go v
 
-let expand_la rd addr =
-  let lo = addr land 0xFFF in
-  let lo = if lo >= 2048 then lo - 4096 else lo in
-  let hi = (addr - lo) asr 12 in
-  [ Inst.U (Lui, rd, hi); Inst.I (Addi, rd, rd, lo) ]
-
 (* -------------------------------------------------------------------- *)
-(* Layout state                                                          *)
+(* Layout                                                                *)
 (* -------------------------------------------------------------------- *)
-
-type unit_kind =
-  | U_ins of Inst.t
-  | U_branch of Inst.branch_op * Reg.t * Reg.t * string
-  | U_jump of Reg.t * string
-  | U_la of Reg.t * string
-
-type unit_state = {
-  kind : unit_kind;
-  mutable size : int;
-  mutable relaxed : bool;  (** sticky: branch rewritten as inverted branch + jal *)
-  mutable parcels : Program.parcel list;
-}
-
-let invert_branch : Inst.branch_op -> Inst.branch_op = function
-  | Beq -> Bne | Bne -> Beq | Blt -> Bge | Bge -> Blt | Bltu -> Bgeu | Bgeu -> Bltu
 
 exception Asm_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Asm_error s)) fmt
 
-let encode_unit ~compress ~resolve ~offset u =
-  (* Produce the final instruction list for a unit given current symbol
-     offsets, then parcelise (compressing eligible instructions). *)
-  let insts =
-    match u.kind with
-    | U_ins i -> [ i ]
-    | U_la (rd, sym) -> expand_la rd (resolve sym)
-    | U_jump (rd, lbl) ->
-      let delta = resolve lbl - offset in
-      if not (Inst.fits_simm ~bits:21 delta) then err "jump to %s out of range (%d bytes)" lbl delta;
-      [ Inst.Jal (rd, delta) ]
-    | U_branch (op, rs1, rs2, lbl) ->
-      let delta = resolve lbl - offset in
-      if u.relaxed || not (Inst.fits_simm ~bits:13 delta) then begin
-        u.relaxed <- true;
-        (* Inverted branch skips the unconditional jump.  The branch's own
-           size depends on compression, so the skip distance is computed
-           from the encoded first instruction below; use the conservative
-           4-byte form and never compress the inverted branch. *)
-        let jal_delta = resolve lbl - (offset + 4) in
-        if not (Inst.fits_simm ~bits:21 jal_delta) then
-          err "relaxed branch to %s out of range" lbl;
-        [ Inst.Branch (invert_branch op, rs1, rs2, 8); Inst.Jal (Reg.x0, jal_delta) ]
-      end
-      else [ Inst.Branch (op, rs1, rs2, delta) ]
-  in
-  let compressible inst =
-    match u.kind with
-    | U_la _ -> None (* fixed-size by design *)
-    | U_branch _ when u.relaxed -> (
-      (* Only the jal half may compress; the inverted branch's +8 skip
-         assumed a 4-byte form, so keep it 4 bytes. *)
-      match inst with Inst.Jal _ -> Rvc.compress inst | _ -> None)
-    | _ -> Rvc.compress inst
-  in
-  let parcels =
-    List.map
-      (fun inst ->
-        match if compress then compressible inst else None with
-        | Some p -> Program.P16 p
-        | None -> Program.P32 (Encode.encode inst))
-      insts
-  in
-  (* A relaxed branch's skip distance depends on whether its jal half got
-     compressed; re-encode the inverted branch with the actual jal size. *)
-  let parcels =
-    match (u.relaxed, u.kind, parcels) with
-    | true, U_branch (op, rs1, rs2, _), [ Program.P32 _; jal ] ->
-      let first = Inst.Branch (invert_branch op, rs1, rs2, 4 + Program.parcel_size jal) in
-      [ Program.P32 (Encode.encode first); jal ]
-    | _ -> parcels
-  in
-  u.parcels <- parcels;
-  u.size <- List.fold_left (fun acc p -> acc + Program.parcel_size p) 0 parcels
+(* A symbol operand, resolved once: a text label's unit index, or an
+   offset into data or BSS.  The address each stands for moves with the
+   layout. *)
+type target = Text of int | Data of int | Bss of int | Undefined of string
+
+(* A unit whose encoding depends on the layout: a Branch, Jump or La
+   item.  [first] and [second] are its parcels at the current layout;
+   [second] is -1 while the unit is one parcel. *)
+type placed = {
+  at : int;  (** unit index *)
+  item : item;
+  target : target;
+  mutable size : int;
+  mutable relaxed : bool;  (** sticky: branch rewritten as inverted branch + jal *)
+  mutable first : int;
+  mutable second : int;
+}
+
+let invert_branch : Inst.branch_op -> Inst.branch_op = function
+  | Beq -> Bne | Bne -> Beq | Blt -> Bge | Bge -> Blt | Bltu -> Bgeu | Bgeu -> Bltu
+
+(* Parcels are ints: a 16-bit compressed form, or a 32-bit word whose low
+   two bits are [11], the ISA's length encoding. *)
+let parcel_size p = if p land 0b11 = 0b11 then 4 else 2
+
+let parcel ~compress inst =
+  match if compress then Rvc.compress inst else None with
+  | Some p -> p
+  | None -> Encode.encode_int inst
+
+let put text off p =
+  Bytes.set_uint16_le text off (p land 0xFFFF);
+  if parcel_size p = 4 then Bytes.set_uint16_le text (off + 2) (p lsr 16)
+
+(* Encode [u] at absolute address [here], its target at [address]. *)
+let place ~compress u ~here ~address =
+  match u.item with
+  | La (rd, _) ->
+    (* Fixed-size by design: never compressed. *)
+    let lo = address land 0xFFF in
+    let lo = if lo >= 2048 then lo - 4096 else lo in
+    u.first <- Encode.encode_int (Inst.U (Lui, rd, (address - lo) asr 12));
+    u.second <- Encode.encode_int (Inst.I (Addi, rd, rd, lo))
+  | Jump (rd, lbl) ->
+    let delta = address - here in
+    if not (Inst.fits_simm ~bits:21 delta) then err "jump to %s out of range (%d bytes)" lbl delta;
+    u.first <- parcel ~compress (Inst.Jal (rd, delta));
+    u.size <- parcel_size u.first
+  | Branch (op, rs1, rs2, lbl) ->
+    let delta = address - here in
+    if u.relaxed || not (Inst.fits_simm ~bits:13 delta) then begin
+      u.relaxed <- true;
+      (* An inverted branch skips the jal.  Only the jal may compress, so
+         the skip is 4 plus the jal's encoded size. *)
+      let jal_delta = address - (here + 4) in
+      if not (Inst.fits_simm ~bits:21 jal_delta) then err "relaxed branch to %s out of range" lbl;
+      u.second <- parcel ~compress (Inst.Jal (Reg.x0, jal_delta));
+      u.size <- 4 + parcel_size u.second;
+      u.first <- Encode.encode_int (Inst.Branch (invert_branch op, rs1, rs2, u.size))
+    end
+    else begin
+      u.first <- parcel ~compress (Inst.Branch (op, rs1, rs2, delta));
+      u.size <- parcel_size u.first
+    end
+  | Label _ | Ins _ | Li _ -> assert false
 
 let assemble ?(compress = true) input =
   try
-    (* Expand Li eagerly (sizes depend only on the constant). *)
-    let items =
-      List.concat_map
-        (function
-          | Li (rd, v) -> List.map (fun i -> Ins i) (expand_li rd v)
-          | other -> [ other ])
-        input.text
+    (* Read the items once.  An instruction that is not a branch, jump or
+       La is validated and encoded here, after Li expansion; a label names
+       the index of the unit after it.  [code] holds, per unit, a plain
+       instruction's parcel, or [-1 - k] for the [k]th placed unit. *)
+    let labels = Hashtbl.create 64 in
+    let code = ref (Array.make (max 1 (List.length input.text)) 0) and n = ref 0 in
+    let push c =
+      if !n = Array.length !code then begin
+        let grown = Array.make (2 * !n) 0 in
+        Array.blit !code 0 grown 0 !n;
+        code := grown
+      end;
+      !code.(!n) <- c;
+      incr n
     in
-    let units = ref [] and labels = Hashtbl.create 64 in
-    let unit_count = ref 0 in
+    let compressed = ref false and pending = ref [] and placed_count = ref 0 in
+    let plain i =
+      (match Inst.validate i with Ok () -> () | Error m -> err "invalid instruction: %s" m);
+      let p = parcel ~compress i in
+      if parcel_size p = 2 then compressed := true;
+      push p
+    in
     List.iter
       (fun item ->
         match item with
         | Label name ->
           if Hashtbl.mem labels name then err "duplicate label %s" name;
-          Hashtbl.add labels name !unit_count
-        | Ins i ->
-          (match Inst.validate i with Ok () -> () | Error m -> err "invalid instruction: %s" m);
-          units := { kind = U_ins i; size = 4; relaxed = false; parcels = [] } :: !units;
-          incr unit_count
-        | Branch (op, r1, r2, lbl) ->
-          units := { kind = U_branch (op, r1, r2, lbl); size = 4; relaxed = false; parcels = [] } :: !units;
-          incr unit_count
-        | Jump (rd, lbl) ->
-          units := { kind = U_jump (rd, lbl); size = 4; relaxed = false; parcels = [] } :: !units;
-          incr unit_count
-        | La (rd, sym) ->
-          units := { kind = U_la (rd, sym); size = 8; relaxed = false; parcels = [] } :: !units;
-          incr unit_count
-        | Li _ -> assert false)
-      items;
-    let units = Array.of_list (List.rev !units) in
-    if Array.length units = 0 then err "empty text section";
-    (* Per-label unit index -> byte offset, recomputed each iteration. *)
-    let unit_offsets = Array.make (Array.length units + 1) 0 in
-    let compute_offsets () =
-      let off = ref 0 in
-      Array.iteri
-        (fun i u ->
-          unit_offsets.(i) <- !off;
-          off := !off + u.size)
-        units;
-      unit_offsets.(Array.length units) <- !off;
-      !off
-    in
+          Hashtbl.add labels name !n
+        | Ins i -> plain i
+        | Li (rd, v) -> List.iter plain (expand_li rd v)
+        | Branch (_, _, _, name) | Jump (_, name) | La (_, name) ->
+          pending := (!n, item, name) :: !pending;
+          push (-1 - !placed_count);
+          incr placed_count)
+      input.text;
+    let n = !n and code = !code in
+    if n = 0 then err "empty text section";
     (* Data and BSS symbol offsets are layout-independent; absolute
-       addresses depend on the (shrinking) text size. *)
+       addresses depend on the text size. *)
     let bss_offsets =
       let off = ref 0 in
       List.map
@@ -197,64 +178,90 @@ let assemble ?(compress = true) input =
     let bss_total = List.fold_left (fun acc (_, s) -> acc + ((s + 7) / 8 * 8)) 0 input.bss_symbols in
     (* Pad the data section to 8 bytes so the BSS that follows it stays
        naturally aligned for 64-bit stores. *)
-    let data =
-      let len = Bytes.length input.data in
-      let padded = (len + 7) / 8 * 8 in
-      if padded = len then input.data
-      else begin
-        let b = Bytes.make padded '\000' in
-        Bytes.blit input.data 0 b 0 len;
-        b
-      end
-    in
-    let make_resolver text_size =
-      let text_base = Program.Layout.text_base in
-      let data_base = text_base + ((text_size + 0xFFF) / 0x1000 * 0x1000) in
-      let bss_base = data_base + Bytes.length data in
-      fun sym ->
-        match Hashtbl.find_opt labels sym with
-        | Some unit_index -> text_base + unit_offsets.(unit_index)
+    let data = Bytes.make ((Bytes.length input.data + 7) / 8 * 8) '\000' in
+    Bytes.blit input.data 0 data 0 (Bytes.length input.data);
+    let target name =
+      match Hashtbl.find_opt labels name with
+      | Some i -> Text i
+      | None -> (
+        match List.assoc_opt name input.data_symbols with
+        | Some off -> Data off
         | None -> (
-          match List.assoc_opt sym input.data_symbols with
-          | Some off -> data_base + off
-          | None -> (
-            match List.assoc_opt sym bss_offsets with
-            | Some off -> bss_base + off
-            | None -> err "undefined symbol %s" sym))
+          match List.assoc_opt name bss_offsets with
+          | Some off -> Bss off
+          | None -> Undefined name))
     in
-    (* Label resolution for branches is text-relative; reuse the absolute
-       resolver and subtract. *)
-    let rec iterate n =
-      if n > 64 then err "layout did not converge";
-      let text_size = compute_offsets () in
-      let resolve_abs = make_resolver text_size in
+    let placed =
+      Array.of_list
+        (List.rev_map
+           (fun (at, item, name) ->
+             let size = match item with La _ -> 8 | _ -> 4 in
+             { at; item; target = target name; size; relaxed = false; first = 0; second = -1 })
+           !pending)
+    in
+    (* One layout pass: offsets are the prefix sums of the unit sizes, and
+       only the placed units are re-encoded.  True if one changed size. *)
+    let text_base = Program.Layout.text_base in
+    let off = Array.make (n + 1) 0 in
+    let lay_out ~encoded =
+      let o = ref 0 in
+      for i = 0 to n - 1 do
+        off.(i) <- !o;
+        let c = code.(i) in
+        o := !o + if c < 0 then placed.(-1 - c).size else if encoded then parcel_size c else 4
+      done;
+      off.(n) <- !o;
+      let data_base = text_base + ((!o + 0xFFF) / 0x1000 * 0x1000) in
       let changed = ref false in
-      Array.iteri
-        (fun i u ->
-          let before = u.size in
-          let offset = Program.Layout.text_base + unit_offsets.(i) in
-          (* Branch targets must be text labels; resolve gives absolute. *)
-          encode_unit ~compress ~resolve:resolve_abs ~offset u;
-          if u.size <> before then changed := true)
-        units;
-      if !changed then iterate (n + 1)
+      Array.iter
+        (fun u ->
+          let address =
+            match u.target with
+            | Text i -> text_base + off.(i)
+            | Data o -> data_base + o
+            | Bss o -> data_base + Bytes.length data + o
+            | Undefined name -> err "undefined symbol %s" name
+          in
+          let size = u.size in
+          place ~compress u ~here:(text_base + off.(u.at)) ~address;
+          if u.size <> size then changed := true)
+        placed;
+      !changed
+    in
+    (* Pass 0 lays every unit out at its initial size, 4 bytes (8 for La),
+       and only later passes use the plain units' encoded sizes.  Relaxation
+       is sticky, so a branch this over-estimate relaxes stays relaxed:
+       sizing plain units up front would change images. *)
+    let rec iterate pass =
+      if pass > 64 then err "layout did not converge";
+      let changed = lay_out ~encoded:(pass > 0) in
+      if changed || (pass = 0 && !compressed) then iterate (pass + 1)
     in
     iterate 0;
-    ignore (compute_offsets ());
-    let parcels = Array.of_list (List.concat_map (fun u -> u.parcels) (Array.to_list units)) in
+    let text = Bytes.create off.(n) in
+    for i = 0 to n - 1 do
+      let c = code.(i) in
+      if c >= 0 then put text off.(i) c
+      else begin
+        let u = placed.(-1 - c) in
+        put text off.(i) u.first;
+        if u.second >= 0 then put text (off.(i) + parcel_size u.first) u.second
+      end
+    done;
     let entry_offset =
       match Hashtbl.find_opt labels input.entry with
-      | Some idx -> unit_offsets.(idx)
+      | Some i -> off.(i)
       | None -> err "entry label %s not defined" input.entry
     in
-    let symbols = Hashtbl.fold (fun name idx acc -> (name, unit_offsets.(idx)) :: acc) labels [] in
+    (* Labels are unique, so sorting by name alone is a total order. *)
+    let symbols = Hashtbl.fold (fun name i acc -> (name, off.(i)) :: acc) labels [] in
     Ok
       {
-        (Program.of_parcels parcels) with
-        Program.data = Bytes.copy data;
+        Program.text;
+        data;
         bss_size = bss_total;
         entry_offset;
-        symbols = List.sort compare symbols;
+        symbols = List.sort (fun (a, _) (b, _) -> String.compare a b) symbols;
       }
   with Asm_error msg -> Error msg
 

@@ -4,9 +4,23 @@
     The interesting part is the interaction the paper highlights between
     compressed instructions and program size: compression shrinks the text
     section, which shrinks branch displacements and can move the data
-    section, so layout runs to a fixpoint — sizes only ever shrink, so the
-    iteration terminates.  Branches whose targets end up beyond the 13-bit
-    B-type range are relaxed into an inverted branch over a [jal].
+    section, so layout runs to a fixpoint (given up after 65 passes).
+    Branches whose targets end up beyond the 13-bit B-type range are
+    relaxed into an inverted branch over a [jal]; relaxation is sticky.
+
+    Only branches, jumps and [La]s depend on the layout.  Every other
+    instruction, after [Li] expansion, is validated, compressed and encoded
+    once, when the items are read, and every symbol operand is resolved
+    once, to a label's unit index or an offset into data or BSS.  A layout
+    pass takes the unit offsets as prefix sums of their sizes and
+    re-encodes only the branches, jumps and [La]s; the text is written
+    once, after the last pass.
+
+    Pass 0 lays every unit out at its initial size, 4 bytes (8 for [La]);
+    the other instructions take their encoded sizes from pass 1 on.  A
+    branch that this over-estimate relaxes stays relaxed, so the estimate
+    shapes images: sizing those instructions before pass 0 would change
+    obfuscated builds.
 
     Address materialisation ([La]) always occupies a fixed [lui+addi] pair
     (never compressed) so that symbol resolution cannot oscillate with

@@ -115,8 +115,9 @@ let encode_int inst =
     | Inst.Csrr (rd, csr) ->
       (* csrrs rd, csr, x0 *)
       (csr lsl 20) lor (0b010 lsl 12) lor (reg rd lsl 7) lor opc_system)
+    land 0xFFFFFFFF
 
-let encode inst = Int32.of_int (encode_int inst land 0xFFFFFFFF)
+let encode inst = Int32.of_int (encode_int inst)
 
 let encode_exn_message inst =
   match Inst.validate inst with Ok () -> None | Error msg -> Some msg

@@ -8,6 +8,10 @@
 
 val encode : Inst.t -> int32
 
+val encode_int : Inst.t -> int
+(** [encode] as a native int: the 32-bit word, zero-extended.  Raises as
+    [encode]. *)
+
 val encode_exn_message : Inst.t -> string option
 (** The validation failure the encoder would raise for, if any. *)
 

@@ -1637,7 +1637,9 @@ module Reference = struct
 
     let build_intervals (f : Ir.func) =
       let blocks, live_in, live_out = block_liveness f in
-      let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
+      (* Unrandomized: [lo]'s fold order is the tie order [Regalloc] must
+         reproduce, under [OCAMLRUNPARAM=R] too. *)
+      let lo = Hashtbl.create ~random:false 64 and hi = Hashtbl.create ~random:false 64 in
       let touch t pos =
         (match Hashtbl.find_opt lo t with
         | Some v when v <= pos -> ()
@@ -1795,6 +1797,16 @@ let test_dense_analyses_match_reference () =
       f_temp_count = f.Ir.f_temp_count - (f.Ir.f_temp_count / 4) }
   in
   let diagnostics = ref 0 and spills = ref 0 in
+  let same_allocation what f =
+    let a = Regalloc.allocate f and r = Reference.Regalloc.allocate f in
+    spills := !spills + r.Regalloc.spill_slots;
+    check Alcotest.(list string) (what ^ ": assignment")
+      (assignment r.Regalloc.assign) (assignment a.Regalloc.assign);
+    check Alcotest.int (what ^ ": spill slots") r.Regalloc.spill_slots a.Regalloc.spill_slots;
+    check Alcotest.(list string) (what ^ ": callee-saved")
+      (List.map reg r.Regalloc.used_callee_saved)
+      (List.map reg a.Regalloc.used_callee_saved)
+  in
   List.iter
     (fun (name, src) ->
       List.iter
@@ -1821,22 +1833,348 @@ let test_dense_analyses_match_reference () =
                     check Alcotest.(list string) (what ^ tag ^ ": diagnostics") expected
                       (rows (verify f)))
                   [ ("", f); (" broken", broken f) ];
-                let a = Regalloc.allocate f and r = Reference.Regalloc.allocate f in
-                spills := !spills + r.Regalloc.spill_slots;
-                check Alcotest.(list string) (what ^ ": assignment")
-                  (assignment r.Regalloc.assign) (assignment a.Regalloc.assign);
-                check Alcotest.int (what ^ ": spill slots") r.Regalloc.spill_slots
-                  a.Regalloc.spill_slots;
-                check Alcotest.(list string) (what ^ ": callee-saved")
-                  (List.map reg r.Regalloc.used_callee_saved)
-                  (List.map reg a.Regalloc.used_callee_saved))
+                same_allocation what f)
               ir.Ir.p_funcs)
         [ false; true ])
     sources;
+  (* Obfuscated workloads have functions of hundreds of temps, whose ties
+     the reference orders by a first-touch table grown to 256 and 512
+     buckets. *)
+  let obf = { Eric_obf.Obf.passes = Eric_obf.Obf.all_passes; seed = Eric_obf.Obf.default_seed } in
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      List.iter
+        (fun (dataset, src) ->
+          match Driver.compile_to_ir ~options:(Eric_obf.Obf.options obf) src with
+          | Error e -> Alcotest.failf "%s %s obf: %s" w.name dataset e
+          | Ok ir ->
+            List.iter
+              (fun f -> same_allocation (Printf.sprintf "%s %s obf %s" w.name dataset f.Ir.f_name) f)
+              ir.Ir.p_funcs)
+        [ ("small", w.source_small); ("large", w.source) ])
+    Eric_workloads.Workloads.all;
   (* The corpus reaches the paths that matter: diagnostics to order and
      spills to hand out. *)
   check Alcotest.bool "some diagnostics compared" true (!diagnostics > 0);
   check Alcotest.bool "some spills compared" true (!spills > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Assembler against its re-encode-every-pass reference                *)
+(* ------------------------------------------------------------------ *)
+
+(* The assembler as it was when every layout pass re-encoded every unit
+   into parcel lists and resolved symbols by name.  Encoding each
+   instruction once must give the same image, symbols included, and the
+   same errors. *)
+module Reference_assemble = struct
+  open Eric_rv
+  open Assemble
+
+  let expand_la rd addr =
+    let lo = addr land 0xFFF in
+    let lo = if lo >= 2048 then lo - 4096 else lo in
+    let hi = (addr - lo) asr 12 in
+    [ Inst.U (Lui, rd, hi); Inst.I (Addi, rd, rd, lo) ]
+
+  type unit_kind =
+    | U_ins of Inst.t
+    | U_branch of Inst.branch_op * Reg.t * Reg.t * string
+    | U_jump of Reg.t * string
+    | U_la of Reg.t * string
+
+  type unit_state = {
+    kind : unit_kind;
+    mutable size : int;
+    mutable relaxed : bool;  (** sticky: branch rewritten as inverted branch + jal *)
+    mutable parcels : Program.parcel list;
+  }
+
+  let invert_branch : Inst.branch_op -> Inst.branch_op = function
+    | Beq -> Bne | Bne -> Beq | Blt -> Bge | Bge -> Blt | Bltu -> Bgeu | Bgeu -> Bltu
+
+  exception Asm_error of string
+
+  let err fmt = Format.kasprintf (fun s -> raise (Asm_error s)) fmt
+
+  let encode_unit ~compress ~resolve ~offset u =
+    (* Produce the final instruction list for a unit given current symbol
+       offsets, then parcelise (compressing eligible instructions). *)
+    let insts =
+      match u.kind with
+      | U_ins i -> [ i ]
+      | U_la (rd, sym) -> expand_la rd (resolve sym)
+      | U_jump (rd, lbl) ->
+        let delta = resolve lbl - offset in
+        if not (Inst.fits_simm ~bits:21 delta) then err "jump to %s out of range (%d bytes)" lbl delta;
+        [ Inst.Jal (rd, delta) ]
+      | U_branch (op, rs1, rs2, lbl) ->
+        let delta = resolve lbl - offset in
+        if u.relaxed || not (Inst.fits_simm ~bits:13 delta) then begin
+          u.relaxed <- true;
+          (* Inverted branch skips the unconditional jump.  The branch's own
+             size depends on compression, so the skip distance is computed
+             from the encoded first instruction below; use the conservative
+             4-byte form and never compress the inverted branch. *)
+          let jal_delta = resolve lbl - (offset + 4) in
+          if not (Inst.fits_simm ~bits:21 jal_delta) then
+            err "relaxed branch to %s out of range" lbl;
+          [ Inst.Branch (invert_branch op, rs1, rs2, 8); Inst.Jal (Reg.x0, jal_delta) ]
+        end
+        else [ Inst.Branch (op, rs1, rs2, delta) ]
+    in
+    let compressible inst =
+      match u.kind with
+      | U_la _ -> None (* fixed-size by design *)
+      | U_branch _ when u.relaxed -> (
+        (* Only the jal half may compress; the inverted branch's +8 skip
+           assumed a 4-byte form, so keep it 4 bytes. *)
+        match inst with Inst.Jal _ -> Rvc.compress inst | _ -> None)
+      | _ -> Rvc.compress inst
+    in
+    let parcels =
+      List.map
+        (fun inst ->
+          match if compress then compressible inst else None with
+          | Some p -> Program.P16 p
+          | None -> Program.P32 (Encode.encode inst))
+        insts
+    in
+    (* A relaxed branch's skip distance depends on whether its jal half got
+       compressed; re-encode the inverted branch with the actual jal size. *)
+    let parcels =
+      match (u.relaxed, u.kind, parcels) with
+      | true, U_branch (op, rs1, rs2, _), [ Program.P32 _; jal ] ->
+        let first = Inst.Branch (invert_branch op, rs1, rs2, 4 + Program.parcel_size jal) in
+        [ Program.P32 (Encode.encode first); jal ]
+      | _ -> parcels
+    in
+    u.parcels <- parcels;
+    u.size <- List.fold_left (fun acc p -> acc + Program.parcel_size p) 0 parcels
+
+  let assemble ?(compress = true) input =
+    try
+      (* Expand Li eagerly (sizes depend only on the constant). *)
+      let items =
+        List.concat_map
+          (function
+            | Li (rd, v) -> List.map (fun i -> Ins i) (expand_li rd v)
+            | other -> [ other ])
+          input.text
+      in
+      let units = ref [] and labels = Hashtbl.create 64 in
+      let unit_count = ref 0 in
+      List.iter
+        (fun item ->
+          match item with
+          | Label name ->
+            if Hashtbl.mem labels name then err "duplicate label %s" name;
+            Hashtbl.add labels name !unit_count
+          | Ins i ->
+            (match Inst.validate i with Ok () -> () | Error m -> err "invalid instruction: %s" m);
+            units := { kind = U_ins i; size = 4; relaxed = false; parcels = [] } :: !units;
+            incr unit_count
+          | Branch (op, r1, r2, lbl) ->
+            units := { kind = U_branch (op, r1, r2, lbl); size = 4; relaxed = false; parcels = [] } :: !units;
+            incr unit_count
+          | Jump (rd, lbl) ->
+            units := { kind = U_jump (rd, lbl); size = 4; relaxed = false; parcels = [] } :: !units;
+            incr unit_count
+          | La (rd, sym) ->
+            units := { kind = U_la (rd, sym); size = 8; relaxed = false; parcels = [] } :: !units;
+            incr unit_count
+          | Li _ -> assert false)
+        items;
+      let units = Array.of_list (List.rev !units) in
+      if Array.length units = 0 then err "empty text section";
+      (* Per-label unit index -> byte offset, recomputed each iteration. *)
+      let unit_offsets = Array.make (Array.length units + 1) 0 in
+      let compute_offsets () =
+        let off = ref 0 in
+        Array.iteri
+          (fun i u ->
+            unit_offsets.(i) <- !off;
+            off := !off + u.size)
+          units;
+        unit_offsets.(Array.length units) <- !off;
+        !off
+      in
+      (* Data and BSS symbol offsets are layout-independent; absolute
+         addresses depend on the (shrinking) text size. *)
+      let bss_offsets =
+        let off = ref 0 in
+        List.map
+          (fun (name, size) ->
+            if size < 0 then err "negative bss size for %s" name;
+            let here = !off in
+            off := !off + ((size + 7) / 8 * 8);
+            (name, here))
+          input.bss_symbols
+      in
+      let bss_total = List.fold_left (fun acc (_, s) -> acc + ((s + 7) / 8 * 8)) 0 input.bss_symbols in
+      (* Pad the data section to 8 bytes so the BSS that follows it stays
+         naturally aligned for 64-bit stores. *)
+      let data =
+        let len = Bytes.length input.data in
+        let padded = (len + 7) / 8 * 8 in
+        if padded = len then input.data
+        else begin
+          let b = Bytes.make padded '\000' in
+          Bytes.blit input.data 0 b 0 len;
+          b
+        end
+      in
+      let make_resolver text_size =
+        let text_base = Program.Layout.text_base in
+        let data_base = text_base + ((text_size + 0xFFF) / 0x1000 * 0x1000) in
+        let bss_base = data_base + Bytes.length data in
+        fun sym ->
+          match Hashtbl.find_opt labels sym with
+          | Some unit_index -> text_base + unit_offsets.(unit_index)
+          | None -> (
+            match List.assoc_opt sym input.data_symbols with
+            | Some off -> data_base + off
+            | None -> (
+              match List.assoc_opt sym bss_offsets with
+              | Some off -> bss_base + off
+              | None -> err "undefined symbol %s" sym))
+      in
+      (* Label resolution for branches is text-relative; reuse the absolute
+         resolver and subtract. *)
+      let rec iterate n =
+        if n > 64 then err "layout did not converge";
+        let text_size = compute_offsets () in
+        let resolve_abs = make_resolver text_size in
+        let changed = ref false in
+        Array.iteri
+          (fun i u ->
+            let before = u.size in
+            let offset = Program.Layout.text_base + unit_offsets.(i) in
+            (* Branch targets must be text labels; resolve gives absolute. *)
+            encode_unit ~compress ~resolve:resolve_abs ~offset u;
+            if u.size <> before then changed := true)
+          units;
+        if !changed then iterate (n + 1)
+      in
+      iterate 0;
+      ignore (compute_offsets ());
+      let parcels = Array.of_list (List.concat_map (fun u -> u.parcels) (Array.to_list units)) in
+      let entry_offset =
+        match Hashtbl.find_opt labels input.entry with
+        | Some idx -> unit_offsets.(idx)
+        | None -> err "entry label %s not defined" input.entry
+      in
+      let symbols = Hashtbl.fold (fun name idx acc -> (name, unit_offsets.(idx)) :: acc) labels [] in
+      Ok
+        {
+          (Program.of_parcels parcels) with
+          Program.data = Bytes.copy data;
+          bss_size = bss_total;
+          entry_offset;
+          symbols = List.sort compare symbols;
+        }
+    with Asm_error msg -> Error msg
+end
+
+let test_assembler_matches_reference () =
+  let open Eric_rv in
+  let outcome = function
+    | Ok p -> Ok (Digest.to_hex (Digest.bytes (Program.to_binary ~with_symbols:true p)))
+    | Error e -> Error e
+  in
+  let same what ~compress input =
+    check
+      Alcotest.(result string string)
+      (Printf.sprintf "%s compress=%b" what compress)
+      (outcome (Reference_assemble.assemble ~compress input))
+      (outcome (Assemble.assemble ~compress input))
+  in
+  (* Compiler output: both datasets and generated programs, under the
+     default options, without compression, without optimisation and with
+     every obfuscation pass. *)
+  let obf = { Eric_obf.Obf.passes = Eric_obf.Obf.all_passes; seed = Eric_obf.Obf.default_seed } in
+  let base = Driver.default_options in
+  let option_sets =
+    [ ("default", base);
+      ("compress=false", { base with Driver.compress = false });
+      ("optimize=false", { base with Driver.optimize = false });
+      ("obf", Eric_obf.Obf.options obf) ]
+  in
+  let sources =
+    List.concat_map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        [ (w.name ^ " small", w.source_small); (w.name ^ " large", w.source) ])
+      Eric_workloads.Workloads.all
+    @ List.init 100 (fun i ->
+          let seed = Int64.of_int (i + 1) in
+          (Printf.sprintf "gen %Ld" seed, (Eric_verif.Gen.generate ~seed ()).Eric_verif.Gen.source))
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (oname, (options : Driver.options)) ->
+          match Driver.compile_to_ir ~options src with
+          | Error e -> Alcotest.failf "%s %s: %s" name oname e
+          | Ok ir ->
+            let ir = { ir with Ir.p_funcs = Opt.reachable_functions ir ~entry:"main" } in
+            same (name ^ " " ^ oname) ~compress:options.compress (Codegen.gen_program ir))
+        option_sets)
+    sources;
+  (* Branches around the B-type reach (4094 bytes forward, 4096 back),
+     over fillers that never compress and fillers that do.  Pass 0 sizes
+     every unit at 4 bytes, so a compressed filler relaxes branches whose
+     final distance is in reach. *)
+  let input ?(data_symbols = []) text =
+    { Assemble.text;
+      data = Bytes.of_string "abc";
+      data_symbols;
+      bss_symbols = [ ("buf", 12) ];
+      entry = "main" }
+  in
+  let ret = Assemble.Ins (Inst.Jalr (Reg.x0, Reg.ra, 0)) in
+  let wide = Assemble.Ins (Inst.I (Addi, Reg.t_ 0, Reg.t_ 1, 1000))
+  and narrow = Assemble.Ins (Inst.I (Addi, Reg.a 0, Reg.a 0, 1)) in
+  let branch = Assemble.Branch (Bne, Reg.a 0, Reg.a 1, "target") in
+  List.iter
+    (fun (fname, filler) ->
+      List.iter
+        (fun k ->
+          let fill = List.init k (fun _ -> filler) in
+          let forward = (Assemble.Label "main" :: branch :: fill) @ [ Assemble.Label "target"; ret ]
+          and backward =
+            Assemble.Label "main" :: Assemble.Label "target" :: (fill @ [ branch; ret ])
+          in
+          List.iter
+            (fun compress ->
+              same (Printf.sprintf "forward over %d %s" k fname) ~compress (input forward);
+              same (Printf.sprintf "backward over %d %s" k fname) ~compress (input backward))
+            [ true; false ])
+        (List.init 8 (fun i -> 1020 + i) @ List.init 8 (fun i -> 2043 + i)))
+    [ ("wide", wide); ("narrow", narrow) ];
+  (* Symbols in data and BSS, a text address, and the errors. *)
+  let far = [ ("far", 0x200000); ("msg", 1) ] in
+  let main items = Assemble.Label "main" :: (items @ [ ret ]) in
+  let la sym = Assemble.La (Reg.a 0, sym) in
+  let jump sym = Assemble.Jump (Reg.x0, sym) in
+  List.iter
+    (fun (what, input) -> List.iter (fun compress -> same what ~compress input) [ true; false ])
+    [ ("la data, bss and text", input ~data_symbols:far (main [ la "msg"; la "buf"; la "main" ]));
+      ( "more units than items",
+        input
+          (main [ Assemble.Li (Reg.a 0, Int64.max_int); Assemble.Li (Reg.a 1, Int64.min_int) ]) );
+      ( "relaxed branch, jal out of range",
+        input ~data_symbols:far (main [ Assemble.Branch (Beq, Reg.a 0, Reg.a 1, "far") ]) );
+      ("jump out of range", input ~data_symbols:far (main [ jump "far" ]));
+      ("first error wins", input ~data_symbols:far (main [ jump "far"; jump "nowhere" ]));
+      ("first error wins, reversed", input ~data_symbols:far (main [ jump "nowhere"; jump "far" ]));
+      ("undefined label", input (main [ Assemble.Branch (Beq, Reg.a 0, Reg.x0, "nowhere") ]));
+      ("undefined jump", input (main [ Assemble.Jump (Reg.ra, "nowhere") ]));
+      ("undefined la symbol", input (main [ la "nowhere" ]));
+      ("duplicate label", input (main [ ret; Assemble.Label "main" ]));
+      ("invalid instruction", input (main [ Assemble.Ins (Inst.I (Addi, Reg.a 0, Reg.a 0, 5000)) ]));
+      ("undefined entry", input [ Assemble.Label "start"; ret ]);
+      ("negative bss", { (input (main [])) with Assemble.bss_symbols = [ ("b", -1) ] });
+      ("empty text", input []);
+      ("labels only", input [ Assemble.Label "main" ]) ]
 
 let () =
   Alcotest.run "eric_cc"
@@ -1913,7 +2251,9 @@ let () =
           differential_programs;
           Alcotest.test_case "interpreter memory pages" `Quick test_interp_pages;
           Alcotest.test_case "dense analyses = Set.Make (Int) references" `Quick
-            test_dense_analyses_match_reference ] );
+            test_dense_analyses_match_reference;
+          Alcotest.test_case "assembler = re-encode-every-pass reference" `Quick
+            test_assembler_matches_reference ] );
       ( "prelude",
         [ Alcotest.test_case "template isolated from transforms" `Quick
             test_template_isolated_from_transforms;

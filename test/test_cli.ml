@@ -45,12 +45,15 @@ let write path (bytes : bytes) =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc bytes)
 
-(* Run the CLI, returning (exit_code, stderr). Quoting is fine here: every
-   argument we pass is a temp-file path or a plain flag. *)
-let run_cli args =
+(* Run the CLI, returning (exit_code, stderr), with [env]'s variables
+   set. Quoting is fine here: every argument we pass is a temp-file path
+   or a plain flag. *)
+let run_cli ?(env = []) args =
   with_tmp (fun err_file ->
       let cmd =
-        Printf.sprintf "%s %s 2> %s" (Filename.quote cli)
+        Printf.sprintf "%s%s %s 2> %s"
+          (String.concat "" (List.map (fun (k, v) -> k ^ "=" ^ Filename.quote v ^ " ") env))
+          (Filename.quote cli)
           (String.concat " " (List.map Filename.quote args))
           (Filename.quote err_file)
       in
@@ -693,6 +696,29 @@ let test_serve_unknown_scenario_usage_error () =
   check Alcotest.bool "non-zero exit" true (code <> 0);
   check Alcotest.bool "error names the candidates" true (contains_str err "steady")
 
+(* Hash-table randomization must not reach the image: the register
+   allocator orders ties as a table's fold would, and a real table there
+   would leak [OCAMLRUNPARAM=R] into every image. *)
+let test_images_ignore_hash_randomization () =
+  List.iter
+    (fun name ->
+      let image env =
+        with_tmp (fun out ->
+            let code, err = run_cli ~env [ "compile"; example name; "-o"; out ] in
+            check Alcotest.int (name ^ ": compiles") 0 code;
+            expect_no_exception_trace name err;
+            Digest.to_hex (Digest.file out))
+      in
+      (* Empty, in case the suite itself runs under R. *)
+      let plain = image [ ("OCAMLRUNPARAM", "") ] in
+      for run = 1 to 4 do
+        check Alcotest.string
+          (Printf.sprintf "%s: run %d under OCAMLRUNPARAM=R" name run)
+          plain
+          (image [ ("OCAMLRUNPARAM", "R") ])
+      done)
+    [ "checksum.c"; "hello.c" ]
+
 let () =
   Alcotest.run "eric_cli"
     [ ( "malformed-input",
@@ -753,4 +779,7 @@ let () =
           Alcotest.test_case "empty corpus" `Quick test_verif_corpus_empty;
           Alcotest.test_case "env sweep smoke" `Quick test_verif_env_smoke;
           Alcotest.test_case "exhausted repro is no divergence" `Quick
-            test_verif_exhausted_repro_not_divergence ] ) ]
+            test_verif_exhausted_repro_not_divergence ] );
+      ( "reproducibility",
+        [ Alcotest.test_case "images ignore OCAMLRUNPARAM=R" `Quick
+            test_images_ignore_hash_randomization ] ) ]
