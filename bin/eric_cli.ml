@@ -635,33 +635,20 @@ let run_cmd =
   let run path device_id fuel trace telemetry trace_out =
     setup_telemetry telemetry trace_out;
     let data = Bytes.of_string (read_file path) in
-    let with_trace image memory load_cycles =
-      let cpu = Eric_sim.Soc.boot image memory in
-      if trace > 0 then begin
-        let remaining = ref trace in
-        Eric_sim.Cpu.set_trace cpu
-          (Some
-             (fun ~pc inst ->
-               if !remaining > 0 then begin
-                 decr remaining;
-                 Printf.eprintf "%8x:  %s\n" pc (Eric_rv.Disasm.inst_to_string inst)
-               end))
-      end;
-      ignore
-        (Eric_telemetry.Span.with_ ~cat:"sim" ~name:"sim.execute" (fun () ->
-             Eric_sim.Cpu.run ~fuel cpu));
-      let result =
-        { Eric_sim.Soc.status = Eric_sim.Cpu.status cpu;
-          output = Eric_sim.Cpu.output cpu;
-          exec_cycles = Eric_sim.Cpu.cycles cpu;
-          load_cycles;
-          guard_cycles = 0L;
-          instructions = Eric_sim.Cpu.instructions cpu;
-          icache_hit_rate = Eric_sim.Cache.hit_rate (Eric_sim.Cpu.icache cpu);
-          dcache_hit_rate = Eric_sim.Cache.hit_rate (Eric_sim.Cpu.dcache cpu) }
+    let run_image image memory load_cycles =
+      let trace =
+        if trace > 0 then begin
+          let remaining = ref trace in
+          Some
+            (fun ~pc inst ->
+              if !remaining > 0 then begin
+                decr remaining;
+                Printf.eprintf "%8x:  %s\n" pc (Eric_rv.Disasm.inst_to_string inst)
+              end)
+        end
+        else None
       in
-      Eric_sim.Soc.record_result result;
-      result
+      Eric_sim.Soc.run_loaded ~fuel ?trace ~load_cycles image memory
     in
     let result =
       match Eric.Package.parse data with
@@ -673,11 +660,11 @@ let run_cmd =
           exit (load_error_code e)
         | Ok loaded ->
           let image = loaded.Eric.Target.image in
-          with_trace image (Eric_sim.Soc.load image)
+          run_image image (Eric_sim.Soc.load image)
             loaded.Eric.Target.load.Eric_hw.Hde.total_cycles)
       | Error _ ->
         let image = or_die_malformed (Eric_rv.Program.of_binary data) in
-        with_trace image (Eric_sim.Soc.load image) (Eric_sim.Soc.plain_load_cycles image)
+        run_image image (Eric_sim.Soc.load image) (Eric_sim.Soc.plain_load_cycles image)
     in
     print_string result.Eric_sim.Soc.output;
     Format.eprintf "load %Ld + exec %Ld = %Ld cycles, %Ld instructions@."

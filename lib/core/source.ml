@@ -26,14 +26,14 @@ let package_image ?obf ~mode ~key image =
       image;
       package;
       stats;
-      plain_size = Bytes.length (Eric_rv.Program.to_binary image);
+      plain_size = Eric_rv.Program.binary_size image;
       package_size = Package.size package;
     }
 
 let prepare_image ?obf ~mode image =
   {
     p_image = image;
-    p_plain_size = Bytes.length (Eric_rv.Program.to_binary image);
+    p_plain_size = Eric_rv.Program.binary_size image;
     p_prep = Encrypt.prepare ?obf ~mode image;
   }
 

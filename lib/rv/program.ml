@@ -110,6 +110,8 @@ let symtab_bytes symbols =
     symbols;
   Buffer.contents buf
 
+let binary_size t = header_size + total_size t
+
 let to_binary ?(with_symbols = false) t =
   let text = t.text in
   let symtab = if with_symbols then symtab_bytes t.symbols else "" in

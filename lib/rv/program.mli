@@ -72,6 +72,10 @@ val to_binary : ?with_symbols:bool -> t -> bytes
     [u32 count] then per symbol [u16 name length, name, u32 text offset] —
     and sets a header flag; {!of_binary} restores it. *)
 
+val binary_size : t -> int
+(** [Bytes.length (to_binary t)], the header plus {!total_size}, without
+    building the binary. *)
+
 val of_binary : bytes -> (t, string) result
 (** Refuses what [Package.parse] refuses of the same fields: a text
     section that does not tile, and an entry offset that is negative, odd,

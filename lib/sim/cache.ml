@@ -126,6 +126,13 @@ let access t ~addr ~write =
     end
   end
 
+(* What [access] does for a read that repeats the remembered line, [n]
+   times over. *)
+let credit_hits t n =
+  let s = t.stats_ in
+  s.accesses <- s.accesses + n;
+  s.hits <- s.hits + n
+
 (* Invalidating every way forgets the remembered line too. *)
 let flush t =
   Array.iter

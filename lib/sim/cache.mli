@@ -42,6 +42,13 @@ val access : t -> addr:int -> write:bool -> outcome
     Any other access, a negative [addr] included, replaces the remembered
     line. *)
 
+val credit_hits : t -> int -> unit
+(** [credit_hits t n] counts [n] accesses and [n] hits, which is all
+    {!access} does for [n] reads that repeat the remembered line.  The
+    caller must know that they did: the core counts its fetches from the
+    line of its previous fetch itself, since only fetches touch the
+    I-cache, and credits them with one call (see {!Cpu.icache}). *)
+
 val flush : t -> unit
 (** Invalidate every line, the remembered one included (keeps cumulative
     stats). *)

@@ -31,9 +31,43 @@ type status = Running | Exited of int | Faulted of string | Integrity_fault of s
 
 exception Integrity_violation of string
 
-(* A decoded instruction, with the registers it reads as a bitmask (bit
-   [r] for xr) for the load-use check. *)
-type decoded = { inst : Inst.t; size : int; uses : int }
+(* ------------------------------------------------------------------ *)
+(* The decoded form                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One constant constructor per operation the core executes, so that a
+   step dispatches once. *)
+type kind =
+  | Add | Sub | Sll | Slt | Sltu | Xor | Srl | Sra | Or | And
+  | Addw | Subw | Sllw | Srlw | Sraw
+  | Mul | Mulh | Mulhsu | Mulhu | Div | Divu | Rem | Remu
+  | Mulw | Divw | Divuw | Remw | Remuw
+  | Addi | Slti | Sltiu | Xori | Ori | Andi | Addiw
+  | Slli | Srli | Srai | Slliw | Srliw | Sraiw
+  | Lui | Auipc
+  | Lb | Lh | Lw | Ld | Lbu | Lhu | Lwu
+  | Sb | Sh | Sw | Sd
+  | Beq | Bne | Blt | Bge | Bltu | Bgeu
+  | Jal | Jalr | Ecall | Ebreak | Fence | Csrr
+
+(* A decoded instruction.  Registers are byte offsets into the register
+   file: [rd] is the slot written (the sink for x0), [rs1] and [rs2] the
+   slots read (a store's base and source).  [imm] is the immediate, the
+   shift amount, the offset, the U-type value already shifted, or the
+   CSR number.  [uses] has bit [r] for each xr read, and [load_dest] is
+   the register a load writes, x0 included (-1 for other kinds): the
+   load-use check compares the two.  [inst] is kept for the trace hook. *)
+type decoded = {
+  kind : kind;
+  rd : int;
+  rs1 : int;
+  rs2 : int;
+  imm : int;
+  size : int;
+  uses : int;
+  load_dest : int;
+  inst : Inst.t;
+}
 
 type t = {
   regs : Bytes.t;  (** see "Register file" below *)
@@ -52,6 +86,9 @@ type t = {
   predictor : int array option;  (** bimodal 2-bit counters, pc-indexed *)
   out : Buffer.t;
   predecoded : decoded array array;  (** see "Fetch / decode" below *)
+  fetch_mask : int;  (** clears a pc's offset within its I-cache line *)
+  mutable fetch_line : int;  (** see "Fetch / decode" below *)
+  mutable fetch_repeats : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -66,8 +103,8 @@ external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let sink = 32
-let get t r = get64 t.regs (r lsl 3)
-let dst r = (if r = 0 then sink else r) lsl 3
+let src r = (r : Reg.t :> int) lsl 3
+let dst r = (if (r : Reg.t :> int) = 0 then sink else (r :> int)) lsl 3
 
 (* The decode cache is a page table over memory, with one slot array per
    4 KiB page allocated at the page's first fetch; slot [i] holds the
@@ -75,7 +112,16 @@ let dst r = (if r = 0 then sink else r) lsl 3
 let page_bits = 12
 let page_mask = (1 lsl page_bits) - 1
 let no_slots : decoded array = [||]
-let undecoded = { inst = Inst.Fence; size = 0; uses = 0 }
+
+let undecoded =
+  { kind = Fence; rd = 0; rs1 = 0; rs2 = 0; imm = 0; size = 0; uses = 0; load_dest = -1;
+    inst = Inst.Fence }
+
+(* Entering [step] or [run_until] forgets the line of the last fetch: it
+   becomes the complement of the current pc's line, which that line
+   cannot equal, so the first fetch goes to the cache (which may have
+   been flushed or accessed since). *)
+let forget_fetch_line t = t.fetch_line <- lnot (t.pc_ land t.fetch_mask)
 
 let create ?(timing = default_timing) ?(icache = Cache.table1_config)
     ?(dcache = Cache.table1_config) ?(branch_predictor = false) ~memory ~pc ~sp () =
@@ -97,20 +143,36 @@ let create ?(timing = default_timing) ?(icache = Cache.table1_config)
       predictor = (if branch_predictor then Some (Array.make 512 1) else None);
       out = Buffer.create 256;
       predecoded = Array.make ((Memory.size memory + page_mask) lsr page_bits) no_slots;
+      fetch_mask = lnot (icache.Cache.line_bytes - 1);
+      fetch_line = 0;
+      fetch_repeats = 0;
     }
   in
-  set64 t.regs (dst (Reg.sp :> int)) (Int64.of_int sp);
+  forget_fetch_line t;
+  set64 t.regs (dst Reg.sp) (Int64.of_int sp);
   t
 
-let reg t r = get t (r : Reg.t :> int)
+let reg t r = get64 t.regs (src r)
 
-let set_reg t r v = set64 t.regs (dst (r : Reg.t :> int)) v
+let set_reg t r v = set64 t.regs (dst r) v
+
+(* Fetches that repeat the last fetch's line are counted here and
+   credited to the I-cache in one call; see "Fetch / decode". *)
+let credit_fetches t =
+  if t.fetch_repeats > 0 then begin
+    Cache.credit_hits t.icache_ t.fetch_repeats;
+    t.fetch_repeats <- 0
+  end
 
 let pc t = t.pc_
 let set_pc t pc = t.pc_ <- pc
-let cycles t = Int64.of_int t.cycles_
+let cycles t = t.cycles_
 let instructions t = Int64.of_int t.instret
-let icache t = t.icache_
+
+let icache t =
+  credit_fetches t;
+  t.icache_
+
 let dcache t = t.dcache_
 let output t = Buffer.contents t.out
 let status t = t.status_
@@ -127,28 +189,12 @@ let charge = add_cycles
 
 let fault_integrity t msg = t.status_ <- Integrity_fault msg
 
-let charge_cache t cache ~addr ~write =
-  match Cache.access cache ~addr ~write with
-  | Cache.Hit -> ()
-  | Cache.Miss { writeback } ->
-    let penalty =
-      (if cache == t.icache_ then t.timing.icache_miss_penalty else t.timing.dcache_miss_penalty)
-      + if writeback then t.timing.writeback_penalty else 0
-    in
-    add_cycles t penalty
-
-(* I-side fetch charge: on a miss the line is filled from memory, which
-   is where a fetch-checking integrity guard re-hashes the granule being
-   filled (and may raise {!Integrity_violation}). *)
-let charge_ifetch t ~addr =
-  match Cache.access t.icache_ ~addr ~write:false with
+let charge_dcache t ~addr ~write =
+  match Cache.access t.dcache_ ~addr ~write with
   | Cache.Hit -> ()
   | Cache.Miss { writeback } ->
     add_cycles t
-      (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0);
-    (match t.on_ifetch_miss with
-    | Some hook -> add_cycles t (hook ~addr)
-    | None -> ())
+      (t.timing.dcache_miss_penalty + if writeback then t.timing.writeback_penalty else 0)
 
 (* ------------------------------------------------------------------ *)
 (* 64-bit arithmetic helpers                                           *)
@@ -158,7 +204,7 @@ let sext32 v = Int64.of_int32 (Int64.to_int32 v)
 let low32_mask = 0xFFFFFFFFL
 
 (* The helpers below are [@inline] so that their [int64] arguments and
-   results stay unboxed inside [exec_r]. *)
+   results stay unboxed inside [execute]. *)
 let[@inline] mulhu a b =
   let open Int64 in
   let al = logand a low32_mask and ah = shift_right_logical a 32 in
@@ -201,94 +247,29 @@ let[@inline] udiv n d =
 let[@inline] div_unsigned a b = if b = 0L then -1L else udiv a b
 let[@inline] rem_unsigned a b = if b = 0L then a else Int64.sub a (Int64.mul (udiv a b) b)
 
+let[@inline] divw a b =
+  let a32 = sext32 a and b32 = sext32 b in
+  if b32 = 0L then -1L
+  else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
+  else sext32 (Int64.div a32 b32)
+
+let[@inline] remw a b =
+  let a32 = sext32 a and b32 = sext32 b in
+  if b32 = 0L then a32
+  else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
+  else sext32 (Int64.rem a32 b32)
+
+(* Zero-extended, the 32-bit operands divide alike signed and
+   unsigned. *)
+let[@inline] divuw a b =
+  let a32 = Int64.logand a low32_mask and b32 = Int64.logand b low32_mask in
+  if b32 = 0L then -1L else sext32 (Int64.div a32 b32)
+
+let[@inline] remuw a b =
+  let a32 = Int64.logand a low32_mask and b32 = Int64.logand b low32_mask in
+  if b32 = 0L then sext32 a32 else sext32 (Int64.rem a32 b32)
+
 let bool_to_i64 c = if c then 1L else 0L
-
-(* The [exec_*] functions read their operands from and write their
-   result to the register file themselves, so that no operand or result
-   crosses a call boxed. *)
-let exec_r t (op : Inst.r_op) rd rs1 rs2 =
-  let a = get t rs1 and b = get t rs2 in
-  let open Int64 in
-  set64 t.regs (dst rd)
-    (match op with
-    | Add -> add a b
-    | Sub -> sub a b
-    | Sll -> shift_left a (to_int (logand b 63L))
-    | Slt -> bool_to_i64 (compare a b < 0)
-    | Sltu -> bool_to_i64 (unsigned_compare a b < 0)
-    | Xor -> logxor a b
-    | Srl -> shift_right_logical a (to_int (logand b 63L))
-    | Sra -> shift_right a (to_int (logand b 63L))
-    | Or -> logor a b
-    | And -> logand a b
-    | Addw -> sext32 (add a b)
-    | Subw -> sext32 (sub a b)
-    | Sllw -> sext32 (shift_left a (to_int (logand b 31L)))
-    | Srlw -> sext32 (shift_right_logical (logand a low32_mask) (to_int (logand b 31L)))
-    | Sraw -> sext32 (shift_right (sext32 a) (to_int (logand b 31L)))
-    | Mul -> mul a b
-    | Mulh -> mulh a b
-    | Mulhsu -> mulhsu a b
-    | Mulhu -> mulhu a b
-    | Div -> div_signed a b
-    | Divu -> div_unsigned a b
-    | Rem -> rem_signed a b
-    | Remu -> rem_unsigned a b
-    | Mulw -> sext32 (mul a b)
-    | Divw ->
-      let a32 = sext32 a and b32 = sext32 b in
-      if b32 = 0L then -1L
-      else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
-      else sext32 (div a32 b32)
-    (* Zero-extended, the 32-bit operands divide alike signed and
-       unsigned. *)
-    | Divuw ->
-      let a32 = logand a low32_mask and b32 = logand b low32_mask in
-      if b32 = 0L then -1L else sext32 (div a32 b32)
-    | Remw ->
-      let a32 = sext32 a and b32 = sext32 b in
-      if b32 = 0L then a32
-      else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
-      else sext32 (rem a32 b32)
-    | Remuw ->
-      let a32 = logand a low32_mask and b32 = logand b low32_mask in
-      if b32 = 0L then sext32 a32 else sext32 (rem a32 b32))
-
-let exec_i t (op : Inst.i_op) rd rs1 imm =
-  let a = get t rs1 in
-  let open Int64 in
-  let b = of_int imm in
-  set64 t.regs (dst rd)
-    (match op with
-    | Addi -> add a b
-    | Slti -> bool_to_i64 (compare a b < 0)
-    | Sltiu -> bool_to_i64 (unsigned_compare a b < 0)
-    | Xori -> logxor a b
-    | Ori -> logor a b
-    | Andi -> logand a b
-    | Addiw -> sext32 (add a b))
-
-let exec_shift t (op : Inst.shift_op) rd rs1 sh =
-  let a = get t rs1 in
-  let open Int64 in
-  set64 t.regs (dst rd)
-    (match op with
-    | Slli -> shift_left a sh
-    | Srli -> shift_right_logical a sh
-    | Srai -> shift_right a sh
-    | Slliw -> sext32 (shift_left a sh)
-    | Srliw -> sext32 (shift_right_logical (logand a low32_mask) sh)
-    | Sraiw -> sext32 (shift_right (sext32 a) sh))
-
-let branch_taken t (op : Inst.branch_op) rs1 rs2 =
-  let a = get t rs1 and b = get t rs2 in
-  match op with
-  | Beq -> Int64.equal a b
-  | Bne -> not (Int64.equal a b)
-  | Blt -> Int64.compare a b < 0
-  | Bge -> Int64.compare a b >= 0
-  | Bltu -> Int64.unsigned_compare a b < 0
-  | Bgeu -> Int64.unsigned_compare a b >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Fetch / decode                                                      *)
@@ -296,32 +277,80 @@ let branch_taken t (op : Inst.branch_op) rs1 rs2 =
 
 exception Fault of string
 
+let r_kind : Inst.r_op -> kind = function
+  | Add -> Add | Sub -> Sub | Sll -> Sll | Slt -> Slt | Sltu -> Sltu | Xor -> Xor
+  | Srl -> Srl | Sra -> Sra | Or -> Or | And -> And
+  | Addw -> Addw | Subw -> Subw | Sllw -> Sllw | Srlw -> Srlw | Sraw -> Sraw
+  | Mul -> Mul | Mulh -> Mulh | Mulhsu -> Mulhsu | Mulhu -> Mulhu
+  | Div -> Div | Divu -> Divu | Rem -> Rem | Remu -> Remu
+  | Mulw -> Mulw | Divw -> Divw | Divuw -> Divuw | Remw -> Remw | Remuw -> Remuw
+
+let i_kind : Inst.i_op -> kind = function
+  | Addi -> Addi | Slti -> Slti | Sltiu -> Sltiu | Xori -> Xori | Ori -> Ori | Andi -> Andi
+  | Addiw -> Addiw
+
+let shift_kind : Inst.shift_op -> kind = function
+  | Slli -> Slli | Srli -> Srli | Srai -> Srai | Slliw -> Slliw | Srliw -> Srliw
+  | Sraiw -> Sraiw
+
+let load_kind : Inst.load_op -> kind = function
+  | Lb -> Lb | Lh -> Lh | Lw -> Lw | Ld -> Ld | Lbu -> Lbu | Lhu -> Lhu | Lwu -> Lwu
+
+let store_kind : Inst.store_op -> kind = function Sb -> Sb | Sh -> Sh | Sw -> Sw | Sd -> Sd
+
+let branch_kind : Inst.branch_op -> kind = function
+  | Beq -> Beq | Bne -> Bne | Blt -> Blt | Bge -> Bge | Bltu -> Bltu | Bgeu -> Bgeu
+
+let bit r = 1 lsl (r : Reg.t :> int)
+
+let flat inst size kind rd rs1 rs2 imm uses load_dest =
+  { kind; rd; rs1; rs2; imm; size; uses; load_dest; inst }
+
+let flatten inst size =
+  let x0 = src Reg.x0 and none = dst Reg.x0 in
+  match inst with
+  | Inst.R (op, rd, rs1, rs2) ->
+    flat inst size (r_kind op) (dst rd) (src rs1) (src rs2) 0 (bit rs1 lor bit rs2) (-1)
+  | Inst.I (op, rd, rs1, imm) -> flat inst size (i_kind op) (dst rd) (src rs1) x0 imm (bit rs1) (-1)
+  | Inst.Shift (op, rd, rs1, sh) ->
+    flat inst size (shift_kind op) (dst rd) (src rs1) x0 sh (bit rs1) (-1)
+  | Inst.U (Lui, rd, imm) -> flat inst size Lui (dst rd) x0 x0 (imm lsl 12) 0 (-1)
+  | Inst.U (Auipc, rd, imm) -> flat inst size Auipc (dst rd) x0 x0 (imm lsl 12) 0 (-1)
+  | Inst.Load (op, rd, base, off) ->
+    flat inst size (load_kind op) (dst rd) (src base) x0 off (bit base) (rd :> int)
+  | Inst.Store (op, value, base, off) ->
+    flat inst size (store_kind op) none (src base) (src value) off (bit value lor bit base) (-1)
+  | Inst.Branch (op, rs1, rs2, off) ->
+    flat inst size (branch_kind op) none (src rs1) (src rs2) off (bit rs1 lor bit rs2) (-1)
+  | Inst.Jal (rd, off) -> flat inst size Jal (dst rd) x0 x0 off 0 (-1)
+  | Inst.Jalr (rd, rs1, imm) -> flat inst size Jalr (dst rd) (src rs1) x0 imm (bit rs1) (-1)
+  | Inst.Ecall -> flat inst size Ecall none x0 x0 0 0 (-1)
+  | Inst.Ebreak -> flat inst size Ebreak none x0 x0 0 0 (-1)
+  | Inst.Fence -> flat inst size Fence none x0 x0 0 0 (-1)
+  | Inst.Csrr (rd, csr) -> flat inst size Csrr (dst rd) x0 x0 csr 0 (-1)
+
 let decode t pc =
   let half = Memory.read_u16 t.memory pc in
-  let inst, size =
-    if half land 0b11 = 0b11 then begin
-      let word = Memory.read_u32 t.memory pc in
-      match Decode.decode (Int32.of_int word) with
-      | Some inst -> (inst, 4)
-      | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08x at pc 0x%x" word pc))
-    end
-    else
-      match Rvc.expand half with
-      | Some inst -> (inst, 2)
-      | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
-  in
-  let uses = List.fold_left (fun m r -> m lor (1 lsl (r : Reg.t :> int))) 0 (Inst.uses inst) in
-  { inst; size; uses }
+  if half land 0b11 = 0b11 then begin
+    let word = Memory.read_u32 t.memory pc in
+    match Decode.decode (Int32.of_int word) with
+    | Some inst -> flatten inst 4
+    | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08x at pc 0x%x" word pc))
+  end
+  else
+    match Rvc.expand half with
+    | Some inst -> flatten inst 2
+    | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
 
 (* A pc is decoded on its first fetch and that decode is kept for the
    whole run: a later store to the same bytes is not seen by fetch, as on
    a core without FENCE.I.  Odd pcs, which no jump or branch produces,
    bypass the cache and are decoded on every fetch; pcs outside memory
-   trap in [Memory.read_u16]. *)
-let fetch_decode t =
-  let pc = t.pc_ in
-  let page = pc asr page_bits in
-  if pc < 0 || pc land 1 <> 0 || page >= Array.length t.predecoded then decode t pc
+   (a negative one's page is past the table too) trap in
+   [Memory.read_u16]. *)
+let fetch_decode t pc =
+  let page = pc lsr page_bits in
+  if pc land 1 <> 0 || page >= Array.length t.predecoded then decode t pc
   else begin
     let slots =
       let s = t.predecoded.(page) in
@@ -342,40 +371,33 @@ let fetch_decode t =
     end
   end
 
+(* The I-side charge.  Only fetches touch the I-cache, so a fetch from
+   the line of the previous one is exactly [Cache.access]'s repeat-line
+   hit: one access and one hit, no change to the LRU order or the clock.
+   Those fetches are only counted, and [credit_fetches] passes the count
+   on before [step], [run_until] and [icache] return.  A line is named by
+   its first address.  A negative pc's is negative, unlike any other
+   pc's, and a negative pc ends the run, so it always reaches the
+   cache.
+
+   Any other fetch goes to the cache.  On a miss the line is filled from
+   memory, which is where a fetch-checking integrity guard re-hashes the
+   granule being filled (and may raise {!Integrity_violation}). *)
+let fetch t pc =
+  let line = pc land t.fetch_mask in
+  if line = t.fetch_line then t.fetch_repeats <- t.fetch_repeats + 1
+  else begin
+    (match Cache.access t.icache_ ~addr:pc ~write:false with
+    | Cache.Hit -> ()
+    | Cache.Miss { writeback } -> (
+      add_cycles t
+        (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0);
+      match t.on_ifetch_miss with Some hook -> add_cycles t (hook ~addr:pc) | None -> ()));
+    t.fetch_line <- line
+  end
+
 (* The [bits]-bit unsigned [v], sign-extended. *)
 let sext bits v = (v lxor (1 lsl (bits - 1))) - (1 lsl (bits - 1))
-
-(* [Memory]'s narrow accessors take and return native ints, and a
-   doubleword moves between memory and the register file's slot, so no
-   load or store boxes a value. *)
-let load t (op : Inst.load_op) rd addr =
-  let m = t.memory and d = dst rd in
-  match op with
-  | Lb -> set64 t.regs d (Int64.of_int (sext 8 (Memory.read_u8 m addr)))
-  | Lbu -> set64 t.regs d (Int64.of_int (Memory.read_u8 m addr))
-  | Lh -> set64 t.regs d (Int64.of_int (sext 16 (Memory.read_u16 m addr)))
-  | Lhu -> set64 t.regs d (Int64.of_int (Memory.read_u16 m addr))
-  | Lw -> set64 t.regs d (Int64.of_int (sext 32 (Memory.read_u32 m addr)))
-  | Lwu -> set64 t.regs d (Int64.of_int (Memory.read_u32 m addr))
-  | Ld -> Memory.read_u64 m addr t.regs d
-
-let store t (op : Inst.store_op) addr src =
-  let m = t.memory in
-  match op with
-  | Sb -> Memory.write_u8 m addr (Int64.to_int (get t src))
-  | Sh -> Memory.write_u16 m addr (Int64.to_int (get t src))
-  | Sw -> Memory.write_u32 m addr (Int64.to_int (get t src))
-  | Sd -> Memory.write_u64 m addr t.regs (src lsl 3)
-
-let alignment (op : Inst.load_op) =
-  match op with Lb | Lbu -> 1 | Lh | Lhu -> 2 | Lw | Lwu -> 4 | Ld -> 8
-
-let store_alignment (op : Inst.store_op) = match op with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8
-
-let is_mul (op : Inst.r_op) = match op with Mul | Mulh | Mulhsu | Mulhu | Mulw -> true | _ -> false
-
-let is_div (op : Inst.r_op) =
-  match op with Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Syscalls                                                            *)
@@ -396,86 +418,245 @@ let syscall t =
 (* Step                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One instruction of a [Running] core.  A fault raises; [stop] turns it
-   into the core's status. *)
+let misaligned what addr pc =
+  raise (Fault (Printf.sprintf "misaligned %s at 0x%x (pc 0x%x)" what addr pc))
+
+(* A load's or store's address, charged to the D-cache once it is known
+   to be a multiple of [align]. *)
+let[@inline] data_address t d pc ~align ~write =
+  let addr = Int64.to_int (get64 t.regs d.rs1) + d.imm in
+  if addr land (align - 1) <> 0 then misaligned (if write then "store" else "load") addr pc;
+  charge_dcache t ~addr ~write;
+  addr
+
+let stored t addr len = match t.on_store with Some hook -> hook ~addr ~len | None -> ()
+
+(* A conditional branch: the taken target or the fall-through, with the
+   penalty of a taken branch, or with the predictor of a mispredicted
+   one. *)
+let[@inline] branch t pc next off taken =
+  (match t.predictor with
+  | None -> if taken then add_cycles t t.timing.taken_branch_penalty
+  | Some counters ->
+    (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
+    let slot = (pc lsr 1) land (Array.length counters - 1) in
+    let predicted_taken = counters.(slot) >= 2 in
+    if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
+    counters.(slot) <-
+      (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)));
+  if taken then pc + off else next
+
+(* One instruction of a [Running] core: one dispatch on the decoded
+   kind, whose arm reads its operands, charges its extra cycles and
+   returns the next pc.  A fault raises; [stop] turns it into the core's
+   status. *)
 let execute t =
+  let pc = t.pc_ in
   (* The line fill precedes decode, as in silicon: a fetch-checking
      integrity guard must get to refuse the granule before a
      corrupted encoding can raise its own (less diagnosable) decode
      fault. *)
-  charge_ifetch t ~addr:t.pc_;
-  let d = fetch_decode t in
-  let size = d.size in
-  (match t.trace with Some hook -> hook ~pc:t.pc_ d.inst | None -> ());
+  fetch t pc;
+  let d = fetch_decode t pc in
+  (match t.trace with Some hook -> hook ~pc d.inst | None -> ());
   add_cycles t 1;
   (* Load-use hazard: stalls when an instruction consumes the result of
      the immediately preceding load. *)
-  if t.last_load_dest >= 0 && d.uses land (1 lsl t.last_load_dest) <> 0 then
-    add_cycles t t.timing.load_use_stall;
-  t.last_load_dest <- -1;
-  let next_pc = ref (t.pc_ + size) in
-  (match d.inst with
-  | Inst.R (op, rd, rs1, rs2) ->
-    if is_mul op then add_cycles t t.timing.mul_extra;
-    if is_div op then add_cycles t t.timing.div_extra;
-    exec_r t op (rd :> int) (rs1 :> int) (rs2 :> int)
-  | Inst.I (op, rd, rs1, imm) -> exec_i t op (rd :> int) (rs1 :> int) imm
-  | Inst.Shift (op, rd, rs1, sh) -> exec_shift t op (rd :> int) (rs1 :> int) sh
-  | Inst.U (Lui, rd, imm) -> set64 t.regs (dst (rd :> int)) (Int64.of_int (imm lsl 12))
-  | Inst.U (Auipc, rd, imm) ->
-    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + (imm lsl 12)))
-  | Inst.Load (op, rd, base, off) ->
-    let addr = Int64.to_int (get t (base :> int)) + off in
-    if addr land (alignment op - 1) <> 0 then
-      raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
-    charge_cache t t.dcache_ ~addr ~write:false;
-    load t op (rd :> int) addr;
-    t.last_load_dest <- (rd :> int)
-  | Inst.Store (op, src, base, off) ->
-    let addr = Int64.to_int (get t (base :> int)) + off in
-    if addr land (store_alignment op - 1) <> 0 then
-      raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
-    charge_cache t t.dcache_ ~addr ~write:true;
-    store t op addr (src :> int);
-    (match t.on_store with
-    | Some hook -> hook ~addr ~len:(store_alignment op)
-    | None -> ())
-  | Inst.Branch (op, rs1, rs2, off) ->
-    let taken = branch_taken t op (rs1 :> int) (rs2 :> int) in
-    if taken then next_pc := t.pc_ + off;
-    (match t.predictor with
-    | None -> if taken then add_cycles t t.timing.taken_branch_penalty
-    | Some counters ->
-      (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
-      let slot = (t.pc_ lsr 1) land (Array.length counters - 1) in
-      let predicted_taken = counters.(slot) >= 2 in
-      if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
-      counters.(slot) <-
-        (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
-  | Inst.Jal (rd, off) ->
-    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
-    next_pc := t.pc_ + off;
-    add_cycles t t.timing.jump_penalty
-  | Inst.Jalr (rd, rs1, imm) ->
-    let target = (Int64.to_int (get t (rs1 :> int)) + imm) land lnot 1 in
-    set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
-    next_pc := target;
-    add_cycles t t.timing.jalr_penalty
-  | Inst.Ecall -> (
-    match syscall t with
-    | Sys_continue -> ()
-    | Sys_exit code -> t.status_ <- Exited code)
-  | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
-  | Inst.Fence -> ()
-  | Inst.Csrr (rd, csr) ->
-    set64 t.regs (dst (rd :> int))
-      (match csr with
-      | 0xC00 -> Int64.of_int t.cycles_
-      | 0xC01 -> Int64.of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
-      | 0xC02 -> Int64.of_int t.instret
-      | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))));
+  let last = t.last_load_dest in
+  if last >= 0 && d.uses land (1 lsl last) <> 0 then add_cycles t t.timing.load_use_stall;
+  t.last_load_dest <- d.load_dest;
+  let r = t.regs and m = t.memory in
+  let next = pc + d.size in
+  let open Int64 in
+  let next =
+    match d.kind with
+    | Add -> set64 r d.rd (add (get64 r d.rs1) (get64 r d.rs2)); next
+    | Sub -> set64 r d.rd (sub (get64 r d.rs1) (get64 r d.rs2)); next
+    | Sll -> set64 r d.rd (shift_left (get64 r d.rs1) (to_int (get64 r d.rs2) land 63)); next
+    | Slt -> set64 r d.rd (bool_to_i64 (compare (get64 r d.rs1) (get64 r d.rs2) < 0)); next
+    | Sltu ->
+      set64 r d.rd (bool_to_i64 (unsigned_compare (get64 r d.rs1) (get64 r d.rs2) < 0));
+      next
+    | Xor -> set64 r d.rd (logxor (get64 r d.rs1) (get64 r d.rs2)); next
+    | Srl ->
+      set64 r d.rd (shift_right_logical (get64 r d.rs1) (to_int (get64 r d.rs2) land 63));
+      next
+    | Sra -> set64 r d.rd (shift_right (get64 r d.rs1) (to_int (get64 r d.rs2) land 63)); next
+    | Or -> set64 r d.rd (logor (get64 r d.rs1) (get64 r d.rs2)); next
+    | And -> set64 r d.rd (logand (get64 r d.rs1) (get64 r d.rs2)); next
+    | Addw -> set64 r d.rd (sext32 (add (get64 r d.rs1) (get64 r d.rs2))); next
+    | Subw -> set64 r d.rd (sext32 (sub (get64 r d.rs1) (get64 r d.rs2))); next
+    | Sllw ->
+      set64 r d.rd (sext32 (shift_left (get64 r d.rs1) (to_int (get64 r d.rs2) land 31)));
+      next
+    | Srlw ->
+      set64 r d.rd
+        (sext32
+           (shift_right_logical
+              (logand (get64 r d.rs1) low32_mask)
+              (to_int (get64 r d.rs2) land 31)));
+      next
+    | Sraw ->
+      set64 r d.rd
+        (sext32 (shift_right (sext32 (get64 r d.rs1)) (to_int (get64 r d.rs2) land 31)));
+      next
+    | Mul ->
+      add_cycles t t.timing.mul_extra;
+      set64 r d.rd (mul (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Mulh ->
+      add_cycles t t.timing.mul_extra;
+      set64 r d.rd (mulh (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Mulhsu ->
+      add_cycles t t.timing.mul_extra;
+      set64 r d.rd (mulhsu (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Mulhu ->
+      add_cycles t t.timing.mul_extra;
+      set64 r d.rd (mulhu (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Mulw ->
+      add_cycles t t.timing.mul_extra;
+      set64 r d.rd (sext32 (mul (get64 r d.rs1) (get64 r d.rs2)));
+      next
+    | Div ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (div_signed (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Divu ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (div_unsigned (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Rem ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (rem_signed (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Remu ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (rem_unsigned (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Divw ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (divw (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Divuw ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (divuw (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Remw ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (remw (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Remuw ->
+      add_cycles t t.timing.div_extra;
+      set64 r d.rd (remuw (get64 r d.rs1) (get64 r d.rs2));
+      next
+    | Addi -> set64 r d.rd (add (get64 r d.rs1) (of_int d.imm)); next
+    | Slti -> set64 r d.rd (bool_to_i64 (compare (get64 r d.rs1) (of_int d.imm) < 0)); next
+    | Sltiu ->
+      set64 r d.rd (bool_to_i64 (unsigned_compare (get64 r d.rs1) (of_int d.imm) < 0));
+      next
+    | Xori -> set64 r d.rd (logxor (get64 r d.rs1) (of_int d.imm)); next
+    | Ori -> set64 r d.rd (logor (get64 r d.rs1) (of_int d.imm)); next
+    | Andi -> set64 r d.rd (logand (get64 r d.rs1) (of_int d.imm)); next
+    | Addiw -> set64 r d.rd (sext32 (add (get64 r d.rs1) (of_int d.imm))); next
+    | Slli -> set64 r d.rd (shift_left (get64 r d.rs1) d.imm); next
+    | Srli -> set64 r d.rd (shift_right_logical (get64 r d.rs1) d.imm); next
+    | Srai -> set64 r d.rd (shift_right (get64 r d.rs1) d.imm); next
+    | Slliw -> set64 r d.rd (sext32 (shift_left (get64 r d.rs1) d.imm)); next
+    | Srliw ->
+      set64 r d.rd (sext32 (shift_right_logical (logand (get64 r d.rs1) low32_mask) d.imm));
+      next
+    | Sraiw -> set64 r d.rd (sext32 (shift_right (sext32 (get64 r d.rs1)) d.imm)); next
+    | Lui -> set64 r d.rd (of_int d.imm); next
+    | Auipc -> set64 r d.rd (of_int (pc + d.imm)); next
+    (* [Memory]'s narrow accessors take and return native ints, and a
+       doubleword moves between memory and the register file's slot, so
+       no load or store boxes a value. *)
+    | Lb ->
+      let addr = data_address t d pc ~align:1 ~write:false in
+      set64 r d.rd (of_int (sext 8 (Memory.read_u8 m addr)));
+      next
+    | Lbu ->
+      let addr = data_address t d pc ~align:1 ~write:false in
+      set64 r d.rd (of_int (Memory.read_u8 m addr));
+      next
+    | Lh ->
+      let addr = data_address t d pc ~align:2 ~write:false in
+      set64 r d.rd (of_int (sext 16 (Memory.read_u16 m addr)));
+      next
+    | Lhu ->
+      let addr = data_address t d pc ~align:2 ~write:false in
+      set64 r d.rd (of_int (Memory.read_u16 m addr));
+      next
+    | Lw ->
+      let addr = data_address t d pc ~align:4 ~write:false in
+      set64 r d.rd (of_int (sext 32 (Memory.read_u32 m addr)));
+      next
+    | Lwu ->
+      let addr = data_address t d pc ~align:4 ~write:false in
+      set64 r d.rd (of_int (Memory.read_u32 m addr));
+      next
+    | Ld ->
+      let addr = data_address t d pc ~align:8 ~write:false in
+      Memory.read_u64 m addr r d.rd;
+      next
+    | Sb ->
+      let addr = data_address t d pc ~align:1 ~write:true in
+      Memory.write_u8 m addr (to_int (get64 r d.rs2));
+      stored t addr 1;
+      next
+    | Sh ->
+      let addr = data_address t d pc ~align:2 ~write:true in
+      Memory.write_u16 m addr (to_int (get64 r d.rs2));
+      stored t addr 2;
+      next
+    | Sw ->
+      let addr = data_address t d pc ~align:4 ~write:true in
+      Memory.write_u32 m addr (to_int (get64 r d.rs2));
+      stored t addr 4;
+      next
+    | Sd ->
+      let addr = data_address t d pc ~align:8 ~write:true in
+      Memory.write_u64 m addr r d.rs2;
+      stored t addr 8;
+      next
+    | Beq -> branch t pc next d.imm (equal (get64 r d.rs1) (get64 r d.rs2))
+    | Bne -> branch t pc next d.imm (not (equal (get64 r d.rs1) (get64 r d.rs2)))
+    | Blt -> branch t pc next d.imm (compare (get64 r d.rs1) (get64 r d.rs2) < 0)
+    | Bge -> branch t pc next d.imm (compare (get64 r d.rs1) (get64 r d.rs2) >= 0)
+    | Bltu -> branch t pc next d.imm (unsigned_compare (get64 r d.rs1) (get64 r d.rs2) < 0)
+    | Bgeu -> branch t pc next d.imm (unsigned_compare (get64 r d.rs1) (get64 r d.rs2) >= 0)
+    | Jal ->
+      set64 r d.rd (of_int next);
+      add_cycles t t.timing.jump_penalty;
+      pc + d.imm
+    | Jalr ->
+      (* The target is read before rd is written: rd may be rs1. *)
+      let target = (to_int (get64 r d.rs1) + d.imm) land lnot 1 in
+      set64 r d.rd (of_int next);
+      add_cycles t t.timing.jalr_penalty;
+      target
+    | Ecall -> (
+      match syscall t with
+      | Sys_continue -> next
+      | Sys_exit code ->
+        t.status_ <- Exited code;
+        pc)
+    | Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" pc))
+    | Fence -> next
+    | Csrr ->
+      set64 r d.rd
+        (match d.imm with
+        | 0xC00 -> of_int t.cycles_
+        | 0xC01 -> of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
+        | 0xC02 -> of_int t.instret
+        | csr -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr pc)));
+      next
+  in
   t.instret <- t.instret + 1;
-  if running t then t.pc_ <- !next_pc
+  if running t then t.pc_ <- next
 
 let stop t = function
   | Fault msg -> t.status_ <- Faulted msg
@@ -483,15 +664,20 @@ let stop t = function
   | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_)
   | e -> raise e
 
+(* The one fetch of a [step] follows [forget_fetch_line], so it goes to
+   the cache and leaves nothing to credit. *)
 let step t =
   match t.status_ with
   | Exited _ | Faulted _ | Integrity_fault _ -> ()
-  | Running -> ( try execute t with e -> stop t e)
+  | Running -> (
+    forget_fetch_line t;
+    try execute t with e -> stop t e)
 
 (* One handler for the whole loop, not one per instruction.  The step
    that faults counts, as with [step]; the core is then no longer
    [Running], so the loop would have stopped there anyway. *)
 let run_until t ~fuel ~cycles =
+  forget_fetch_line t;
   let steps = ref 0 in
   (try
      while running t && !steps < fuel && t.cycles_ < cycles do
@@ -501,6 +687,7 @@ let run_until t ~fuel ~cycles =
    with e ->
      incr steps;
      stop t e);
+  credit_fetches t;
   !steps
 
 let run ?(fuel = 50_000_000) t =

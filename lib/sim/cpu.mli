@@ -47,9 +47,22 @@ val set_reg : t -> Eric_rv.Reg.t -> int64 -> unit
 val pc : t -> int
 val set_pc : t -> int -> unit
 
-val cycles : t -> int64
+val cycles : t -> int
+(** Core cycles so far; a native [int], so that a caller polling it
+    between instructions (the scrub engine) allocates nothing. *)
+
 val instructions : t -> int64
+
 val icache : t -> Cache.t
+(** The I-cache.  A fetch from the line of the previous fetch in the same
+    {!step} or {!run_until} call is a repeat-line hit, which the core
+    counts itself instead of calling {!Cache.access}; it credits the
+    count ({!Cache.credit_hits}) before {!step}, {!run_until} and this
+    function return, so the cache's stats are whole whenever a caller
+    can read them.  Entering {!step} or {!run_until} forgets that line,
+    so a {!Cache.flush} or {!Cache.access} between calls is seen; one
+    made from a hook during a call is not. *)
+
 val dcache : t -> Cache.t
 val output : t -> string
 (** Everything the program wrote to stdout via the write syscall. *)

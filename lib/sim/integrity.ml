@@ -5,7 +5,7 @@ type stats = {
   mutable granules_checked : int;
   mutable granules_reenrolled : int;
   mutable fetch_checks : int;
-  mutable guard_cycles : int64;
+  mutable guard_cycles : int;
 }
 
 type t = {
@@ -21,6 +21,7 @@ type t = {
           a hash matches or re-enrolls, cleared by any store into [g] *)
   pass_cycles : int;
   fetch_cycles : int;
+  interval : int option;  (** between scrub passes, in core cycles; [None]: no scrubbing *)
   mutable next_scrub : int;  (** core cycle count at which the next pass is due *)
   stats : stats;
 }
@@ -35,8 +36,7 @@ let granule_digest t g =
     ~addr:(t.base + (g * t.cfg.Guard.granule_bytes))
     ~len:t.cfg.Guard.granule_bytes
 
-let next_scrub_after config ~now =
-  match Guard.scrub_interval config with Some i -> now + i | None -> max_int
+let next_scrub_after interval ~now = match interval with Some i -> now + i | None -> max_int
 
 let create ~config ~image memory =
   (match Guard.validate config with
@@ -47,6 +47,8 @@ let create ~config ~image memory =
   let resident = Layout.bss_base image + image.bss_size - base in
   let n = Guard.granules config ~bytes:resident in
   let limit = base + (n * config.Guard.granule_bytes) in
+  (* Kept, not asked of [Guard] per pass: its answer allocates a [Some]. *)
+  let interval = Guard.scrub_interval config in
   let t =
     {
       cfg = config;
@@ -59,14 +61,15 @@ let create ~config ~image memory =
       current = Array.make n false;
       pass_cycles = Guard.scrub_pass_cycles config ~resident_bytes:resident;
       fetch_cycles = Guard.fetch_check_cycles config;
-      next_scrub = next_scrub_after config ~now:0;
+      interval;
+      next_scrub = next_scrub_after interval ~now:0;
       stats =
         {
           scrub_passes = 0;
           granules_checked = 0;
           granules_reenrolled = 0;
           fetch_checks = 0;
-          guard_cycles = 0L;
+          guard_cycles = 0;
         };
     }
   in
@@ -117,7 +120,7 @@ let fetch_check t ~addr =
   if addr >= t.base && addr < t.limit then begin
     let g = granule_index t addr in
     t.stats.fetch_checks <- t.stats.fetch_checks + 1;
-    t.stats.guard_cycles <- Int64.add t.stats.guard_cycles (Int64.of_int t.fetch_cycles);
+    t.stats.guard_cycles <- t.stats.guard_cycles + t.fetch_cycles;
     if not (t.dirty.(g) || matches t g) then raise (Cpu.Integrity_violation (mismatch_msg t g));
     t.fetch_cycles
   end
@@ -128,12 +131,12 @@ let attach t cpu =
   if Guard.fetch_checked t.cfg then
     Cpu.set_ifetch_miss_hook cpu (Some (fun ~addr -> fetch_check t ~addr))
 
-let scrub_due t ~now = Int64.to_int now >= t.next_scrub
+let scrub_due t ~now = now >= t.next_scrub
 let next_scrub t = t.next_scrub
 
 let scrub t cpu =
   t.stats.scrub_passes <- t.stats.scrub_passes + 1;
-  t.stats.guard_cycles <- Int64.add t.stats.guard_cycles (Int64.of_int t.pass_cycles);
+  t.stats.guard_cycles <- t.stats.guard_cycles + t.pass_cycles;
   Cpu.charge cpu t.pass_cycles;
   let fault = ref (-1) in
   for g = 0 to Array.length t.refs - 1 do
@@ -149,7 +152,7 @@ let scrub t cpu =
     end
   done;
   if !fault >= 0 then Cpu.fault_integrity cpu (mismatch_msg t !fault);
-  t.next_scrub <- next_scrub_after t.cfg ~now:(Int64.to_int (Cpu.cycles cpu))
+  t.next_scrub <- next_scrub_after t.interval ~now:(Cpu.cycles cpu)
 
 let verify_all t =
   let fault = ref None in

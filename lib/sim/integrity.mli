@@ -39,7 +39,7 @@ type stats = {
   mutable granules_checked : int;
   mutable granules_reenrolled : int;  (** dirty granules re-hashed, not checked *)
   mutable fetch_checks : int;
-  mutable guard_cycles : int64;  (** total cycles charged for checking *)
+  mutable guard_cycles : int;  (** total cycles charged for checking *)
 }
 
 type t
@@ -54,7 +54,7 @@ val stats : t -> stats
 val attach : t -> Cpu.t -> unit
 (** Install the store-tracking and fetch-check hooks on the core. *)
 
-val scrub_due : t -> now:int64 -> bool
+val scrub_due : t -> now:int -> bool
 
 val next_scrub : t -> int
 (** The core cycle count at which the next pass is due ([max_int] when

@@ -15,7 +15,7 @@ let total_cycles r = Int64.add r.exec_cycles r.load_cycles
 
 let plain_load_cycles image =
   Eric_hw.Hde.load_plain Eric_hw.Hde.default_config
-    ~image_bytes:(Bytes.length (Program.to_binary image))
+    ~image_bytes:(Program.binary_size image)
 
 let load image =
   let memory = Memory.create ~size:Program.Layout.memory_size in
@@ -45,14 +45,14 @@ let record_result r =
     set "sim.dcache_hit_rate" r.dcache_hit_rate
   end
 
-let finish ?(guard_cycles = 0L) ~load_cycles cpu status =
+let finish ?(guard_cycles = 0) ~load_cycles cpu status =
   let r =
     {
       status;
       output = Cpu.output cpu;
-      exec_cycles = Cpu.cycles cpu;
+      exec_cycles = Int64.of_int (Cpu.cycles cpu);
       load_cycles;
-      guard_cycles;
+      guard_cycles = Int64.of_int guard_cycles;
       instructions = Cpu.instructions cpu;
       icache_hit_rate = Cache.hit_rate (Cpu.icache cpu);
       dcache_hit_rate = Cache.hit_rate (Cpu.dcache cpu);
@@ -82,12 +82,14 @@ let run_guarded ?(fuel = 50_000_000) guard image cpu memory =
   let status = if running cpu then Cpu.run ~fuel:0 cpu else Cpu.status cpu in
   ((Integrity.stats integ).Integrity.guard_cycles, status)
 
-let run_loaded ?timing ?fuel ?(guard = Eric_hw.Guard.disabled) ~load_cycles image memory =
+let run_loaded ?timing ?fuel ?(guard = Eric_hw.Guard.disabled) ?trace ~load_cycles image
+    memory =
   let cpu = boot ?timing image memory in
+  Cpu.set_trace cpu trace;
   let guard_cycles, status =
     Eric_telemetry.Span.with_ ~cat:"sim" ~name:"sim.execute" (fun () ->
         if Eric_hw.Guard.enabled guard then run_guarded ?fuel guard image cpu memory
-        else (0L, Cpu.run ?fuel cpu))
+        else (0, Cpu.run ?fuel cpu))
   in
   finish ~guard_cycles ~load_cycles cpu status
 

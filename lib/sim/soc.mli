@@ -21,16 +21,13 @@ type result = {
   icache_hit_rate : float;
   dcache_hit_rate : float;
 }
+(** What a run reports.  {!run_program} and {!run_loaded} also publish
+    these counters as telemetry gauges ([sim.exec_cycles],
+    [sim.instructions], [sim.cpi], [sim.icache_hit_rate], ...) while
+    telemetry is enabled. *)
 
 val total_cycles : result -> int64
 (** Load + execute: the end-to-end time Fig 7 compares. *)
-
-val record_result : result -> unit
-(** Publish a run's hardware counters as telemetry gauges
-    ([sim.exec_cycles], [sim.instructions], [sim.cpi],
-    [sim.icache_hit_rate], ...).  Called by [run_loaded]/[run_program];
-    exposed for front ends that drive {!Cpu} directly.  No-op while
-    telemetry is disabled. *)
 
 val plain_load_cycles : Eric_rv.Program.t -> int64
 (** Cycles to DMA the plain image (header + text + data) into memory:
@@ -52,6 +49,7 @@ val run_loaded :
   ?timing:Cpu.timing ->
   ?fuel:int ->
   ?guard:Eric_hw.Guard.config ->
+  ?trace:(pc:int -> Eric_rv.Inst.t -> unit) ->
   load_cycles:int64 ->
   Eric_rv.Program.t ->
   Memory.t ->
@@ -65,4 +63,6 @@ val run_loaded :
     passes between instructions whenever the interval elapses, fetch
     checks on I-cache misses.  A mismatch ends the run with
     {!Cpu.Integrity_fault}; all checking cycles are charged to
-    [exec_cycles] and reported in [guard_cycles]. *)
+    [exec_cycles] and reported in [guard_cycles].
+
+    [trace] is installed as the core's {!Cpu.set_trace} hook. *)

@@ -359,6 +359,19 @@ let test_program_sizes () =
   check Alcotest.int "total size" 15 (Program.total_size img);
   check (Alcotest.array Alcotest.int) "offsets" [| 0; 4; 6 |] (Program.parcel_offsets img)
 
+(* [binary_size] is the length of the plain binary, without building it. *)
+let test_program_binary_size () =
+  let sized name img =
+    check Alcotest.int name (Bytes.length (Program.to_binary img)) (Program.binary_size img)
+  in
+  sized "sample" (sample_image ());
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      let name = w.Eric_workloads.Workloads.name in
+      sized name (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source);
+      sized (name ^ " small") (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small))
+    Eric_workloads.Workloads.all
+
 let test_program_binary_roundtrip () =
   let img = sample_image () in
   match Program.of_binary (Program.to_binary img) with
@@ -976,7 +989,8 @@ let () =
           Alcotest.test_case "binary rejects odd entry" `Quick
             test_program_binary_rejects_odd_entry;
           Alcotest.test_case "binary rejects entry at text end" `Quick
-            test_program_binary_rejects_entry_at_end ] );
+            test_program_binary_rejects_entry_at_end;
+          Alcotest.test_case "binary size" `Quick test_program_binary_size ] );
       ( "asm-text",
         [ asm_roundtrip;
           asm_pp_parse_roundtrip;

@@ -875,9 +875,10 @@ let test_out_of_fuel () =
           check Alcotest.bool (name ^ ": out of fuel") true
             (r.Soc.status = Cpu.Faulted "out of fuel" && Cpu.status cpu = r.Soc.status);
           check Alcotest.int64 (name ^ ": instructions") (Int64.of_int fuel) r.Soc.instructions;
-          check Alcotest.int64 (name ^ ": exec cycles") (Cpu.cycles cpu) r.Soc.exec_cycles;
+          check Alcotest.int64 (name ^ ": exec cycles")
+            (Int64.of_int (Cpu.cycles cpu)) r.Soc.exec_cycles;
           check Alcotest.int64 (name ^ ": guard cycles")
-            (Integrity.stats integ).Integrity.guard_cycles r.Soc.guard_cycles)
+            (Int64.of_int (Integrity.stats integ).Integrity.guard_cycles) r.Soc.guard_cycles)
         [ ("mid-chunk", third_due - 7, false); ("on a deadline", third_due, true) ])
     [ Eric_hw.Guard.scrub ~interval_cycles:256;
       Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024 ]
@@ -1025,6 +1026,29 @@ let test_steps_allocate_nothing () =
     [ ("unguarded", Eric_hw.Guard.disabled);
       ("fetch+scrub:1024", Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) ]
 
+(* A scrub pass and a fetch check allocate nothing: at the same interval,
+   a loop four times as long runs about four times the passes and
+   checks, and the guard must add no more words to it than to the short
+   one. *)
+let test_scrub_pass_allocates_nothing () =
+  let guard_words ~iterations_lui =
+    let image = loop_program ~extra:[ Inst.U (Lui, Reg.t_ 0, iterations_lui) ] () in
+    let words guard =
+      let memory = Soc.load image in
+      let before = Gc.minor_words () in
+      let r = Soc.run_loaded ~guard ~load_cycles:0L image memory in
+      let words = Gc.minor_words () -. before in
+      if r.Soc.status <> Cpu.Exited 0 then Alcotest.fail "loop did not exit 0";
+      words
+    in
+    words (Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) -. words Eric_hw.Guard.disabled
+  in
+  let short = guard_words ~iterations_lui:5 and long = guard_words ~iterations_lui:20 in
+  check Alcotest.bool
+    (Printf.sprintf "the guard adds %.0f words, and %.0f at 4x the length" short long)
+    true
+    (Float.abs (long -. short) <= 8.)
+
 (* ------------------------------------------------------------------ *)
 (* Golden cycle pin                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1077,6 +1101,72 @@ let golden_rows =
     "fft fetch+scrub:1024: exit 0 instr=307268 exec=7284588 guard=6695415 \
      icache=307268/307239/29/0 dcache=46895/46786/109/0 out=7cc676aa3d62f1b57196cf08beb87d16" ]
 
+(* The ten large-dataset workloads, unguarded: Fig 7's large rows. *)
+let golden_large_rows =
+  [ "basicmath large off: exit 0 instr=4793509 exec=24850219 guard=0 \
+     icache=4793509/4793496/13/0 dcache=224490/220249/4241/3914 \
+     out=85600a46569b1b3cb0aca1f75116f727";
+    "bitcount large off: exit 0 instr=12967590 exec=14820988 guard=0 \
+     icache=12967590/12967572/18/0 dcache=560860/560822/38/0 \
+     out=70daa82fb2156e7717e1db4dc0805922";
+    "qsort large off: exit 0 instr=1052039 exec=1698423 guard=0 \
+     icache=1052039/1052019/20/0 dcache=241853/239975/1878/1090 \
+     out=f741bd1d1f07ba6b00e633353059eda2";
+    "dijkstra large off: exit 0 instr=3471788 exec=5290789 guard=0 \
+     icache=3471788/3471771/17/0 dcache=309902/299585/10317/1154 \
+     out=42f5c07a452775db45e41a7cf49ef0ea";
+    "crc32 large off: exit 0 instr=823977 exec=953047 guard=0 \
+     icache=823977/823960/17/0 dcache=51027/50563/464/174 \
+     out=c04aa1cb73acf82c8e746a5ef0d63d04";
+    "stringsearch large off: exit 0 instr=1427356 exec=2126422 guard=0 \
+     icache=1427356/1427330/26/0 dcache=125139/124974/165/0 \
+     out=64ccc2acebb62671bae26801215ca1a8";
+    "sha large off: exit 0 instr=834773 exec=973158 guard=0 \
+     icache=834773/834744/29/0 dcache=67943/67863/80/0 \
+     out=244eddc3a8d534a65f1fcabe81b769d4";
+    "adpcm large off: exit 0 instr=1112195 exec=1770910 guard=0 \
+     icache=1112195/1112171/24/0 dcache=90199/86075/4124/1541 \
+     out=69e655f525b51a21fa58f09ee9d5dbf1";
+    "rijndael large off: exit 0 instr=2165110 exec=3209968 guard=0 \
+     icache=2165110/2165073/37/0 dcache=356986/356935/51/0 \
+     out=30c2a7729818e494f5e7e30c922ee4c8";
+    "fft large off: exit 0 instr=1811518 exec=3329867 guard=0 \
+     icache=1811518/1811489/29/0 dcache=283362/283253/109/0 \
+     out=7cc676aa3d62f1b57196cf08beb87d16" ]
+
+(* The small-dataset workloads with the bimodal branch predictor. *)
+let golden_predictor_rows =
+  [ "basicmath off, predictor: exit 0 instr=55676 exec=102746 guard=0 \
+     icache=55676/55663/13/0 dcache=5009/4988/21/0 \
+     out=9b1fd9c8d5ee1c357d453dfe7832f70f";
+    "bitcount off, predictor: exit 0 instr=97100 exec=112826 guard=0 \
+     icache=97100/97082/18/0 dcache=4772/4734/38/0 \
+     out=b6ad0dc0dd72136de36c0133b600ee50";
+    "qsort off, predictor: exit 0 instr=63056 exec=105028 guard=0 \
+     icache=63056/63036/20/0 dcache=14854/14813/41/0 \
+     out=069ec1c14401db628b748ddf401b1ddc";
+    "dijkstra off, predictor: exit 0 instr=118640 exec=205109 guard=0 \
+     icache=118640/118623/17/0 dcache=8561/8348/213/0 \
+     out=399d4fdb2196513d175ef079149fca10";
+    "crc32 off, predictor: exit 0 instr=100180 exec=118173 guard=0 \
+     icache=100180/100163/17/0 dcache=3220/3172/48/0 \
+     out=a0126569e2baed17eed9197ca22f4c82";
+    "stringsearch off, predictor: exit 0 instr=148301 exec=190779 guard=0 \
+     icache=148301/148275/26/0 dcache=13451/13402/49/0 \
+     out=64ccc2acebb62671bae26801215ca1a8";
+    "sha off, predictor: exit 0 instr=101616 exec=122843 guard=0 \
+     icache=101616/101587/29/0 dcache=8493/8471/22/0 \
+     out=192fa1ae38160d711d1d0756ed44ac25";
+    "adpcm off, predictor: exit 0 instr=104564 exec=150834 guard=0 \
+     icache=104564/104540/24/0 dcache=8536/8381/155/0 \
+     out=d2434477b4e7344c99fda967a586a6f9";
+    "rijndael off, predictor: exit 0 instr=121733 exec=181407 guard=0 \
+     icache=121733/121696/37/0 dcache=18218/18198/20/0 \
+     out=2f472ea7d52696c598c28150eb86e4fd";
+    "fft off, predictor: exit 0 instr=307268 exec=576405 guard=0 \
+     icache=307268/307239/29/0 dcache=46895/46786/109/0 \
+     out=7cc676aa3d62f1b57196cf08beb87d16" ]
+
 let status_label = function
   | Cpu.Running -> "running"
   | Cpu.Exited n -> Printf.sprintf "exit %d" n
@@ -1087,12 +1177,13 @@ let cache_label c =
   let s = Cache.stats c in
   Printf.sprintf "%d/%d/%d/%d" s.Cache.accesses s.Cache.hits s.Cache.misses s.Cache.writebacks
 
-(* The core is stepped one instruction at a time, so that its caches are
-   in reach; [Soc.run_loaded], which runs it in chunks between scrub
-   deadlines, must then agree on every field it reports. *)
-let golden_row name ~guard image =
+(* A guarded core is stepped one instruction at a time, so that its
+   caches are in reach; [Soc.run_loaded], which runs it in chunks between
+   scrub deadlines, must then agree on every field it reports, as must
+   [Soc.run_program] for a core with the branch predictor. *)
+let golden_row name ?branch_predictor ~guard image =
   let memory = Soc.load image in
-  let cpu = Soc.boot image memory in
+  let cpu = Soc.boot ?branch_predictor image memory in
   let guard_cycles =
     if Eric_hw.Guard.enabled guard then begin
       let integ = Integrity.create ~config:guard ~image memory in
@@ -1105,19 +1196,23 @@ let golden_row name ~guard image =
     end
     else begin
       ignore (Cpu.run cpu);
-      0L
+      0
     end
   in
-  let r = Soc.run_loaded ~guard ~load_cycles:0L image (Soc.load image) in
-  check Alcotest.bool (name ^ ": Soc.run_loaded agrees") true
+  let r =
+    match branch_predictor with
+    | Some branch_predictor -> Soc.run_program ~branch_predictor image
+    | None -> Soc.run_loaded ~guard ~load_cycles:0L image (Soc.load image)
+  in
+  check Alcotest.bool (name ^ ": Soc agrees") true
     (r.Soc.status = Cpu.status cpu
     && r.Soc.instructions = Cpu.instructions cpu
-    && r.Soc.exec_cycles = Cpu.cycles cpu
-    && r.Soc.guard_cycles = guard_cycles
+    && r.Soc.exec_cycles = Int64.of_int (Cpu.cycles cpu)
+    && r.Soc.guard_cycles = Int64.of_int guard_cycles
     && r.Soc.output = Cpu.output cpu
     && r.Soc.icache_hit_rate = Cache.hit_rate (Cpu.icache cpu)
     && r.Soc.dcache_hit_rate = Cache.hit_rate (Cpu.dcache cpu));
-  Printf.sprintf "%s: %s instr=%Ld exec=%Ld guard=%Ld icache=%s dcache=%s out=%s" name
+  Printf.sprintf "%s: %s instr=%Ld exec=%d guard=%d icache=%s dcache=%s out=%s" name
     (status_label (Cpu.status cpu)) (Cpu.instructions cpu) (Cpu.cycles cpu) guard_cycles
     (cache_label (Cpu.icache cpu)) (cache_label (Cpu.dcache cpu))
     (Digest.to_hex (Digest.string (Cpu.output cpu)))
@@ -1135,6 +1230,749 @@ let test_golden_cycles () =
       Eric_workloads.Workloads.all
   in
   check Alcotest.(list string) "golden rows" golden_rows rows
+
+let test_golden_large () =
+  let rows =
+    List.map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        golden_row (w.Eric_workloads.Workloads.name ^ " large off") ~guard:Eric_hw.Guard.disabled
+          (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source))
+      Eric_workloads.Workloads.all
+  in
+  check Alcotest.(list string) "golden rows" golden_large_rows rows
+
+let test_golden_predictor () =
+  let rows =
+    List.map
+      (fun (w : Eric_workloads.Workloads.t) ->
+        golden_row (w.Eric_workloads.Workloads.name ^ " off, predictor") ~branch_predictor:true
+          ~guard:Eric_hw.Guard.disabled
+          (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small))
+      Eric_workloads.Workloads.all
+  in
+  check Alcotest.(list string) "golden rows" golden_predictor_rows rows
+
+(* ------------------------------------------------------------------ *)
+(* The core against its reference                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The core as it was when a step dispatched twice, on the instruction
+   and then on its op, and every fetch went through [Cache.access].  One
+   dispatch on the flat decoded form, and counting same-line fetches in
+   the core, must give the same registers, pc, status, counts and cache
+   stats after every step.  It is kept here without the hooks, which the
+   comparison installs none of, and without [run_until] and [run]: it
+   only steps. *)
+module Reference_cpu = struct
+  type syscall_result = Sys_continue | Sys_exit of int
+
+  type status = Cpu.status =
+    | Running
+    | Exited of int
+    | Faulted of string
+    | Integrity_fault of string
+
+  exception Integrity_violation = Cpu.Integrity_violation
+
+  (* A decoded instruction, with the registers it reads as a bitmask (bit
+     [r] for xr) for the load-use check. *)
+  type decoded = { inst : Inst.t; size : int; uses : int }
+
+  type t = {
+    regs : Bytes.t;  (** see "Register file" below *)
+    mutable pc_ : int;
+    memory : Memory.t;
+    icache_ : Cache.t;
+    dcache_ : Cache.t;
+    timing : Cpu.timing;
+    mutable cycles_ : int;
+    mutable instret : int;
+    mutable status_ : status;
+    mutable last_load_dest : int;  (** register the previous instruction loaded, or -1 *)
+    predictor : int array option;  (** bimodal 2-bit counters, pc-indexed *)
+    out : Buffer.t;
+    predecoded : decoded array array;  (** see "Fetch / decode" below *)
+  }
+
+  (* ------------------------------------------------------------------ *)
+  (* Register file                                                       *)
+  (* ------------------------------------------------------------------ *)
+
+  (* x0..x31 are stored unboxed, 8 native-endian bytes each, followed by a
+     sink slot that takes the writes to x0, so x0 always reads 0.  A
+     result is passed straight to [set64] as its argument: through a
+     function parameter the compiler may box it first. *)
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+  let sink = 32
+  let get t r = get64 t.regs (r lsl 3)
+  let dst r = (if r = 0 then sink else r) lsl 3
+
+  (* The decode cache is a page table over memory, with one slot array per
+     4 KiB page allocated at the page's first fetch; slot [i] holds the
+     decode of the pc [page base + 2i]. *)
+  let page_bits = 12
+  let page_mask = (1 lsl page_bits) - 1
+  let no_slots : decoded array = [||]
+  let undecoded = { inst = Inst.Fence; size = 0; uses = 0 }
+
+  let create ?(timing = Cpu.default_timing) ?(icache = Cache.table1_config)
+      ?(dcache = Cache.table1_config) ?(branch_predictor = false) ~memory ~pc ~sp () =
+    let t =
+      {
+        regs = Bytes.make (8 * (sink + 1)) '\000';
+        pc_ = pc;
+        memory;
+        icache_ = Cache.create icache;
+        dcache_ = Cache.create dcache;
+        timing;
+        cycles_ = 0;
+        instret = 0;
+        status_ = Running;
+        last_load_dest = -1;
+        predictor = (if branch_predictor then Some (Array.make 512 1) else None);
+        out = Buffer.create 256;
+        predecoded = Array.make ((Memory.size memory + page_mask) lsr page_bits) no_slots;
+      }
+    in
+    set64 t.regs (dst (Reg.sp :> int)) (Int64.of_int sp);
+    t
+
+  let reg t r = get t (r : Reg.t :> int)
+
+  let set_reg t r v = set64 t.regs (dst (r : Reg.t :> int)) v
+
+  let pc t = t.pc_
+  let cycles t = Int64.of_int t.cycles_
+  let instructions t = Int64.of_int t.instret
+  let icache t = t.icache_
+  let dcache t = t.dcache_
+  let output t = Buffer.contents t.out
+  let status t = t.status_
+
+  let running t =
+    match t.status_ with Running -> true | Exited _ | Faulted _ | Integrity_fault _ -> false
+
+  let add_cycles t n = t.cycles_ <- t.cycles_ + n
+  let charge_cache t cache ~addr ~write =
+    match Cache.access cache ~addr ~write with
+    | Cache.Hit -> ()
+    | Cache.Miss { writeback } ->
+      let penalty =
+        (if cache == t.icache_ then t.timing.icache_miss_penalty else t.timing.dcache_miss_penalty)
+        + if writeback then t.timing.writeback_penalty else 0
+      in
+      add_cycles t penalty
+
+  let charge_ifetch t ~addr =
+    match Cache.access t.icache_ ~addr ~write:false with
+    | Cache.Hit -> ()
+    | Cache.Miss { writeback } ->
+      add_cycles t
+        (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0)
+
+  (* ------------------------------------------------------------------ *)
+  (* 64-bit arithmetic helpers                                           *)
+  (* ------------------------------------------------------------------ *)
+
+  let sext32 v = Int64.of_int32 (Int64.to_int32 v)
+  let low32_mask = 0xFFFFFFFFL
+
+  (* The helpers below are [@inline] so that their [int64] arguments and
+     results stay unboxed inside [exec_r]. *)
+  let[@inline] mulhu a b =
+    let open Int64 in
+    let al = logand a low32_mask and ah = shift_right_logical a 32 in
+    let bl = logand b low32_mask and bh = shift_right_logical b 32 in
+    let ll = mul al bl in
+    let lh = mul al bh in
+    let hl = mul ah bl in
+    let hh = mul ah bh in
+    let mid = add (add lh (shift_right_logical ll 32)) (logand hl low32_mask) in
+    add (add hh (shift_right_logical hl 32)) (shift_right_logical mid 32)
+
+  let[@inline] mulh a b =
+    let open Int64 in
+    let r = mulhu a b in
+    let r = if compare a 0L < 0 then sub r b else r in
+    if compare b 0L < 0 then sub r a else r
+
+  let[@inline] mulhsu a b =
+    let open Int64 in
+    let r = mulhu a b in
+    if compare a 0L < 0 then sub r b else r
+
+  let[@inline] div_signed a b =
+    if b = 0L then -1L
+    else if a = Int64.min_int && b = -1L then Int64.min_int
+    else Int64.div a b
+
+  let[@inline] rem_signed a b =
+    if b = 0L then a else if a = Int64.min_int && b = -1L then 0L else Int64.rem a b
+
+  (* [Int64.unsigned_div] for a non-zero [d], which the compiler would not
+     inline from the standard library (Hacker's Delight, figure 9-3). *)
+  let[@inline] udiv n d =
+    let open Int64 in
+    if compare d 0L < 0 then if unsigned_compare n d < 0 then 0L else 1L
+    else
+      let q = shift_left (div (shift_right_logical n 1) d) 1 in
+      if unsigned_compare (sub n (mul q d)) d >= 0 then succ q else q
+
+  let[@inline] div_unsigned a b = if b = 0L then -1L else udiv a b
+  let[@inline] rem_unsigned a b = if b = 0L then a else Int64.sub a (Int64.mul (udiv a b) b)
+
+  let bool_to_i64 c = if c then 1L else 0L
+
+  (* The [exec_*] functions read their operands from and write their
+     result to the register file themselves, so that no operand or result
+     crosses a call boxed. *)
+  let exec_r t (op : Inst.r_op) rd rs1 rs2 =
+    let a = get t rs1 and b = get t rs2 in
+    let open Int64 in
+    set64 t.regs (dst rd)
+      (match op with
+      | Add -> add a b
+      | Sub -> sub a b
+      | Sll -> shift_left a (to_int (logand b 63L))
+      | Slt -> bool_to_i64 (compare a b < 0)
+      | Sltu -> bool_to_i64 (unsigned_compare a b < 0)
+      | Xor -> logxor a b
+      | Srl -> shift_right_logical a (to_int (logand b 63L))
+      | Sra -> shift_right a (to_int (logand b 63L))
+      | Or -> logor a b
+      | And -> logand a b
+      | Addw -> sext32 (add a b)
+      | Subw -> sext32 (sub a b)
+      | Sllw -> sext32 (shift_left a (to_int (logand b 31L)))
+      | Srlw -> sext32 (shift_right_logical (logand a low32_mask) (to_int (logand b 31L)))
+      | Sraw -> sext32 (shift_right (sext32 a) (to_int (logand b 31L)))
+      | Mul -> mul a b
+      | Mulh -> mulh a b
+      | Mulhsu -> mulhsu a b
+      | Mulhu -> mulhu a b
+      | Div -> div_signed a b
+      | Divu -> div_unsigned a b
+      | Rem -> rem_signed a b
+      | Remu -> rem_unsigned a b
+      | Mulw -> sext32 (mul a b)
+      | Divw ->
+        let a32 = sext32 a and b32 = sext32 b in
+        if b32 = 0L then -1L
+        else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then sext32 a32
+        else sext32 (div a32 b32)
+      (* Zero-extended, the 32-bit operands divide alike signed and
+         unsigned. *)
+      | Divuw ->
+        let a32 = logand a low32_mask and b32 = logand b low32_mask in
+        if b32 = 0L then -1L else sext32 (div a32 b32)
+      | Remw ->
+        let a32 = sext32 a and b32 = sext32 b in
+        if b32 = 0L then a32
+        else if a32 = Int64.of_int32 Int32.min_int && b32 = -1L then 0L
+        else sext32 (rem a32 b32)
+      | Remuw ->
+        let a32 = logand a low32_mask and b32 = logand b low32_mask in
+        if b32 = 0L then sext32 a32 else sext32 (rem a32 b32))
+
+  let exec_i t (op : Inst.i_op) rd rs1 imm =
+    let a = get t rs1 in
+    let open Int64 in
+    let b = of_int imm in
+    set64 t.regs (dst rd)
+      (match op with
+      | Addi -> add a b
+      | Slti -> bool_to_i64 (compare a b < 0)
+      | Sltiu -> bool_to_i64 (unsigned_compare a b < 0)
+      | Xori -> logxor a b
+      | Ori -> logor a b
+      | Andi -> logand a b
+      | Addiw -> sext32 (add a b))
+
+  let exec_shift t (op : Inst.shift_op) rd rs1 sh =
+    let a = get t rs1 in
+    let open Int64 in
+    set64 t.regs (dst rd)
+      (match op with
+      | Slli -> shift_left a sh
+      | Srli -> shift_right_logical a sh
+      | Srai -> shift_right a sh
+      | Slliw -> sext32 (shift_left a sh)
+      | Srliw -> sext32 (shift_right_logical (logand a low32_mask) sh)
+      | Sraiw -> sext32 (shift_right (sext32 a) sh))
+
+  let branch_taken t (op : Inst.branch_op) rs1 rs2 =
+    let a = get t rs1 and b = get t rs2 in
+    match op with
+    | Beq -> Int64.equal a b
+    | Bne -> not (Int64.equal a b)
+    | Blt -> Int64.compare a b < 0
+    | Bge -> Int64.compare a b >= 0
+    | Bltu -> Int64.unsigned_compare a b < 0
+    | Bgeu -> Int64.unsigned_compare a b >= 0
+
+  (* ------------------------------------------------------------------ *)
+  (* Fetch / decode                                                      *)
+  (* ------------------------------------------------------------------ *)
+
+  exception Fault of string
+
+  let decode t pc =
+    let half = Memory.read_u16 t.memory pc in
+    let inst, size =
+      if half land 0b11 = 0b11 then begin
+        let word = Memory.read_u32 t.memory pc in
+        match Decode.decode (Int32.of_int word) with
+        | Some inst -> (inst, 4)
+        | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08x at pc 0x%x" word pc))
+      end
+      else
+        match Rvc.expand half with
+        | Some inst -> (inst, 2)
+        | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
+    in
+    let uses = List.fold_left (fun m r -> m lor (1 lsl (r : Reg.t :> int))) 0 (Inst.uses inst) in
+    { inst; size; uses }
+
+  (* A pc is decoded on its first fetch and that decode is kept for the
+     whole run: a later store to the same bytes is not seen by fetch, as on
+     a core without FENCE.I.  Odd pcs, which no jump or branch produces,
+     bypass the cache and are decoded on every fetch; pcs outside memory
+     trap in [Memory.read_u16]. *)
+  let fetch_decode t =
+    let pc = t.pc_ in
+    let page = pc asr page_bits in
+    if pc < 0 || pc land 1 <> 0 || page >= Array.length t.predecoded then decode t pc
+    else begin
+      let slots =
+        let s = t.predecoded.(page) in
+        if s != no_slots then s
+        else begin
+          let s = Array.make ((page_mask + 1) lsr 1) undecoded in
+          t.predecoded.(page) <- s;
+          s
+        end
+      in
+      let i = (pc land page_mask) lsr 1 in
+      let d = slots.(i) in
+      if d != undecoded then d
+      else begin
+        let d = decode t pc in
+        slots.(i) <- d;
+        d
+      end
+    end
+
+  (* The [bits]-bit unsigned [v], sign-extended. *)
+  let sext bits v = (v lxor (1 lsl (bits - 1))) - (1 lsl (bits - 1))
+
+  (* [Memory]'s narrow accessors take and return native ints, and a
+     doubleword moves between memory and the register file's slot, so no
+     load or store boxes a value. *)
+  let load t (op : Inst.load_op) rd addr =
+    let m = t.memory and d = dst rd in
+    match op with
+    | Lb -> set64 t.regs d (Int64.of_int (sext 8 (Memory.read_u8 m addr)))
+    | Lbu -> set64 t.regs d (Int64.of_int (Memory.read_u8 m addr))
+    | Lh -> set64 t.regs d (Int64.of_int (sext 16 (Memory.read_u16 m addr)))
+    | Lhu -> set64 t.regs d (Int64.of_int (Memory.read_u16 m addr))
+    | Lw -> set64 t.regs d (Int64.of_int (sext 32 (Memory.read_u32 m addr)))
+    | Lwu -> set64 t.regs d (Int64.of_int (Memory.read_u32 m addr))
+    | Ld -> Memory.read_u64 m addr t.regs d
+
+  let store t (op : Inst.store_op) addr src =
+    let m = t.memory in
+    match op with
+    | Sb -> Memory.write_u8 m addr (Int64.to_int (get t src))
+    | Sh -> Memory.write_u16 m addr (Int64.to_int (get t src))
+    | Sw -> Memory.write_u32 m addr (Int64.to_int (get t src))
+    | Sd -> Memory.write_u64 m addr t.regs (src lsl 3)
+
+  let alignment (op : Inst.load_op) =
+    match op with Lb | Lbu -> 1 | Lh | Lhu -> 2 | Lw | Lwu -> 4 | Ld -> 8
+
+  let store_alignment (op : Inst.store_op) = match op with Sb -> 1 | Sh -> 2 | Sw -> 4 | Sd -> 8
+
+  let is_mul (op : Inst.r_op) = match op with Mul | Mulh | Mulhsu | Mulhu | Mulw -> true | _ -> false
+
+  let is_div (op : Inst.r_op) =
+    match op with Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw -> true | _ -> false
+
+  (* ------------------------------------------------------------------ *)
+  (* Syscalls                                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  let syscall t =
+    let a n = reg t (Reg.a n) in
+    match Int64.to_int (a 7) with
+    | 64 ->
+      let addr = Int64.to_int (a 1) and len = Int64.to_int (a 2) in
+      Buffer.add_bytes t.out (Memory.read_bytes t.memory ~addr ~len);
+      set_reg t (Reg.a 0) (Int64.of_int len);
+      Sys_continue
+    | 93 -> Sys_exit (Int64.to_int (a 0))
+    | n -> raise (Fault (Printf.sprintf "unsupported syscall %d at pc 0x%x" n t.pc_))
+
+  (* ------------------------------------------------------------------ *)
+  (* Step                                                                *)
+  (* ------------------------------------------------------------------ *)
+
+  (* One instruction of a [Running] core.  A fault raises; [stop] turns it
+     into the core's status. *)
+  let execute t =
+    (* The line fill precedes decode, as in silicon: a fetch-checking
+       integrity guard must get to refuse the granule before a
+       corrupted encoding can raise its own (less diagnosable) decode
+       fault. *)
+    charge_ifetch t ~addr:t.pc_;
+    let d = fetch_decode t in
+    let size = d.size in
+    add_cycles t 1;
+    (* Load-use hazard: stalls when an instruction consumes the result of
+       the immediately preceding load. *)
+    if t.last_load_dest >= 0 && d.uses land (1 lsl t.last_load_dest) <> 0 then
+      add_cycles t t.timing.load_use_stall;
+    t.last_load_dest <- -1;
+    let next_pc = ref (t.pc_ + size) in
+    (match d.inst with
+    | Inst.R (op, rd, rs1, rs2) ->
+      if is_mul op then add_cycles t t.timing.mul_extra;
+      if is_div op then add_cycles t t.timing.div_extra;
+      exec_r t op (rd :> int) (rs1 :> int) (rs2 :> int)
+    | Inst.I (op, rd, rs1, imm) -> exec_i t op (rd :> int) (rs1 :> int) imm
+    | Inst.Shift (op, rd, rs1, sh) -> exec_shift t op (rd :> int) (rs1 :> int) sh
+    | Inst.U (Lui, rd, imm) -> set64 t.regs (dst (rd :> int)) (Int64.of_int (imm lsl 12))
+    | Inst.U (Auipc, rd, imm) ->
+      set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + (imm lsl 12)))
+    | Inst.Load (op, rd, base, off) ->
+      let addr = Int64.to_int (get t (base :> int)) + off in
+      if addr land (alignment op - 1) <> 0 then
+        raise (Fault (Printf.sprintf "misaligned load at 0x%x (pc 0x%x)" addr t.pc_));
+      charge_cache t t.dcache_ ~addr ~write:false;
+      load t op (rd :> int) addr;
+      t.last_load_dest <- (rd :> int)
+    | Inst.Store (op, src, base, off) ->
+      let addr = Int64.to_int (get t (base :> int)) + off in
+      if addr land (store_alignment op - 1) <> 0 then
+        raise (Fault (Printf.sprintf "misaligned store at 0x%x (pc 0x%x)" addr t.pc_));
+      charge_cache t t.dcache_ ~addr ~write:true;
+      store t op addr (src :> int)
+    | Inst.Branch (op, rs1, rs2, off) ->
+      let taken = branch_taken t op (rs1 :> int) (rs2 :> int) in
+      if taken then next_pc := t.pc_ + off;
+      (match t.predictor with
+      | None -> if taken then add_cycles t t.timing.taken_branch_penalty
+      | Some counters ->
+        (* Bimodal 2-bit saturating counters: penalty on mispredict only. *)
+        let slot = (t.pc_ lsr 1) land (Array.length counters - 1) in
+        let predicted_taken = counters.(slot) >= 2 in
+        if predicted_taken <> taken then add_cycles t t.timing.taken_branch_penalty;
+        counters.(slot) <-
+          (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)))
+    | Inst.Jal (rd, off) ->
+      set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
+      next_pc := t.pc_ + off;
+      add_cycles t t.timing.jump_penalty
+    | Inst.Jalr (rd, rs1, imm) ->
+      let target = (Int64.to_int (get t (rs1 :> int)) + imm) land lnot 1 in
+      set64 t.regs (dst (rd :> int)) (Int64.of_int (t.pc_ + size));
+      next_pc := target;
+      add_cycles t t.timing.jalr_penalty
+    | Inst.Ecall -> (
+      match syscall t with
+      | Sys_continue -> ()
+      | Sys_exit code -> t.status_ <- Exited code)
+    | Inst.Ebreak -> raise (Fault (Printf.sprintf "ebreak at pc 0x%x" t.pc_))
+    | Inst.Fence -> ()
+    | Inst.Csrr (rd, csr) ->
+      set64 t.regs (dst (rd :> int))
+        (match csr with
+        | 0xC00 -> Int64.of_int t.cycles_
+        | 0xC01 -> Int64.of_int (t.cycles_ / 25) (* microseconds at the 25 MHz clock *)
+        | 0xC02 -> Int64.of_int t.instret
+        | _ -> raise (Fault (Printf.sprintf "unsupported CSR 0x%x at pc 0x%x" csr t.pc_))));
+    t.instret <- t.instret + 1;
+    if running t then t.pc_ <- !next_pc
+
+  let stop t = function
+    | Fault msg -> t.status_ <- Faulted msg
+    | Integrity_violation msg -> t.status_ <- Integrity_fault msg
+    | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_)
+    | e -> raise e
+
+  let step t =
+    match t.status_ with
+    | Exited _ | Faulted _ | Integrity_fault _ -> ()
+    | Running -> ( try execute t with e -> stop t e)
+end
+
+(* Everything the two cores let a caller see, but the output. *)
+type core_state = {
+  s_pc : int;
+  s_status : Cpu.status;
+  s_cycles : int;
+  s_instret : int64;
+  s_regs : int64 array;
+  s_icache : int * int * int * int;
+  s_dcache : int * int * int * int;
+}
+
+let cache_counts c =
+  let s = Cache.stats c in
+  (s.Cache.accesses, s.Cache.hits, s.Cache.misses, s.Cache.writebacks)
+
+let core_state cpu =
+  { s_pc = Cpu.pc cpu;
+    s_status = Cpu.status cpu;
+    s_cycles = Cpu.cycles cpu;
+    s_instret = Cpu.instructions cpu;
+    s_regs = Array.init 32 (fun r -> Cpu.reg cpu (Reg.of_int r));
+    s_icache = cache_counts (Cpu.icache cpu);
+    s_dcache = cache_counts (Cpu.dcache cpu) }
+
+let reference_state r =
+  { s_pc = Reference_cpu.pc r;
+    s_status = Reference_cpu.status r;
+    s_cycles = Int64.to_int (Reference_cpu.cycles r);
+    s_instret = Reference_cpu.instructions r;
+    s_regs = Array.init 32 (fun i -> Reference_cpu.reg r (Reg.of_int i));
+    s_icache = cache_counts (Reference_cpu.icache r);
+    s_dcache = cache_counts (Reference_cpu.dcache r) }
+
+let pp_core_state s =
+  let counts (a, h, m, w) = Printf.sprintf "%d/%d/%d/%d" a h m w in
+  Printf.sprintf "pc=0x%x %s cycles=%d instret=%Ld icache=%s dcache=%s regs=[%s]" s.s_pc
+    (status_label s.s_status) s.s_cycles s.s_instret (counts s.s_icache) (counts s.s_dcache)
+    (String.concat " " (Array.to_list (Array.map Int64.to_string s.s_regs)))
+
+(* Runs [image] on the core and on the reference, from the same registers
+   ([init] over the boot state), until the reference stops or has taken
+   [max_steps] steps.  The core is driven by [Cpu.step] when [chunks] is
+   empty, and otherwise by [Cpu.run_until] with the fuels in [chunks],
+   round and round; the reference steps as many times as the core did,
+   and the two states must be equal after every call. *)
+let against_reference ?branch_predictor ?(init = []) ?(max_steps = 1_000_000) ~chunks image =
+  let cpu = Soc.boot ?branch_predictor image (Soc.load image) in
+  let r =
+    Reference_cpu.create ?branch_predictor ~memory:(Soc.load image)
+      ~pc:(Program.Layout.entry_address image) ~sp:Program.Layout.stack_top ()
+  in
+  List.iter
+    (fun (reg, v) ->
+      Cpu.set_reg cpu reg v;
+      Reference_cpu.set_reg r reg v)
+    init;
+  let rec go steps call =
+    if Reference_cpu.status r <> Cpu.Running || steps >= max_steps then
+      if Cpu.output cpu = Reference_cpu.output r then Ok ()
+      else Error (Printf.sprintf "outputs %S and %S" (Cpu.output cpu) (Reference_cpu.output r))
+    else begin
+      let taken =
+        if chunks = [||] then begin
+          Cpu.step cpu;
+          1
+        end
+        else
+          Cpu.run_until cpu
+            ~fuel:(min chunks.(call mod Array.length chunks) (max_steps - steps))
+            ~cycles:max_int
+      in
+      for _ = 1 to taken do
+        Reference_cpu.step r
+      done;
+      let got = core_state cpu and expected = reference_state r in
+      if got = expected then go (steps + taken) (call + 1)
+      else
+        Error
+          (Printf.sprintf "after step %d:\n  core      %s\n  reference %s" (steps + taken)
+             (pp_core_state got) (pp_core_state expected))
+    end
+  in
+  go 0 0
+
+let all_r_ops : Inst.r_op list =
+  [ Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And; Addw; Subw; Sllw; Srlw; Sraw; Mul; Mulh;
+    Mulhsu; Mulhu; Div; Divu; Rem; Remu; Mulw; Divw; Divuw; Remw; Remuw ]
+
+let all_i_ops : Inst.i_op list = [ Addi; Slti; Sltiu; Xori; Ori; Andi; Addiw ]
+let all_shift_ops : Inst.shift_op list = [ Slli; Srli; Srai; Slliw; Srliw; Sraiw ]
+let all_load_ops : Inst.load_op list = [ Lb; Lh; Lw; Ld; Lbu; Lhu; Lwu ]
+let all_store_ops : Inst.store_op list = [ Sb; Sh; Sw; Sd ]
+let all_branch_ops : Inst.branch_op list = [ Beq; Bne; Blt; Bge; Bltu; Bgeu ]
+
+(* Straight-line programs over every instruction form and op.  Operands
+   come from a small pool, x0 included, so that results feed later
+   operands and loads feed the instructions after them.  s0 points at
+   the data segment and s1 into the text; loads, stores and jalr mostly
+   take them as base, so that most accesses and indirect jumps land. *)
+let operand_pool = [| Reg.x0; Reg.a 0; Reg.a 1; Reg.a 2; Reg.t_ 0; Reg.t_ 1 |]
+let data_ptr = Reg.s 0
+let text_ptr = Reg.s 1
+
+type straight_line = {
+  init : (Reg.t * int64) list;
+  insts : Inst.t list;
+  chunks : int array;
+  data : string;
+  branch_predictor : bool;
+}
+
+let straight_line_gen =
+  let open QCheck.Gen in
+  let reg = oneofa operand_pool in
+  let source = frequency [ (8, reg); (1, oneofl [ data_ptr; text_ptr ]) ] in
+  let simm bits = int_range (-(1 lsl (bits - 1))) ((1 lsl (bits - 1)) - 1) in
+  let even bits = map (fun v -> v land lnot 1) (simm bits) in
+  (* Mostly an aligned offset into the 256-byte data segment. *)
+  let access w =
+    frequency
+      [ (6, map (fun k -> (k * w, data_ptr)) (int_range 0 ((256 / w) - 1))); (1, pair (simm 12) reg) ]
+  in
+  let near = frequency [ (4, map (fun k -> 4 * k) (int_range 1 6)); (1, even 6); (1, even 13) ] in
+  let one =
+    frequency
+      [ (28, map4 (fun op rd a b -> [ Inst.R (op, rd, a, b) ]) (oneofl all_r_ops) reg source source);
+        (7, map4 (fun op rd a i -> [ Inst.I (op, rd, a, i) ]) (oneofl all_i_ops) reg source (simm 12));
+        ( 6,
+          oneofl all_shift_ops >>= fun op ->
+          map3
+            (fun rd a sh -> [ Inst.Shift (op, rd, a, sh) ])
+            reg source
+            (int_range 0 (match op with Slliw | Srliw | Sraiw -> 31 | Slli | Srli | Srai -> 63)) );
+        (2, map3 (fun op rd i -> [ Inst.U (op, rd, i) ]) (oneofl [ Inst.Lui; Auipc ]) reg (simm 20));
+        ( 7,
+          oneofl all_load_ops >>= fun op ->
+          map2 (fun rd (off, base) -> [ Inst.Load (op, rd, base, off) ]) reg (access (Reference_cpu.alignment op)) );
+        ( 4,
+          oneofl all_store_ops >>= fun op ->
+          map2
+            (fun v (off, base) -> [ Inst.Store (op, v, base, off) ])
+            source
+            (access (Reference_cpu.store_alignment op)) );
+        ( 6,
+          map4 (fun op a b off -> [ Inst.Branch (op, a, b, off) ]) (oneofl all_branch_ops) source
+            source near );
+        (1, map2 (fun rd off -> [ Inst.Jal (rd, off) ]) reg near);
+        ( 1,
+          map3
+            (fun rd base imm -> [ Inst.Jalr (rd, base, imm) ])
+            reg
+            (frequency [ (4, return text_ptr); (1, reg) ])
+            (frequency [ (4, map (fun k -> 4 * k) (int_range 0 40)); (1, simm 12) ]) );
+        ( 1,
+          map2
+            (fun off len ->
+              [ Inst.I (Addi, Reg.a 7, Reg.x0, 64); Inst.I (Addi, Reg.a 1, data_ptr, off);
+                Inst.I (Addi, Reg.a 2, Reg.x0, len); Inst.Ecall ])
+            (int_range 0 200) (int_range 0 16) );
+        (1, oneofl [ [ Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ]; [ Inst.Ecall ] ]);
+        (1, return [ Inst.Fence ]);
+        (1, map2 (fun rd csr -> [ Inst.Csrr (rd, csr) ]) reg (oneofl [ 0xC00; 0xC01; 0xC02 ]));
+        (1, return [ Inst.Ebreak ]) ]
+  in
+  let value =
+    frequency
+      [ (2, oneofl [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x8000_0000L; 0xFFFF_FFFFL ]);
+        (2, map Int64.of_int (int_range (-64) 64));
+        (3, ui64) ]
+  in
+  let init =
+    flatten_l (List.map (fun r -> map (fun v -> (r, v)) value) (List.tl (Array.to_list operand_pool)))
+  in
+  let body = map List.concat (list_size (int_range 1 40) one) in
+  let chunks = array_size (int_range 1 4) (int_range 1 24) in
+  map
+    (fun ((init, body), (chunks, data, branch_predictor)) ->
+      { init;
+        insts =
+          [ Inst.U (Lui, data_ptr, 0x11) (* the data base *); Inst.U (Auipc, text_ptr, 0) ]
+          @ body
+          @ [ Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ];
+        chunks;
+        data;
+        branch_predictor })
+    (pair (pair init body) (triple chunks (string_size (return 256)) bool))
+
+let print_straight_line p =
+  Printf.sprintf "registers %s, chunks [%s], predictor %b:\n%s"
+    (String.concat ", "
+       (List.map (fun (r, v) -> Printf.sprintf "%s=%Ld" (Reg.abi_name r) v) p.init))
+    (String.concat "; " (Array.to_list (Array.map string_of_int p.chunks)))
+    p.branch_predictor
+    (String.concat "\n" (List.map Disasm.inst_to_string p.insts))
+
+(* Each program runs twice: step by step, and in [Cpu.run_until] chunks,
+   where fetches from the line of the previous one are counted by the
+   core. *)
+let straight_line_matches_reference =
+  qtest ~count:400 "straight-line programs = reference core"
+    (QCheck.make ~print:print_straight_line straight_line_gen)
+    (fun p ->
+      let image = build_program ~data:(Bytes.of_string p.data) p.insts in
+      List.for_all
+        (fun chunks ->
+          match
+            against_reference ~branch_predictor:p.branch_predictor ~init:p.init ~max_steps:400
+              ~chunks image
+          with
+          | Ok () -> true
+          | Error msg -> QCheck.Test.fail_report msg)
+        [ [||]; p.chunks ])
+
+(* Entering [Cpu.run_until] forgets the line of the last fetch, so a
+   flush of the I-cache between two calls makes the next fetch miss, as
+   it does the reference's. *)
+let test_flush_between_calls_is_seen () =
+  let image = loop_program ~iters:40 () in
+  let cpu = Soc.boot image (Soc.load image) in
+  let r =
+    Reference_cpu.create ~memory:(Soc.load image) ~pc:(Program.Layout.entry_address image)
+      ~sp:Program.Layout.stack_top ()
+  in
+  while Cpu.status cpu = Cpu.Running do
+    for _ = 1 to Cpu.run_until cpu ~fuel:9 ~cycles:max_int do
+      Reference_cpu.step r
+    done;
+    Cache.flush (Cpu.icache cpu);
+    Cache.flush (Reference_cpu.icache r);
+    let got = core_state cpu and expected = reference_state r in
+    if got <> expected then
+      Alcotest.failf "core %s\nreference %s" (pp_core_state got) (pp_core_state expected)
+  done
+
+(* A fetch from a negative pc goes to the I-cache, and faults, whatever
+   the line size, also as the first fetch of a call. *)
+let test_negative_pc_fetch_reaches_cache () =
+  List.iter
+    (fun (line_bytes, pc) ->
+      let icache = { Cache.size_bytes = 64 * line_bytes; ways = 1; line_bytes } in
+      let memory () = Memory.create ~size:0x20000 in
+      let cpu = Cpu.create ~icache ~memory:(memory ()) ~pc ~sp:0x1F000 () in
+      let r = Reference_cpu.create ~icache ~memory:(memory ()) ~pc ~sp:0x1F000 () in
+      check Alcotest.int (Printf.sprintf "line %d, pc %d: one step" line_bytes pc) 1
+        (Cpu.run_until cpu ~fuel:5 ~cycles:max_int);
+      Reference_cpu.step r;
+      check Alcotest.string
+        (Printf.sprintf "line %d, pc %d" line_bytes pc)
+        (pp_core_state (reference_state r))
+        (pp_core_state (core_state cpu)))
+    [ (1, -1); (1, -2); (2, -1); (2, -2); (64, -2); (64, -64); (64, min_int); (1, min_int) ]
+
+let test_gen_programs_match_reference () =
+  for seed = 1 to 100 do
+    let source = (Eric_verif.Gen.generate ~seed:(Int64.of_int seed) ()).Eric_verif.Gen.source in
+    let image = Eric_cc.Driver.compile_exn source in
+    List.iter
+      (fun (branch_predictor, chunks) ->
+        match against_reference ~branch_predictor ~chunks image with
+        | Ok () -> ()
+        | Error msg ->
+          Alcotest.failf "Gen seed %d, predictor %b, chunks [%s]: %s" seed branch_predictor
+            (String.concat "; " (Array.to_list (Array.map string_of_int chunks)))
+            msg)
+      [ (false, [||]); (true, [||]); (false, [| 1; 7; 64; 1000 |]); (true, [| 3; 500 |]) ]
+  done
 
 let () =
   Alcotest.run "eric_sim"
@@ -1174,8 +2012,13 @@ let () =
           Alcotest.test_case "pc in data" `Quick test_decode_pc_in_data;
           Alcotest.test_case "bad pcs fault" `Quick test_decode_bad_pc_faults;
           Alcotest.test_case "ALU and branch steps allocate nothing" `Quick
-            test_steps_allocate_nothing ] );
-      ("golden", [ Alcotest.test_case "small workloads" `Quick test_golden_cycles ]);
+            test_steps_allocate_nothing;
+          Alcotest.test_case "a scrub pass allocates nothing" `Quick
+            test_scrub_pass_allocates_nothing ] );
+      ( "golden",
+        [ Alcotest.test_case "small workloads" `Quick test_golden_cycles;
+          Alcotest.test_case "large workloads" `Quick test_golden_large;
+          Alcotest.test_case "small workloads, branch predictor" `Quick test_golden_predictor ] );
       ("syscalls", [ Alcotest.test_case "write" `Quick test_write_syscall ]);
       ( "timing",
         [ Alcotest.test_case "load-use stall" `Quick test_timing_load_use_stall;
@@ -1196,4 +2039,12 @@ let () =
           Alcotest.test_case "dirty data re-enrolls" `Quick
             test_guard_reenrolls_dirty_data;
           Alcotest.test_case "scrub agrees with a full re-hash" `Quick
-            test_guard_scrub_matches_full_rehash ] ) ]
+            test_guard_scrub_matches_full_rehash ] );
+      ( "reference",
+        [ straight_line_matches_reference;
+          Alcotest.test_case "Gen programs = reference core" `Quick
+            test_gen_programs_match_reference;
+          Alcotest.test_case "a flush between calls is seen" `Quick
+            test_flush_between_calls_is_seen;
+          Alcotest.test_case "a negative pc's fetch reaches the cache" `Quick
+            test_negative_pc_fetch_reaches_cache ] ) ]
