@@ -44,10 +44,12 @@ val access : t -> addr:int -> write:bool -> outcome
 
 val credit_hits : t -> int -> unit
 (** [credit_hits t n] counts [n] accesses and [n] hits, which is all
-    {!access} does for [n] reads that repeat the remembered line.  The
-    caller must know that they did: the core counts its fetches from the
-    line of its previous fetch itself, since only fetches touch the
-    I-cache, and credits them with one call (see {!Cpu.icache}). *)
+    {!access} does for [n] reads that repeat the remembered line, or
+    writes that repeat it once it is dirty.  The caller must know that
+    they did: the core counts its fetches from the line of its previous
+    fetch itself, since only fetches touch the I-cache, and its data
+    accesses likewise, and credits each count with one call (see
+    {!Cpu.icache} and {!Cpu.dcache}). *)
 
 val flush : t -> unit
 (** Invalidate every line, the remembered one included (keeps cumulative

@@ -54,19 +54,29 @@ type kind =
    file: [rd] is the slot written (the sink for x0), [rs1] and [rs2] the
    slots read (a store's base and source).  [imm] is the immediate, the
    shift amount, the offset, the U-type value already shifted, or the
-   CSR number.  [uses] has bit [r] for each xr read, and [load_dest] is
-   the register a load writes, x0 included (-1 for other kinds): the
-   load-use check compares the two.  [inst] is kept for the trace hook. *)
+   CSR number.  [pc] is the address decoded and [fall] the one after it.
+   [uses] has bit [r] for each xr read, and [loads] bit [r] for the xr a
+   load writes, x0 included (0 for other kinds): the load-use check
+   compares the two.  [uses] also has bit [crosses_line] when [fall]
+   starts a new I-cache line.  The record keeps no [Inst.t]: the trace
+   hook's is rebuilt from it ([inst_of]), so that a run keeps one block
+   per decode.
+
+   [next] and [jump] link to the decodes of the successors that last ran
+   after this one, [fall] and any other (a branch, [jal] or [jalr]
+   target); see "Fetch / decode" below. *)
 type decoded = {
   kind : kind;
   rd : int;
   rs1 : int;
   rs2 : int;
   imm : int;
-  size : int;
+  pc : int;
+  fall : int;
   uses : int;
-  load_dest : int;
-  inst : Inst.t;
+  loads : int;
+  mutable next : decoded;
+  mutable jump : decoded;
 }
 
 type t = {
@@ -79,16 +89,19 @@ type t = {
   mutable cycles_ : int;
   mutable instret : int;
   mutable status_ : status;
-  mutable last_load_dest : int;  (** register the previous instruction loaded, or -1 *)
+  mutable last_loads : int;  (** [loads] of the previous instruction *)
   mutable trace : (pc:int -> Inst.t -> unit) option;
   mutable on_store : (addr:int -> len:int -> unit) option;
   mutable on_ifetch_miss : (addr:int -> int) option;
   predictor : int array option;  (** bimodal 2-bit counters, pc-indexed *)
   out : Buffer.t;
-  predecoded : decoded array array;  (** see "Fetch / decode" below *)
+  mutable predecoded : decoded array array;  (** see "Fetch / decode" below *)
   fetch_mask : int;  (** clears a pc's offset within its I-cache line *)
-  mutable fetch_line : int;  (** see "Fetch / decode" below *)
   mutable fetch_repeats : int;
+  data_mask : int;  (** clears an address's offset within its D-cache line *)
+  mutable data_line : int;  (** see "Step" below *)
+  mutable dirty_line : int;
+  mutable data_repeats : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -106,22 +119,19 @@ let sink = 32
 let src r = (r : Reg.t :> int) lsl 3
 let dst r = (if (r : Reg.t :> int) = 0 then sink else (r :> int)) lsl 3
 
-(* The decode cache is a page table over memory, with one slot array per
-   4 KiB page allocated at the page's first fetch; slot [i] holds the
-   decode of the pc [page base + 2i]. *)
+(* The decode cache is a page table over the memory up to the highest
+   4 KiB page fetched, with one slot array per page allocated at the
+   page's first fetch; slot [i] holds the decode of the pc
+   [page base + 2i].  Its one sentinel, at an odd pc that no link is
+   checked against, links to itself. *)
 let page_bits = 12
 let page_mask = (1 lsl page_bits) - 1
+
+let rec undecoded =
+  { kind = Fence; rd = 0; rs1 = 0; rs2 = 0; imm = 0; pc = -1; fall = -1; uses = 0; loads = 0;
+    next = undecoded; jump = undecoded }
+
 let no_slots : decoded array = [||]
-
-let undecoded =
-  { kind = Fence; rd = 0; rs1 = 0; rs2 = 0; imm = 0; size = 0; uses = 0; load_dest = -1;
-    inst = Inst.Fence }
-
-(* Entering [step] or [run_until] forgets the line of the last fetch: it
-   becomes the complement of the current pc's line, which that line
-   cannot equal, so the first fetch goes to the cache (which may have
-   been flushed or accessed since). *)
-let forget_fetch_line t = t.fetch_line <- lnot (t.pc_ land t.fetch_mask)
 
 let create ?(timing = default_timing) ?(icache = Cache.table1_config)
     ?(dcache = Cache.table1_config) ?(branch_predictor = false) ~memory ~pc ~sp () =
@@ -136,19 +146,21 @@ let create ?(timing = default_timing) ?(icache = Cache.table1_config)
       cycles_ = 0;
       instret = 0;
       status_ = Running;
-      last_load_dest = -1;
+      last_loads = 0;
       trace = None;
       on_store = None;
       on_ifetch_miss = None;
       predictor = (if branch_predictor then Some (Array.make 512 1) else None);
       out = Buffer.create 256;
-      predecoded = Array.make ((Memory.size memory + page_mask) lsr page_bits) no_slots;
+      predecoded = [||];
       fetch_mask = lnot (icache.Cache.line_bytes - 1);
-      fetch_line = 0;
       fetch_repeats = 0;
+      data_mask = lnot (dcache.Cache.line_bytes - 1);
+      data_line = -1;
+      dirty_line = -1;
+      data_repeats = 0;
     }
   in
-  forget_fetch_line t;
   set64 t.regs (dst Reg.sp) (Int64.of_int sp);
   t
 
@@ -156,16 +168,21 @@ let reg t r = get64 t.regs (src r)
 
 let set_reg t r v = set64 t.regs (dst r) v
 
-(* Fetches that repeat the last fetch's line are counted here and
-   credited to the I-cache in one call; see "Fetch / decode". *)
+(* Accesses that repeat the cache's last line are counted in the core and
+   credited in one call; see "Fetch / decode" and "Step". *)
 let credit_fetches t =
   if t.fetch_repeats > 0 then begin
     Cache.credit_hits t.icache_ t.fetch_repeats;
     t.fetch_repeats <- 0
   end
 
+let credit_data t =
+  if t.data_repeats > 0 then begin
+    Cache.credit_hits t.dcache_ t.data_repeats;
+    t.data_repeats <- 0
+  end
+
 let pc t = t.pc_
-let set_pc t pc = t.pc_ <- pc
 let cycles t = t.cycles_
 let instructions t = Int64.of_int t.instret
 
@@ -173,7 +190,10 @@ let icache t =
   credit_fetches t;
   t.icache_
 
-let dcache t = t.dcache_
+let dcache t =
+  credit_data t;
+  t.dcache_
+
 let output t = Buffer.contents t.out
 let status t = t.status_
 
@@ -188,13 +208,6 @@ let add_cycles t n = t.cycles_ <- t.cycles_ + n
 let charge = add_cycles
 
 let fault_integrity t msg = t.status_ <- Integrity_fault msg
-
-let charge_dcache t ~addr ~write =
-  match Cache.access t.dcache_ ~addr ~write with
-  | Cache.Hit -> ()
-  | Cache.Miss { writeback } ->
-    add_cycles t
-      (t.timing.dcache_miss_penalty + if writeback then t.timing.writeback_penalty else 0)
 
 (* ------------------------------------------------------------------ *)
 (* 64-bit arithmetic helpers                                           *)
@@ -303,97 +316,175 @@ let branch_kind : Inst.branch_op -> kind = function
 
 let bit r = 1 lsl (r : Reg.t :> int)
 
-let flat inst size kind rd rs1 rs2 imm uses load_dest =
-  { kind; rd; rs1; rs2; imm; size; uses; load_dest; inst }
+(* Above the 32 register bits of [uses]. *)
+let crosses_line = 1 lsl 32
 
-let flatten inst size =
+let flat t pc size kind rd rs1 rs2 imm uses loads =
+  let fall = pc + size in
+  let uses = if (pc lxor fall) land t.fetch_mask = 0 then uses else uses lor crosses_line in
+  { kind; rd; rs1; rs2; imm; pc; fall; uses; loads; next = undecoded; jump = undecoded }
+
+let flatten t inst pc size =
   let x0 = src Reg.x0 and none = dst Reg.x0 in
   match inst with
   | Inst.R (op, rd, rs1, rs2) ->
-    flat inst size (r_kind op) (dst rd) (src rs1) (src rs2) 0 (bit rs1 lor bit rs2) (-1)
-  | Inst.I (op, rd, rs1, imm) -> flat inst size (i_kind op) (dst rd) (src rs1) x0 imm (bit rs1) (-1)
+    flat t pc size (r_kind op) (dst rd) (src rs1) (src rs2) 0 (bit rs1 lor bit rs2) 0
+  | Inst.I (op, rd, rs1, imm) ->
+    flat t pc size (i_kind op) (dst rd) (src rs1) x0 imm (bit rs1) 0
   | Inst.Shift (op, rd, rs1, sh) ->
-    flat inst size (shift_kind op) (dst rd) (src rs1) x0 sh (bit rs1) (-1)
-  | Inst.U (Lui, rd, imm) -> flat inst size Lui (dst rd) x0 x0 (imm lsl 12) 0 (-1)
-  | Inst.U (Auipc, rd, imm) -> flat inst size Auipc (dst rd) x0 x0 (imm lsl 12) 0 (-1)
+    flat t pc size (shift_kind op) (dst rd) (src rs1) x0 sh (bit rs1) 0
+  | Inst.U (Lui, rd, imm) -> flat t pc size Lui (dst rd) x0 x0 (imm lsl 12) 0 0
+  | Inst.U (Auipc, rd, imm) -> flat t pc size Auipc (dst rd) x0 x0 (imm lsl 12) 0 0
   | Inst.Load (op, rd, base, off) ->
-    flat inst size (load_kind op) (dst rd) (src base) x0 off (bit base) (rd :> int)
+    flat t pc size (load_kind op) (dst rd) (src base) x0 off (bit base) (bit rd)
   | Inst.Store (op, value, base, off) ->
-    flat inst size (store_kind op) none (src base) (src value) off (bit value lor bit base) (-1)
+    flat t pc size (store_kind op) none (src base) (src value) off (bit value lor bit base) 0
   | Inst.Branch (op, rs1, rs2, off) ->
-    flat inst size (branch_kind op) none (src rs1) (src rs2) off (bit rs1 lor bit rs2) (-1)
-  | Inst.Jal (rd, off) -> flat inst size Jal (dst rd) x0 x0 off 0 (-1)
-  | Inst.Jalr (rd, rs1, imm) -> flat inst size Jalr (dst rd) (src rs1) x0 imm (bit rs1) (-1)
-  | Inst.Ecall -> flat inst size Ecall none x0 x0 0 0 (-1)
-  | Inst.Ebreak -> flat inst size Ebreak none x0 x0 0 0 (-1)
-  | Inst.Fence -> flat inst size Fence none x0 x0 0 0 (-1)
-  | Inst.Csrr (rd, csr) -> flat inst size Csrr (dst rd) x0 x0 csr 0 (-1)
+    flat t pc size (branch_kind op) none (src rs1) (src rs2) off (bit rs1 lor bit rs2) 0
+  | Inst.Jal (rd, off) -> flat t pc size Jal (dst rd) x0 x0 off 0 0
+  | Inst.Jalr (rd, rs1, imm) -> flat t pc size Jalr (dst rd) (src rs1) x0 imm (bit rs1) 0
+  | Inst.Ecall -> flat t pc size Ecall none x0 x0 0 0 0
+  | Inst.Ebreak -> flat t pc size Ebreak none x0 x0 0 0 0
+  | Inst.Fence -> flat t pc size Fence none x0 x0 0 0 0
+  | Inst.Csrr (rd, csr) -> flat t pc size Csrr (dst rd) x0 x0 csr 0 0
+
+(* The instruction [flatten] made [d] from. *)
+let inst_of d =
+  let reg slot = Reg.of_int (if slot = sink lsl 3 then 0 else slot lsr 3) in
+  let rd = reg d.rd and rs1 = reg d.rs1 and rs2 = reg d.rs2 and imm = d.imm in
+  let r op = Inst.R (op, rd, rs1, rs2) and i op = Inst.I (op, rd, rs1, imm) in
+  let shift op = Inst.Shift (op, rd, rs1, imm) and load op = Inst.Load (op, rd, rs1, imm) in
+  let store op = Inst.Store (op, rs2, rs1, imm) and branch op = Inst.Branch (op, rs1, rs2, imm) in
+  match d.kind with
+  | Add -> r Add | Sub -> r Sub | Sll -> r Sll | Slt -> r Slt | Sltu -> r Sltu | Xor -> r Xor
+  | Srl -> r Srl | Sra -> r Sra | Or -> r Or | And -> r And
+  | Addw -> r Addw | Subw -> r Subw | Sllw -> r Sllw | Srlw -> r Srlw | Sraw -> r Sraw
+  | Mul -> r Mul | Mulh -> r Mulh | Mulhsu -> r Mulhsu | Mulhu -> r Mulhu
+  | Div -> r Div | Divu -> r Divu | Rem -> r Rem | Remu -> r Remu
+  | Mulw -> r Mulw | Divw -> r Divw | Divuw -> r Divuw | Remw -> r Remw | Remuw -> r Remuw
+  | Addi -> i Addi | Slti -> i Slti | Sltiu -> i Sltiu | Xori -> i Xori | Ori -> i Ori
+  | Andi -> i Andi | Addiw -> i Addiw
+  | Slli -> shift Slli | Srli -> shift Srli | Srai -> shift Srai | Slliw -> shift Slliw
+  | Srliw -> shift Srliw | Sraiw -> shift Sraiw
+  | Lui -> Inst.U (Lui, rd, imm asr 12) | Auipc -> Inst.U (Auipc, rd, imm asr 12)
+  | Lb -> load Lb | Lh -> load Lh | Lw -> load Lw | Ld -> load Ld | Lbu -> load Lbu
+  | Lhu -> load Lhu | Lwu -> load Lwu
+  | Sb -> store Sb | Sh -> store Sh | Sw -> store Sw | Sd -> store Sd
+  | Beq -> branch Beq | Bne -> branch Bne | Blt -> branch Blt | Bge -> branch Bge
+  | Bltu -> branch Bltu | Bgeu -> branch Bgeu
+  | Jal -> Inst.Jal (rd, imm) | Jalr -> Inst.Jalr (rd, rs1, imm)
+  | Ecall -> Inst.Ecall | Ebreak -> Inst.Ebreak | Fence -> Inst.Fence | Csrr -> Inst.Csrr (rd, imm)
 
 let decode t pc =
   let half = Memory.read_u16 t.memory pc in
   if half land 0b11 = 0b11 then begin
     let word = Memory.read_u32 t.memory pc in
     match Decode.decode (Int32.of_int word) with
-    | Some inst -> flatten inst 4
+    | Some inst -> flatten t inst pc 4
     | None -> raise (Fault (Printf.sprintf "invalid instruction 0x%08x at pc 0x%x" word pc))
   end
   else
     match Rvc.expand half with
-    | Some inst -> flatten inst 2
+    | Some inst -> flatten t inst pc 2
     | None -> raise (Fault (Printf.sprintf "invalid compressed parcel 0x%04x at pc 0x%x" half pc))
+
+(* The slots of [page], growing the table to it and allocating them at
+   the page's first decode. *)
+let page_slots t page =
+  let table = t.predecoded in
+  if page >= Array.length table then begin
+    let grown = Array.make (page + 1) no_slots in
+    Array.blit table 0 grown 0 (Array.length table);
+    t.predecoded <- grown
+  end;
+  let s = t.predecoded.(page) in
+  if s != no_slots then s
+  else begin
+    let s = Array.make ((page_mask + 1) lsr 1) undecoded in
+    t.predecoded.(page) <- s;
+    s
+  end
 
 (* A pc is decoded on its first fetch and that decode is kept for the
    whole run: a later store to the same bytes is not seen by fetch, as on
    a core without FENCE.I.  Odd pcs, which no jump or branch produces,
    bypass the cache and are decoded on every fetch; pcs outside memory
    (a negative one's page is past the table too) trap in
-   [Memory.read_u16]. *)
+   [Memory.read_u16] before the table grows. *)
 let fetch_decode t pc =
-  let page = pc lsr page_bits in
-  if pc land 1 <> 0 || page >= Array.length t.predecoded then decode t pc
+  if pc land 1 <> 0 then decode t pc
   else begin
-    let slots =
-      let s = t.predecoded.(page) in
-      if s != no_slots then s
-      else begin
-        let s = Array.make ((page_mask + 1) lsr 1) undecoded in
-        t.predecoded.(page) <- s;
-        s
-      end
+    let page = pc lsr page_bits and i = (pc land page_mask) lsr 1 in
+    let table = t.predecoded in
+    let d =
+      if page < Array.length table && table.(page) != no_slots then table.(page).(i)
+      else undecoded
     in
-    let i = (pc land page_mask) lsr 1 in
-    let d = slots.(i) in
     if d != undecoded then d
     else begin
       let d = decode t pc in
-      slots.(i) <- d;
+      (page_slots t page).(i) <- d;
       d
     end
   end
 
-(* The I-side charge.  Only fetches touch the I-cache, so a fetch from
-   the line of the previous one is exactly [Cache.access]'s repeat-line
-   hit: one access and one hit, no change to the LRU order or the clock.
-   Those fetches are only counted, and [credit_fetches] passes the count
-   on before [step], [run_until] and [icache] return.  A line is named by
-   its first address.  A negative pc's is negative, unlike any other
-   pc's, and a negative pc ends the run, so it always reaches the
-   cache.
+(* The I-side charge of a fetch that goes to the cache.  On a miss the
+   line is filled from memory, which is where a fetch-checking integrity
+   guard re-hashes the granule being filled (and may raise
+   {!Integrity_violation}). *)
+let fill t pc =
+  match Cache.access t.icache_ ~addr:pc ~write:false with
+  | Cache.Hit -> ()
+  | Cache.Miss { writeback } -> (
+    add_cycles t
+      (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0);
+    match t.on_ifetch_miss with Some hook -> add_cycles t (hook ~addr:pc) | None -> ())
 
-   Any other fetch goes to the cache.  On a miss the line is filled from
-   memory, which is where a fetch-checking integrity guard re-hashes the
-   granule being filled (and may raise {!Integrity_violation}). *)
-let fetch t pc =
-  let line = pc land t.fetch_mask in
-  if line = t.fetch_line then t.fetch_repeats <- t.fetch_repeats + 1
+(* The fetch and decode of the pc that follows [prev], as [fill] and
+   [fetch_decode] would make them.
+
+   Only fetches touch the I-cache, so a fetch from the line of the
+   previous one is exactly [Cache.access]'s repeat-line hit: one access
+   and one hit, no change to the LRU order or the clock.  Those fetches
+   are only counted, and [credit_fetches] passes the count on before
+   [step], [run_until] and [icache] return.  Whether [fall] shares
+   [prev]'s line is known at decode; any other pc is compared.  The
+   first fetch of a call has no previous one in the call and always
+   goes to the cache, which may have been flushed or accessed since the
+   last.  A line is named by its first address: a negative pc's is
+   negative, unlike that of any pc that decoded, so a negative pc always
+   reaches the cache (and ends the run).
+
+   The decode is [prev]'s link when the link is that pc's: a link is set
+   only to a decode the table holds, after that pc's first fetch, so
+   following it is the table lookup.  [next] is only ever set to the
+   decode of [fall], so it is that pc's once set; [jump] is compared.
+   Otherwise the pc is looked up (and decoded at its first fetch), and
+   the link set to the result.  Odd pcs are never linked to, as the
+   table never holds them. *)
+let[@inline] follow t prev =
+  let pc = t.pc_ in
+  if pc = prev.fall then begin
+    if prev.uses land crosses_line <> 0 then fill t pc
+    else t.fetch_repeats <- t.fetch_repeats + 1;
+    let d = prev.next in
+    if d != undecoded then d
+    else begin
+      let d = fetch_decode t pc in
+      if pc land 1 = 0 then prev.next <- d;
+      d
+    end
+  end
   else begin
-    (match Cache.access t.icache_ ~addr:pc ~write:false with
-    | Cache.Hit -> ()
-    | Cache.Miss { writeback } -> (
-      add_cycles t
-        (t.timing.icache_miss_penalty + if writeback then t.timing.writeback_penalty else 0);
-      match t.on_ifetch_miss with Some hook -> add_cycles t (hook ~addr:pc) | None -> ()));
-    t.fetch_line <- line
+    if (pc lxor prev.pc) land t.fetch_mask = 0 then t.fetch_repeats <- t.fetch_repeats + 1
+    else fill t pc;
+    let d = prev.jump in
+    if d.pc = pc then d
+    else begin
+      let d = fetch_decode t pc in
+      if pc land 1 = 0 then prev.jump <- d;
+      d
+    end
   end
 
 (* The [bits]-bit unsigned [v], sign-extended. *)
@@ -421,12 +512,40 @@ let syscall t =
 let misaligned what addr pc =
   raise (Fault (Printf.sprintf "misaligned %s at 0x%x (pc 0x%x)" what addr pc))
 
+(* The D-side charge of an access that goes to the cache, after which
+   the core knows the access's line, and knows it dirty after a write. *)
+let charge_dcache t ~addr ~write =
+  (match Cache.access t.dcache_ ~addr ~write with
+  | Cache.Hit -> ()
+  | Cache.Miss { writeback } ->
+    add_cycles t
+      (t.timing.dcache_miss_penalty + if writeback then t.timing.writeback_penalty else 0));
+  let line = addr land t.data_mask in
+  t.data_line <- line;
+  t.dirty_line <- (if write then line else -1)
+
 (* A load's or store's address, charged to the D-cache once it is known
-   to be a multiple of [align]. *)
-let[@inline] data_address t d pc ~align ~write =
+   to be a multiple of [align].
+
+   Only loads and stores touch the D-cache, so a read from the line of
+   the previous access, and a write to it once a write has made it
+   dirty, are exactly [Cache.access]'s repeat-line hit: one access and
+   one hit, the dirty bit already set.  The core counts them, and
+   [credit_data] passes the count on before [step], [run_until] and
+   [dcache] return.  Any other write goes to the cache, which sets the
+   dirty bit.  Entering [run_until] forgets the line ([-1], which no
+   line is), so the first access of a call goes to the cache.  A
+   negative address is tested with the alignment and also goes to the
+   cache (and then traps in [Memory]). *)
+let[@inline] data_address t d ~align ~write =
   let addr = Int64.to_int (get64 t.regs d.rs1) + d.imm in
-  if addr land (align - 1) <> 0 then misaligned (if write then "store" else "load") addr pc;
-  charge_dcache t ~addr ~write;
+  if addr land (min_int lor (align - 1)) <> 0 then begin
+    if addr land (align - 1) <> 0 then misaligned (if write then "store" else "load") addr d.pc;
+    charge_dcache t ~addr ~write
+  end
+  else if addr land t.data_mask = if write then t.dirty_line else t.data_line then
+    t.data_repeats <- t.data_repeats + 1
+  else charge_dcache t ~addr ~write;
   addr
 
 let stored t addr len = match t.on_store with Some hook -> hook ~addr ~len | None -> ()
@@ -446,27 +565,20 @@ let[@inline] branch t pc next off taken =
       (if taken then min 3 (counters.(slot) + 1) else max 0 (counters.(slot) - 1)));
   if taken then pc + off else next
 
-(* One instruction of a [Running] core: one dispatch on the decoded
-   kind, whose arm reads its operands, charges its extra cycles and
-   returns the next pc.  A fault raises; [stop] turns it into the core's
-   status. *)
-let execute t =
-  let pc = t.pc_ in
-  (* The line fill precedes decode, as in silicon: a fetch-checking
-     integrity guard must get to refuse the granule before a
-     corrupted encoding can raise its own (less diagnosable) decode
-     fault. *)
-  fetch t pc;
-  let d = fetch_decode t pc in
-  (match t.trace with Some hook -> hook ~pc d.inst | None -> ());
+(* One instruction of a [Running] core, the decode [d] of its pc, once
+   fetched: one dispatch on the decoded kind, whose arm reads its
+   operands, charges its extra cycles and returns the next pc.  A fault
+   raises; [stop] turns it into the core's status. *)
+let execute t d =
+  let pc = d.pc in
+  (match t.trace with Some hook -> hook ~pc (inst_of d) | None -> ());
   add_cycles t 1;
   (* Load-use hazard: stalls when an instruction consumes the result of
      the immediately preceding load. *)
-  let last = t.last_load_dest in
-  if last >= 0 && d.uses land (1 lsl last) <> 0 then add_cycles t t.timing.load_use_stall;
-  t.last_load_dest <- d.load_dest;
+  if d.uses land t.last_loads <> 0 then add_cycles t t.timing.load_use_stall;
+  t.last_loads <- d.loads;
   let r = t.regs and m = t.memory in
-  let next = pc + d.size in
+  let next = d.fall in
   let open Int64 in
   let next =
     match d.kind with
@@ -575,50 +687,50 @@ let execute t =
        doubleword moves between memory and the register file's slot, so
        no load or store boxes a value. *)
     | Lb ->
-      let addr = data_address t d pc ~align:1 ~write:false in
+      let addr = data_address t d ~align:1 ~write:false in
       set64 r d.rd (of_int (sext 8 (Memory.read_u8 m addr)));
       next
     | Lbu ->
-      let addr = data_address t d pc ~align:1 ~write:false in
+      let addr = data_address t d ~align:1 ~write:false in
       set64 r d.rd (of_int (Memory.read_u8 m addr));
       next
     | Lh ->
-      let addr = data_address t d pc ~align:2 ~write:false in
+      let addr = data_address t d ~align:2 ~write:false in
       set64 r d.rd (of_int (sext 16 (Memory.read_u16 m addr)));
       next
     | Lhu ->
-      let addr = data_address t d pc ~align:2 ~write:false in
+      let addr = data_address t d ~align:2 ~write:false in
       set64 r d.rd (of_int (Memory.read_u16 m addr));
       next
     | Lw ->
-      let addr = data_address t d pc ~align:4 ~write:false in
+      let addr = data_address t d ~align:4 ~write:false in
       set64 r d.rd (of_int (sext 32 (Memory.read_u32 m addr)));
       next
     | Lwu ->
-      let addr = data_address t d pc ~align:4 ~write:false in
+      let addr = data_address t d ~align:4 ~write:false in
       set64 r d.rd (of_int (Memory.read_u32 m addr));
       next
     | Ld ->
-      let addr = data_address t d pc ~align:8 ~write:false in
+      let addr = data_address t d ~align:8 ~write:false in
       Memory.read_u64 m addr r d.rd;
       next
     | Sb ->
-      let addr = data_address t d pc ~align:1 ~write:true in
+      let addr = data_address t d ~align:1 ~write:true in
       Memory.write_u8 m addr (to_int (get64 r d.rs2));
       stored t addr 1;
       next
     | Sh ->
-      let addr = data_address t d pc ~align:2 ~write:true in
+      let addr = data_address t d ~align:2 ~write:true in
       Memory.write_u16 m addr (to_int (get64 r d.rs2));
       stored t addr 2;
       next
     | Sw ->
-      let addr = data_address t d pc ~align:4 ~write:true in
+      let addr = data_address t d ~align:4 ~write:true in
       Memory.write_u32 m addr (to_int (get64 r d.rs2));
       stored t addr 4;
       next
     | Sd ->
-      let addr = data_address t d pc ~align:8 ~write:true in
+      let addr = data_address t d ~align:8 ~write:true in
       Memory.write_u64 m addr r d.rs2;
       stored t addr 8;
       next
@@ -656,7 +768,9 @@ let execute t =
       next
   in
   t.instret <- t.instret + 1;
-  if running t then t.pc_ <- next
+  (* An exit, the one way a step ends the run without raising, returns
+     its own pc, so a stopped core's pc stays where it stopped. *)
+  t.pc_ <- next
 
 let stop t = function
   | Fault msg -> t.status_ <- Faulted msg
@@ -664,31 +778,39 @@ let stop t = function
   | Memory.Trap msg -> t.status_ <- Faulted (msg ^ Printf.sprintf " (pc 0x%x)" t.pc_)
   | e -> raise e
 
-(* The one fetch of a [step] follows [forget_fetch_line], so it goes to
-   the cache and leaves nothing to credit. *)
-let step t =
-  match t.status_ with
-  | Exited _ | Faulted _ | Integrity_fault _ -> ()
-  | Running -> (
-    forget_fetch_line t;
-    try execute t with e -> stop t e)
-
-(* One handler for the whole loop, not one per instruction.  The step
-   that faults counts, as with [step]; the core is then no longer
-   [Running], so the loop would have stopped there anyway. *)
+(* One handler for the whole loop, not one per instruction; the step
+   that faults counts.  The first step fetches through the cache and
+   decodes through the table, and each later one follows its
+   predecessor's decode.  The line fill precedes decode, as in silicon:
+   a fetch-checking integrity guard must get to refuse the granule
+   before a corrupted encoding can raise its own (less diagnosable)
+   decode fault. *)
 let run_until t ~fuel ~cycles =
-  forget_fetch_line t;
+  t.data_line <- -1;
+  t.dirty_line <- -1;
   let steps = ref 0 in
   (try
-     while running t && !steps < fuel && t.cycles_ < cycles do
-       execute t;
-       incr steps
-     done
+     if running t && fuel > 0 && t.cycles_ < cycles then begin
+       let pc = t.pc_ in
+       fill t pc;
+       let d = ref (fetch_decode t pc) in
+       execute t !d;
+       steps := 1;
+       while running t && !steps < fuel && t.cycles_ < cycles do
+         let next = follow t !d in
+         d := next;
+         execute t next;
+         incr steps
+       done
+     end
    with e ->
      incr steps;
      stop t e);
   credit_fetches t;
+  credit_data t;
   !steps
+
+let step t = ignore (run_until t ~fuel:1 ~cycles:max_int)
 
 let run ?(fuel = 50_000_000) t =
   ignore (run_until t ~fuel ~cycles:max_int);

@@ -45,7 +45,6 @@ val create :
 val reg : t -> Eric_rv.Reg.t -> int64
 val set_reg : t -> Eric_rv.Reg.t -> int64 -> unit
 val pc : t -> int
-val set_pc : t -> int -> unit
 
 val cycles : t -> int
 (** Core cycles so far; a native [int], so that a caller polling it
@@ -64,6 +63,14 @@ val icache : t -> Cache.t
     made from a hook during a call is not. *)
 
 val dcache : t -> Cache.t
+(** The D-cache.  Only loads and stores touch it, so a read from the
+    line of the previous access in the same {!step} or {!run_until}
+    call, and a write to that line once a write in the call has made it
+    dirty, are repeat-line hits, which the core counts itself; it
+    credits them as {!icache} does.  Any other access, every write to a
+    line not known dirty included, goes to {!Cache.access}, which sets
+    the dirty bit. *)
+
 val output : t -> string
 (** Everything the program wrote to stdout via the write syscall. *)
 

@@ -933,6 +933,32 @@ let test_decode_once_stale_text () =
     (Int32.to_int (Encode.encode patch) land 0xFFFF_FFFF)
     (Memory.read_u32 memory (Program.Layout.text_base + 24))
 
+(* Decode comes at a pc's first fetch, not ahead of it: a store into a
+   later instruction of the same straight-line run, made before that
+   instruction's first fetch, is what runs. *)
+let test_decode_store_ahead_seen () =
+  let a n = Reg.a n in
+  let patch = Inst.I (Addi, a 0, Reg.x0, 7) in
+  let data = Bytes.create 4 in
+  Bytes.set_int32_le data 0 (Encode.encode patch);
+  let image =
+    build_program ~data
+      [ Inst.U (Lui, a 1, 0x10); Inst.I (Addi, a 1, a 1, 24) (* a1 = instruction 6 *);
+        Inst.U (Lui, a 2, 0x11); Inst.Load (Lw, Reg.t_ 2, a 2, 0) (* t2 = the patch *);
+        Inst.Store (Sw, Reg.t_ 2, a 1, 0); Inst.I (Addi, a 7, Reg.x0, 93);
+        Inst.I (Addi, a 0, Reg.x0, 1) (* patched before it is fetched *); Inst.Ecall ]
+  in
+  let stepped = Soc.boot image (Soc.load image) in
+  while Cpu.status stepped = Cpu.Running do
+    Cpu.step stepped
+  done;
+  List.iter
+    (fun (how, status) ->
+      match status with
+      | Cpu.Exited code -> check Alcotest.int (how ^ ": the patched instruction ran") 7 code
+      | _ -> Alcotest.failf "%s: did not exit" how)
+    [ ("run", Cpu.run (Soc.boot image (Soc.load image))); ("step", Cpu.status stepped) ]
+
 let test_decode_pc_in_data () =
   let data = Bytes.create 12 in
   List.iteri
@@ -962,6 +988,18 @@ let test_decode_bad_pc_faults () =
     (run_at (Program.Layout.memory_size - 1));
   expect_fault "negative pc"
     "memory access out of bounds: 0x7ffffffffffffffe (+2) (pc 0x7ffffffffffffffe)" (run_at (-2))
+
+(* The decode table grows with the pages fetched, so a core costs little
+   before it runs.  [Gc.allocated_bytes] also counts what goes straight
+   to the major heap, as a large table would. *)
+let test_boot_allocates_little () =
+  let image = loop_program () in
+  let memory = Soc.load image in
+  let before = Gc.allocated_bytes () in
+  let cpu = Soc.boot image memory in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity cpu);
+  check Alcotest.bool (Printf.sprintf "%.0f words" words) true (words < 1000.)
 
 let test_steps_allocate_nothing () =
   let image = loop_program ~iters:2000 () in
@@ -1746,18 +1784,24 @@ let pp_core_state s =
     (status_label s.s_status) s.s_cycles s.s_instret (counts s.s_icache) (counts s.s_dcache)
     (String.concat " " (Array.to_list (Array.map Int64.to_string s.s_regs)))
 
+(* One [Cpu.run_until] call: with a fuel, or to a cycle deadline this
+   many cycles past the core's count. *)
+type chunk = Fuel of int | Cycles of int
+
+let chunk_label = function Fuel n -> Printf.sprintf "fuel %d" n | Cycles k -> Printf.sprintf "cycles +%d" k
+
 (* Runs [image] on the core and on the reference, from the same registers
    ([init] over the boot state), until the reference stops or has taken
    [max_steps] steps.  The core is driven by [Cpu.step] when [chunks] is
-   empty, and otherwise by [Cpu.run_until] with the fuels in [chunks],
-   round and round; the reference steps as many times as the core did,
-   and the two states must be equal after every call. *)
-let against_reference ?branch_predictor ?(init = []) ?(max_steps = 1_000_000) ~chunks image =
-  let cpu = Soc.boot ?branch_predictor image (Soc.load image) in
-  let r =
-    Reference_cpu.create ?branch_predictor ~memory:(Soc.load image)
-      ~pc:(Program.Layout.entry_address image) ~sp:Program.Layout.stack_top ()
-  in
+   empty, and otherwise by [Cpu.run_until] with the chunks in [chunks],
+   round and round.  The reference steps until the same fuel or cycle
+   deadline stops it; it must take as many steps as the core did, and
+   the two states must be equal after every call. *)
+let against_reference ?branch_predictor ?dcache ?(init = []) ?(max_steps = 1_000_000) ~chunks
+    image =
+  let pc = Program.Layout.entry_address image and sp = Program.Layout.stack_top in
+  let cpu = Cpu.create ?branch_predictor ?dcache ~memory:(Soc.load image) ~pc ~sp () in
+  let r = Reference_cpu.create ?branch_predictor ?dcache ~memory:(Soc.load image) ~pc ~sp () in
   List.iter
     (fun (reg, v) ->
       Cpu.set_reg cpu reg v;
@@ -1768,19 +1812,34 @@ let against_reference ?branch_predictor ?(init = []) ?(max_steps = 1_000_000) ~c
       if Cpu.output cpu = Reference_cpu.output r then Ok ()
       else Error (Printf.sprintf "outputs %S and %S" (Cpu.output cpu) (Reference_cpu.output r))
     else begin
+      let fuel, cycles =
+        if chunks = [||] then (1, max_int)
+        else
+          let fuel = max_steps - steps in
+          match chunks.(call mod Array.length chunks) with
+          | Fuel n -> (min n fuel, max_int)
+          | Cycles k -> (fuel, Cpu.cycles cpu + k)
+      in
       let taken =
         if chunks = [||] then begin
           Cpu.step cpu;
           1
         end
-        else
-          Cpu.run_until cpu
-            ~fuel:(min chunks.(call mod Array.length chunks) (max_steps - steps))
-            ~cycles:max_int
+        else Cpu.run_until cpu ~fuel ~cycles
       in
-      for _ = 1 to taken do
-        Reference_cpu.step r
+      (* The reference stops by the same rule, one step at a time. *)
+      let stepped = ref 0 in
+      while
+        Reference_cpu.status r = Cpu.Running
+        && !stepped < fuel
+        && Int64.to_int (Reference_cpu.cycles r) < cycles
+      do
+        Reference_cpu.step r;
+        incr stepped
       done;
+      if taken <> !stepped then
+        Error (Printf.sprintf "after step %d: the core took %d steps, the reference %d" steps taken !stepped)
+      else
       let got = core_state cpu and expected = reference_state r in
       if got = expected then go (steps + taken) (call + 1)
       else
@@ -1813,10 +1872,15 @@ let text_ptr = Reg.s 1
 type straight_line = {
   init : (Reg.t * int64) list;
   insts : Inst.t list;
-  chunks : int array;
+  chunks : chunk array;
   data : string;
   branch_predictor : bool;
+  small_dcache : bool;
 }
+
+(* One set of two 64-byte lines, so that the four lines of the data
+   segment evict each other, dirty ones included. *)
+let small_dcache = { Cache.size_bytes = 128; ways = 2; line_bytes = 64 }
 
 let straight_line_gen =
   let open QCheck.Gen in
@@ -1881,9 +1945,14 @@ let straight_line_gen =
     flatten_l (List.map (fun r -> map (fun v -> (r, v)) value) (List.tl (Array.to_list operand_pool)))
   in
   let body = map List.concat (list_size (int_range 1 40) one) in
-  let chunks = array_size (int_range 1 4) (int_range 1 24) in
+  let chunk =
+    frequency
+      [ (3, map (fun n -> Fuel n) (int_range 1 24)); (1, return (Cycles 1));
+        (2, map (fun k -> Cycles k) (int_range 1 64)) ]
+  in
+  let chunks = array_size (int_range 1 4) chunk in
   map
-    (fun ((init, body), (chunks, data, branch_predictor)) ->
+    (fun ((init, body), (chunks, data, (branch_predictor, small_dcache))) ->
       { init;
         insts =
           [ Inst.U (Lui, data_ptr, 0x11) (* the data base *); Inst.U (Auipc, text_ptr, 0) ]
@@ -1891,20 +1960,86 @@ let straight_line_gen =
           @ [ Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ];
         chunks;
         data;
-        branch_predictor })
-    (pair (pair init body) (triple chunks (string_size (return 256)) bool))
+        branch_predictor;
+        small_dcache })
+    (pair (pair init body) (triple chunks (string_size (return 256)) (pair bool bool)))
 
 let print_straight_line p =
-  Printf.sprintf "registers %s, chunks [%s], predictor %b:\n%s"
+  Printf.sprintf "registers %s, chunks [%s], predictor %b, small D-cache %b:\n%s"
     (String.concat ", "
        (List.map (fun (r, v) -> Printf.sprintf "%s=%Ld" (Reg.abi_name r) v) p.init))
-    (String.concat "; " (Array.to_list (Array.map string_of_int p.chunks)))
-    p.branch_predictor
+    (String.concat "; " (Array.to_list (Array.map chunk_label p.chunks)))
+    p.branch_predictor p.small_dcache
     (String.concat "\n" (List.map Disasm.inst_to_string p.insts))
 
+(* The trace hook sees every instruction, as decoded, and changes
+   nothing: a traced run reports what an untraced one does, and the hook
+   fires once per instruction with the instruction at its pc.  One
+   program runs every op once, in order. *)
+let test_traced_run_equals_untraced () =
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      let image = Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small in
+      List.iter
+        (fun guard ->
+          let name =
+            w.Eric_workloads.Workloads.name ^ " "
+            ^ Eric_hw.Guard.mechanism_name guard.Eric_hw.Guard.mechanism
+          in
+          let run ?trace memory = Soc.run_loaded ~guard ?trace ~load_cycles:0L image memory in
+          let untraced = run (Soc.load image) in
+          let memory = Soc.load image and fired = ref 0 in
+          let trace ~pc inst =
+            incr fired;
+            let half = Memory.read_u16 memory pc in
+            let decoded =
+              if half land 0b11 = 0b11 then Decode.decode (Int32.of_int (Memory.read_u32 memory pc))
+              else Rvc.expand half
+            in
+            if decoded <> Some inst then
+              Alcotest.failf "%s: traced %s at pc 0x%x" name (Disasm.inst_to_string inst) pc
+          in
+          let traced = run ~trace memory in
+          check Alcotest.bool (name ^ ": same result") true (traced = untraced);
+          check Alcotest.int (name ^ ": one call per instruction")
+            (Int64.to_int traced.Soc.instructions) !fired)
+        [ Eric_hw.Guard.disabled; Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024 ])
+    Eric_workloads.Workloads.all;
+  let a n = Reg.a n and s0 = Reg.s 0 and t1 = Reg.t_ 1 in
+  let head =
+    [ Inst.U (Lui, s0, 0x11); Inst.U (Auipc, t1, 0) ]
+    @ List.map (fun op -> Inst.R (op, a 0, a 1, a 2)) all_r_ops
+    @ List.map (fun op -> Inst.I (op, a 0, a 1, -5)) all_i_ops
+    @ List.map (fun op -> Inst.Shift (op, a 0, a 1, 3)) all_shift_ops
+    @ List.map (fun op -> Inst.Load (op, a 3, s0, 8)) all_load_ops
+    @ List.map (fun op -> Inst.Store (op, a 3, s0, 16)) all_store_ops
+    @ List.map (fun op -> Inst.Branch (op, a 0, a 1, 4)) all_branch_ops
+    @ [ Inst.Jal (Reg.ra, 4); Inst.Fence; Inst.Csrr (a 4, 0xC02) ]
+  in
+  let insts =
+    head
+    @ [ Inst.Jalr (Reg.x0, t1, 4 * List.length head) (* to the next instruction *);
+        Inst.I (Addi, a 7, Reg.x0, 64); Inst.I (Addi, a 1, s0, 0); Inst.I (Addi, a 2, Reg.x0, 0);
+        Inst.Ecall; Inst.Ebreak ]
+  in
+  let image = build_program ~data:(Bytes.make 32 '\001') insts in
+  let traced = ref [] in
+  let r =
+    Soc.run_loaded ~trace:(fun ~pc:_ inst -> traced := inst :: !traced) ~load_cycles:0L image
+      (Soc.load image)
+  in
+  check Alcotest.string "every op ran"
+    (Printf.sprintf "fault ebreak at pc 0x%x" (Program.Layout.text_base + (4 * List.length head) + 20))
+    (status_label r.Soc.status);
+  check Alcotest.(list string) "every op traced as decoded"
+    (List.map Disasm.inst_to_string insts)
+    (List.rev_map Disasm.inst_to_string !traced);
+  check Alcotest.bool "structurally equal" true (List.rev !traced = insts)
+
 (* Each program runs twice: step by step, and in [Cpu.run_until] chunks,
-   where fetches from the line of the previous one are counted by the
-   core. *)
+   fuels and cycle deadlines, where fetches from the line of the previous
+   one and data accesses that repeat a line are counted by the core.  Half
+   of them run with a D-cache small enough to write dirty lines back. *)
 let straight_line_matches_reference =
   qtest ~count:400 "straight-line programs = reference core"
     (QCheck.make ~print:print_straight_line straight_line_gen)
@@ -1913,8 +2048,9 @@ let straight_line_matches_reference =
       List.for_all
         (fun chunks ->
           match
-            against_reference ~branch_predictor:p.branch_predictor ~init:p.init ~max_steps:400
-              ~chunks image
+            against_reference ~branch_predictor:p.branch_predictor
+              ?dcache:(if p.small_dcache then Some small_dcache else None)
+              ~init:p.init ~max_steps:400 ~chunks image
           with
           | Ok () -> true
           | Error msg -> QCheck.Test.fail_report msg)
@@ -1941,6 +2077,32 @@ let test_flush_between_calls_is_seen () =
       Alcotest.failf "core %s\nreference %s" (pp_core_state got) (pp_core_state expected)
   done
 
+(* The core counts a write to the line of the previous data access as a
+   hit only once a write has made that line dirty: after a read, the
+   write goes to the cache, which sets the dirty bit that a later
+   eviction writes back. *)
+let test_write_after_read_dirties () =
+  let s0 = Reg.s 0 and a0 = Reg.a 0 in
+  let evict = [ Inst.Load (Ld, a0, s0, 64); Inst.Load (Ld, a0, s0, 128) ] in
+  let image =
+    build_program ~data:(Bytes.make 256 '\001')
+      ([ Inst.U (Lui, s0, 0x11); Inst.Load (Ld, a0, s0, 0); Inst.Store (Sd, a0, s0, 8) ]
+      @ evict
+      @ [ Inst.Store (Sd, a0, s0, 0); Inst.Store (Sd, a0, s0, 16) ]
+      @ evict
+      @ [ Inst.I (Addi, a0, Reg.x0, 0); Inst.I (Addi, Reg.a 7, Reg.x0, 93); Inst.Ecall ])
+  in
+  List.iter
+    (fun chunks ->
+      match against_reference ~dcache:small_dcache ~chunks image with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    [ [||]; [| Fuel 100 |] ];
+  let cpu = Cpu.create ~dcache:small_dcache ~memory:(Soc.load image)
+      ~pc:(Program.Layout.entry_address image) ~sp:Program.Layout.stack_top () in
+  ignore (Cpu.run cpu);
+  check Alcotest.int "both dirty lines written back" 2 (Cache.stats (Cpu.dcache cpu)).Cache.writebacks
+
 (* A fetch from a negative pc goes to the I-cache, and faults, whatever
    the line size, also as the first fetch of a call. *)
 let test_negative_pc_fetch_reaches_cache () =
@@ -1959,19 +2121,27 @@ let test_negative_pc_fetch_reaches_cache () =
         (pp_core_state (core_state cpu)))
     [ (1, -1); (1, -2); (2, -1); (2, -2); (64, -2); (64, -64); (64, min_int); (1, min_int) ]
 
+(* Besides fixed fuels, each seed draws cycle deadlines, 1 among them,
+   and a fuel to mix with them. *)
 let test_gen_programs_match_reference () =
   for seed = 1 to 100 do
     let source = (Eric_verif.Gen.generate ~seed:(Int64.of_int seed) ()).Eric_verif.Gen.source in
     let image = Eric_cc.Driver.compile_exn source in
+    let rng = Random.State.make [| seed |] in
+    let cycles bound = Cycles (1 + Random.State.int rng bound) in
+    let deadlines () =
+      [| Cycles 1; cycles 40; Fuel (1 + Random.State.int rng 64); cycles 3000 |]
+    in
     List.iter
       (fun (branch_predictor, chunks) ->
         match against_reference ~branch_predictor ~chunks image with
         | Ok () -> ()
         | Error msg ->
           Alcotest.failf "Gen seed %d, predictor %b, chunks [%s]: %s" seed branch_predictor
-            (String.concat "; " (Array.to_list (Array.map string_of_int chunks)))
+            (String.concat "; " (Array.to_list (Array.map chunk_label chunks)))
             msg)
-      [ (false, [||]); (true, [||]); (false, [| 1; 7; 64; 1000 |]); (true, [| 3; 500 |]) ]
+      [ (false, [||]); (true, [||]); (false, [| Fuel 1; Fuel 7; Fuel 64; Fuel 1000 |]);
+        (true, [| Fuel 3; Fuel 500 |]); (false, deadlines ()); (true, deadlines ()) ]
   done
 
 let () =
@@ -2009,16 +2179,22 @@ let () =
           Alcotest.test_case "wrapping addresses" `Quick test_wrapping_addresses_fault ] );
       ( "decode-cache",
         [ Alcotest.test_case "stale text after a store" `Quick test_decode_once_stale_text;
+          Alcotest.test_case "a store ahead of the pc is seen" `Quick
+            test_decode_store_ahead_seen;
           Alcotest.test_case "pc in data" `Quick test_decode_pc_in_data;
           Alcotest.test_case "bad pcs fault" `Quick test_decode_bad_pc_faults;
           Alcotest.test_case "ALU and branch steps allocate nothing" `Quick
             test_steps_allocate_nothing;
           Alcotest.test_case "a scrub pass allocates nothing" `Quick
-            test_scrub_pass_allocates_nothing ] );
+            test_scrub_pass_allocates_nothing;
+          Alcotest.test_case "Soc.boot allocates under 1,000 words" `Quick
+            test_boot_allocates_little ] );
       ( "golden",
         [ Alcotest.test_case "small workloads" `Quick test_golden_cycles;
           Alcotest.test_case "large workloads" `Quick test_golden_large;
-          Alcotest.test_case "small workloads, branch predictor" `Quick test_golden_predictor ] );
+          Alcotest.test_case "small workloads, branch predictor" `Quick test_golden_predictor;
+          Alcotest.test_case "a traced run equals an untraced one" `Quick
+            test_traced_run_equals_untraced ] );
       ("syscalls", [ Alcotest.test_case "write" `Quick test_write_syscall ]);
       ( "timing",
         [ Alcotest.test_case "load-use stall" `Quick test_timing_load_use_stall;
@@ -2047,4 +2223,6 @@ let () =
           Alcotest.test_case "a flush between calls is seen" `Quick
             test_flush_between_calls_is_seen;
           Alcotest.test_case "a negative pc's fetch reaches the cache" `Quick
-            test_negative_pc_fetch_reaches_cache ] ) ]
+            test_negative_pc_fetch_reaches_cache;
+          Alcotest.test_case "a write after a read dirties the line" `Quick
+            test_write_after_read_dirties ] ) ]
