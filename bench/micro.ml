@@ -100,19 +100,16 @@ let run () =
   let rows = ref [] in
   Hashtbl.iter
     (fun name ols_result ->
-      let ns, ns_value =
+      let ns =
         match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> (Printf.sprintf "%.1f" est, Some est)
-        | Some [] | None -> ("n/a", None)
+        | Some (est :: _) -> Printf.sprintf "%.1f" est
+        | Some [] | None -> "n/a"
       in
       let r2 =
         match Analyze.OLS.r_square ols_result with
         | Some r -> Printf.sprintf "%.4f" r
         | None -> "n/a"
       in
-      (match ns_value with
-      | Some est -> Report.record ~suite:"micro" ~metric:name ~unit_:"ns/run" est
-      | None -> ());
       rows := [ name; ns; r2 ] :: !rows)
     results;
   Report.table ~header:[ "benchmark"; "ns/run"; "r^2" ]

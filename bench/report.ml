@@ -28,18 +28,6 @@ let table ~header rows =
   rule (List.fold_left (fun acc w -> acc + w + 2) (-2) widths);
   List.iter print_row rows
 
-(* Every headline number lands in the telemetry registry as a
-   bench.result{suite,metric,unit} gauge; main.ml dumps the family to
-   BENCH_results.json after the run, so the perf trajectory is tracked
-   across PRs by machines, not just eyeballs.  Recording enables
-   telemetry only for the store itself, so the measurement loops stay
-   uninstrumented. *)
-let record ~suite ~metric ~unit_ value =
-  Eric_telemetry.Control.with_enabled (fun () ->
-      Eric_telemetry.Registry.set
-        ~labels:[ ("suite", suite); ("metric", metric); ("unit", unit_) ]
-        "bench.result" value)
-
 let pct delta base = 100.0 *. (float_of_int delta /. float_of_int base)
 let pct64 delta base = 100.0 *. (Int64.to_float delta /. Int64.to_float base)
 let f1 v = Printf.sprintf "%.2f" v

@@ -7,13 +7,6 @@ type field_scope = Imm_fields | All_but_opcode | Control_flow
 
 type mode = Full | Partial of selection | Field of field_scope * selection
 
-let mode_tag = function
-  | Full -> 0
-  | Partial _ -> 1
-  | Field (Imm_fields, _) -> 2
-  | Field (All_but_opcode, _) -> 3
-  | Field (Control_flow, _) -> 4
-
 let pp_selection fmt = function
   | Select_all -> Format.pp_print_string fmt "all"
   | Select_fraction { fraction; seed } -> Format.fprintf fmt "%.0f%% (seed %Ld)" (100.0 *. fraction) seed

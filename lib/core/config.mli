@@ -36,9 +36,6 @@ type mode =
   | Partial of selection
   | Field of field_scope * selection
 
-val mode_tag : mode -> int
-(** Wire encoding of the mode (stable across versions). *)
-
 val pp_mode : Format.formatter -> mode -> unit
 
 val selection_bits :

@@ -18,10 +18,3 @@ let boot_key ?(context = default_context) ?fuzzy ?env device helper =
   match Eric_puf.Fuzzy.reconstruct ?config:fuzzy ?env device helper with
   | Ok r -> Key_ready (derive ~puf_key:r.Eric_puf.Fuzzy.key context)
   | Error f -> Key_reconstruction_failed f
-
-let pp_boot fmt = function
-  | Key_ready _ -> Format.pp_print_string fmt "key ready"
-  | Key_reconstruction_failed f ->
-    Format.fprintf fmt "key reconstruction failed: %a" Eric_puf.Fuzzy.pp_failure f
-
-let pp_context fmt c = Format.fprintf fmt "epoch %d, label %S" c.epoch c.label

@@ -35,7 +35,3 @@ val boot_key :
 (** Boot-time key derivation through the fuzzy extractor: reconstruct the
     PUF key from helper data at the current operating point, then derive.
     Every failure is explicit — there is no wrong-key success path. *)
-
-val pp_boot : Format.formatter -> boot -> unit
-
-val pp_context : Format.formatter -> context -> unit

@@ -1,5 +1,3 @@
-type health = Healthy | Integrity_faulted of string
-
 type t = {
   device_ : Eric_puf.Device.t;
   context : Kmu.context;
@@ -8,14 +6,10 @@ type t = {
       (** cached boot outcome; the silicon recomputes it at boot.  The
           plain [create] path always lands in [Ok]; helper-data boots can
           land in [Error], and such a target refuses every load. *)
-  mutable health : health;
-      (** outcome of the last execution: a device whose integrity guard
-          fired stays [Integrity_faulted] until something runs clean on
-          it again (re-shipping the image is the recovery path) *)
 }
 
 let create ?(context = Kmu.default_context) ?(hde = Eric_hw.Hde.default_config) device_ =
-  { device_; context; hde; key = Ok (Kmu.device_key ~context device_); health = Healthy }
+  { device_; context; hde; key = Ok (Kmu.device_key ~context device_) }
 
 let of_id ?context ?hde id = create ?context ?hde (Eric_puf.Device.manufacture id)
 
@@ -35,19 +29,11 @@ let create_with_helper ?(context = Kmu.default_context)
       + hde.Eric_hw.Hde.sha_block_cycles
     in
     let hde = { hde with Eric_hw.Hde.key_setup_cycles = setup } in
-    {
-      device_;
-      context;
-      hde;
-      key = Ok (Kmu.derive ~puf_key:r.Eric_puf.Fuzzy.key context);
-      health = Healthy;
-    }
-  | Error f -> { device_; context; hde; key = Error f; health = Healthy }
+    { device_; context; hde; key = Ok (Kmu.derive ~puf_key:r.Eric_puf.Fuzzy.key context) }
+  | Error f -> { device_; context; hde; key = Error f }
 
 let device t = t.device_
 let key_state t = t.key
-let health t = t.health
-let hde_config t = t.hde
 
 let derived_key t =
   match t.key with
@@ -123,15 +109,8 @@ let receive_bytes t bytes =
 let run ?timing ?fuel ?corrupt t { image; load; _ } =
   let memory = Eric_sim.Soc.load image in
   (match corrupt with None -> () | Some f -> f memory image);
-  let result =
-    Eric_sim.Soc.run_loaded ?timing ?fuel ~guard:t.hde.Eric_hw.Hde.guard
-      ~load_cycles:load.Eric_hw.Hde.total_cycles image memory
-  in
-  (t.health <-
-     (match result.Eric_sim.Soc.status with
-     | Eric_sim.Cpu.Integrity_fault msg -> Integrity_faulted msg
-     | _ -> Healthy));
-  result
+  Eric_sim.Soc.run_loaded ?timing ?fuel ~guard:t.hde.Eric_hw.Hde.guard
+    ~load_cycles:load.Eric_hw.Hde.total_cycles image memory
 
 let execute ?timing ?fuel t pkg =
   match receive t pkg with

@@ -10,8 +10,6 @@
 
 type t
 
-type health = Healthy | Integrity_faulted of string
-
 val create :
   ?context:Kmu.context -> ?hde:Eric_hw.Hde.config -> Eric_puf.Device.t -> t
 (** Plain majority-vote key path (assumes nominal conditions; always
@@ -41,17 +39,6 @@ val device : t -> Eric_puf.Device.t
 val key_state : t -> (bytes, Eric_puf.Fuzzy.failure) result
 (** The boot outcome: the derived working key, or the typed
     reconstruction failure this target is refusing loads with. *)
-
-val health : t -> health
-(** What the last execution left behind: [Integrity_faulted] when the
-    runtime guard found resident memory diverging from its load-time
-    digests.  A faulted device is recoverable — re-shipping and cleanly
-    re-running the image restores [Healthy] — and distinct from a
-    {!load_error}, which refuses before anything runs. *)
-
-val hde_config : t -> Eric_hw.Hde.config
-(** The device's HDE configuration, including its integrity-guard
-    mechanism. *)
 
 val derived_key : t -> bytes
 (** The device's PUF-based key for its current KMU context (what
@@ -95,8 +82,8 @@ val run :
     load cycles.  [corrupt], applied after the load and before the first
     instruction, injects post-validation memory faults (soft-error
     campaigns); the guard enrolled its reference digests during the HDE
-    load, so such corruption diverges from them.  Updates {!health} from
-    the run's outcome. *)
+    load, so such corruption diverges from them.  The result's status is
+    [Integrity_fault] when the guard caught it. *)
 
 val execute :
   ?timing:Eric_sim.Cpu.timing ->

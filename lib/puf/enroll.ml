@@ -269,8 +269,3 @@ let survey ?(votes = 15) ?env device h =
     end
   done;
   !worst
-
-let pp_helper fmt h =
-  Format.fprintf fmt "helper v%d dev=0x%Lx chains=%d kept=%d rep=%d tag=%s…"
-    h.version h.device_id h.chains (kept_chains h) h.rep
-    (String.sub (Eric_util.Bytesx.to_hex h.tag) 0 8)

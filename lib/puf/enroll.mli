@@ -82,5 +82,3 @@ val measure_instability :
   votes:int -> env:Env.t -> Device.t -> chain:int -> challenge:int -> float
 (** Fraction of [votes] noisy reads disagreeing with the nominal ideal
     bit; the enrollment screen, exposed for campaigns and tests. *)
-
-val pp_helper : Format.formatter -> helper -> unit

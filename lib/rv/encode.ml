@@ -119,9 +119,6 @@ let encode_int inst =
 
 let encode inst = Int32.of_int (encode_int inst)
 
-let encode_exn_message inst =
-  match Inst.validate inst with Ok () -> None | Error msg -> Some msg
-
 module Field = struct
   let opcode = 0x0000007Fl
   let rd = 0x00000F80l

@@ -12,9 +12,6 @@ val encode_int : Inst.t -> int
 (** [encode] as a native int: the 32-bit word, zero-extended.  Raises as
     [encode]. *)
 
-val encode_exn_message : Inst.t -> string option
-(** The validation failure the encoder would raise for, if any. *)
-
 (** Field masks used by field-level partial encryption, expressed on the
     32-bit encoding. *)
 module Field : sig

@@ -43,16 +43,8 @@ let defines = function
     Some rd
   | Store _ | Branch _ | Ecall | Ebreak | Fence -> None
 
-let is_control_flow = function
-  | Branch _ | Jal _ | Jalr _ | Ecall | Ebreak -> true
-  | R _ | I _ | Shift _ | U _ | Load _ | Store _ | Fence | Csrr _ -> false
-
 let is_call = function
   | Jal (rd, _) | Jalr (rd, _, _) -> not (Reg.equal rd Reg.x0)
-  | _ -> false
-
-let is_return = function
-  | Jalr (rd, rs1, 0) -> Reg.equal rd Reg.x0 && Reg.equal rs1 Reg.ra
   | _ -> false
 
 let r_mnemonic = function

@@ -48,15 +48,10 @@ val uses : t -> Reg.t list
 val defines : t -> Reg.t option
 (** Destination register, if any ([x0] destinations are reported as-is). *)
 
-val is_control_flow : t -> bool
-
 val is_call : t -> bool
 (** [jal]/[jalr] writing a link register: control transfers that resume
     at the following parcel.  Used by CFG reconstruction and the
     call-graph-recovery attack model. *)
-
-val is_return : t -> bool
-(** [jalr x0, ra, 0] — the canonical (and [c.jr ra] compressed) return. *)
 
 val mnemonic : t -> string
 (** Just the operation name, e.g. ["addi"]; used by the static-analysis

@@ -59,7 +59,6 @@ let provision ?scheduler ~label ~first_id ~count () =
 
 let label t = t.t_label
 let registry t = t.t_registry
-let device_count t = Array.length t.t_devices
 
 let device_id t i =
   if i < 0 || i >= Array.length t.t_devices then

@@ -17,7 +17,6 @@ val provision :
 
 val label : t -> string
 val registry : t -> Eric_fleet.Registry.t
-val device_count : t -> int
 
 val device_id : t -> int -> Eric_puf.Device.id
 (** @raise Invalid_argument when the index is out of range. *)

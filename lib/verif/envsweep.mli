@@ -16,7 +16,7 @@
 
     The campaign passes when every corner's post-extractor failure rate
     is within [max_kfr] and no wrong key was seen.  [to_json] renders the
-    per-corner table for [BENCH_results.json] and the CI sweep artifact.
+    per-corner table for [eric verif env --out].
 
     Telemetry: [verif.envsweep.boots_total{corner}],
     [.plain_failures_total{corner}], [.fuzzy_failures_total{corner}],
@@ -32,8 +32,6 @@ type corner_row = {
   attempts_total : int;
 }
 
-val plain_kfr : corner_row -> float
-val fuzzy_kfr : corner_row -> float
 val mean_attempts : corner_row -> float
 (** Mean extractor attempts per {e successful} boot. *)
 

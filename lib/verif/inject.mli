@@ -70,12 +70,10 @@ type report = {
           [Dram] injections ran or the guard is off *)
 }
 
-val coverage : row -> float
-(** detected / (detected + silent): the fraction of consequential faults
-    that were caught.  1.0 when every fault was detected or masked. *)
-
 val detection_coverage : report -> float
-(** Coverage over all rows pooled. *)
+(** detected / (detected + silent) over all rows pooled: the fraction of
+    consequential faults that were caught.  1.0 when every fault was
+    detected or masked. *)
 
 val silent_total : report -> int
 

@@ -466,13 +466,11 @@ let test_shipper_integrity_retry_recovers () =
   check Alcotest.int "one retry" 2 d.Eric_fleet.Shipper.attempts;
   check Alcotest.bool "backoff charged for the integrity retry" true
     (d.Eric_fleet.Shipper.backoff_ns > 0L);
-  (match d.Eric_fleet.Shipper.outcome with
+  match d.Eric_fleet.Shipper.outcome with
   | Eric_fleet.Shipper.Delivered { exec = Some r; _ } ->
     check Alcotest.bool "clean re-run completed" true
       (r.Eric_sim.Soc.status = Eric_sim.Cpu.Exited 0)
-  | _ -> Alcotest.fail "expected a Delivered outcome with an execution");
-  check Alcotest.bool "device health restored" true
-    (Eric.Target.health target = Eric.Target.Healthy)
+  | _ -> Alcotest.fail "expected a Delivered outcome with an execution"
 
 let test_shipper_integrity_quarantine () =
   (* persistent corruption: every re-delivery faults again, so the
@@ -499,10 +497,7 @@ let test_shipper_integrity_quarantine () =
          (Eric_fleet.Shipper.Integrity_faults n))
   | _ -> Alcotest.fail "expected an Integrity_faults quarantine");
   check Alcotest.int "counted every faulted run"
-    policy.Eric_fleet.Backoff.quarantine_refusals d.Eric_fleet.Shipper.integrity_faults;
-  match Eric.Target.health target with
-  | Eric.Target.Integrity_faulted _ -> ()
-  | Eric.Target.Healthy -> Alcotest.fail "quarantined device reports Healthy"
+    policy.Eric_fleet.Backoff.quarantine_refusals d.Eric_fleet.Shipper.integrity_faults
 
 let test_shipper_unguarded_executes_corrupted () =
   (* the negative control: without a guard the same flip runs to

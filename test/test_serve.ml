@@ -369,6 +369,19 @@ let test_service_clean_scenarios_report_no_faults () =
   check Alcotest.int "none detected" 0 r.Slo.faults_detected;
   check Alcotest.int "none recovered" 0 r.Slo.fault_recovered
 
+(* Zipf cache economics at scale: flash-crowd at twice its rate, seed 7,
+   makes at least 10^4 requests, and a handful of corpus-wide compiles
+   serve more than 90% of them. *)
+let test_service_zipf_at_scale () =
+  let scenario = Scenario.with_rate_scale Scenario.flash_crowd ~factor:2.0 in
+  let r = Service.run ~seed:7L ~scenario () in
+  check Alcotest.bool
+    (Printf.sprintf "%d requests, wanted >= 10^4" r.Slo.requests)
+    true (r.Slo.requests >= 10_000);
+  check Alcotest.bool
+    (Printf.sprintf "cache hit rate %.4f, wanted > 0.9" r.Slo.cache_hit_rate)
+    true (r.Slo.cache_hit_rate > 0.9)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -414,4 +427,6 @@ let () =
           Alcotest.test_case "clean scenarios report no faults" `Quick
             test_service_clean_scenarios_report_no_faults;
           Alcotest.test_case "gated scenarios pass their SLOs" `Quick
-            test_service_gated_scenarios_pass_slo ] ) ]
+            test_service_gated_scenarios_pass_slo;
+          Alcotest.test_case "zipf at scale hits the cache" `Quick
+            test_service_zipf_at_scale ] ) ]

@@ -1001,38 +1001,61 @@ let test_boot_allocates_little () =
   ignore (Sys.opaque_identity cpu);
   check Alcotest.bool (Printf.sprintf "%.0f words" words) true (words < 1000.)
 
-let test_steps_allocate_nothing () =
-  let image = loop_program ~iters:2000 () in
-  let cpu = Soc.boot image (Soc.load image) in
+(* Minor words and instructions of one run of [image] on a booted core,
+   with the guard's fetch and store hooks attached when it is enabled;
+   booting is not counted. *)
+let booted_run_words ?(guard = Eric_hw.Guard.disabled) image =
+  let memory = Soc.load image in
+  let cpu = Soc.boot image memory in
+  if Eric_hw.Guard.enabled guard then
+    Integrity.attach (Integrity.create ~config:guard ~image memory) cpu;
   let before = Gc.minor_words () in
-  (match Cpu.run cpu with
-  | Cpu.Exited 0 -> ()
-  | _ -> Alcotest.fail "loop did not exit 0");
-  let per_step = (Gc.minor_words () -. before) /. Int64.to_float (Cpu.instructions cpu) in
-  check Alcotest.bool (Printf.sprintf "%.3f words per instruction" per_step) true (per_step < 0.1);
-  (* The guard runs the core in chunks between its passes and allocates
-     per pass, not per step: over a 40k-instruction loop, set-up
-     included, it adds under 0.1 words per instruction. *)
-  let image = loop_program ~extra:[ Inst.U (Lui, Reg.t_ 0, 5) (* 20,480 iterations *) ] () in
-  let words_per_instruction guard =
+  if Cpu.run cpu <> Cpu.Exited 0 then Alcotest.fail "loop did not exit 0";
+  (Gc.minor_words () -. before, Int64.to_float (Cpu.instructions cpu))
+
+(* Minor words that fetch+scrub:1024 adds to a [Soc.run_loaded] of a
+   loop of [iterations_lui] * 4096 iterations, with its instructions. *)
+let guard_run_words ~iterations_lui =
+  let image = loop_program ~extra:[ Inst.U (Lui, Reg.t_ 0, iterations_lui) ] () in
+  let words guard =
     let memory = Soc.load image in
     let before = Gc.minor_words () in
     let r = Soc.run_loaded ~guard ~load_cycles:0L image memory in
     let words = Gc.minor_words () -. before in
-    if r.Soc.status <> Cpu.Exited 0 then Alcotest.fail "long loop did not exit 0";
-    words /. Int64.to_float r.Soc.instructions
+    if r.Soc.status <> Cpu.Exited 0 then Alcotest.fail "loop did not exit 0";
+    (words, Int64.to_float r.Soc.instructions)
   in
-  let plain = words_per_instruction Eric_hw.Guard.disabled in
-  let guarded = words_per_instruction (Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) in
+  let guarded, n = words (Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) in
+  (guarded -. fst (words Eric_hw.Guard.disabled), n)
+
+(* [short] and [long] are (words, instructions) of the same loop at two
+   lengths.  Their difference over the extra instructions is what a step
+   allocates, and must stay below 0.1 words; the short run's words, what
+   a run allocates whatever its length, below 0.1 per instruction.  Each
+   bound fails by its own name. *)
+let check_run_and_step_words label ~short:(ws, is) ~long:(wl, il) =
+  let per_step = (wl -. ws) /. (il -. is) in
   check Alcotest.bool
-    (Printf.sprintf "guarded %.3f vs %.3f words per instruction" guarded plain)
+    (Printf.sprintf "%s per step: %.4f words" label per_step)
+    true (per_step < 0.1);
+  check Alcotest.bool
+    (Printf.sprintf "%s per run: %.0f words over %.0f instructions" label ws is)
     true
-    (guarded -. plain < 0.1);
+    (ws < 0.1 *. is)
+
+let test_steps_allocate_nothing () =
+  check_run_and_step_words "ALU and branch loop"
+    ~short:(booted_run_words (loop_program ~iters:1500 ()))
+    ~long:(booted_run_words (loop_program ~iters:2000 ()));
+  (* The guard runs the core in chunks between its passes; over loops of
+     20k and 80k iterations it adds nothing per step. *)
+  check_run_and_step_words "fetch+scrub:1024's addition"
+    ~short:(guard_run_words ~iterations_lui:5)
+    ~long:(guard_run_words ~iterations_lui:20);
   (* Every load and store width and the M extension's high multiplies
-     and divides, 4096 times round a loop over the data segment.  Under
-     the guard the core runs with its fetch and store hooks attached;
-     the scrub passes allocate per pass, not per step, and the check
-     above bounds them. *)
+     and divides, 4096 and 8192 times round a loop over the data
+     segment.  Under the guard the core runs with its fetch and store
+     hooks attached. *)
   let a n = Reg.a n and t0 = Reg.t_ 0 in
   let body =
     List.map (fun op -> Inst.Load (op, a 2, a 1, 0)) [ Lb; Lh; Lw; Ld; Lbu; Lhu; Lwu ]
@@ -1042,25 +1065,19 @@ let test_steps_allocate_nothing () =
         [ Mulh; Mulhsu; Mulhu; Div; Divu; Rem; Remu; Divw; Remw ]
     @ [ Inst.I (Addi, t0, t0, -1) ]
   in
-  let image =
+  let image iterations_lui =
     build_program ~data:(Bytes.make 64 '\001')
-      ([ Inst.U (Lui, t0, 1); Inst.U (Lui, a 1, 0x11) (* the data base *) ]
+      ([ Inst.U (Lui, t0, iterations_lui); Inst.U (Lui, a 1, 0x11) (* the data base *) ]
       @ body
       @ [ Inst.Branch (Bne, t0, Reg.x0, -4 * List.length body); Inst.I (Addi, a 0, Reg.x0, 0);
           Inst.I (Addi, a 7, Reg.x0, 93); Inst.Ecall ])
   in
   List.iter
     (fun (label, guard) ->
-      let memory = Soc.load image in
-      let cpu = Soc.boot image memory in
-      if Eric_hw.Guard.enabled guard then
-        Integrity.attach (Integrity.create ~config:guard ~image memory) cpu;
-      let before = Gc.minor_words () in
-      if Cpu.run cpu <> Cpu.Exited 0 then Alcotest.fail "load/store/M loop did not exit 0";
-      let per_step = (Gc.minor_words () -. before) /. Int64.to_float (Cpu.instructions cpu) in
-      check Alcotest.bool
-        (Printf.sprintf "%s: %.3f words per load, store or M step" label per_step)
-        true (per_step < 0.1))
+      check_run_and_step_words
+        (label ^ " load, store and M loop")
+        ~short:(booted_run_words ~guard (image 1))
+        ~long:(booted_run_words ~guard (image 2)))
     [ ("unguarded", Eric_hw.Guard.disabled);
       ("fetch+scrub:1024", Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) ]
 
@@ -1069,19 +1086,8 @@ let test_steps_allocate_nothing () =
    checks, and the guard must add no more words to it than to the short
    one. *)
 let test_scrub_pass_allocates_nothing () =
-  let guard_words ~iterations_lui =
-    let image = loop_program ~extra:[ Inst.U (Lui, Reg.t_ 0, iterations_lui) ] () in
-    let words guard =
-      let memory = Soc.load image in
-      let before = Gc.minor_words () in
-      let r = Soc.run_loaded ~guard ~load_cycles:0L image memory in
-      let words = Gc.minor_words () -. before in
-      if r.Soc.status <> Cpu.Exited 0 then Alcotest.fail "loop did not exit 0";
-      words
-    in
-    words (Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024) -. words Eric_hw.Guard.disabled
-  in
-  let short = guard_words ~iterations_lui:5 and long = guard_words ~iterations_lui:20 in
+  let short, _ = guard_run_words ~iterations_lui:5
+  and long, _ = guard_run_words ~iterations_lui:20 in
   check Alcotest.bool
     (Printf.sprintf "the guard adds %.0f words, and %.0f at 4x the length" short long)
     true
