@@ -24,16 +24,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc data)
-
 (* Exit codes, as documented in every subcommand's EXIT STATUS section. *)
 let exit_internal = 1
 let exit_failures = 3
@@ -47,6 +37,11 @@ let die ?(code = exit_internal) msg =
 let or_die = function Ok v -> v | Error msg -> die msg
 
 let or_die_malformed = function Ok v -> v | Error msg -> die ~code:exit_malformed msg
+
+let read_file path = or_die (Eric_util.Wire.read_file path)
+
+(* An output is written to a temp file and renamed into place. *)
+let write_file path data = Eric_util.Wire.write_atomic path (fun oc -> output_string oc data)
 
 let load_error_code = function
   | Eric.Target.Malformed _ -> exit_malformed
@@ -220,7 +215,7 @@ let setup_telemetry format trace_out =
           | `Trace -> Eric_telemetry.Export.to_chrome_trace snapshot
         in
         match trace_out with
-        | Some path -> write_file path (Bytes.of_string rendered)
+        | Some path -> or_die (write_file path rendered)
         | None ->
           prerr_string rendered;
           flush stderr)
@@ -484,7 +479,8 @@ let compile_cmd =
   let run source output no_compress no_optimize =
     let options = options_of ~no_compress ~no_optimize in
     let image = or_die (Eric_cc.Driver.compile ~options (read_file source)) in
-    write_file output (Eric_rv.Program.to_binary ~with_symbols:true image);
+    or_die
+      (write_file output (Bytes.to_string (Eric_rv.Program.to_binary ~with_symbols:true image)));
     Format.printf "%s: %a@." output Eric_rv.Program.pp_summary image
   in
   Cmd.v
@@ -520,7 +516,8 @@ let build_cmd =
         exit 1
       end
     end;
-    write_file output (Eric.Package.serialize build.Eric.Source.package);
+    or_die
+      (write_file output (Bytes.to_string (Eric.Package.serialize build.Eric.Source.package)));
     Format.printf "%s: %a@." output Eric.Package.pp_summary build.Eric.Source.package;
     Format.printf "plain %d B -> package %d B (%+.2f%%), %d/%d parcels encrypted@."
       build.Eric.Source.plain_size build.Eric.Source.package_size
@@ -544,7 +541,7 @@ let emit_asm_cmd =
     let text = or_die (Eric_cc.Driver.compile_to_assembly ~options (read_file source)) in
     if output = "-" then print_string text
     else begin
-      write_file output (Bytes.of_string text);
+      or_die (write_file output text);
       Printf.printf "%s: %d lines of assembly\n" output
         (List.length (String.split_on_char '\n' text))
     end
@@ -558,7 +555,8 @@ let asm_cmd =
     let image =
       or_die (Eric_rv.Asm.assemble ?entry ~compress:(not no_compress) (read_file source))
     in
-    write_file output (Eric_rv.Program.to_binary ~with_symbols:true image);
+    or_die
+      (write_file output (Bytes.to_string (Eric_rv.Program.to_binary ~with_symbols:true image)));
     Format.printf "%s: %a@." output Eric_rv.Program.pp_summary image
   in
   let entry_arg =
@@ -576,14 +574,19 @@ let asm_cmd =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Image (.rexe) or package (.epkg).")
 
+(* A package when the file parses as one, else a plain image; exit 4
+   when it is neither. *)
+let read_input path =
+  let data = Bytes.of_string (read_file path) in
+  match Eric.Package.parse data with
+  | Ok pkg -> `Package pkg
+  | Error _ -> `Image (or_die_malformed (Eric_rv.Program.of_binary data))
+
 let inspect_cmd =
   let run path =
-    let data = Bytes.of_string (read_file path) in
-    match Eric.Package.parse data with
-    | Ok pkg -> Format.printf "%a@." Eric.Package.pp_summary pkg
-    | Error _ ->
-      let image = or_die_malformed (Eric_rv.Program.of_binary data) in
-      Format.printf "%a@." Eric_rv.Program.pp_summary image
+    match read_input path with
+    | `Package pkg -> Format.printf "%a@." Eric.Package.pp_summary pkg
+    | `Image image -> Format.printf "%a@." Eric_rv.Program.pp_summary image
   in
   Cmd.v (Cmd.info "inspect" ~doc:"Describe an image or package.") Term.(const run $ file_arg)
 
@@ -602,13 +605,10 @@ let disasm_cmd =
 let analyze_cmd =
   let run path mode lint lint_error max_leakage format checks telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let data = Bytes.of_string (read_file path) in
     let text, image =
-      match Eric.Package.parse data with
-      | Ok pkg -> (pkg.Eric.Package.enc_text, None)
-      | Error _ ->
-        let image = or_die_malformed (Eric_rv.Program.of_binary data) in
-        (image.Eric_rv.Program.text, Some image)
+      match read_input path with
+      | `Package pkg -> (pkg.Eric.Package.enc_text, None)
+      | `Image image -> (image.Eric_rv.Program.text, Some image)
     in
     Format.printf "%a@." Eric.Analysis.pp_static_report (Eric.Analysis.static_analysis text);
     Format.printf "byte entropy: %.2f bits/byte@." (Eric.Analysis.byte_entropy text);
@@ -634,7 +634,6 @@ let analyze_cmd =
 let run_cmd =
   let run path device_id fuel trace telemetry trace_out =
     setup_telemetry telemetry trace_out;
-    let data = Bytes.of_string (read_file path) in
     let run_image image memory load_cycles =
       let trace =
         if trace > 0 then begin
@@ -651,8 +650,8 @@ let run_cmd =
       Eric_sim.Soc.run_loaded ~fuel ?trace ~load_cycles image memory
     in
     let result =
-      match Eric.Package.parse data with
-      | Ok pkg -> (
+      match read_input path with
+      | `Package pkg -> (
         let target = Eric.Target.of_id device_id in
         match Eric.Target.receive target pkg with
         | Error e ->
@@ -662,8 +661,7 @@ let run_cmd =
           let image = loaded.Eric.Target.image in
           run_image image (Eric_sim.Soc.load image)
             loaded.Eric.Target.load.Eric_hw.Hde.total_cycles)
-      | Error _ ->
-        let image = or_die_malformed (Eric_rv.Program.of_binary data) in
+      | `Image image ->
         run_image image (Eric_sim.Soc.load image) (Eric_sim.Soc.plain_load_cycles image)
     in
     print_string result.Eric_sim.Soc.output;
@@ -782,7 +780,7 @@ let fleet_enroll_cmd =
       let entry = or_die (enroll_one id) in
       if not quiet then Format.printf "%a@." Eric_fleet.Registry.pp_entry entry
     done;
-    Eric_fleet.Registry_shard.save store;
+    or_die (Eric_fleet.Registry_shard.save store);
     Format.printf "%s: %s@." registry (or_die (Eric_fleet.Registry_shard.summary store))
   in
   let count_arg =
@@ -850,7 +848,7 @@ let fleet_campaign_cmd =
     Option.iter
       (fun path ->
         let json = Eric_telemetry.Json.to_string (Eric_fleet.Campaign.report_to_json report) in
-        write_file path (Bytes.of_string (json ^ "\n")))
+        or_die (write_file path (json ^ "\n")))
       report_out;
     if report.Eric_fleet.Campaign.delivered <> List.length report.Eric_fleet.Campaign.devices
     then exit exit_failures
@@ -1186,7 +1184,7 @@ let verif_inject_cmd =
         let rendered =
           Eric_telemetry.Json.to_string (Eric_verif.Inject.sweep_to_json points) ^ "\n"
         in
-        Option.iter (fun path -> write_file path (Bytes.of_string rendered)) out;
+        Option.iter (fun path -> or_die (write_file path rendered)) out;
         if json then print_string rendered
         else
           List.iter
@@ -1211,7 +1209,7 @@ let verif_inject_cmd =
           Eric_telemetry.Json.to_string (Eric_verif.Inject.report_to_json config report)
           ^ "\n"
         in
-        Option.iter (fun path -> write_file path (Bytes.of_string rendered)) out;
+        Option.iter (fun path -> or_die (write_file path rendered)) out;
         if json then print_string rendered
         else Format.printf "%a@." Eric_verif.Inject.pp_report report;
         let escaped_protected =
@@ -1358,7 +1356,7 @@ let verif_shrink_cmd =
         Eric_verif.Corpus.trace = min_prog.Eric_verif.Gen.trace;
         source = min_prog.Eric_verif.Gen.source }
     in
-    write_file file (Bytes.of_string (Eric_verif.Corpus.to_string entry));
+    or_die (write_file file (Eric_verif.Corpus.to_string entry));
     Format.printf "%s: %d draws after %d oracle runs@.%s@." file
       (Array.length min_prog.Eric_verif.Gen.trace)
       tests min_prog.Eric_verif.Gen.source;
@@ -1452,8 +1450,8 @@ let verif_env_cmd =
       (match out with
       | None -> ()
       | Some path ->
-        write_file path
-          (Bytes.of_string
+        or_die
+          (write_file path
              (Eric_telemetry.Json.to_string (Eric_verif.Envsweep.to_json report))));
       if not (Eric_verif.Envsweep.passed report) then exit exit_failures
   in
@@ -1593,11 +1591,13 @@ let serve_run_cmd =
       | None -> scenario
       | Some factor -> Eric_serve.Scenario.with_rate_scale scenario ~factor
     in
+    (* the service treats a failed cache write as fatal: find out now *)
+    Option.iter (fun dir -> or_die (Eric_util.Wire.ensure_dir dir)) cache_dir;
     let report = Eric_serve.Service.run ~seed ?cache_dir ~scenario () in
     let rendered =
       Eric_telemetry.Json.to_string (Eric_serve.Slo.to_json report) ^ "\n"
     in
-    Option.iter (fun path -> write_file path (Bytes.of_string rendered)) out;
+    Option.iter (fun path -> or_die (write_file path rendered)) out;
     if json then print_string rendered
     else Format.printf "%a@." Eric_serve.Slo.pp report;
     if slo_error && not (Eric_serve.Slo.passed report) then exit exit_failures

@@ -493,7 +493,7 @@ let global_bytes (g : tglobal) : bytes option =
   | Some (Ast.G_scalar v) ->
     let b = Bytes.make elem_size '\000' in
     if elem_size = 1 then Bytes.set b 0 (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-    else Eric_util.Bytesx.set_u64 b 0 v;
+    else Bytes.set_int64_le b 0 v;
     Some b
   | Some (Ast.G_array vs) ->
     let n = Option.value g.tg_array ~default:(List.length vs) in
@@ -501,7 +501,7 @@ let global_bytes (g : tglobal) : bytes option =
     List.iteri
       (fun i v ->
         if elem_size = 1 then Bytes.set b i (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-        else Eric_util.Bytesx.set_u64 b (i * 8) v)
+        else Bytes.set_int64_le b (i * 8) v)
       vs;
     Some b
   | Some (Ast.G_string s) ->

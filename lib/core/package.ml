@@ -32,6 +32,8 @@ type t = {
   enc_signature : bytes;
 }
 
+module W = Eric_util.Wire
+
 let magic = "EPKG"
 let version = 1
 let header_size = 32
@@ -45,128 +47,95 @@ let flag_obf = 0x01
 let obf_pass_bits = 0x1F
 let obf_block_size = 9
 
-let map_bytes t = match t.map with None -> Bytes.empty | Some m -> Eric_util.Bitvec.to_bytes m
-
-let obf_bytes t =
-  match t.obf with
-  | None -> Bytes.empty
-  | Some (mask, seed) ->
-    let b = Bytes.create obf_block_size in
-    Bytes.set b 0 (Char.chr (mask land 0xFF));
-    Eric_util.Bytesx.set_u64 b 1 seed;
-    b
+let map_len t = match t.map with None -> 0 | Some m -> (Eric_util.Bitvec.length m + 7) / 8
 
 let size t =
-  header_size + Bytes.length (map_bytes t) + Bytes.length (obf_bytes t)
+  header_size + map_len t
+  + (match t.obf with None -> 0 | Some _ -> obf_block_size)
   + Bytes.length t.enc_text + Bytes.length t.data + Siggen.signature_size
 
-let header_bytes t =
-  let h = Bytes.create header_size in
-  Bytes.blit_string magic 0 h 0 4;
-  Eric_util.Bytesx.set_u16 h 4 version;
-  Bytes.set h 6 (Char.chr (tag_of_kind t.kind));
-  Bytes.set h 7 (Char.chr (match t.obf with None -> 0 | Some _ -> flag_obf));
-  Eric_util.Bytesx.set_u32 h 8 (Int32.of_int t.entry_offset);
-  Eric_util.Bytesx.set_u32 h 12 (Int32.of_int (Bytes.length t.enc_text));
-  Eric_util.Bytesx.set_u32 h 16 (Int32.of_int (Bytes.length t.data));
-  Eric_util.Bytesx.set_u32 h 20 (Int32.of_int t.bss_size);
-  Eric_util.Bytesx.set_u32 h 24 (Int32.of_int t.parcel_count);
-  Eric_util.Bytesx.set_u32 h 28 (Int32.of_int (Bytes.length (map_bytes t)));
-  h
-
 let authenticated_header t =
-  Eric_util.Bytesx.concat [ header_bytes t; map_bytes t; obf_bytes t ]
+  let map = match t.map with None -> Bytes.empty | Some m -> Eric_util.Bitvec.to_bytes m in
+  let buf = Buffer.create (header_size + Bytes.length map + obf_block_size) in
+  Buffer.add_string buf magic;
+  W.add_u16 buf version;
+  W.add_u8 buf (tag_of_kind t.kind);
+  W.add_u8 buf (match t.obf with None -> 0 | Some _ -> flag_obf);
+  W.add_u32 buf t.entry_offset;
+  W.add_u32 buf (Bytes.length t.enc_text);
+  W.add_u32 buf (Bytes.length t.data);
+  W.add_u32 buf t.bss_size;
+  W.add_u32 buf t.parcel_count;
+  W.add_u32 buf (Bytes.length map);
+  Buffer.add_bytes buf map;
+  (match t.obf with
+  | None -> ()
+  | Some (mask, seed) ->
+    W.add_u8 buf mask;
+    W.add_u64 buf seed);
+  Buffer.to_bytes buf
 
 let serialize t =
-  Eric_util.Bytesx.concat
-    [ header_bytes t; map_bytes t; obf_bytes t; t.enc_text; t.data; t.enc_signature ]
+  Bytes.concat Bytes.empty [ authenticated_header t; t.enc_text; t.data; t.enc_signature ]
 
-let parse b =
-  let ( let* ) = Result.bind in
-  let* () = if Bytes.length b >= header_size then Ok () else Error "package too short" in
-  let* () = if Bytes.sub_string b 0 4 = magic then Ok () else Error "bad magic (not an EPKG)" in
-  let* () =
-    if Eric_util.Bytesx.get_u16 b 4 = version then Ok () else Error "unsupported package version"
-  in
-  let* kind = kind_of_tag (Char.code (Bytes.get b 6)) in
+let read c =
+  let len = W.remaining c in
+  if len < header_size then W.fail c "package too short";
+  W.magic c magic "bad magic (not an EPKG)";
+  if W.u16 c "version" <> version then W.fail c "unsupported package version";
+  let kind = match kind_of_tag (W.u8 c "mode tag") with Ok k -> k | Error e -> W.fail c e in
   (* Strict parsing: bytes the decoder would otherwise ignore (reserved
      flags, map padding bits) must be zero, so that every wire bit is
      either interpreted or rejected — a flipped "don't care" bit cannot
      silently pass validation. *)
-  let flags = Char.code (Bytes.get b 7) in
-  let* () = if flags land lnot flag_obf = 0 then Ok () else Error "reserved flags set" in
+  let flags = W.u8 c "flags" in
+  if flags land lnot flag_obf <> 0 then W.fail c "reserved flags set";
   let has_obf = flags land flag_obf <> 0 in
   let obf_len = if has_obf then obf_block_size else 0 in
-  let entry_offset = Int32.to_int (Eric_util.Bytesx.get_u32 b 8) in
-  let text_len = Int32.to_int (Eric_util.Bytesx.get_u32 b 12) in
-  let data_len = Int32.to_int (Eric_util.Bytesx.get_u32 b 16) in
-  let bss_size = Int32.to_int (Eric_util.Bytesx.get_u32 b 20) in
-  let parcel_count = Int32.to_int (Eric_util.Bytesx.get_u32 b 24) in
-  let map_len = Int32.to_int (Eric_util.Bytesx.get_u32 b 28) in
-  let* () =
-    if text_len >= 0 && data_len >= 0 && bss_size >= 0 && parcel_count >= 0 && map_len >= 0 then
-      Ok ()
-    else Error "negative section length"
-  in
+  let entry_offset = W.i32 c "entry offset" in
+  let text_len = W.i32 c "text length" in
+  let data_len = W.i32 c "data length" in
+  let bss_size = W.i32 c "bss size" in
+  let parcel_count = W.i32 c "parcel count" in
+  let map_len = W.i32 c "map length" in
+  if text_len < 0 || data_len < 0 || bss_size < 0 || parcel_count < 0 || map_len < 0 then
+    W.fail c "negative section length";
   let expected = header_size + map_len + obf_len + text_len + data_len + Siggen.signature_size in
-  let* () =
-    if Bytes.length b = expected then Ok ()
-    else Error (Printf.sprintf "package length %d does not match header (%d)" (Bytes.length b) expected)
-  in
+  if len <> expected then
+    W.fail c (Printf.sprintf "package length %d does not match header (%d)" len expected);
   (* Parcels are 2 or 4 bytes, so a consistent header has
      2*parcel_count <= text_len <= 4*parcel_count.  An attacker shrinking
      or growing one of the two fields must be caught here, before any
      keystream or signature work happens. *)
-  let* () =
-    if text_len >= 2 * parcel_count && text_len <= 4 * parcel_count then Ok ()
-    else Error "parcel count inconsistent with text length"
-  in
-  let* map =
+  if text_len < 2 * parcel_count || text_len > 4 * parcel_count then
+    W.fail c "parcel count inconsistent with text length";
+  let map =
     match kind with
-    | M_full -> if map_len = 0 then Ok None else Error "full-encryption package carries a map"
+    | M_full -> if map_len = 0 then None else W.fail c "full-encryption package carries a map"
     | M_partial | M_field _ ->
       let exact = (parcel_count + 7) / 8 in
-      if map_len < exact then Error "encryption map shorter than parcel count"
-      else if map_len > exact then Error "encryption map longer than parcel count"
-      else begin
-        let raw = Bytes.sub b header_size map_len in
-        let map = Eric_util.Bitvec.of_bytes ~len:parcel_count raw in
-        if not (Bytes.equal (Eric_util.Bitvec.to_bytes map) raw) then
-          Error "encryption map has padding bits set"
-        else Ok (Some map)
-      end
+      if map_len < exact then W.fail c "encryption map shorter than parcel count";
+      if map_len > exact then W.fail c "encryption map longer than parcel count";
+      Some (W.bitvec c parcel_count "encryption map")
   in
-  let* obf =
-    if not has_obf then Ok None
+  let obf =
+    if not has_obf then None
     else begin
-      let mask = Char.code (Bytes.get b (header_size + map_len)) in
-      if mask land lnot obf_pass_bits <> 0 then Error "reserved obfuscation pass bits set"
-      else if mask = 0 then Error "obfuscation metadata without passes"
-      else Ok (Some (mask, Eric_util.Bytesx.get_u64 b (header_size + map_len + 1)))
+      let mask = W.u8 c "obfuscation pass mask" in
+      if mask land lnot obf_pass_bits <> 0 then W.fail c "reserved obfuscation pass bits set";
+      if mask = 0 then W.fail c "obfuscation metadata without passes";
+      Some (mask, W.u64 c "build seed")
     end
   in
-  let off = header_size + map_len + obf_len in
-  let* () =
-    if entry_offset >= 0 && entry_offset <= text_len then Ok () else Error "entry out of range"
-  in
-  let* () =
-    if entry_offset land 1 = 0 then Ok () else Error "entry not parcel-aligned"
-  in
-  let* () =
-    if entry_offset = text_len && text_len > 0 then Error "entry out of range" else Ok ()
-  in
-  Ok
-    {
-      kind;
-      entry_offset;
-      bss_size;
-      parcel_count;
-      map;
-      obf;
-      enc_text = Bytes.sub b off text_len;
-      data = Bytes.sub b (off + text_len) data_len;
-      enc_signature = Bytes.sub b (off + text_len + data_len) Siggen.signature_size;
-    }
+  if entry_offset < 0 || entry_offset > text_len then W.fail c "entry out of range";
+  if entry_offset land 1 <> 0 then W.fail c "entry not parcel-aligned";
+  if entry_offset = text_len && text_len > 0 then W.fail c "entry out of range";
+  let enc_text = W.bytes c text_len "text" in
+  let data = W.bytes c data_len "data" in
+  let enc_signature = W.bytes c Siggen.signature_size "signature" in
+  { kind; entry_offset; bss_size; parcel_count; map; obf; enc_text; data; enc_signature }
+
+let parse b = W.decode ~format:"package" b read
 
 let pp_kind fmt = function
   | M_full -> Format.pp_print_string fmt "full"
@@ -177,9 +146,7 @@ let pp_kind fmt = function
 
 let pp_summary fmt t =
   Format.fprintf fmt "%a package: %d B total (text %d B, %d parcels, map %d B, data %d B)" pp_kind
-    t.kind (size t) (Bytes.length t.enc_text) t.parcel_count
-    (Bytes.length (map_bytes t))
-    (Bytes.length t.data);
+    t.kind (size t) (Bytes.length t.enc_text) t.parcel_count (map_len t) (Bytes.length t.data);
   match t.obf with
   | None -> ()
   | Some (mask, seed) ->

@@ -11,7 +11,6 @@ type t = {
 }
 
 let create ?dir () =
-  Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
   { dir; table = Hashtbl.create 8; hits = 0; disk_hits = 0; misses = 0 }
 
 let hits t = t.hits
@@ -73,25 +72,19 @@ let count_event t outcome =
       ~labels:[ ("result", outcome_label outcome) ]
       "fleet.cache.events_total"
 
-let image_path t key = Option.map (fun dir -> Filename.concat dir (key ^ ".rexe")) t.dir
+let image_path dir key = Filename.concat dir (key ^ ".rexe")
 
+(* A missing or unreadable image is a miss, a corrupt one too. *)
 let read_image path =
-  if not (Sys.file_exists path) then None
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error _ -> None
-    | data -> Result.to_option (Eric_rv.Program.of_binary (Bytes.of_string data))
+  Result.to_option
+    (Result.bind (Eric_util.Wire.read_file path) (fun data ->
+         Eric_rv.Program.of_binary (Bytes.of_string data)))
 
-let write_image path image =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc (Eric_rv.Program.to_binary image))
+(* The disk tier's directory is made on the first write. *)
+let write_image dir key image =
+  Result.bind (Eric_util.Wire.ensure_dir dir) (fun () ->
+      Eric_util.Wire.write_atomic (image_path dir key) (fun oc ->
+          output_bytes oc (Eric_rv.Program.to_binary image)))
 
 let get_or_compile t ?(options = Eric_cc.Driver.default_options) ~mode source =
   let key = digest ~options ~mode source in
@@ -102,7 +95,7 @@ let get_or_compile t ?(options = Eric_cc.Driver.default_options) ~mode source =
   | None -> (
     (* Disk tier: the compiled image survives across processes; only the
        (cheap relative to compilation) prepare step reruns. *)
-    match Option.bind (image_path t key) read_image with
+    match Option.bind t.dir (fun dir -> read_image (image_path dir key)) with
     | Some image ->
       let prepared = Eric.Source.prepare_image ~mode image in
       Hashtbl.replace t.table key prepared;
@@ -111,10 +104,15 @@ let get_or_compile t ?(options = Eric_cc.Driver.default_options) ~mode source =
     | None -> (
       match Eric.Source.prepare ~options ~mode source with
       | Error _ as e -> e
-      | Ok prepared ->
-        Hashtbl.replace t.table key prepared;
-        Option.iter
-          (fun path -> write_image path prepared.Eric.Source.p_image)
-          (image_path t key);
-        count_event t Miss;
-        Ok (prepared, Miss)))
+      | Ok prepared -> (
+        let written =
+          match t.dir with
+          | None -> Ok ()
+          | Some dir -> write_image dir key prepared.Eric.Source.p_image
+        in
+        match written with
+        | Error _ as e -> e
+        | Ok () ->
+          Hashtbl.replace t.table key prepared;
+          count_event t Miss;
+          Ok (prepared, Miss))))

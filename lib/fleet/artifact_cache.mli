@@ -21,7 +21,7 @@ val outcome_label : outcome -> string
 (** ["hit"], ["disk"] or ["miss"] — the telemetry label values. *)
 
 val create : ?dir:string -> unit -> t
-(** [dir] enables the disk tier (created if missing). *)
+(** [dir] enables the disk tier, created by its first write. *)
 
 val digest : options:Eric_cc.Driver.options -> mode:Eric.Config.mode -> string -> string
 (** The cache key (lowercase hex) for a campaign input. *)
@@ -32,6 +32,7 @@ val get_or_compile :
   mode:Eric.Config.mode ->
   string ->
   (Eric.Source.prepared * outcome, string) result
+(** [Error] also when a miss cannot be written to the disk tier. *)
 
 val hits : t -> int
 val disk_hits : t -> int

@@ -253,238 +253,116 @@ let update t entry =
 (* fail the parse — a corrupt registry is refused loudly rather than    *)
 (* half-loaded.                                                         *)
 (*                                                                     *)
-(* The entry decoder runs against a [Reader], a cursor abstract over an *)
-(* in-memory buffer and a buffered channel, so shard files stream one   *)
-(* entry at a time without ever materializing the whole shard.          *)
+(* One decode loop serves a buffer ([parse]) and a streamed file       *)
+(* ([load], [fold_file]), so shard files are read one entry at a time, *)
+(* and a declared length is checked against the bytes left before      *)
+(* anything is allocated for it.                                       *)
 (* ------------------------------------------------------------------ *)
 
-let ( let* ) = Result.bind
-
-let buf_add_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
-
-let buf_add_u32 buf v =
-  let b = Bytes.create 4 in
-  Eric_util.Bytesx.set_u32 b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
-
-let buf_add_u64 buf v =
-  let b = Bytes.create 8 in
-  Eric_util.Bytesx.set_u64 b 0 v;
-  Buffer.add_bytes buf b
-
-let add_header buf ~count =
-  Buffer.add_string buf magic;
-  buf_add_u16 buf version;
-  buf_add_u16 buf 0;
-  buf_add_u32 buf count
+module W = Eric_util.Wire
 
 let header ~count =
   let buf = Buffer.create header_size in
-  add_header buf ~count;
+  Buffer.add_string buf magic;
+  W.add_u16 buf version;
+  W.add_u16 buf 0;
+  W.add_u32 buf count;
   Buffer.to_bytes buf
 
+let add_str buf s =
+  W.add_u16 buf (String.length s);
+  Buffer.add_string buf s
+
 let serialize_entry buf e =
-  buf_add_u64 buf e.device_id;
-  buf_add_u32 buf e.epoch;
-  buf_add_u32 buf e.firmware_epoch;
-  buf_add_u16 buf (String.length e.label);
-  Buffer.add_string buf e.label;
-  buf_add_u16 buf (Bytes.length e.key);
+  W.add_u64 buf e.device_id;
+  W.add_u32 buf e.epoch;
+  W.add_u32 buf e.firmware_epoch;
+  add_str buf e.label;
+  W.add_u16 buf (Bytes.length e.key);
   Buffer.add_bytes buf e.key;
   (match e.status with
-  | Active -> Buffer.add_char buf '\000'
+  | Active -> W.add_u8 buf 0
   | Quarantined reason ->
-    Buffer.add_char buf '\001';
-    buf_add_u16 buf (String.length reason);
-    Buffer.add_string buf reason);
+    W.add_u8 buf 1;
+    add_str buf reason);
   (match e.helper with
-  | None -> Buffer.add_char buf '\000'
+  | None -> W.add_u8 buf 0
   | Some h ->
-    Buffer.add_char buf '\001';
+    W.add_u8 buf 1;
     let blob = Eric_puf.Enroll.serialize h in
-    buf_add_u32 buf (Bytes.length blob);
+    W.add_u32 buf (Bytes.length blob);
     Buffer.add_bytes buf blob);
-  buf_add_u32 buf e.instability_ppm
+  W.add_u32 buf e.instability_ppm
 
 let serialize t =
   let es = entries t in
   let buf = Buffer.create (64 * (1 + List.length es)) in
-  add_header buf ~count:(List.length es);
+  Buffer.add_bytes buf (header ~count:(List.length es));
   List.iter (serialize_entry buf) es;
   Buffer.to_bytes buf
 
-module Reader = struct
-  type src = Buf of bytes | Chan of in_channel
+let u32 c what =
+  let v = W.i32 c what in
+  if v < 0 then W.fail c ("negative " ^ what) else v
 
-  type t = { src : src; mutable pos : int }
-
-  let of_bytes b = { src = Buf b; pos = 0 }
-  let of_channel ic = { src = Chan ic; pos = 0 }
-
-  let take r n what =
-    let truncated () =
-      Error (Printf.sprintf "registry truncated reading %s (at byte %d)" what r.pos)
-    in
-    match r.src with
-    | Buf b ->
-      if n >= 0 && r.pos + n <= Bytes.length b then begin
-        let s = Bytes.sub b r.pos n in
-        r.pos <- r.pos + n;
-        Ok s
-      end
-      else truncated ()
-    | Chan ic -> (
-      if n < 0 then truncated ()
-      else
-        let b = Bytes.create n in
-        match really_input ic b 0 n with
-        | () ->
-          r.pos <- r.pos + n;
-          Ok b
-        | exception End_of_file -> truncated ())
-
-  let u8 r what =
-    let* b = take r 1 what in
-    Ok (Char.code (Bytes.get b 0))
-
-  let u16 r what =
-    let* b = take r 2 what in
-    Ok (Eric_util.Bytesx.get_u16 b 0)
-
-  let u32 r what =
-    let* b = take r 4 what in
-    let v = Int32.to_int (Eric_util.Bytesx.get_u32 b 0) in
-    if v < 0 then Error (Printf.sprintf "negative %s" what) else Ok v
-
-  let u64 r what =
-    let* b = take r 8 what in
-    Ok (Eric_util.Bytesx.get_u64 b 0)
-
-  let str r what =
-    let* n = u16 r (what ^ " length") in
-    let* b = take r n what in
-    Ok (Bytes.to_string b)
-
-  (* Bytes remaining past the cursor (0 = cleanly consumed).  Used for
-     the trailing-garbage strictness check; for a channel source it may
-     consume, so only call it after the last entry. *)
-  let excess r =
-    match r.src with
-    | Buf b -> Bytes.length b - r.pos
-    | Chan ic -> (
-      match input_char ic with
-      | exception End_of_file -> 0
-      | _ -> in_channel_length ic - pos_in ic + 1)
-end
-
-let read_header r =
-  let* m = Reader.take r 4 "magic" in
-  let* () =
-    if Bytes.to_string m = magic then Ok () else Error "bad magic (not an ERIC registry)"
+let read_entry c ~version:v =
+  let device_id = W.u64 c "device id" in
+  let epoch = u32 c "epoch" in
+  let firmware_epoch = u32 c "firmware epoch" in
+  let label = W.string c (W.u16 c "label length") "label" in
+  let key = W.bytes c (W.u16 c "key length") "key" in
+  let status =
+    match W.u8 c "status" with
+    | 0 -> Active
+    | 1 -> Quarantined (W.string c (W.u16 c "quarantine reason length") "quarantine reason")
+    | tag -> W.fail c (Printf.sprintf "unknown status tag %d" tag)
   in
-  let* v = Reader.u16 r "version" in
-  let* () =
-    if v >= min_version && v <= version then Ok ()
-    else Error (Printf.sprintf "unsupported registry version %d" v)
-  in
-  let* reserved = Reader.u16 r "reserved" in
-  let* () = if reserved = 0 then Ok () else Error "reserved bytes set" in
-  let* n = Reader.u32 r "entry count" in
-  Ok (v, n)
-
-let read_entry r ~version:v =
-  let* device_id = Reader.u64 r "device id" in
-  let* epoch = Reader.u32 r "epoch" in
-  let* firmware_epoch = Reader.u32 r "firmware epoch" in
-  let* label = Reader.str r "label" in
-  let* key = Reader.str r "key" in
-  let* tag = Reader.u8 r "status" in
-  let* status =
-    match tag with
-    | 0 -> Ok Active
-    | 1 ->
-      let* reason = Reader.str r "quarantine reason" in
-      Ok (Quarantined reason)
-    | _ -> Error (Printf.sprintf "unknown status tag %d" tag)
-  in
-  let* helper, instability_ppm =
-    if v < 2 then Ok (None, 0)
+  let helper, instability_ppm =
+    if v < 2 then (None, 0)
     else
-      let* flag = Reader.u8 r "helper flag" in
-      let* helper =
-        match flag with
-        | 0 -> Ok None
-        | 1 ->
-          let* blob_len = Reader.u32 r "helper length" in
-          let* blob = Reader.take r blob_len "helper blob" in
-          let* h =
-            Result.map_error
-              (fun e -> Printf.sprintf "device %Ld: %s" device_id e)
-              (Eric_puf.Enroll.parse blob)
-          in
-          Ok (Some h)
-        | _ -> Error (Printf.sprintf "unknown helper flag %d" flag)
+      let helper =
+        match W.u8 c "helper flag" with
+        | 0 -> None
+        | 1 -> (
+          let blob = W.bytes c (u32 c "helper length") "helper blob" in
+          match Eric_puf.Enroll.parse blob with
+          | Ok h -> Some h
+          | Error e -> W.fail c (Printf.sprintf "device %Ld: %s" device_id e))
+        | flag -> W.fail c (Printf.sprintf "unknown helper flag %d" flag)
       in
-      let* ppm = Reader.u32 r "instability" in
-      Ok (helper, ppm)
+      (helper, u32 c "instability")
   in
-  Ok { device_id; epoch; firmware_epoch; label; key = Bytes.of_string key; status; helper; instability_ppm }
+  { device_id; epoch; firmware_epoch; label; key; status; helper; instability_ppm }
 
-let parse_reader r =
-  let* v, n = read_header r in
+(* Header, every entry through [f], then the strict end. *)
+let read_entries c ~init ~f =
+  W.magic c magic "bad magic (not an ERIC registry)";
+  let v = W.u16 c "version" in
+  if v < min_version || v > version then
+    W.fail c (Printf.sprintf "unsupported registry version %d" v);
+  if W.u16 c "reserved" <> 0 then W.fail c "reserved bytes set";
+  let n = u32 c "entry count" in
+  let rec loop i acc = if i = n then acc else loop (i + 1) (f acc (read_entry c ~version:v)) in
+  let acc = loop 0 init in
+  match W.remaining c with
+  | 0 -> acc
+  | k -> W.fail c (Printf.sprintf "%d trailing bytes after the last entry" k)
+
+let read_registry c =
   let t = create () in
-  let rec loop i =
-    if i = n then Ok ()
-    else
-      let* e = read_entry r ~version:v in
-      let* _ = Result.map_error (fun m -> "duplicate entry: " ^ m) (add t e) in
-      loop (i + 1)
-  in
-  let* () = loop 0 in
-  match Reader.excess r with
-  | 0 -> Ok t
-  | k -> Error (Printf.sprintf "%d trailing bytes after the last entry" k)
+  read_entries c ~init:() ~f:(fun () e ->
+      match add t e with Ok _ -> () | Error m -> W.fail c ("duplicate entry: " ^ m));
+  t
 
-let parse b = parse_reader (Reader.of_bytes b)
+let parse b = W.decode ~format:"registry" b read_registry
+let load path = W.decode_file ~format:"registry" path read_registry
 
 let fold_file path ~init ~f =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let r = Reader.of_channel ic in
-        let* v, n = read_header r in
-        let rec loop i acc =
-          if i = n then Ok acc
-          else
-            let* e = read_entry r ~version:v in
-            let* acc = f acc e in
-            loop (i + 1) acc
-        in
-        let* acc = loop 0 init in
-        match Reader.excess r with
-        | 0 -> Ok acc
-        | k -> Error (Printf.sprintf "%d trailing bytes after the last entry" k))
-  with
-  | exception Sys_error msg -> Error msg
-  | r -> Result.map_error (fun e -> path ^ ": " ^ e) r
+  W.decode_file ~format:"registry" path (fun c ->
+      read_entries c ~init ~f:(fun acc e ->
+          match f acc e with Ok acc -> acc | Error m -> W.fail c m))
 
-let save t path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc (serialize t))
-
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> parse_reader (Reader.of_channel ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | r -> Result.map_error (fun e -> path ^ ": " ^ e) r
+let save t path = W.write_atomic path (fun oc -> output_bytes oc (serialize t))
 
 let pp_status fmt = function
   | Active -> Format.pp_print_string fmt "active"

@@ -124,16 +124,15 @@ val fold_file :
   ('acc, string) result
 (** Stream a registry file entry by entry without materializing a
     registry (or the file) in memory: each entry is decoded from a
-    buffered channel cursor, handed to [f], and dropped.  Strictness
+    {!Eric_util.Wire} file cursor, handed to [f], and dropped.  Strictness
     matches {!parse} — bad magic, truncation and trailing bytes all fail
     — except duplicate device ids, which the caller must track if it
     cares.  [f] can stop the fold by returning [Error]. *)
 
-val save : t -> string -> unit
+val save : t -> string -> (unit, string) result
 val load : string -> (t, string) result
-(** File I/O wrappers; [load] parses the file as a stream and turns I/O
-    failures into [Error] rather than exceptions so front ends can exit
-    cleanly. *)
+(** [save] writes a temp file and renames it over [path]; [load] parses
+    the file as a stream.  I/O failures are [Error], not exceptions. *)
 
 val pp_status : Format.formatter -> status -> unit
 val pp_entry : Format.formatter -> entry -> unit

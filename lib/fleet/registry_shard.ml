@@ -71,63 +71,36 @@ let count t = locked t (fun () -> Array.fold_left ( + ) 0 t.counts)
 (* Manifest I/O                                                        *)
 (* ------------------------------------------------------------------ *)
 
+module W = Eric_util.Wire
+
 let manifest_bytes t =
-  let b = Bytes.create (12 + (4 * t.shards)) in
-  Bytes.blit_string magic 0 b 0 4;
-  Eric_util.Bytesx.set_u16 b 4 manifest_version;
-  Eric_util.Bytesx.set_u16 b 6 0;
-  Eric_util.Bytesx.set_u32 b 8 (Int32.of_int t.shards);
-  Array.iteri
-    (fun i c -> Eric_util.Bytesx.set_u32 b (12 + (4 * i)) (Int32.of_int c))
-    t.counts;
-  b
+  let buf = Buffer.create (12 + (4 * t.shards)) in
+  Buffer.add_string buf magic;
+  W.add_u16 buf manifest_version;
+  W.add_u16 buf 0;
+  W.add_u32 buf t.shards;
+  Array.iter (W.add_u32 buf) t.counts;
+  Buffer.to_bytes buf
 
 let write_manifest t =
-  if t.sharded then begin
-    let oc = open_out_bin (manifest_file t.path) in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc (manifest_bytes t))
-  end
+  if t.sharded then
+    W.write_atomic (manifest_file t.path) (fun oc -> output_bytes oc (manifest_bytes t))
+  else Ok ()
 
-let parse_manifest ~dir b =
-  let len = Bytes.length b in
-  let* () = if len >= 12 then Ok () else Error "manifest truncated" in
-  let* () =
-    if Bytes.sub_string b 0 4 = magic then Ok ()
-    else Error "bad manifest magic (not a sharded ERIC registry)"
-  in
-  let v = Eric_util.Bytesx.get_u16 b 4 in
-  let* () =
-    if v = manifest_version then Ok ()
-    else Error (Printf.sprintf "unsupported manifest version %d" v)
-  in
-  let* () = if Eric_util.Bytesx.get_u16 b 6 = 0 then Ok () else Error "reserved bytes set" in
-  let s = Int32.to_int (Eric_util.Bytesx.get_u32 b 8) in
-  let* () =
-    if s >= 1 && s <= max_shards then Ok ()
-    else Error (Printf.sprintf "shard count %d out of range" s)
-  in
-  let* () =
-    if len = 12 + (4 * s) then Ok ()
-    else Error (Printf.sprintf "manifest length %d does not match %d shard(s)" len s)
-  in
-  let counts = Array.init s (fun i -> Int32.to_int (Eric_util.Bytesx.get_u32 b (12 + (4 * i)))) in
-  let* () =
-    if Array.for_all (fun c -> c >= 0) counts then Ok () else Error "negative shard count"
-  in
-  Ok (make ~path:dir ~sharded:true counts)
-
-let read_manifest dir =
-  match
-    let ic = open_in_bin (manifest_file dir) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | data ->
-    Result.map_error
-      (fun e -> manifest_file dir ^ ": " ^ e)
-      (parse_manifest ~dir (Bytes.of_string data))
+let read_manifest ~dir c =
+  let len = W.remaining c in
+  if len < 12 then W.fail c "manifest truncated";
+  W.magic c magic "bad manifest magic (not a sharded ERIC registry)";
+  let v = W.u16 c "version" in
+  if v <> manifest_version then W.fail c (Printf.sprintf "unsupported manifest version %d" v);
+  if W.u16 c "reserved" <> 0 then W.fail c "reserved bytes set";
+  let s = W.i32 c "shard count" in
+  if s < 1 || s > max_shards then W.fail c (Printf.sprintf "shard count %d out of range" s);
+  if len <> 12 + (4 * s) then
+    W.fail c (Printf.sprintf "manifest length %d does not match %d shard(s)" len s);
+  let counts = Array.init s (fun _ -> W.i32 c "shard entry count") in
+  if Array.exists (fun c -> c < 0) counts then W.fail c "negative shard count";
+  make ~path:dir ~sharded:true counts
 
 (* A plain file: one shard, already parsed. *)
 let of_file path reg =
@@ -139,20 +112,11 @@ let create_dir ~dir ~shards =
   if shards < 1 || shards > max_shards then
     Error (Printf.sprintf "shard count %d out of range (1..%d)" shards max_shards)
   else if is_sharded dir then Error (dir ^ ": already a sharded registry")
-  else begin
-    match
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      if not (Sys.is_directory dir) then Error (dir ^ ": not a directory")
-      else begin
-        let t = make ~path:dir ~sharded:true (Array.make shards 0) in
-        write_manifest t;
-        Ok t
-      end
-    with
-    | exception Unix.Unix_error (e, _, _) -> Error (dir ^ ": " ^ Unix.error_message e)
-    | exception Sys_error msg -> Error msg
-    | r -> r
-  end
+  else
+    let* () = W.ensure_dir dir in
+    let t = make ~path:dir ~sharded:true (Array.make shards 0) in
+    let* () = write_manifest t in
+    Ok t
 
 let create ~shards path =
   if shards <> 0 then create_dir ~dir:path ~shards
@@ -172,7 +136,9 @@ let load path =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.registry.open" (fun () ->
       let start = Eric_telemetry.Clock.now_ns () in
       let kind, result =
-        if is_sharded path then ("manifest", read_manifest path)
+        if is_sharded path then
+          ( "manifest",
+            W.decode_file ~format:"manifest" (manifest_file path) (read_manifest ~dir:path) )
         else ("file", Result.map (of_file path) (Registry.load path))
       in
       observe_open_ns ~kind start;
@@ -207,17 +173,24 @@ let shard t i =
              reg))
 
 let save_shard t i reg =
-  Registry.save reg (shard_file t i);
+  let* () = Registry.save reg (shard_file t i) in
   t.counts.(i) <- Registry.count reg;
-  t.dirty.(i) <- false
+  t.dirty.(i) <- false;
+  Ok ()
 
 let save t =
   locked t (fun () ->
-      Hashtbl.iter
-        (fun i reg ->
-          if t.dirty.(i) then save_shard t i reg
-          else t.counts.(i) <- Registry.count reg)
-        t.opened;
+      let* () =
+        Hashtbl.fold
+          (fun i reg acc ->
+            let* () = acc in
+            if t.dirty.(i) then save_shard t i reg
+            else begin
+              t.counts.(i) <- Registry.count reg;
+              Ok ()
+            end)
+          t.opened (Ok ())
+      in
       write_manifest t)
 
 (* ------------------------------------------------------------------ *)
@@ -274,13 +247,16 @@ let walk t ~f =
     else
       let* reg = shard t i in
       let* r = f reg in
-      locked t (fun () ->
-          save_shard t i reg;
-          Hashtbl.remove t.opened i);
+      let* () =
+        locked t (fun () ->
+            let saved = save_shard t i reg in
+            Hashtbl.remove t.opened i;
+            saved)
+      in
       go (i + 1) (r :: acc)
   in
   let* results = go 0 [] in
-  locked t (fun () -> write_manifest t);
+  let* () = locked t (fun () -> write_manifest t) in
   Ok results
 
 let of_registry ~dir ~shards reg =
@@ -293,7 +269,7 @@ let of_registry ~dir ~shards reg =
         Ok ())
       (Ok ()) (Registry.entries reg)
   in
-  save t;
+  let* () = save t in
   Ok t
 
 let migrate ~file ~dir ~shards =
@@ -303,54 +279,57 @@ let migrate ~file ~dir ~shards =
     else Ok ()
   in
   let* t = create_dir ~dir ~shards in
-  (* Stream: route each decoded entry straight to its shard's output
-     channel (header written with count 0, patched at the end), so the
-     single-file fleet is never resident. *)
+  (* Stream: route each decoded entry straight to its shard's temp
+     file (header written with count 0 and patched at the end), so the
+     single-file fleet is never resident and no shard file exists until
+     its temp is renamed into place. *)
   let outs = Array.make shards None in
   let out i =
     match outs.(i) with
-    | Some oc -> oc
+    | Some s -> Ok (W.channel s)
     | None ->
-      let oc = open_out_bin (shard_file t i) in
-      output_bytes oc (Registry.header ~count:0);
-      outs.(i) <- Some oc;
-      oc
-  in
-  let close_all () =
-    Array.iter (function Some oc -> close_out_noerr oc | None -> ()) outs
+      let* s = W.stage (shard_file t i) in
+      outs.(i) <- Some s;
+      output_bytes (W.channel s) (Registry.header ~count:0);
+      Ok (W.channel s)
   in
   let seen = Hashtbl.create 1024 in
   let buf = Buffer.create 256 in
-  let result =
-    Fun.protect ~finally:close_all (fun () ->
-        let* () =
-          Registry.fold_file file ~init:() ~f:(fun () e ->
-              if Hashtbl.mem seen e.Registry.device_id then
-                Error
-                  (Printf.sprintf "duplicate entry: device %Ld is already enrolled"
-                     e.Registry.device_id)
-              else begin
-                Hashtbl.add seen e.Registry.device_id ();
-                let i = shard_of ~shards e.Registry.device_id in
-                Buffer.clear buf;
-                Registry.serialize_entry buf e;
-                Buffer.output_buffer (out i) buf;
-                t.counts.(i) <- t.counts.(i) + 1;
-                Ok ()
-              end)
-        in
-        Array.iteri
-          (fun i o ->
-            match o with
-            | None -> ()
-            | Some oc ->
-              seek_out oc 0;
-              output_bytes oc (Registry.header ~count:t.counts.(i)))
-          outs;
-        Ok ())
+  let routed =
+    Registry.fold_file file ~init:() ~f:(fun () e ->
+        if Hashtbl.mem seen e.Registry.device_id then
+          Error
+            (Printf.sprintf "duplicate entry: device %Ld is already enrolled" e.Registry.device_id)
+        else begin
+          Hashtbl.add seen e.Registry.device_id ();
+          let i = shard_of ~shards e.Registry.device_id in
+          let* oc = out i in
+          Buffer.clear buf;
+          Registry.serialize_entry buf e;
+          Buffer.output_buffer oc buf;
+          t.counts.(i) <- t.counts.(i) + 1;
+          Ok ()
+        end)
   in
-  let* () = result in
-  write_manifest t;
+  (* Patch each count in its temp file, then rename it into place; after
+     a failure every remaining temp file is removed. *)
+  let patch i s =
+    match
+      seek_out (W.channel s) 0;
+      output_bytes (W.channel s) (Registry.header ~count:t.counts.(i))
+    with
+    | () -> W.commit s
+    | exception Sys_error msg ->
+      W.discard s;
+      Error msg
+  in
+  let result = ref routed in
+  Array.iteri
+    (fun i ->
+      Option.iter (fun s -> if Result.is_ok !result then result := patch i s else W.discard s))
+    outs;
+  let* () = !result in
+  let* () = write_manifest t in
   Ok t
 
 let to_registry t =

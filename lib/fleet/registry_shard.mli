@@ -39,9 +39,10 @@ val load : string -> (t, string) result
     shards observe [kind="shard"] and count
     [fleet.registry.shard.opens_total] / [.hits_total]. *)
 
-val save : t -> unit
+val save : t -> (unit, string) result
 (** Write every shard mutated since it was opened (and a directory's
-    manifest); clean shards are not rewritten. *)
+    manifest) through a temp file renamed into place; clean shards are
+    not rewritten. *)
 
 val count : t -> int
 (** Total enrolled devices, from the per-shard counts — no shard is
@@ -81,8 +82,8 @@ val of_registry : dir:string -> shards:int -> Registry.t -> (t, string) result
 val migrate : file:string -> dir:string -> shards:int -> (t, string) result
 (** Stream a single-file registry (any supported version) into a fresh
     sharded one without materializing it: entries are routed and
-    appended to per-shard files as they decode, and each shard header's
-    count is patched once the file is fully consumed.  Duplicate device
+    appended to per-shard temp files as they decode, and each header's
+    count is patched before the rename.  Duplicate device
     ids fail the migration, matching {!Registry.parse}. *)
 
 val to_registry : t -> (Registry.t, string) result

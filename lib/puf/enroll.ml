@@ -48,6 +48,8 @@ type enrollment = {
   worst_instability : float;
 }
 
+module W = Eric_util.Wire
+
 let helper_version = 1
 let magic = "EHLP"
 let tag_len = 32
@@ -59,35 +61,23 @@ let kept_chains h = Eric_util.Bitvec.popcount h.mask
 
    magic(4) "EHLP" | u16 version | u16 rep | u64 device_id | u16 chains
    | u16 kept | mask bytes (ceil(chains/8)) | kept*rep u16 challenges
-   | sketch bytes (ceil(kept*rep/8)) | tag (32).  All little-endian. *)
+   | sketch bytes (ceil(kept*rep/8)) | tag (32).  All little-endian; the
+   padding bits of the mask's and the sketch's last bytes are zero. *)
 
 let serialize_prefix h =
-  let kept = kept_chains h in
-  let mask_bytes = Eric_util.Bitvec.to_bytes h.mask in
-  let sketch_bytes = Eric_util.Bitvec.to_bytes h.sketch in
-  let len =
-    4 + 2 + 2 + 8 + 2 + 2 + Bytes.length mask_bytes
-    + (2 * Array.length h.challenges)
-    + Bytes.length sketch_bytes
-  in
-  let b = Bytes.create len in
-  Bytes.blit_string magic 0 b 0 4;
-  Eric_util.Bytesx.set_u16 b 4 h.version;
-  Eric_util.Bytesx.set_u16 b 6 h.rep;
-  Eric_util.Bytesx.set_u64 b 8 h.device_id;
-  Eric_util.Bytesx.set_u16 b 16 h.chains;
-  Eric_util.Bytesx.set_u16 b 18 kept;
-  Bytes.blit mask_bytes 0 b 20 (Bytes.length mask_bytes);
-  let off = ref (20 + Bytes.length mask_bytes) in
-  Array.iter
-    (fun c ->
-      Eric_util.Bytesx.set_u16 b !off c;
-      off := !off + 2)
-    h.challenges;
-  Bytes.blit sketch_bytes 0 b !off (Bytes.length sketch_bytes);
-  b
+  let buf = Buffer.create (64 + (2 * Array.length h.challenges)) in
+  Buffer.add_string buf magic;
+  W.add_u16 buf h.version;
+  W.add_u16 buf h.rep;
+  W.add_u64 buf h.device_id;
+  W.add_u16 buf h.chains;
+  W.add_u16 buf (kept_chains h);
+  Buffer.add_bytes buf (Eric_util.Bitvec.to_bytes h.mask);
+  Array.iter (W.add_u16 buf) h.challenges;
+  Buffer.add_bytes buf (Eric_util.Bitvec.to_bytes h.sketch);
+  Buffer.to_bytes buf
 
-let serialize h = Eric_util.Bytesx.append (serialize_prefix h) h.tag
+let serialize h = Bytes.cat (serialize_prefix h) h.tag
 
 let compute_tag ~key prefix =
   let auth_key = Eric_crypto.Hmac_sha256.mac_string ~key tag_domain in
@@ -96,50 +86,31 @@ let compute_tag ~key prefix =
 let tag_matches ~key h =
   Eric_crypto.Ct.equal (compute_tag ~key (serialize_prefix h)) h.tag
 
+let read c =
+  let len = W.remaining c in
+  if len < 20 then W.fail c "truncated header";
+  W.magic c magic "bad magic";
+  let version = W.u16 c "version" in
+  let rep = W.u16 c "rep" in
+  let device_id = W.u64 c "device id" in
+  let chains = W.u16 c "chains" in
+  let kept = W.u16 c "kept" in
+  if version <> helper_version then W.fail c (Printf.sprintf "unsupported version %d" version);
+  if rep < 1 || rep mod 2 = 0 then W.fail c "repetition count must be odd";
+  if chains < 1 then W.fail c "no chains";
+  if kept > chains then W.fail c "kept exceeds chains";
+  let group = kept * rep in
+  let expect = 20 + ((chains + 7) / 8) + (2 * group) + ((group + 7) / 8) + tag_len in
+  if len <> expect then W.fail c (Printf.sprintf "length %d, expected %d" len expect);
+  let mask = W.bitvec c chains "mask" in
+  if Eric_util.Bitvec.popcount mask <> kept then W.fail c "mask popcount disagrees with kept count";
+  let challenges = Array.init group (fun _ -> W.u16 c "challenge") in
+  let sketch = W.bitvec c group "sketch" in
+  let tag = W.bytes c tag_len "tag" in
+  { version; device_id; chains; rep; mask; challenges; sketch; tag }
+
 let parse blob =
-  let err msg = Error (Printf.sprintf "helper data: %s" msg) in
-  let len = Bytes.length blob in
-  if len < 20 then err "truncated header"
-  else if Bytes.sub_string blob 0 4 <> magic then err "bad magic"
-  else begin
-    let version = Eric_util.Bytesx.get_u16 blob 4 in
-    let rep = Eric_util.Bytesx.get_u16 blob 6 in
-    let device_id = Eric_util.Bytesx.get_u64 blob 8 in
-    let chains = Eric_util.Bytesx.get_u16 blob 16 in
-    let kept = Eric_util.Bytesx.get_u16 blob 18 in
-    if version <> helper_version then
-      err (Printf.sprintf "unsupported version %d" version)
-    else if rep < 1 || rep mod 2 = 0 then err "repetition count must be odd"
-    else if chains < 1 then err "no chains"
-    else if kept > chains then err "kept exceeds chains"
-    else begin
-      let mask_len = (chains + 7) / 8 in
-      let group = kept * rep in
-      let sketch_len = (group + 7) / 8 in
-      let expect = 20 + mask_len + (2 * group) + sketch_len + tag_len in
-      if len <> expect then
-        err (Printf.sprintf "length %d, expected %d" len expect)
-      else begin
-        let mask =
-          Eric_util.Bitvec.of_bytes ~len:chains (Bytes.sub blob 20 mask_len)
-        in
-        if Eric_util.Bitvec.popcount mask <> kept then
-          err "mask popcount disagrees with kept count"
-        else begin
-          let off = 20 + mask_len in
-          let challenges =
-            Array.init group (fun i -> Eric_util.Bytesx.get_u16 blob (off + (2 * i)))
-          in
-          let off = off + (2 * group) in
-          let sketch =
-            Eric_util.Bitvec.of_bytes ~len:group (Bytes.sub blob off sketch_len)
-          in
-          let tag = Bytes.sub blob (off + sketch_len) tag_len in
-          Ok { version; device_id; chains; rep; mask; challenges; sketch; tag }
-        end
-      end
-    end
-  end
+  Result.map_error (fun msg -> "helper data: " ^ msg) (W.decode ~format:"EHLP" blob read)
 
 (* -- enrollment ---------------------------------------------------------- *)
 

@@ -60,9 +60,10 @@ val serialize : helper -> bytes
 (** Versioned wire blob ("EHLP" magic); see docs/puf-reliability.md. *)
 
 val parse : bytes -> (helper, string) result
-(** Strict inverse of {!serialize}: wrong magic, version, length, or an
-    inconsistent mask/kept count all refuse.  The tag is {e not} checked
-    here — only reconstruction can check it ({!Fuzzy.reconstruct}). *)
+(** Strict inverse of {!serialize}: wrong magic, version, length, an
+    inconsistent mask/kept count or a set padding bit all refuse.  The
+    tag is {e not} checked here — only reconstruction can check it
+    ({!Fuzzy.reconstruct}). *)
 
 val compute_tag : key:bytes -> bytes -> bytes
 (** [compute_tag ~key prefix] is the keyed tag over a serialized prefix;

@@ -286,8 +286,8 @@ let add_data_int st line width value_str =
   let b = Bytes.create width in
   (match width with
   | 1 -> Bytes.set b 0 (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
-  | 4 -> Eric_util.Bytesx.set_u32 b 0 (Int64.to_int32 v)
-  | 8 -> Eric_util.Bytesx.set_u64 b 0 v
+  | 4 -> Bytes.set_int32_le b 0 (Int64.to_int32 v)
+  | 8 -> Bytes.set_int64_le b 0 v
   | _ -> assert false);
   Buffer.add_bytes st.data b
 

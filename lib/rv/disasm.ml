@@ -34,10 +34,10 @@ let disassemble_stream text =
       (* trailing odd byte: report as an undecodable 16-bit slot *)
       List.rev ({ offset; size = n - offset; raw = Char.code (Bytes.get text offset); decoded = None } :: acc)
     else
-      let parcel = Eric_util.Bytesx.get_u16 text offset in
+      let parcel = Bytes.get_uint16_le text offset in
       if parcel land 0b11 = 0b11 && offset + 4 <= n then
-        let word = Int32.to_int (Eric_util.Bytesx.get_u32 text offset) land 0xFFFFFFFF in
-        let decoded = Decode.decode (Eric_util.Bytesx.get_u32 text offset) in
+        let word = Int32.to_int (Bytes.get_int32_le text offset) land 0xFFFFFFFF in
+        let decoded = Decode.decode (Bytes.get_int32_le text offset) in
         sweep (offset + 4) ({ offset; size = 4; raw = word; decoded } :: acc)
       else
         let decoded = Rvc.expand parcel in

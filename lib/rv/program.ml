@@ -91,112 +91,81 @@ module Layout = struct
   let entry_address t = text_base + t.entry_offset
 end
 
+module W = Eric_util.Wire
+
 let magic = "REXE"
 let version = 1
 let header_size = 24
 
-let symtab_bytes symbols =
-  let buf = Buffer.create 64 in
-  let b4 = Bytes.create 4 and b2 = Bytes.create 2 in
-  Eric_util.Bytesx.set_u32 b4 0 (Int32.of_int (List.length symbols));
-  Buffer.add_bytes buf b4;
-  List.iter
-    (fun (name, offset) ->
-      Eric_util.Bytesx.set_u16 b2 0 (String.length name);
-      Buffer.add_bytes buf b2;
-      Buffer.add_string buf name;
-      Eric_util.Bytesx.set_u32 b4 0 (Int32.of_int offset);
-      Buffer.add_bytes buf b4)
-    symbols;
-  Buffer.contents buf
+(* Header flags (offset 6): bit 0 = symbol table present; bits 1-15
+   are reserved and must be zero. *)
+let flag_symbols = 1
 
 let binary_size t = header_size + total_size t
 
 let to_binary ?(with_symbols = false) t =
-  let text = t.text in
-  let symtab = if with_symbols then symtab_bytes t.symbols else "" in
-  let out =
-    Bytes.create (header_size + Bytes.length text + Bytes.length t.data + String.length symtab)
-  in
-  Bytes.blit_string magic 0 out 0 4;
-  Eric_util.Bytesx.set_u16 out 4 version;
-  Eric_util.Bytesx.set_u16 out 6 (if with_symbols then 1 else 0);
-  Eric_util.Bytesx.set_u32 out 8 (Int32.of_int t.entry_offset);
-  Eric_util.Bytesx.set_u32 out 12 (Int32.of_int (Bytes.length text));
-  Eric_util.Bytesx.set_u32 out 16 (Int32.of_int (Bytes.length t.data));
-  Eric_util.Bytesx.set_u32 out 20 (Int32.of_int t.bss_size);
-  Bytes.blit text 0 out header_size (Bytes.length text);
-  Bytes.blit t.data 0 out (header_size + Bytes.length text) (Bytes.length t.data);
-  Bytes.blit_string symtab 0 out
-    (header_size + Bytes.length text + Bytes.length t.data)
-    (String.length symtab);
-  out
+  let head = Buffer.create header_size in
+  Buffer.add_string head magic;
+  W.add_u16 head version;
+  W.add_u16 head (if with_symbols then flag_symbols else 0);
+  W.add_u32 head t.entry_offset;
+  W.add_u32 head (Bytes.length t.text);
+  W.add_u32 head (Bytes.length t.data);
+  W.add_u32 head t.bss_size;
+  let symtab = Buffer.create (if with_symbols then 64 else 0) in
+  if with_symbols then begin
+    W.add_u32 symtab (List.length t.symbols);
+    List.iter
+      (fun (name, offset) ->
+        W.add_u16 symtab (String.length name);
+        Buffer.add_string symtab name;
+        W.add_u32 symtab offset)
+      t.symbols
+  end;
+  Bytes.concat Bytes.empty [ Buffer.to_bytes head; t.text; t.data; Buffer.to_bytes symtab ]
 
-let of_binary b =
-  let ( let* ) = Result.bind in
-  let* () = if Bytes.length b >= header_size then Ok () else Error "image too short" in
-  let* () =
-    if Bytes.sub_string b 0 4 = magic then Ok () else Error "bad magic (not a REXE image)"
+let read_symbols c =
+  let count = W.i32 c "symbol count" in
+  if count < 0 then W.fail c "negative symbol count";
+  let rec read n acc =
+    if n = 0 then
+      if W.remaining c = 0 then List.rev acc
+      else W.fail c "trailing bytes after symbol table"
+    else
+      let name_len = W.u16 c "symbol name length" in
+      let name = W.string c name_len "symbol name" in
+      let offset = W.i32 c "symbol offset" in
+      read (n - 1) ((name, offset) :: acc)
   in
-  let* () =
-    if Eric_util.Bytesx.get_u16 b 4 = version then Ok () else Error "unsupported image version"
-  in
-  let flags = Eric_util.Bytesx.get_u16 b 6 in
-  let entry_offset = Int32.to_int (Eric_util.Bytesx.get_u32 b 8) in
-  let text_len = Int32.to_int (Eric_util.Bytesx.get_u32 b 12) in
-  let data_len = Int32.to_int (Eric_util.Bytesx.get_u32 b 16) in
-  let bss_size = Int32.to_int (Eric_util.Bytesx.get_u32 b 20) in
-  let has_symbols = flags land 1 = 1 in
-  let* () =
-    let body = header_size + text_len + data_len in
-    if text_len >= 0 && data_len >= 0 && bss_size >= 0
-       && (if has_symbols then Bytes.length b >= body + 4 else Bytes.length b = body)
-    then Ok ()
-    else Error "inconsistent section lengths"
-  in
-  let text = Bytes.sub b header_size text_len in
-  let* () =
-    if count_parcels text <> None then Ok () else Error "text section does not tile into parcels"
-  in
-  let data = Bytes.sub b (header_size + text_len) data_len in
+  read count []
+
+let read c =
+  if W.remaining c < header_size then W.fail c "image too short";
+  W.magic c magic "bad magic (not a REXE image)";
+  if W.u16 c "version" <> version then W.fail c "unsupported image version";
+  let flags = W.u16 c "flags" in
+  if flags land lnot flag_symbols <> 0 then W.fail c "reserved flags set";
+  let entry_offset = W.i32 c "entry offset" in
+  let text_len = W.i32 c "text length" in
+  let data_len = W.i32 c "data length" in
+  let bss_size = W.i32 c "bss size" in
+  let has_symbols = flags = flag_symbols in
+  let body = text_len + data_len in
+  if not
+       (text_len >= 0 && data_len >= 0 && bss_size >= 0
+       && if has_symbols then W.remaining c >= body + 4 else W.remaining c = body)
+  then W.fail c "inconsistent section lengths";
+  let text = W.bytes c text_len "text" in
+  if count_parcels text = None then W.fail c "text section does not tile into parcels";
+  let data = W.bytes c data_len "data" in
   (* The entry checks [Package.parse] makes. *)
-  let* () =
-    if entry_offset >= 0 && entry_offset <= text_len then Ok () else Error "entry out of range"
-  in
-  let* () = if entry_offset land 1 = 0 then Ok () else Error "entry not parcel-aligned" in
-  let* () =
-    if entry_offset = text_len && text_len > 0 then Error "entry out of range" else Ok ()
-  in
-  let* symbols =
-    if not has_symbols then Ok []
-    else begin
-      let pos = ref (header_size + text_len + data_len) in
-      let remaining () = Bytes.length b - !pos in
-      if remaining () < 4 then Error "truncated symbol table"
-      else begin
-        let count = Int32.to_int (Eric_util.Bytesx.get_u32 b !pos) in
-        pos := !pos + 4;
-        let rec read n acc =
-          if n = 0 then if remaining () = 0 then Ok (List.rev acc) else Error "trailing bytes after symbol table"
-          else if remaining () < 2 then Error "truncated symbol entry"
-          else begin
-            let name_len = Eric_util.Bytesx.get_u16 b !pos in
-            pos := !pos + 2;
-            if remaining () < name_len + 4 then Error "truncated symbol entry"
-            else begin
-              let name = Bytes.sub_string b !pos name_len in
-              pos := !pos + name_len;
-              let offset = Int32.to_int (Eric_util.Bytesx.get_u32 b !pos) in
-              pos := !pos + 4;
-              read (n - 1) ((name, offset) :: acc)
-            end
-          end
-        in
-        if count < 0 then Error "negative symbol count" else read count []
-      end
-    end
-  in
-  Ok { text; data; bss_size; entry_offset; symbols }
+  if entry_offset < 0 || entry_offset > text_len then W.fail c "entry out of range";
+  if entry_offset land 1 <> 0 then W.fail c "entry not parcel-aligned";
+  if entry_offset = text_len && text_len > 0 then W.fail c "entry out of range";
+  let symbols = if has_symbols then read_symbols c else [] in
+  { text; data; bss_size; entry_offset; symbols }
+
+let of_binary b = W.decode ~format:"image" b read
 
 let pp_summary fmt t =
   Format.fprintf fmt "text %d B (%d parcels), data %d B, bss %d B, entry +0x%x" (text_size t)

@@ -70,15 +70,15 @@ val to_binary : ?with_symbols:bool -> t -> bytes
     section sizes) followed by text then data.  [with_symbols] (default
     false, so evaluation baselines stay lean) appends a symbol table —
     [u32 count] then per symbol [u16 name length, name, u32 text offset] —
-    and sets a header flag; {!of_binary} restores it. *)
+    and sets header flag bit 0; {!of_binary} restores it. *)
 
 val binary_size : t -> int
 (** [Bytes.length (to_binary t)], the header plus {!total_size}, without
     building the binary. *)
 
 val of_binary : bytes -> (t, string) result
-(** Refuses what [Package.parse] refuses of the same fields: a text
-    section that does not tile, and an entry offset that is negative, odd,
-    past the text, or at the end of a non-empty text. *)
+(** Refuses flag bits 1-15, and what [Package.parse] refuses of the same
+    fields: a text section that does not tile, and an entry offset that
+    is negative, odd, past the text, or at the end of a non-empty text. *)
 
 val pp_summary : Format.formatter -> t -> unit

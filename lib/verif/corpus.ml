@@ -45,20 +45,12 @@ let to_string e =
   Buffer.add_string b e.source;
   Buffer.contents b
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-
 let save ~dir e =
-  try
-    ensure_dir dir;
-    let path = Filename.concat dir (file_name e) in
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_string e));
-    Ok path
-  with Sys_error msg -> Error msg
+  let path = Filename.concat dir (file_name e) in
+  Result.bind (Eric_util.Wire.ensure_dir dir) (fun () ->
+      Result.map
+        (fun () -> path)
+        (Eric_util.Wire.write_atomic path (fun oc -> output_string oc (to_string e))))
 
 let parse text =
   let ( let* ) = Result.bind in
@@ -120,16 +112,7 @@ let parse text =
       in
       Ok { kind; seed; trace; source; note })
 
-let load path =
-  try
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse text
-  with Sys_error msg -> Error msg
+let load path = Result.bind (Eric_util.Wire.read_file path) parse
 
 let list ~dir =
   if not (Sys.file_exists dir) then []

@@ -85,6 +85,9 @@ let expect_clean_failure what (code, err) =
   check Alcotest.bool (what ^ ": stderr starts with 'error:'") true (starts_with "error:" err);
   expect_no_exception_trace what err
 
+let save_registry reg path =
+  match Eric_fleet.Registry.save reg path with Ok () -> () | Error e -> Alcotest.fail e
+
 let make_registry path n =
   let reg = Eric_fleet.Registry.create () in
   for i = 1 to n do
@@ -92,7 +95,7 @@ let make_registry path n =
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   done;
-  Eric_fleet.Registry.save reg path;
+  save_registry reg path;
   reg
 
 (* Every file of a registry (the file itself, or a directory's
@@ -191,6 +194,34 @@ let test_truncated_package () =
       let wire = Eric.Package.serialize build.Eric.Source.package in
       write path (Bytes.sub wire 0 (Bytes.length wire / 2));
       expect_clean_failure "truncated package" (run_cli [ "run"; path ]))
+
+(* Every output under a missing directory: an "error:" line and exit 1,
+   never an uncaught Sys_error. *)
+let test_unwritable_outputs () =
+  with_tmp (fun src ->
+      with_tmp (fun registry ->
+          write src (Bytes.of_string "int main() { return 0; }");
+          ignore (make_registry registry 2);
+          with_tmp_dir (fun missing ->
+              let under name = Filename.concat missing name in
+              List.iter
+                (fun (what, args) ->
+                  let code, err = run_cli args in
+                  expect_clean_failure what (code, err);
+                  check Alcotest.int (what ^ ": exit 1") 1 code;
+                  check Alcotest.bool (what ^ ": nothing created") false (Sys.file_exists missing))
+                [ ("compile -o", [ "compile"; example "hello.c"; "-o"; under "x.rexe" ]);
+                  ( "fleet enroll --registry",
+                    [ "fleet"; "enroll"; "--registry"; under "f.efrg"; "--factory"; "--quiet" ] );
+                  ( "fleet campaign --report-out",
+                    [ "fleet"; "campaign"; src; "--registry"; registry;
+                      "--report-out"; under "r.json" ] );
+                  ( "fleet campaign --cache-dir",
+                    [ "fleet"; "campaign"; src; "--registry"; registry;
+                      "--cache-dir"; under "cache" ] );
+                  ( "serve run --cache-dir",
+                    [ "serve"; "run"; "--scenario"; "steady"; "--duration"; "1";
+                      "--cache-dir"; under "cache" ] ) ])))
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes: each failure class maps to its documented code          *)
@@ -599,7 +630,7 @@ let test_fleet_rotate_keyless_device () =
             Eric_fleet.Registry.update reg
               { e with Eric_fleet.Registry.helper = Some { h with Eric_puf.Enroll.tag } }
           | _ -> Alcotest.fail "device 9011 has no helper data");
-          Eric_fleet.Registry.save reg file;
+          save_registry reg file;
           let code, err =
             run_cli [ "fleet"; "shard"; "migrate"; "--registry"; file; "--dir"; dir; "--shards"; "4" ]
           in
@@ -726,7 +757,8 @@ let () =
           Alcotest.test_case "corrupt registry magic" `Quick test_corrupt_registry_magic;
           Alcotest.test_case "missing registry" `Quick test_missing_registry;
           Alcotest.test_case "garbage package" `Quick test_garbage_package;
-          Alcotest.test_case "truncated package" `Quick test_truncated_package ] );
+          Alcotest.test_case "truncated package" `Quick test_truncated_package;
+          Alcotest.test_case "unwritable outputs exit 1" `Quick test_unwritable_outputs ] );
       ( "exit-codes",
         [ Alcotest.test_case "malformed input is 4" `Quick test_exit_code_malformed;
           Alcotest.test_case "validation refusal is 5" `Quick test_exit_code_refused;

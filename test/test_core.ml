@@ -107,7 +107,7 @@ let test_package_parse_rejects () =
   let wire = Eric.Package.serialize pkg in
   let is_err b = Result.is_error (Eric.Package.parse b) in
   check Alcotest.bool "truncated" true (is_err (Bytes.sub wire 0 (Bytes.length wire - 1)));
-  check Alcotest.bool "extended" true (is_err (Eric_util.Bytesx.append wire (Bytes.make 1 'x')));
+  check Alcotest.bool "extended" true (is_err (Bytes.cat wire (Bytes.make 1 'x')));
   let bad_magic = Bytes.copy wire in
   Bytes.set bad_magic 0 'X';
   check Alcotest.bool "magic" true (is_err bad_magic);
@@ -129,20 +129,20 @@ let test_package_parse_malformed_classes () =
     | Error msg -> check Alcotest.string name expected msg
   in
   let splice b ~at ~delete ~insert =
-    Eric_util.Bytesx.concat
+    Bytes.concat Bytes.empty
       [ Bytes.sub b 0 at; insert; Bytes.sub b (at + delete) (Bytes.length b - at - delete) ]
   in
   let with_u32 b off v =
     let c = Bytes.copy b in
-    Eric_util.Bytesx.set_u32 c off (Int32.of_int v);
+    Bytes.set_int32_le c off (Int32.of_int v);
     c
   in
   let full_pkg = build Eric.Config.Full in
   let full = Eric.Package.serialize full_pkg in
   let partial = Eric.Package.serialize (build (Eric.Config.Partial Eric.Config.Select_all)) in
-  let map_len = Int32.to_int (Eric_util.Bytesx.get_u32 partial 28) in
-  let text_len = Int32.to_int (Eric_util.Bytesx.get_u32 partial 12) in
-  let parcel_count = Int32.to_int (Eric_util.Bytesx.get_u32 partial 24) in
+  let map_len = Int32.to_int (Bytes.get_int32_le partial 28) in
+  let text_len = Int32.to_int (Bytes.get_int32_le partial 12) in
+  let parcel_count = Int32.to_int (Bytes.get_int32_le partial 24) in
   check Alcotest.bool "fixture has a real map" true (map_len > 0);
   (* map one byte shorter than the parcel count needs *)
   expect "truncated map" "encryption map shorter than parcel count"
@@ -190,7 +190,7 @@ let test_package_parse_malformed_classes () =
   check Alcotest.bool "truncated signature" true
     (starts_with_length_error (Bytes.sub full 0 (Bytes.length full - 5)));
   check Alcotest.bool "overlong signature" true
-    (starts_with_length_error (Eric_util.Bytesx.append full (Bytes.make 3 '\000')))
+    (starts_with_length_error (Bytes.cat full (Bytes.make 3 '\000')))
 
 let test_package_sizes_match_paper_accounting () =
   let img = Lazy.force image in
@@ -228,6 +228,28 @@ let package_parser_fuzz_mutated =
         | Ok _ -> Bytes.equal wire (Eric.Package.serialize (build Eric.Config.Full))
         | Error _ -> true)
       | Error _ -> true)
+
+let package_flips =
+  let labelled label pkg = (label, Eric.Package.serialize pkg) in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (fraction, seed) ->
+          labelled "random partial selection"
+            (build
+               (Eric.Config.Partial
+                  (Eric.Config.Select_fraction { fraction; seed = Int64.of_int seed }))))
+        (pair (float_bound_inclusive 1.0) nat))
+  in
+  Bit_flips.property ~name:"EPKG bit flips" ~random:4 ~gen
+    ~corners:
+      [ labelled "full" (build Eric.Config.Full);
+        labelled "partial" (build (Eric.Config.Partial Eric.Config.Select_all));
+        labelled "field"
+          (build (Eric.Config.Field (Eric.Config.Imm_fields, Eric.Config.Select_all)));
+        labelled "obf" { (build Eric.Config.Full) with Eric.Package.obf = Some (0x1F, 0x5EEDL) } ]
+    ~roundtrip:(fun b ->
+      Result.to_option (Result.map Eric.Package.serialize (Eric.Package.parse b)))
 
 (* ------------------------------------------------------------------ *)
 (* Encrypt / decrypt                                                   *)
@@ -308,7 +330,7 @@ let test_field_mode_keeps_opcodes () =
             let op_enc = Char.code (Bytes.get enc pos) land 0x7F in
             check Alcotest.int "32-bit opcode preserved" op_plain op_enc
           | Eric_rv.Program.P16 _ ->
-            let p = Eric_util.Bytesx.get_u16 plain pos and e = Eric_util.Bytesx.get_u16 enc pos in
+            let p = Bytes.get_uint16_le plain pos and e = Bytes.get_uint16_le enc pos in
             check Alcotest.int "16-bit opcode bits preserved" (p land 0xE003) (e land 0xE003))
         (Eric_rv.Program.parcels img))
     [ Eric.Config.Imm_fields; Eric.Config.All_but_opcode ]
@@ -384,7 +406,6 @@ let ref_stream ~key ~len =
   Bytes.sub (Bytes.concat Bytes.empty blocks) 0 len
 
 let ref_decrypt ~key (pkg : Eric.Package.t) =
-  let module B = Eric_util.Bytesx in
   let text_len = Bytes.length pkg.enc_text in
   let ks = ref_stream ~key ~len:(text_len + Eric.Siggen.signature_size) in
   let out = Bytes.copy pkg.enc_text in
@@ -409,7 +430,7 @@ let ref_decrypt ~key (pkg : Eric.Package.t) =
       let enc = map_bit idx in
       let field = match pkg.kind with Eric.Package.M_field scope -> Some scope | _ -> None in
       if enc && field = None then xor_range ~pos:off ~len:2;
-      let half = B.get_u16 out off in
+      let half = Bytes.get_uint16_le out off in
       let size = if half land 0b11 = 0b11 then 4 else 2 in
       if off + size > text_len then fail "32-bit parcel runs past the end"
       else begin
@@ -418,13 +439,14 @@ let ref_decrypt ~key (pkg : Eric.Package.t) =
           | None -> if size = 4 then xor_range ~pos:(off + 2) ~len:2
           | Some scope ->
             if size = 4 then begin
-              let w = B.get_u32 out off in
+              let w = Bytes.get_int32_le out off in
               let mask = Eric.Config.field_mask32 scope w in
-              B.set_u32 out off (Int32.logxor w (Int32.logand (B.get_u32 ks off) mask))
+              Bytes.set_int32_le out off
+                (Int32.logxor w (Int32.logand (Bytes.get_int32_le ks off) mask))
             end
             else
               let mask = Eric.Config.field_mask16 scope half in
-              B.set_u16 out off (half lxor (B.get_u16 ks off land mask)));
+              Bytes.set_uint16_le out off (half lxor (Bytes.get_uint16_le ks off land mask)));
           incr encrypted_parcels;
           encrypted_bytes := !encrypted_bytes + size
         end;
@@ -1279,7 +1301,8 @@ let () =
           Alcotest.test_case "malformed classes" `Quick test_package_parse_malformed_classes;
           Alcotest.test_case "size accounting" `Quick test_package_sizes_match_paper_accounting;
           package_parser_fuzz;
-          package_parser_fuzz_mutated ] );
+          package_parser_fuzz_mutated;
+          package_flips ] );
       ( "encrypt",
         [ Alcotest.test_case "roundtrip all modes" `Quick test_roundtrip_all_modes;
           Alcotest.test_case "full covers everything" `Quick test_full_encrypts_everything;

@@ -18,6 +18,9 @@ int main() {
 }
 |}
 
+let save_registry reg path =
+  match Eric_fleet.Registry.save reg path with Ok () -> () | Error e -> Alcotest.fail e
+
 let enroll_fleet ?(start = 9_100) n =
   let reg = Eric_fleet.Registry.create () in
   for i = 0 to n - 1 do
@@ -189,7 +192,7 @@ let test_registry_parse_rejects () =
   let b = Eric_fleet.Registry.serialize one in
   let record = Bytes.sub b 12 (Bytes.length b - 12) in
   let doubled = Bytes.cat b record in
-  Eric_util.Bytesx.set_u32 doubled 8 2l;
+  Bytes.set_int32_le doubled 8 2l;
   expect_error "duplicate device id" doubled
 
 let test_registry_save_load () =
@@ -203,7 +206,7 @@ let test_registry_save_load () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Eric_fleet.Registry.save reg path;
+      save_registry reg path;
       match Eric_fleet.Registry.load path with
       | Error e -> Alcotest.fail e
       | Ok reg' ->
@@ -905,7 +908,7 @@ let shard_equivalence_prop =
         Fun.protect
           ~finally:(fun () -> Sys.remove file)
           (fun () ->
-            Eric_fleet.Registry.save reg file;
+            save_registry reg file;
             equivalent file (Shard.load file))
       end
       else with_temp_dir (fun dir -> equivalent dir (Shard.of_registry ~dir ~shards reg)))
@@ -916,7 +919,7 @@ let test_shard_migrate_from_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Eric_fleet.Registry.save reg file;
+      save_registry reg file;
       check Alcotest.bool "a plain file is not sharded" false (Shard.is_sharded file);
       with_temp_dir (fun dir ->
           match Shard.migrate ~file ~dir ~shards:4 with
@@ -1002,7 +1005,7 @@ let test_shard_rsa_rotation_layout_independent () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      Eric_fleet.Registry.save reg file;
+      save_registry reg file;
       with_temp_dir (fun dir ->
           let sharded = ok (Shard.migrate ~file ~dir ~shards:4) in
           let method_ = Lazy.force rsa_384 in
@@ -1201,6 +1204,211 @@ let test_enroll_legacy_boots_and_ships () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Wire: byte pins, single-bit mutations, bounded reads, atomic writes *)
+(* ------------------------------------------------------------------ *)
+
+let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
+let sha_hex b = Eric_crypto.Sha256.hex (Eric_crypto.Sha256.digest b)
+let slurp path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+let put path b =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+(* An EFRG v2 registry holding a screened, a legacy and a quarantined
+   entry. *)
+let pinned_registry () =
+  let reg = Eric_fleet.Registry.create () in
+  ignore (ok_or_fail (Eric_fleet.Registry.enroll reg 0x5EEDL));
+  ignore (ok_or_fail (Eric_fleet.Registry.enroll_legacy ~epoch:3 ~label:"field" reg 0x1E6AL));
+  let q = ok_or_fail (Eric_fleet.Registry.enroll reg 0x0BADL) in
+  Eric_fleet.Registry.update reg
+    { q with
+      Eric_fleet.Registry.status = Eric_fleet.Registry.Quarantined "pinned reason";
+      firmware_epoch = 5 };
+  reg
+
+(* Ten legacy devices in four shards. *)
+let with_pinned_shards f =
+  let reg = Eric_fleet.Registry.create () in
+  for i = 1 to 10 do
+    ignore (ok_or_fail (Eric_fleet.Registry.enroll_legacy reg (Int64.of_int i)))
+  done;
+  with_temp_dir (fun dir ->
+      ignore (ok_or_fail (Shard.of_registry ~dir ~shards:4 reg));
+      f dir)
+
+(* Recorded before the codecs moved onto one cursor. *)
+let test_wire_pins () =
+  check Alcotest.string "EFRG v2: screened, legacy, quarantined"
+    "90fdec4075204026bdae1446b04fbf356640b316ef0fe5c63d0e5c2d6f9f8845"
+    (sha_hex (Eric_fleet.Registry.serialize (pinned_registry ())));
+  with_pinned_shards (fun dir ->
+      check Alcotest.string "4-shard MANIFEST"
+        "53466716f57e07ba44ee69076d56713462e26445fceaed9ef3960b3f9fd2d5d5"
+        (sha_hex (slurp (Filename.concat dir "MANIFEST"))))
+
+let efrg_flips =
+  let helper = lazy (Eric_puf.Enroll.enroll (Eric_puf.Device.manufacture 0x5EEDL)) in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun specs ->
+          let reg = Eric_fleet.Registry.create () in
+          List.iteri
+            (fun i (label, key, (quarantine, helper_on), ppm) ->
+              ignore
+                (ok_or_fail
+                   (Eric_fleet.Registry.add reg
+                      { Eric_fleet.Registry.device_id = Int64.of_int (i * 77);
+                        epoch = i;
+                        label;
+                        key = Bytes.of_string key;
+                        firmware_epoch = ppm mod 7;
+                        status =
+                          (match quarantine with
+                          | None -> Eric_fleet.Registry.Active
+                          | Some r -> Eric_fleet.Registry.Quarantined r);
+                        helper =
+                          (if helper_on then
+                             Some (ok_or_fail (Lazy.force helper)).Eric_puf.Enroll.helper
+                           else None);
+                        instability_ppm = ppm })))
+            specs;
+          ("random registry", Eric_fleet.Registry.serialize reg))
+        (list_size (int_range 0 4)
+           (quad (string_size ~gen:printable (int_range 0 6))
+              (string_size (int_range 0 33))
+              (pair (opt (string_size ~gen:printable (int_range 0 5))) bool)
+              (int_range 0 1_000_000))))
+  in
+  Bit_flips.property ~name:"EFRG bit flips" ~random:4 ~gen
+    ~corners:[ ("pinned registry", Eric_fleet.Registry.serialize (pinned_registry ())) ]
+    ~roundtrip:(fun b ->
+      (* a version field that now reads 1 upgrades on write *)
+      if Bytes.get_uint16_le b 4 = 1 then None
+      else
+        Result.to_option
+          (Result.map Eric_fleet.Registry.serialize (Eric_fleet.Registry.parse b)))
+
+let manifest_flips =
+  let manifest counts =
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf "EFRS\001\000\000\000";
+    Buffer.add_int32_le buf (Int32.of_int (List.length counts));
+    List.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) counts;
+    ("random manifest", Buffer.to_bytes buf)
+  in
+  let pinned = with_pinned_shards (fun dir -> slurp (Filename.concat dir "MANIFEST")) in
+  Bit_flips.property ~name:"MANIFEST bit flips" ~random:4
+    ~gen:QCheck.Gen.(map manifest (list_size (int_range 1 12) (int_bound 0x3FFFFFFF)))
+    ~corners:[ ("pinned manifest", pinned) ]
+    ~roundtrip:(fun b ->
+      with_temp_dir (fun dir ->
+          Sys.mkdir dir 0o755;
+          let path = Filename.concat dir "MANIFEST" in
+          put path b;
+          match Shard.load dir with
+          | Error _ -> None
+          | Ok t ->
+            ignore (ok_or_fail (Shard.save t));
+            Some (slurp path)))
+
+(* A valid 3-device registry whose first helper length reads 64 MiB:
+   both streaming decoders refuse it without allocating the length. *)
+let test_registry_bounded_reads () =
+  let reg = enroll_fleet ~start:9_800 3 in
+  let first = List.hd (Eric_fleet.Registry.entries reg) in
+  let at =
+    12 + 8 + 4 + 4 + 2
+    + String.length first.Eric_fleet.Registry.label
+    + 2
+    + Bytes.length first.Eric_fleet.Registry.key
+    + 1 + 1
+  in
+  let wire = Eric_fleet.Registry.serialize reg in
+  check Alcotest.int "the field holds the first helper's length"
+    (Bytes.length (Eric_puf.Enroll.serialize (Option.get first.Eric_fleet.Registry.helper)))
+    (Int32.to_int (Bytes.get_int32_le wire at));
+  Bytes.set_int32_le wire at (Int32.of_int (64 * 1024 * 1024));
+  let path = Filename.temp_file "eric_fleet" ".efrg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      put path wire;
+      let allocation what f =
+        Gc.full_major ();
+        let before = Gc.allocated_bytes () in
+        let refused = Result.is_error (f ()) in
+        let allocated = Gc.allocated_bytes () -. before in
+        check Alcotest.bool (what ^ " refuses the file") true refused;
+        (what, allocated /. 1048576.0)
+      in
+      let load = allocation "Registry.load" (fun () -> Eric_fleet.Registry.load path) in
+      let fold =
+        allocation "Registry.fold_file" (fun () ->
+            Eric_fleet.Registry.fold_file path ~init:() ~f:(fun () _ -> Ok ()))
+      in
+      check Alcotest.(list string) "both stay under 1 MiB" []
+        (List.filter_map
+           (fun (what, mib) ->
+             if mib < 1.0 then None else Some (Printf.sprintf "%s allocated %.1f MiB" what mib))
+           [ load; fold ]))
+
+(* What an interrupted [write_atomic] leaves: [.<name>.<hex>.tmp]. *)
+let stale_temp dir name =
+  put (Filename.concat dir (Printf.sprintf ".%s.c0ffee.tmp" name)) (Bytes.of_string "torn")
+
+let test_stale_temps_ignored () =
+  with_pinned_shards (fun dir ->
+      let status () = ok_or_fail (Result.bind (Shard.load dir) Shard.summary) in
+      let before = status () in
+      stale_temp dir "MANIFEST";
+      stale_temp dir "shard-0000.efrg";
+      stale_temp dir "shard-0003.efrg";
+      check Alcotest.string "status ignores stale temps" before (status ());
+      let t = ok_or_fail (Shard.load dir) in
+      check Alcotest.int "fold_entries sees every device" 10
+        (ok_or_fail (Shard.fold_entries t ~init:0 ~f:(fun n _ -> n + 1)));
+      ignore (ok_or_fail (Shard.enroll_legacy t 11L));
+      ignore (ok_or_fail (Shard.save t));
+      check Alcotest.int "the next write lands" 11 (Shard.count (ok_or_fail (Shard.load dir))));
+  with_temp_dir (fun dir ->
+      let get () =
+        snd
+          (ok_or_fail
+             (Eric_fleet.Artifact_cache.get_or_compile
+                (Eric_fleet.Artifact_cache.create ~dir ())
+                ~mode:Eric.Config.Full test_source))
+      in
+      check Alcotest.bool "cold miss" true (get () = Eric_fleet.Artifact_cache.Miss);
+      let key =
+        Eric_fleet.Artifact_cache.digest ~options:Eric_cc.Driver.default_options
+          ~mode:Eric.Config.Full test_source
+      in
+      stale_temp dir (key ^ ".rexe");
+      check Alcotest.bool "a stale temp beside the image: disk hit" true
+        (get () = Eric_fleet.Artifact_cache.Disk_hit);
+      Sys.remove (Filename.concat dir (key ^ ".rexe"));
+      check Alcotest.bool "and it does not block the next write" true
+        (get () = Eric_fleet.Artifact_cache.Miss);
+      check Alcotest.bool "which lands" true (get () = Eric_fleet.Artifact_cache.Disk_hit));
+  with_temp_dir (fun dir ->
+      let entry n =
+        { Eric_verif.Corpus.kind = Eric_verif.Corpus.Compile_error;
+          seed = Int64.of_int n;
+          trace = [| n |];
+          source = Printf.sprintf "int main() { return %d; }" n;
+          note = "" }
+      in
+      let first = ok_or_fail (Eric_verif.Corpus.save ~dir (entry 1)) in
+      stale_temp dir (Filename.basename first);
+      stale_temp dir (Eric_verif.Corpus.file_name (entry 2));
+      ignore (ok_or_fail (Eric_verif.Corpus.save ~dir (entry 2)));
+      let listed = Eric_verif.Corpus.list ~dir in
+      check Alcotest.int "Corpus.list sees the two reproducers only" 2 (List.length listed);
+      List.iter (fun (path, r) -> ignore (ok_or_fail (Result.map_error (( ^ ) path) r))) listed)
+
 let () =
   Alcotest.run "eric_fleet"
     [ ( "backoff",
@@ -1216,7 +1424,8 @@ let () =
           Alcotest.test_case "duplicate enroll" `Quick test_registry_enroll_rejects_duplicates;
           Alcotest.test_case "helper round-trip" `Quick test_registry_helper_roundtrip;
           Alcotest.test_case "v1 compatibility" `Quick test_registry_v1_compat;
-          Alcotest.test_case "legacy enrollment" `Quick test_enroll_legacy_boots_and_ships ] );
+          Alcotest.test_case "legacy enrollment" `Quick test_enroll_legacy_boots_and_ships;
+          Alcotest.test_case "64 MiB helper length" `Quick test_registry_bounded_reads ] );
       ( "shard",
         [ shard_mapping_prop;
           Alcotest.test_case "shard mapping golden" `Quick test_shard_mapping_golden;
@@ -1262,4 +1471,9 @@ let () =
       ( "reenroll",
         [ Alcotest.test_case "key-reconstruction quarantine" `Quick
             test_shipper_key_reconstruction_quarantine;
-          Alcotest.test_case "campaign" `Quick test_reenroll_campaign ] ) ]
+          Alcotest.test_case "campaign" `Quick test_reenroll_campaign ] );
+      ( "wire",
+        [ Alcotest.test_case "byte pins" `Quick test_wire_pins;
+          efrg_flips;
+          manifest_flips;
+          Alcotest.test_case "stale temps ignored" `Quick test_stale_temps_ignored ] ) ]

@@ -197,6 +197,42 @@ let test_helper_parse_rejects () =
   expect_error "bad version" (flip 4);
   expect_error "trailing garbage" (Bytes.cat good (Bytes.of_string "z"))
 
+(* Recorded before the codecs moved onto one cursor. *)
+let test_helper_pin () =
+  check Alcotest.string "EHLP blob of device 0x5EED"
+    "8c467e6190ea61bf31917040072997b9add905fe18137363d4b855ed5c9d5d80"
+    (Eric_crypto.Sha256.hex
+       (Eric_crypto.Sha256.digest (Enroll.serialize (enroll_ok 0x5EEDL).Enroll.helper)))
+
+let helper_flips =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((chains_bits, rep, device_id), (challenge_seed, sketch_seed, tag)) ->
+          let chains = Array.length chains_bits in
+          let mask = Eric_util.Bitvec.of_bool_array chains_bits in
+          let group = Eric_util.Bitvec.popcount mask * rep in
+          let h =
+            { Enroll.version = 1;
+              device_id;
+              chains;
+              rep;
+              mask;
+              challenges = Array.init group (fun i -> (challenge_seed * (i + 7)) land 0xFFFF);
+              sketch =
+                Eric_util.Bitvec.of_bool_array
+                  (Array.init group (fun i -> (sketch_seed lsr (i mod 30)) land 1 = 1));
+              tag = Bytes.of_string tag }
+          in
+          ("random helper", Enroll.serialize h))
+        (pair
+           (triple (array_size (int_range 1 40) bool) (oneofl [ 1; 3; 5; 7; 9 ]) ui64)
+           (triple nat nat (string_size (return 32)))))
+  in
+  Bit_flips.property ~name:"EHLP bit flips" ~random:6 ~gen
+    ~corners:[ ("device 0x5EED", Enroll.serialize (enroll_ok 0x5EEDL).Enroll.helper) ]
+    ~roundtrip:(fun b -> Result.to_option (Result.map Enroll.serialize (Enroll.parse b)))
+
 (* ------------------------------------------------------------------ *)
 (* Fuzzy extractor                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -331,7 +367,9 @@ let () =
       ( "enroll",
         [ Alcotest.test_case "deterministic" `Quick test_enroll_deterministic;
           Alcotest.test_case "helper round-trip" `Quick test_helper_serialize_roundtrip;
-          Alcotest.test_case "parse rejects" `Quick test_helper_parse_rejects ] );
+          Alcotest.test_case "parse rejects" `Quick test_helper_parse_rejects;
+          Alcotest.test_case "byte pin" `Quick test_helper_pin;
+          helper_flips ] );
       ( "fuzzy",
         [ reconstruction_deterministic_prop;
           Alcotest.test_case "wrong device refuses" `Quick test_fuzzy_wrong_device_refuses;

@@ -327,9 +327,9 @@ let test_disasm_strings () =
 let test_disasm_stream_framing () =
   (* 32-bit inst, 16-bit inst, garbage word. *)
   let buf = Bytes.create 10 in
-  Eric_util.Bytesx.set_u32 buf 0 (Encode.encode (Inst.I (Addi, Reg.a 0, Reg.a 1, 42)));
-  Eric_util.Bytesx.set_u16 buf 4 0x4505 (* c.li a0,1 *);
-  Eric_util.Bytesx.set_u32 buf 6 0xFFFFFFFFl;
+  Bytes.set_int32_le buf 0 (Encode.encode (Inst.I (Addi, Reg.a 0, Reg.a 1, 42)));
+  Bytes.set_uint16_le buf 4 0x4505 (* c.li a0,1 *);
+  Bytes.set_int32_le buf 6 0xFFFFFFFFl;
   match Disasm.disassemble_stream buf with
   | [ l1; l2; l3 ] ->
     check Alcotest.int "first size" 4 l1.Disasm.size;
@@ -371,6 +371,48 @@ let test_program_binary_size () =
       sized name (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source);
       sized (name ^ " small") (Eric_cc.Driver.compile_exn w.Eric_workloads.Workloads.source_small))
     Eric_workloads.Workloads.all
+
+let image_flips =
+  let with_symbols b = Bytes.get_uint16_le b 6 land 1 = 1 in
+  let labelled label ~symbols img = (label, Program.to_binary ~with_symbols:symbols img) in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((parcels, data, bss), (symbols, with_syms)) ->
+          let parcels =
+            Array.of_list
+              (List.map
+                 (fun (wide, v) ->
+                   if wide then Program.P32 (Int32.logor (Int32.of_int v) 3l)
+                   else Program.P16 (v land 0xFFFC))
+                 parcels)
+          in
+          labelled "random image" ~symbols:with_syms
+            { (Program.of_parcels parcels) with
+              Program.data = Bytes.of_string data;
+              bss_size = bss;
+              symbols })
+        (pair
+           (triple (list_size (int_range 0 6) (pair bool nat)) (string_size (int_range 0 9))
+              (int_range 0 64))
+           (pair
+              (list_size (int_range 0 3)
+                 (pair (string_size ~gen:printable (int_range 0 6)) small_nat))
+              bool)))
+  in
+  let sample = { (sample_image ()) with Program.symbols = [ ("_start", 0); ("fn2", 4) ] } in
+  let crc32 =
+    Eric_cc.Driver.compile_exn
+      (Option.get (Eric_workloads.Workloads.by_name "crc32")).Eric_workloads.Workloads.source_small
+  in
+  Bit_flips.property ~name:"REXE bit flips" ~random:8 ~gen
+    ~corners:
+      [ labelled "sample, with symbols" ~symbols:true sample;
+        labelled "sample, without symbols" ~symbols:false sample;
+        labelled "crc32 small, with symbols" ~symbols:true crc32 ]
+    ~roundtrip:(fun b ->
+      Result.to_option
+        (Result.map (Program.to_binary ~with_symbols:(with_symbols b)) (Program.of_binary b)))
 
 let test_program_binary_roundtrip () =
   let img = sample_image () in
@@ -446,10 +488,10 @@ let ref_frame_text bytes =
     if off = n then Some (Array.of_list (List.rev acc))
     else if off + 2 > n then None
     else
-      let half = Eric_util.Bytesx.get_u16 bytes off in
+      let half = Bytes.get_uint16_le bytes off in
       if half land 0b11 = 0b11 then
         if off + 4 > n then None
-        else walk (off + 4) (Program.P32 (Eric_util.Bytesx.get_u32 bytes off) :: acc)
+        else walk (off + 4) (Program.P32 (Bytes.get_int32_le bytes off) :: acc)
       else walk (off + 2) (Program.P16 half :: acc)
   in
   walk 0 []
@@ -990,7 +1032,8 @@ let () =
             test_program_binary_rejects_odd_entry;
           Alcotest.test_case "binary rejects entry at text end" `Quick
             test_program_binary_rejects_entry_at_end;
-          Alcotest.test_case "binary size" `Quick test_program_binary_size ] );
+          Alcotest.test_case "binary size" `Quick test_program_binary_size;
+          image_flips ] );
       ( "asm-text",
         [ asm_roundtrip;
           asm_pp_parse_roundtrip;

@@ -1,4 +1,5 @@
-(* Unit and property tests for eric_util: PRNG, bit vectors, byte codecs. *)
+(* Unit and property tests for eric_util: PRNG, bit vectors, hex, the wire codec and
+   its file layer. *)
 
 open Eric_util
 
@@ -200,22 +201,179 @@ let hex_roundtrip =
       let b = Bytes.of_string s in
       Bytes.equal b (Bytesx.of_hex (Bytesx.to_hex b)))
 
-let test_le_codecs () =
-  let b = Bytes.create 8 in
-  Bytesx.set_u16 b 0 0xBEEF;
-  check Alcotest.int "u16" 0xBEEF (Bytesx.get_u16 b 0);
-  check Alcotest.int "u16 byte order" 0xEF (Char.code (Bytes.get b 0));
-  Bytesx.set_u32 b 0 0xDEADBEEFl;
-  check Alcotest.int32 "u32" 0xDEADBEEFl (Bytesx.get_u32 b 0);
-  Bytesx.set_u64 b 0 0x0123456789ABCDEFL;
-  check Alcotest.int64 "u64" 0x0123456789ABCDEFL (Bytesx.get_u64 b 0);
-  check Alcotest.int "u64 low byte first" 0xEF (Char.code (Bytes.get b 0))
+(* ------------------------------------------------------------------ *)
+(* Wire                                                                *)
+(* ------------------------------------------------------------------ *)
 
-let test_append_concat () =
-  check Alcotest.string "append" "abcd"
-    (Bytes.to_string (Bytesx.append (Bytes.of_string "ab") (Bytes.of_string "cd")));
-  check Alcotest.string "concat" "xyz"
-    (Bytes.to_string (Bytesx.concat [ Bytes.of_string "x"; Bytes.empty; Bytes.of_string "yz" ]))
+let with_temp_dir f =
+  let dir = Filename.temp_file "eric_wire" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let sample_wire () =
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf "TEST";
+  Wire.add_u8 buf 0xAB;
+  Wire.add_u16 buf 0xBEEF;
+  Wire.add_u32 buf (-4);
+  Wire.add_u64 buf 0x0123456789ABCDEFL;
+  Wire.add_u16 buf 3;
+  Buffer.add_string buf "xyz";
+  Buffer.to_bytes buf
+
+let read_sample c =
+  Wire.magic c "TEST" "bad magic";
+  let a = Wire.u8 c "a" in
+  let b = Wire.u16 c "b" in
+  let i = Wire.i32 c "i" in
+  let w = Wire.u64 c "w" in
+  let s = Wire.string c (Wire.u16 c "s length") "s" in
+  (a, b, i, w, s, Wire.remaining c)
+
+let test_wire_cursor () =
+  let wire = sample_wire () in
+  check Alcotest.string "little-endian layout" "54455354abefbefcffffffefcdab8967452301030078797a"
+    (Bytesx.to_hex wire);
+  let expect_sample what r =
+    match r with
+    | Ok (a, b, i, w, s, rest) ->
+      check Alcotest.int (what ^ ": u8") 0xAB a;
+      check Alcotest.int (what ^ ": u16") 0xBEEF b;
+      check Alcotest.int (what ^ ": i32 sign-extends") (-4) i;
+      check Alcotest.int64 (what ^ ": u64") 0x0123456789ABCDEFL w;
+      check Alcotest.string (what ^ ": string") "xyz" s;
+      check Alcotest.int (what ^ ": consumed") 0 rest
+    | Error e -> Alcotest.fail e
+  in
+  expect_sample "buffer" (Wire.decode ~format:"sample" wire read_sample);
+  let cut = Bytes.sub wire 0 (Bytes.length wire - 1) in
+  check
+    Alcotest.(result reject string)
+    "truncation names format, field and offset"
+    (Error "sample truncated reading s (at byte 21)")
+    (Wire.decode ~format:"sample" cut read_sample);
+  check
+    Alcotest.(result int string)
+    "a negative length is a truncation"
+    (Error "sample truncated reading s (at byte 0)")
+    (Wire.decode ~format:"sample" wire (fun c -> Bytes.length (Wire.bytes c (-1) "s")));
+  check
+    Alcotest.(result reject string)
+    "bad magic" (Error "bad magic")
+    (Wire.decode ~format:"sample" (Bytes.of_string "TESX") read_sample);
+  check
+    Alcotest.(result int string)
+    "padding bit past the length"
+    (Error "map has padding bits set")
+    (Wire.decode ~format:"sample" (Bytes.of_string "\x10") (fun c ->
+         Bitvec.length (Wire.bitvec c 4 "map")));
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "sample" in
+      (match Wire.write_atomic path (fun oc -> output_bytes oc wire) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      expect_sample "file" (Wire.decode_file ~format:"sample" path read_sample);
+      (match Wire.write_atomic path (fun oc -> output_bytes oc cut) with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      check
+        Alcotest.(result reject string)
+        "a file's decode error names the file"
+        (Error (path ^ ": sample truncated reading s (at byte 21)"))
+        (Wire.decode_file ~format:"sample" path read_sample))
+
+(* A random sequence of reads over random bytes: the decode ends in
+   [Ok] or [Error], never raises, and never reads past the end. *)
+let wire_reads_never_raise =
+  qtest ~count:500 "cursor reads never raise"
+    QCheck.(pair string (small_list (pair (int_bound 6) (int_range (-2) 12))))
+    (fun (input, ops) ->
+      match
+        Wire.decode ~format:"junk" (Bytes.of_string input) (fun c ->
+            List.iter
+              (fun (op, n) ->
+                match op with
+                | 0 -> ignore (Wire.u8 c "u8")
+                | 1 -> ignore (Wire.u16 c "u16")
+                | 2 -> ignore (Wire.i32 c "i32")
+                | 3 -> ignore (Wire.u64 c "u64")
+                | 4 -> ignore (Wire.bytes c n "bytes")
+                | 5 -> ignore (Wire.bitvec c (max 0 n) "bits")
+                | _ -> Wire.magic c "AB" "bad magic")
+              ops;
+            Wire.remaining c)
+      with
+      | Ok rest -> rest >= 0 && rest <= String.length input
+      | Error _ -> true)
+
+let test_write_atomic_raise () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "state" in
+      (match Wire.write_atomic path (fun oc -> output_string oc "old state") with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.check_raises "the callback's exception comes back" (Failure "halfway") (fun () ->
+          ignore
+            (Wire.write_atomic path (fun oc ->
+                 output_string oc "new st";
+                 flush oc;
+                 failwith "halfway")));
+      check Alcotest.(result string string) "old file byte-identical" (Ok "old state")
+        (Wire.read_file path);
+      check Alcotest.(list string) "no temp file left" [ "state" ]
+        (Array.to_list (Sys.readdir dir));
+      let missing = Filename.concat (Filename.concat dir "missing") "state" in
+      (match Wire.write_atomic missing (fun oc -> output_string oc "x") with
+      | Ok () -> Alcotest.fail "wrote under a missing directory"
+      | Error e ->
+        check Alcotest.string "the error names the destination"
+          (missing ^ ": No such file or directory") e);
+      (* through a symlink, the file it points to is replaced *)
+      let link = Filename.concat dir "link" in
+      Unix.symlink path link;
+      (match Wire.write_atomic link (fun oc -> output_string oc "via link") with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      check Alcotest.bool "the symlink stays" true ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+      check Alcotest.(result string string) "its target is written" (Ok "via link")
+        (Wire.read_file path);
+      Sys.remove link;
+      (* a pipe is written in place, not replaced by a plain file *)
+      let fifo = Filename.concat dir "fifo" in
+      Unix.mkfifo fifo 0o600;
+      let reader = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      (match Wire.write_atomic fifo (fun oc -> output_string oc "piped") with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let got = Bytes.create 16 in
+      let n = Unix.read reader got 0 16 in
+      Unix.close reader;
+      check Alcotest.string "the pipe carried the bytes" "piped" (Bytes.sub_string got 0 n);
+      check Alcotest.bool "it is still a pipe" true ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+      Sys.remove fifo;
+      (* the mode a plain [open_out_bin] gives a new file *)
+      let plain = Filename.concat dir "plain" in
+      close_out (open_out_bin plain);
+      check Alcotest.int "same mode as open_out_bin" (Unix.stat plain).Unix.st_perm
+        (Unix.stat path).Unix.st_perm;
+      Sys.remove plain;
+      (* an existing file keeps its mode, also bits the umask would take *)
+      List.iter
+        (fun perm ->
+          Unix.chmod path perm;
+          (match Wire.write_atomic path (fun oc -> output_string oc "rewritten") with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          check Alcotest.int (Printf.sprintf "a %#o file stays %#o" perm perm) perm
+            (Unix.stat path).Unix.st_perm)
+        [ 0o600; 0o666 ];
+      check Alcotest.(list string) "no temp file left after the rewrites" [ "state" ]
+        (Array.to_list (Sys.readdir dir)))
 
 let () =
   Alcotest.run "eric_util"
@@ -242,6 +400,8 @@ let () =
       ( "bytesx",
         [ Alcotest.test_case "hex known" `Quick test_hex_known;
           Alcotest.test_case "hex errors" `Quick test_hex_errors;
-          hex_roundtrip;
-          Alcotest.test_case "le codecs" `Quick test_le_codecs;
-          Alcotest.test_case "append/concat" `Quick test_append_concat ] ) ]
+          hex_roundtrip ] );
+      ( "wire",
+        [ Alcotest.test_case "cursor reads" `Quick test_wire_cursor;
+          wire_reads_never_raise;
+          Alcotest.test_case "write_atomic keeps the old file" `Quick test_write_atomic_raise ] ) ]
