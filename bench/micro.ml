@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks: the primitive operations behind each table
    and figure.  One Test.make per experiment family:
-   - Table II's units: SHA-256 core, keystream, XOR cipher, PUF response;
+   - Table II's units: SHA-256 core, keystream, XOR cipher, PUF response,
+     and a device's boot (manufacture, key vote, target boot);
    - Fig 5/6's compiler path: full compilation and encrypting build;
    - Fig 7's load path: package personalize, decrypt+validate and SoC
      execution, with and without the integrity guard. *)
@@ -45,6 +46,13 @@ let tests =
         (Staged.stage (fun () ->
              let d = Lazy.force puf_device in
              Eric_puf.Device.respond d (Eric_puf.Device.challenge_set d)));
+      (* The boot path: draw a die's silicon, vote its key, and both plus
+         the KMU's derivation ([Target.of_id]). *)
+      Test.make ~name:"puf-manufacture"
+        (Staged.stage (fun () -> Eric_puf.Device.manufacture 99L));
+      Test.make ~name:"puf-key"
+        (Staged.stage (fun () -> Eric_puf.Device.puf_key (Lazy.force puf_device)));
+      Test.make ~name:"target-boot" (Staged.stage (fun () -> Eric.Target.of_id 99L));
       (* The fixed cost every compile pays, whatever its source. *)
       Test.make ~name:"compile-empty"
         (Staged.stage (fun () ->

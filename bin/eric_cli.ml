@@ -842,14 +842,33 @@ let fleet_campaign_cmd =
         scheduler }
     in
     let source = read_file source in
-    let report = or_die (Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:store source) in
+    (* The report file is staged before the campaign stamps firmware
+       epochs, so an unwritable path fails with the registry unchanged. *)
+    let report_file =
+      Option.map (fun path -> (path, or_die (Eric_util.Wire.stage path))) report_out
+    in
+    let discard () = Option.iter (fun (_, staged) -> Eric_util.Wire.discard staged) report_file in
+    let report =
+      match Eric_fleet.Campaign.deploy_sharded ~config ~cache ~shards:store source with
+      | Ok report -> report
+      | Error msg ->
+        discard ();
+        die msg
+      | exception e ->
+        discard ();
+        raise e
+    in
     if devices then Format.printf "%a" Eric_fleet.Campaign.pp_devices report;
     Format.printf "%a@." Eric_fleet.Campaign.pp_report report;
     Option.iter
-      (fun path ->
+      (fun (path, staged) ->
         let json = Eric_telemetry.Json.to_string (Eric_fleet.Campaign.report_to_json report) in
-        or_die (write_file path (json ^ "\n")))
-      report_out;
+        match output_string (Eric_util.Wire.channel staged) (json ^ "\n") with
+        | () -> or_die (Eric_util.Wire.commit staged)
+        | exception Sys_error msg ->
+          Eric_util.Wire.discard staged;
+          die (path ^ ": " ^ msg))
+      report_file;
     if report.Eric_fleet.Campaign.delivered <> List.length report.Eric_fleet.Campaign.devices
     then exit exit_failures
   in
@@ -1591,9 +1610,7 @@ let serve_run_cmd =
       | None -> scenario
       | Some factor -> Eric_serve.Scenario.with_rate_scale scenario ~factor
     in
-    (* the service treats a failed cache write as fatal: find out now *)
-    Option.iter (fun dir -> or_die (Eric_util.Wire.ensure_dir dir)) cache_dir;
-    let report = Eric_serve.Service.run ~seed ?cache_dir ~scenario () in
+    let report = or_die (Eric_serve.Service.run ~seed ?cache_dir ~scenario ()) in
     let rendered =
       Eric_telemetry.Json.to_string (Eric_serve.Slo.to_json report) ^ "\n"
     in

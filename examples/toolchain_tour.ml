@@ -152,7 +152,11 @@ let () =
      SLO report the scenario's budgets grade it against.  Deterministic:
      the same seed reprints this block byte-for-byte. *)
   print_endline "\n=== serve: flash-crowd scenario (30 simulated seconds) ===";
-  let slo = Eric_serve.Service.run ~seed:7L ~scenario:Eric_serve.Scenario.flash_crowd () in
+  let slo =
+    match Eric_serve.Service.run ~seed:7L ~scenario:Eric_serve.Scenario.flash_crowd () with
+    | Ok slo -> slo
+    | Error e -> failwith e
+  in
   Format.printf "%a@." Eric_serve.Slo.pp slo;
 
   (* 10. what the instrumentation saw: per-stage spans and SoC gauges *)

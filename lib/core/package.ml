@@ -49,10 +49,12 @@ let obf_block_size = 9
 
 let map_len t = match t.map with None -> 0 | Some m -> (Eric_util.Bitvec.length m + 7) / 8
 
+let authenticated_header_size t =
+  header_size + map_len t + (match t.obf with None -> 0 | Some _ -> obf_block_size)
+
 let size t =
-  header_size + map_len t
-  + (match t.obf with None -> 0 | Some _ -> obf_block_size)
-  + Bytes.length t.enc_text + Bytes.length t.data + Siggen.signature_size
+  authenticated_header_size t + Bytes.length t.enc_text + Bytes.length t.data
+  + Siggen.signature_size
 
 let authenticated_header t =
   let map = match t.map with None -> Bytes.empty | Some m -> Eric_util.Bitvec.to_bytes m in

@@ -57,6 +57,9 @@ val authenticated_header : t -> bytes
     including the map and obfuscation metadata, with the signature
     region excluded by construction). *)
 
+val authenticated_header_size : t -> int
+(** [Bytes.length (authenticated_header t)], without building it. *)
+
 val serialize : t -> bytes
 
 val parse : bytes -> (t, string) result

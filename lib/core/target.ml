@@ -90,7 +90,7 @@ let receive t pkg =
       | Ok (image, stats) ->
         let image_bytes = Package.size pkg in
         let hashed_bytes =
-          Bytes.length (Package.authenticated_header pkg)
+          Package.authenticated_header_size pkg
           + Bytes.length pkg.Package.enc_text + Bytes.length pkg.Package.data
         in
         (* The travelling signature needs keystream too. *)

@@ -87,9 +87,10 @@ let puf_key ?(votes = 15) ?env t =
   let challenges = challenge_set t in
   let counts = Array.make (chains t) 0 in
   for _ = 1 to votes do
-    let r = respond ?env t challenges in
+    (* one noisy read of every chain, in chain order, as [respond] reads *)
     for i = 0 to chains t - 1 do
-      if Eric_util.Bitvec.get r i then counts.(i) <- counts.(i) + 1
+      if Arbiter.eval ~noise:t.noise_rng ?env t.chains_.(i) ~challenge:challenges.(i) then
+        counts.(i) <- counts.(i) + 1
     done
   done;
   let bits = Array.map (fun c -> c * 2 > votes) counts in

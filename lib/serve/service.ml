@@ -73,6 +73,10 @@ let rotate st tenant (r : Traffic.request) =
         };
       Some (target, key)
 
+(* A corpus workload the artifact cache could not build (compile, or
+   write to its disk tier) ends the run; [run] returns it as [Error]. *)
+exception Unbuildable of string
+
 (* Serve one admitted request starting at [start]; returns its completion
    instant.  Every cost is simulated per the scenario's cost model. *)
 let serve_one st (r : Traffic.request) ~start =
@@ -94,7 +98,10 @@ let serve_one st (r : Traffic.request) ~start =
   | _ -> (
       let wl = corpus.(r.r_program) in
       match Cache.get_or_compile st.cache ~mode:st.mode wl.Eric_workloads.Workloads.source_small with
-      | Error e -> failwith ("serve: corpus workload failed to compile: " ^ e)
+      | Error e ->
+          raise
+            (Unbuildable
+               (Printf.sprintf "corpus workload %s: %s" wl.Eric_workloads.Workloads.name e))
       | Ok (prepared, outcome) -> (
           add
             (match outcome with
@@ -294,21 +301,26 @@ let run ?(seed = 1L) ?cache_dir ?(policy = Eric_fleet.Backoff.default)
       end
     end
   in
-  List.iter
-    (fun (r : Traffic.request) ->
-      Eric_util.Sim_clock.advance_to st.clock r.Traffic.r_arrival_ns;
-      drain r.Traffic.r_arrival_ns;
-      match Admit.offer queue r with
-      | Admit.Shed ->
-          st.refused <- st.refused + 1;
-          T.inc ~labels:[ ("reason", "queue-shed") ] "serve.refused_total"
-      | Admit.Accepted -> drain r.Traffic.r_arrival_ns)
-    requests;
-  drain Int64.max_int;
-  Slo.make ~scenario ~seed
-    ~faults_injected:st.faults_injected ~faults_detected:st.faults_detected
-    ~faults_undetected:st.faults_undetected ~fault_recovered:st.fault_recovered
-    ~completed_ns:(Eric_util.Sim_clock.now_ns st.clock)
-    ~requests:(List.length requests) ~served:st.served ~refused:st.refused
-    ~quarantined:st.quarantined ~rotations:st.rotations ~retried:st.retried
-    ~queue_peak:(Admit.peak queue) ~cache:st.cache ~latency_hist:st.latency ()
+  match
+    List.iter
+      (fun (r : Traffic.request) ->
+        Eric_util.Sim_clock.advance_to st.clock r.Traffic.r_arrival_ns;
+        drain r.Traffic.r_arrival_ns;
+        match Admit.offer queue r with
+        | Admit.Shed ->
+            st.refused <- st.refused + 1;
+            T.inc ~labels:[ ("reason", "queue-shed") ] "serve.refused_total"
+        | Admit.Accepted -> drain r.Traffic.r_arrival_ns)
+      requests;
+    drain Int64.max_int
+  with
+  | exception Unbuildable msg -> Error msg
+  | () ->
+      Ok
+        (Slo.make ~scenario ~seed
+           ~faults_injected:st.faults_injected ~faults_detected:st.faults_detected
+           ~faults_undetected:st.faults_undetected ~fault_recovered:st.fault_recovered
+           ~completed_ns:(Eric_util.Sim_clock.now_ns st.clock)
+           ~requests:(List.length requests) ~served:st.served ~refused:st.refused
+           ~quarantined:st.quarantined ~rotations:st.rotations ~retried:st.retried
+           ~queue_peak:(Admit.peak queue) ~cache:st.cache ~latency_hist:st.latency ())

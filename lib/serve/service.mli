@@ -12,9 +12,10 @@ val run :
   ?policy:Eric_fleet.Backoff.policy ->
   scenario:Scenario.t ->
   unit ->
-  Slo.report
+  (Slo.report, string) result
 (** [seed] (default 1) drives traffic and channel draws; [cache_dir]
     enables the artifact cache's disk tier; [policy] (default
     {!Eric_fleet.Backoff.default}) is the shipper's retry policy.
-    @raise Failure if a corpus workload fails to compile (a build bug,
-    not a scenario outcome). *)
+    [Error] names the corpus workload the artifact cache could not build
+    and why: it failed to compile (a build bug, not a scenario outcome),
+    or its image could not be written to the disk tier. *)

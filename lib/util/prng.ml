@@ -1,4 +1,10 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3 lives in one 32-byte buffer, read and
+   written as unboxed int64s, so an update allocates nothing (a record of
+   mutable int64 fields boxes every store). *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let mix64 z =
   let open Int64 in
@@ -14,28 +20,28 @@ let splitmix64 state =
 
 let create ~seed =
   let st = ref seed in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 let split t = create ~seed:(bits64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -50,20 +56,36 @@ let int t ~bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t =
-  (* 53 high-quality bits, as in the reference xoshiro double conversion. *)
-  let v = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float v *. (1.0 /. 9007199254740992.0)
+(* 53 high-quality bits, as in the reference xoshiro double conversion.
+   They fit a native int, whose conversion is exact and runs inline
+   ([Int64.to_float] is a C call). *)
+let[@inline] float t =
+  Float.of_int (Int64.to_int (Int64.shift_right_logical (bits64 t) 11))
+  *. (1.0 /. 9007199254740992.0)
 
-let gaussian t ~mu ~sigma =
-  let rec nonzero () =
-    let u = float t in
-    if u <= 1e-300 then nonzero () else u
-  in
-  let u1 = nonzero () in
-  let u2 = float t in
+let[@inline] nonzero_float t =
+  let u = ref (float t) in
+  while !u <= 1e-300 do
+    u := float t
+  done;
+  !u
+
+let[@inline] box_muller ~mu ~sigma u1 u2 =
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
+
+let gaussian t ~mu ~sigma =
+  let u1 = nonzero_float t in
+  let u2 = float t in
+  box_muller ~mu ~sigma u1 u2
+
+let uniform_pairs t (a : float array) =
+  let n = Array.length a in
+  if n land 1 <> 0 then invalid_arg "Prng.uniform_pairs: odd length";
+  for i = 0 to (n / 2) - 1 do
+    a.(2 * i) <- nonzero_float t;
+    a.((2 * i) + 1) <- float t
+  done
 
 let bytes t ~len =
   let b = Bytes.create len in

@@ -7,7 +7,7 @@
     with the distributions the PUF model needs. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state (32 bytes, allocated once). *)
 
 val mix64 : int64 -> int64
 (** SplitMix64's finalizer: a pure, well-mixed bijection on 64-bit
@@ -34,10 +34,26 @@ val int : t -> bound:int -> int
 val bool : t -> bool
 
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: the top 53 bits of {!bits64}, times 2{^-53}. *)
+
+val nonzero_float : t -> float
+(** {!float} drawn again while it is at most [1e-300] (that is, 0), so
+    its logarithm is finite. *)
+
+val box_muller : mu:float -> sigma:float -> float -> float -> float
+(** [box_muller ~mu ~sigma u1 u2] is
+    [mu +. (sigma *. sqrt (-2 ln u1) *. cos (2 pi u2))]: the Box-Muller
+    transform of the uniforms [u1] in (0, 1) and [u2] in [\[0, 1)]. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
-(** Normally distributed sample (Box-Muller). *)
+(** Normally distributed sample: [box_muller ~mu ~sigma u1 u2] with
+    [u1 = nonzero_float t], then [u2 = float t]. *)
+
+val uniform_pairs : t -> float array -> unit
+(** [uniform_pairs t a] fills [a] with [Array.length a / 2] pairs
+    [(nonzero_float t, float t)], in order: the uniforms of as many
+    {!gaussian} draws, leaving [t] where those draws would.
+    @raise Invalid_argument if [a]'s length is odd. *)
 
 val bytes : t -> len:int -> bytes
 (** [len] uniformly random bytes. *)

@@ -223,6 +223,35 @@ let test_unwritable_outputs () =
                     [ "serve"; "run"; "--scenario"; "steady"; "--duration"; "1";
                       "--cache-dir"; under "cache" ] ) ])))
 
+(* An unwritable --report-out is refused before the campaign stamps any
+   firmware epoch: exit 1 with the registry byte-identical, no temp file
+   left.  A disk tier under a regular file (ENOTDIR, even for root) is
+   refused by the serve loop the same way. *)
+let test_unwritable_report_keeps_registry () =
+  with_tmp (fun src ->
+      with_tmp (fun registry ->
+          write src (Bytes.of_string "int main() { return 0; }");
+          ignore (make_registry registry 3);
+          let before = slurp registry in
+          with_tmp_dir (fun missing ->
+              let code, err =
+                run_cli
+                  [ "fleet"; "campaign"; src; "--registry"; registry; "--report-out";
+                    Filename.concat missing "r.json" ]
+              in
+              expect_clean_failure "campaign --report-out" (code, err);
+              check Alcotest.int "exit 1" 1 code;
+              check Alcotest.bool "registry byte-identical" true
+                (String.equal before (slurp registry));
+              check Alcotest.bool "nothing created" false (Sys.file_exists missing));
+          let code, err =
+            run_cli
+              [ "serve"; "run"; "--scenario"; "steady"; "--duration"; "1"; "--cache-dir";
+                Filename.concat src "cache" ]
+          in
+          expect_clean_failure "serve run --cache-dir under a file" (code, err);
+          check Alcotest.int "serve: exit 1" 1 code))
+
 (* ------------------------------------------------------------------ *)
 (* Exit codes: each failure class maps to its documented code          *)
 (*   1 internal, 3 failures found, 4 malformed input, 5 refused        *)
@@ -758,7 +787,9 @@ let () =
           Alcotest.test_case "missing registry" `Quick test_missing_registry;
           Alcotest.test_case "garbage package" `Quick test_garbage_package;
           Alcotest.test_case "truncated package" `Quick test_truncated_package;
-          Alcotest.test_case "unwritable outputs exit 1" `Quick test_unwritable_outputs ] );
+          Alcotest.test_case "unwritable outputs exit 1" `Quick test_unwritable_outputs;
+          Alcotest.test_case "report path checked first" `Quick
+            test_unwritable_report_keeps_registry ] );
       ( "exit-codes",
         [ Alcotest.test_case "malformed input is 4" `Quick test_exit_code_malformed;
           Alcotest.test_case "validation refusal is 5" `Quick test_exit_code_refused;

@@ -251,6 +251,19 @@ let package_flips =
     ~roundtrip:(fun b ->
       Result.to_option (Result.map Eric.Package.serialize (Eric.Package.parse b)))
 
+let test_authenticated_header_size () =
+  List.iter
+    (fun (name, pkg) ->
+      check Alcotest.int name
+        (Bytes.length (Eric.Package.authenticated_header pkg))
+        (Eric.Package.authenticated_header_size pkg))
+    (List.map (fun (name, mode) -> (name, build mode)) modes
+    @ [ ("field-cf", build (Eric.Config.Field (Eric.Config.Control_flow, Eric.Config.Select_all)));
+        ( "obfuscated",
+          fst
+            (Eric.Encrypt.encrypt ~obf:(0x1F, 0x5EEDL) ~key:device_key
+               ~mode:(Eric.Config.Partial Eric.Config.Select_all) (Lazy.force image)) ) ])
+
 (* ------------------------------------------------------------------ *)
 (* Encrypt / decrypt                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1302,7 +1315,8 @@ let () =
           Alcotest.test_case "size accounting" `Quick test_package_sizes_match_paper_accounting;
           package_parser_fuzz;
           package_parser_fuzz_mutated;
-          package_flips ] );
+          package_flips;
+          Alcotest.test_case "authenticated header size" `Quick test_authenticated_header_size ] );
       ( "encrypt",
         [ Alcotest.test_case "roundtrip all modes" `Quick test_roundtrip_all_modes;
           Alcotest.test_case "full covers everything" `Quick test_full_encrypts_everything;

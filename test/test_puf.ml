@@ -89,6 +89,285 @@ let test_device_respond_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Device.respond: one challenge per chain expected")
     (fun () -> ignore (Device.respond d [| 1; 2; 3 |]))
 
+(* Recorded before a noisy read drew its uniforms up front and answered
+   wide races from their margin. *)
+let test_device_key_pins () =
+  List.iter
+    (fun (id, hex) ->
+      check Alcotest.string (Printf.sprintf "puf_key of device %Ld" id) hex
+        (Eric_util.Bytesx.to_hex (Device.puf_key (Device.manufacture id))))
+    [ (1L, "38185cfb"); (2L, "d1958553"); (77L, "64accc71"); (0x5EEDL, "92078e5a");
+      (0xFFFF_FFFF_FFFFL, "4834c09b") ]
+
+(* Every read a device makes from manufacture to a fuzzy boot, in one
+   order, per device: its key, each corner's raw responses and 5-vote
+   key, stress-corner reads of every chain, enrollment (helper, key,
+   instabilities) and reconstruction at nominal and at stress. *)
+let sweep_digest ~devices =
+  let b = Buffer.create (1 lsl 16) in
+  let hex = Eric_util.Bytesx.to_hex in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  for i = 1 to devices do
+    let id = Int64.of_int (i * 7919) in
+    let d = Device.manufacture id in
+    let ch = Device.challenge_set d in
+    line "%Ld key %s" id (hex (Device.puf_key d));
+    List.iter
+      (fun (name, env) ->
+        line "%s %s %s" name
+          (hex (Eric_util.Bitvec.to_bytes (Device.respond ~env d ch)))
+          (hex (Device.puf_key ~votes:5 ~env d)))
+      Env.corners;
+    for chain = 0 to Device.chains d - 1 do
+      for j = 0 to 7 do
+        let challenge = ((chain * 37) + (j * 29)) land 255 in
+        Buffer.add_char b
+          (if Device.eval_chain ~env:Env.stress d ~chain ~challenge then '1' else '0')
+      done
+    done;
+    Buffer.add_char b '\n';
+    match Enroll.enroll d with
+    | Error e -> line "refused %s" e
+    | Ok e ->
+      line "helper %s key %s worst %h" (hex (Enroll.serialize e.Enroll.helper))
+        (hex e.Enroll.key) e.Enroll.worst_instability;
+      Array.iter (fun x -> line "%h" x) e.Enroll.instability;
+      List.iter
+        (fun env ->
+          match Fuzzy.reconstruct ~env d e.Enroll.helper with
+          | Ok r -> line "fuzzy %s %d" (hex r.Fuzzy.key) r.Fuzzy.attempts_used
+          | Error f -> line "fuzzy %s" (Fuzzy.failure_to_string f))
+        [ Env.nominal; Env.stress ]
+  done;
+  Eric_crypto.Sha256.hex (Eric_crypto.Sha256.digest_string (Buffer.contents b))
+
+(* Recorded, with this sweep, before a noisy read drew its uniforms up
+   front and answered wide races from their margin. *)
+let test_device_sweep_pin () =
+  check Alcotest.string "SHA-256 of a 200-device sweep"
+    "81bd2ab5b1320d3a18c8b30c84b8d983fb594d09b3e4c2610012f608193aaa73"
+    (sweep_digest ~devices:200)
+
+(* ------------------------------------------------------------------ *)
+(* Reference evaluation                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Prng = Eric_util.Prng
+
+(* The model as it was before a noisy read drew its uniforms up front
+   and answered a wide race from its noiseless margin: a closure-based
+   Box-Muller draw and a race that perturbs each delay in turn.  Its
+   chains are transparent records drawn from the streams
+   [Arbiter.manufacture] draws from, in the same order. *)
+module Reference = struct
+  let gaussian rng ~mu ~sigma =
+    let rec nonzero () =
+      let u = Prng.float rng in
+      if u <= 1e-300 then nonzero () else u
+    in
+    let u1 = nonzero () in
+    let u2 = Prng.float rng in
+    let r = sqrt (-2.0 *. log u1) in
+    mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
+
+  type stage = {
+    straight_top : float;
+    straight_bot : float;
+    cross_top : float;
+    cross_bot : float;
+  }
+
+  type chain = { stages : stage array; drift : stage array; skew : float; noise_sigma : float }
+
+  let manufacture (p : Arbiter.params) ~drift_rng rng =
+    let draw () = gaussian rng ~mu:p.nominal_delay_ps ~sigma:p.variation_sigma_ps in
+    let make_stage _ =
+      { straight_top = draw (); straight_bot = draw (); cross_top = draw (); cross_bot = draw () }
+    in
+    let drift =
+      let d () = gaussian drift_rng ~mu:0.0 ~sigma:1.0 in
+      Array.init p.stages (fun _ ->
+          { straight_top = d (); straight_bot = d (); cross_top = d (); cross_bot = d () })
+    in
+    { stages = Array.init p.stages make_stage;
+      drift;
+      skew = gaussian rng ~mu:0.0 ~sigma:(p.variation_sigma_ps /. 4.0);
+      noise_sigma = p.noise_sigma_ps }
+
+  let race ?noise ?(env = Env.nominal) t ~challenge =
+    let age = Env.age_shift_ps env in
+    let sigma = t.noise_sigma *. Env.noise_scale env in
+    let perturb d drift =
+      let d = d +. (age *. drift) in
+      match noise with None -> d | Some rng -> d +. gaussian rng ~mu:0.0 ~sigma
+    in
+    let top = ref 0.0 and bot = ref 0.0 in
+    Array.iteri
+      (fun i st ->
+        let dr = t.drift.(i) in
+        if (challenge lsr i) land 1 = 0 then begin
+          top := !top +. perturb st.straight_top dr.straight_top;
+          bot := !bot +. perturb st.straight_bot dr.straight_bot
+        end
+        else begin
+          let new_top = !bot +. perturb st.cross_top dr.cross_top in
+          let new_bot = !top +. perturb st.cross_bot dr.cross_bot in
+          top := new_top;
+          bot := new_bot
+        end)
+      t.stages;
+    !top -. !bot +. t.skew
+
+  (* How far the noise of the read [rng] is about to make can move a
+     race: per delay, |sigma| sqrt (2 (k+1) ln 2) for its u1 in
+     [2^-(k+1), 2^-k), summed over the 2 x stages delays. *)
+  let reach t ~env rng =
+    let rng = Prng.copy rng in
+    let sum = ref 0.0 in
+    for _ = 1 to 2 * Array.length t.stages do
+      let rec nonzero () =
+        let u = Prng.float rng in
+        if u <= 1e-300 then nonzero () else u
+      in
+      let u1 = ref (nonzero ()) and k = ref 0 in
+      ignore (Prng.float rng);
+      while !u1 < 0.5 do
+        u1 := !u1 *. 2.0;
+        incr k
+      done;
+      sum := !sum +. sqrt (2.0 *. float_of_int (!k + 1) *. log 2.0)
+    done;
+    Float.abs (t.noise_sigma *. Env.noise_scale env) *. !sum
+
+  (* Whether the read [rng] is about to make may answer from the
+     noiseless margin. *)
+  let early ~env t ~challenge rng =
+    Float.abs (race ~env t ~challenge) > (reach t ~env rng *. (1.0 +. 1e-9)) +. 1e-9
+end
+
+(* Chain [chain] of device [id], from the library and from the reference,
+   each off its own copy of the streams [Device.manufacture] uses. *)
+let chain_pair id ~chain =
+  let streams () =
+    (Prng.create ~seed:(Int64.add 0x5111C0DEL id), Prng.create ~seed:(Int64.add 0xD21F7L id))
+  in
+  let silicon, drift_rng = streams () and silicon', drift_rng' = streams () in
+  let p = Arbiter.default_params in
+  let real = ref (Arbiter.manufacture ~drift_rng p silicon)
+  and reference = ref (Reference.manufacture p ~drift_rng:drift_rng' silicon') in
+  for _ = 1 to chain do
+    real := Arbiter.manufacture ~drift_rng p silicon;
+    reference := Reference.manufacture p ~drift_rng:drift_rng' silicon'
+  done;
+  (!real, !reference)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* One noisy read by the library and by the reference off equal streams:
+   the same bit, and both streams left at the same position. *)
+let read_agrees ~env (real, reference) ~challenge ~seed =
+  let noise = Prng.create ~seed and noise' = Prng.create ~seed in
+  let bit = Arbiter.eval ~noise ~env real ~challenge in
+  let bit' = Reference.race ~noise:noise' ~env reference ~challenge < 0.0 in
+  bit = bit' && Int64.equal (Prng.bits64 noise) (Prng.bits64 noise')
+
+let test_reference_gaussian =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"gaussian = closure-based reference"
+       QCheck.(triple int64 (float_range (-1e3) 1e3) (float_range 0.0 50.0))
+       (fun (seed, mu, sigma) ->
+         let a = Prng.create ~seed and b = Prng.create ~seed in
+         List.for_all
+           (fun _ -> same_float (Prng.gaussian a ~mu ~sigma) (Reference.gaussian b ~mu ~sigma))
+           [ 1; 2; 3; 4 ]
+         && Int64.equal (Prng.bits64 a) (Prng.bits64 b)))
+
+let test_reference_eval =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"eval = reference race"
+       QCheck.(quad (int_range 1 5000) (int_range 0 31) (int_range 0 255) int64)
+       (fun (id, chain, challenge, seed) ->
+         let ((real, reference) as pair) = chain_pair (Int64.of_int id) ~chain in
+         List.for_all
+           (fun (_, env) ->
+             same_float
+               (Arbiter.delay_difference ~env real ~challenge)
+               (Reference.race ~env reference ~challenge)
+             && Arbiter.eval ~env real ~challenge = (Reference.race ~env reference ~challenge < 0.0)
+             && read_agrees ~env pair ~challenge ~seed)
+           Env.corners))
+
+(* The chains of device 0x5EED are the library's: their margins are
+   the device's to the bit. *)
+let test_reference_chains () =
+  let d = Device.manufacture 0x5EEDL in
+  for chain = 0 to Device.chains d - 1 do
+    let _, reference = chain_pair 0x5EEDL ~chain in
+    for challenge = 0 to 255 do
+      List.iter
+        (fun (name, env) ->
+          if
+            not
+              (same_float
+                 (Device.chain_margin ~env d ~chain ~challenge)
+                 (Reference.race ~env reference ~challenge))
+          then Alcotest.failf "chain %d challenge %d at %s" chain challenge name)
+        [ ("nominal", Env.nominal); ("aged-hot-lowv", Option.get (Env.of_name "aged-hot-lowv")) ]
+    done
+  done
+
+(* Both ways a read is answered, on device 0x5EED.  Each chain's
+   narrowest race at the stress corner lies within the noise's reach, so
+   it runs the exact noisy race; the widest enrolled challenge at
+   nominal lies beyond it, so it is answered from its margin.  Either
+   way the bit and the stream position are the reference's. *)
+let seeds = List.init 40 (fun i -> Int64.of_int (0x5EED + i))
+
+let test_exact_path () =
+  let d = Device.manufacture 0x5EEDL in
+  for chain = 0 to Device.chains d - 1 do
+    let margin c = Float.abs (Device.chain_margin ~env:Env.stress d ~chain ~challenge:c) in
+    let narrowest = ref 0 in
+    for c = 1 to 255 do
+      if margin c < margin !narrowest then narrowest := c
+    done;
+    let challenge = !narrowest in
+    let ((_, reference) as pair) = chain_pair 0x5EEDL ~chain in
+    List.iter
+      (fun seed ->
+        let what = Printf.sprintf "chain %d challenge %d seed %Ld" chain challenge seed in
+        check Alcotest.bool (what ^ " runs the exact race") false
+          (Reference.early ~env:Env.stress reference ~challenge (Prng.create ~seed));
+        check Alcotest.bool (what ^ " agrees") true
+          (read_agrees ~env:Env.stress pair ~challenge ~seed))
+      seeds
+  done
+
+let test_early_path () =
+  let d = Device.manufacture 0x5EEDL in
+  let enrolled = Device.challenge_set d in
+  let margin chain = Float.abs (Device.chain_margin d ~chain ~challenge:enrolled.(chain)) in
+  let widest = ref 0 in
+  for chain = 0 to Device.chains d - 1 do
+    if margin chain > margin !widest then widest := chain;
+    (* every enrolled read agrees, whichever way it is answered *)
+    let pair = chain_pair 0x5EEDL ~chain in
+    List.iter
+      (fun seed ->
+        check Alcotest.bool (Printf.sprintf "chain %d seed %Ld agrees" chain seed) true
+          (read_agrees ~env:Env.nominal pair ~challenge:enrolled.(chain) ~seed))
+      seeds
+  done;
+  let chain = !widest and challenge = enrolled.(!widest) in
+  let _, reference = chain_pair 0x5EEDL ~chain in
+  List.iter
+    (fun seed ->
+      check Alcotest.bool
+        (Printf.sprintf "chain %d challenge %d seed %Ld answers early" chain challenge seed)
+        true
+        (Reference.early ~env:Env.nominal reference ~challenge (Prng.create ~seed)))
+    seeds
+
 (* ------------------------------------------------------------------ *)
 (* Environment model                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -350,7 +629,12 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_arbiter_deterministic;
           Alcotest.test_case "sign matches delay" `Quick test_arbiter_sign_matches_delay;
           Alcotest.test_case "challenge sensitivity" `Quick test_arbiter_challenge_sensitivity;
-          Alcotest.test_case "stage validation" `Quick test_arbiter_stage_validation ] );
+          Alcotest.test_case "stage validation" `Quick test_arbiter_stage_validation;
+          test_reference_gaussian;
+          test_reference_eval;
+          Alcotest.test_case "reference chains" `Quick test_reference_chains;
+          Alcotest.test_case "narrow reads run the race" `Quick test_exact_path;
+          Alcotest.test_case "wide reads answer early" `Quick test_early_path ] );
       ( "device",
         [ Alcotest.test_case "table1 shape" `Quick test_device_table1_shape;
           Alcotest.test_case "reproducible" `Quick test_device_reproducible;
@@ -358,7 +642,9 @@ let () =
           Alcotest.test_case "key stable under noise" `Quick test_device_key_stable_under_noise;
           Alcotest.test_case "ideal response deterministic" `Quick
             test_device_noiseless_response_deterministic;
-          Alcotest.test_case "respond arity" `Quick test_device_respond_arity ] );
+          Alcotest.test_case "respond arity" `Quick test_device_respond_arity;
+          Alcotest.test_case "key pins" `Quick test_device_key_pins;
+          Alcotest.test_case "sweep pin" `Quick test_device_sweep_pin ] );
       ( "env",
         [ Alcotest.test_case "nominal identity" `Quick test_env_nominal_identity;
           Alcotest.test_case "noise grows with stress" `Quick test_env_noise_grows_with_stress;

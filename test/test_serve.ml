@@ -261,8 +261,13 @@ let test_scenario_overrides () =
 (* Service: determinism and accounting                                 *)
 (* ------------------------------------------------------------------ *)
 
+let service_run ?cache_dir ~seed scenario =
+  match Service.run ~seed ?cache_dir ~scenario () with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
 let run_short scenario seed =
-  Service.run ~seed ~scenario:(Scenario.with_duration scenario ~seconds:3.0) ()
+  service_run ~seed (Scenario.with_duration scenario ~seconds:3.0)
 
 let test_service_deterministic () =
   (* flash-crowd is the acceptance scenario; rotation-storm exercises the
@@ -300,7 +305,7 @@ let test_service_backpressure_sheds () =
     Scenario.with_rate_scale (Scenario.with_duration Scenario.steady ~seconds:3.0)
       ~factor:20.0
   in
-  let r = Service.run ~seed:2L ~scenario () in
+  let r = service_run ~seed:2L scenario in
   check Alcotest.bool "refusals happened" true (r.Slo.refused > 0);
   check Alcotest.bool "queue peak at capacity" true
     (r.Slo.queue_peak = Scenario.steady.Scenario.queue_capacity);
@@ -356,7 +361,7 @@ let test_service_gated_scenarios_pass_slo () =
           ~some:(fun factor -> Scenario.with_rate_scale scenario ~factor)
           rate_scale
       in
-      let r = Service.run ~seed:7L ~scenario () in
+      let r = service_run ~seed:7L scenario in
       if not (Slo.passed r) then
         Alcotest.failf "%s blew its SLO:@.%a" scenario.Scenario.name Slo.pp r)
     [ (Scenario.flash_crowd, Some 0.5);
@@ -369,12 +374,36 @@ let test_service_clean_scenarios_report_no_faults () =
   check Alcotest.int "none detected" 0 r.Slo.faults_detected;
   check Alcotest.int "none recovered" 0 r.Slo.fault_recovered
 
+(* A disk tier the cache cannot write: a directory under a regular file
+   fails with ENOTDIR, whoever runs it.  The run returns an error naming
+   the workload and the path instead of raising. *)
+let test_service_unwritable_cache () =
+  let file = Filename.temp_file "eric_serve" ".file" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let cache_dir = Filename.concat file "cache" in
+      match
+        Service.run ~seed:5L ~cache_dir
+          ~scenario:(Scenario.with_duration Scenario.steady ~seconds:1.0) ()
+      with
+      | Ok _ -> Alcotest.fail "a cache under a regular file was written"
+      | Error e ->
+        let contains sub =
+          let n = String.length sub in
+          let rec at i = i + n <= String.length e && (String.sub e i n = sub || at (i + 1)) in
+          at 0
+        in
+        check Alcotest.bool ("names the workload: " ^ e) true (contains "corpus workload ");
+        check Alcotest.bool ("names the directory: " ^ e) true (contains cache_dir);
+        check Alcotest.bool ("says why: " ^ e) true (contains "Not a directory"))
+
 (* Zipf cache economics at scale: flash-crowd at twice its rate, seed 7,
    makes at least 10^4 requests, and a handful of corpus-wide compiles
    serve more than 90% of them. *)
 let test_service_zipf_at_scale () =
   let scenario = Scenario.with_rate_scale Scenario.flash_crowd ~factor:2.0 in
-  let r = Service.run ~seed:7L ~scenario () in
+  let r = service_run ~seed:7L scenario in
   check Alcotest.bool
     (Printf.sprintf "%d requests, wanted >= 10^4" r.Slo.requests)
     true (r.Slo.requests >= 10_000);
@@ -429,4 +458,6 @@ let () =
           Alcotest.test_case "gated scenarios pass their SLOs" `Quick
             test_service_gated_scenarios_pass_slo;
           Alcotest.test_case "zipf at scale hits the cache" `Quick
-            test_service_zipf_at_scale ] ) ]
+            test_service_zipf_at_scale;
+          Alcotest.test_case "unwritable cache is an error" `Quick
+            test_service_unwritable_cache ] ) ]

@@ -72,6 +72,41 @@ let test_prng_gaussian_moments () =
   check (Alcotest.float 0.2) "mean" 10.0 mean;
   check (Alcotest.float 0.5) "stddev" 3.0 (sqrt var)
 
+(* Recorded before the generator's state moved into a byte buffer. *)
+let test_prng_stream_pin () =
+  let rng = Prng.create ~seed:0x5EEDL in
+  check (Alcotest.list Alcotest.int64) "first 8 bits64 of seed 0x5EED"
+    [ -1210358410065458316L; -2164664542880791269L; -2834165613409827270L;
+      -466718552644551933L; -5798483511068453880L; -8722753148381888610L;
+      5628034012957674668L; 7787846518745421590L ]
+    (List.init 8 (fun _ -> Prng.bits64 rng));
+  let rng = Prng.create ~seed:0x5EEDL in
+  check (Alcotest.list Alcotest.string) "first 4 gaussians (mu 100, sigma 3) of seed 0x5EED"
+    [ "0x1.9345d445ca448p+6"; "0x1.96d803a449a34p+6"; "0x1.85b9e355d7918p+6";
+      "0x1.7fad21f6863bep+6" ]
+    (List.init 4 (fun _ -> Printf.sprintf "%h" (Prng.gaussian rng ~mu:100.0 ~sigma:3.0)))
+
+(* [gaussian] is [box_muller] of a [nonzero_float] and a [float];
+   [uniform_pairs] draws those pairs and leaves the stream where the
+   draws would. *)
+let test_prng_uniform_pairs () =
+  let a = Prng.create ~seed:23L and b = Prng.create ~seed:23L and c = Prng.create ~seed:23L in
+  let u = Array.make 12 nan in
+  Prng.uniform_pairs a u;
+  for i = 0 to 5 do
+    let u1 = Prng.nonzero_float b in
+    let u2 = Prng.float b in
+    check (Alcotest.float 0.0) "u1" u1 u.(2 * i);
+    check (Alcotest.float 0.0) "u2" u2 u.((2 * i) + 1);
+    check (Alcotest.float 0.0) "gaussian" (Prng.box_muller ~mu:5.0 ~sigma:2.0 u1 u2)
+      (Prng.gaussian c ~mu:5.0 ~sigma:2.0)
+  done;
+  let next = Prng.bits64 b in
+  check Alcotest.int64 "same position" next (Prng.bits64 a);
+  check Alcotest.int64 "gaussian's position" next (Prng.bits64 c);
+  Alcotest.check_raises "odd length" (Invalid_argument "Prng.uniform_pairs: odd length")
+    (fun () -> Prng.uniform_pairs a (Array.make 3 0.0))
+
 let test_prng_bytes_len () =
   let rng = Prng.create ~seed:13L in
   List.iter
@@ -388,7 +423,9 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "bytes length" `Quick test_prng_bytes_len;
           Alcotest.test_case "choose subset" `Quick test_choose_subset;
-          Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation ] );
+          Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+          Alcotest.test_case "stream pin" `Quick test_prng_stream_pin;
+          Alcotest.test_case "uniform pairs" `Quick test_prng_uniform_pairs ] );
       ( "bitvec",
         [ Alcotest.test_case "basic" `Quick test_bitvec_basic;
           Alcotest.test_case "bounds" `Quick test_bitvec_bounds;
