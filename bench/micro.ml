@@ -4,7 +4,8 @@
      and a device's boot (manufacture, key vote, target boot);
    - Fig 5/6's compiler path: full compilation and encrypting build;
    - Fig 7's load path: package personalize, decrypt+validate and SoC
-     execution, with and without the integrity guard. *)
+     execution, with and without the integrity guard;
+   - the differential oracle's IR interpreter on the same program. *)
 
 open Bechamel
 open Toolkit
@@ -21,10 +22,19 @@ let quick_prepared = lazy (Eric.Encrypt.prepare ~mode:Eric.Config.Full (Lazy.for
 let quick_package = lazy (fst (Eric.Encrypt.personalize ~key (Lazy.force quick_prepared)))
 
 (* crc32 on its small dataset: 100,180 simulated instructions *)
-let quick_small_image =
+let quick_small_source =
+  (List.nth Eric_workloads.Workloads.all 4).Eric_workloads.Workloads.source_small
+
+let quick_small_image = lazy (Eric_cc.Driver.compile_exn quick_small_source)
+
+(* ...and as unoptimised IR, which perf's [deliver] set-up interprets for
+   its expected outputs. *)
+let quick_small_ir =
   lazy
-    (Eric_cc.Driver.compile_exn
-       (List.nth Eric_workloads.Workloads.all 4).Eric_workloads.Workloads.source_small)
+    (let options = { Eric_cc.Driver.default_options with Eric_cc.Driver.optimize = false } in
+     match Eric_cc.Driver.compile_to_ir ~options quick_small_source with
+     | Ok ir -> ir
+     | Error e -> failwith e)
 
 let puf_device = lazy (Eric_puf.Device.manufacture 99L)
 
@@ -86,6 +96,8 @@ let tests =
              Eric_sim.Soc.run_loaded
                ~guard:(Eric_hw.Guard.fetch_and_scrub ~interval_cycles:1024)
                ~load_cycles:0L image (Eric_sim.Soc.load image)));
+      Test.make ~name:"ir-interp-crc32"
+        (Staged.stage (fun () -> Eric_cc.Ir_interp.run (Lazy.force quick_small_ir)));
       (* The telemetry no-op guarantee: with recording disabled, an
          instrumentation site must cost one branch over the bare call.
          Compare these three rows (all should be within noise of each

@@ -1,3 +1,5 @@
+module Memory = Eric_util.Memory
+
 type outcome = { output : string; exit_code : int }
 
 exception Runtime_error of string
@@ -6,7 +8,8 @@ exception Program_exit of int
 let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 type state = {
-  pages : Bytes.t array;  (** the address space, {!page_size} bytes a page *)
+  memory : Memory.t;  (** the address space *)
+  word : Bytes.t;  (** 8 bytes through which a 64-bit value is loaded or stored *)
   globals : (string, int) Hashtbl.t;  (** symbol -> address *)
   funcs : (string, Ir.func) Hashtbl.t;
   out : Buffer.t;
@@ -18,58 +21,19 @@ type state = {
 let memory_size = 4 * 1024 * 1024
 let data_base = 0x1000
 
-(* The 4 MiB address space is held as 4 KiB pages that all start as one
-   shared page of zeros, never written: a page gets bytes of its own on
-   its first write, so a run allocates only the pages it writes (globals
-   near the bottom, the stack near the top) instead of 4 MiB. *)
-let page_size = 4096
-let zero_page = Bytes.make page_size '\000'
-
-let check addr len =
-  if addr < 0 || len < 0 || addr + len > memory_size then
-    err "memory access out of bounds: 0x%x (+%d)" addr len
-
-let get_byte st addr = Bytes.get st.pages.(addr / page_size) (addr mod page_size)
-
-let writable_page st addr =
-  let p = addr / page_size in
-  if st.pages.(p) == zero_page then st.pages.(p) <- Bytes.make page_size '\000';
-  st.pages.(p)
-
-let set_byte st addr c = Bytes.set (writable_page st addr) (addr mod page_size) c
-
 let read st w addr =
   match w with
-  | Ir.W8 ->
-    check addr 1;
-    Int64.of_int (Char.code (get_byte st addr))
+  | Ir.W8 -> Int64.of_int (Memory.read_u8 st.memory addr)
   | Ir.W64 ->
-    check addr 8;
-    let off = addr mod page_size in
-    if off <= page_size - 8 then Bytes.get_int64_le st.pages.(addr / page_size) off
-    else begin
-      (* straddles two pages *)
-      let v = ref 0L in
-      for i = 7 downto 0 do
-        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (get_byte st (addr + i))))
-      done;
-      !v
-    end
+    Memory.read_u64 st.memory addr st.word 0;
+    Bytes.get_int64_ne st.word 0
 
 let write st w addr v =
   match w with
-  | Ir.W8 ->
-    check addr 1;
-    set_byte st addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
+  | Ir.W8 -> Memory.write_u8 st.memory addr (Int64.to_int v)
   | Ir.W64 ->
-    check addr 8;
-    let off = addr mod page_size in
-    if off <= page_size - 8 then Bytes.set_int64_le (writable_page st addr) off v
-    else
-      for i = 0 to 7 do
-        set_byte st (addr + i)
-          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-      done
+    Bytes.set_int64_ne st.word 0 v;
+    Memory.write_u64 st.memory addr st.word 0
 
 let eval_binop (op : Ir.binop) a b =
   let open Int64 in
@@ -143,11 +107,9 @@ let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
             let r = exec_func st g (List.map value call_args) in
             (match dest with Some d -> temps.(d) <- r | None -> ()))
         | Ir.Write (buf, len) ->
-          let addr = Int64.to_int (value buf) and n = Int64.to_int (value len) in
-          check addr n;
-          for i = addr to addr + n - 1 do
-            Buffer.add_char st.out (get_byte st i)
-          done
+          Buffer.add_bytes st.out
+            (Memory.read_bytes st.memory ~addr:(Int64.to_int (value buf))
+               ~len:(Int64.to_int (value len)))
         | Ir.Exit v -> raise (Program_exit (Int64.to_int (value v)))
         | Ir.Counter (d, _) ->
           (* the interpreter's only monotonic clock is its step count *)
@@ -167,7 +129,8 @@ let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
 let run ?(max_steps = 100_000_000) (p : Ir.program) =
   let st =
     {
-      pages = Array.make (memory_size / page_size) zero_page;
+      memory = Memory.create ~size:memory_size;
+      word = Bytes.create 8;
       globals = Hashtbl.create 64;
       funcs = Hashtbl.create 64;
       out = Buffer.create 256;
@@ -180,22 +143,24 @@ let run ?(max_steps = 100_000_000) (p : Ir.program) =
   (* Lay out initialised data then BSS, 8-byte aligned like the linker. *)
   let cursor = ref data_base in
   let align8 v = (v + 7) / 8 * 8 in
-  List.iter
-    (fun (name, bytes) ->
-      cursor := align8 !cursor;
-      Hashtbl.replace st.globals name !cursor;
-      Bytes.iteri (fun i c -> set_byte st (!cursor + i) c) bytes;
-      cursor := !cursor + Bytes.length bytes)
-    p.Ir.p_data;
-  List.iter
-    (fun (name, size) ->
-      cursor := align8 !cursor;
-      Hashtbl.replace st.globals name !cursor;
-      cursor := !cursor + size)
-    p.Ir.p_bss;
-  match Hashtbl.find_opt st.funcs "main" with
-  | None -> raise (Runtime_error "program has no main function")
-  | Some main -> (
-    match exec_func st main [] with
-    | code -> { output = Buffer.contents st.out; exit_code = Int64.to_int code }
-    | exception Program_exit code -> { output = Buffer.contents st.out; exit_code = code })
+  try
+    List.iter
+      (fun (name, bytes) ->
+        cursor := align8 !cursor;
+        Hashtbl.replace st.globals name !cursor;
+        Memory.blit_bytes st.memory ~addr:!cursor bytes;
+        cursor := !cursor + Bytes.length bytes)
+      p.Ir.p_data;
+    List.iter
+      (fun (name, size) ->
+        cursor := align8 !cursor;
+        Hashtbl.replace st.globals name !cursor;
+        cursor := !cursor + size)
+      p.Ir.p_bss;
+    match Hashtbl.find_opt st.funcs "main" with
+    | None -> raise (Runtime_error "program has no main function")
+    | Some main -> (
+      match exec_func st main [] with
+      | code -> { output = Buffer.contents st.out; exit_code = Int64.to_int code }
+      | exception Program_exit code -> { output = Buffer.contents st.out; exit_code = code })
+  with Memory.Trap msg -> raise (Runtime_error msg)

@@ -1,11 +1,13 @@
 (** A reference interpreter for the IR.
 
     Executes {!Ir.program} directly — no code generation, no register
-    allocation, no RISC-V — with its own 4 MiB memory for globals, string
-    literals and frame slots (held in pages allocated on first write).  Because it shares nothing with the back end
-    below the IR, comparing its observable behaviour (output + exit code)
-    with the compiled program running on the simulated SoC checks
-    code generation, register allocation, layout and the CPU model as one
+    allocation, no RISC-V.  Globals, string literals and frame slots live
+    in a 4 MiB {!Eric_util.Memory}: the paged, bounds-checked byte store
+    the simulated SoC also uses, which [test_sim] checks against flat
+    bytes.  It shares nothing else with the back end below the IR, so
+    comparing its observable behaviour (output + exit code) with the
+    compiled program running on the simulated SoC checks code
+    generation, register allocation, layout and the CPU model as one
     differential unit. *)
 
 type outcome = {
@@ -14,7 +16,8 @@ type outcome = {
 }
 
 exception Runtime_error of string
-(** Out-of-bounds access, missing function, call-depth explosion. *)
+(** Out-of-bounds access (with {!Eric_util.Memory.Trap}'s message),
+    missing function, call-depth explosion. *)
 
 val run : ?max_steps:int -> Ir.program -> outcome
 (** Interpret from [main] (default fuel 100M IR instructions). *)

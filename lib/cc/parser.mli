@@ -9,5 +9,3 @@ exception Parse_error of string * Ast.pos
 
 val parse : string -> (Ast.program, string) result
 (** Lex + parse; the error string carries "line:col: message". *)
-
-val parse_exn : string -> Ast.program

@@ -73,7 +73,7 @@ val receive_bytes : t -> bytes -> (loaded, load_error) result
 val run :
   ?timing:Eric_sim.Cpu.timing ->
   ?fuel:int ->
-  ?corrupt:(Eric_sim.Memory.t -> Eric_rv.Program.t -> unit) ->
+  ?corrupt:(Eric_util.Memory.t -> Eric_rv.Program.t -> unit) ->
   t ->
   loaded ->
   Eric_sim.Soc.result

@@ -32,7 +32,6 @@ val to_hex : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_zero : t -> bool
 val is_even : t -> bool
 val num_bits : t -> int
 val bit : t -> int -> bool
@@ -60,12 +59,6 @@ val gcd : t -> t -> t
 
 val modinv : t -> m:t -> t option
 (** Multiplicative inverse mod [m] when [gcd a m = 1]. *)
-
-val random_bits : Eric_util.Prng.t -> bits:int -> t
-(** Uniform with exactly [bits] bits (top bit set). *)
-
-val random_below : Eric_util.Prng.t -> t -> t
-(** Uniform in [\[0, bound)]. *)
 
 val is_probable_prime : ?rounds:int -> Eric_util.Prng.t -> t -> bool
 (** Miller-Rabin after trial division by small primes; [rounds] defaults

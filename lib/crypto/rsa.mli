@@ -24,8 +24,6 @@ val generate : ?bits:int -> Eric_util.Prng.t -> private_key
 
 val public_of : private_key -> public_key
 
-val modulus_bytes : public_key -> int
-
 val max_message_bytes : public_key -> int
 (** Modulus bytes minus the 11-byte padding minimum. *)
 

@@ -85,8 +85,6 @@ val deploy_sharded :
 val all_accounted : report -> bool
 (** delivered + quarantined + skipped = every device in the registry. *)
 
-val next_firmware_epoch : Registry.t -> int
-
 val report_to_json : report -> Eric_telemetry.Json.t
 (** The canonical report: simulation-deterministic fields only (no wall
     clock, no scheduler name) and devices in ascending id order, so the

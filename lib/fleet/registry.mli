@@ -69,12 +69,6 @@ val set_hde : t -> Eric_hw.Hde.config -> unit
     boots, so already-addressed devices re-boot under the new silicon
     config on next use. *)
 
-val invalidate_targets : t -> Eric_puf.Device.id -> unit
-(** Drop the memoized boots of one device (all contexts); the next
-    addressing re-runs key reconstruction.  {!update} calls this itself
-    when a boot-relevant field changed — exposed for campaigns that want
-    a fresh boot at a new operating point without touching the entry. *)
-
 val enroll :
   ?epoch:int -> ?label:string -> ?enrollment:Eric_puf.Enroll.enrollment ->
   t -> Eric_puf.Device.id -> (entry, string) result
@@ -134,5 +128,4 @@ val load : string -> (t, string) result
 (** [save] writes a temp file and renames it over [path]; [load] parses
     the file as a stream.  I/O failures are [Error], not exceptions. *)
 
-val pp_status : Format.formatter -> status -> unit
 val pp_entry : Format.formatter -> entry -> unit

@@ -49,5 +49,4 @@ val rotate :
     in-band handshake fails, is listed in [failed] with its entry left
     unchanged; the rest of the fleet still rotates. *)
 
-val method_label : method_ -> string
 val pp_report : Format.formatter -> report -> unit

@@ -24,7 +24,7 @@ type delivery = {
   outcome : outcome;
 }
 
-type fault_injector = attempt:int -> Eric_sim.Memory.t -> Eric_rv.Program.t -> unit
+type fault_injector = attempt:int -> Eric_util.Memory.t -> Eric_rv.Program.t -> unit
 
 let delivered d = match d.outcome with Delivered _ -> true | Quarantined _ -> false
 let retried d = delivered d && d.attempts > 1

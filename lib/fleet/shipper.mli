@@ -58,7 +58,7 @@ val delivered : delivery -> bool
 val retried : delivery -> bool
 (** Delivered, but only after at least one refusal. *)
 
-type fault_injector = attempt:int -> Eric_sim.Memory.t -> Eric_rv.Program.t -> unit
+type fault_injector = attempt:int -> Eric_util.Memory.t -> Eric_rv.Program.t -> unit
 (** Corrupts device memory between load and execution — the soft-error
     model of the serve scenarios.  Called once per executing attempt
     with the attempt number, so an injector can fault some attempts and

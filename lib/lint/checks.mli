@@ -5,8 +5,6 @@
 
 type family = Ir | Machine | Leakage | Taint
 
-val family_name : family -> string
-
 type info = {
   id : string;
   family : family;

@@ -44,8 +44,6 @@ val warningf :
 
 val notef : ?loc:location -> check:string -> ('a, unit, string, t) format4 -> 'a
 
-val pp_location : Format.formatter -> location -> unit
-
 val pp : Format.formatter -> t -> unit
 (** One line: [error[mc.decode.invalid] text+0x1a2: message]. *)
 

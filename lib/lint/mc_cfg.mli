@@ -49,20 +49,10 @@ val targets_of_flow : flow -> int list
 (** The absolute byte offsets a flow names (empty for
     [Next]/[Return]/[Indirect]/[Indirect_call]). *)
 
-val falls_through : flow -> bool
-(** Whether control can continue at the next parcel boundary:
-    [Next], [Cond], [Call] and [Indirect_call] do; [Jump], [Return] and
-    [Indirect] never do. *)
-
 val fallthrough : t -> node -> int option
 (** The in-section fallthrough offset — [n_offset + n_size], honouring
     the parcel's real 2- or 4-byte width — or [None] when the flow does
     not fall through or the next boundary is past the section end. *)
-
-val succ_offsets : t -> node -> int list
-(** Every in-section, parcel-aligned successor offset: the fallthrough
-    (first, when present) plus the named targets.  Misaligned or
-    out-of-section targets are omitted (the verifier flags them). *)
 
 val call_sites : t -> (int * int) list
 (** [(site offset, target offset)] for every [jal ra, _] — the call edges

@@ -15,9 +15,6 @@ module Value : sig
 
   include Dataflow.LATTICE with type t := t
 
-  val max_width : int
-  (** Set-size cap (8): a join that would exceed it widens to [Top]. *)
-
   val const : int64 -> t
   val to_list : t -> int64 list option
   (** [Some vs] for [Bot]/[Vals] (empty list for [Bot]), [None] for [Top]. *)
@@ -32,8 +29,6 @@ module State : sig
 
   val unknown : unit -> t
   (** All registers [Top] — the boundary state at a function entry. *)
-
-  val value_of : t -> Eric_rv.Reg.t -> Value.t
 end
 
 val transfer : text_base:int -> Mc_cfg.node -> State.t -> State.t

@@ -26,13 +26,11 @@ val all_passes : pass list
     the configured list is spelled. *)
 
 val pass_name : pass -> string
-val pass_of_string : string -> pass option
 
 val passes_of_string : string -> (pass list, string) result
 (** Parse a comma-separated pass list (the [--obfuscate] argument) into
     canonical order; [Error] names the first unknown pass. *)
 
-val pass_bit : pass -> int
 val mask_of_passes : pass list -> int
 val passes_of_mask : int -> pass list
 (** Wire encoding of the pass set, as stored in the package header's
@@ -66,15 +64,12 @@ val options : ?base:Eric_cc.Driver.options -> config -> Eric_cc.Driver.options
 (** [base] (default {!Eric_cc.Driver.default_options}) with the
     configured transform installed. *)
 
-val real_truth : annot:Annot.t -> Eric_rv.Program.t -> Eric_cc.Truth.t
-(** Compiler ground truth of the obfuscated image minus everything the
-    obfuscator planted (decoy blocks and dummy functions are located
-    via their [.L_<fname>_<label>] symbols and subtracted as byte
-    ranges). *)
-
 val grade : annot:Annot.t -> attacker:Eric_lint.Leakage.attacker -> Eric_rv.Program.t
   -> Eric_lint.Leakage.structure
 (** Run an attacker over the obfuscated *plain* image and score it with
-    {!Eric_lint.Leakage.recover_against} against {!real_truth}: Jaccard
-    per component, so decoys the attacker swallows push the score below
-    the 1.0 an un-obfuscated plain image yields. *)
+    {!Eric_lint.Leakage.recover_against} against the real truth: the
+    compiler's ground truth of the image minus everything the obfuscator
+    planted (decoy blocks and dummy functions, located via their
+    [.L_<fname>_<label>] symbols and subtracted as byte ranges).  The
+    score is a Jaccard per component, so decoys the attacker swallows
+    push it below the 1.0 an un-obfuscated plain image yields. *)

@@ -48,8 +48,6 @@ type enrollment = {
   worst_instability : float;
 }
 
-val helper_version : int
-
 val enroll : ?config:config -> Device.t -> (enrollment, string) result
 (** Enroll a device.  [Error] when fewer than [min_chains] chains survive
     dark-bit masking — a die that bad must be scrapped, not shipped. *)
@@ -65,10 +63,6 @@ val parse : bytes -> (helper, string) result
     tag is {e not} checked here — only reconstruction can check it
     ({!Fuzzy.reconstruct}). *)
 
-val compute_tag : key:bytes -> bytes -> bytes
-(** [compute_tag ~key prefix] is the keyed tag over a serialized prefix;
-    exposed for the extractor's post-reconstruction verification. *)
-
 val tag_matches : key:bytes -> helper -> bool
 (** Constant-time check that [key] reproduces [helper]'s tag. *)
 
@@ -78,8 +72,3 @@ val survey : ?votes:int -> ?env:Env.t -> Device.t -> helper -> float
     fraction (0 = perfectly stable, 0.5 = coin flip).  Fleet re-enrollment
     campaigns compare this against their instability threshold.
     @raise Invalid_argument when the helper names another device. *)
-
-val measure_instability :
-  votes:int -> env:Env.t -> Device.t -> chain:int -> challenge:int -> float
-(** Fraction of [votes] noisy reads disagreeing with the nominal ideal
-    bit; the enrollment screen, exposed for campaigns and tests. *)

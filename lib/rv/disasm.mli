@@ -8,11 +8,9 @@
     analysis module can quantify what an attacker recovers from plaintext
     versus ERIC-encrypted text sections. *)
 
-val pp_inst : Format.formatter -> Inst.t -> unit
+val inst_to_string : Inst.t -> string
 (** e.g. [addi a0, sp, 16], [ld s1, 8(sp)], [beq a0, a1, 24] (control-flow
     offsets are printed as signed byte displacements). *)
-
-val inst_to_string : Inst.t -> string
 
 type line = {
   offset : int;  (** byte offset of the parcel in the stream *)

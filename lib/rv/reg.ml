@@ -8,7 +8,6 @@ let compare = Int.compare
 let x0 = 0
 let ra = 1
 let sp = 2
-let gp = 3
 let tp = 4
 
 let t_ n =

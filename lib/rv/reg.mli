@@ -21,9 +21,6 @@ val ra : t
 val sp : t
 (** x2, stack pointer. *)
 
-val gp : t
-(** x3, global pointer. *)
-
 val tp : t
 (** x4, thread pointer. *)
 

@@ -149,8 +149,8 @@ let serve_one st (r : Traffic.request) ~start =
                         let text_len = Eric_rv.Program.text_size image in
                         let bit = Eric_util.Prng.int rng ~bound:(text_len * 8) in
                         let addr = Eric_rv.Program.Layout.text_base + (bit / 8) in
-                        Eric_sim.Memory.write_u8 memory addr
-                          (Eric_sim.Memory.read_u8 memory addr lxor (1 lsl (bit mod 8)))
+                        Eric_util.Memory.write_u8 memory addr
+                          (Eric_util.Memory.read_u8 memory addr lxor (1 lsl (bit mod 8)))
                       end
                     in
                     (Some fires, Some inject)

@@ -1,9 +1,9 @@
 (** Set-associative cache timing model with true-LRU replacement and
     write-back/write-allocate policy.
 
-    Only timing is modelled (data lives in {!Memory}); the model tracks
-    tags, valid and dirty bits per way, which is all the Fig-7 execution
-    experiment needs.  Defaults match the paper's Table I: 16 KiB, 4-way. *)
+    Only timing is modelled (data lives in {!Eric_util.Memory}); the
+    model tracks tags, valid and dirty bits per way, which is all the
+    Fig-7 execution experiment needs.  Defaults match the paper's Table I: 16 KiB, 4-way. *)
 
 type config = {
   size_bytes : int;

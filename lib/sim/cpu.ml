@@ -1,4 +1,5 @@
 open Eric_rv
+module Memory = Eric_util.Memory
 
 type timing = {
   icache_miss_penalty : int;

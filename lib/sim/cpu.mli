@@ -33,7 +33,7 @@ val create :
   ?icache:Cache.config ->
   ?dcache:Cache.config ->
   ?branch_predictor:bool ->
-  memory:Memory.t ->
+  memory:Eric_util.Memory.t ->
   pc:int ->
   sp:int ->
   unit ->
@@ -114,9 +114,9 @@ val fault_integrity : t -> string -> unit
 
 val step : t -> unit
 (** Execute one instruction (no-op once not [Running]).  A fault raised
-    mid-instruction (an invalid instruction, a memory {!Memory.Trap}, an
-    {!Integrity_violation}) becomes the {!Faulted} or {!Integrity_fault}
-    status.
+    mid-instruction (an invalid instruction, a memory
+    {!Eric_util.Memory.Trap}, an {!Integrity_violation}) becomes the
+    {!Faulted} or {!Integrity_fault} status.
 
     Syscall ABI (a7 selects, as in the Linux RV64 convention):
     - 64 (write): a0=fd (ignored), a1=buffer address, a2=length; appends the

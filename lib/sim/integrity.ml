@@ -1,4 +1,5 @@
 module Guard = Eric_hw.Guard
+module Memory = Eric_util.Memory
 
 type stats = {
   mutable scrub_passes : int;

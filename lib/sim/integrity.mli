@@ -44,7 +44,7 @@ type stats = {
 
 type t
 
-val create : config:Eric_hw.Guard.config -> image:Eric_rv.Program.t -> Memory.t -> t
+val create : config:Eric_hw.Guard.config -> image:Eric_rv.Program.t -> Eric_util.Memory.t -> t
 (** Enroll reference digests over the image's resident span in [memory]
     (which must already be loaded).  @raise Invalid_argument on a config
     that fails {!Eric_hw.Guard.validate}. *)

@@ -1,4 +1,5 @@
 open Eric_rv
+module Memory = Eric_util.Memory
 
 type result = {
   status : Cpu.status;

@@ -33,12 +33,16 @@ val plain_load_cycles : Eric_rv.Program.t -> int64
 (** Cycles to DMA the plain image (header + text + data) into memory:
     {!Eric_hw.Hde.load_plain} under the default HDE configuration. *)
 
-val load : Eric_rv.Program.t -> Memory.t
+val load : Eric_rv.Program.t -> Eric_util.Memory.t
 (** Fresh memory with text, data and zeroed BSS placed per
     {!Eric_rv.Program.Layout}. *)
 
 val boot :
-  ?timing:Cpu.timing -> ?branch_predictor:bool -> Eric_rv.Program.t -> Memory.t -> Cpu.t
+  ?timing:Cpu.timing ->
+  ?branch_predictor:bool ->
+  Eric_rv.Program.t ->
+  Eric_util.Memory.t ->
+  Cpu.t
 (** A CPU with pc at the image entry and sp at the top of the stack. *)
 
 val run_program :
@@ -52,7 +56,7 @@ val run_loaded :
   ?trace:(pc:int -> Eric_rv.Inst.t -> unit) ->
   load_cycles:int64 ->
   Eric_rv.Program.t ->
-  Memory.t ->
+  Eric_util.Memory.t ->
   result
 (** Run an image that something else (e.g. the HDE) already placed in
     memory, accounting its loading cost as [load_cycles].

@@ -189,8 +189,8 @@ let campaign ?(config = default_config) source =
           if byte < text_len then Eric_rv.Program.Layout.text_base + byte
           else Eric_rv.Program.Layout.data_base image + (byte - text_len)
         in
-        Eric_sim.Memory.write_u8 memory addr
-          (Eric_sim.Memory.read_u8 memory addr lxor (1 lsl (bit mod 8)));
+        Eric_util.Memory.write_u8 memory addr
+          (Eric_util.Memory.read_u8 memory addr lxor (1 lsl (bit mod 8)));
         let r =
           Eric_sim.Soc.run_loaded ~fuel:config.fuel ~guard:config.guard ~load_cycles:0L image
             memory

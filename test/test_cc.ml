@@ -1207,6 +1207,261 @@ let test_interp_pages () =
     (Ir_interp.Runtime_error "memory access out of bounds: 0x3ffffc (+8)") (fun () ->
       ignore (interp_main [ Ir.Load (Ir.W64, 0, Ir.Imm 0x3ffffcL) ] (Ir.Ret None)))
 
+(* Addresses near [max_int], where [addr + len] wraps: each access must
+   raise the byte store's trap message, as the SoC paths trap. *)
+let huge_index = "int a[4]; int main() { int i = 576460752303422975; "
+let top_word_trap = "memory access out of bounds: 0x3ffffffffffffff8 (+8)"
+
+let wrapping_accesses =
+  [ ("store", huge_index ^ "a[i] = 1; return 0; }", top_word_trap);
+    ("load", huge_index ^ "return a[i]; }", top_word_trap);
+    ( "write",
+      "char s[4]; int main() { __write(s, 4611686018427387903); return 3; }",
+      "memory access out of bounds: 0x1000 (+4611686018427387903)" ) ]
+
+let test_wrapping_access src msg () =
+  match Driver.compile_to_ir src with
+  | Error e -> Alcotest.fail e
+  | Ok ir ->
+    Alcotest.check_raises "trap" (Ir_interp.Runtime_error msg) (fun () -> ignore (Ir_interp.run ir))
+
+(* The interpreter as it was before it ran on [Eric_util.Memory], with
+   pages and a bounds check of its own, kept verbatim. *)
+module Reference_interp = struct
+  type outcome = { output : string; exit_code : int }
+
+  exception Runtime_error of string
+  exception Program_exit of int
+
+  let err fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
+
+  type state = {
+    pages : Bytes.t array;  (** the address space, {!page_size} bytes a page *)
+    globals : (string, int) Hashtbl.t;  (** symbol -> address *)
+    funcs : (string, Ir.func) Hashtbl.t;
+    out : Buffer.t;
+    mutable stack_pointer : int;  (** bump-down frame allocator *)
+    mutable steps : int;
+    max_steps : int;
+  }
+
+  let memory_size = 4 * 1024 * 1024
+  let data_base = 0x1000
+
+  (* The 4 MiB address space is held as 4 KiB pages that all start as one
+     shared page of zeros, never written: a page gets bytes of its own on
+     its first write, so a run allocates only the pages it writes (globals
+     near the bottom, the stack near the top) instead of 4 MiB. *)
+  let page_size = 4096
+  let zero_page = Bytes.make page_size '\000'
+
+  let check addr len =
+    if addr < 0 || len < 0 || addr + len > memory_size then
+      err "memory access out of bounds: 0x%x (+%d)" addr len
+
+  let get_byte st addr = Bytes.get st.pages.(addr / page_size) (addr mod page_size)
+
+  let writable_page st addr =
+    let p = addr / page_size in
+    if st.pages.(p) == zero_page then st.pages.(p) <- Bytes.make page_size '\000';
+    st.pages.(p)
+
+  let set_byte st addr c = Bytes.set (writable_page st addr) (addr mod page_size) c
+
+  let read st w addr =
+    match w with
+    | Ir.W8 ->
+      check addr 1;
+      Int64.of_int (Char.code (get_byte st addr))
+    | Ir.W64 ->
+      check addr 8;
+      let off = addr mod page_size in
+      if off <= page_size - 8 then Bytes.get_int64_le st.pages.(addr / page_size) off
+      else begin
+        (* straddles two pages *)
+        let v = ref 0L in
+        for i = 7 downto 0 do
+          v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (get_byte st (addr + i))))
+        done;
+        !v
+      end
+
+  let write st w addr v =
+    match w with
+    | Ir.W8 ->
+      check addr 1;
+      set_byte st addr (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
+    | Ir.W64 ->
+      check addr 8;
+      let off = addr mod page_size in
+      if off <= page_size - 8 then Bytes.set_int64_le (writable_page st addr) off v
+      else
+        for i = 0 to 7 do
+          set_byte st (addr + i)
+            (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
+        done
+
+  let eval_binop (op : Ir.binop) a b =
+    let open Int64 in
+    let bool_ c = if c then 1L else 0L in
+    match op with
+    | Add -> add a b
+    | Sub -> sub a b
+    | Mul -> mul a b
+    | Div -> if b = 0L then -1L else if a = min_int && b = -1L then min_int else div a b
+    | Rem -> if b = 0L then a else if a = min_int && b = -1L then 0L else rem a b
+    | And -> logand a b
+    | Or -> logor a b
+    | Xor -> logxor a b
+    | Shl -> shift_left a (to_int (logand b 63L))
+    | Shr -> shift_right a (to_int (logand b 63L))
+    | Slt -> bool_ (compare a b < 0)
+    | Sle -> bool_ (compare a b <= 0)
+    | Sgt -> bool_ (compare a b > 0)
+    | Sge -> bool_ (compare a b >= 0)
+    | Seq -> bool_ (equal a b)
+    | Sne -> bool_ (not (equal a b))
+
+  let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
+    let temps = Array.make (max f.Ir.f_temp_count 1) 0L in
+    List.iteri
+      (fun i p -> if i < List.length args then temps.(p) <- List.nth args i)
+      f.Ir.f_params;
+    (* Frame slots: bump the interpreter's stack downwards. *)
+    let frame_size = List.fold_left (fun acc (_, size) -> acc + size) 0 f.Ir.f_slots in
+    let saved_sp = st.stack_pointer in
+    st.stack_pointer <- st.stack_pointer - ((frame_size + 15) / 16 * 16);
+    if st.stack_pointer < memory_size / 2 then err "interpreter stack overflow in %s" f.Ir.f_name;
+    let slot_addr = Hashtbl.create 8 in
+    let off = ref st.stack_pointer in
+    List.iter
+      (fun (slot, size) ->
+        Hashtbl.replace slot_addr slot !off;
+        off := !off + size)
+      f.Ir.f_slots;
+    let blocks = Hashtbl.create 16 in
+    List.iter (fun b -> Hashtbl.replace blocks b.Ir.b_label b) f.Ir.f_blocks;
+    let value = function Ir.Temp t -> temps.(t) | Ir.Imm v -> v in
+    let result = ref 0L in
+    let rec run_block label =
+      let block =
+        match Hashtbl.find_opt blocks label with
+        | Some b -> b
+        | None -> err "%s: no block L%d" f.Ir.f_name label
+      in
+      List.iter
+        (fun instr ->
+          st.steps <- st.steps + 1;
+          if st.steps > st.max_steps then err "interpreter out of fuel";
+          match instr with
+          | Ir.Move (d, v) -> temps.(d) <- value v
+          | Ir.Bin (op, d, a, b) -> temps.(d) <- eval_binop op (value a) (value b)
+          | Ir.Load (w, d, addr) -> temps.(d) <- read st w (Int64.to_int (value addr))
+          | Ir.Store (w, addr, src) -> write st w (Int64.to_int (value addr)) (value src)
+          | Ir.Addr_global (d, sym) -> (
+            match Hashtbl.find_opt st.globals sym with
+            | Some addr -> temps.(d) <- Int64.of_int addr
+            | None -> err "undefined global %s" sym)
+          | Ir.Addr_local (d, slot) -> (
+            match Hashtbl.find_opt slot_addr slot with
+            | Some addr -> temps.(d) <- Int64.of_int addr
+            | None -> err "%s: unknown slot %d" f.Ir.f_name slot)
+          | Ir.Call (dest, callee, call_args) -> (
+            match Hashtbl.find_opt st.funcs callee with
+            | None -> err "call to undefined function %s" callee
+            | Some g ->
+              let r = exec_func st g (List.map value call_args) in
+              (match dest with Some d -> temps.(d) <- r | None -> ()))
+          | Ir.Write (buf, len) ->
+            let addr = Int64.to_int (value buf) and n = Int64.to_int (value len) in
+            check addr n;
+            for i = addr to addr + n - 1 do
+              Buffer.add_char st.out (get_byte st i)
+            done
+          | Ir.Exit v -> raise (Program_exit (Int64.to_int (value v)))
+          | Ir.Counter (d, _) ->
+            (* the interpreter's only monotonic clock is its step count *)
+            temps.(d) <- Int64.of_int st.steps)
+        block.Ir.body;
+      st.steps <- st.steps + 1;
+      match block.Ir.term with
+      | Ir.Ret None -> ()
+      | Ir.Ret (Some v) -> result := value v
+      | Ir.Jmp l -> run_block l
+      | Ir.Br (v, l1, l2) -> if value v <> 0L then run_block l1 else run_block l2
+    in
+    run_block (match f.Ir.f_blocks with b :: _ -> b.Ir.b_label | [] -> err "%s has no blocks" f.Ir.f_name);
+    st.stack_pointer <- saved_sp;
+    !result
+
+  let run ?(max_steps = 100_000_000) (p : Ir.program) =
+    let st =
+      {
+        pages = Array.make (memory_size / page_size) zero_page;
+        globals = Hashtbl.create 64;
+        funcs = Hashtbl.create 64;
+        out = Buffer.create 256;
+        stack_pointer = memory_size - 16;
+        steps = 0;
+        max_steps;
+      }
+    in
+    List.iter (fun f -> Hashtbl.replace st.funcs f.Ir.f_name f) p.Ir.p_funcs;
+    (* Lay out initialised data then BSS, 8-byte aligned like the linker. *)
+    let cursor = ref data_base in
+    let align8 v = (v + 7) / 8 * 8 in
+    List.iter
+      (fun (name, bytes) ->
+        cursor := align8 !cursor;
+        Hashtbl.replace st.globals name !cursor;
+        Bytes.iteri (fun i c -> set_byte st (!cursor + i) c) bytes;
+        cursor := !cursor + Bytes.length bytes)
+      p.Ir.p_data;
+    List.iter
+      (fun (name, size) ->
+        cursor := align8 !cursor;
+        Hashtbl.replace st.globals name !cursor;
+        cursor := !cursor + size)
+      p.Ir.p_bss;
+    match Hashtbl.find_opt st.funcs "main" with
+    | None -> raise (Runtime_error "program has no main function")
+    | Some main -> (
+      match exec_func st main [] with
+      | code -> { output = Buffer.contents st.out; exit_code = Int64.to_int code }
+      | exception Program_exit code -> { output = Buffer.contents st.out; exit_code = code })
+end
+
+(* Both interpreters' outcomes on [source], optimised and not: output
+   and exit code, or the message of the [Runtime_error] raised instead. *)
+let interp_outcomes source =
+  List.map
+    (fun optimize ->
+      match Driver.compile_to_ir ~options:{ Driver.default_options with Driver.optimize } source with
+      | Error e -> Alcotest.failf "compile error: %s" e
+      | Ok ir ->
+        ( (match Ir_interp.run ir with
+          | o -> Ok (o.Ir_interp.output, o.Ir_interp.exit_code)
+          | exception Ir_interp.Runtime_error msg -> Error msg),
+          match Reference_interp.run ir with
+          | o -> Ok (o.Reference_interp.output, o.Reference_interp.exit_code)
+          | exception Reference_interp.Runtime_error msg -> Error msg ))
+    [ true; false ]
+
+let test_interp_matches_reference () =
+  let outcome = Alcotest.(result (pair string int) string) in
+  List.iter
+    (fun (w : Eric_workloads.Workloads.t) ->
+      List.iter
+        (fun (paged, reference) -> check outcome w.name reference paged)
+        (interp_outcomes w.source_small))
+    Eric_workloads.Workloads.all;
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:150 ~name:"Gen programs"
+       QCheck.(make ~print:Int64.to_string Gen.(map Int64.of_int (int_bound 1_000_000)))
+       (fun seed ->
+         let source = (Eric_verif.Gen.generate ~seed ()).Eric_verif.Gen.source in
+         List.for_all (fun (paged, reference) -> paged = reference) (interp_outcomes source)))
+
 (* ------------------------------------------------------------------ *)
 (* The prelude template                                                *)
 (* ------------------------------------------------------------------ *)
@@ -2253,7 +2508,13 @@ let () =
           Alcotest.test_case "dense analyses = Set.Make (Int) references" `Quick
             test_dense_analyses_match_reference;
           Alcotest.test_case "assembler = re-encode-every-pass reference" `Quick
-            test_assembler_matches_reference ] );
+            test_assembler_matches_reference ]
+        @ List.map
+            (fun (kind, src, msg) ->
+              Alcotest.test_case (kind ^ " past max_int traps") `Quick (test_wrapping_access src msg))
+            wrapping_accesses
+        @ [ Alcotest.test_case "interpreter = paged-copy reference" `Quick
+              test_interp_matches_reference ] );
       ( "prelude",
         [ Alcotest.test_case "template isolated from transforms" `Quick
             test_template_isolated_from_transforms;

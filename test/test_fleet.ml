@@ -447,7 +447,7 @@ let guarded_fleet n =
    from the digests the guard enrolled at HDE load time. *)
 let flip_text ~attempt:_ memory (_ : Eric_rv.Program.t) =
   let addr = Eric_rv.Program.Layout.text_base + 4 in
-  Eric_sim.Memory.write_u8 memory addr (Eric_sim.Memory.read_u8 memory addr lxor 0x10)
+  Eric_util.Memory.write_u8 memory addr (Eric_util.Memory.read_u8 memory addr lxor 0x10)
 
 let test_shipper_integrity_retry_recovers () =
   let reg = guarded_fleet 1 in

@@ -4,6 +4,7 @@
 
 open Eric_rv
 open Eric_sim
+module Memory = Eric_util.Memory
 
 let check = Alcotest.check
 let qtest ?(count = 300) name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)

@@ -185,6 +185,23 @@ let test_oracle_interprets_untransformed_ir () =
     check Alcotest.bool "interp differs from plain" false (behaviour_equal r.interp r.plain);
     check Alcotest.bool "plain equals encrypted" true (behaviour_equal r.plain r.encrypted)
 
+(* Addresses near [max_int], where [addr + len] wraps: a store, a load
+   and a write that every path must trap on. *)
+let test_oracle_wrapping_accesses_trap () =
+  let huge_index = "int a[4]; int main() { int i = 576460752303422975; " in
+  List.iter
+    (fun src ->
+      match Eric_verif.Oracle.run src with
+      | Error msg -> Alcotest.fail msg
+      | Ok r ->
+        let open Eric_verif.Oracle in
+        let trap = function Trap _ -> true | _ -> false in
+        check Alcotest.bool "agrees" true (agree r);
+        check Alcotest.bool "three traps" true (trap r.interp && trap r.plain && trap r.encrypted))
+    [ huge_index ^ "a[i] = 1; return 0; }";
+      huge_index ^ "return a[i]; }";
+      "char s[4]; int main() { __write(s, 4611686018427387903); return 3; }" ]
+
 let test_oracle_compiles_once () =
   let module T = Eric_telemetry in
   T.Span.reset ();
@@ -540,7 +557,8 @@ let () =
           Alcotest.test_case "fixed program" `Quick test_oracle_fixed_program;
           Alcotest.test_case "interpreter sees untransformed IR" `Quick
             test_oracle_interprets_untransformed_ir;
-          Alcotest.test_case "one compile per run" `Quick test_oracle_compiles_once ] );
+          Alcotest.test_case "one compile per run" `Quick test_oracle_compiles_once;
+          Alcotest.test_case "wrapping accesses trap" `Quick test_oracle_wrapping_accesses_trap ] );
       ( "shrink",
         [ Alcotest.test_case "synthetic predicate minimal" `Quick
             test_shrink_synthetic_predicate;
