@@ -21,6 +21,10 @@ type state = {
 let memory_size = 4 * 1024 * 1024
 let data_base = 0x1000
 
+(* Frames grow down from the top of memory to here; globals lie below. *)
+let stack_floor = memory_size / 2
+let globals_too_large = "globals do not fit below the interpreter stack"
+
 let read st w addr =
   match w with
   | Ir.W8 -> Int64.of_int (Memory.read_u8 st.memory addr)
@@ -65,7 +69,7 @@ let rec exec_func st (f : Ir.func) (args : int64 list) : int64 =
   let frame_size = List.fold_left (fun acc (_, size) -> acc + size) 0 f.Ir.f_slots in
   let saved_sp = st.stack_pointer in
   st.stack_pointer <- st.stack_pointer - ((frame_size + 15) / 16 * 16);
-  if st.stack_pointer < memory_size / 2 then err "interpreter stack overflow in %s" f.Ir.f_name;
+  if st.stack_pointer < stack_floor then err "interpreter stack overflow in %s" f.Ir.f_name;
   let slot_addr = Hashtbl.create 8 in
   let off = ref st.stack_pointer in
   List.iter
@@ -157,6 +161,7 @@ let run ?(max_steps = 100_000_000) (p : Ir.program) =
         Hashtbl.replace st.globals name !cursor;
         cursor := !cursor + size)
       p.Ir.p_bss;
+    if !cursor > stack_floor then raise (Runtime_error globals_too_large);
     match Hashtbl.find_opt st.funcs "main" with
     | None -> raise (Runtime_error "program has no main function")
     | Some main -> (

@@ -19,5 +19,14 @@ exception Runtime_error of string
 (** Out-of-bounds access (with {!Eric_util.Memory.Trap}'s message),
     missing function, call-depth explosion. *)
 
+val globals_too_large : string
+(** The {!Runtime_error} message of a program whose globals reach past
+    the interpreter stack's floor, 2 MiB.  The interpreter refuses it
+    before running anything: it has a quarter of the SoC's memory, so
+    such a program says nothing about the machine paths. *)
+
 val run : ?max_steps:int -> Ir.program -> outcome
-(** Interpret from [main] (default fuel 100M IR instructions). *)
+(** Interpret from [main] (default fuel 100M IR instructions).  Raises
+    {!Runtime_error} with ["interpreter out of fuel"] when the fuel runs
+    out, and with {!globals_too_large} for a program whose data and BSS
+    do not fit below the stack. *)

@@ -1,10 +1,9 @@
 (* Block [i] is SHA-256(key || le64 i): only the 8 counter bytes change
    from one block to the next, so the message is padded once, here, and
-   so is every round that reads key bytes only.  The counter starts at
-   message word [key length / 4]; [create] runs the hash up to that word
-   once (whole blocks for keys of 64 bytes or more, then rounds), and each
-   block resumes from there.  For the 32-byte keys [Kmu.derive] produces
-   that is 8 of the block's 64 rounds. *)
+   [create] compresses every block that holds key bytes only once (there
+   are none for keys under 64 bytes).  Each keystream block compresses
+   the rest from there: one block for the 32-byte keys [Kmu.derive]
+   produces. *)
 type t = {
   msg : Bytes.t; (* key || le64 counter || padding *)
   counter : int; (* offset of the counter in [msg] *)

@@ -8,10 +8,10 @@
     to 47 bytes.  The same stream is regenerated independently on the
     software source and inside the HDE.
 
-    A stream hashes the rounds that read only key bytes once, when it is
-    created, and keeps the last block it produced: consecutive reads of
-    one block hash it once.  That saved state is key material; it lives
-    only inside {!t}. *)
+    A stream compresses the message blocks that hold only key bytes once,
+    when it is created, and keeps the last block it produced: consecutive
+    reads of one block hash it once.  That saved state is key material;
+    it lives only inside {!t}. *)
 
 type t
 (** One key's stream: a positioned reader ({!take}) over an addressable

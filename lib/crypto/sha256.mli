@@ -24,29 +24,27 @@ val finalize : ctx -> bytes
     (further [feed] raises). *)
 
 type midstate
-(** The hash state partway through one padded message: the chaining value
-    before the block that holds a given message word, and that block's
-    rounds up to the word.  SHA-256 round [t] reads message word [t] and
-    no later one, so the state serves every message that agrees on the
-    words before it: counter-mode keystream blocks share their key's
-    words and differ only from the counter on.  A midstate is mutable
-    scratch for {!resume}; share it with no other thread. *)
+(** The hash state partway through one padded message: the chaining
+    value after every block before the one that holds a given message
+    word.  Those blocks read nothing from the word on, so the state
+    serves every message that agrees on the words before it:
+    counter-mode keystream blocks share their key's words and differ only
+    from the counter on.  A midstate is never written after it is made. *)
 
 val midstate : bytes -> word:int -> midstate
-(** [midstate m ~word] runs SHA-256 over the padded message [m] (a whole
-    number of 64-byte blocks: the message then its padding) up to message
-    word [word] (bytes [4 * word] onwards are not yet absorbed): every
-    whole block before it, then rounds 0 to [word mod 16 - 1] of its own
-    block.  Raises [Invalid_argument] if [m] is empty or not whole blocks,
-    or [word] is not a word of [m]. *)
+(** [midstate m ~word] compresses the blocks of the padded message [m]
+    (a whole number of 64-byte blocks: the message then its padding)
+    that lie wholly before message word [word], the blocks before block
+    [word / 16].  Raises [Invalid_argument] if [m] is empty or not whole
+    blocks, or [word] is not a word of [m]. *)
 
 val resume : midstate -> bytes -> dst:bytes -> unit
 (** [resume s m ~dst] writes into the first 32 bytes of [dst] the digest
     of the padded message [m], which has the length of the message [s]
     was taken from and agrees with it on every word before [s]'s.  It
-    runs only the remaining rounds and blocks, and allocates nothing.
-    Raises [Invalid_argument] if [m]'s length differs or [dst] is shorter
-    than 32 bytes. *)
+    compresses the block that holds [s]'s word, in full, and every later
+    one, and allocates nothing.  Raises [Invalid_argument] if [m]'s
+    length differs or [dst] is shorter than 32 bytes. *)
 
 val digest : bytes -> bytes
 (** One-shot hash. *)

@@ -169,20 +169,19 @@ let deploy_sharded ?(config = default_config) ~cache ~shards source =
   Eric_telemetry.Span.with_ ~cat:"fleet" ~name:"fleet.campaign.sharded" (fun () ->
       let ( let* ) = Result.bind in
       let t_start = Eric_telemetry.Clock.now_ns () in
-      (* Fix the epoch up front: each shard only sees its own slice, so
-         letting [deploy] derive it per shard would skew. *)
-      let* firmware_epoch =
-        match config.firmware_epoch with
-        | Some e -> Ok e
-        | None ->
-          Result.map succ
-            (Registry_shard.fold_entries shards ~init:0 ~f:(fun m e ->
-                 max m e.Registry.firmware_epoch))
-      in
-      let config = { config with firmware_epoch = Some firmware_epoch } in
+      (* Fix the epoch from the walk's scan, before any shard deploys:
+         each shard only sees its own slice, so letting [deploy] derive
+         it per shard would skew. *)
+      let newest = ref 0 in
+      let epoch () = Option.value config.firmware_epoch ~default:(succ !newest) in
       let* reports =
-        Registry_shard.walk shards ~f:(fun registry -> deploy ~config ~cache ~registry source)
+        Registry_shard.walk shards
+          ~scan:(fun e -> newest := max !newest e.Registry.firmware_epoch)
+          ~f:(fun registry ->
+            deploy ~config:{ config with firmware_epoch = Some (epoch ()) } ~cache ~registry source)
       in
+      let firmware_epoch = epoch () in
+      let config = { config with firmware_epoch = Some firmware_epoch } in
       match reports with
       | [] -> deploy ~config ~cache ~registry:(Registry.create ()) source
       | first :: _ ->

@@ -78,7 +78,8 @@ val deploy_sharded :
     {!Registry_shard.walk}: each shard is deployed, written back and
     released before the next opens, so peak memory is one shard
     regardless of fleet size.  The firmware epoch is fixed across shards
-    up front; the merged report lists devices in shard-major order.
+    from the walk's scan, before any shard deploys; the merged report
+    lists devices in shard-major order.
     [Error] also for a shard that does not parse, before any is
     rewritten. *)
 

@@ -238,9 +238,9 @@ let fold_entries t ~init ~f =
   in
   go 0 init
 
-let walk t ~f =
+let walk ?(scan = ignore) t ~f =
   (* the scan is what makes a refused walk leave every file untouched *)
-  let* () = fold_entries t ~init:() ~f:(fun () _ -> ()) in
+  let* () = fold_entries t ~init:() ~f:(fun () e -> scan e) in
   let rec go i acc =
     if i = t.shards then Ok (List.rev acc)
     else if locked t (fun () -> t.counts.(i)) = 0 then go (i + 1) acc

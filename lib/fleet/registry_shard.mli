@@ -68,13 +68,19 @@ val fold_entries :
     closed shards stream from disk entry by entry and are {e not} left
     open — a full-fleet scan at one-shard memory cost. *)
 
-val walk : t -> f:(Registry.t -> ('a, string) result) -> ('a list, string) result
+val walk :
+  ?scan:(Registry.entry -> unit) ->
+  t ->
+  f:(Registry.t -> ('a, string) result) ->
+  ('a list, string) result
 (** Run [f] on each non-empty shard in index order, writing the shard
     back and releasing it before the next opens, so peak memory is one
     shard regardless of fleet size.  Every shard is scanned before any
     is rewritten: a shard that does not parse refuses the walk with every
-    file unchanged.  An [Error] from [f] stops the walk without writing
-    that shard. *)
+    file unchanged.  [scan] sees each entry of that scan, shard-major,
+    before [f] runs on any shard, so a fact about the whole fleet costs
+    no second pass over the files.  An [Error] from [f] stops the walk
+    without writing that shard. *)
 
 val of_registry : dir:string -> shards:int -> Registry.t -> (t, string) result
 (** Shard an in-memory registry into [dir]. *)

@@ -55,6 +55,23 @@ let of_result (r : Eric_sim.Soc.result) =
   | Eric_sim.Cpu.Integrity_fault msg -> Trap ("integrity: " ^ msg)
   | Eric_sim.Cpu.Running -> Exhausted
 
+(* Booted devices and their keys, by id: a boot manufactures the die
+   and votes its key, and every run for one device would repeat it.  A
+   [Target.t] is immutable, so runs on any domain share one. *)
+let targets : (int64, Eric.Target.t * bytes) Hashtbl.t = Hashtbl.create 4
+let targets_lock = Mutex.create ()
+
+let target_of_id device_id =
+  Mutex.lock targets_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock targets_lock) @@ fun () ->
+  match Hashtbl.find_opt targets device_id with
+  | Some booted -> booted
+  | None ->
+    let target = Eric.Target.of_id device_id in
+    let booted = (target, Eric.Protocol.provision target) in
+    Hashtbl.replace targets device_id booted;
+    booted
+
 let run ?(fuel = default_fuel) ?(mode = Eric.Config.Full) ?(device_id = 0xE51CL)
     ?(options = Eric_cc.Driver.default_options) source =
   let ( let* ) = Result.bind in
@@ -74,7 +91,9 @@ let run ?(fuel = default_fuel) ?(mode = Eric.Config.Full) ?(device_id = 0xE51CL)
     | outcome ->
       Exit
         { code = outcome.Eric_cc.Ir_interp.exit_code; output = outcome.Eric_cc.Ir_interp.output }
-    | exception Eric_cc.Ir_interp.Runtime_error "interpreter out of fuel" -> Exhausted
+    | exception Eric_cc.Ir_interp.Runtime_error msg
+      when msg = "interpreter out of fuel" || msg = Eric_cc.Ir_interp.globals_too_large ->
+      Exhausted
     | exception Eric_cc.Ir_interp.Runtime_error msg -> Trap msg
   in
   let* ir = Eric_cc.Driver.apply_transform options.Eric_cc.Driver.transform ir in
@@ -83,8 +102,7 @@ let run ?(fuel = default_fuel) ?(mode = Eric.Config.Full) ?(device_id = 0xE51CL)
   let plain = of_result (Eric_sim.Soc.run_program ~fuel image) in
   let target, key =
     Eric_telemetry.Span.with_ ~cat:"verif" ~name:"verif.target_setup" @@ fun () ->
-    let target = Eric.Target.of_id device_id in
-    (target, Eric.Protocol.provision target)
+    target_of_id device_id
   in
   let build = Eric.Source.package_image ~mode ~key image in
   let wire = Eric.Package.serialize build.Eric.Source.package in

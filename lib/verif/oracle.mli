@@ -20,7 +20,10 @@ type behaviour =
       (** the harness's fuel limit, not a program behaviour: the
           interpreter and the SoC count different units (IR steps vs
           retired instructions), so exhaustion in one path and not
-          another is incomparable rather than a divergence.  {!diverges}
+          another is incomparable rather than a divergence.  The
+          interpreter's refusal of globals that do not fit in its smaller
+          memory ({!Eric_cc.Ir_interp.globals_too_large}) counts here
+          too.  {!diverges}
           skips exhausted reports; {!agree} still reports them as
           disagreement so nothing silently equates a completed run with
           a truncated one. *)
@@ -32,7 +35,8 @@ val agree : report -> bool
 val behaviour_equal : behaviour -> behaviour -> bool
 
 val exhausted : report -> bool
-(** Some path hit its fuel limit — the report is not evidence of a bug. *)
+(** Some path hit its fuel or memory limit — the report is not evidence
+    of a bug. *)
 
 val diverges : report -> bool
 (** The paths disagree and none was {!exhausted}: evidence of a bug.
@@ -73,4 +77,7 @@ val run :
     {!Eric_obf.Obf} pass set) that alters observable behaviour registers
     as an interp/plain divergence rather than being compared against
     itself.  The interpreter and the target set-up run under the
-    [verif.interp] and [verif.target_setup] telemetry spans. *)
+    [verif.interp] and [verif.target_setup] telemetry spans.  The target
+    for [device_id] is booted on the first run that names it and shared
+    by every later run in the process (its set-up span is then a table
+    lookup). *)

@@ -1225,6 +1225,30 @@ let test_wrapping_access src msg () =
   | Ok ir ->
     Alcotest.check_raises "trap" (Ir_interp.Runtime_error msg) (fun () -> ignore (Ir_interp.run ir))
 
+(* Globals that reach past the interpreter stack's 2 MiB floor, where the
+   SoC's 16 MiB still hold them.  Laid out anyway, the first program's
+   store landed past the 4 MiB top (a trap where the SoC exits 42), and
+   the second program's array ran into [f]'s frame ([b.(2)] read 3 where
+   the SoC reads 42).  The interpreter refuses both before running. *)
+let oversized_globals =
+  [ "int a[524300]; int main() { a[524299] = 42; return a[524299]; }";
+    "int a[523773]; int f() { int b[4]; b[2] = 42; a[523772] = 3; return b[2]; } "
+    ^ "int main() { return f(); }" ]
+
+let test_oversized_globals_refused () =
+  List.iter
+    (fun src ->
+      match Driver.compile_to_ir src with
+      | Error e -> Alcotest.fail e
+      | Ok ir ->
+        Alcotest.check_raises src (Ir_interp.Runtime_error Ir_interp.globals_too_large) (fun () ->
+            ignore (Ir_interp.run ir)))
+    oversized_globals;
+  (* the largest array that fits still runs: 0x1000 + 8 n = 2 MiB *)
+  match Driver.compile_to_ir "int a[261632]; int main() { a[261631] = 42; return a[261631]; }" with
+  | Error e -> Alcotest.fail e
+  | Ok ir -> check Alcotest.int "fits" 42 (Ir_interp.run ir).Ir_interp.exit_code
+
 (* The interpreter as it was before it ran on [Eric_util.Memory], with
    pages and a bounds check of its own, kept verbatim. *)
 module Reference_interp = struct
@@ -2513,7 +2537,8 @@ let () =
             (fun (kind, src, msg) ->
               Alcotest.test_case (kind ^ " past max_int traps") `Quick (test_wrapping_access src msg))
             wrapping_accesses
-        @ [ Alcotest.test_case "interpreter = paged-copy reference" `Quick
+        @ [ Alcotest.test_case "oversized globals refused" `Quick test_oversized_globals_refused;
+            Alcotest.test_case "interpreter = paged-copy reference" `Quick
               test_interp_matches_reference ] );
       ( "prelude",
         [ Alcotest.test_case "template isolated from transforms" `Quick

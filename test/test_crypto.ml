@@ -153,7 +153,7 @@ let test_ref_sha256_vectors () =
 
 (* A midstate taken at word [w] of a message that differs from the
    vector's from byte [4 w] on still finishes the vector's digest: the
-   rounds before [w] read nothing past it. *)
+   blocks before [w]'s read nothing past it. *)
 let test_sha256_resume () =
   List.iter
     (fun (msg, expected) ->
@@ -323,7 +323,21 @@ let test_keystream_blocks_allocate_nothing () =
       Keystream.xor_in_place t ~offset:5000 buf;
       let words = Gc.minor_words () -. before in
       check Alcotest.(float 0.) "in-place words allocated" 0. words)
-    [ key; key48 ]
+    [ key; key48 ];
+  (* The compression itself: feeding 64 blocks allocates nothing, and a
+     one-shot digest only its pad block (64 bytes: 8 words, a padding
+     word and a header) and its 32-byte result (4 words, a padding word
+     and a header).  A boxed word in the compression fails both. *)
+  let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  let ctx = Sha256.init () in
+  let before = Gc.minor_words () in
+  Sha256.feed ctx data;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(float 0.) "feed 4 KiB words allocated" 0. words;
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Sha256.digest data));
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(float 0.) "digest 4 KiB words allocated" 16. words
 
 (* Reference stream: block [i] is SHA-256(key || le64 i), hashed one shot. *)
 let reference_stream ~key ~offset ~len =
@@ -337,9 +351,10 @@ let reference_stream ~key ~offset ~len =
   Bytes.sub (Bytes.concat Bytes.empty blocks) (offset - (32 * first)) len
 
 (* Keys of 0 to 120 bytes pad to one, two or three blocks, with every
-   length mod 4, so the hash state saved per stream ends at every round
-   of a block and after whole blocks.  Some offsets lie around block
-   2^32, where the counter's high word turns non-zero. *)
+   length mod 4, so the chaining value saved per stream is taken after
+   zero, one or two blocks, and the counter starts at every word of a
+   block.  Some offsets lie around block 2^32, where the counter's high
+   word turns non-zero. *)
 let high_counter = 32 lsl 32
 
 let keystream_matches_reference =

@@ -202,6 +202,27 @@ let test_oracle_wrapping_accesses_trap () =
       huge_index ^ "return a[i]; }";
       "char s[4]; int main() { __write(s, 4611686018427387903); return 3; }" ]
 
+(* Globals past the interpreter's 2 MiB stack floor: the SoC paths run
+   them, and the interpreter refuses them, which counts as exhaustion
+   rather than the divergence its old layout reported (a trap on the
+   first program, exit 3 on the second). *)
+let test_oracle_oversized_globals () =
+  List.iter
+    (fun src ->
+      match Eric_verif.Oracle.run src with
+      | Error msg -> Alcotest.fail msg
+      | Ok r ->
+        let open Eric_verif.Oracle in
+        check Alcotest.bool "interp exhausted" true (r.interp = Exhausted);
+        check Alcotest.bool "plain exits 42" true
+          (behaviour_equal r.plain (Exit { code = 42; output = "" }));
+        check Alcotest.bool "encrypted exits 42" true
+          (behaviour_equal r.encrypted (Exit { code = 42; output = "" }));
+        check Alcotest.bool "no divergence" false (diverges r))
+    [ "int a[524300]; int main() { a[524299] = 42; return a[524299]; }";
+      "int a[523773]; int f() { int b[4]; b[2] = 42; a[523772] = 3; return b[2]; } "
+      ^ "int main() { return f(); }" ]
+
 let test_oracle_compiles_once () =
   let module T = Eric_telemetry in
   T.Span.reset ();
@@ -558,7 +579,8 @@ let () =
           Alcotest.test_case "interpreter sees untransformed IR" `Quick
             test_oracle_interprets_untransformed_ir;
           Alcotest.test_case "one compile per run" `Quick test_oracle_compiles_once;
-          Alcotest.test_case "wrapping accesses trap" `Quick test_oracle_wrapping_accesses_trap ] );
+          Alcotest.test_case "wrapping accesses trap" `Quick test_oracle_wrapping_accesses_trap;
+          Alcotest.test_case "oversized globals exhaust" `Quick test_oracle_oversized_globals ] );
       ( "shrink",
         [ Alcotest.test_case "synthetic predicate minimal" `Quick
             test_shrink_synthetic_predicate;
