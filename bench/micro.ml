@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks: the primitive operations behind each table
    and figure.  One Test.make per experiment family:
-   - Table II's units: SHA-256 core, keystream, XOR cipher, PUF response,
+   - Table II's units: SHA-256 core (both compressions), keystream, XOR
+     cipher, PUF response,
      and a device's boot (manufacture, key vote, target boot);
    - Fig 5/6's compiler path: full compilation and encrypting build;
    - Fig 7's load path: package personalize, decrypt+validate and SoC
@@ -11,6 +12,11 @@ open Bechamel
 open Toolkit
 
 let buf_4k = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF))
+
+(* As many blocks as [Sha256.digest buf_4k] compresses, its 64 and a pad
+   block; a compression's time does not depend on the bytes. *)
+let blocks_65 = Bytes.make (65 * 64) '\x5a'
+let chain = Bytes.create 32
 let key = Bytes.of_string "0123456789abcdef0123456789abcdef"
 
 let quick_source = (List.nth Eric_workloads.Workloads.all 4).Eric_workloads.Workloads.source
@@ -43,6 +49,13 @@ let word = Eric_rv.Encode.encode (Eric_rv.Inst.I (Addi, Eric_rv.Reg.a 0, Eric_rv
 let tests =
   Test.make_grouped ~name:"eric"
     [ Test.make ~name:"sha256-4KiB" (Staged.stage (fun () -> Eric_crypto.Sha256.digest buf_4k));
+      (* The same 65 compressions in OCaml, which runs wherever the host
+         lacks the SHA extensions. *)
+      Test.make ~name:"sha256-4KiB-portable"
+        (Staged.stage (fun () ->
+             for b = 0 to 64 do
+               Eric_crypto.Sha256.portable_compress chain blocks_65 (64 * b)
+             done));
       Test.make ~name:"keystream-4KiB"
         (Staged.stage (fun () ->
              Eric_crypto.Keystream.take (Eric_crypto.Keystream.create ~key) 4096));
@@ -111,6 +124,8 @@ let tests =
 
 let run () =
   Report.heading "Microbenchmarks (bechamel, monotonic clock, ns/run)";
+  Printf.printf "SHA-256 compression selected on this host: %s\n"
+    (if Eric_crypto.Sha256.sha_extensions then "x86 SHA extensions" else "portable OCaml");
   assert (not (Eric_telemetry.Control.is_enabled ()));
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in

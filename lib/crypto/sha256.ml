@@ -3,12 +3,25 @@ let block_size = 64
 
 (* The initial hash value (FIPS 180-2, section 5.3.2).  A chaining value
    is held as the digest it becomes, eight big-endian 32-bit words in 32
-   bytes, which [Sha256_compress.compress], the process-wide hot spot,
-   reads and adds into. *)
+   bytes, which [compress], the process-wide hot spot, reads and adds
+   into. *)
 let iv =
   "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
-let compress = Sha256_compress.compress
+(* sha256_stubs.c: the compression on the x86 SHA extensions, which reads
+   the block and the chaining value unchecked, and the CPUID probe. *)
+external compress_sha_extensions : bytes -> bytes -> int -> unit = "eric_sha256_compress"
+[@@noalloc]
+
+external probe_sha_extensions : unit -> bool = "eric_sha256_sha_extensions" [@@noalloc]
+
+let sha_extensions = probe_sha_extensions ()
+let portable_compress = Sha256_compress.compress
+
+let compress h b pos =
+  if pos < 0 || pos > Bytes.length b - block_size || Bytes.length h < digest_size then
+    invalid_arg "Sha256.compress: block or chaining value out of range";
+  if sha_extensions then compress_sha_extensions h b pos else portable_compress h b pos
 
 type ctx = {
   h : Bytes.t; (* chaining value *)

@@ -4,7 +4,16 @@
     plaintext program to produce a 256-bit signature, and the Signature
     Generator unit in the HDE recomputes it on the decrypted instruction
     stream.  The incremental interface below mirrors the hardware unit, which
-    absorbs instruction words as they leave the Decryption Unit. *)
+    absorbs instruction words as they leave the Decryption Unit.
+
+    Every function below runs one compression, {!compress}.  On a host
+    whose CPUID reports the x86 SHA extensions (with SSSE3 and SSE4.1) it
+    is a C kernel on those instructions, as the paper's HDE hashes in
+    hardware; everywhere else it is {!portable_compress}, OCaml generated
+    at build time.  The CPU makes the choice, once, when the module is
+    initialised: no option, variable or configuration field selects it.
+    The two give the same bytes on every input, and the portable one is
+    the reference the tests hold the kernel to. *)
 
 val digest_size : int
 (** 32 bytes. *)
@@ -48,6 +57,21 @@ val resume : midstate -> bytes -> dst:bytes -> unit
 
 val digest : bytes -> bytes
 (** One-shot hash. *)
+
+val compress : bytes -> bytes -> int -> unit
+(** [compress h b pos] absorbs the 64-byte block at [pos] of [b] into the
+    chaining value [h], eight big-endian 32-bit words (the digest's
+    layout) in its first 32 bytes.  It allocates nothing.  Raises
+    [Invalid_argument], with [h] unchanged, if the block is not inside [b]
+    or [h] is shorter than 32 bytes. *)
+
+val portable_compress : bytes -> bytes -> int -> unit
+(** {!compress} in OCaml, with the same contract: the only compression on
+    hosts without the SHA extensions, and the reference for the one that
+    uses them. *)
+
+val sha_extensions : bool
+(** Whether {!compress} runs on the x86 SHA extensions on this host. *)
 
 val digest_string : string -> bytes
 

@@ -57,23 +57,6 @@ let parcel_offsets t =
   done;
   out
 
-let of_parcels parcels =
-  let text = Bytes.create (Array.fold_left (fun acc p -> acc + parcel_size p) 0 parcels) in
-  let off = ref 0 in
-  Array.iter
-    (fun p ->
-      (match p with
-      | P16 v ->
-        if v land 0b11 = 0b11 then invalid_arg "Program.of_parcels: P16 with a 32-bit marker";
-        Bytes.set_uint16_le text !off (v land 0xFFFF)
-      | P32 w ->
-        if Int32.to_int w land 0b11 <> 0b11 then
-          invalid_arg "Program.of_parcels: P32 without a 32-bit marker";
-        Bytes.set_int32_le text !off w);
-      off := !off + parcel_size p)
-    parcels;
-  { text; data = Bytes.empty; bss_size = 0; entry_offset = 0; symbols = [] }
-
 let decode_parcel = function P16 v -> Rvc.expand v | P32 w -> Decode.decode w
 
 let decode_all t =

@@ -8,10 +8,9 @@
 
     The text is held as the little-endian bytes the SoC loads and the
     packaging stage hashes and encrypts.  Its parcel structure follows
-    from the ISA's length encoding (low two bits [11] = 32-bit), and every
-    constructor here ({!of_parcels}, {!of_binary}) and the HDE's decrypt
-    walk checks that the bytes tile into whole parcels.  {!parcels} frames
-    them on demand. *)
+    from the ISA's length encoding (low two bits [11] = 32-bit), and
+    {!of_binary} and the HDE's decrypt walk check that the bytes tile into
+    whole parcels.  {!parcels} frames them on demand. *)
 
 type parcel =
   | P16 of int  (** compressed instruction, low 16 bits significant *)
@@ -42,13 +41,6 @@ val parcels : t -> parcel array
 val parcel_offsets : t -> int array
 (** Byte offset of each parcel within the text section.  Raises as
     {!parcels}. *)
-
-val of_parcels : parcel array -> t
-(** The image whose text is these parcels, with no data, BSS, entry
-    offset or symbols (set them with [{ (of_parcels ps) with ... }]).
-    Raises [Invalid_argument] if a parcel's length bits disagree with its
-    constructor (a [P16] whose low two bits are [11], or a [P32] whose are
-    not), which would frame differently. *)
 
 val decode_parcel : parcel -> Inst.t option
 val decode_all : t -> Inst.t array option

@@ -2345,7 +2345,7 @@ module Reference_assemble = struct
       let symbols = Hashtbl.fold (fun name idx acc -> (name, unit_offsets.(idx)) :: acc) labels [] in
       Ok
         {
-          (Program.of_parcels parcels) with
+          (Parcel_image.of_parcels parcels) with
           Program.data = Bytes.copy data;
           bss_size = bss_total;
           entry_offset;

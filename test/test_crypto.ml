@@ -21,21 +21,6 @@ let sha_vectors =
     ("a", "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb");
     ("message digest", "f7846f55cf23e14eebeab5b4e1550cad5b509e3348fbc4efa3a1413d393cb650") ]
 
-let test_sha256_vectors () =
-  List.iter
-    (fun (msg, expected) -> check Alcotest.string msg expected (hex (Sha256.digest_string msg)))
-    sha_vectors
-
-let test_sha256_million_a () =
-  (* FIPS long vector: one million 'a'. *)
-  let ctx = Sha256.init () in
-  let chunk = Bytes.make 10_000 'a' in
-  for _ = 1 to 100 do
-    Sha256.feed ctx chunk
-  done;
-  check Alcotest.string "1M x 'a'" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (hex (Sha256.finalize ctx))
-
 let sha256_incremental =
   qtest "incremental = one-shot" QCheck.(pair string (small_list small_nat)) (fun (s, cuts) ->
       let data = Bytes.of_string s in
@@ -133,17 +118,71 @@ module Ref_sha256 = struct
     done;
     padded
 
+  let iv =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+       0x5be0cd19 |]
+
+  (* Eight words as the digest's 32 big-endian bytes. *)
+  let to_bytes h =
+    Bytes.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+
   let digest msg =
-    let h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
-         0x5be0cd19 |]
-    in
+    let h = Array.copy iv in
     let padded = pad msg in
     for b = 0 to (Bytes.length padded / 64) - 1 do
       compress h padded (64 * b)
     done;
-    Bytes.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+    to_bytes h
 end
+
+(* The two compressions [Sha256] can run: the one it selected for this
+   host, and the generated OCaml one, which is the only one on hosts
+   without the x86 SHA extensions (there both names run the same code). *)
+let paths = [ ("selected", Sha256.compress); ("portable", Sha256.portable_compress) ]
+
+(* SHA-256 and HMAC-SHA-256 with every block through [compress]: the
+   reference model's padding, from the initial hash value. *)
+let digest_with compress msg =
+  let h = Ref_sha256.to_bytes Ref_sha256.iv and padded = Ref_sha256.pad msg in
+  for b = 0 to (Bytes.length padded / 64) - 1 do
+    compress h padded (64 * b)
+  done;
+  h
+
+let hmac_with compress ~key msg =
+  let key = if Bytes.length key > 64 then digest_with compress key else key in
+  let pad c =
+    Bytes.init 64 (fun i ->
+        Char.chr (c lxor if i < Bytes.length key then Char.code (Bytes.get key i) else 0))
+  in
+  digest_with compress
+    (Bytes.cat (pad 0x5c) (digest_with compress (Bytes.cat (pad 0x36) msg)))
+
+let test_sha256_vectors () =
+  List.iter
+    (fun (msg, expected) ->
+      check Alcotest.string msg expected (hex (Sha256.digest_string msg));
+      List.iter
+        (fun (path, compress) ->
+          check Alcotest.string (path ^ " " ^ msg) expected
+            (hex (digest_with compress (Bytes.of_string msg))))
+        paths)
+    sha_vectors
+
+let test_sha256_million_a () =
+  (* FIPS long vector: one million 'a'. *)
+  let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" in
+  let ctx = Sha256.init () in
+  let chunk = Bytes.make 10_000 'a' in
+  for _ = 1 to 100 do
+    Sha256.feed ctx chunk
+  done;
+  check Alcotest.string "1M x 'a'" expected (hex (Sha256.finalize ctx));
+  List.iter
+    (fun (path, compress) ->
+      check Alcotest.string (path ^ " 1M x 'a'") expected
+        (hex (digest_with compress (Bytes.make 1_000_000 'a'))))
+    paths
 
 let test_ref_sha256_vectors () =
   List.iter
@@ -209,37 +248,88 @@ let sha256_matches_reference =
           pos := !pos + len)
         cuts;
       Sha256.feed_sub ctx msg ~pos:!pos ~len:(Bytes.length msg - !pos);
-      Bytes.equal (Sha256.finalize ctx) (Ref_sha256.digest msg))
+      let expected = Ref_sha256.digest msg in
+      Bytes.equal (Sha256.finalize ctx) expected
+      && List.for_all (fun (_, compress) -> Bytes.equal (digest_with compress msg) expected) paths)
+
+(* The kernel against the OCaml compression, block by block: random
+   chaining values, and blocks at random (mostly unaligned) offsets of a
+   larger buffer, which neither may write. *)
+let compressions_agree =
+  qtest ~count:500 "selected = portable compression"
+    QCheck.(
+      make
+        ~print:(fun (h, b, pos) -> Printf.sprintf "h=%s pos=%d b=%s" (hex h) pos (hex b))
+        Gen.(
+          pair (string_size ~gen:char (return 32)) (string_size ~gen:char (int_range 64 264))
+          >>= fun (h, b) ->
+          map
+            (fun pos -> (Bytes.of_string h, Bytes.of_string b, pos))
+            (int_bound (String.length b - 64))))
+    (fun (h, b, pos) ->
+      let b0 = Bytes.copy b and hs = Bytes.copy h and hp = Bytes.copy h in
+      Sha256.compress hs b pos;
+      Sha256.portable_compress hp b pos;
+      let words =
+        Array.init 8 (fun i -> Int32.to_int (Bytes.get_int32_be h (4 * i)) land 0xFFFFFFFF)
+      in
+      Ref_sha256.compress words b pos;
+      Bytes.equal hs hp && Bytes.equal hp (Ref_sha256.to_bytes words) && Bytes.equal b b0)
+
+(* Both compressions keep [Sha256_compress]'s contract: a block outside
+   [b] or a short chaining value raises before [h] is written, so the
+   kernel never reads out of range. *)
+let test_compress_bounds () =
+  let b = Bytes.init 100 (fun i -> Char.chr i) in
+  List.iter
+    (fun (path, compress) ->
+      let raises name h pos =
+        let before = Bytes.copy h in
+        (match compress h b pos with
+        | () -> Alcotest.failf "%s, %s: no Invalid_argument" path name
+        | exception Invalid_argument _ -> ());
+        check Alcotest.string (Printf.sprintf "%s, %s: h unchanged" path name) (hex before) (hex h)
+      in
+      raises "block past the end" (Bytes.make 32 'h') 37;
+      raises "negative pos" (Bytes.make 32 'h') (-1);
+      raises "pos near max_int" (Bytes.make 32 'h') (max_int - 10);
+      raises "31-byte h" (Bytes.make 31 'h') 0;
+      (* the last block that fits *)
+      let h = Bytes.make 32 'h' in
+      compress h b 36;
+      check Alcotest.bool (path ^ ", last block written") false (Bytes.equal h (Bytes.make 32 'h')))
+    paths
 
 (* ------------------------------------------------------------------ *)
 (* HMAC-SHA-256: RFC 4231 vectors                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The library's HMAC, then HMAC through each compression. *)
+let check_hmac name ~key data expected =
+  check Alcotest.string name expected (hex (Hmac_sha256.mac ~key data));
+  List.iter
+    (fun (path, compress) ->
+      check Alcotest.string (path ^ " " ^ name) expected (hex (hmac_with compress ~key data)))
+    paths
+
 let test_hmac_rfc4231_case1 () =
-  let key = Bytes.make 20 '\x0b' in
-  check Alcotest.string "case 1"
+  check_hmac "case 1" ~key:(Bytes.make 20 '\x0b') (Bytes.of_string "Hi There")
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (hex (Hmac_sha256.mac_string ~key "Hi There"))
 
 let test_hmac_rfc4231_case2 () =
-  let key = Bytes.of_string "Jefe" in
-  check Alcotest.string "case 2"
+  check_hmac "case 2" ~key:(Bytes.of_string "Jefe")
+    (Bytes.of_string "what do ya want for nothing?")
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (hex (Hmac_sha256.mac_string ~key "what do ya want for nothing?"))
 
 let test_hmac_rfc4231_case3 () =
-  let key = Bytes.make 20 '\xaa' in
-  let data = Bytes.make 50 '\xdd' in
-  check Alcotest.string "case 3"
+  check_hmac "case 3" ~key:(Bytes.make 20 '\xaa') (Bytes.make 50 '\xdd')
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (hex (Hmac_sha256.mac ~key data))
 
 let test_hmac_rfc4231_long_key () =
   (* case 6: 131-byte key, exercising the hash-the-key path *)
-  let key = Bytes.make 131 '\xaa' in
-  check Alcotest.string "case 6"
+  check_hmac "case 6" ~key:(Bytes.make 131 '\xaa')
+    (Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First")
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (hex (Hmac_sha256.mac_string ~key "Test Using Larger Than Block-Size Key - Hash Key First"))
 
 let hmac_key_sensitivity =
   qtest "distinct keys give distinct macs" QCheck.(pair string string) (fun (k1, k2) ->
@@ -327,9 +417,11 @@ let test_keystream_blocks_allocate_nothing () =
   (* The compression itself: feeding 64 blocks allocates nothing, and a
      one-shot digest only its pad block (64 bytes: 8 words, a padding
      word and a header) and its 32-byte result (4 words, a padding word
-     and a header).  A boxed word in the compression fails both. *)
+     and a header).  Each compression, called directly, allocates
+     nothing: a boxed word in the OCaml one fails its own pin on every
+     host, and the stream's pins too where it is the selected one. *)
   let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xFF)) in
-  let ctx = Sha256.init () in
+  let ctx = Sha256.init () and h = Bytes.make 32 'h' in
   let before = Gc.minor_words () in
   Sha256.feed ctx data;
   let words = Gc.minor_words () -. before in
@@ -337,7 +429,16 @@ let test_keystream_blocks_allocate_nothing () =
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Sha256.digest data));
   let words = Gc.minor_words () -. before in
-  check Alcotest.(float 0.) "digest 4 KiB words allocated" 16. words
+  check Alcotest.(float 0.) "digest 4 KiB words allocated" 16. words;
+  List.iter
+    (fun (path, compress) ->
+      let before = Gc.minor_words () in
+      for b = 0 to 63 do
+        compress h data (64 * b)
+      done;
+      let words = Gc.minor_words () -. before in
+      check Alcotest.(float 0.) (path ^ " compression, 64 blocks, words allocated") 0. words)
+    paths
 
 (* Reference stream: block [i] is SHA-256(key || le64 i), hashed one shot. *)
 let reference_stream ~key ~offset ~len =
@@ -581,7 +682,9 @@ let () =
           Alcotest.test_case "feed_sub range" `Quick test_sha256_feed_sub_range;
           Alcotest.test_case "reference model vectors" `Quick test_ref_sha256_vectors;
           Alcotest.test_case "resume" `Quick test_sha256_resume;
-          sha256_matches_reference ] );
+          sha256_matches_reference;
+          compressions_agree;
+          Alcotest.test_case "compression bounds" `Quick test_compress_bounds ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "rfc4231 case2" `Quick test_hmac_rfc4231_case2;

@@ -194,7 +194,7 @@ let p16 i =
   | None -> Alcotest.fail "instruction has no compressed form"
 
 let image_of_parcels ?(entry = 0) ?(symbols = []) parcels =
-  { (Rv.Program.of_parcels (Array.of_list parcels)) with
+  { (Parcel_image.of_parcels (Array.of_list parcels)) with
     Rv.Program.entry_offset = entry;
     symbols }
 

@@ -287,7 +287,7 @@ let test_workloads_ir_clean () =
 (* ------------------------------------------------------------------ *)
 
 let image_of_parcels ?(entry = 0) parcels =
-  { (Eric_rv.Program.of_parcels (Array.of_list parcels)) with
+  { (Parcel_image.of_parcels (Array.of_list parcels)) with
     Eric_rv.Program.entry_offset = entry }
 
 let p32 i = Eric_rv.Program.P32 (Eric_rv.Encode.encode i)

@@ -349,7 +349,7 @@ let sample_parcels =
      Program.P32 (Encode.encode Inst.Ecall) |]
 
 let sample_image () =
-  { (Program.of_parcels sample_parcels) with
+  { (Parcel_image.of_parcels sample_parcels) with
     Program.data = Bytes.of_string "hello";
     bss_size = 16 }
 
@@ -388,7 +388,7 @@ let image_flips =
                  parcels)
           in
           labelled "random image" ~symbols:with_syms
-            { (Program.of_parcels parcels) with
+            { (Parcel_image.of_parcels parcels) with
               Program.data = Bytes.of_string data;
               bss_size = bss;
               symbols })
@@ -474,11 +474,11 @@ let test_frame_text () =
   (* A parcel whose length bits contradict its constructor would frame
      differently, so no image is built around it. *)
   Alcotest.check_raises "P16 with a 32-bit marker"
-    (Invalid_argument "Program.of_parcels: P16 with a 32-bit marker") (fun () ->
-      ignore (Program.of_parcels [| Program.P16 0xFFFF |]));
+    (Invalid_argument "Parcel_image.of_parcels: P16 with a 32-bit marker") (fun () ->
+      ignore (Parcel_image.of_parcels [| Program.P16 0xFFFF |]));
   Alcotest.check_raises "P32 without one"
-    (Invalid_argument "Program.of_parcels: P32 without a 32-bit marker") (fun () ->
-      ignore (Program.of_parcels [| Program.P32 0x00000001l |]))
+    (Invalid_argument "Parcel_image.of_parcels: P32 without a 32-bit marker") (fun () ->
+      ignore (Parcel_image.of_parcels [| Program.P32 0x00000001l |]))
 
 (* The list-based framing that the two-pass array version replaced, kept
    as its reference model. *)
@@ -511,7 +511,7 @@ let parcels_match_reference =
   qtest "parcels = list-based reference"
     (QCheck.make ~print:Eric_util.Bytesx.to_hex gen_text_bytes)
     (fun b ->
-      let wire = Program.to_binary { (Program.of_parcels [||]) with Program.text = b } in
+      let wire = Program.to_binary { (Parcel_image.of_parcels [||]) with Program.text = b } in
       match (Program.of_binary wire, ref_frame_text b) with
       | Ok img, Some parcels ->
         let offsets = Array.make (Array.length parcels) 0 in

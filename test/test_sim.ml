@@ -483,7 +483,7 @@ let test_slt_family () =
 
 let build_program ?(data = Bytes.empty) insts =
   let parcels = Array.of_list (List.map (fun i -> Program.P32 (Encode.encode i)) insts) in
-  { (Program.of_parcels parcels) with Program.data }
+  { (Parcel_image.of_parcels parcels) with Program.data }
 
 let test_x0_hardwired () =
   let image =
@@ -529,7 +529,7 @@ let test_misaligned_store_faults () =
 
 let test_invalid_instruction_faults () =
   let image =
-    Program.of_parcels [| Program.P32 0xFFFFFFFFl |]
+    Parcel_image.of_parcels [| Program.P32 0xFFFFFFFFl |]
   in
   match (Soc.run_program image).Soc.status with
   | Cpu.Faulted _ -> ()
